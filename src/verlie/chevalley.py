@@ -19,6 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import JacobiViolation
+from .fp import check_modulus
 from .roots import GCM, Root, RootSystem, catalog_gcm, positive_roots
 from .superalgebra import Constants, ModularSuperAlgebra, jacobi_witness, make_constants
 
@@ -235,6 +236,7 @@ def integral_antisymmetry_ok(alg: IntegralLieAlgebra) -> bool:
 
 def reduce_mod_p(alg: IntegralLieAlgebra, p: int) -> ModularSuperAlgebra:
     """Reduce the integral constants mod an odd prime; all-even parity."""
+    check_modulus(p)
     entries = []
     for (i, j), comps in alg.constants.items():
         for k, c in comps.items():
@@ -263,6 +265,7 @@ def gl(n: int, p: int) -> ModularSuperAlgebra:
     """
     if n < 1:
         raise ValueError("rank must be positive")
+    check_modulus(p)
     dim = n * n
 
     def idx(i: int, j: int) -> int:
@@ -294,6 +297,7 @@ def sl(n: int, p: int) -> ModularSuperAlgebra:
     """sl_n over F_p: off-diagonal E_ij plus H_i = E_ii - E_{i+1,i+1}."""
     if n < 2:
         raise ValueError("rank must be at least 2")
+    check_modulus(p)
     off = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
     dim = len(off) + n - 1
     pos = {pair: k for k, pair in enumerate(off)}
@@ -412,6 +416,7 @@ def integral_catalog(name: str) -> IntegralLieAlgebra:
 @lru_cache(maxsize=None)
 def catalog_algebra(name: str, p: int) -> ModularSuperAlgebra:
     """Named catalog algebra reduced mod p; 'gl<n>' and 'sl<n>' are accepted too."""
+    check_modulus(p)
     name = name.lower()
     if name.startswith("gl"):
         return gl(int(name[2:]), p)

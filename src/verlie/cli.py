@@ -18,20 +18,20 @@ import numpy as np
 from . import errors
 from .chevalley import catalog_algebra, chevalley_basis, reduce_mod_p
 from .repalpha import block_counts, jordan_decompose, parse_element, realize, structured_decompose
-from .roots import Coloring, catalog_gcm, diagram_ascii, diagram_json, positive_roots, swap_orbit, validate_gcm
+from .roots import (
+    Coloring,
+    catalog_gcm,
+    derive_tilde,
+    diagram_ascii,
+    diagram_json,
+    positive_roots,
+    swap_orbit,
+    validate_gcm,
+)
 from .semisimplify import semisimplify
 from .superalgebra import check_odd_cubes, check_super_jacobi, check_super_skew, superdim
-from .table import run_table
-from .verify import (
-    TargetSpec,
-    certify,
-    certify_even_route,
-    custom_plan_g36,
-    generator_images,
-    subquotient_certificate,
-    target_by_name,
-    tilde_target,
-)
+from .table import certify_route, run_table
+from .verify import target_catalog
 
 SCHEMA = 1
 
@@ -78,6 +78,16 @@ def _parse_subset(text: str) -> tuple[int, ...]:
     return tuple(sorted(int(tok) for tok in text.replace(" ", "").split(",") if tok))
 
 
+def _decomposed(args, structured: bool = True):
+    """Realize the element; decompose along --subset when one is given and
+    `structured`, generically otherwise."""
+    alg = _load_algebra(args.algebra, args.p)
+    realization = realize(alg, _element_vector(args, alg))
+    if structured and args.subset:
+        return alg, realization, structured_decompose(realization, _parse_subset(args.subset))
+    return alg, realization, jordan_decompose(realization)
+
+
 def cmd_roots(args) -> int:
     gcm = catalog_gcm(args.algebra)
     rs = positive_roots(gcm)
@@ -92,13 +102,7 @@ def cmd_roots(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    alg = _load_algebra(args.algebra, args.p)
-    vec = _element_vector(args, alg)
-    realization = realize(alg, vec)
-    if args.subset:
-        decomp = structured_decompose(realization, _parse_subset(args.subset))
-    else:
-        decomp = jordan_decompose(realization)
+    alg, realization, decomp = _decomposed(args)
     counts = block_counts(decomp)
     print(f"{args.algebra} p={alg.p}: block counts {counts} (degree {realization.degree})")
     chains = []
@@ -115,13 +119,7 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_semisimplify(args) -> int:
-    alg = _load_algebra(args.algebra, args.p)
-    vec = _element_vector(args, alg)
-    realization = realize(alg, vec)
-    if args.subset:
-        decomp = structured_decompose(realization, _parse_subset(args.subset))
-    else:
-        decomp = jordan_decompose(realization)
+    alg, realization, decomp = _decomposed(args)
     ss = semisimplify(realization, decomp)
     sdim = superdim(ss.algebra)
     checks = {
@@ -141,33 +139,24 @@ def cmd_semisimplify(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    alg = _load_algebra(args.algebra, args.p)
-    vec = _element_vector(args, alg)
-    realization = realize(alg, vec)
+    star_sdim = None
     if args.plan == "g36":
-        decomp = jordan_decompose(realization)
-        ss = semisimplify(realization, decomp)
-        cert = certify(ss, custom_plan_g36(ss), target_by_name("g(3,6)"))
+        route = "custom-g36"
     elif args.target == "el(5;5)":
-        decomp = jordan_decompose(realization)
-        ss = semisimplify(realization, decomp)
-        cert = certify_even_route(ss, target_by_name("el(5;5)"))
+        route = "el55"
+    elif not args.subset:
+        raise errors.VerlieError("certification needs --subset (or --plan g36 / --target 'el(5;5)')")
+    elif args.target == "sl(3|1)":
+        route, star_sdim = "star", (9, 6)
     else:
-        if not args.subset:
-            raise errors.VerlieError("certification needs --subset (or --plan g36 / --target 'el(5;5)')")
-        subset = _parse_subset(args.subset)
-        decomp = structured_decompose(realization, subset)
-        ss = semisimplify(realization, decomp)
-        gens = generator_images(ss, subset)
-        if args.target == "sl(3|1)":
-            from .roots import derive_tilde
-
-            target = TargetSpec(name="sl(3|1)", p=alg.p, superdim=(9, 6),
-                                gcm=derive_tilde(catalog_gcm(args.algebra), subset))
-            cert, _ = subquotient_certificate(ss, gens, target)
-        else:
-            name = args.target or _infer_target(args.algebra, subset)
-            cert = certify(ss, gens, tilde_target(name, ss, subset))
+        route = "maint"
+    _, realization, decomp = _decomposed(args, structured=route in ("maint", "star"))
+    ss = semisimplify(realization, decomp)
+    subset = _parse_subset(args.subset) if args.subset else None
+    target = args.target
+    if route == "maint" and not target:
+        target = _infer_target(args.algebra, subset)
+    cert = certify_route(ss, route, subset, target, star_sdim)
     payload = cert.to_json_dict()
     payload.update({"command": "certify", "algebra": args.algebra,
                     "element": args.element or args.subset,
@@ -179,13 +168,8 @@ def cmd_certify(args) -> int:
 
 
 def _infer_target(algebra: str, subset: tuple[int, ...]) -> str:
-    from .verify import target_catalog
-
     def catalog_match(nodes):
-        tilde = None
         try:
-            from .roots import derive_tilde
-
             tilde = derive_tilde(catalog_gcm(algebra), nodes)
         except ValueError:
             return None

@@ -21,6 +21,10 @@ class NotNilpotent(VerlieError):
     """A matrix expected to be nilpotent is not."""
 
 
+class BadModulus(VerlieError):
+    """The characteristic is not an odd prime."""
+
+
 class DegreeExceedsP(VerlieError):
     """Nilpotent, but of degree > p, so not a representation of the height-p shift algebra."""
 

@@ -8,9 +8,11 @@ so outputs are reproducible bit for bit.
 
 from __future__ import annotations
 
+from math import isqrt
+
 import numpy as np
 
-from .errors import NotNilpotent
+from .errors import BadModulus, NotNilpotent
 
 Array = np.ndarray
 
@@ -27,8 +29,10 @@ def inv_scalar(a: int, p: int) -> int:
     return pow(a, p - 2, p)
 
 
-def matmul(a: Array, b: Array, p: int) -> Array:
-    return (np.asarray(a, dtype=np.int64) @ np.asarray(b, dtype=np.int64)) % p
+def check_modulus(p: int) -> None:
+    """Raise BadModulus unless p is an odd prime."""
+    if p < 3 or p % 2 == 0 or any(p % d == 0 for d in range(3, isqrt(p) + 1, 2)):
+        raise BadModulus(f"p = {p} is not an odd prime")
 
 
 def rref(m, p: int) -> tuple[Array, list[int]]:
@@ -104,21 +108,6 @@ def solve(m, b, p: int) -> Array | None:
     x = np.zeros(n, dtype=np.int64)
     for i, pc in enumerate(pivots):
         x[pc] = r[i, n]
-    return x
-
-
-def solve_many(m, bs, p: int) -> Array:
-    """Solve m @ X = bs (bs columns are right-hand sides); raises if any is inconsistent."""
-    a = normalize(m, p)
-    rhs = normalize(bs, p)
-    aug = np.hstack([a, rhs])
-    r, pivots = rref(aug, p)
-    n = a.shape[1]
-    if any(pc >= n for pc in pivots):
-        raise ValueError("inconsistent system")
-    x = np.zeros((n, rhs.shape[1]), dtype=np.int64)
-    for i, pc in enumerate(pivots):
-        x[pc] = r[i, n:]
     return x
 
 

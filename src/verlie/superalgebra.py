@@ -40,24 +40,13 @@ class ModularSuperAlgebra:
 
     # -- bracket machinery ------------------------------------------------
 
-    def bracket_basis(self, i: int, j: int) -> dict[int, int]:
-        return self.constants.get((i, j), {})
-
     def _flat_ads(self):
         """Cached CSRs: L[i, k*dim+j] = C(i,j,k) and R[j, k*dim+i] = C(i,j,k)."""
         if self._adl is None:
             d = self.dim
-            rl, cl, vl, rr, cr, vr = [], [], [], [], [], []
-            for (i, j), comps in self.constants.items():
-                for k, c in comps.items():
-                    rl.append(i)
-                    cl.append(k * d + j)
-                    vl.append(c)
-                    rr.append(j)
-                    cr.append(k * d + i)
-                    vr.append(c)
-            self._adl = sp.csr_matrix((vl, (rl, cl)), shape=(d, d * d), dtype=np.int64)
-            self._adr = sp.csr_matrix((vr, (rr, cr)), shape=(d, d * d), dtype=np.int64)
+            i, j, k, c = _tensor_coo(self.constants)
+            self._adl = sp.csr_matrix((c, (i, k * d + j)), shape=(d, d * d), dtype=np.int64)
+            self._adr = sp.csr_matrix((c, (j, k * d + i)), shape=(d, d * d), dtype=np.int64)
         return self._adl, self._adr
 
     def ad(self, v) -> np.ndarray:
@@ -157,6 +146,12 @@ def make_constants(entries: Iterable[tuple[int, int, int, int]], p: int) -> Cons
     return out
 
 
+def _tensor_coo(constants: Constants) -> np.ndarray:
+    """The tensor as COO rows (i, j, k, c), one column per C(i,j,k) = c."""
+    quads = [(i, j, k, c) for (i, j), comps in constants.items() for k, c in comps.items()]
+    return np.array(quads, dtype=np.int64).reshape(-1, 4).T
+
+
 def superdim(alg: ModularSuperAlgebra) -> tuple[int, int]:
     return int(np.sum(alg.parity == 0)), int(np.sum(alg.parity == 1))
 
@@ -193,26 +188,6 @@ def check_super_skew(alg: ModularSuperAlgebra) -> Report:
     return Report("super_skew", True)
 
 
-def _constants_flat(constants: Constants, dim: int, dtype=np.int64):
-    """CSR views of the tensor: c1[(i*d+j), m] = C(i,j,m) and c2[m, (k*d+l)] = C(m,k,l)."""
-    rows, cols, vals = [], [], []
-    for (i, j), comps in constants.items():
-        base = i * dim + j
-        for k, c in comps.items():
-            rows.append(base)
-            cols.append(k)
-            vals.append(c)
-    c1 = sp.csr_matrix((vals, (rows, cols)), shape=(dim * dim, dim), dtype=dtype)
-    r2, c2c, v2 = [], [], []
-    for (m, k), comps in constants.items():
-        for l, c in comps.items():
-            r2.append(m)
-            c2c.append(k * dim + l)
-            v2.append(c)
-    c2 = sp.csr_matrix((v2, (r2, c2c)), shape=(dim, dim * dim), dtype=dtype)
-    return c1, c2
-
-
 def jacobi_witness(constants: Constants, parity, dim: int, p: int | None):
     """First basis triple violating the (super) Jacobi identity, or None.
 
@@ -223,8 +198,11 @@ def jacobi_witness(constants: Constants, parity, dim: int, p: int | None):
     if dim == 0 or not constants:
         return None
     par = np.asarray(parity, dtype=np.int64)
-    c1, c2 = _constants_flat(constants, dim)
     d = dim
+    # c1[(i*d+j), k] = C(i,j,k) and c2[i, (j*d+k)] = C(i,j,k)
+    ci, cj, ck, cv = _tensor_coo(constants)
+    c1 = sp.csr_matrix((cv, (ci * d + cj, ck)), shape=(d * d, d), dtype=np.int64)
+    c2 = sp.csr_matrix((cv, (ci, cj * d + ck)), shape=(d, d * d), dtype=np.int64)
     block = max(1, min(d, (1 << 22) // max(1, d * d // 16)))
     idx = np.arange(d, dtype=np.int64)
     for start in range(0, d, block):
@@ -526,35 +504,35 @@ def derived_subalgebra(alg: ModularSuperAlgebra) -> Subspace:
     return sub
 
 
+def closure(sub: Subspace, images) -> Subspace:
+    """Smallest subspace containing sub that holds images(v, span) for every
+    vector v it spans.  Only rows new since the last round are acted on, and
+    span is the subspace as it stood at the start of that round."""
+    frontier = sub.rows
+    while len(frontier) and sub.dim < sub.ambient:
+        span = sub
+        sub, frontier = _absorb(sub, np.vstack([images(v, span) for v in frontier]))
+    return sub
+
+
 def generated_subalgebra(alg: ModularSuperAlgebra, vectors) -> Subspace:
     """Smallest bracket-closed subspace containing the vectors: fixpoint of
     bracketing the newly added rows against the current span."""
-    seeds = np.atleast_2d(vectors) if len(vectors) else []
-    sub = Subspace.from_vectors(list(seeds), alg.dim, alg.p) if len(seeds) else Subspace.zero(alg.dim, alg.p)
-    frontier = sub.rows
-    while len(frontier) and sub.dim < alg.dim:
-        snapshot = sub.rows
-        collected = []
-        for v in frontier:
-            collected.append((alg.ad(v) @ snapshot.T).T % alg.p)  # [v, row_j]
-            collected.append((alg.ad_right(v) @ snapshot.T).T % alg.p)  # [row_j, v]
-        sub, frontier = _absorb(sub, np.vstack(collected))
-    return sub
+
+    def images(v, span):  # rows [v, row_j], then [row_j, v]
+        return np.hstack([alg.ad(v) @ span.rows.T, alg.ad_right(v) @ span.rows.T]).T % alg.p
+
+    return closure(Subspace.from_vectors(vectors, alg.dim, alg.p), images)
 
 
 def ideal_closure(alg: ModularSuperAlgebra, vectors) -> Subspace:
     """Smallest subspace containing the vectors that is stable under
     bracketing with all of g."""
-    seeds = np.atleast_2d(vectors) if len(vectors) else []
-    sub = Subspace.from_vectors(list(seeds), alg.dim, alg.p) if len(seeds) else Subspace.zero(alg.dim, alg.p)
-    frontier = sub.rows
-    while len(frontier) and sub.dim < alg.dim:
-        collected = []
-        for v in frontier:
-            collected.append(alg.ad(v).T)  # rows j: [v, b_j]
-            collected.append(alg.ad_right(v).T)  # rows j: [b_j, v]
-        sub, frontier = _absorb(sub, np.vstack(collected))
-    return sub
+
+    def images(v, _):  # rows [v, b_j], then [b_j, v]
+        return np.vstack([alg.ad(v).T, alg.ad_right(v).T])
+
+    return closure(Subspace.from_vectors(vectors, alg.dim, alg.p), images)
 
 
 def subalgebra_on(alg: ModularSuperAlgebra, sub: Subspace) -> tuple[ModularSuperAlgebra, np.ndarray]:
@@ -565,8 +543,8 @@ def subalgebra_on(alg: ModularSuperAlgebra, sub: Subspace) -> tuple[ModularSuper
     """
     ev_mat, od_mat = _parity_split(alg, sub)
     rows = np.vstack([ev_mat, od_mat]) if len(ev_mat) or len(od_mat) else np.zeros((0, alg.dim), dtype=np.int64)
-    basis = Subspace.from_vectors(rows, alg.dim, alg.p)
-    # from_vectors would reorder; keep our block order but reuse pivot bookkeeping
+    # even block first, so the rows are not one echelon form; each row's
+    # pivot is still zero in every other row
     pivots = []
     for row in rows:
         nz = np.nonzero(row)[0]
@@ -588,23 +566,7 @@ def subalgebra_on(alg: ModularSuperAlgebra, sub: Subspace) -> tuple[ModularSuper
         constants=make_constants(entries, alg.p),
         labels=[f"sub[{i}]" for i in range(n)],
     )
-    assert basis.dim == n
     return new, rows
-
-
-def _expand_in_rows(v, rows, pivots, p: int) -> np.ndarray:
-    """Coefficients of v over echelon-like rows with known pivot columns."""
-    v = fp.normalize(v, p).copy()
-    coeffs = np.zeros(len(rows), dtype=np.int64)
-    for idx in range(len(rows)):
-        c = pivots[idx]
-        if v[c]:
-            scale = (v[c] * fp.inv_scalar(rows[idx][c], p)) % p
-            coeffs[idx] = scale
-            v = (v - scale * rows[idx]) % p
-    if v.any():
-        raise ValueError("vector not inside the subalgebra")
-    return coeffs
 
 
 @dataclass
@@ -663,7 +625,10 @@ def gen_subquotient(alg: ModularSuperAlgebra, generators: Mapping[str, np.ndarra
     sub = generated_subalgebra(alg, seeds)
     subalg, rows = subalgebra_on(alg, sub)
     pivots = [int(np.nonzero(r)[0][0]) for r in rows]
-    gen_coords = {name: _expand_in_rows(v, rows, pivots, alg.p) for name, v in generators.items()}
+    coords = seeds[:, pivots]  # pivot entries are 1 and zero in every other row
+    if ((seeds - coords @ rows) % alg.p).any():
+        raise ValueError("vector not inside the subalgebra")
+    gen_coords = dict(zip(generators, coords))
     cube_vecs = [v for v, _ in odd_cube_generators(subalg)]
     ideal = ideal_closure(subalg, cube_vecs) if cube_vecs else Subspace.zero(subalg.dim, alg.p)
     if ideal.dim == 0:

@@ -13,7 +13,7 @@ from functools import lru_cache
 
 from .chevalley import catalog_algebra
 from .repalpha import block_counts, jordan_decompose, parse_element, realize, structured_decompose
-from .roots import catalog_gcm, derive_tilde
+from .roots import derive_tilde
 from .semisimplify import semisimplify
 from .superalgebra import check_odd_cubes, check_super_jacobi, check_super_skew, superdim
 from .verify import (
@@ -46,6 +46,25 @@ class RowSpec:
     @property
     def key(self) -> str:
         return f"{self.algebra}@{self.elements[0]}|p={self.p}"
+
+
+def certify_route(ss, route: str, subset, target: str | None, star_sdim):
+    """Certificate along one of the certificate routes of `RowSpec.route`:
+    maint (generator relations against the derived matrix of `subset`),
+    star (the same for the generator subquotient, of superdimension
+    `star_sdim`), custom-g36 (the hand-built generator plan) or el55 (the
+    even part, at p = 5)."""
+    if route == "custom-g36":
+        return certify(ss, custom_plan_g36(ss), target_by_name("g(3,6)"))
+    if route == "el55":
+        return certify_even_route(ss, target_by_name("el(5;5)"))
+    if route == "maint":
+        return certify(ss, generator_images(ss, subset), tilde_target(target, ss, subset))
+    if route == "star":
+        tilde = derive_tilde(ss.realization.algebra.origin.gcm, subset)
+        spec = TargetSpec(name=target, p=ss.p, superdim=star_sdim, gcm=tilde)
+        return subquotient_certificate(ss, generator_images(ss, subset), spec)[0]
+    raise ValueError(f"unknown route {route}")
 
 
 TABLE: tuple[RowSpec, ...] = (
@@ -147,27 +166,7 @@ def run_row(spec: RowSpec) -> TableRow:
         if other != spec.counts:
             mismatches.append(f"{element}: block counts {other} != {spec.counts}")
 
-    if spec.route == "maint":
-        gens = generator_images(ss, spec.subset)
-        cert = certify(ss, gens, tilde_target(spec.target, ss, spec.subset))
-        certificate = cert.to_json_dict()
-        conclusion = cert.conclusion
-        if cert.conclusion != "Verified":
-            mismatches.append(f"certificate {cert.conclusion}")
-    elif spec.route == "custom-g36":
-        gens = custom_plan_g36(ss)
-        cert = certify(ss, gens, target_by_name("g(3,6)"))
-        certificate = cert.to_json_dict()
-        conclusion = cert.conclusion
-        if cert.conclusion != "Verified":
-            mismatches.append(f"certificate {cert.conclusion}")
-    elif spec.route == "el55":
-        cert = certify_even_route(ss, target_by_name("el(5;5)"))
-        certificate = cert.to_json_dict()
-        conclusion = cert.conclusion
-        if cert.conclusion != "Verified":
-            mismatches.append(f"certificate {cert.conclusion}")
-    elif spec.route == "even":
+    if spec.route == "even":
         torus = cartan_torus_images(ss)
         try:
             label, _, dim_e = recognize_even_type(ss.algebra, torus)
@@ -177,16 +176,6 @@ def run_row(spec: RowSpec) -> TableRow:
         except Exception as exc:  # recognition failures are row failures
             conclusion = f"EvenType:failed({exc})"
             mismatches.append(conclusion)
-    elif spec.route == "star":
-        gens = generator_images(ss, spec.subset)
-        tilde = derive_tilde(catalog_gcm(spec.algebra), spec.subset)
-        name = spec.target or f"tilde({spec.algebra};{','.join(map(str, spec.subset))})"
-        target = TargetSpec(name=name, p=spec.p, superdim=spec.star_sdim, gcm=tilde)
-        cert, _ = subquotient_certificate(ss, gens, target)
-        certificate = cert.to_json_dict()
-        conclusion = f"Star:{cert.conclusion}"
-        if cert.conclusion != "Verified":
-            mismatches.append(f"subquotient certificate {cert.conclusion}")
     elif spec.route == "superdim":
         axioms = (
             check_super_skew(ss.algebra).ok
@@ -197,7 +186,13 @@ def run_row(spec: RowSpec) -> TableRow:
         if not axioms:
             mismatches.append("axiom checks failed")
     else:
-        raise ValueError(f"unknown route {spec.route}")
+        star = spec.route == "star"
+        target = spec.target or f"tilde({spec.algebra};{','.join(map(str, spec.subset))})"
+        cert = certify_route(ss, spec.route, spec.subset, target, spec.star_sdim)
+        certificate = cert.to_json_dict()
+        conclusion = ("Star:" if star else "") + cert.conclusion
+        if cert.conclusion != "Verified":
+            mismatches.append(("subquotient " if star else "") + f"certificate {cert.conclusion}")
     return TableRow(
         spec=spec,
         counts=counts,

@@ -18,13 +18,14 @@ import numpy as np
 
 from . import fp
 from .errors import MissingTags, NotDiagonalizable, UnrecognizedType
-from .roots import GCM, attached_node, catalog_gcm, positive_roots, validate_gcm
+from .roots import GCM, attached_node, catalog_gcm, derive_tilde, positive_roots, validate_gcm
 from .semisimplify import SemisimplifiedAlgebra
 from .superalgebra import (
     ModularSuperAlgebra,
     Subspace,
     check_odd_cubes,
     check_super_jacobi,
+    closure,
     generated_subalgebra,
     superdim,
 )
@@ -86,15 +87,8 @@ def target_by_name(name: str) -> TargetSpec:
 def tilde_target(name: str, ss: SemisimplifiedAlgebra, subset) -> TargetSpec:
     """Target whose relation matrix is derived from the source algebra and
     subset, with the expected superdimension of the named catalog entry."""
-    integral = ss.realization.algebra.origin
-    gcm = derive_tilde_of(integral.gcm, subset)
+    gcm = derive_tilde(ss.realization.algebra.origin.gcm, subset)
     return TargetSpec(name=name, p=ss.p, superdim=target_by_name(name).superdim, gcm=gcm)
-
-
-def derive_tilde_of(gcm: GCM, subset) -> GCM:
-    from .roots import derive_tilde
-
-    return derive_tilde(gcm, tuple(sorted(subset)))
 
 
 # -- generator images ----------------------------------------------------------
@@ -365,25 +359,13 @@ def odd_part_irreducible(alg: ModularSuperAlgebra) -> bool:
     basis vector generates the whole odd part."""
     odd_idx = np.nonzero(alg.parity == 1)[0]
     even_idx = np.nonzero(alg.parity == 0)[0]
-    if len(odd_idx) == 0:
-        return True
     eye = np.eye(alg.dim, dtype=np.int64)
-    for start in odd_idx:
-        sub = Subspace.from_vectors([eye[start]], alg.dim, alg.p)
-        frontier = sub.rows
-        while len(frontier):
-            new_rows = []
-            for v in frontier:
-                acted = alg.ad_right(v).T[even_idx]  # rows k even: [b_k, v]
-                res = sub.reduce_rows(acted)
-                res = res[np.any(res, axis=1)]
-                if len(res):
-                    sub = sub.extended(res)
-                    new_rows.append(res)
-            frontier = np.vstack(new_rows) if new_rows else np.zeros((0, alg.dim), dtype=np.int64)
-        if sub.dim != len(odd_idx):
-            return False
-    return True
+
+    def images(v, _):  # rows k even: [b_k, v]
+        return alg.ad_right(v).T[even_idx]
+
+    return all(closure(Subspace.from_vectors([eye[start]], alg.dim, alg.p), images).dim == len(odd_idx)
+               for start in odd_idx)
 
 
 def certify_even_route(ss: SemisimplifiedAlgebra, target: TargetSpec) -> Certificate:
@@ -490,9 +472,6 @@ def recognize_even_type(alg: ModularSuperAlgebra, torus) -> tuple[str, int, int]
         if tuple((-x) % p for x in w) not in roots:
             raise UnrecognizedType("weights are not closed under negation")
 
-    def wsum(a, b):
-        return tuple((x + y) % p for x, y in zip(a, b))
-
     def wneg(a):
         return tuple((-x) % p for x in a)
 
@@ -557,14 +536,13 @@ def recognize_even_type(alg: ModularSuperAlgebra, torus) -> tuple[str, int, int]
     for cand in ordered:
         trial = basis + [cand]
         g = [[gram(x, y) for y in trial] for x in trial]
-        if _frac_rank(g) == len(trial):
+        if len(_frac_rref(g)[1]) == len(trial):
             basis = trial
     rank = len(basis)
-    gmat = [[gram(x, y) for y in basis] for x in basis]
-    coords: dict[tuple[int, ...], tuple[Fraction, ...]] = {}
-    for lam in roots:
-        rhs = [gram(lam, b) for b in basis]
-        coords[lam] = tuple(_frac_solve(gmat, rhs))
+    # solve gram(basis, basis) x = gram(basis, lam) for every root at once
+    lams = list(roots)
+    solved, _ = _frac_rref([[gram(x, y) for y in basis] + [gram(lam, x) for lam in lams] for x in basis])
+    coords = {lam: tuple(row[rank + t] for row in solved) for t, lam in enumerate(lams)}
     scale = Fraction(10_000)
     positive = []
     for lam, cs in coords.items():
@@ -594,11 +572,12 @@ def recognize_even_type(alg: ModularSuperAlgebra, torus) -> tuple[str, int, int]
     return label, rank, dim_e
 
 
-def _frac_rank(rows) -> int:
+def _frac_rref(rows) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over Q, and the pivot columns."""
     m = [list(r) for r in rows]
-    rank = 0
-    ncols = len(m[0]) if m else 0
-    for c in range(ncols):
+    pivots: list[int] = []
+    for c in range(len(m[0]) if m else 0):
+        rank = len(pivots)
         piv = next((r for r in range(rank, len(m)) if m[r][c] != 0), None)
         if piv is None:
             continue
@@ -609,23 +588,8 @@ def _frac_rank(rows) -> int:
             if r != rank and m[r][c]:
                 factor = m[r][c]
                 m[r] = [x - factor * y for x, y in zip(m[r], m[rank])]
-        rank += 1
-    return rank
-
-
-def _frac_solve(mat, rhs) -> list[Fraction]:
-    n = len(mat)
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(mat)]
-    for c in range(n):
-        piv = next(r for r in range(c, n) if aug[r][c] != 0)
-        aug[c], aug[piv] = aug[piv], aug[c]
-        inv = Fraction(1) / aug[c][c]
-        aug[c] = [x * inv for x in aug[c]]
-        for r in range(n):
-            if r != c and aug[r][c]:
-                factor = aug[r][c]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[c])]
-    return [aug[i][n] for i in range(n)]
+        pivots.append(c)
+    return m, pivots
 
 
 def _match_type(cartan, rank: int) -> str:

@@ -111,6 +111,18 @@ def test_reduce_mod_p_sl2():
     assert sl2.constants[(0, 1)] == {2: 1}
 
 
+def test_catalog_rejects_modulus_outside_odd_primes():
+    from verlie.errors import BadModulus
+
+    with pytest.raises(BadModulus):
+        catalog_algebra("g2", 4)
+    with pytest.raises(BadModulus):
+        reduce_mod_p(chevalley_basis(catalog_gcm("a1")), 2)
+    for make in (gl, sl):
+        with pytest.raises(BadModulus):
+            make(3, 9)
+
+
 def test_gl3_basics():
     alg = gl(3, 3)
     assert alg.dim == 9

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from verlie.cli import main
 
 
@@ -93,3 +95,11 @@ def test_table_command(capsys, tmp_path):
     assert "all rows match" in out
     data = json.loads(path.read_text())
     assert data["ok"] is True and len(data["rows"]) == 16
+
+
+@pytest.mark.parametrize("command", ["decompose", "semisimplify"])
+@pytest.mark.parametrize("p", [-3, 0, 1, 2, 4, 9])
+def test_bad_modulus_exit_code(command, p, capsys):
+    assert main([command, "--algebra", "g2", "-p", str(p), "--element", "e2"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "not an odd prime" in err and "Traceback" not in err

@@ -1,0 +1,49 @@
+"""Pinned `--json` payloads: the SHA-256 of each command's JSON file and its
+exit code.  The pins were recorded before the certificate routes were shared
+between `certify` and `table`; any refactor must leave these bytes alone.
+Never regenerate them to make a change pass."""
+
+import hashlib
+
+import pytest
+
+from verlie.cli import main
+
+GOLDEN = [
+    (["roots", "g2"],
+     0, "12af9cd5bb6c6e8e1b0552024f44d268d3e47b7425e6ca38de1a267398ed0697"),
+    (["decompose", "--algebra", "gl3", "-p", "3", "--element", "e2"],
+     0, "ff49a6322d044f5a14949559d6a7af02e681cab442353c1277841468fc7f8626"),
+    (["decompose", "--algebra", "f4", "--subset", "4"],
+     0, "7049a497c52a64e7fcae35032afb0c6b3d1b561bff79928ab0a256469f6a8245"),
+    (["decompose", "--algebra", "e8", "-p", "5", "--element", "e2+e3+e4"],
+     0, "6adb8c439baa99568924ba8925de7a1951ddaff9d4cea5f04ad937b25b7bbf22"),
+    (["semisimplify", "--algebra", "gl3", "-p", "3", "--element", "e2"],
+     0, "c949f5e4452aa2e1b9a6b5d12231879b0f47a80a0148859a2964aa44e2ef931d"),
+    (["semisimplify", "--algebra", "f4", "--subset", "4"],
+     0, "23f07046ea9ac475772fcaf58de397955b485580dd5acc2c7881b48c7d54ea27"),
+    # maint route, target g(2,6) matched directly
+    (["certify", "--algebra", "e6", "--subset", "2"],
+     0, "5ff41ff12d1a852eb1a22f35d5c77b56456aededf9200bd9eee5e20bee625ea7"),
+    # maint route, target found only on another member of the swap orbit
+    (["certify", "--algebra", "e6", "--subset", "1"],
+     0, "bfb6af19b2af0c914b3b17a48533f5f33a8e26c287e24558145ea92917bf7c34"),
+    (["certify", "--algebra", "e6", "--subset", "2", "--target", "g(3,3)"],
+     2, "5f39406d25d374f8c045650d9a27c95bbaf5a32cc0dd0dcb0e850c58d7958d40"),
+    # star route: generator subquotient
+    (["certify", "--algebra", "f4", "--subset", "1", "--target", "sl(3|1)"],
+     0, "05dfbe2d3960822e41c762f8b5e30561727fedbcf80b36f1b8132163895b2e89"),
+    (["certify", "--algebra", "e8", "--element", "e1+e2+e6+e8", "--plan", "g36"],
+     0, "91dc696e786b3083c32508e6868a9a9b9fe20c2308d3b616e1c9f3160d6bed7f"),
+    (["certify", "--algebra", "e8", "-p", "5", "--element", "e2+e3+e4", "--target", "el(5;5)"],
+     0, "0ee61e0faacb4cc1c0880500f2e3991984b1a2c04250621e54ac7d2c1326411c"),
+    (["swaps", "--algebra", "f4", "--subset", "4"],
+     0, "b30ca28698dd353c1cf401dbe793588a9f63cab3b674a5b84a2db78aa5c39879"),
+]
+
+
+@pytest.mark.parametrize("argv,code,digest", GOLDEN, ids=[" ".join(g[0]) for g in GOLDEN])
+def test_json_payload_pinned(argv, code, digest, tmp_path, capsys):
+    path = tmp_path / "out.json"
+    assert main(argv + ["--json", str(path)]) == code
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
