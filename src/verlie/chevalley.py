@@ -236,7 +236,7 @@ def integral_antisymmetry_ok(alg: IntegralLieAlgebra) -> bool:
 
 def reduce_mod_p(alg: IntegralLieAlgebra, p: int) -> ModularSuperAlgebra:
     """Reduce the integral constants mod an odd prime; all-even parity."""
-    check_modulus(p)
+    check_modulus(p, alg.dim)
     entries = []
     for (i, j), comps in alg.constants.items():
         for k, c in comps.items():
@@ -265,8 +265,8 @@ def gl(n: int, p: int) -> ModularSuperAlgebra:
     """
     if n < 1:
         raise ValueError("rank must be positive")
-    check_modulus(p)
     dim = n * n
+    check_modulus(p, dim)
 
     def idx(i: int, j: int) -> int:
         return (i - 1) * n + (j - 1)
@@ -297,9 +297,9 @@ def sl(n: int, p: int) -> ModularSuperAlgebra:
     """sl_n over F_p: off-diagonal E_ij plus H_i = E_ii - E_{i+1,i+1}."""
     if n < 2:
         raise ValueError("rank must be at least 2")
-    check_modulus(p)
     off = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
     dim = len(off) + n - 1
+    check_modulus(p, dim)
     pos = {pair: k for k, pair in enumerate(off)}
 
     def as_matrix(b: int) -> np.ndarray:
@@ -415,11 +415,19 @@ def integral_catalog(name: str) -> IntegralLieAlgebra:
 
 @lru_cache(maxsize=None)
 def catalog_algebra(name: str, p: int) -> ModularSuperAlgebra:
-    """Named catalog algebra reduced mod p; 'gl<n>' and 'sl<n>' are accepted too."""
+    """Named catalog algebra reduced mod p; 'gl<n>' and 'sl<n>' are accepted too.
+
+    The result is shared by every caller, so its generator vectors and parity
+    are read-only.
+    """
     check_modulus(p)
     name = name.lower()
     if name.startswith("gl"):
-        return gl(int(name[2:]), p)
-    if name.startswith("sl") and name[2:].isdigit():
-        return sl(int(name[2:]), p)
-    return reduce_mod_p(integral_catalog(name), p)
+        alg = gl(int(name[2:]), p)
+    elif name.startswith("sl") and name[2:].isdigit():
+        alg = sl(int(name[2:]), p)
+    else:
+        alg = reduce_mod_p(integral_catalog(name), p)
+    for vec in [alg.parity, *alg.gens.values()]:
+        vec.setflags(write=False)
+    return alg

@@ -150,12 +150,13 @@ def cmd_certify(args) -> int:
         route, star_sdim = "star", (9, 6)
     else:
         route = "maint"
-    _, realization, decomp = _decomposed(args, structured=route in ("maint", "star"))
+    alg, realization, decomp = _decomposed(args, structured=route in ("maint", "star"))
     ss = semisimplify(realization, decomp)
     subset = _parse_subset(args.subset) if args.subset else None
     target = args.target
     if route == "maint" and not target:
-        target = _infer_target(args.algebra, subset)
+        # the structured decomposition has checked that alg is a Chevalley reduction
+        target = _infer_target(args.algebra, alg.origin.gcm, subset)
     cert = certify_route(ss, route, subset, target, star_sdim)
     payload = cert.to_json_dict()
     payload.update({"command": "certify", "algebra": args.algebra,
@@ -167,10 +168,10 @@ def cmd_certify(args) -> int:
     return 0 if cert.conclusion == "Verified" else 2
 
 
-def _infer_target(algebra: str, subset: tuple[int, ...]) -> str:
+def _infer_target(algebra: str, gcm, subset: tuple[int, ...]) -> str:
     def catalog_match(nodes):
         try:
-            tilde = derive_tilde(catalog_gcm(algebra), nodes)
+            tilde = derive_tilde(gcm, nodes)
         except ValueError:
             return None
         for t in target_catalog():
@@ -183,7 +184,7 @@ def _infer_target(algebra: str, subset: tuple[int, ...]) -> str:
         return name
     # the same output arises from every legal recoloring; look for an orbit
     # member whose derived matrix is catalogued
-    for coloring in swap_orbit(Coloring(catalog_gcm(algebra), frozenset(subset))):
+    for coloring in swap_orbit(Coloring(gcm, frozenset(subset))):
         name = catalog_match(coloring.sorted_black())
         if name:
             return name

@@ -11,6 +11,7 @@ from __future__ import annotations
 from math import isqrt
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import BadModulus, NotNilpotent
 
@@ -29,9 +30,18 @@ def inv_scalar(a: int, p: int) -> int:
     return pow(a, p - 2, p)
 
 
-def check_modulus(p: int) -> None:
-    """Raise BadModulus unless p is an odd prime."""
-    if p < 3 or p % 2 == 0 or any(p % d == 0 for d in range(3, isqrt(p) + 1, 2)):
+def check_modulus(p: int, dim: int = 1) -> None:
+    """Raise BadModulus unless p is an odd prime with dim·(p−1)² < 2^50.
+
+    An int64 product of dim-sized operands accumulates up to dim·(p−1)²; the
+    float64 sums of the Jacobi and odd-cube checks add up to about 6·dim such
+    products and stay exact only below 2^53, hence 2^50.
+    """
+    if p < 3 or p % 2 == 0:
+        raise BadModulus(f"p = {p} is not an odd prime")
+    if dim * (p - 1) ** 2 >= 1 << 50:
+        raise BadModulus(f"p = {p} is too large for dimension {dim}: dim*(p-1)^2 must stay below 2^50")
+    if any(p % d == 0 for d in range(3, isqrt(p) + 1, 2)):
         raise BadModulus(f"p = {p} is not an odd prime")
 
 
@@ -121,6 +131,20 @@ def inverse(m, p: int) -> Array:
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
     return r[:, n:]
+
+
+def powers(m, k: int, p: int) -> list[Array]:
+    """[I, m, ..., m^k] mod p, multiplied as sparse int64 matrices and
+    returned dense (derivations like ad e have a few nonzeros per column)."""
+    a = sp.csr_matrix(normalize(m, p))
+    power = sp.identity(a.shape[0], dtype=np.int64, format="csr")
+    out = [power.toarray()]
+    for _ in range(k):
+        power = power @ a
+        power.data %= p
+        power.eliminate_zeros()
+        out.append(power.toarray())
+    return out
 
 
 def _power(m: Array, k: int, p: int) -> Array:

@@ -168,11 +168,10 @@ class Realization:
 
 
 def _degree_at_most_p(der: np.ndarray, p: int, modulus: int) -> int:
-    powers = [np.eye(der.shape[0], dtype=np.int64)]
-    for _ in range(p):
-        powers.append(powers[-1] @ der % modulus)
-        if not powers[-1].any():
-            return len(powers) - 1
+    powers = fp.powers(der, p, modulus)
+    for k in range(1, p + 1):
+        if not powers[k].any():
+            return k
     fp.nilpotency_degree(der, modulus)  # raises NotNilpotent when appropriate
     raise DegreeExceedsP(f"derivation is nilpotent of degree > {p}")
 
@@ -269,24 +268,22 @@ def block_counts(decomp: ChainDecomposition) -> tuple[int, ...]:
 
 def rank_count_vector(der: np.ndarray, p: int, modulus: int) -> tuple[int, ...]:
     """Block counts straight from ranks: n_l = r_{l-1} - 2 r_l + r_{l+1}."""
-    dim = der.shape[0]
-    ranks = [dim]
-    power = np.eye(dim, dtype=np.int64)
-    for _ in range(p + 1):
-        power = power @ der % modulus
-        ranks.append(fp.rank(power, modulus))
+    ranks = [der.shape[0]] + [fp.rank(power, modulus) for power in fp.powers(der, p + 1, modulus)[1:]]
     return tuple(ranks[l - 1] - 2 * ranks[l] + ranks[l + 1] for l in range(1, p + 1))
 
 
 def _chains_of(der: np.ndarray, p: int, modulus: int, dim: int) -> list[JordanChain]:
     """Deterministic chain extraction: for lengths l = p down to 1, heads are
-    a complement of (ker D^{l-1} + im D) inside ker D^l, picked by echelon order."""
+    a complement of (ker D^{l-1} + im D) inside ker D^l, picked by echelon order.
+
+    A kernel vector heads a chain when it is independent of the blocked
+    subspace and of the kernel vectors before it, which is exactly when its
+    residual modulo the blocked subspace is a pivot column of all the
+    residuals; so one elimination picks every head of a length.
+    """
     if dim == 0:
         return []
-    powers = [np.eye(dim, dtype=np.int64)]
-    for _ in range(p):
-        powers.append(powers[-1] @ der % modulus)
-    kernels = [fp.kernel_basis(powers[l], modulus) for l in range(p + 1)]
+    kernels = [fp.kernel_basis(power, modulus) for power in fp.powers(der, p, modulus)]
     image_rows = fp.rref(der.T % modulus, modulus)[0]
     image_rows = image_rows[np.any(image_rows, axis=1)]
     chains: list[JordanChain] = []
@@ -296,12 +293,8 @@ def _chains_of(der: np.ndarray, p: int, modulus: int, dim: int) -> list[JordanCh
             dim,
             modulus,
         )
-        picked: list[np.ndarray] = []
-        for candidate in kernels[length]:
-            if blocked.reduce(candidate).any():
-                picked.append(candidate)
-                blocked = blocked.extended([candidate])
-        for head in picked:
+        _, picked = fp.rref(blocked.reduce_rows(kernels[length]).T, modulus)
+        for head in kernels[length][picked]:
             vectors = [head % modulus]
             for _ in range(length - 1):
                 vectors.append(der @ vectors[-1] % modulus)

@@ -421,8 +421,19 @@ class Subspace:
         return all(self.contains(row) for row in other.rows)
 
     def extended(self, vectors) -> "Subspace":
-        stacked = np.vstack([self.rows, fp.normalize(np.atleast_2d(vectors), self.p)])
-        return Subspace.from_vectors(stacked, self.ambient, self.p)
+        """Span of this subspace and the vectors.  Only the residuals of the
+        vectors are eliminated; the old rows are cleared at the new pivot
+        columns with one product, and the rows are merged in pivot order."""
+        res = self.reduce_rows(vectors)
+        res = res[np.any(res, axis=1)]
+        if not len(res):
+            return self
+        new, piv = fp.rref(res, self.p)
+        new = new[: len(piv)]
+        old = (self.rows - self.rows[:, piv] @ new) % self.p
+        pivots = np.array(self.pivots + tuple(piv))
+        order = np.argsort(pivots)
+        return Subspace(self.ambient, self.p, np.vstack([old, new])[order], tuple(int(c) for c in pivots[order]))
 
     def __eq__(self, other) -> bool:
         return (
@@ -474,13 +485,9 @@ def center(alg: ModularSuperAlgebra) -> Subspace:
 
 def _absorb(sub: Subspace, mat) -> tuple[Subspace, np.ndarray]:
     """Extend a subspace by the rows of mat; returns (new subspace, genuinely new rows)."""
-    res = sub.reduce_rows(mat)
-    res = res[np.any(res, axis=1)]
-    if not len(res):
-        return sub, res
-    extended = sub.extended(res)
-    fresh = extended.rows[[c not in set(sub.pivots) for c in extended.pivots]]
-    return extended, fresh
+    extended = sub.extended(mat)
+    old = set(sub.pivots)
+    return extended, extended.rows[[c not in old for c in extended.pivots]]
 
 
 def derived_subalgebra(alg: ModularSuperAlgebra) -> Subspace:

@@ -123,6 +123,44 @@ def test_catalog_rejects_modulus_outside_odd_primes():
             make(3, 9)
 
 
+CATALOG = ["g2", "f4", "e6", "e7", "e8", "a4", "b3", "c3", "d4", "gl3", "sl4"]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_catalog_accepts_small_odd_primes(p):
+    for name in CATALOG:
+        assert catalog_algebra(name, p).p == p
+
+
+def test_modulus_bound_uses_dimension():
+    """A prime that a 1-dimensional accumulation allows but dim 9 does not."""
+    from verlie.errors import BadModulus
+
+    p = 33554393  # the largest prime below 2^25: (p-1)^2 < 2^50 <= 9 (p-1)^2
+    v.fp.check_modulus(p)
+    for make in (gl, sl):
+        with pytest.raises(BadModulus, match="too large"):
+            make(3, p)
+    with pytest.raises(BadModulus, match="too large"):
+        reduce_mod_p(integral_catalog("g2"), p)
+
+
+@pytest.mark.parametrize("name", ["g2", "gl3"])
+def test_catalog_algebra_is_read_only(name):
+    alg = catalog_algebra(name, 3)
+    before = {gen: vec.copy() for gen, vec in alg.gens.items()}
+    with pytest.raises(ValueError):
+        alg.gens["e1"][0] = 1
+    with pytest.raises(ValueError):
+        alg.gens["h1"] += 1
+    with pytest.raises(ValueError):
+        alg.parity[0] = 1
+    again = catalog_algebra(name, 3)
+    assert again.gens.keys() == before.keys()
+    assert all(np.array_equal(again.gens[gen], vec) for gen, vec in before.items())
+    assert not again.parity.any()
+
+
 def test_gl3_basics():
     alg = gl(3, 3)
     assert alg.dim == 9

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from verlie.cli import main
+from verlie.roots import catalog_gcm
 
 
 def test_roots_command(capsys):
@@ -103,3 +104,22 @@ def test_bad_modulus_exit_code(command, p, capsys):
     assert main([command, "--algebra", "g2", "-p", str(p), "--element", "e2"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error:") and "not an odd prime" in err and "Traceback" not in err
+
+
+def test_modulus_beyond_accumulation_bound_exit_code(capsys):
+    assert main(["decompose", "--algebra", "g2", "-p", "4294967311", "--element", "e1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "too large" in err
+
+
+@pytest.mark.parametrize("name,subset", [("c3", "1"), ("f4", "4")])
+def test_certify_spec_file_infers_target_like_catalog(name, subset, tmp_path, capsys):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"cartan": [list(row) for row in catalog_gcm(name).entries], "p": 3}))
+    codes, outputs = [], []
+    for algebra in (name, str(path)):
+        codes.append(main(["certify", "--algebra", algebra, "--subset", subset]))
+        captured = capsys.readouterr()
+        outputs.append((captured.out + captured.err).replace(algebra, "<algebra>"))
+    assert codes[0] == codes[1] and outputs[0] == outputs[1]
+    assert "unknown catalog name" not in outputs[1]

@@ -1,10 +1,13 @@
 import itertools
+from math import isqrt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from verlie import fp
-from verlie.errors import NotNilpotent
+from verlie.errors import BadModulus, NotNilpotent
 
 
 def brute_rank(m, p):
@@ -150,3 +153,60 @@ def test_rref_deterministic():
     r1, piv1 = fp.rref(m, 3)
     r2, piv2 = fp.rref(m, 3)
     assert np.array_equal(r1, r2) and piv1 == piv2
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.sampled_from([3, 5, 7]),
+    n=st.integers(0, 9),
+    k=st.integers(0, 8),
+    density=st.floats(0, 1),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_powers_match_repeated_dense_products(p, n, k, density, seed):
+    rng = np.random.default_rng(seed)
+    m = rng.integers(-2 * p, 2 * p, size=(n, n)) * (rng.random((n, n)) < density)
+    got = fp.powers(m, k, p)
+    assert len(got) == k + 1
+    expected = np.eye(n, dtype=np.int64)
+    for power in got:
+        assert power.dtype == np.int64 and np.array_equal(power, expected)
+        expected = expected @ m % p
+
+
+def is_prime(n: int) -> bool:
+    return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+def largest_accepted_prime(dim: int) -> int:
+    """Largest prime p with dim·(p−1)² < 2^50."""
+    p = isqrt(((1 << 50) - 1) // dim) + 1
+    while not is_prime(p):
+        p -= 1
+    return p
+
+
+def next_prime(n: int) -> int:
+    n += 1
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+@pytest.mark.parametrize("dim", [1, 3, 248])
+def test_check_modulus_accumulation_bound(dim):
+    p = largest_accepted_prime(dim)
+    fp.check_modulus(p, dim)
+    with pytest.raises(BadModulus, match="too large"):
+        fp.check_modulus(next_prime(p), dim)
+    with pytest.raises(BadModulus, match="too large"):
+        fp.check_modulus(4294967311, dim)
+
+
+def test_inverse_exact_at_largest_accepted_prime():
+    p = largest_accepted_prime(3)
+    rng = np.random.default_rng(5)
+    m = rng.integers(0, p, size=(3, 3))
+    inv = fp.inverse(m, p)
+    product = [[sum(int(m[i, k]) * int(inv[k, j]) for k in range(3)) % p for j in range(3)] for i in range(3)]
+    assert product == np.eye(3, dtype=int).tolist()

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import verlie as v
+from verlie import fp
 from verlie.errors import DegreeExceedsP, ParseError, PreconditionViolated, UnknownGenerator
 from verlie.repalpha import (
     ChainDecomposition,
     JordanChain,
+    _chains_of,
     block_counts,
     jordan_decompose,
     parse_element,
@@ -13,6 +17,7 @@ from verlie.repalpha import (
     realize,
     structured_decompose,
 )
+from verlie.superalgebra import Subspace
 
 
 @pytest.fixture(scope="module")
@@ -231,3 +236,55 @@ def test_chain_decomposition_validate_rejects_broken():
     broken = ChainDecomposition(tuple(chains), 3, 9)
     with pytest.raises(ValueError):
         broken.validate(r.der, 3)
+
+
+def greedy_chains(der, p: int, dim: int) -> list[JordanChain]:
+    """Reference head pick: walk the kernel vectors of D^l in order and accept
+    each one that is independent of the blocked subspace and of the vectors
+    accepted so far, re-eliminating the whole span after every acceptance."""
+    powers = [np.eye(dim, dtype=np.int64)]
+    for _ in range(p):
+        powers.append(powers[-1] @ der % p)
+    kernels = [fp.kernel_basis(power, p) for power in powers]
+    image_rows = fp.rref(der.T % p, p)[0]
+    image_rows = image_rows[np.any(image_rows, axis=1)]
+    chains = []
+    for length in range(p, 0, -1):
+        blocked = Subspace.from_vectors(np.vstack([kernels[length - 1], image_rows]), dim, p)
+        for candidate in kernels[length]:
+            if blocked.reduce(candidate).any():
+                blocked = Subspace.from_vectors(np.vstack([blocked.rows, candidate]), dim, p)
+                vectors = [candidate % p]
+                for _ in range(length - 1):
+                    vectors.append(der @ vectors[-1] % p)
+                chains.append(np.array(vectors, dtype=np.int64))
+    return chains
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.sampled_from([3, 5, 7]),
+    blocks=st.lists(st.integers(1, 8), min_size=1, max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_head_pick_matches_greedy_loop(p, blocks, seed):
+    """Random nilpotent matrices: Jordan blocks (some longer than p) in a
+    random basis P = L·U with unit-triangular L and U."""
+    dim = sum(blocks)
+    jordan = np.zeros((dim, dim), dtype=np.int64)
+    start = 0
+    for size in blocks:
+        for i in range(start, start + size - 1):
+            jordan[i + 1, i] = 1
+        start += size
+    rng = np.random.default_rng(seed)
+    lower = np.tril(rng.integers(0, p, size=(dim, dim)), -1) + np.eye(dim, dtype=np.int64)
+    upper = np.triu(rng.integers(0, p, size=(dim, dim)), 1) + np.eye(dim, dtype=np.int64)
+    basis = lower @ upper % p
+    der = basis @ jordan @ fp.inverse(basis, p) % p
+    got = _chains_of(der, p, p, dim)
+    expected = greedy_chains(der, p, dim)
+    assert len(got) == len(expected)
+    assert all(np.array_equal(chain.vectors, vectors) for chain, vectors in zip(got, expected))
+    if max(blocks) <= p:
+        assert ChainDecomposition(tuple(got), p, dim).counts() == rank_count_vector(der, p, p)

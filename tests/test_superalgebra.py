@@ -2,6 +2,8 @@ import copy
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import verlie as v
 from verlie.errors import NotAnIdeal, NotParityHomogeneous
@@ -230,3 +232,32 @@ def test_semisimplified_serialization_keeps_odd_diagonal(free_nilpotent_ss):
     assert back.constants == alg.constants
     assert any(i == j for (i, j) in alg.constants)  # odd self-bracket present
     assert "provenance" in data and len(data["provenance"]) == alg.dim
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    p=st.sampled_from([3, 5, 7]),
+    n=st.integers(1, 9),
+    base_rows=st.integers(0, 6),
+    new_rows=st.integers(0, 4),
+    spanned_rows=st.integers(0, 3),
+    density=st.floats(0.1, 1),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_subspace_extended_matches_from_vectors(p, n, base_rows, new_rows, spanned_rows, density, seed):
+    """Incremental growth against a full rref of the stacked rows; the base
+    may be the zero subspace and the vectors may already lie in the span."""
+    rng = np.random.default_rng(seed)
+
+    def draw(rows):
+        return rng.integers(0, p, size=(rows, n)) * (rng.random((rows, n)) < density)
+
+    sub = Subspace.from_vectors(draw(base_rows), n, p)
+    spanned = draw(spanned_rows)[:, : sub.dim] @ sub.rows % p
+    vectors = rng.permutation(np.vstack([draw(new_rows), spanned]))
+    got = sub.extended(vectors)
+    expected = Subspace.from_vectors(np.vstack([sub.rows, vectors]), n, p)
+    assert got.pivots == expected.pivots and np.array_equal(got.rows, expected.rows)
+    assert got.rows.dtype == np.int64
+    if expected.dim == sub.dim:
+        assert got is sub
