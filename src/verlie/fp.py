@@ -34,8 +34,8 @@ def check_modulus(p: int, dim: int = 1) -> None:
     """Raise BadModulus unless p is an odd prime with dim·(p−1)² < 2^50.
 
     An int64 product of dim-sized operands accumulates up to dim·(p−1)²; the
-    float64 sums of the Jacobi and odd-cube checks add up to about 6·dim such
-    products and stay exact only below 2^53, hence 2^50.
+    bound 2^50 leaves a factor 2^13 of headroom below 2^63 for the exact int64
+    sums built on such products (three per key in the Jacobi check).
     """
     if p < 3 or p % 2 == 0:
         raise BadModulus(f"p = {p} is not an odd prime")

@@ -21,6 +21,7 @@ from .superalgebra import (
     ModularSuperAlgebra,
     check_super_jacobi,
     check_super_skew,
+    constants_from_products,
     make_constants,
 )
 
@@ -133,62 +134,26 @@ def semisimplify(realization: Realization, decomp: ChainDecomposition) -> Semisi
     decomp.validate(realization.der, p)
     even = tuple(i for i, c in enumerate(decomp.chains) if c.length == 1)
     odd = tuple(i for i, c in enumerate(decomp.chains) if c.length == p - 1)
-    basis_matrix = decomp.basis_matrix()
-    binv = fp.inverse(basis_matrix, p)
+    binv = fp.inverse(decomp.basis_matrix(), p)
     offsets = decomp.chain_offsets()
-    even_rows = [offsets[c] for c in even]
-    odd_rows = [offsets[c] for c in odd]
-    m_even, m_odd = len(even), len(odd)
-    m = m_even + m_odd
-    heads = np.zeros((alg.dim, m), dtype=np.int64)
-    for a, c in enumerate(even):
-        heads[:, a] = decomp.chains[c].head
-    for b, c in enumerate(odd):
-        heads[:, m_even + b] = decomp.chains[c].head
-
-    entries: list[tuple[int, int, int, int]] = []
-    for a in range(m):
-        a_odd = a >= m_even
-        brackets = alg.ad(heads[:, a]) @ heads % p
-        coords = binv @ brackets % p
-        if not a_odd:
-            even_part = coords[even_rows]  # (m_even, m) coefficient rows
-            odd_part = coords[odd_rows]
-            for b in range(m):
-                if b < m_even:
-                    for k in np.nonzero(even_part[:, b])[0]:
-                        entries.append((a, b, int(k), int(even_part[k, b])))
-                else:
-                    for k in np.nonzero(odd_part[:, b])[0]:
-                        entries.append((a, b, m_even + int(k), int(odd_part[k, b])))
-        else:
-            odd_part = coords[odd_rows]
-            for b in range(m_even):
-                for k in np.nonzero(odd_part[:, b])[0]:
-                    entries.append((a, b, m_even + int(k), int(odd_part[k, b])))
-    # odd-odd components through the splitting vector
-    if m_odd:
-        layers = []  # layers[s] = matrix of the (s+1)-th vectors of the odd chains
-        for s in range(p - 1):
-            layer = np.zeros((alg.dim, m_odd), dtype=np.int64)
-            for b, c in enumerate(odd):
-                layer[:, b] = decomp.chains[c].vectors[s]
-            layers.append(layer)
-        for a, ca in enumerate(odd):
-            pair = np.zeros((alg.dim, m_odd), dtype=np.int64)
-            for t in range(1, p):
-                sign = -1 if t % 2 else 1
-                pair = (pair + sign * (alg.ad(decomp.chains[ca].vectors[t - 1]) @ layers[p - t - 1])) % p
-            coords = binv @ pair % p
-            even_part = coords[even_rows]
-            for b in range(m_odd):
-                for k in np.nonzero(even_part[:, b])[0]:
-                    entries.append((m_even + a, m_even + b, int(k), int(even_part[k, b])))
-
-    parity = np.array([0] * m_even + [1] * m_odd, dtype=np.int64)
-    labels = [_chain_labels(decomp, c) for c in even] + [_chain_labels(decomp, c) for c in odd]
-    out = ModularSuperAlgebra(p=p, dim=m, parity=parity,
-                              constants=make_constants(entries, p), labels=labels)
+    survivors = even + odd
+    m = len(survivors)
+    parity = np.array([0] * len(even) + [1] * len(odd), dtype=np.int64)
+    # head coefficients: coords[k] @ v is the coordinate of v at the head of chain k
+    coords = binv[[offsets[c] for c in survivors]]
+    heads = np.array([decomp.chains[c].head for c in survivors], dtype=np.int64).reshape(m, alg.dim)
+    values = (alg.brackets(heads, heads) @ coords.T) % p  # row a*m+b: [head_a, head_b], column k
+    if odd:
+        # odd-odd rows: the splitting vector sum_t (-1)^t [v_a^(t-1), v_b^(p-t-1)]
+        layers = [np.array([decomp.chains[c].vectors[s] for c in odd], dtype=np.int64) for s in range(p - 1)]
+        split = sum((-1) ** t * alg.brackets(layers[t - 1], layers[p - t - 1]) for t in range(1, p))
+        split.data %= p
+        at = np.arange(len(even), m)
+        values[(at[:, None] * m + at[None, :]).ravel()] = (split @ coords.T) % p
+    # keep the component whose parity is |a| + |b|
+    values *= (parity[:, None] ^ parity[None, :]).reshape(-1, 1) == parity[None, :]
+    out = ModularSuperAlgebra(p=p, dim=m, parity=parity, constants=constants_from_products(values, m, p),
+                              labels=[_chain_labels(decomp, c) for c in survivors])
     skew = check_super_skew(out)
     if not skew.ok:
         raise JacobiViolation(f"projected bracket is not super skew at {skew.witness}")

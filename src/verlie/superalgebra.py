@@ -10,6 +10,7 @@ that equality and containment are exact and order-independent.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -30,8 +31,7 @@ class ModularSuperAlgebra:
     labels: list[str] | None = None
     gens: dict[str, np.ndarray] | None = None  # generator name -> coordinate vector
     origin: object | None = None  # construction-time metadata, not serialized
-    _adl: list | None = field(default=None, repr=False, compare=False)
-    _adr: list | None = field(default=None, repr=False, compare=False)
+    _adl: sp.csr_matrix | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.parity = np.asarray(self.parity, dtype=np.int64)
@@ -40,33 +40,40 @@ class ModularSuperAlgebra:
 
     # -- bracket machinery ------------------------------------------------
 
-    def _flat_ads(self):
-        """Cached CSRs: L[i, k*dim+j] = C(i,j,k) and R[j, k*dim+i] = C(i,j,k)."""
+    def _ad_tensor(self) -> sp.csr_matrix:
+        """Cached CSR L[i, k*dim+j] = C(i,j,k): row i is ad(b_i), flattened."""
         if self._adl is None:
             d = self.dim
             i, j, k, c = _tensor_coo(self.constants)
             self._adl = sp.csr_matrix((c, (i, k * d + j)), shape=(d, d * d), dtype=np.int64)
-            self._adr = sp.csr_matrix((c, (j, k * d + i)), shape=(d, d * d), dtype=np.int64)
-        return self._adl, self._adr
+        return self._adl
 
     def ad(self, v) -> np.ndarray:
         """Dense matrix of x -> [v, x]."""
         v = fp.normalize(v, self.p)
-        left, _ = self._flat_ads()
-        flat = sp.csr_matrix(v.reshape(1, -1)) @ left
+        flat = sp.csr_matrix(v.reshape(1, -1)) @ self._ad_tensor()
         return np.asarray(flat.todense(), dtype=np.int64).reshape(self.dim, self.dim) % self.p
 
-    def ad_right(self, v) -> np.ndarray:
-        """Dense matrix of x -> [x, v]."""
-        v = fp.normalize(v, self.p)
-        _, right = self._flat_ads()
-        flat = sp.csr_matrix(v.reshape(1, -1)) @ right
-        return np.asarray(flat.todense(), dtype=np.int64).reshape(self.dim, self.dim) % self.p
+    def brackets(self, u, v) -> sp.csr_matrix:
+        """All brackets of the rows of u with the rows of v: a sparse
+        (len(u)*len(v), dim) matrix whose row a*len(v)+b is [u_a, v_b].
 
-    def ad_basis(self, i: int) -> np.ndarray:
-        """Dense matrix of x -> [b_i, x]."""
-        left, _ = self._flat_ads()
-        return np.asarray(left[i].todense(), dtype=np.int64).reshape(self.dim, self.dim)
+        Two sparse products: u @ L, read with rows (a, k) and columns j, then
+        @ v.T.  Reducing mod p in between keeps each sum below dim*(p-1)^2,
+        the bound fp.check_modulus enforces.  u and v may be dense or sparse
+        (sparse rows are taken as already reduced).
+        """
+        d, p = self.dim, self.p
+        u, v = (x.tocsr() if sp.issparse(x) else sp.csr_matrix(fp.normalize(x, p)) for x in (u, v))
+        m, n = u.shape[0], v.shape[0]
+        left = (u @ self._ad_tensor()).tocoo()
+        row, col = left.row.astype(np.int64), left.col.astype(np.int64)
+        left = sp.csr_matrix((left.data % p, (row * d + col // d, col % d)), shape=(m * d, d))
+        out = (left @ v.T).tocoo()
+        a, k = np.divmod(out.row.astype(np.int64), d)
+        res = sp.csr_matrix((out.data % p, (a * n + out.col, k)), shape=(m * n, d))
+        res.eliminate_zeros()
+        return res
 
     def bracket(self, u, v) -> np.ndarray:
         u = fp.normalize(u, self.p)
@@ -79,7 +86,7 @@ class ModularSuperAlgebra:
                 for j in sv:
                     comps = self.constants.get((int(i), int(j)))
                     if comps:
-                        coef = ui * int(v[j])
+                        coef = ui * int(v[j]) % self.p  # keeps the sums below 256*(p-1)^2
                         for k, c in comps.items():
                             out[k] += coef * c
             return out % self.p
@@ -131,6 +138,11 @@ class ModularSuperAlgebra:
         return cls(p=p, dim=dim, parity=parity, constants=constants, labels=data.get("labels"))
 
 
+def _dense_rows(m: sp.csr_matrix) -> np.ndarray:
+    """The nonzero rows of a sparse matrix, densified."""
+    return m[np.diff(m.indptr) > 0].toarray()
+
+
 def make_constants(entries: Iterable[tuple[int, int, int, int]], p: int) -> Constants:
     """Assemble a constants dict from (i, j, k, c) quadruples, accumulating
     repeated triples and dropping zeros."""
@@ -144,6 +156,13 @@ def make_constants(entries: Iterable[tuple[int, int, int, int]], p: int) -> Cons
         if cleaned:
             out[key] = cleaned
     return out
+
+
+def constants_from_products(products, n: int, p: int) -> Constants:
+    """Constants from a (sparse or dense) matrix whose row a*n+b holds [b_a, b_b]."""
+    coo = sp.coo_matrix(products)
+    a, b = np.divmod(coo.row.astype(np.int64), n)
+    return make_constants(zip(a.tolist(), b.tolist(), coo.col.tolist(), coo.data.tolist()), p)
 
 
 def _tensor_coo(constants: Constants) -> np.ndarray:
@@ -188,82 +207,57 @@ def check_super_skew(alg: ModularSuperAlgebra) -> Report:
     return Report("super_skew", True)
 
 
+_JACOBI_BLOCK = 16  # values of i per block of jacobi_witness
+
+
 def jacobi_witness(constants: Constants, parity, dim: int, p: int | None):
-    """First basis triple violating the (super) Jacobi identity, or None.
+    """Smallest basis quadruple (i, j, k, l) at which the (super) Jacobi
+    identity fails, or None.
 
     Checks (-1)^{|i||k|}[[b_i,b_j],b_k] + (-1)^{|j||i|}[[b_j,b_k],b_i]
-    + (-1)^{|k||j|}[[b_k,b_i],b_j] = 0 for every ordered triple, via three
-    reindexings of the sparse product C1 @ C2.  p=None checks over Z.
+    + (-1)^{|k||j|}[[b_k,b_i],b_j] = 0 for every ordered triple.  Every term
+    is an entry P[(x,y),(z,l)] = [[b_x,b_y],b_z]_l of the sparse product
+    C1 @ C2 with sign (-1)^{|x||z|}; the keys are summed exactly in int64,
+    one block of i values at a time, so the first block with a failure holds
+    the smallest witness.  p=None checks over Z.
     """
     if dim == 0 or not constants:
         return None
     par = np.asarray(parity, dtype=np.int64)
     d = dim
-    # c1[(i*d+j), k] = C(i,j,k) and c2[i, (j*d+k)] = C(i,j,k)
+    # c1[(i*d+j), k] = c1t[(j*d+i), k] = c2[i, (j*d+k)] = C(i,j,k)
     ci, cj, ck, cv = _tensor_coo(constants)
     c1 = sp.csr_matrix((cv, (ci * d + cj, ck)), shape=(d * d, d), dtype=np.int64)
-    c2 = sp.csr_matrix((cv, (ci, cj * d + ck)), shape=(d, d * d), dtype=np.int64)
-    block = max(1, min(d, (1 << 22) // max(1, d * d // 16)))
-    idx = np.arange(d, dtype=np.int64)
-    for start in range(0, d, block):
-        blk = np.arange(start, min(start + block, d), dtype=np.int64)
-        nb = len(blk)
-        keys_parts, vals_parts = [], []
-        # term 1: rows (i,j), cols (k,l), k restricted to blk
-        cols1 = (blk[:, None] * d + idx[None, :]).ravel()
-        t1 = c1[:, :] @ c2[:, cols1]
-        t1 = t1.tocoo()
-        if t1.nnz:
-            i = t1.row // d
-            j = t1.row % d
-            k = blk[t1.col // d]
-            l = t1.col % d
-            s = 1 - 2 * (par[i] * par[k])
-            keys_parts.append(((i * d + j) * d + k) * d + l)
-            vals_parts.append(s * t1.data)
-        # term 2: rows (j,k), cols (i,l)
-        rows2 = (idx[:, None] * d + blk[None, :]).ravel()
-        t2 = c1[rows2] @ c2
-        t2 = t2.tocoo()
-        if t2.nnz:
-            j = t2.row // nb
-            k = blk[t2.row % nb]
-            i = t2.col // d
-            l = t2.col % d
-            s = 1 - 2 * (par[j] * par[i])
-            keys_parts.append(((i * d + j) * d + k) * d + l)
-            vals_parts.append(s * t2.data)
-        # term 3: rows (k,i), cols (j,l)
-        rows3 = (blk[:, None] * d + idx[None, :]).ravel()
-        t3 = c1[rows3] @ c2
-        t3 = t3.tocoo()
-        if t3.nnz:
-            k = blk[t3.row // d]
-            i = t3.row % d
-            j = t3.col // d
-            l = t3.col % d
-            s = 1 - 2 * (par[k] * par[j])
-            keys_parts.append(((i * d + j) * d + k) * d + l)
-            vals_parts.append(s * t3.data)
-        if not keys_parts:
-            continue
-        keys = np.concatenate(keys_parts)
-        vals = np.concatenate(vals_parts)
-        uniq, inverse = np.unique(keys, return_inverse=True)
-        sums = np.bincount(inverse, weights=vals.astype(np.float64), minlength=len(uniq))
-        sums = np.rint(sums).astype(np.int64)
+    c1t = sp.csr_matrix((cv, (cj * d + ci, ck)), shape=(d * d, d), dtype=np.int64)
+    c2 = sp.csc_matrix((cv, (ci, cj * d + ck)), shape=(d, d * d), dtype=np.int64)
+    pairs = np.arange(d * d, dtype=np.int64)
+    for start in range(0, d, _JACOBI_BLOCK):
+        lo, hi = start * d, min(start + _JACOBI_BLOCK, d) * d
+        lead = pairs[lo:hi]  # pairs (x, y) with x in the block
+        swapped = lead % d * d + lead // d  # pairs (x, y) with y in the block
+        # (i,j,k) = (x,y,z) in term 1, (z,x,y) in term 2, (y,z,x) in term 3
+        terms = ((c1[lo:hi] @ c2, lead, pairs, 0), (c1 @ c2[:, lo:hi], pairs, lead, 1),
+                 (c1t[lo:hi] @ c2, swapped, pairs, 2))
+        keys, vals = [], []
+        for product, rows, cols, shift in terms:
+            t = product.tocoo()
+            x, y = np.divmod(rows[t.row], d)
+            z, l = np.divmod(cols[t.col], d)
+            i, j, k = np.roll([x, y, z], shift, axis=0)
+            keys.append(((i * d + j) * d + k) * d + l)
+            vals.append((1 - 2 * par[x] * par[z]) * t.data)
+        keys = np.concatenate(keys)
+        order = np.argsort(keys)
+        keys = keys[order]
+        starts = np.flatnonzero(np.diff(keys, prepend=-1))
+        sums = np.add.reduceat(np.concatenate(vals)[order], starts)
         if p is not None:
             sums %= p
-        bad = np.nonzero(sums)[0]
+        bad = np.flatnonzero(sums)
         if bad.size:
-            key = int(uniq[bad[0]])
-            l = key % d
-            key //= d
-            k = key % d
-            key //= d
-            j = key % d
-            i = key // d
-            return (i, j, k, l)
+            i, rest = divmod(int(keys[starts[bad[0]]]), d**3)
+            j, rest = divmod(rest, d * d)
+            return (i, j, *divmod(rest, d))
     return None
 
 
@@ -275,74 +269,51 @@ def check_super_jacobi(alg: ModularSuperAlgebra) -> Report:
     return Report("super_jacobi", False, {"i": i, "j": j, "k": k})
 
 
-def _odd_tables(alg: ModularSuperAlgebra):
-    """Dense tables for the odd part: W[a,b,:] = [odd_a, odd_b], ADo[a] = ad(odd_a)."""
-    odd = np.nonzero(alg.parity == 1)[0]
-    no, d = len(odd), alg.dim
-    pos = {int(ia): a for a, ia in enumerate(odd)}
-    w = np.zeros((no, no, d), dtype=np.float64)
-    ado = np.zeros((no, d, d), dtype=np.float64)
-    for (i, j), comps in alg.constants.items():
-        a = pos.get(i)
-        if a is None:
-            continue
-        for k, c in comps.items():
-            ado[a, k, j] = c
-        b = pos.get(j)
-        if b is not None:
-            for k, c in comps.items():
-                w[a, b, k] = c
-    return odd, w, ado
-
-
 def odd_cube_generators(alg: ModularSuperAlgebra):
     """Spanning vectors of {[x,[x,x]] : x odd}, with a label per vector.
 
     Uses the polarization pieces of the cubic map q(x) = [x,[x,x]] over F_3
     (q(b_a); the c^2-coefficients A_{ab}; the trilinear coefficients B_{abc}),
     whose span equals the span of q on all sums of up to three distinct odd
-    basis vectors with coefficients in {1, 2}.
+    basis vectors with coefficients in {1, 2}.  All of them are sums of rows
+    of one contraction Q, row (a*no+b)*no+c = [b_a, [b_b, b_c]].
     """
-    p = alg.p
-    odd, w, ado = _odd_tables(alg)
-    no, d = len(odd), alg.dim
-    out: list[tuple[np.ndarray, dict]] = []
+    odd = np.nonzero(alg.parity == 1)[0]
+    no = len(odd)
     if no == 0:
-        return out
+        return []
+    basis = np.eye(alg.dim, dtype=np.int64)[odd]
+    q = alg.brackets(basis, alg.brackets(basis, basis))
 
-    def push(vec: np.ndarray, label: dict):
-        res = np.asarray(np.rint(vec), dtype=np.int64) % p
-        if res.any():
-            out.append((res, label))
+    def at(a, b, c):
+        return q[(a * no + b) * no + c]
 
-    # q(b_a) = [b_a, W_aa]
-    diag = w[np.arange(no), np.arange(no)]  # (no, d)
-    qs = np.einsum("ade,ae->ad", ado, diag)
-    for a in range(no):
-        push(qs[a], {"kind": "cube", "nodes": [int(odd[a])]})
-    # A_{ab} = 2[b_a, W_ab] + [b_b, W_aa]  (coefficient of c_a^2 c_b), a != b
-    for a in range(no):
-        t = ado[a] @ w[a].T  # (d, no), column b = [b_a, W_ab]
-        s = np.einsum("bde,e->bd", ado, diag[a])  # (no, d), row b = [b_b, W_aa]
-        piece = 2.0 * t.T + s
-        for b in range(no):
-            if b != a:
-                push(piece[b], {"kind": "square", "nodes": [int(odd[a]), int(odd[b])]})
-    # B_{abc} = 2([b_a, W_bc] + [b_b, W_ac] + [b_c, W_ab]), a < b < c
-    for a in range(no):
-        for b in range(a + 1, no):
-            t1 = ado[a] @ w[b].T  # columns c
-            t2 = ado[b] @ w[a].T
-            t3 = np.einsum("cde,e->cd", ado, w[a, b]).T
-            piece = 2.0 * (t1 + t2 + t3)
-            for c in range(b + 1, no):
-                push(piece[:, c], {"kind": "triple", "nodes": [int(odd[a]), int(odd[b]), int(odd[c])]})
-    return out
+    ar = np.arange(no)
+    sa, sb = (x.ravel() for x in np.meshgrid(ar, ar, indexing="ij"))
+    sa, sb = sa[sa != sb], sb[sa != sb]
+    ta, tb, tc = np.array(list(combinations(range(no), 3)), dtype=np.int64).reshape(-1, 3).T
+    pieces = sp.vstack([
+        at(ar, ar, ar),  # q(b_a) = [b_a, [b_a, b_a]]
+        2 * at(sa, sa, sb) + at(sb, sa, sa),  # A_ab = 2[b_a, W_ab] + [b_b, W_aa], a != b
+        2 * (at(ta, tb, tc) + at(tb, ta, tc) + at(tc, ta, tb)),  # B_abc, a < b < c
+    ]).tocsr()
+    pieces.data %= alg.p
+    pieces.eliminate_zeros()
+    groups = [("cube", [ar]), ("square", [sa, sb]), ("triple", [ta, tb, tc])]
+
+    def label(r):
+        for kind, nodes in groups:
+            if r < len(nodes[0]):
+                return {"kind": kind, "nodes": [int(odd[n[r]]) for n in nodes]}
+            r -= len(nodes[0])
+
+    hit = np.flatnonzero(np.diff(pieces.indptr))
+    return [(vec, label(r)) for r, vec in zip(hit, pieces[hit].toarray())]
 
 
 def odd_cube_values_literal(alg: ModularSuperAlgebra):
     """q(x) on all sums of up to 3 distinct odd basis vectors with coefficients in {1, 2}."""
-    from itertools import combinations, product
+    from itertools import product
 
     odd = np.nonzero(alg.parity == 1)[0]
     vals = []
@@ -447,24 +418,13 @@ class Subspace:
 
 def _parity_split(alg: ModularSuperAlgebra, sub: Subspace) -> tuple[np.ndarray, np.ndarray]:
     """Split echelon rows into even and odd parts; raise if the subspace mixes parities."""
-    even_rows, odd_rows = [], []
-    for row in sub.rows:
-        ev = row * (alg.parity == 0)
-        od = row * (alg.parity == 1)
-        if ev.any() and od.any():
-            if not (sub.contains(ev) and sub.contains(od)):
-                raise NotParityHomogeneous("subspace is not a sum of homogeneous parts")
-        if ev.any():
-            even_rows.append(ev)
-        if od.any():
-            odd_rows.append(od)
-    even = fp.rref(np.atleast_2d(even_rows) if even_rows else np.zeros((0, alg.dim), dtype=np.int64), alg.p)
-    odd = fp.rref(np.atleast_2d(odd_rows) if odd_rows else np.zeros((0, alg.dim), dtype=np.int64), alg.p)
-    ev_mat = even[0][: len(even[1])]
-    od_mat = odd[0][: len(odd[1])]
-    if len(ev_mat) + len(od_mat) != sub.dim:
+    parts = [sub.rows * (alg.parity == parity) for parity in (0, 1)]
+    if sub.reduce_rows(np.vstack(parts)).any():
+        raise NotParityHomogeneous("subspace is not a sum of homogeneous parts")
+    (ev_mat, ev_piv), (od_mat, od_piv) = (fp.rref(part, alg.p) for part in parts)
+    if len(ev_piv) + len(od_piv) != sub.dim:
         raise NotParityHomogeneous("homogeneous parts do not add up")
-    return ev_mat, od_mat
+    return ev_mat[: len(ev_piv)], od_mat[: len(od_piv)]
 
 
 # -- structural operations ---------------------------------------------------
@@ -477,7 +437,7 @@ def center(alg: ModularSuperAlgebra) -> Subspace:
     for j in range(alg.dim):
         if basis.shape[0] == 0:
             break
-        m = (alg.ad_right(eye[j]) @ basis.T) % alg.p
+        m = alg.brackets(basis, eye[j : j + 1]).toarray().T  # column r = [basis_r, b_j]
         ker = fp.kernel_basis(m, alg.p)
         basis = (ker @ basis) % alg.p
     return Subspace.from_vectors(basis, alg.dim, alg.p)
@@ -512,13 +472,13 @@ def derived_subalgebra(alg: ModularSuperAlgebra) -> Subspace:
 
 
 def closure(sub: Subspace, images) -> Subspace:
-    """Smallest subspace containing sub that holds images(v, span) for every
-    vector v it spans.  Only rows new since the last round are acted on, and
-    span is the subspace as it stood at the start of that round."""
+    """Smallest subspace containing sub that holds images(frontier, span)
+    for the rows it spans.  Only rows new since the last round form the
+    frontier, and span is the subspace as it stood at the start of that
+    round; images returns a sparse matrix whose rows join the span."""
     frontier = sub.rows
     while len(frontier) and sub.dim < sub.ambient:
-        span = sub
-        sub, frontier = _absorb(sub, np.vstack([images(v, span) for v in frontier]))
+        sub, frontier = _absorb(sub, _dense_rows(images(frontier, sub)))
     return sub
 
 
@@ -526,8 +486,8 @@ def generated_subalgebra(alg: ModularSuperAlgebra, vectors) -> Subspace:
     """Smallest bracket-closed subspace containing the vectors: fixpoint of
     bracketing the newly added rows against the current span."""
 
-    def images(v, span):  # rows [v, row_j], then [row_j, v]
-        return np.hstack([alg.ad(v) @ span.rows.T, alg.ad_right(v) @ span.rows.T]).T % alg.p
+    def images(frontier, span):
+        return sp.vstack([alg.brackets(frontier, span.rows), alg.brackets(span.rows, frontier)])
 
     return closure(Subspace.from_vectors(vectors, alg.dim, alg.p), images)
 
@@ -535,9 +495,10 @@ def generated_subalgebra(alg: ModularSuperAlgebra, vectors) -> Subspace:
 def ideal_closure(alg: ModularSuperAlgebra, vectors) -> Subspace:
     """Smallest subspace containing the vectors that is stable under
     bracketing with all of g."""
+    eye = np.eye(alg.dim, dtype=np.int64)
 
-    def images(v, _):  # rows [v, b_j], then [b_j, v]
-        return np.vstack([alg.ad(v).T, alg.ad_right(v).T])
+    def images(frontier, _):
+        return sp.vstack([alg.brackets(frontier, eye), alg.brackets(eye, frontier)])
 
     return closure(Subspace.from_vectors(vectors, alg.dim, alg.p), images)
 
@@ -549,28 +510,22 @@ def subalgebra_on(alg: ModularSuperAlgebra, sub: Subspace) -> tuple[ModularSuper
     coordinates.
     """
     ev_mat, od_mat = _parity_split(alg, sub)
-    rows = np.vstack([ev_mat, od_mat]) if len(ev_mat) or len(od_mat) else np.zeros((0, alg.dim), dtype=np.int64)
+    rows = np.vstack([ev_mat, od_mat])
     # even block first, so the rows are not one echelon form; each row's
     # pivot is still zero in every other row
-    pivots = []
-    for row in rows:
-        nz = np.nonzero(row)[0]
-        pivots.append(int(nz[0]))
+    pivots = [int(np.flatnonzero(row)[0]) for row in rows]
     parity = np.array([0] * len(ev_mat) + [1] * len(od_mat), dtype=np.int64)
     n = len(rows)
-    entries = []
-    for a in range(n):
-        brackets = (alg.ad(rows[a]) @ rows.T).T % alg.p  # row b = [rows[a], rows[b]]
-        coeffs = brackets[:, pivots] if pivots else np.zeros((n, 0), dtype=np.int64)
-        if np.any((brackets - coeffs @ rows) % alg.p):
-            raise ValueError("subspace is not bracket-closed")
-        for b, k in zip(*np.nonzero(coeffs)):
-            entries.append((a, int(b), int(k), int(coeffs[b, k])))
+    products = alg.brackets(rows, rows)  # row a*n+b = [rows[a], rows[b]]
+    coeffs = products[:, pivots]
+    escaped = products - coeffs @ sp.csr_matrix(rows)
+    if (escaped.data % alg.p).any():
+        raise ValueError("subspace is not bracket-closed")
     new = ModularSuperAlgebra(
         p=alg.p,
         dim=n,
         parity=parity,
-        constants=make_constants(entries, alg.p),
+        constants=constants_from_products(coeffs, n, alg.p),
         labels=[f"sub[{i}]" for i in range(n)],
     )
     return new, rows
@@ -590,29 +545,23 @@ class QuotientAlgebra:
 def quotient(alg: ModularSuperAlgebra, ideal: Subspace) -> QuotientAlgebra:
     """Quotient by a parity-homogeneous ideal; complement basis vectors are
     the standard basis vectors at non-pivot coordinates."""
-    ev_mat, od_mat = _parity_split(alg, ideal)  # raises NotParityHomogeneous
-    rows = np.vstack([ev_mat, od_mat]) if len(ev_mat) or len(od_mat) else np.zeros((0, alg.dim), dtype=np.int64)
-    pivots = [int(np.nonzero(r)[0][0]) for r in rows]
-    for r in rows:
-        if ideal.reduce_rows(alg.ad(r).T).any():
-            raise NotAnIdeal("[ideal, g] escapes the ideal")
-        if ideal.reduce_rows(alg.ad_right(r).T).any():
-            raise NotAnIdeal("[g, ideal] escapes the ideal")
-    pivot_set = set(pivots)
-    keep = [c for c in range(alg.dim) if c not in pivot_set]
+    _parity_split(alg, ideal)  # raises NotParityHomogeneous
+    eye = np.eye(alg.dim, dtype=np.int64)
+    if ideal.reduce_rows(_dense_rows(alg.brackets(ideal.rows, eye))).any():
+        raise NotAnIdeal("[ideal, g] escapes the ideal")
+    if ideal.reduce_rows(_dense_rows(alg.brackets(eye, ideal.rows))).any():
+        raise NotAnIdeal("[g, ideal] escapes the ideal")
+    keep = [c for c in range(alg.dim) if c not in set(ideal.pivots)]
     qdim = len(keep)
-    reducer = Subspace.from_vectors(rows, alg.dim, alg.p) if len(rows) else Subspace.zero(alg.dim, alg.p)
-    proj = reducer.reduce_rows(np.eye(alg.dim, dtype=np.int64)).T[keep] % alg.p
-    entries = []
-    for a, ca in enumerate(keep):
-        cols = alg.ad_basis(ca)[:, keep]  # column b = [b_ca, b_cb]
-        img = (proj @ cols) % alg.p
-        for k, b in zip(*np.nonzero(img)):
-            entries.append((a, int(b), int(k), int(img[k, b])))
+    proj = ideal.reduce_rows(eye).T[keep] % alg.p
+    # row a*qdim+b: the projection of [b_keep[a], b_keep[b]]
+    images = alg.brackets(eye[keep], eye[keep]) @ sp.csr_matrix(proj.T)
+    images.data %= alg.p
     parity = alg.parity[keep]
     labels = [alg.labels[c] if alg.labels else f"q[{c}]" for c in keep]
-    quot = ModularSuperAlgebra(p=alg.p, dim=qdim, parity=parity, constants=make_constants(entries, alg.p), labels=labels)
-    return QuotientAlgebra(parent=alg, ideal=reducer, quotient=quot, projection=proj)
+    quot = ModularSuperAlgebra(p=alg.p, dim=qdim, parity=parity,
+                               constants=constants_from_products(images, qdim, alg.p), labels=labels)
+    return QuotientAlgebra(parent=alg, ideal=ideal, quotient=quot, projection=proj)
 
 
 @dataclass

@@ -358,11 +358,11 @@ def odd_part_irreducible(alg: ModularSuperAlgebra) -> bool:
     """No proper nonzero even-submodule: the even action on any single odd
     basis vector generates the whole odd part."""
     odd_idx = np.nonzero(alg.parity == 1)[0]
-    even_idx = np.nonzero(alg.parity == 0)[0]
     eye = np.eye(alg.dim, dtype=np.int64)
+    even = eye[alg.parity == 0]
 
-    def images(v, _):  # rows k even: [b_k, v]
-        return alg.ad_right(v).T[even_idx]
+    def images(frontier, _):
+        return alg.brackets(even, frontier)
 
     return all(closure(Subspace.from_vectors([eye[start]], alg.dim, alg.p), images).dim == len(odd_idx)
                for start in odd_idx)

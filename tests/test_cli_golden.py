@@ -22,6 +22,12 @@ GOLDEN = [
      0, "c949f5e4452aa2e1b9a6b5d12231879b0f47a80a0148859a2964aa44e2ef931d"),
     (["semisimplify", "--algebra", "f4", "--subset", "4"],
      0, "23f07046ea9ac475772fcaf58de397955b485580dd5acc2c7881b48c7d54ea27"),
+    # no chain survives: superdimension (0|0)
+    (["semisimplify", "--algebra", "gl3", "-p", "3", "--element", "e1+e2"],
+     0, "8cc89f5d23878edc40325eb64046a32b9db90486e58a3840e619f8e36c95f66b"),
+    # p = 5: the splitting vector sums four layers
+    (["semisimplify", "--algebra", "g2", "-p", "5", "--element", "e1"],
+     0, "0eaf0541d09eb7f56c6eea536baf0558b239d286cf89be73f4897c7b2e002dd0"),
     # maint route, target g(2,6) matched directly
     (["certify", "--algebra", "e6", "--subset", "2"],
      0, "5ff41ff12d1a852eb1a22f35d5c77b56456aededf9200bd9eee5e20bee625ea7"),

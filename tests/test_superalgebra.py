@@ -1,4 +1,5 @@
 import copy
+import itertools
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import verlie as v
+from tests.test_fp import largest_accepted_prime
+from verlie import superalgebra
 from verlie.errors import NotAnIdeal, NotParityHomogeneous
 from verlie.superalgebra import (
     ModularSuperAlgebra,
@@ -75,37 +78,61 @@ def test_super_jacobi_detects_fault(gl33):
     assert not report.ok and report.witness is not None
 
 
-def test_jacobi_witness_matches_direct_scan():
-    rng = np.random.default_rng(5)
-    p, dim = 3, 5
-    parity = np.array([0, 0, 0, 1, 1], dtype=np.int64)
+def random_algebra(p, dim, density, seed) -> ModularSuperAlgebra:
+    """Random constants (not a Lie superalgebra), the first 3/5 of the basis even."""
+    rng = np.random.default_rng(seed)
+    parity = (np.arange(dim) >= 3 * dim // 5).astype(np.int64)
     entries = []
     for i in range(dim):
         for j in range(dim):
             for k in range(dim):
-                if rng.random() < 0.2:
+                if rng.random() < density:
                     entries.append((i, j, k, int(rng.integers(1, p))))
-    alg = ModularSuperAlgebra(p=p, dim=dim, parity=parity, constants=make_constants(entries, p))
-    fast = jacobi_witness(alg.constants, parity, dim, p)
-    # direct cyclic scan
-    eye = np.eye(dim, dtype=np.int64)
-    direct = None
-    for i in range(dim):
-        for j in range(dim):
-            for k in range(dim):
-                s1 = (-1) ** (parity[i] * parity[k])
-                s2 = (-1) ** (parity[j] * parity[i])
-                s3 = (-1) ** (parity[k] * parity[j])
-                total = (
-                    s1 * alg.bracket(alg.bracket(eye[i], eye[j]), eye[k])
-                    + s2 * alg.bracket(alg.bracket(eye[j], eye[k]), eye[i])
-                    + s3 * alg.bracket(alg.bracket(eye[k], eye[i]), eye[j])
-                ) % p
-                if total.any() and direct is None:
-                    direct = (i, j, k)
-    assert (fast is None) == (direct is None)
-    if fast is not None:
-        assert fast[:3] == direct
+    return ModularSuperAlgebra(p=p, dim=dim, parity=parity, constants=make_constants(entries, p))
+
+
+def first_jacobi_violation(alg):
+    """Direct cyclic scan: the first triple, in lexicographic order, at which
+    the super Jacobi identity fails."""
+    parity, p = alg.parity, alg.p
+    eye = np.eye(alg.dim, dtype=np.int64)
+    for i, j, k in itertools.product(range(alg.dim), repeat=3):
+        s1 = (-1) ** (parity[i] * parity[k])
+        s2 = (-1) ** (parity[j] * parity[i])
+        s3 = (-1) ** (parity[k] * parity[j])
+        total = (
+            s1 * alg.bracket(alg.bracket(eye[i], eye[j]), eye[k])
+            + s2 * alg.bracket(alg.bracket(eye[j], eye[k]), eye[i])
+            + s3 * alg.bracket(alg.bracket(eye[k], eye[i]), eye[j])
+        ) % p
+        if total.any():
+            return (i, j, k)
+    return None
+
+
+def test_jacobi_witness_matches_direct_scan():
+    for dim in (5, 40):  # 40 spans several blocks of i values
+        alg = random_algebra(3, dim, 0.2, seed=5)
+        fast = jacobi_witness(alg.constants, alg.parity, dim, alg.p)
+        direct = first_jacobi_violation(alg)
+        assert (fast is None) == (direct is None)
+        if fast is not None:
+            assert fast[:3] == direct
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_jacobi_witness_independent_of_block_size(seed, monkeypatch):
+    """The smallest bad quadruple over all blocks, whatever the block size."""
+    alg = random_algebra(3, 20, 0.03, seed)
+
+    def witnesses(block):
+        monkeypatch.setattr(superalgebra, "_JACOBI_BLOCK", block)
+        return [jacobi_witness(alg.constants, alg.parity, alg.dim, p) for p in (alg.p, None)]
+
+    whole = witnesses(alg.dim)
+    assert whole[0] is not None
+    for block in (1, 3, 7):
+        assert witnesses(block) == whole
 
 
 def test_odd_cube_literal_set_matches_polarization_pieces(free_nilpotent_ss):
@@ -261,3 +288,30 @@ def test_subspace_extended_matches_from_vectors(p, n, base_rows, new_rows, spann
     assert got.rows.dtype == np.int64
     if expected.dim == sub.dim:
         assert got is sub
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(["gl3", "g2", "sl4"]),
+    p=st.sampled_from([3, 5, 7, "largest"]),
+    m=st.integers(0, 4),
+    n=st.integers(0, 4),
+    density=st.floats(0.05, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_brackets_rows_match_single_brackets(name, p, m, n, density, seed):
+    """Row a*len(v)+b of brackets(u, v) is bracket(u[a], v[b]); at the largest
+    modulus gl3 accepts, the sums overflow unless reduced between products."""
+    if p == "largest":
+        name, p = "gl3", largest_accepted_prime(9)
+    alg = v.catalog_algebra(name, p)
+    rng = np.random.default_rng(seed)
+
+    def rows(k):
+        return rng.integers(0, p, size=(k, alg.dim)) * (rng.random((k, alg.dim)) < density)
+
+    u, w = rows(m), rows(n)
+    got = alg.brackets(u, w)
+    assert got.shape == (m * n, alg.dim)
+    expected = [alg.bracket(u[a], w[b]) for a in range(m) for b in range(n)]
+    assert np.array_equal(got.toarray(), np.array(expected, dtype=np.int64).reshape(m * n, alg.dim))
