@@ -17,7 +17,7 @@ import numpy as np
 
 from . import errors
 from .chevalley import catalog_algebra, chevalley_basis, reduce_mod_p
-from .repalpha import block_counts, jordan_decompose, parse_element, realize, structured_decompose
+from .repalpha import block_counts, jordan_decompose, parse_element, rank_count_vector, realize, structured_decompose
 from .roots import (
     Coloring,
     catalog_gcm,
@@ -221,7 +221,7 @@ def cmd_swaps(args) -> int:
             _, vec = parse_element(expr, alg)
         else:
             vec = np.zeros(alg.dim, dtype=np.int64)
-        counts = block_counts(jordan_decompose(realize(alg, vec)))
+        counts = rank_count_vector(realize(alg, vec).powers, alg.p)
         members.append({"black": list(nodes), "block_counts": list(counts)})
         reference = reference or counts
         print(f"  {set(nodes) if nodes else '{}'}: {counts}")

@@ -133,17 +133,16 @@ def inverse(m, p: int) -> Array:
     return r[:, n:]
 
 
-def powers(m, k: int, p: int) -> list[Array]:
-    """[I, m, ..., m^k] mod p, multiplied as sparse int64 matrices and
-    returned dense (derivations like ad e have a few nonzeros per column)."""
+def powers(m, k: int, p: int) -> list[sp.csr_matrix]:
+    """[I, m, ..., m^k] mod p as sparse int64 CSR matrices with no stored
+    zeros (derivations like ad e have a few nonzeros per column)."""
     a = sp.csr_matrix(normalize(m, p))
-    power = sp.identity(a.shape[0], dtype=np.int64, format="csr")
-    out = [power.toarray()]
+    out = [sp.identity(a.shape[0], dtype=np.int64, format="csr")]
     for _ in range(k):
-        power = power @ a
+        power = out[-1] @ a
         power.data %= p
         power.eliminate_zeros()
-        out.append(power.toarray())
+        out.append(power)
     return out
 
 

@@ -10,7 +10,7 @@ chains carry the Chevalley generators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -156,33 +156,36 @@ def parse_element(src: str, alg: ModularSuperAlgebra) -> tuple[ElementExpr, np.n
 
 @dataclass
 class Realization:
-    """Algebra plus a nilpotent derivation of degree <= p."""
+    """Algebra plus a nilpotent derivation D with D^p = 0, carrying its
+    powers [I, D, ..., D^p] as sparse matrices."""
 
     algebra: ModularSuperAlgebra
     der: np.ndarray
-    degree: int
+    powers: list[sp.csr_matrix] = field(repr=False)
     element: Optional[np.ndarray] = None
 
     @property
     def p(self) -> int:
         return self.algebra.p
 
+    @property
+    def degree(self) -> int:
+        """Smallest k >= 1 with D^k = 0."""
+        return next(k for k in range(1, len(self.powers)) if not self.powers[k].nnz)
 
-def _degree_at_most_p(der: np.ndarray, p: int, modulus: int) -> int:
-    powers = fp.powers(der, p, modulus)
-    for k in range(1, p + 1):
-        if not powers[k].any():
-            return k
-    fp.nilpotency_degree(der, modulus)  # raises NotNilpotent when appropriate
-    raise DegreeExceedsP(f"derivation is nilpotent of degree > {p}")
+
+def _realization(alg: ModularSuperAlgebra, der: np.ndarray, element) -> Realization:
+    powers = fp.powers(der, alg.p, alg.p)
+    if powers[-1].nnz:
+        fp.nilpotency_degree(der, alg.p)  # raises NotNilpotent when appropriate
+        raise DegreeExceedsP(f"derivation is nilpotent of degree > {alg.p}")
+    return Realization(algebra=alg, der=der, powers=powers, element=element)
 
 
 def realize(alg: ModularSuperAlgebra, v) -> Realization:
     """Realize with respect to the inner derivation ad v."""
     v = fp.normalize(v, alg.p)
-    der = alg.ad(v)
-    degree = _degree_at_most_p(der, alg.p, alg.p)
-    return Realization(algebra=alg, der=der, degree=degree, element=v)
+    return _realization(alg, alg.ad(v), v)
 
 
 def realize_derivation(alg: ModularSuperAlgebra, der) -> Realization:
@@ -198,8 +201,7 @@ def realize_derivation(alg: ModularSuperAlgebra, der) -> Realization:
     if leibniz.nnz:
         i = int(np.flatnonzero(np.diff(leibniz.indptr))[0]) // alg.dim
         raise ValueError(f"matrix is not a derivation (fails at basis vector {i})")
-    degree = _degree_at_most_p(der, alg.p, alg.p)
-    return Realization(algebra=alg, der=der, degree=degree, element=None)
+    return _realization(alg, der, None)
 
 
 # -- Jordan chains ------------------------------------------------------------
@@ -248,7 +250,7 @@ class ChainDecomposition:
             total += chain.length
         return offsets
 
-    def validate(self, der: np.ndarray, modulus: int):
+    def validate(self, der: np.ndarray):
         """D maps every chain vector to the next one and the tail to zero,
         checked for all vectors in one product; the vectors form a basis."""
         for chain in self.chains:
@@ -261,7 +263,7 @@ class ChainDecomposition:
             shifted = np.zeros_like(vectors)
             shifted[:-1] = vectors[1:]
             shifted[tails] = 0  # D kills the tail
-            images = (sp.csr_matrix(der) @ vectors.T).T % modulus
+            images = (sp.csr_matrix(der) @ vectors.T).T % self.p
             wrong = np.flatnonzero((images != shifted).any(axis=1))
             if wrong.size and wrong[0] in tails:
                 raise ValueError("chain does not terminate")
@@ -269,7 +271,7 @@ class ChainDecomposition:
                 raise ValueError("chain is not a D-orbit")
         if total != self.dim:
             raise ValueError(f"chain lengths sum to {total}, dim is {self.dim}")
-        if fp.rank(self.basis_matrix(), modulus) != self.dim:
+        if fp.rank(self.basis_matrix(), self.p) != self.dim:
             raise ValueError("chain vectors are not a basis")
 
 
@@ -278,13 +280,21 @@ def block_counts(decomp: ChainDecomposition) -> tuple[int, ...]:
     return decomp.counts()
 
 
-def rank_count_vector(der: np.ndarray, p: int, modulus: int) -> tuple[int, ...]:
-    """Block counts straight from ranks: n_l = r_{l-1} - 2 r_l + r_{l+1}."""
-    ranks = [der.shape[0]] + [fp.rank(power, modulus) for power in fp.powers(der, p + 1, modulus)[1:]]
+def rank_count_vector(powers: list[sp.csr_matrix], p: int) -> tuple[int, ...]:
+    """Block counts straight from the ranks r_l of the powers [I, D, ..., D^p]
+    of a derivation with D^p = 0 (so r_{p+1} = 0): n_l = r_{l-1} - 2 r_l + r_{l+1}."""
+    ranks = [powers[0].shape[0]] + [fp.rank(power.toarray(), p) for power in powers[1:]] + [0]
     return tuple(ranks[l - 1] - 2 * ranks[l] + ranks[l + 1] for l in range(1, p + 1))
 
 
-def _chains_of(der: np.ndarray, p: int, modulus: int, dim: int) -> list[JordanChain]:
+def _orbits(powers: list[sp.csr_matrix], heads, length: int, p: int) -> np.ndarray:
+    """The chains of one length headed by the rows of heads, all at once:
+    entry [a, t] is D^t heads[a]."""
+    heads = np.asarray(heads, dtype=np.int64).reshape(-1, powers[0].shape[0]).T
+    return np.stack([(powers[t] @ heads).T % p for t in range(length)], axis=1)
+
+
+def _chains_of(powers: list[sp.csr_matrix], p: int) -> list[JordanChain]:
     """Deterministic chain extraction: for lengths l = p down to 1, heads are
     a complement of (ker D^{l-1} + im D) inside ker D^l, picked by echelon order.
 
@@ -293,35 +303,31 @@ def _chains_of(der: np.ndarray, p: int, modulus: int, dim: int) -> list[JordanCh
     residual modulo the blocked subspace is a pivot column of all the
     residuals; so one elimination picks every head of a length.
     """
+    dim = powers[0].shape[0]
     if dim == 0:
         return []
     kernels = [np.zeros((0, dim), dtype=np.int64)]  # ker D^0 = 0
-    kernels += [fp.kernel_basis(power, modulus) for power in fp.powers(der, p, modulus)[1:]]
-    image_rows = fp.rref(der.T % modulus, modulus)[0]
+    kernels += [fp.kernel_basis(power.toarray(), p) for power in powers[1:]]
+    image_rows = fp.rref(powers[1].T.toarray(), p)[0]
     image_rows = image_rows[np.any(image_rows, axis=1)]
     chains: list[JordanChain] = []
     for length in range(p, 0, -1):
         blocked = Subspace.from_vectors(
             np.vstack([kernels[length - 1], image_rows]) if len(kernels[length - 1]) or len(image_rows) else [],
             dim,
-            modulus,
+            p,
         )
-        _, picked = fp.rref(blocked.reduce_rows(kernels[length]).T, modulus)
-        for head in kernels[length][picked]:
-            vectors = [head % modulus]
-            for _ in range(length - 1):
-                vectors.append(der @ vectors[-1] % modulus)
-            chains.append(JordanChain(np.array(vectors, dtype=np.int64)))
+        _, picked = fp.rref(blocked.reduce_rows(kernels[length]).T, p)
+        chains += [JordanChain(vectors) for vectors in _orbits(powers, kernels[length][picked], length, p)]
     return chains
 
 
 def jordan_decompose(realization: Realization) -> ChainDecomposition:
     """Complete chain decomposition of the derivation action."""
     alg = realization.algebra
-    chains = _chains_of(realization.der, alg.p, alg.p, alg.dim)
-    decomp = ChainDecomposition(tuple(chains), alg.p, alg.dim)
-    decomp.validate(realization.der, alg.p)
-    if decomp.counts() != rank_count_vector(realization.der, alg.p, alg.p):
+    decomp = ChainDecomposition(tuple(_chains_of(realization.powers, alg.p)), alg.p, alg.dim)
+    decomp.validate(realization.der)
+    if decomp.counts() != rank_count_vector(realization.powers, alg.p):
         raise AssertionError("chain counts disagree with the rank formula")
     return decomp
 
@@ -354,15 +360,9 @@ def structured_decompose(realization: Realization, subset) -> ChainDecomposition
         expected = (expected + eye[integral.generator_index("e", i)]) % alg.p
     if not np.array_equal(realization.element % alg.p, expected):
         raise PreconditionViolated("element must be the sum of e_i over the subset")
-    der = realization.der
+    der, powers = realization.der, realization.powers
     attached = {i: attached_node(gcm, i) for i in subset}
     chains: list[JordanChain] = []
-
-    def orbit(start: np.ndarray, length: int, tag) -> JordanChain:
-        vectors = [start % alg.p]
-        for _ in range(length - 1):
-            vectors.append(der @ vectors[-1] % alg.p)
-        return JordanChain(np.array(vectors, dtype=np.int64), tag=tag)
 
     touched_roots: set[Root] = set()
     for i in subset:
@@ -370,15 +370,15 @@ def structured_decompose(realization: Realization, subset) -> ChainDecomposition
         alpha_i, alpha_j = integral.roots.simple(i), integral.roots.simple(j)
         touched_roots.update({alpha_i, alpha_j, alpha_i + alpha_j})
         # e_j -> [e, e_j]
-        chains.append(orbit(eye[integral.generator_index("e", j)], 2, ("e", j)))
+        chains.append(JordanChain(_orbits(powers, eye[integral.generator_index("e", j)], 2, alg.p)[0], tag=("e", j)))
         # [f, f_j] -> f_j
         ff = alg.bracket(eye[integral.generator_index("f", i)], eye[integral.generator_index("f", j)])
-        chain = orbit(ff, 2, ("f", j))
+        chain = JordanChain(_orbits(powers, ff, 2, alg.p)[0], tag=("f", j))
         if not np.array_equal(chain.tail, eye[integral.generator_index("f", j)]):
             raise AssertionError("[f, f_j] does not map onto f_j")
         chains.append(chain)
         # f_i -> h_i -> -2 e_i
-        chains.append(orbit(eye[integral.generator_index("f", i)], 3, None))
+        chains.append(JordanChain(_orbits(powers, eye[integral.generator_index("f", i)], 3, alg.p)[0]))
         # h_j - h_i
         hdiff = (eye[integral.generator_index("h", j)] - eye[integral.generator_index("h", i)]) % alg.p
         chains.append(JordanChain(hdiff.reshape(1, -1), tag=("h", j)))
@@ -396,14 +396,14 @@ def structured_decompose(realization: Realization, subset) -> ChainDecomposition
             continue
         rest_idx.extend([gi, integral.npos + gi])
     rest_idx = sorted(rest_idx)
-    sub_der = der[np.ix_(rest_idx, rest_idx)]
     outside = [r for r in range(alg.dim) if r not in set(rest_idx)]
     if der[np.ix_(outside, rest_idx)].any():
         raise AssertionError("complement is not D-stable")
-    for chain in _chains_of(sub_der, alg.p, alg.p, len(rest_idx)):
+    # the complement is D-stable, so the powers of D on it are the rest x rest blocks of D^k
+    for chain in _chains_of([power[rest_idx][:, rest_idx] for power in powers], alg.p):
         vectors = np.zeros((chain.length, alg.dim), dtype=np.int64)
         vectors[:, rest_idx] = chain.vectors
         chains.append(JordanChain(vectors))
     decomp = ChainDecomposition(tuple(chains), alg.p, alg.dim)
-    decomp.validate(der, alg.p)
+    decomp.validate(der)
     return decomp

@@ -60,7 +60,7 @@ class SemisimplifiedAlgebra:
     decomposition: ChainDecomposition
     even_chains: tuple[int, ...]
     odd_chains: tuple[int, ...]
-    _binv: np.ndarray = field(repr=False)
+    coords: np.ndarray = field(repr=False)  # row k: the coordinate at the head of survivor k
 
     @property
     def p(self) -> int:
@@ -72,15 +72,7 @@ class SemisimplifiedAlgebra:
     def image(self, v) -> np.ndarray:
         """Functorial image of a vector: expansion coefficients at the
         length-1 vectors and at the heads of length-(p-1) chains."""
-        coords = (self._binv @ fp.normalize(v, self.p)) % self.p
-        offsets = self.decomposition.chain_offsets()
-        out = np.zeros(self.algebra.dim, dtype=np.int64)
-        for a, c in enumerate(self.even_chains):
-            out[a] = coords[offsets[c]]
-        base = len(self.even_chains)
-        for b, c in enumerate(self.odd_chains):
-            out[base + b] = coords[offsets[c]]
-        return out
+        return (self.coords @ fp.normalize(v, self.p)) % self.p
 
     def basis_index_of_chain(self, chain_index: int) -> int:
         if chain_index in self.even_chains:
@@ -131,16 +123,15 @@ def semisimplify(realization: Realization, decomp: ChainDecomposition) -> Semisi
     """
     alg = realization.algebra
     p = alg.p
-    decomp.validate(realization.der, p)
+    decomp.validate(realization.der)
     even = tuple(i for i, c in enumerate(decomp.chains) if c.length == 1)
     odd = tuple(i for i, c in enumerate(decomp.chains) if c.length == p - 1)
-    binv = fp.inverse(decomp.basis_matrix(), p)
     offsets = decomp.chain_offsets()
     survivors = even + odd
     m = len(survivors)
     parity = np.array([0] * len(even) + [1] * len(odd), dtype=np.int64)
-    # head coefficients: coords[k] @ v is the coordinate of v at the head of chain k
-    coords = binv[[offsets[c] for c in survivors]]
+    # head coefficients: coords[k] @ v is the coordinate of v at the head of survivor k
+    coords = fp.inverse(decomp.basis_matrix(), p)[[offsets[c] for c in survivors]]
     heads = np.array([decomp.chains[c].head for c in survivors], dtype=np.int64).reshape(m, alg.dim)
     values = (alg.brackets(heads, heads) @ coords.T) % p  # row a*m+b: [head_a, head_b], column k
     if odd:
@@ -166,7 +157,7 @@ def semisimplify(realization: Realization, decomp: ChainDecomposition) -> Semisi
         decomposition=decomp,
         even_chains=even,
         odd_chains=odd,
-        _binv=binv,
+        coords=coords,
     )
 
 
@@ -183,7 +174,7 @@ def prop32_reference(realization: Realization, decomp: ChainDecomposition) -> Mo
     p = alg.p
     if p != 3:
         raise ValueError("the reference formula is specific to characteristic 3")
-    decomp.validate(realization.der, p)
+    decomp.validate(realization.der)
     even = [i for i, c in enumerate(decomp.chains) if c.length == 1]
     odd = [i for i, c in enumerate(decomp.chains) if c.length == 2]
     offsets = decomp.chain_offsets()

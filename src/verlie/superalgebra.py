@@ -34,6 +34,7 @@ class ModularSuperAlgebra:
     _adl: sp.csr_matrix | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
+        fp.check_modulus(self.p, self.dim)
         self.parity = np.asarray(self.parity, dtype=np.int64)
         if self.parity.shape != (self.dim,):
             raise ValueError("parity length must equal dim")
@@ -127,15 +128,12 @@ class ModularSuperAlgebra:
         p = int(data["p"])
         dim = int(data["dim"])
         parity = np.asarray(data["parity"], dtype=np.int64)
-        constants: Constants = {}
+        entries = []
         for i, j, k, c in data["constants"]:
-            constants.setdefault((i, j), {})[k] = c % p
-            if i != j:
-                sign = 1 if (parity[i] == 1 and parity[j] == 1) else -1
-                mirrored = (sign * c) % p
-                if mirrored:
-                    constants.setdefault((j, i), {})[k] = mirrored
-        return cls(p=p, dim=dim, parity=parity, constants=constants, labels=data.get("labels"))
+            entries.append((i, j, k, c))
+            if i != j:  # the super-skew mirror [b_j, b_i] = -(-1)^{|i||j|} [b_i, b_j]
+                entries.append((j, i, k, c if parity[i] == 1 and parity[j] == 1 else -c))
+        return cls(p=p, dim=dim, parity=parity, constants=make_constants(entries, p), labels=data.get("labels"))
 
 
 def _dense_rows(m: sp.csr_matrix) -> np.ndarray:

@@ -45,6 +45,14 @@ GOLDEN = [
      0, "0ee61e0faacb4cc1c0880500f2e3991984b1a2c04250621e54ac7d2c1326411c"),
     (["swaps", "--algebra", "f4", "--subset", "4"],
      0, "b30ca28698dd353c1cf401dbe793588a9f63cab3b674a5b84a2db78aa5c39879"),
+    # structured decomposition with two subset nodes
+    (["decompose", "--algebra", "e6", "--subset", "1,2"],
+     0, "79815df2a43571c0ffda404ec62440a3855b5ae81db1877a53777aa0314d4470"),
+    # p = 7, nilpotent of degree 4
+    (["decompose", "--algebra", "g2", "-p", "7", "--element", "e1"],
+     0, "3c65174085b9f5c40bab0c8c753a066038005c4301400f3e0e44a738b5923834"),
+    (["swaps", "--algebra", "e7", "--subset", "2,7"],
+     0, "5a9b06c364943103757a85117f6b4dd119096b9ed63db8fbbadd4f72b3c6c5f3"),
 ]
 
 

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import GF
+from sympy.polys.matrices import DomainMatrix
 
 from verlie import fp
 from verlie.errors import BadModulus, NotNilpotent
@@ -170,7 +172,7 @@ def test_powers_match_repeated_dense_products(p, n, k, density, seed):
     assert len(got) == k + 1
     expected = np.eye(n, dtype=np.int64)
     for power in got:
-        assert power.dtype == np.int64 and np.array_equal(power, expected)
+        assert power.dtype == np.int64 and np.array_equal(power.toarray(), expected)
         expected = expected @ m % p
 
 
@@ -210,3 +212,64 @@ def test_inverse_exact_at_largest_accepted_prime():
     inv = fp.inverse(m, p)
     product = [[sum(int(m[i, k]) * int(inv[k, j]) for k in range(3)) % p for j in range(3)] for i in range(3)]
     assert product == np.eye(3, dtype=int).tolist()
+
+
+# -- oracles: sympy's DomainMatrix over GF(p) -------------------------------------
+
+
+def _gf(m, p: int) -> DomainMatrix:
+    field = GF(p)
+    return DomainMatrix([[field(int(x)) for x in row] for row in np.asarray(m).tolist()], np.shape(m), field)
+
+
+def _ints(dm: DomainMatrix, p: int) -> np.ndarray:
+    return np.array([[int(x) % p for x in row] for row in dm.to_list()], dtype=np.int64).reshape(dm.shape)
+
+
+@st.composite
+def gf_matrices(draw, square: bool = False):
+    """(m, p): a small random matrix at p = 3, 5, 7 or at the largest prime
+    the accumulation bound accepts for its size, often rank-deficient (a
+    product through `inner` columns, with entries masked to zero)."""
+    rows = draw(st.integers(1, 6))
+    cols = rows if square else draw(st.integers(1, 6))
+    p = draw(st.sampled_from([3, 5, 7, None])) or largest_accepted_prime(max(rows, cols))
+    inner = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    left = rng.integers(0, p, size=(rows, inner))
+    right = rng.integers(0, p, size=(inner, cols))
+    m = (left @ right % p) * (rng.random((rows, cols)) < draw(st.floats(0.3, 1)))
+    return m, p
+
+
+@settings(max_examples=80, deadline=None)
+@given(gf_matrices())
+def test_rref_and_rank_match_sympy(case):
+    m, p = case
+    expected, pivots = _gf(m, p).rref()
+    got, got_pivots = fp.rref(m, p)
+    assert got_pivots == list(pivots)
+    assert np.array_equal(got, _ints(expected, p))
+    assert fp.rank(m, p) == _gf(m, p).rank()
+
+
+@settings(max_examples=80, deadline=None)
+@given(gf_matrices())
+def test_kernel_basis_spans_sympy_nullspace(case):
+    m, p = case
+    basis = fp.kernel_basis(m, p)
+    nullspace = _gf(m, p).nullspace()
+    assert basis.shape == (nullspace.shape[0], m.shape[1])
+    if len(basis):
+        assert np.array_equal(_ints(_gf(basis, p).rref()[0], p), _ints(nullspace.rref()[0], p))
+
+
+@settings(max_examples=80, deadline=None)
+@given(gf_matrices(square=True))
+def test_inverse_matches_sympy(case):
+    m, p = case
+    if _gf(m, p).rank() < len(m):
+        with pytest.raises(ValueError, match="singular"):
+            fp.inverse(m, p)
+    else:
+        assert np.array_equal(fp.inverse(m, p), _ints(_gf(m, p).inv(), p))

@@ -70,7 +70,7 @@ def gl3_setup():
     _, vec = v.parse_element("e2", alg)  # the (2,3) elementary matrix
     realization = v.realize(alg, vec)
     decomp = ChainDecomposition(paper_gl3_chains(), 3, 9)
-    decomp.validate(realization.der, 3)
+    decomp.validate(realization.der)
     return realization, decomp
 
 

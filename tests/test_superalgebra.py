@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import verlie as v
 from tests.test_fp import largest_accepted_prime
 from verlie import superalgebra
-from verlie.errors import NotAnIdeal, NotParityHomogeneous
+from verlie.errors import BadModulus, NotAnIdeal, NotParityHomogeneous
 from verlie.superalgebra import (
     ModularSuperAlgebra,
     Subspace,
@@ -259,6 +259,25 @@ def test_semisimplified_serialization_keeps_odd_diagonal(free_nilpotent_ss):
     assert back.constants == alg.constants
     assert any(i == j for (i, j) in alg.constants)  # odd self-bracket present
     assert "provenance" in data and len(data["provenance"]) == alg.dim
+
+
+@pytest.mark.parametrize("p", [2, 4, 9, 4294967311])
+def test_from_json_dict_rejects_bad_modulus(p):
+    data = {"p": p, "dim": 2, "parity": [0, 0], "labels": None, "constants": [[0, 1, 1, 1]]}
+    with pytest.raises(BadModulus):
+        ModularSuperAlgebra.from_json_dict(data)
+
+
+def test_from_json_dict_drops_zero_coefficients():
+    # (1|2) at p = 3: [b0, b1] = 3 b1 is zero, [b0, b2] = 4 b2 = b2, [b1, b1] = 2 b0, [b1, b2] = 5 b0 = 2 b0
+    data = {"p": 3, "dim": 3, "parity": [0, 1, 1], "labels": None,
+            "constants": [[0, 1, 1, 3], [0, 2, 2, 4], [1, 1, 0, 2], [1, 2, 0, 5]]}
+    alg = ModularSuperAlgebra.from_json_dict(data)
+    entries = [(0, 2, 2, 1), (2, 0, 2, -1), (1, 1, 0, 2), (1, 2, 0, 2), (2, 1, 0, 2)]
+    assert alg.constants == make_constants(entries, 3)
+    written = alg.to_json_dict()
+    assert written["constants"] == [[0, 2, 2, 1], [1, 1, 0, 2], [1, 2, 0, 2]]
+    assert ModularSuperAlgebra.from_json_dict(written).to_json_dict() == written
 
 
 @settings(max_examples=80, deadline=None)
