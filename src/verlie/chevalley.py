@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -417,8 +418,8 @@ def integral_catalog(name: str) -> IntegralLieAlgebra:
 def catalog_algebra(name: str, p: int) -> ModularSuperAlgebra:
     """Named catalog algebra reduced mod p; 'gl<n>' and 'sl<n>' are accepted too.
 
-    The result is shared by every caller, so its generator vectors and parity
-    are read-only.
+    The result is shared by every caller, so its structure constants,
+    generator vectors and parity are read-only.
     """
     check_modulus(p)
     name = name.lower()
@@ -430,4 +431,5 @@ def catalog_algebra(name: str, p: int) -> ModularSuperAlgebra:
         alg = reduce_mod_p(integral_catalog(name), p)
     for vec in [alg.parity, *alg.gens.values()]:
         vec.setflags(write=False)
+    alg.constants = MappingProxyType({key: MappingProxyType(comps) for key, comps in alg.constants.items()})
     return alg

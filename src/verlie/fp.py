@@ -77,6 +77,122 @@ def rref(m, p: int) -> tuple[Array, list[int]]:
     return a, pivots
 
 
+def _inverses(a: Array, p: int) -> Array:
+    """Elementwise a^(p-2) mod p (the inverse of a nonzero residue); every
+    product is of two residues, so it stays below p^2."""
+    out = np.ones_like(a)
+    base, e = a % p, p - 2
+    while e:
+        if e & 1:
+            out = out * base % p
+        base = base * base % p
+        e >>= 1
+    return out
+
+
+def rref_batch(stack, p: int) -> tuple[Array, Array]:
+    """Reduced row echelon form of every matrix of a (blocks, rows, cols)
+    stack at once, one column step for all blocks.
+
+    Returns (R, pivots): R[b] is rref(stack[b])[0], and pivots[b, i] is the
+    pivot column of row i of R[b], or -1 past its rank.  Each slice follows
+    the pivot order of rref, so it equals rref's output exactly; zero-padded
+    rows and columns never take a pivot.  Every product is of two residues
+    and is reduced mod p before the next, so no intermediate exceeds p^2.
+    """
+    a = normalize(stack, p).copy()
+    if a.ndim != 3:
+        raise ValueError("rref_batch expects a (blocks, rows, cols) stack")
+    n, rows, cols = a.shape
+    pivots = np.full((n, rows), -1, dtype=np.int64)
+    rank = np.zeros(n, dtype=np.int64)
+    below = np.arange(rows)
+    for c in range(cols):
+        candidates = (a[:, :, c] != 0) & (below >= rank[:, None])
+        hit = np.flatnonzero(candidates.any(axis=1))
+        if not hit.size:
+            continue
+        r, src = rank[hit], candidates[hit].argmax(axis=1)
+        top = a[hit, src]
+        a[hit, src] = a[hit, r]
+        top = top * _inverses(top[:, c], p)[:, None] % p
+        a[hit, r] = top
+        col = a[hit, :, c]
+        col[np.arange(hit.size), r] = 0
+        # the pivot row is zero left of c, so only columns c.. change
+        at = slice(None) if hit.size == n else hit
+        a[at, :, c:] = (a[at, :, c:] - col[:, :, None] * top[:, None, c:]) % p
+        pivots[hit, r] = c
+        rank[hit] += 1
+        if rank.min() == rows:
+            break
+    return a, pivots
+
+
+def _entries(m) -> tuple[Array, Array, Array]:
+    """Row, column and value of every stored entry of a sparse matrix, or of
+    every nonzero of a dense one."""
+    if sp.issparse(m):
+        m = m.tocsr()
+        return np.repeat(np.arange(m.shape[0]), np.diff(m.indptr)), m.indices, m.data
+    row, col = np.nonzero(m)
+    return row, col, m[row, col]
+
+
+def components(m) -> Array:
+    """Connected components of the graph of m + m^T on the indices of the
+    square matrix m: entry i is the number of i's component, components
+    numbered by their smallest index (min-label propagation with pointer
+    jumping)."""
+    row, col, _ = _entries(m)
+    u, v = np.concatenate([row, col]), np.concatenate([col, row])
+    labels = np.arange(m.shape[0])
+    while True:
+        new = labels.copy()
+        np.minimum.at(new, u, labels[v])
+        new = new[new]
+        if np.array_equal(new, labels):
+            smallest = labels == np.arange(len(labels))
+            return (np.cumsum(smallest) - 1)[labels]
+        labels = new
+
+
+def _slots(blocks: Array, count: int) -> Array:
+    """Position of each index within its block, in index order."""
+    order = np.argsort(blocks, kind="stable")
+    sizes = np.bincount(blocks, minlength=count)
+    slots = np.empty_like(blocks)
+    slots[order] = np.arange(len(blocks)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    return slots
+
+
+def block_table(blocks: Array) -> Array:
+    """(blocks, size) table of a partition: row b lists the indices in block
+    b in ascending order, padded with -1."""
+    count = int(blocks.max(initial=-1)) + 1
+    table = np.full((count, np.bincount(blocks, minlength=1).max()), -1, dtype=np.int64)
+    table[blocks, _slots(blocks, count)] = np.arange(len(blocks))
+    return table
+
+
+def block_stack(ms, row_blocks: Array, col_blocks: Array) -> Array:
+    """The diagonal blocks of the matrices ms as one zero-padded
+    (len(ms)*blocks, rows, cols) stack, matrix-major: slice k*blocks + b holds
+    the rows and columns of block b of ms[k], in their order in ms[k].
+    Raises unless every nonzero joins a row and a column of one block."""
+    count = int(max(row_blocks.max(initial=-1), col_blocks.max(initial=-1))) + 1
+    row_slots, col_slots = _slots(row_blocks, count), _slots(col_blocks, count)
+    out = np.zeros((len(ms) * count, np.bincount(row_blocks, minlength=1).max(),
+                    np.bincount(col_blocks, minlength=1).max()), dtype=np.int64)
+    for k, m in enumerate(ms):
+        row, col, data = _entries(m)
+        block = row_blocks[row]
+        if not np.array_equal(block, col_blocks[col]):
+            raise ValueError("matrix is not block diagonal in the given blocks")
+        out[k * count + block, row_slots[row], col_slots[col]] = data
+    return out
+
+
 def rank(m, p: int) -> int:
     _, pivots = rref(m, p)
     return len(pivots)
@@ -90,14 +206,13 @@ def kernel_basis(m, p: int) -> Array:
     substitution.
     """
     a = normalize(m, p)
-    rows, cols = a.shape
     r, pivots = rref(a, p)
-    free = [c for c in range(cols) if c not in set(pivots)]
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    for k, fc in enumerate(free):
-        basis[k, fc] = 1
-        for i, pc in enumerate(pivots):
-            basis[k, pc] = (-r[i, fc]) % p
+    free = np.ones(a.shape[1], dtype=bool)
+    free[pivots] = False
+    free = np.flatnonzero(free)
+    basis = np.zeros((len(free), a.shape[1]), dtype=np.int64)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = -r[: len(pivots)][:, free].T % p
     return basis
 
 

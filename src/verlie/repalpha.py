@@ -19,7 +19,7 @@ import scipy.sparse as sp
 from . import fp
 from .errors import DegreeExceedsP, ParseError, PreconditionViolated, UnknownGenerator
 from .roots import Root, admissible_subsets, attached_node
-from .superalgebra import ModularSuperAlgebra, Subspace
+from .superalgebra import ModularSuperAlgebra
 
 # -- element expressions -----------------------------------------------------
 
@@ -154,7 +154,7 @@ def parse_element(src: str, alg: ModularSuperAlgebra) -> tuple[ElementExpr, np.n
 # -- realizations -------------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class Realization:
     """Algebra plus a nilpotent derivation D with D^p = 0, carrying its
     powers [I, D, ..., D^p] as sparse matrices."""
@@ -252,7 +252,8 @@ class ChainDecomposition:
 
     def validate(self, der: np.ndarray):
         """D maps every chain vector to the next one and the tail to zero,
-        checked for all vectors in one product; the vectors form a basis."""
+        checked for all vectors in one product; the vectors form a basis,
+        checked one block of the basis matrix at a time."""
         for chain in self.chains:
             if not 1 <= chain.length <= self.p:
                 raise ValueError(f"chain length {chain.length} outside 1..p")
@@ -271,7 +272,14 @@ class ChainDecomposition:
                 raise ValueError("chain is not a D-orbit")
         if total != self.dim:
             raise ValueError(f"chain lengths sum to {total}, dim is {self.dim}")
-        if fp.rank(self.basis_matrix(), self.p) != self.dim:
+        # the rank of the basis is the sum of the ranks of the blocks of its
+        # own row/column graph, whatever the chains are
+        basis = self.basis_matrix()
+        row, col = np.nonzero(basis)
+        graph = sp.coo_matrix((np.ones(len(row)), (row, self.dim + col)), shape=(2 * self.dim,) * 2)
+        blocks = fp.components(graph)
+        _, pivots = fp.rref_batch(fp.block_stack([basis], blocks[: self.dim], blocks[self.dim :]), self.p)
+        if np.count_nonzero(pivots >= 0) != self.dim:
             raise ValueError("chain vectors are not a basis")
 
 
@@ -280,10 +288,22 @@ def block_counts(decomp: ChainDecomposition) -> tuple[int, ...]:
     return decomp.counts()
 
 
+def _power_blocks(powers: list[sp.csr_matrix]) -> tuple[np.ndarray, np.ndarray]:
+    """The D-stable blocks of the powers [I, D, D^2, ...]: the components of
+    the graph of D + D^T, in which every power is block diagonal.  Returns
+    the block of each coordinate and the stack of the diagonal blocks of
+    powers[1:], power-major."""
+    blocks = fp.components(powers[1])
+    return blocks, fp.block_stack(powers[1:], blocks, blocks)
+
+
 def rank_count_vector(powers: list[sp.csr_matrix], p: int) -> tuple[int, ...]:
     """Block counts straight from the ranks r_l of the powers [I, D, ..., D^p]
-    of a derivation with D^p = 0 (so r_{p+1} = 0): n_l = r_{l-1} - 2 r_l + r_{l+1}."""
-    ranks = [powers[0].shape[0]] + [fp.rank(power.toarray(), p) for power in powers[1:]] + [0]
+    of a derivation with D^p = 0 (so r_{p+1} = 0): n_l = r_{l-1} - 2 r_l + r_{l+1},
+    each rank the sum of the ranks of the D-stable blocks."""
+    _, stack = _power_blocks(powers)
+    _, pivots = fp.rref_batch(stack, p)
+    ranks = [powers[0].shape[0]] + (pivots >= 0).reshape(p, -1).sum(axis=1).tolist() + [0]
     return tuple(ranks[l - 1] - 2 * ranks[l] + ranks[l + 1] for l in range(1, p + 1))
 
 
@@ -298,27 +318,56 @@ def _chains_of(powers: list[sp.csr_matrix], p: int) -> list[JordanChain]:
     """Deterministic chain extraction: for lengths l = p down to 1, heads are
     a complement of (ker D^{l-1} + im D) inside ker D^l, picked by echelon order.
 
-    A kernel vector heads a chain when it is independent of the blocked
-    subspace and of the kernel vectors before it, which is exactly when its
-    residual modulo the blocked subspace is a pivot column of all the
-    residuals; so one elimination picks every head of a length.
+    The candidates are the fp.kernel_basis rows of D^l (row f has a 1 at the
+    free column f and zeros at the other free columns), and one heads a chain
+    when it is independent of that subspace and of the candidates before it.
+    Inside ker D^l the subspace is W = ker D^{l-1} + D ker D^{l+1}, and a
+    vector of ker D^l is fixed by its free coordinates; so the candidate at f
+    is picked exactly when no vector of W ends at f (is nonzero at f and at no
+    later free column), that is, when f is not a pivot of W's free
+    coordinates eliminated right to left.
+
+    Every power of D is block diagonal in the D-stable blocks, so all of this
+    splits by block: one elimination gives the kernels of every power in
+    every block, one more the ends of every W.  Heads are ordered by their
+    free coordinate, as the global kernel basis orders them.
     """
     dim = powers[0].shape[0]
     if dim == 0:
         return []
-    kernels = [np.zeros((0, dim), dtype=np.int64)]  # ker D^0 = 0
-    kernels += [fp.kernel_basis(power.toarray(), p) for power in powers[1:]]
-    image_rows = fp.rref(powers[1].T.toarray(), p)[0]
-    image_rows = image_rows[np.any(image_rows, axis=1)]
+    beyond = powers[-1] @ powers[1]  # D^{p+1}, zero when D^p = 0
+    beyond.data %= p
+    blocks, stack = _power_blocks([*powers, beyond])
+    coords = fp.block_table(blocks)
+    count, size = coords.shape
+    # kernel rows of every block of D^1..D^{p+1}: row f has a 1 at free slot f
+    rows, pivots = fp.rref_batch(stack, p)
+    free = np.tile(coords >= 0, (p + 1, 1))
+    at, rank = np.nonzero(pivots >= 0)
+    free[at, pivots[at, rank]] = False
+    kernels = np.zeros_like(rows)
+    kernels[at, :, pivots[at, rank]] = -rows[at, rank] % p
+    kernels *= free[:, :, None]
+    kernels[:, np.arange(size), np.arange(size)] = free
+    kernels = np.concatenate([np.zeros((count, size, size), dtype=np.int64), kernels]).reshape(p + 2, count, size, size)
+    free = np.concatenate([np.zeros((count, size), dtype=bool), free]).reshape(p + 2, count, size)
+    # W for l = 1..p on the free coordinates of D^l, columns reversed
+    images = kernels[2:] @ stack[:count].transpose(0, 2, 1) % p  # rows D x for x in ker D^{l+1}
+    spans = np.concatenate([kernels[:p], images], axis=2) * free[1 : p + 1, :, None, :]
+    _, ends = fp.rref_batch(spans[..., ::-1].reshape(p * count, 2 * size, size), p)
+    picked = free[1 : p + 1].reshape(p * count, size).copy()
+    at, rank = np.nonzero(ends >= 0)
+    picked[at, size - 1 - ends[at, rank]] = False
+    picked = picked.reshape(p, count, size)
     chains: list[JordanChain] = []
     for length in range(p, 0, -1):
-        blocked = Subspace.from_vectors(
-            np.vstack([kernels[length - 1], image_rows]) if len(kernels[length - 1]) or len(image_rows) else [],
-            dim,
-            p,
-        )
-        _, picked = fp.rref(blocked.reduce_rows(kernels[length]).T, p)
-        chains += [JordanChain(vectors) for vectors in _orbits(powers, kernels[length][picked], length, p)]
+        block, slot = np.nonzero(picked[length - 1])
+        local, where = kernels[length][block, slot], coords[block]
+        heads = np.zeros((len(block), dim), dtype=np.int64)
+        row, col = np.nonzero(where >= 0)
+        heads[row, where[row, col]] = local[row, col]
+        heads = heads[np.argsort(coords[block, slot])]
+        chains += [JordanChain(vectors) for vectors in _orbits(powers, heads, length, p)]
     return chains
 
 

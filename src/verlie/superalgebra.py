@@ -39,6 +39,22 @@ class ModularSuperAlgebra:
         if self.parity.shape != (self.dim,):
             raise ValueError("parity length must equal dim")
 
+    def __eq__(self, other) -> bool:
+        """Same field, basis parities, structure constants, labels and
+        generator vectors (origin and caches are not compared)."""
+        if not isinstance(other, ModularSuperAlgebra):
+            return NotImplemented
+        gens, other_gens = self.gens or {}, other.gens or {}
+        return (
+            self.p == other.p
+            and self.dim == other.dim
+            and np.array_equal(self.parity, other.parity)
+            and self.constants == other.constants
+            and self.labels == other.labels
+            and gens.keys() == other_gens.keys()
+            and all(np.array_equal(vec, other_gens[name]) for name, vec in gens.items())
+        )
+
     # -- bracket machinery ------------------------------------------------
 
     def _ad_tensor(self) -> sp.csr_matrix:

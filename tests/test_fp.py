@@ -273,3 +273,34 @@ def test_inverse_matches_sympy(case):
             fp.inverse(m, p)
     else:
         assert np.array_equal(fp.inverse(m, p), _ints(_gf(m, p).inv(), p))
+
+
+@st.composite
+def gf_stacks(draw):
+    """(stack, p): a (blocks, rows, cols) stack of random matrices, each drawn
+    at its own size and zero-padded to the stack's shape, some all zero, at
+    p = 3, 5, 7 or the largest prime the accumulation bound accepts."""
+    count, rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    p = draw(st.sampled_from([3, 5, 7, None])) or largest_accepted_prime(max(rows, cols, 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stack = np.zeros((count, rows, cols), dtype=np.int64)
+    for block in range(count):
+        if rng.random() < 0.2:
+            continue
+        r, c = rng.integers(0, rows + 1), rng.integers(0, cols + 1)
+        inner = rng.integers(1, 7)
+        m = rng.integers(0, p, size=(r, inner)) @ rng.integers(0, p, size=(inner, c)) % p
+        stack[block, :r, :c] = m * (rng.random((r, c)) < rng.uniform(0.3, 1))
+    return stack, p
+
+
+@settings(max_examples=100, deadline=None)
+@given(gf_stacks())
+def test_rref_batch_slices_match_rref(case):
+    stack, p = case
+    rows, pivots = fp.rref_batch(stack, p)
+    assert rows.shape == stack.shape and pivots.shape == stack.shape[:2]
+    for block, m in enumerate(stack):
+        expected, expected_pivots = fp.rref(m, p)
+        assert np.array_equal(rows[block], expected)
+        assert pivots[block].tolist() == expected_pivots + [-1] * (len(m) - len(expected_pivots))

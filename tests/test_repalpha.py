@@ -261,15 +261,20 @@ def greedy_chains(der, p: int, dim: int) -> list[JordanChain]:
     return chains
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(
     p=st.sampled_from([3, 5, 7]),
-    blocks=st.lists(st.integers(1, 8), min_size=1, max_size=6),
+    blocks=st.lists(st.integers(1, 8), min_size=1, max_size=8),
+    split=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_batched_head_pick_matches_greedy_loop(p, blocks, seed):
+def test_batched_head_pick_matches_greedy_loop(p, blocks, split, seed):
     """Random nilpotent matrices: Jordan blocks (some longer than p) in a
-    random basis P = L·U with unit-triangular L and U."""
+    random basis.  The basis is either dense, P = L·U with unit-triangular L
+    and U (one D-stable block), or split: one L·U per group of consecutive
+    Jordan blocks with the coordinates shuffled, so D has D-stable blocks of
+    unequal sizes (size 1 included), some holding several chains, whose
+    coordinates interleave."""
     dim = sum(blocks)
     jordan = np.zeros((dim, dim), dtype=np.int64)
     start = 0
@@ -278,13 +283,33 @@ def test_batched_head_pick_matches_greedy_loop(p, blocks, seed):
             jordan[i + 1, i] = 1
         start += size
     rng = np.random.default_rng(seed)
-    lower = np.tril(rng.integers(0, p, size=(dim, dim)), -1) + np.eye(dim, dtype=np.int64)
-    upper = np.triu(rng.integers(0, p, size=(dim, dim)), 1) + np.eye(dim, dtype=np.int64)
-    basis = lower @ upper % p
+
+    def unit_lu(n):
+        lower = np.tril(rng.integers(0, p, size=(n, n)), -1) + np.eye(n, dtype=np.int64)
+        upper = np.triu(rng.integers(0, p, size=(n, n)), 1) + np.eye(n, dtype=np.int64)
+        return lower @ upper % p
+
+    if split:
+        basis = np.zeros((dim, dim), dtype=np.int64)
+        ends = np.cumsum(blocks)
+        cuts = [0, *ends[:-1][rng.random(len(blocks) - 1) < 0.5], dim]
+        for lo, hi in zip(cuts, cuts[1:]):
+            basis[lo:hi, lo:hi] = unit_lu(hi - lo)
+        basis = basis[rng.permutation(dim)]
+    else:
+        basis = unit_lu(dim)
     der = basis @ jordan @ fp.inverse(basis, p) % p
     got = _chains_of(fp.powers(der, p, p), p)
     expected = greedy_chains(der, p, dim)
     assert len(got) == len(expected)
     assert all(np.array_equal(chain.vectors, vectors) for chain, vectors in zip(got, expected))
     if max(blocks) <= p:
-        assert ChainDecomposition(tuple(got), p, dim).counts() == rank_count_vector(fp.powers(der, p, p), p)
+        decomp = ChainDecomposition(tuple(got), p, dim)
+        decomp.validate(der)
+        assert decomp.counts() == rank_count_vector(fp.powers(der, p, p), p)
+
+
+def test_realizations_compare_by_identity(f4mod3):
+    _, vec = parse_element("e4", f4mod3)
+    first, second = realize(f4mod3, vec), realize(f4mod3, vec)
+    assert first == first and first != second
