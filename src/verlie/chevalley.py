@@ -215,8 +215,9 @@ def chevalley_basis(gcm: GCM) -> IntegralLieAlgebra:
     for i, j, k, c in entries:
         if c:
             constants.setdefault((i, j), {})[k] = constants.setdefault((i, j), {}).get(k, 0) + c
-    constants = {key: {k: c for k, c in comps.items() if c} for key, comps in constants.items()}
-    constants = {key: comps for key, comps in constants.items() if comps}
+    # read-only: integral_catalog shares one basis per name with every caller
+    constants = {key: MappingProxyType({k: c for k, c in comps.items() if c}) for key, comps in constants.items()}
+    constants = MappingProxyType({key: comps for key, comps in constants.items() if comps})
     return IntegralLieAlgebra(gcm=gcm, roots=rs, dim=dim, labels=labels, constants=constants)
 
 

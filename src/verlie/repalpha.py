@@ -157,7 +157,7 @@ def parse_element(src: str, alg: ModularSuperAlgebra) -> tuple[ElementExpr, np.n
 @dataclass(eq=False)
 class Realization:
     """Algebra plus a nilpotent derivation D with D^p = 0, carrying its
-    powers [I, D, ..., D^p] as sparse matrices."""
+    powers [I, D, ..., D^p] as sparse matrices; D and its powers are read-only."""
 
     algebra: ModularSuperAlgebra
     der: np.ndarray
@@ -179,6 +179,7 @@ def _realization(alg: ModularSuperAlgebra, der: np.ndarray, element) -> Realizat
     if powers[-1].nnz:
         fp.nilpotency_degree(der, alg.p)  # raises NotNilpotent when appropriate
         raise DegreeExceedsP(f"derivation is nilpotent of degree > {alg.p}")
+    _freeze(der, *powers)
     return Realization(algebra=alg, der=der, powers=powers, element=element)
 
 
@@ -227,11 +228,26 @@ class JordanChain:
         return self.vectors[-1]
 
 
+def _arrays(m) -> list[np.ndarray]:
+    """The arrays holding the entries of a dense, CSR or CSC matrix, and the arrays they view."""
+    out = [m.data, m.indices, m.indptr] if getattr(m, "format", None) in ("csr", "csc") else [np.asarray(m)]
+    for a in out:  # each view's base joins the list
+        if isinstance(a.base, np.ndarray):
+            out.append(a.base)
+    return out
+
+
+def _freeze(*matrices):
+    for a in (a for m in matrices for a in _arrays(m)):
+        a.flags.writeable = False
+
+
 @dataclass
 class ChainDecomposition:
     chains: tuple[JordanChain, ...]
     p: int
     dim: int
+    _validated: tuple = field(default=(), init=False, repr=False, compare=False)  # what validate last passed
 
     def counts(self) -> tuple[int, ...]:
         out = [0] * self.p
@@ -250,7 +266,18 @@ class ChainDecomposition:
             total += chain.length
         return offsets
 
-    def validate(self, der: np.ndarray):
+    def validate(self, der):
+        """Check the chains against D, dense or sparse, once.  A passed check
+        makes the chain arrays read-only; it is skipped only for the same D and
+        chain arrays, all still read-only (as a `Realization` holds D)."""
+        seen = (self.p, self.dim, der, *(chain.vectors for chain in self.chains))
+        if (len(seen) != len(self._validated) or any(a is not b for a, b in zip(seen, self._validated))
+                or any(a.flags.writeable for m in seen[2:] for a in _arrays(m))):
+            self._check(der if sp.issparse(der) else sp.csr_matrix(der))
+            _freeze(*(chain.vectors for chain in self.chains))
+            self._validated = seen
+
+    def _check(self, der: sp.spmatrix):
         """D maps every chain vector to the next one and the tail to zero,
         checked for all vectors in one product; the vectors form a basis,
         checked one block of the basis matrix at a time."""
@@ -258,27 +285,27 @@ class ChainDecomposition:
             if not 1 <= chain.length <= self.p:
                 raise ValueError(f"chain length {chain.length} outside 1..p")
         total = sum(chain.length for chain in self.chains)
-        if total:
-            vectors = np.vstack([chain.vectors for chain in self.chains])
-            tails = np.cumsum([chain.length for chain in self.chains]) - 1
-            shifted = np.zeros_like(vectors)
-            shifted[:-1] = vectors[1:]
-            shifted[tails] = 0  # D kills the tail
-            images = (sp.csr_matrix(der) @ vectors.T).T % self.p
-            wrong = np.flatnonzero((images != shifted).any(axis=1))
-            if wrong.size and wrong[0] in tails:
-                raise ValueError("chain does not terminate")
-            if wrong.size:
-                raise ValueError("chain is not a D-orbit")
         if total != self.dim:
             raise ValueError(f"chain lengths sum to {total}, dim is {self.dim}")
+        if not total:
+            return
+        vectors = np.vstack([chain.vectors for chain in self.chains])  # row k: basis column k
+        tails = np.cumsum([chain.length for chain in self.chains]) - 1
+        shifted = np.zeros_like(vectors)
+        shifted[:-1] = vectors[1:]
+        shifted[tails] = 0  # D kills the tail
+        images = (der @ vectors.T).T % self.p
+        wrong = np.flatnonzero((images != shifted).any(axis=1))
+        if wrong.size and wrong[0] in tails:
+            raise ValueError("chain does not terminate")
+        if wrong.size:
+            raise ValueError("chain is not a D-orbit")
         # the rank of the basis is the sum of the ranks of the blocks of its
         # own row/column graph, whatever the chains are
-        basis = self.basis_matrix()
-        row, col = np.nonzero(basis)
+        col, row = np.nonzero(vectors)
         graph = sp.coo_matrix((np.ones(len(row)), (row, self.dim + col)), shape=(2 * self.dim,) * 2)
         blocks = fp.components(graph)
-        _, pivots = fp.rref_batch(fp.block_stack([basis], blocks[: self.dim], blocks[self.dim :]), self.p)
+        _, pivots = fp.rref_batch(fp.block_stack([vectors.T], blocks[: self.dim], blocks[self.dim :]), self.p)
         if np.count_nonzero(pivots >= 0) != self.dim:
             raise ValueError("chain vectors are not a basis")
 
@@ -375,7 +402,7 @@ def jordan_decompose(realization: Realization) -> ChainDecomposition:
     """Complete chain decomposition of the derivation action."""
     alg = realization.algebra
     decomp = ChainDecomposition(tuple(_chains_of(realization.powers, alg.p)), alg.p, alg.dim)
-    decomp.validate(realization.der)
+    decomp.validate(realization.powers[1])
     if decomp.counts() != rank_count_vector(realization.powers, alg.p):
         raise AssertionError("chain counts disagree with the rank formula")
     return decomp
@@ -433,9 +460,7 @@ def structured_decompose(realization: Realization, subset) -> ChainDecomposition
         chains.append(JordanChain(hdiff.reshape(1, -1), tag=("h", j)))
     untouched = [k for k in range(1, gcm.n + 1) if k not in subset and k not in attached.values()]
     for k in untouched:
-        chains.append(JordanChain(eye[integral.generator_index("e", k)].reshape(1, -1), tag=("e", k)))
-        chains.append(JordanChain(eye[integral.generator_index("f", k)].reshape(1, -1), tag=("f", k)))
-        chains.append(JordanChain(eye[integral.generator_index("h", k)].reshape(1, -1), tag=("h", k)))
+        chains += [JordanChain(eye[integral.generator_index(kind, k)].reshape(1, -1), tag=(kind, k)) for kind in "efh"]
     # Complement: root spaces the template leaves alone.  Every simple root
     # vector sits in a tagged chain, so only non-simple roots other than the
     # sums alpha_i + alpha_j remain.
@@ -454,5 +479,5 @@ def structured_decompose(realization: Realization, subset) -> ChainDecomposition
         vectors[:, rest_idx] = chain.vectors
         chains.append(JordanChain(vectors))
     decomp = ChainDecomposition(tuple(chains), alg.p, alg.dim)
-    decomp.validate(der)
+    decomp.validate(powers[1])
     return decomp

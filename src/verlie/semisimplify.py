@@ -13,12 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import fp
 from .errors import JacobiViolation, MissingTags
 from .repalpha import ChainDecomposition, JordanChain, Realization
 from .superalgebra import (
     ModularSuperAlgebra,
+    Report,
     check_super_jacobi,
     check_super_skew,
     constants_from_products,
@@ -52,7 +54,8 @@ class SemisimplifiedAlgebra:
     """Output superalgebra with provenance back to the input chains.
 
     Basis order: one even vector per length-1 chain, then one odd vector per
-    length-(p-1) chain, both in decomposition order.
+    length-(p-1) chain, both in decomposition order.  `checks` holds the
+    super skew and super Jacobi reports of `algebra`, by check name.
     """
 
     algebra: ModularSuperAlgebra
@@ -61,6 +64,7 @@ class SemisimplifiedAlgebra:
     even_chains: tuple[int, ...]
     odd_chains: tuple[int, ...]
     coords: np.ndarray = field(repr=False)  # row k: the coordinate at the head of survivor k
+    checks: dict[str, Report] = field(repr=False)
 
     @property
     def p(self) -> int:
@@ -75,11 +79,10 @@ class SemisimplifiedAlgebra:
         return (self.coords @ fp.normalize(v, self.p)) % self.p
 
     def basis_index_of_chain(self, chain_index: int) -> int:
-        if chain_index in self.even_chains:
-            return self.even_chains.index(chain_index)
-        if chain_index in self.odd_chains:
-            return len(self.even_chains) + self.odd_chains.index(chain_index)
-        raise KeyError(f"chain {chain_index} does not survive")
+        survivors = self.even_chains + self.odd_chains
+        if chain_index not in survivors:
+            raise KeyError(f"chain {chain_index} does not survive")
+        return survivors.index(chain_index)
 
     def tagged_basis(self) -> dict[tuple[str, int], int]:
         """Map (generator kind, node) -> output basis index, from chain tags."""
@@ -92,14 +95,9 @@ class SemisimplifiedAlgebra:
         return out
 
     def provenance(self) -> list[dict]:
-        rows = []
-        for a, c in enumerate(self.even_chains):
-            rows.append({"index": a, "parity": 0, "chain": c,
-                         "vectors": self.decomposition.chains[c].vectors.tolist()})
-        for b, c in enumerate(self.odd_chains):
-            rows.append({"index": len(self.even_chains) + b, "parity": 1, "chain": c,
-                         "vectors": self.decomposition.chains[c].vectors.tolist()})
-        return rows
+        return [{"index": a, "parity": int(a >= len(self.even_chains)), "chain": c,
+                 "vectors": self.decomposition.chains[c].vectors.tolist()}
+                for a, c in enumerate(self.even_chains + self.odd_chains)]
 
     def to_json_dict(self) -> dict:
         data = self.algebra.to_json_dict()
@@ -120,10 +118,11 @@ def semisimplify(realization: Realization, decomp: ChainDecomposition) -> Semisi
 
     Raises JacobiViolation if the projected bracket fails super skew or super
     Jacobi; that signals a broken decomposition, not a recoverable state.
+    Both reports are kept on the result as `checks`.
     """
     alg = realization.algebra
     p = alg.p
-    decomp.validate(realization.der)
+    decomp.validate(realization.powers[1])
     even = tuple(i for i, c in enumerate(decomp.chains) if c.length == 1)
     odd = tuple(i for i, c in enumerate(decomp.chains) if c.length == p - 1)
     offsets = decomp.chain_offsets()
@@ -151,14 +150,8 @@ def semisimplify(realization: Realization, decomp: ChainDecomposition) -> Semisi
     jac = check_super_jacobi(out)
     if not jac.ok:
         raise JacobiViolation(f"projected bracket fails super Jacobi at {jac.witness}")
-    return SemisimplifiedAlgebra(
-        algebra=out,
-        realization=realization,
-        decomposition=decomp,
-        even_chains=even,
-        odd_chains=odd,
-        coords=coords,
-    )
+    return SemisimplifiedAlgebra(algebra=out, realization=realization, decomposition=decomp, even_chains=even,
+                                 odd_chains=odd, coords=coords, checks={"super_skew": skew, "super_jacobi": jac})
 
 
 def prop32_reference(realization: Realization, decomp: ChainDecomposition) -> ModularSuperAlgebra:
@@ -174,38 +167,32 @@ def prop32_reference(realization: Realization, decomp: ChainDecomposition) -> Mo
     p = alg.p
     if p != 3:
         raise ValueError("the reference formula is specific to characteristic 3")
-    decomp.validate(realization.der)
+    decomp.validate(realization.powers[1])
     even = [i for i, c in enumerate(decomp.chains) if c.length == 1]
     odd = [i for i, c in enumerate(decomp.chains) if c.length == 2]
     offsets = decomp.chain_offsets()
-    binv = fp.inverse(decomp.basis_matrix(), p)
     n1, n2 = len(even), len(odd)
     order = even + odd
-    coord_rows = [offsets[c] for c in order]  # where the coefficient of x_k sits
-    xmat = np.stack([decomp.chains[c].vectors[0] for c in order], axis=1)
-    xpmat = (
-        np.stack([decomp.chains[c].vectors[1] for c in odd], axis=1)
-        if n2
-        else np.zeros((alg.dim, 0), dtype=np.int64)
-    )
+    # row k: the coefficient of x_k, which sits at its chain's head
+    coords = fp.inverse(decomp.basis_matrix(), p)[[offsets[c] for c in order]]
+    # sparse columns: the heads x_b of all survivors, the tails x_b' of the odd ones
+    xmat, xpmat = (sp.csc_matrix(np.array([decomp.chains[c].vectors[t] for c in chains], dtype=np.int64)
+                                 .reshape(-1, alg.dim).T) for t, chains in ((0, order), (1, odd)))
     entries = []
     for a, ca in enumerate(order):
-        ad_xa = alg.ad(decomp.chains[ca].vectors[0])
-        plain = binv @ (ad_xa @ xmat) % p  # coords of [x_a, x_b], all b
-        if a >= n1:
-            ad_xpa = alg.ad(decomp.chains[ca].vectors[1])
-            mixed = binv @ ((-(ad_xa @ xpmat) + ad_xpa @ xmat[:, n1:]) % p) % p
-        for b in range(n1 + n2):
-            a_even, b_even = a < n1, b < n1
-            if a_even and b_even:
-                coords, targets = plain[:, b], range(n1)
-            elif a_even != b_even:
-                coords, targets = plain[:, b], range(n1, n1 + n2)
-            else:
-                # coefficient of x_k in -[x_a, x_b'] + [x_a', x_b]
-                coords, targets = mixed[:, b - n1], range(n1)
-            for k in targets:
-                entries.append((a, b, k, int(coords[coord_rows[k]])))
+        ad_xa = sp.csr_matrix(alg.ad(decomp.chains[ca].vectors[0]))
+        plain = coords @ (ad_xa @ xmat) % p  # [k, b]: coefficient of x_k in [x_a, x_b]
+        out = np.zeros((n1 + n2, n1 + n2), dtype=np.int64)  # [b, k]: coefficient of y_k in [y_a, y_b]
+        if a < n1:
+            out[:n1, :n1] = plain[:n1, :n1].T  # both even: on the even targets
+            out[n1:, n1:] = plain[n1:, n1:].T  # mixed: on the odd targets
+        else:
+            out[:n1, n1:] = plain[n1:, :n1].T  # mixed: on the odd targets
+            # both odd: coefficient of x_k in -[x_a, x_b'] + [x_a', x_b], even targets
+            ad_xpa = sp.csr_matrix(alg.ad(decomp.chains[ca].vectors[1]))
+            out[n1:, :n1] = (coords[:n1] @ (ad_xpa @ xmat[:, n1:] - ad_xa @ xpmat) % p).T
+        b, k = np.nonzero(out)
+        entries += zip([a] * len(b), b.tolist(), k.tolist(), out[b, k].tolist())
     parity = np.array([0] * n1 + [1] * n2, dtype=np.int64)
     return ModularSuperAlgebra(p=p, dim=n1 + n2, parity=parity,
                                constants=make_constants(entries, p),

@@ -496,23 +496,32 @@ def closure(sub: Subspace, images) -> Subspace:
     return sub
 
 
+def _both_orders(alg: ModularSuperAlgebra, u, v) -> sp.csr_matrix:
+    """[u, v], and [v, u] only if a row of u or v mixes parities: on a super
+    skew algebra [y, x] = -(-1)^{|x||y|} [x, y] for homogeneous x and y."""
+    mixed = any((m[:, alg.parity == 0].any(axis=1) & m[:, alg.parity == 1].any(axis=1)).any() for m in (u, v))
+    return sp.vstack([alg.brackets(u, v), alg.brackets(v, u)]) if mixed else alg.brackets(u, v)
+
+
 def generated_subalgebra(alg: ModularSuperAlgebra, vectors) -> Subspace:
     """Smallest bracket-closed subspace containing the vectors: fixpoint of
-    bracketing the newly added rows against the current span."""
+    bracketing the newly added rows against the current span.  The algebra
+    must be super skew; a homogeneous span is bracketed in one order."""
 
     def images(frontier, span):
-        return sp.vstack([alg.brackets(frontier, span.rows), alg.brackets(span.rows, frontier)])
+        return _both_orders(alg, frontier, span.rows)
 
     return closure(Subspace.from_vectors(vectors, alg.dim, alg.p), images)
 
 
 def ideal_closure(alg: ModularSuperAlgebra, vectors) -> Subspace:
     """Smallest subspace containing the vectors that is stable under
-    bracketing with all of g."""
+    bracketing with all of g.  The algebra must be super skew; a homogeneous
+    frontier is bracketed with the basis in one order."""
     eye = np.eye(alg.dim, dtype=np.int64)
 
     def images(frontier, _):
-        return sp.vstack([alg.brackets(frontier, eye), alg.brackets(eye, frontier)])
+        return _both_orders(alg, frontier, eye)
 
     return closure(Subspace.from_vectors(vectors, alg.dim, alg.p), images)
 

@@ -137,6 +137,17 @@ def test_catalog_constants_are_read_only(name):
     assert catalog_algebra(name, 3).constants == before
 
 
+def test_integral_catalog_is_read_only():
+    alg = integral_catalog("g2")
+    key, comps = next(iter(alg.constants.items()))
+    with pytest.raises(TypeError):
+        alg.constants[(0, 6)] = {0: 1}
+    with pytest.raises(TypeError):
+        alg.constants[key][next(iter(comps))] = 0
+    assert integral_jacobi_witness(integral_catalog("g2")) is None
+    assert check_super_jacobi(reduce_mod_p(integral_catalog("g2"), 5)).ok
+
+
 def test_algebra_equality():
     assert gl(3, 3) == gl(3, 3)
     assert catalog_algebra("gl3", 3) == gl(3, 3)  # frozen constants compare equal to a dict

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -123,3 +124,57 @@ def test_certify_spec_file_infers_target_like_catalog(name, subset, tmp_path, ca
         outputs.append((captured.out + captured.err).replace(algebra, "<algebra>"))
     assert codes[0] == codes[1] and outputs[0] == outputs[1]
     assert "unknown catalog name" not in outputs[1]
+
+
+def test_semisimplify_checks_each_fact_once(monkeypatch, tmp_path):
+    """One `semisimplify` call runs the super Jacobi scan once and the full
+    chain check once: the CLI reads the reports `semisimplify` keeps, and the
+    decomposition validated by the decomposer is not checked again."""
+    from verlie import repalpha, superalgebra
+
+    calls = {"jacobi": 0, "validate": 0, "check": 0}
+
+    def counting(owner, attr, key):
+        original = getattr(owner, attr)
+
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, wrapper)
+
+    counting(superalgebra, "jacobi_witness", "jacobi")
+    counting(repalpha.ChainDecomposition, "validate", "validate")
+    counting(repalpha.ChainDecomposition, "_check", "check")
+    path = tmp_path / "out.json"
+    assert main(["semisimplify", "--algebra", "f4", "-p", "5", "--element", "e1", "--json", str(path)]) == 0
+    assert calls == {"jacobi": 1, "validate": 2, "check": 1}
+    checks = json.loads(path.read_text())["checks"]
+    assert checks == {"super_skew": True, "super_jacobi": True, "odd_cubes": True}
+
+
+def test_parser_keeps_no_state_between_calls(tmp_path):
+    """The parser is built once per process; a call's flags and subcommand do
+    not reach the next call, whose payload matches its pin."""
+    from tests.test_cli_golden import GOLDEN
+    from verlie.cli import build_parser
+
+    assert build_parser() is build_parser()
+    first = build_parser().parse_args(["semisimplify", "--algebra", "g2", "-p", "5", "--element", "e1",
+                                       "--json", "x.json"])
+    second = build_parser().parse_args(["decompose", "--algebra", "f4", "--subset", "4"])
+    assert (first.p, first.json, first.element) == (5, "x.json", "e1")
+    assert (second.p, second.json, second.element, second.subset) == (3, None, None, "4")
+    assert second.func.__name__ == "cmd_decompose" and not hasattr(second, "plan")
+    pinned = {tuple(argv): (code, digest) for argv, code, digest in GOLDEN}
+    order = [
+        ["certify", "--algebra", "e6", "--subset", "2", "--target", "g(3,3)"],
+        ["semisimplify", "--algebra", "g2", "-p", "5", "--element", "e1"],
+        ["certify", "--algebra", "e6", "--subset", "2"],
+        ["decompose", "--algebra", "f4", "--subset", "4"],
+    ]
+    for i, argv in enumerate(order):
+        path = tmp_path / f"{i}.json"
+        code, digest = pinned[tuple(argv)]
+        assert main(argv + ["--json", str(path)]) == code
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, argv

@@ -313,3 +313,48 @@ def test_realizations_compare_by_identity(f4mod3):
     _, vec = parse_element("e4", f4mod3)
     first, second = realize(f4mod3, vec), realize(f4mod3, vec)
     assert first == first and first != second
+
+
+def test_validated_decomposition_cannot_change_silently(monkeypatch):
+    """A validated decomposition and its realization are read-only; a chain
+    that is replaced or made writable again is checked in full."""
+    alg = v.gl(3, 3)
+    _, vec = parse_element("e2", alg)
+    r = realize(alg, vec)
+    decomp = jordan_decompose(r)
+    for write in (lambda: decomp.chains[0].vectors.__setitem__((0, 0), 1),
+                  lambda: decomp.chains[0].vectors.base.fill(0),  # the stack the chains view
+                  lambda: r.der.__setitem__((0, 0), 1),
+                  lambda: r.powers[1].data.__setitem__(0, 2)):
+        with pytest.raises(ValueError, match="read-only"):
+            write()
+    full = []
+    check = ChainDecomposition._check
+    monkeypatch.setattr(ChainDecomposition, "_check", lambda self, der: full.append(der) or check(self, der))
+    decomp.validate(r.powers[1])
+    assert not full  # same read-only D and chains: nothing left to check
+    decomp.validate(r.der)  # another D, even an equal one, is checked
+    assert len(full) == 1
+    # a chain replaced after validation
+    longest = max(range(len(decomp.chains)), key=lambda i: decomp.chains[i].length)
+    good = decomp.chains[longest].vectors
+    bad = good.copy()
+    bad[0] = (bad[0] + bad[1]) % 3
+    decomp.chains[longest].vectors = bad
+    with pytest.raises(ValueError):
+        decomp.validate(r.powers[1])
+    decomp.chains[longest].vectors = good
+    decomp.validate(r.powers[1])
+    assert len(full) == 3
+    # a chain array made writable again and changed in place
+    own = ChainDecomposition(tuple(JordanChain(c.vectors.copy()) for c in decomp.chains), 3, 9)
+    own.validate(r.powers[1])
+    own.validate(r.powers[1])
+    assert len(full) == 4
+    vectors = own.chains[longest].vectors
+    vectors.flags.writeable = True
+    vectors[0] = (vectors[0] + vectors[1]) % 3
+    with pytest.raises(ValueError):
+        own.validate(r.powers[1])
+    with pytest.raises(ValueError):
+        v.semisimplify(r, own)

@@ -182,6 +182,19 @@ def test_generated_subalgebra_sl2_inside_gl3(gl33):
     assert sub.dim == 3
 
 
+def test_generated_subalgebra_inhomogeneous_seeds():
+    """Inhomogeneous rows are not super skew against each other: with seeds
+    e33 (odd) and e7 + e21 (even + odd) in the (21|14) semisimplification of
+    f4, bracketing in one order only spans 6 dimensions, not 12."""
+    from tests.test_closure_oracle import algebra, naive_closure, same_span
+
+    alg = algebra("f4|4", 3)
+    eye = np.eye(alg.dim, dtype=np.int64)
+    seeds = np.array([eye[33], eye[7] + eye[21]])
+    sub = generated_subalgebra(alg, seeds)
+    assert sub.dim == 12 and same_span(sub, naive_closure(alg, seeds), alg)
+
+
 def test_ideal_closure_center_is_fixed(gl33):
     z = center(gl33)
     assert ideal_closure(gl33, z.rows) == z
