@@ -7,14 +7,15 @@ so dim = 2N + n.  Signs are fixed by the extraspecial-pair convention: for
 each non-simple positive root gamma the special pair (alpha, beta) with
 alpha minimal gets N_{alpha,beta} = +(p+1), p the length of the descending
 alpha-string below beta; every other constant follows from the Jacobi
-identity and the standard three-root proportionality over Q.
+identity and the standard three-root proportionality, in exact integer
+arithmetic over root indices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from types import MappingProxyType
 
 import numpy as np
@@ -59,166 +60,138 @@ class IntegralLieAlgebra:
         return self.e_index(simple) if kind == "e" else self.f_index(simple)
 
 
-def _special_pairs(rs: RootSystem):
-    """For each non-simple positive root gamma: its ordered special pairs
-    (alpha before beta in the canonical order), extraspecial pair first."""
-    out: dict[Root, list[tuple[Root, Root]]] = {}
-    pos = rs.positive
-    for gamma in pos:
-        if gamma.height < 2:
-            continue
-        pairs = []
-        for alpha in pos:
-            if 2 * alpha.height > gamma.height:
-                break
-            beta = gamma - alpha
-            if rs.is_positive(beta) and _sort_lt(alpha, beta):
-                pairs.append((alpha, beta))
-        pairs.sort(key=lambda ab: (ab[0].height, ab[0].coords))
-        out[gamma] = pairs
-    return out
-
-
-def _sort_lt(a: Root, b: Root) -> bool:
-    return (a.height, a.coords) < (b.height, b.coords)
-
-
-def _string_down(rs: RootSystem, alpha: Root, beta: Root) -> int:
-    """Largest k with beta - k*alpha a root."""
-    k = 0
-    while rs.is_root(beta - Root(tuple(c * (k + 1) for c in alpha.coords))):
-        k += 1
-    return k
-
-
-class _SignTable:
-    """Structure constants N_{a,b} for all root pairs, bootstrapped over Q."""
-
-    def __init__(self, rs: RootSystem):
-        self.rs = rs
-        self.t: dict[tuple[Root, Root], int] = {}
-        self._form_cache: dict[Root, Fraction] = {}
-        for gamma, pairs in sorted(_special_pairs(rs).items(), key=lambda kv: (kv[0].height, kv[0].coords)):
-            a1, b1 = pairs[0]
-            self.t[(a1, b1)] = _string_down(rs, a1, b1) + 1
-            for alpha, beta in pairs[1:]:
-                self.t[(alpha, beta)] = self._solve_pair(alpha, beta, a1, b1)
-        for (alpha, beta), val in list(self.t.items()):
-            expect = _string_down(rs, alpha, beta) + 1
-            if abs(val) != expect:
-                raise JacobiViolation(f"|N| = {abs(val)} != {expect} for a special pair")
-
-    def _norm(self, r: Root) -> Fraction:
-        if r not in self._form_cache:
-            self._form_cache[r] = self.rs.form(r, r)
-        return self._form_cache[r]
-
-    def _pp(self, a: Root, b: Root) -> int:
-        """N for a pair of positive roots with a + b a positive root."""
-        if (a, b) in self.t:
-            return self.t[(a, b)]
-        return -self.t[(b, a)]
-
-    def n_any(self, a: Root, b: Root) -> Fraction:
-        """N_{a,b} for any two roots with a + b a root."""
-        pos_a = self.rs.is_positive(a)
-        pos_b = self.rs.is_positive(b)
-        if pos_a and pos_b:
-            return Fraction(self._pp(a, b))
-        if not pos_a and not pos_b:
-            return -self.n_any(-a, -b)
-        z = -(a + b)
-        if pos_a:
-            if self.rs.is_positive(-z):
-                return self._norm(z) / self._norm(a) * self.n_any(b, z)
-            return self._norm(z) / self._norm(b) * self.n_any(z, a)
-        if self.rs.is_positive(-z):
-            return self._norm(z) / self._norm(b) * self.n_any(z, a)
-        return self._norm(z) / self._norm(a) * self.n_any(b, z)
-
-    def _solve_pair(self, alpha: Root, beta: Root, a1: Root, b1: Root) -> int:
-        """Jacobi identity on (x_{a1}, x_{b1}, x_{-alpha}), all terms in the
-        beta root space, solved for the one unknown N_{alpha,beta}."""
-        gamma = alpha + beta
-        acc = Fraction(0)
-        delta = b1 - alpha
-        if self.rs.is_root(delta):
-            acc += self.n_any(b1, -alpha) * self.n_any(delta, a1)
-        eta = a1 - alpha
-        if self.rs.is_root(eta):
-            acc += self.n_any(-alpha, a1) * self.n_any(eta, b1)
-        coef = Fraction(self.t[(a1, b1)]) * self._norm(beta) / self._norm(gamma)
-        val = acc / coef
-        if val.denominator != 1:
-            raise JacobiViolation(f"non-integral structure constant {val}")
-        return int(val)
+def _exact_div(num: int, den: int, what: str) -> int:
+    """num / den, which must be an integer: JacobiViolation(what) otherwise."""
+    quot, rem = divmod(num, den)
+    if rem:
+        g = gcd(num, den)
+        raise JacobiViolation(f"{what} {num // g}/{den // g}")
+    return quot
 
 
 def chevalley_basis(gcm: GCM) -> IntegralLieAlgebra:
-    """Integral Chevalley basis of the finite-type algebra with this Cartan matrix."""
+    """Integral Chevalley basis of the finite-type algebra with this Cartan matrix.
+
+    Root r < npos is positive root r and npos + r its negative, so a root's
+    index is also the basis index of x_r.  Each root is keyed by one int, its
+    coordinates in balanced base 4m + 1 (m the largest coefficient), which
+    keeps every sum or difference of two roots exact: the root a + b is
+    ``at.get(key[a] + key[b], -1)``.
+    """
     if not gcm.all_even:
         raise ValueError("Chevalley construction needs a purely even Cartan matrix")
     rs = positive_roots(gcm)
-    signs = _SignTable(rs)
-    npos = len(rs.positive)
+    pos = rs.positive
+    npos = len(pos)
     n = gcm.n
     dim = 2 * npos + n
+    base = 4 * max(max(g.coords) for g in pos) + 1
+    key = [sum(c * base**i for i, c in enumerate(g.coords)) for g in pos]
+    key += [-k for k in key]
+    at = {k: r for r, k in enumerate(key)}
+    height = [g.height for g in pos]
+    d = rs.symmetrizer()
+    norm = [sum(d[i] * gcm.entries[i][j] * g.coords[i] * g.coords[j] for i in range(n) for j in range(n)) for g in pos]
+    norm += norm
+
+    def neg(r: int) -> int:
+        return r + npos if r < npos else r - npos
+
+    def string_down(a: int, b: int) -> int:
+        """Largest k with b - k*a a root (each key tried is a root minus a, so exact)."""
+        k, cur = 0, key[b] - key[a]
+        while cur in at:
+            k, cur = k + 1, cur - key[a]
+        return k
+
+    # N_{a,b} for positive a < b with a + b a root: the extraspecial pair of
+    # each gamma gets +(string length + 1), the other special pairs of gamma
+    # follow from the Jacobi identity on (x_a1, x_b1, x_-alpha), whose terms
+    # all lie in the beta root space
+    t: dict[tuple[int, int], int] = {}
+    memo: dict[tuple[int, int], int] = {}
+
+    def n_any(a: int, b: int) -> int:
+        """N_{a,b} for any two roots with a + b a root."""
+        if (a, b) in memo:
+            return memo[(a, b)]
+        if a < npos and b < npos:
+            val = t[(a, b)] if a < b else -t[(b, a)]
+        elif a >= npos and b >= npos:
+            val = -n_any(a - npos, b - npos)
+        else:
+            # N_{a,b}/(z,z) = N_{b,z}/(a,a) = N_{z,a}/(b,b) for a + b + z = 0
+            z = neg(at[key[a] + key[b]])
+            if (a < npos) == (z >= npos):
+                val = _exact_div(norm[z] * n_any(b, z), norm[a], "non-integral mixed constant")
+            else:
+                val = _exact_div(norm[z] * n_any(z, a), norm[b], "non-integral mixed constant")
+        memo[(a, b)] = val
+        return val
+
+    for gamma in range(npos):
+        pairs = []
+        for alpha in range(npos):
+            if 2 * height[alpha] > height[gamma]:
+                break
+            beta = at.get(key[gamma] - key[alpha], -1)
+            if alpha < beta < npos:
+                pairs.append((alpha, beta))
+        if not pairs:
+            continue
+        a1, b1 = pairs[0]
+        t[(a1, b1)] = string_down(a1, b1) + 1
+        for alpha, beta in pairs[1:]:
+            acc = 0
+            delta = at.get(key[b1] - key[alpha], -1)
+            if delta >= 0:
+                acc += n_any(b1, neg(alpha)) * n_any(delta, a1)
+            eta = at.get(key[a1] - key[alpha], -1)
+            if eta >= 0:
+                acc += n_any(neg(alpha), a1) * n_any(eta, b1)
+            t[(alpha, beta)] = _exact_div(
+                acc * norm[gamma], t[(a1, b1)] * norm[beta], "non-integral structure constant"
+            )
+    for (alpha, beta), val in t.items():
+        expect = string_down(alpha, beta) + 1
+        if abs(val) != expect:
+            raise JacobiViolation(f"|N| = {abs(val)} != {expect} for a special pair")
+
     labels = (
-        [f"e@{list(g.coords)}" for g in rs.positive]
-        + [f"f@{list(g.coords)}" for g in rs.positive]
+        [f"e@{list(g.coords)}" for g in pos]
+        + [f"f@{list(g.coords)}" for g in pos]
         + [f"h@{i}" for i in range(1, n + 1)]
     )
-    entries: list[tuple[int, int, int, int]] = []
+    constants: dict[tuple[int, int], dict[int, int]] = {}
 
     def emit(i: int, j: int, k: int, c: int):
+        # every (i, j, k) is emitted at most once, so nothing accumulates
         if c:
-            entries.append((i, j, k, c))
-            entries.append((j, i, k, -c))
+            constants.setdefault((i, j), {})[k] = c
+            constants.setdefault((j, i), {})[k] = -c
 
-    norm = {g: rs.form(g, g) for g in rs.positive}
-    d_sym = rs.symmetrizer()
-    for gi, gamma in enumerate(rs.positive):
+    for gi, gamma in enumerate(pos):
         # [e_gamma, f_gamma] = h_gamma expanded over simple coroots
-        for i in range(n):
-            coef = Fraction(gamma.coords[i]) * 2 * d_sym[i] / norm[gamma]
-            if coef:
-                if coef.denominator != 1:
-                    raise JacobiViolation("non-integral coroot expansion")
-                emit(gi, npos + gi, 2 * npos + i, int(coef))
+        for i, c in enumerate(gamma.coords):
+            if c:
+                emit(gi, npos + gi, 2 * npos + i, _exact_div(2 * c * d[i], norm[gi], "non-integral coroot expansion"))
         # Cartan action
         for i in range(1, n + 1):
             c = rs.pairing(gamma, i)
             emit(2 * npos + i - 1, gi, gi, c)
             emit(2 * npos + i - 1, npos + gi, npos + gi, -c)
-        for di, delta in enumerate(rs.positive):
-            s = gamma + delta
-            if rs.is_positive(s):
-                nval = signs._pp(gamma, delta) if _sort_lt(gamma, delta) else (
-                    -signs._pp(delta, gamma) if _sort_lt(delta, gamma) else 0
-                )
-                if gi < di and nval:
-                    si = rs.index(s)
-                    emit(gi, di, si, nval)  # [e,e]
-                    emit(npos + gi, npos + di, npos + si, -nval)  # [f,f]
-            diff = gamma - delta
-            if gamma != delta and rs.is_root(diff):
-                nval = signs.n_any(gamma, -delta)
-                if nval.denominator != 1:
-                    raise JacobiViolation("non-integral mixed constant")
-                nval = int(nval)
-                if rs.is_positive(diff):
-                    emit(gi, npos + di, rs.index(diff), nval)
-                else:
-                    emit(gi, npos + di, npos + rs.index(-diff), nval)
+        for di in range(npos):
+            s = at.get(key[gi] + key[di], -1)
+            if gi < di and s >= 0:
+                emit(gi, di, s, t[(gi, di)])  # [e,e]
+                emit(npos + gi, npos + di, npos + s, -t[(gi, di)])  # [f,f]
+            diff = at.get(key[gi] - key[di], -1)
+            if diff >= 0:
+                emit(gi, npos + di, diff, n_any(gi, npos + di))
 
-    constants: Constants = {}
-    for i, j, k, c in entries:
-        if c:
-            constants.setdefault((i, j), {})[k] = constants.setdefault((i, j), {}).get(k, 0) + c
     # read-only: integral_catalog shares one basis per name with every caller
-    constants = {key: MappingProxyType({k: c for k, c in comps.items() if c}) for key, comps in constants.items()}
-    constants = MappingProxyType({key: comps for key, comps in constants.items() if comps})
-    return IntegralLieAlgebra(gcm=gcm, roots=rs, dim=dim, labels=labels, constants=constants)
+    frozen = MappingProxyType({pair: MappingProxyType(comps) for pair, comps in constants.items()})
+    return IntegralLieAlgebra(gcm=gcm, roots=rs, dim=dim, labels=labels, constants=frozen)
 
 
 def integral_jacobi_witness(alg: IntegralLieAlgebra):
@@ -239,10 +212,11 @@ def integral_antisymmetry_ok(alg: IntegralLieAlgebra) -> bool:
 def reduce_mod_p(alg: IntegralLieAlgebra, p: int) -> ModularSuperAlgebra:
     """Reduce the integral constants mod an odd prime; all-even parity."""
     check_modulus(p, alg.dim)
-    entries = []
-    for (i, j), comps in alg.constants.items():
-        for k, c in comps.items():
-            entries.append((i, j, k, c % p))
+    constants: Constants = {}
+    for pair, comps in alg.constants.items():
+        reduced = {k: c % p for k, c in comps.items() if c % p}
+        if reduced:
+            constants[pair] = reduced
     gens = {}
     eye = np.eye(alg.dim, dtype=np.int64)
     for i in range(1, alg.rank + 1):
@@ -253,7 +227,7 @@ def reduce_mod_p(alg: IntegralLieAlgebra, p: int) -> ModularSuperAlgebra:
         p=p,
         dim=alg.dim,
         parity=np.zeros(alg.dim, dtype=np.int64),
-        constants=make_constants(entries, p),
+        constants=constants,
         labels=list(alg.labels),
         gens=gens,
         origin=alg,
@@ -380,10 +354,6 @@ def g2_scaled(p: int = 3) -> ModularSuperAlgebra:
     with respect to e_beta carries a (0|2) odd ideal with quotient of
     superdimension (3|2).  The Chevalley reduction itself has no such ideal.
     """
-    from fractions import Fraction
-
-    from .roots import Root
-
     base = integral_catalog("g2")
     factors = {Root((2, 1)): 2, Root((3, 1)): 6, Root((3, 2)): 6}
     scale = [1] * base.dim
@@ -393,10 +363,8 @@ def g2_scaled(p: int = 3) -> ModularSuperAlgebra:
     entries = []
     for (i, j), comps in base.constants.items():
         for k, c in comps.items():
-            val = Fraction(scale[i] * scale[j] * c, scale[k])
-            if val.denominator != 1:
-                raise JacobiViolation("rescaled constants are not integral")
-            entries.append((i, j, k, int(val) % p))
+            val = _exact_div(scale[i] * scale[j] * c, scale[k], "rescaled constants are not integral")
+            entries.append((i, j, k, val % p))
     gens = {}
     eye = np.eye(base.dim, dtype=np.int64)
     for i in (1, 2):

@@ -12,8 +12,8 @@ Conventions, fixed once for the whole package:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 import numpy as np
 
@@ -156,35 +156,31 @@ class RootSystem:
         """gamma(h_i) = sum_j c_j a_ij."""
         return sum(c * self.gcm.a(i, j + 1) for j, c in enumerate(gamma.coords))
 
-    def symmetrizer(self) -> tuple[Fraction, ...]:
-        """Positive d_i with d_i a_ij = d_j a_ji; d_i = (alpha_i, alpha_i)/2 up to scale."""
+    def symmetrizer(self) -> tuple[int, ...]:
+        """Smallest positive integers d_i, per connected component, with
+        d_i a_ij = d_j a_ji; d_i = (alpha_i, alpha_i)/2 up to scale."""
         n = self.rank
-        d: list[Fraction | None] = [None] * n
+        a = self.gcm.entries
+        d = [0] * n
         for start in range(n):
-            if d[start] is not None:
+            if d[start]:
                 continue
-            d[start] = Fraction(1)
-            stack = [start]
-            while stack:
-                i = stack.pop()
+            d[start] = 1
+            component = [start]
+            for i in component:
                 for j in range(n):
-                    if j != i and self.gcm.entries[i][j] != 0 and d[j] is None:
-                        d[j] = d[i] * self.gcm.entries[i][j] / self.gcm.entries[j][i]
-                        stack.append(j)
-        assert all(x is not None and x > 0 for x in d)
-        return tuple(d)  # type: ignore[arg-type]
-
-    def form(self, x: Root, y: Root) -> Fraction:
-        """The symmetrized bilinear form (x, y) = sum d_i a_ij x_i y_j."""
-        d = self.symmetrizer()
-        total = Fraction(0)
-        for i, xi in enumerate(x.coords):
-            if xi == 0:
-                continue
-            for j, yj in enumerate(y.coords):
-                if yj:
-                    total += d[i] * self.gcm.entries[i][j] * xi * yj
-        return total
+                    if j != i and a[i][j] and not d[j]:
+                        # d_j = d_i a_ij / a_ji; rescale the component when that is no integer
+                        scale = abs(a[j][i]) // gcd(d[i] * a[i][j], a[j][i])
+                        for k in component:
+                            d[k] *= scale
+                        d[j] = d[i] * a[i][j] // a[j][i]
+                        component.append(j)
+            g = gcd(*(d[k] for k in component))
+            for k in component:
+                d[k] //= g
+        assert all(x > 0 for x in d)
+        return tuple(d)
 
 
 def positive_roots(gcm: GCM) -> RootSystem:

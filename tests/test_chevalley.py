@@ -1,10 +1,13 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import verlie as v
+from verlie import chevalley
 from verlie.chevalley import (
+    _exact_div,
     catalog_algebra,
     chevalley_basis,
     free_nilpotent_example,
@@ -16,8 +19,9 @@ from verlie.chevalley import (
     reduce_mod_p,
     sl,
 )
-from verlie.roots import Root, catalog_gcm
-from verlie.superalgebra import check_super_jacobi, check_super_skew, jacobi_witness
+from verlie.errors import JacobiViolation
+from verlie.roots import Root, RootSystem, catalog_gcm, positive_roots
+from verlie.superalgebra import check_super_jacobi, check_super_skew, jacobi_witness, make_constants
 
 
 def test_a1_is_sl2():
@@ -48,7 +52,78 @@ def test_catalog_dimensions(name, dim):
     assert integral_catalog(name).dim == dim
 
 
-@pytest.mark.parametrize("name", ["g2", "f4", "e6"])
+CLASSICAL = [f"a{n}" for n in range(1, 7)] + [f"b{n}" for n in range(2, 6)] + [
+    f"c{n}" for n in range(2, 6)] + [f"d{n}" for n in range(4, 7)]
+
+# SHA-256 of the labels and the (i, j, k, c) quads of each integral basis, in
+# the constants' iteration order: any change to a sign, a magnitude or the
+# order in which the bootstrap emits the brackets moves a digest.
+PINNED_BASES = {
+    "a1": "fddb1e7c19c896eeafdece458b90642ab61548e4942e47311a2e65d62acd88e0",
+    "a2": "e37366f2ee076776447cfb8a65a5a579e7f36cb349745cebb5b41c4b5570b655",
+    "a3": "52896653b13f25fb5f9ad07ea6a2a826da0c1d8e34bc8aa4fd0ca2839cf46cd3",
+    "a4": "b45abdb7ea1d7162a9d62bbfad8f1d648bcd9af7750b480eefdc5b0c06173f70",
+    "a5": "3faa63523996baf8431fb01c556e87213f6a29835b389334e0807f632b331496",
+    "a6": "387f6fee9754733fefbec527e19f332c90affdf66dff550df265d90d8783bed8",
+    "b2": "4e30c4391c32db63161163b94f69a91c22f54723674534346e6f512cdeb6ae09",
+    "b3": "66abd41a3b01f2c38853e06a062913245127b359d13d265ee2bfd3aceb70a19e",
+    "b4": "2a56c7289dbd9799464b493df14cfa4f0d0300271b408acc3bc27fa9f25953d9",
+    "b5": "275ffc613defcf4008a679bdbd15f0e643050cb1453dc15f377867da17a4cd2d",
+    "c2": "045fb2148c1f8f0b587aa391c79d5fff977dd51bcb0efcd383f8bf6d9ff9b71e",
+    "c3": "a052d6f75ff061a945342e1b3e00dd71abc4c85cc869a5c4233ada7ea6e7d34d",
+    "c4": "d5b71faeadba663dfa8adf18bbad973f042968ea60494276e2428a0528bed691",
+    "c5": "91848fc639d524e8668df875dcada68e30a74c18fefc9cdd50a9a26f43cb4e84",
+    "d4": "d335b4417cd2eb255f30626bec21eb642cc92dad297b77bfe48520f8def8cf3a",
+    "d5": "93c6e525e8b3779567b8266ace349359843c984dacac9d9d40d5b08fd357688a",
+    "d6": "c81ec1fc8c6a6989dba9f9edefe66bb5963ddda375f2aadc1dbf38822936fa81",
+    "g2": "4f89ac4a8a9662a714cb65a647e6222676098a81e33c71bd3274d0d9b9861e25",
+    "f4": "0f2d9b555460c22cd55024ccb66a4dc434741b9300c3a154526627e4316e58ae",
+    "e6": "b85ab407c76f6fbd223dc8349cc4ef23e202ed1aeeb6a6fac37d2cc727505e1c",
+    "e7": "7b1ad3309b4524fdfd7853c9685482191bef1c937ab68f76d07653f24cfad6d8",
+    "e8": "e795235172b8e8e8ef06b7516aea9680004de64830cd1820748eab1c311b594e",
+}
+
+
+def _basis_digest(alg) -> str:
+    h = hashlib.sha256("\n".join(alg.labels).encode())
+    for (i, j), comps in alg.constants.items():
+        for k, c in comps.items():
+            h.update(f"\n{i} {j} {k} {c}".encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_BASES))
+def test_chevalley_basis_pinned(name):
+    assert _basis_digest(chevalley_basis(catalog_gcm(name))) == PINNED_BASES[name]
+
+
+def test_exact_div_returns_the_quotient():
+    assert _exact_div(12, 4, "non-integral structure constant") == 3
+    assert _exact_div(-12, 4, "non-integral structure constant") == -3
+    assert _exact_div(0, 7, "non-integral mixed constant") == 0
+
+
+@pytest.mark.parametrize("num,den,shown", [(6, 4, "3/2"), (-3, 9, "-1/3"), (1, 2, "1/2")])
+def test_exact_div_rejects_a_remainder(num, den, shown):
+    with pytest.raises(JacobiViolation, match=f"^non-integral structure constant {shown}$"):
+        _exact_div(num, den, "non-integral structure constant")
+
+
+@pytest.mark.parametrize("name,dropped,message", [
+    ("g2", (1, 1), "non-integral mixed constant -1/3"),
+    ("b3", (1, 1, 0), "non-integral mixed constant 1/2"),
+    ("f4", (0, 0, 1, 1), r"\|N\| = 2 != 1 for a special pair"),
+    ("c3", (0, 2, 1), r"\|N\| = 4 != 2 for a special pair"),
+])
+def test_bootstrap_rejects_a_root_system_missing_a_root(monkeypatch, name, dropped, message):
+    gcm = catalog_gcm(name)
+    kept = tuple(r for r in positive_roots(gcm).positive if r.coords != dropped)
+    monkeypatch.setattr(chevalley, "positive_roots", lambda g: RootSystem(g, kept))
+    with pytest.raises(JacobiViolation, match=message):
+        chevalley_basis(gcm)
+
+
+@pytest.mark.parametrize("name", ["g2", "f4", "e6", *CLASSICAL])
 def test_integral_jacobi_full_small(name):
     alg = integral_catalog(name)
     assert integral_antisymmetry_ok(alg)
@@ -87,6 +162,16 @@ def test_reduce_mod_p_sl2():
     assert sl2.constants[(2, 0)] == {0: 2}
     assert sl2.constants[(2, 1)] == {1: 1}  # -2 becomes 1
     assert sl2.constants[(0, 1)] == {2: 1}
+
+
+@pytest.mark.parametrize("name,p", [("g2", 3), ("f4", 5), ("e6", 7)])
+def test_reduce_mod_p_keeps_the_integral_order(name, p):
+    alg = integral_catalog(name)
+    quads = [(i, j, k, c) for (i, j), comps in alg.constants.items() for k, c in comps.items()]
+    expected = make_constants(quads, p)
+    got = reduce_mod_p(alg, p).constants
+    assert [(key, list(comps.items())) for key, comps in got.items()] == [
+        (key, list(comps.items())) for key, comps in expected.items()]
 
 
 def test_catalog_rejects_modulus_outside_odd_primes():

@@ -5,6 +5,7 @@ from verlie.errors import AxiomViolation, IllegalSwap, NotFiniteType
 from verlie.roots import (
     Coloring,
     Root,
+    RootSystem,
     admissible_subsets,
     boundary_nodes,
     catalog_gcm,
@@ -18,6 +19,22 @@ from verlie.roots import (
 
 F4 = [[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]]
 G16 = [[2, -1, 0], [-1, 2, -2], [0, -1, 0]]
+
+
+@pytest.mark.parametrize("name,expected", [
+    ("a3", (1, 1, 1)), ("b3", (2, 2, 1)), ("c3", (1, 1, 2)), ("g2", (1, 3)), ("f4", (1, 1, 2, 2)),
+])
+def test_symmetrizer_is_the_smallest_integer_one(name, expected):
+    gcm = catalog_gcm(name)
+    d = positive_roots(gcm).symmetrizer()
+    assert d == expected and all(type(x) is int for x in d)
+    assert all(d[i] * gcm.entries[i][j] == d[j] * gcm.entries[j][i] for i in range(gcm.n) for j in range(gcm.n))
+
+
+def test_symmetrizer_scales_each_component_on_its_own():
+    # b2 (short root second) beside g2: the b2 part needs rescaling mid-walk
+    gcm = validate_gcm([[2, -1, 0, 0], [-2, 2, 0, 0], [0, 0, 2, -3], [0, 0, -1, 2]])
+    assert RootSystem(gcm, ()).symmetrizer() == (2, 1, 1, 3)
 
 
 def test_validate_f4_all_even():
