@@ -216,26 +216,6 @@ def kernel_basis(m, p: int) -> Array:
     return basis
 
 
-def solve(m, b, p: int) -> Array | None:
-    """One solution x of m @ x = b, or None if the system is inconsistent.
-
-    Free variables are set to 0 under the fixed pivot order.
-    """
-    a = normalize(m, p)
-    vec = normalize(b, p)
-    if vec.shape != (a.shape[0],):
-        raise ValueError(f"rhs has length {vec.shape}, expected {a.shape[0]}")
-    aug = np.hstack([a, vec.reshape(-1, 1)])
-    r, pivots = rref(aug, p)
-    n = a.shape[1]
-    if n in pivots:
-        return None
-    x = np.zeros(n, dtype=np.int64)
-    for i, pc in enumerate(pivots):
-        x[pc] = r[i, n]
-    return x
-
-
 def inverse(m, p: int) -> Array:
     a = normalize(m, p)
     n = a.shape[0]

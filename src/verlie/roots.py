@@ -110,9 +110,6 @@ class Root:
     def __add__(self, other: "Root") -> "Root":
         return Root(tuple(a + b for a, b in zip(self.coords, other.coords)))
 
-    def __sub__(self, other: "Root") -> "Root":
-        return Root(tuple(a - b for a, b in zip(self.coords, other.coords)))
-
 
 def _sort_key(root: Root):
     return (root.height, root.coords)
@@ -132,16 +129,6 @@ class RootSystem:
     @property
     def rank(self) -> int:
         return self.gcm.n
-
-    @property
-    def dim(self) -> int:
-        return 2 * len(self.positive) + self.rank
-
-    def is_root(self, r: Root) -> bool:
-        return r in self._index or (-r) in self._index
-
-    def is_positive(self, r: Root) -> bool:
-        return r in self._index
 
     def index(self, r: Root) -> int:
         return self._index[r]

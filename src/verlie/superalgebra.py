@@ -465,23 +465,14 @@ def _absorb(sub: Subspace, mat) -> tuple[Subspace, np.ndarray]:
 
 
 def derived_subalgebra(alg: ModularSuperAlgebra) -> Subspace:
-    """Span of all brackets of basis pairs."""
+    """Span of all brackets of basis pairs, sixteen left factors at a time,
+    until the span is the whole algebra."""
+    eye = np.eye(alg.dim, dtype=np.int64)
     sub = Subspace.zero(alg.dim, alg.p)
-    batch: list[np.ndarray] = []
-    for (i, j), comps in sorted(alg.constants.items()):
-        if i > j:
-            continue
-        vec = np.zeros(alg.dim, dtype=np.int64)
-        for k, c in comps.items():
-            vec[k] = c
-        batch.append(vec)
-        if len(batch) >= 512:
-            sub, _ = _absorb(sub, np.array(batch))
-            batch = []
-            if sub.dim == alg.dim:
-                return sub
-    if batch:
-        sub, _ = _absorb(sub, np.array(batch))
+    for start in range(0, alg.dim, 16):
+        sub = sub.extended(_dense_rows(alg.brackets(eye[start : start + 16], eye)))
+        if sub.dim == alg.dim:
+            break
     return sub
 
 

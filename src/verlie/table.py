@@ -13,12 +13,10 @@ from functools import lru_cache
 
 from .chevalley import catalog_algebra
 from .repalpha import block_counts, jordan_decompose, parse_element, realize, structured_decompose
-from .roots import derive_tilde
 from .semisimplify import semisimplify
 # check_super_*: unused, `ss.checks` holds the reports; perfbench/spans.py wraps these names here
 from .superalgebra import check_odd_cubes, check_super_jacobi, check_super_skew, superdim  # noqa: F401
 from .verify import (
-    TargetSpec,
     cartan_torus_images,
     certify,
     certify_even_route,
@@ -62,8 +60,7 @@ def certify_route(ss, route: str, subset, target: str | None, star_sdim):
     if route == "maint":
         return certify(ss, generator_images(ss, subset), tilde_target(target, ss, subset))
     if route == "star":
-        tilde = derive_tilde(ss.realization.algebra.origin.gcm, subset)
-        spec = TargetSpec(name=target, p=ss.p, superdim=star_sdim, gcm=tilde)
+        spec = tilde_target(target, ss, subset, star_sdim)
         return subquotient_certificate(ss, generator_images(ss, subset), spec)[0]
     raise ValueError(f"unknown route {route}")
 

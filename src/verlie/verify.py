@@ -84,11 +84,11 @@ def target_by_name(name: str) -> TargetSpec:
     raise KeyError(f"unknown target {name!r}")
 
 
-def tilde_target(name: str, ss: SemisimplifiedAlgebra, subset) -> TargetSpec:
+def tilde_target(name: str, ss: SemisimplifiedAlgebra, subset, sdim=None) -> TargetSpec:
     """Target whose relation matrix is derived from the source algebra and
-    subset, with the expected superdimension of the named catalog entry."""
+    subset; its superdimension is `sdim`, or else the named catalog entry's."""
     gcm = derive_tilde(ss.realization.algebra.origin.gcm, subset)
-    return TargetSpec(name=name, p=ss.p, superdim=target_by_name(name).superdim, gcm=gcm)
+    return TargetSpec(name=name, p=ss.p, superdim=sdim or target_by_name(name).superdim, gcm=gcm)
 
 
 # -- generator images ----------------------------------------------------------
@@ -257,16 +257,30 @@ def check_generation(alg: ModularSuperAlgebra, gens: GeneratorImages) -> bool:
 
 @dataclass
 class Certificate:
+    """The four facts a verdict follows from, and the verdict they support."""
+
     target: str
     p: int
     actual_superdim: tuple[int, int]
     expected_superdim: tuple[int, int]
-    superdim_match: bool
     relations_pass: bool
     generation_pass: bool
     odd_cubes_pass: bool
-    conclusion: str  # Verified | Refuted | Inconclusive
     details: dict = field(default_factory=dict)
+
+    @property
+    def superdim_match(self) -> bool:
+        return self.actual_superdim == self.expected_superdim
+
+    @property
+    def conclusion(self) -> str:
+        """Refuted on a superdimension mismatch, Verified when every fact
+        holds, Inconclusive otherwise."""
+        if not self.superdim_match:
+            return "Refuted"
+        if self.relations_pass and self.generation_pass and self.odd_cubes_pass:
+            return "Verified"
+        return "Inconclusive"
 
     def to_json_dict(self) -> dict:
         return {
@@ -283,36 +297,17 @@ class Certificate:
         }
 
 
-def _conclude(superdim_match: bool, relations: bool, generation: bool, cubes: bool) -> str:
-    if superdim_match and relations and generation and cubes:
-        return "Verified"
-    if not superdim_match:
-        return "Refuted"
-    return "Inconclusive"
-
-
 def certify(ss_or_alg, gens: GeneratorImages, target: TargetSpec) -> Certificate:
     """Certificate for a characteristic-3 target given labeled generator images."""
     alg = ss_or_alg.algebra if isinstance(ss_or_alg, SemisimplifiedAlgebra) else ss_or_alg
     if target.p != alg.p:
         raise ValueError("target characteristic differs from the algebra's")
-    actual = superdim(alg)
-    match = actual == target.superdim
     relations = check_relations(alg, gens, target)
     generation = check_generation(alg, gens)
     cubes = check_odd_cubes(alg)
-    return Certificate(
-        target=target.name,
-        p=alg.p,
-        actual_superdim=actual,
-        expected_superdim=target.superdim,
-        superdim_match=match,
-        relations_pass=relations.ok,
-        generation_pass=generation,
-        odd_cubes_pass=cubes.ok,
-        conclusion=_conclude(match, relations.ok, generation, cubes.ok),
-        details={"relation_failures": relations.failures} if relations.failures else {},
-    )
+    details = {"relation_failures": relations.failures} if relations.failures else {}
+    return Certificate(target.name, alg.p, superdim(alg), target.superdim,
+                       relations.ok, generation, cubes.ok, details)
 
 
 def subquotient_certificate(ss: SemisimplifiedAlgebra, gens: GeneratorImages, target: TargetSpec):
@@ -371,8 +366,6 @@ def certify_even_route(ss: SemisimplifiedAlgebra, target: TargetSpec) -> Certifi
     recognition stands in for the relation check, irreducibility of the odd
     part for generation."""
     alg = ss.algebra
-    actual = superdim(alg)
-    match = actual == target.superdim
     torus = cartan_torus_images(ss)
     try:
         label, rank, dim = recognize_even_type(alg, torus)
@@ -381,18 +374,8 @@ def certify_even_route(ss: SemisimplifiedAlgebra, target: TargetSpec) -> Certifi
         label, type_ok = str(exc), False
     irreducible = odd_part_irreducible(alg)
     axioms = ss.checks["super_jacobi"].ok and check_odd_cubes(alg).ok
-    return Certificate(
-        target=target.name,
-        p=alg.p,
-        actual_superdim=actual,
-        expected_superdim=target.superdim,
-        superdim_match=match,
-        relations_pass=type_ok,
-        generation_pass=irreducible,
-        odd_cubes_pass=axioms,
-        conclusion=_conclude(match, type_ok, irreducible, axioms),
-        details={"even_type": label},
-    )
+    return Certificate(target.name, alg.p, superdim(alg), target.superdim,
+                       type_ok, irreducible, axioms, {"even_type": label})
 
 
 # -- even-part Cartan-type recognition ----------------------------------------
@@ -539,13 +522,14 @@ def recognize_even_type(alg: ModularSuperAlgebra, torus) -> tuple[str, int, int]
     lams = list(roots)
     solved, _ = _frac_rref([[gram(x, y) for y in basis] + [gram(lam, x) for lam in lams] for x in basis])
     coords = {lam: tuple(row[rank + t] for row in solved) for t, lam in enumerate(lams)}
-    scale = Fraction(10_000)
+    # lexicographic order from the last coordinate: positive when the last
+    # nonzero coordinate is
     positive = []
     for lam, cs in coords.items():
-        phi = sum(c * scale**i for i, c in enumerate(cs))
-        if phi == 0:
+        last = next((c for c in reversed(cs) if c), 0)
+        if last == 0:
             raise UnrecognizedType("degenerate positivity functional")
-        if phi > 0:
+        if last > 0:
             positive.append(lam)
     pos_coords = {coords[lam] for lam in positive}
     simple = []

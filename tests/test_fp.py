@@ -59,25 +59,6 @@ def test_kernel_proportional_vector():
     assert (basis[0][0] - (-basis[0][1])) % 3 == 0  # proportional to (1, -1)
 
 
-def test_solve_identity():
-    b = np.array([2, 0, 4])
-    assert np.array_equal(fp.solve(np.eye(3, dtype=np.int64), b, 5), b)
-
-
-def test_solve_inconsistent():
-    assert fp.solve(np.zeros((2, 2), dtype=np.int64), [1, 0], 3) is None
-
-
-def test_solve_back_substitution():
-    x = fp.solve([[1, 1], [0, 1]], [0, 1], 3)
-    assert np.array_equal(x, [2, 1])
-
-
-def test_solve_dimension_mismatch():
-    with pytest.raises(ValueError):
-        fp.solve(np.eye(2, dtype=np.int64), [1, 2, 3], 3)
-
-
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_rank_plus_kernel_is_cols(p):
     rng = np.random.default_rng(12345 + p)
@@ -87,21 +68,6 @@ def test_rank_plus_kernel_is_cols(p):
         assert fp.rank(m, p) + len(fp.kernel_basis(m, p)) == cols
         for row in fp.kernel_basis(m, p):
             assert not ((m @ row) % p).any()
-
-
-@pytest.mark.parametrize("p", [3, 5])
-def test_solve_contract(p):
-    rng = np.random.default_rng(99 + p)
-    for _ in range(40):
-        rows, cols = rng.integers(1, 8, size=2)
-        m = rng.integers(0, p, size=(rows, cols))
-        b = rng.integers(0, p, size=rows)
-        x = fp.solve(m, b, p)
-        aug = np.hstack([m, b.reshape(-1, 1)])
-        if x is None:
-            assert fp.rank(aug, p) > fp.rank(m, p)
-        else:
-            assert np.array_equal((m @ x) % p, b % p)
 
 
 def test_inverse_roundtrip():

@@ -1,11 +1,14 @@
+import itertools
+
 import numpy as np
 import pytest
 
 import verlie as v
-from verlie.errors import NotDiagonalizable
+from verlie.errors import NotDiagonalizable, UnrecognizedType
 from verlie.roots import catalog_gcm, derive_tilde
 from verlie.superalgebra import superdim
 from verlie.verify import (
+    Certificate,
     GeneratorImages,
     TargetSpec,
     cartan_torus_images,
@@ -107,6 +110,26 @@ def test_certify_refuted_on_superdim():
     assert cert.actual_superdim == (52, 0)
 
 
+def test_certificate_verdict_follows_its_facts():
+    for match, relations, generation, cubes in itertools.product((True, False), repeat=4):
+        cert = Certificate("t", 3, (2, 2), (2, 2) if match else (3, 1), relations, generation, cubes)
+        assert cert.superdim_match == match
+        if not match:
+            assert cert.conclusion == "Refuted"
+        elif relations and generation and cubes:
+            assert cert.conclusion == "Verified"
+        else:
+            assert cert.conclusion == "Inconclusive"
+        assert cert.to_json_dict()["conclusion"] == cert.conclusion
+    cert = Certificate("t", 3, (2, 2), (2, 2), True, True, True)
+    assert cert.conclusion == "Verified"
+    cert.generation_pass = False
+    assert cert.conclusion == cert.to_json_dict()["conclusion"] == "Inconclusive"
+    cert.expected_superdim = (3, 1)
+    assert cert.conclusion == cert.to_json_dict()["conclusion"] == "Refuted"
+    assert cert.to_json_dict()["superdim_match"] is False
+
+
 def test_certify_checks_characteristic():
     _, _, ss = pipeline("e6", 3, "e1+e2", subset=(1, 2))
     gens = generator_images(ss, (1, 2))
@@ -163,6 +186,21 @@ def test_recognize_a2():
     alg = v.sl(3, 5)
     torus = [alg.gens["h1"], alg.gens["h2"]]
     assert recognize_even_type(alg, torus) == ("A2", 2, 8)
+
+
+def test_recognize_catalog_types():
+    def recognize(name):
+        gcm = catalog_gcm(name)
+        alg = v.reduce_mod_p(v.chevalley_basis(gcm), 5)
+        return recognize_even_type(alg, [alg.gens[f"h{i}"] for i in range(1, gcm.n + 1)])
+
+    dims = {"a1": 3, "a2": 8, "a3": 15, "a4": 24, "b2": 10, "b3": 21, "b4": 36,
+            "c3": 21, "c4": 36, "d4": 28, "d5": 45, "f4": 52, "e6": 78}
+    for name, dim in dims.items():
+        assert recognize(name) == (name.upper(), catalog_gcm(name).n, dim)
+    # the triple edge has root strings of length 4, past _resolve_pairing
+    with pytest.raises(UnrecognizedType):
+        recognize("g2")
 
 
 def test_recognize_rejects_nilpotent_torus():
