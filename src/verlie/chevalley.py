@@ -23,7 +23,7 @@ import numpy as np
 from .errors import JacobiViolation
 from .fp import check_modulus
 from .roots import GCM, Root, RootSystem, catalog_gcm, positive_roots
-from .superalgebra import Constants, ModularSuperAlgebra, jacobi_witness, make_constants
+from .superalgebra import Constants, ModularSuperAlgebra, jacobi_witness, make_constants, skew_witness
 
 
 @dataclass
@@ -201,12 +201,8 @@ def integral_jacobi_witness(alg: IntegralLieAlgebra):
 
 
 def integral_antisymmetry_ok(alg: IntegralLieAlgebra) -> bool:
-    for (i, j), comps in alg.constants.items():
-        mirror = alg.constants.get((j, i), {})
-        for k in set(comps) | set(mirror):
-            if comps.get(k, 0) != -mirror.get(k, 0):
-                return False
-    return True
+    """C(i,j,k) = -C(j,i,k) over Z for every triple."""
+    return skew_witness(alg.constants, np.zeros(alg.dim, dtype=np.int64), alg.dim, None) is None
 
 
 def reduce_mod_p(alg: IntegralLieAlgebra, p: int) -> ModularSuperAlgebra:

@@ -35,7 +35,9 @@ def check_modulus(p: int, dim: int = 1) -> None:
 
     An int64 product of dim-sized operands accumulates up to dim·(p−1)²; the
     bound 2^50 leaves a factor 2^13 of headroom below 2^63 for the exact int64
-    sums built on such products (three per key in the Jacobi check).
+    sums built on such products (at most three per key in the Jacobi check:
+    the three rotations of a triple, or one product counted three times when
+    its three indices are equal).
     """
     if p < 3 or p % 2 == 0:
         raise BadModulus(f"p = {p} is not an odd prime")

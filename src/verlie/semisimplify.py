@@ -132,16 +132,25 @@ def semisimplify(realization: Realization, decomp: ChainDecomposition) -> Semisi
     # head coefficients: coords[k] @ v is the coordinate of v at the head of survivor k
     coords = fp.inverse(decomp.basis_matrix(), p)[[offsets[c] for c in survivors]]
     heads = np.array([decomp.chains[c].head for c in survivors], dtype=np.int64).reshape(m, alg.dim)
-    values = (alg.brackets(heads, heads) @ coords.T) % p  # row a*m+b: [head_a, head_b], column k
+    coords_t = sp.csr_matrix(coords.T)
+    values = (alg.brackets(heads, heads) @ coords_t).tocoo()  # row a*m+b: [head_a, head_b], column k
+    a, b = np.divmod(values.row.astype(np.int64), m)
+    cols, data = values.col.astype(np.int64), values.data
     if odd:
         # odd-odd rows: the splitting vector sum_t (-1)^t [v_a^(t-1), v_b^(p-t-1)]
         layers = [np.array([decomp.chains[c].vectors[s] for c in odd], dtype=np.int64) for s in range(p - 1)]
         split = sum((-1) ** t * alg.brackets(layers[t - 1], layers[p - t - 1]) for t in range(1, p))
         split.data %= p
-        at = np.arange(len(even), m)
-        values[(at[:, None] * m + at[None, :]).ravel()] = (split @ coords.T) % p
+        split = (split @ coords_t).tocoo()
+        sa, sb = np.divmod(split.row.astype(np.int64), len(odd))
+        keep = (parity[a] == 0) | (parity[b] == 0)
+        a, b = np.concatenate([a[keep], sa + len(even)]), np.concatenate([b[keep], sb + len(even)])
+        cols = np.concatenate([cols[keep], split.col.astype(np.int64)])
+        data = np.concatenate([data[keep], split.data])
     # keep the component whose parity is |a| + |b|
-    values *= (parity[:, None] ^ parity[None, :]).reshape(-1, 1) == parity[None, :]
+    keep = (parity[a] ^ parity[b]) == parity[cols]
+    values = sp.csr_matrix(((data % p)[keep], (a[keep] * m + b[keep], cols[keep])), shape=(m * m, m))
+    values.sort_indices()  # row-major entries, as the constants dict is built in that order
     out = ModularSuperAlgebra(p=p, dim=m, parity=parity, constants=constants_from_products(values, m, p),
                               labels=[_chain_labels(decomp, c) for c in survivors])
     skew = check_super_skew(out)

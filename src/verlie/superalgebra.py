@@ -205,74 +205,95 @@ class Report:
         return out
 
 
+def _first_key(keys: np.ndarray, vals: np.ndarray, p: int | None) -> int | None:
+    """Smallest key whose values sum to nonzero (mod p; over Z if p is None)."""
+    order = np.argsort(keys)
+    keys = keys[order]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    sums = np.add.reduceat(vals[order], starts)
+    if p is not None:
+        sums %= p
+    bad = np.flatnonzero(sums)
+    return int(keys[starts[bad[0]]]) if bad.size else None
+
+
+def skew_witness(constants: Constants, parity, dim: int, p: int | None):
+    """Smallest basis triple (i, j, k), i <= j, at which
+    C(i,j,k) = -(-1)^{|i||j|} C(j,i,k) fails, or None.
+
+    Each entry C(i,j,k) = c adds c at key (i,j,k) and (-1)^{|i||j|} c at its
+    mirror key (j,i,k); the keys are summed exactly in int64.  The failures
+    at (i,j,k) and (j,i,k) come together, so the smallest has i <= j.
+    p=None checks over Z.
+    """
+    if dim == 0 or not constants:
+        return None
+    par = np.asarray(parity, dtype=np.int64)
+    i, j, k, c = _tensor_coo(constants)
+    keys = np.concatenate([(i * dim + j) * dim + k, (j * dim + i) * dim + k])
+    vals = np.concatenate([c, (1 - 2 * par[i] * par[j]) * c])
+    key = _first_key(keys, vals, p)
+    if key is None:
+        return None
+    i, rest = divmod(key, dim * dim)
+    return (i, *divmod(rest, dim))
+
+
 def check_super_skew(alg: ModularSuperAlgebra) -> Report:
-    """C(i,j,k) = -(-1)^{|i||j|} C(j,i,k) for all triples."""
-    par = alg.parity
-    seen: set[tuple[int, int]] = set()
-    for (i, j), comps in alg.constants.items():
-        if (j, i) in seen:
-            continue
-        seen.add((i, j))
-        mirror = alg.constants.get((j, i), {})
-        sign = 1 if (par[i] and par[j]) else -1
-        for k in set(comps) | set(mirror):
-            if (comps.get(k, 0) - sign * mirror.get(k, 0)) % alg.p:
-                return Report("super_skew", False, {"i": i, "j": j, "k": k})
-    return Report("super_skew", True)
+    """C(i,j,k) = -(-1)^{|i||j|} C(j,i,k) for all triples; a failure's
+    witness is the smallest failing (i, j, k) with i <= j."""
+    witness = skew_witness(alg.constants, alg.parity, alg.dim, alg.p)
+    if witness is None:
+        return Report("super_skew", True)
+    i, j, k = witness
+    return Report("super_skew", False, {"i": i, "j": j, "k": k})
 
 
-_JACOBI_BLOCK = 16  # values of i per block of jacobi_witness
+_JACOBI_BLOCK = 16  # values of x per sparse product in jacobi_witness
 
 
 def jacobi_witness(constants: Constants, parity, dim: int, p: int | None):
     """Smallest basis quadruple (i, j, k, l) at which the (super) Jacobi
     identity fails, or None.
 
-    Checks (-1)^{|i||k|}[[b_i,b_j],b_k] + (-1)^{|j||i|}[[b_j,b_k],b_i]
+    Checks J(i,j,k) = (-1)^{|i||k|}[[b_i,b_j],b_k] + (-1)^{|j||i|}[[b_j,b_k],b_i]
     + (-1)^{|k||j|}[[b_k,b_i],b_j] = 0 for every ordered triple.  Every term
     is an entry P[(x,y),(z,l)] = [[b_x,b_y],b_z]_l of the sparse product
-    C1 @ C2 with sign (-1)^{|x||z|}; the keys are summed exactly in int64,
-    one block of i values at a time, so the first block with a failure holds
-    the smallest witness.  p=None checks over Z.
+    C1 @ C2 with sign (-1)^{|x||z|}, where (x,y,z) is a rotation of (i,j,k).
+    Rotating (i,j,k) permutes the three terms and keeps each one's sign, so
+    J is the same at all three rotations, and the smallest failing triple is
+    its own smallest rotation.  Each entry of P is therefore added once, to
+    the key of the smallest rotation of (x,y,z); an entry with x = y = z is
+    all three terms of J(x,x,x) and counts three times.  So a key still sums
+    at most three products.  P is formed one block of x values at a time,
+    and the keys are summed exactly in int64 after the last block, since the
+    entries of one key may come from three blocks.  This holds for any
+    constants, skew or not.  p=None checks over Z.
     """
     if dim == 0 or not constants:
         return None
     par = np.asarray(parity, dtype=np.int64)
     d = dim
-    # c1[(i*d+j), k] = c1t[(j*d+i), k] = c2[i, (j*d+k)] = C(i,j,k)
+    # c1[(i*d+j), k] = c2[i, (j*d+k)] = C(i,j,k)
     ci, cj, ck, cv = _tensor_coo(constants)
     c1 = sp.csr_matrix((cv, (ci * d + cj, ck)), shape=(d * d, d), dtype=np.int64)
-    c1t = sp.csr_matrix((cv, (cj * d + ci, ck)), shape=(d * d, d), dtype=np.int64)
-    c2 = sp.csc_matrix((cv, (ci, cj * d + ck)), shape=(d, d * d), dtype=np.int64)
-    pairs = np.arange(d * d, dtype=np.int64)
+    c2 = sp.csr_matrix((cv, (ci, cj * d + ck)), shape=(d, d * d), dtype=np.int64)
+    keys, vals = [], []
     for start in range(0, d, _JACOBI_BLOCK):
-        lo, hi = start * d, min(start + _JACOBI_BLOCK, d) * d
-        lead = pairs[lo:hi]  # pairs (x, y) with x in the block
-        swapped = lead % d * d + lead // d  # pairs (x, y) with y in the block
-        # (i,j,k) = (x,y,z) in term 1, (z,x,y) in term 2, (y,z,x) in term 3
-        terms = ((c1[lo:hi] @ c2, lead, pairs, 0), (c1 @ c2[:, lo:hi], pairs, lead, 1),
-                 (c1t[lo:hi] @ c2, swapped, pairs, 2))
-        keys, vals = [], []
-        for product, rows, cols, shift in terms:
-            t = product.tocoo()
-            x, y = np.divmod(rows[t.row], d)
-            z, l = np.divmod(cols[t.col], d)
-            i, j, k = np.roll([x, y, z], shift, axis=0)
-            keys.append(((i * d + j) * d + k) * d + l)
-            vals.append((1 - 2 * par[x] * par[z]) * t.data)
-        keys = np.concatenate(keys)
-        order = np.argsort(keys)
-        keys = keys[order]
-        starts = np.flatnonzero(np.diff(keys, prepend=-1))
-        sums = np.add.reduceat(np.concatenate(vals)[order], starts)
-        if p is not None:
-            sums %= p
-        bad = np.flatnonzero(sums)
-        if bad.size:
-            i, rest = divmod(int(keys[starts[bad[0]]]), d**3)
-            j, rest = divmod(rest, d * d)
-            return (i, j, *divmod(rest, d))
-    return None
+        lo = start * d
+        t = (c1[lo : min(start + _JACOBI_BLOCK, d) * d] @ c2).tocoo()
+        xy = lo + t.row.astype(np.int64)
+        x, y = np.divmod(xy, d)
+        z, l = np.divmod(t.col.astype(np.int64), d)
+        rotation = np.minimum(np.minimum(xy * d + z, (y * d + z) * d + x), (z * d + x) * d + y)
+        keys.append(rotation * d + l)
+        vals.append((1 - 2 * par[x] * par[z]) * np.where((x == y) & (y == z), 3, 1) * t.data)
+    key = _first_key(np.concatenate(keys), np.concatenate(vals), p)
+    if key is None:
+        return None
+    i, rest = divmod(key, d**3)
+    j, rest = divmod(rest, d * d)
+    return (i, j, *divmod(rest, d))
 
 
 def check_super_jacobi(alg: ModularSuperAlgebra) -> Report:
@@ -389,7 +410,12 @@ class Subspace:
         mat = fp.normalize(np.atleast_2d(mat), self.p)
         if not self.pivots:
             return mat.copy()
-        return (mat - mat[:, list(self.pivots)] @ self.rows) % self.p
+        # the residual vanishes at the pivot columns; only the free ones need the product
+        free = np.ones(self.ambient, dtype=bool)
+        free[list(self.pivots)] = False
+        out = np.zeros_like(mat)
+        out[:, free] = (mat[:, free] - mat[:, list(self.pivots)] @ self.rows[:, free]) % self.p
+        return out
 
     def coefficients(self, v) -> np.ndarray:
         """Coefficients of v over the echelon rows; raises if v is outside."""

@@ -130,6 +130,20 @@ def test_integral_jacobi_full_small(name):
     assert integral_jacobi_witness(alg) is None
 
 
+@pytest.mark.parametrize("change", [2, -1, 0])
+def test_integral_antisymmetry_detects_one_changed_constant(change):
+    """Doubling, negating or dropping one constant of g2 breaks
+    C(i,j,k) = -C(j,i,k) over Z."""
+    alg = integral_catalog("g2")
+    (i, j), comps = next((pair, comps) for pair, comps in alg.constants.items() if pair[0] != pair[1])
+    k, c = next(iter(comps.items()))
+    constants = {pair: dict(cs) for pair, cs in alg.constants.items()}
+    constants[(i, j)][k] = c * change
+    if not constants[(i, j)][k]:
+        del constants[(i, j)][k]
+    assert not integral_antisymmetry_ok(replace(alg, constants=constants))
+
+
 @pytest.mark.parametrize("name", ["e7", "e8"])
 def test_integral_jacobi_large(name):
     # the exact scan over all basis triples, which implies the derivation

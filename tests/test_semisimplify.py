@@ -159,6 +159,19 @@ def test_image_projection():
                 assert not ss.image(chain.vectors[t]).any()
 
 
+@pytest.mark.parametrize("name,p,element,sdim", [("g2", 3, "e2", (3, 4)), ("f4", 5, "e1+e3", (6, 2))])
+def test_constants_in_row_major_order(name, p, element, sdim):
+    """The constants dict lists the pairs (a, b), and each pair's targets k,
+    in increasing order, odd-odd pairs included."""
+    alg = v.catalog_algebra(name, p)
+    realization = v.realize(alg, v.parse_element(element, alg)[1])
+    out = semisimplify(realization, v.jordan_decompose(realization)).algebra
+    assert superdim(out) == sdim
+    assert any(out.parity[a] and out.parity[b] for a, b in out.constants)
+    assert list(out.constants) == sorted(out.constants)
+    assert all(list(comps) == sorted(comps) for comps in out.constants.values())
+
+
 def test_functoriality_structured_vs_generic():
     from verlie.verify import certify, functorial_generator_images, tilde_target
 

@@ -26,6 +26,7 @@ from verlie.superalgebra import (
     odd_cube_generators,
     odd_cube_values_literal,
     quotient,
+    skew_witness,
     superdim,
 )
 
@@ -110,9 +111,10 @@ def first_jacobi_violation(alg):
     return None
 
 
-def test_jacobi_witness_matches_direct_scan():
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_jacobi_witness_matches_direct_scan(p):
     for dim in (5, 40):  # 40 spans several blocks of i values
-        alg = random_algebra(3, dim, 0.2, seed=5)
+        alg = random_algebra(p, dim, 0.2, seed=5)
         fast = jacobi_witness(alg.constants, alg.parity, dim, alg.p)
         direct = first_jacobi_violation(alg)
         assert (fast is None) == (direct is None)
@@ -133,6 +135,66 @@ def test_jacobi_witness_independent_of_block_size(seed, monkeypatch):
     assert whole[0] is not None
     for block in (1, 3, 7):
         assert witnesses(block) == whole
+
+
+@pytest.mark.parametrize("p", [3, 5, None])
+def test_jacobi_witness_weighs_the_diagonal_three_times(p):
+    """[b0,b0] = b1, [b1,b0] = b0 = -[b0,b1], b0 odd and b1 even.  J(0,0,0) is
+    three equal terms, -3 b0, which vanishes only at p = 3; there the first
+    failure is J(0,0,1) = 2 b1."""
+    constants = {(0, 0): {1: 1}, (1, 0): {0: 1}, (0, 1): {0: -1 if p is None else p - 1}}
+    expected = (0, 0, 1, 1) if p == 3 else (0, 0, 0, 0)
+    assert jacobi_witness(constants, [1, 0], 2, p) == expected
+
+
+def random_skew_constants(p, dim, density, faults, seed):
+    """Random super skew constants (signed integers when p is None) with
+    `faults` random entries then changed, and the parity of the basis."""
+    rng = np.random.default_rng(seed)
+    parity = (np.arange(dim) >= dim // 2).astype(np.int64)
+    entries = {}
+    for i, j, k in itertools.product(range(dim), repeat=3):
+        if i <= j and rng.random() < density:
+            c = int(rng.integers(1, p)) if p else int(rng.integers(-3, 4))
+            odd_pair = parity[i] and parity[j]
+            if i == j and not odd_pair:
+                continue
+            entries[(i, j, k)] = c
+            entries[(j, i, k)] = c if odd_pair else -c
+    for _ in range(faults):
+        key = tuple(int(x) for x in rng.integers(0, dim, 3))
+        entries[key] = entries.get(key, 0) + 1
+    constants = {}
+    for (i, j, k), c in entries.items():
+        c = c % p if p else c
+        if c:
+            constants.setdefault((i, j), {})[k] = c
+    return constants, parity
+
+
+def first_skew_violation(constants, parity, dim, p):
+    """Direct scan: the first (i, j, k), i <= j, with C(i,j,k) != -(-1)^{|i||j|} C(j,i,k)."""
+    for i, j, k in itertools.product(range(dim), repeat=3):
+        if i > j:
+            continue
+        c, mirror = constants.get((i, j), {}).get(k, 0), constants.get((j, i), {}).get(k, 0)
+        diff = c + (-1) ** (parity[i] * parity[j]) * mirror
+        if (diff % p if p else diff):
+            return (i, j, k)
+    return None
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, None])
+@pytest.mark.parametrize("faults", [0, 1, 3])
+def test_skew_witness_matches_direct_scan(p, faults):
+    for seed in range(4):
+        constants, parity = random_skew_constants(p, 9, 0.1, faults, seed)
+        assert skew_witness(constants, parity, 9, p) == first_skew_violation(constants, parity, 9, p)
+
+
+def test_super_skew_witness_is_the_smallest_triple(gl33):
+    bad = corrupt(corrupt(gl33, 5, 1, 2), 7, 3, 0)
+    assert check_super_skew(bad).witness == {"i": 1, "j": 5, "k": 2}
 
 
 def test_odd_cube_literal_set_matches_polarization_pieces(free_nilpotent_ss):
