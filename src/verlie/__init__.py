@@ -74,6 +74,7 @@ from .verify import (
     recognize_even_type,
     target_by_name,
     target_catalog,
+    weight_split,
 )
 
 __version__ = "0.1.0"

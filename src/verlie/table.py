@@ -26,6 +26,7 @@ from .verify import (
     subquotient_certificate,
     target_by_name,
     tilde_target,
+    weight_split,
 )
 
 
@@ -162,7 +163,7 @@ def run_row(spec: RowSpec) -> TableRow:
     if spec.route == "even":
         torus = cartan_torus_images(ss)
         try:
-            label, _, dim_e = recognize_even_type(ss.algebra, torus)
+            label, _, dim_e = recognize_even_type(ss.algebra, weight_split(ss.algebra, torus))
             conclusion = f"EvenType:{label}"
             if label != spec.even_type or dim_e != spec.sdim[0]:
                 mismatches.append(f"even type {label}/{dim_e} != {spec.even_type}/{spec.sdim[0]}")

@@ -15,6 +15,7 @@ from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import fp
 from .errors import MissingTags, NotDiagonalizable, UnrecognizedType
@@ -25,7 +26,6 @@ from .superalgebra import (
     Subspace,
     check_odd_cubes,
     check_super_jacobi,  # noqa: F401  (unused, `ss.checks` holds the report; perfbench/spans.py wraps it here)
-    closure,
     generated_subalgebra,
     superdim,
 )
@@ -267,6 +267,7 @@ class Certificate:
     generation_pass: bool
     odd_cubes_pass: bool
     details: dict = field(default_factory=dict)
+    witness: dict | None = None  # why an unproven fact failed, where its check says; not in the JSON
 
     @property
     def superdim_match(self) -> bool:
@@ -347,44 +348,73 @@ def cartan_torus_images(ss: SemisimplifiedAlgebra) -> np.ndarray:
     return sub.rows
 
 
-def odd_part_irreducible(alg: ModularSuperAlgebra) -> bool:
-    """No proper nonzero even-submodule: the even action on any single odd
-    basis vector generates the whole odd part."""
-    odd_idx = np.nonzero(alg.parity == 1)[0]
-    eye = np.eye(alg.dim, dtype=np.int64)
-    even = eye[alg.parity == 0]
-
-    def images(frontier, _):
-        return alg.brackets(even, frontier)
-
-    return all(closure(Subspace.from_vectors([eye[start]], alg.dim, alg.p), images).dim == len(odd_idx)
-               for start in odd_idx)
+# -- torus weight split ----------------------------------------------------------
 
 
-def certify_even_route(ss: SemisimplifiedAlgebra, target: TargetSpec) -> Certificate:
-    """Certificate for a target identified through its even part: Cartan-type
-    recognition stands in for the relation check, irreducibility of the odd
-    part for generation."""
-    alg = ss.algebra
-    torus = cartan_torus_images(ss)
-    try:
-        label, rank, dim = recognize_even_type(alg, torus)
-        type_ok = label == target.even_type and dim == target.superdim[0]
-    except (NotDiagonalizable, UnrecognizedType) as exc:
-        label, type_ok = str(exc), False
-    irreducible = odd_part_irreducible(alg)
-    axioms = ss.checks["super_jacobi"].ok and check_odd_cubes(alg).ok
-    return Certificate(target.name, alg.p, superdim(alg), target.superdim,
-                       type_ok, irreducible, axioms, {"even_type": label})
+@dataclass(frozen=True)
+class WeightSplit:
+    """Joint eigenspaces of an even commuting torus, even and odd kept apart.
+
+    Entry k is the weight space of parity `parities[k]` and weight
+    `weights[k]` (the torus vectors' eigenvalues, in order), spanned by the
+    reduced echelon rows `vectors[k]` in algebra coordinates, so every row
+    leads with a 1.  The entries of one parity come in ascending weight
+    order.  `odd_blocked` says why the odd part has no entries: the torus
+    does not act diagonally on it."""
+
+    rank: int  # number of torus vectors
+    weights: tuple[tuple[int, ...], ...]
+    vectors: tuple[np.ndarray, ...]
+    parities: tuple[int, ...]
+    odd_blocked: str | None = None
+
+    @property
+    def multiplicities(self) -> tuple[int, ...]:
+        return tuple(len(rows) for rows in self.vectors)
+
+    def spaces(self, parity: int) -> list[tuple[tuple[int, ...], np.ndarray]]:
+        """(weight, rows) of each weight space of one parity."""
+        return [(w, rows) for w, rows, par in zip(self.weights, self.vectors, self.parities) if par == parity]
 
 
-# -- even-part Cartan-type recognition ----------------------------------------
-
-
-def _eig_split(alg: ModularSuperAlgebra, mats, dim_e: int):
-    """Simultaneous eigenspaces of commuting diagonalizable operators."""
+def weight_split(alg: ModularSuperAlgebra, torus) -> WeightSplit:
+    """Split the algebra under torus vectors that are even and commute
+    (ValueError otherwise), one `ad` per vector; NotDiagonalizable if they
+    do not act diagonally on the even part."""
     p = alg.p
-    spaces: list[tuple[tuple[int, ...], np.ndarray]] = [((), np.eye(dim_e, dtype=np.int64))]
+    torus = fp.normalize(torus, p)
+    torus = np.atleast_2d(torus) if torus.size else np.zeros((0, alg.dim), dtype=np.int64)
+    for t in torus:
+        if alg.vector_parity(t) != 0:
+            raise ValueError("torus vectors must be even")
+    mats = [alg.ad(t) for t in torus]
+    if any((mats[a] @ torus[b] % p).any() for a in range(len(torus)) for b in range(a + 1, len(torus))):
+        raise ValueError("torus vectors must commute")
+    weights, vectors, parities, blocked = [], [], [], None
+    for parity in (0, 1):
+        idx = np.flatnonzero(alg.parity == parity)
+        if not len(idx):
+            continue
+        try:
+            spaces = _eig_split(p, [m[np.ix_(idx, idx)] for m in mats], len(idx))
+        except NotDiagonalizable as exc:
+            if parity == 0:
+                raise
+            blocked = str(exc)
+            continue
+        for weight, rows in spaces:
+            full = np.zeros((len(rows), alg.dim), dtype=np.int64)
+            full[:, idx] = rows
+            weights.append(weight)
+            vectors.append(full)
+            parities.append(parity)
+    return WeightSplit(len(torus), tuple(weights), tuple(vectors), tuple(parities), blocked)
+
+
+def _eig_split(p: int, mats, dim: int):
+    """Simultaneous eigenspaces of commuting diagonalizable operators on
+    F_p^dim, as (weight, echelon rows) in ascending weight order."""
+    spaces: list[tuple[tuple[int, ...], np.ndarray]] = [((), np.eye(dim, dtype=np.int64))]
     for m in mats:
         refined = []
         for weight, rows in spaces:
@@ -392,6 +422,10 @@ def _eig_split(alg: ModularSuperAlgebra, mats, dim_e: int):
             action = (m @ rows.T)[pivots, :] % p  # coordinates over the echelon rows
             if np.any((m @ rows.T - rows.T @ action) % p):
                 raise NotDiagonalizable("eigenspace is not invariant")
+            diagonal = np.diag(action)
+            if not (action - np.diag(diagonal)).any():  # rows already weight vectors: group them
+                refined += [(weight + (int(lam),), rows[diagonal == lam]) for lam in np.unique(diagonal)]
+                continue
             found = 0
             for lam in range(p):
                 ker = fp.kernel_basis((action - lam * np.eye(len(rows), dtype=np.int64)) % p, p)
@@ -405,127 +439,206 @@ def _eig_split(alg: ModularSuperAlgebra, mats, dim_e: int):
     return spaces
 
 
-def _resolve_pairing(p: int, eig: int, q: int) -> int:
-    """True integer Cartan pairing <lam, mu^v> = r - q from its mod-p
-    eigenvalue and the upward string length q, for strings of length <= 3
+# -- odd-part irreducibility ----------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Irreducibility:
+    """Whether the odd part is proven irreducible under the even part.  An
+    unproven verdict is falsy and carries its witness: the weights of a
+    closed proper subset (`closed_weights`), the weight whose multiplicity
+    blocked the proof (`weight`, `multiplicity`), or why there is no odd
+    weight split (`no_split`)."""
+
+    proven: bool
+    witness: dict | None = None
+
+    def __bool__(self) -> bool:
+        return self.proven
+
+
+def odd_part_irreducible(alg: ModularSuperAlgebra, split: WeightSplit) -> Irreducibility:
+    """Decide irreducibility of the odd part on the torus weights of `split`.
+
+    A submodule is torus-stable, so it is a sum of weight spaces.  When every
+    odd weight has multiplicity 1, the submodules are the spans of weight
+    sets closed in the weight graph, which has an edge lam -> mu when some
+    even basis vector sends v_lam to a vector with a nonzero v_mu
+    coefficient; the odd part is irreducible exactly when the graph is
+    strongly connected.  A larger multiplicity, or a torus that does not act
+    diagonally, leaves the verdict unproven, never True."""
+    if split.odd_blocked:
+        return Irreducibility(False, {"no_split": split.odd_blocked})
+    odd = split.spaces(1)
+    for weight, rows in odd:
+        if len(rows) > 1:
+            return Irreducibility(False, {"weight": weight, "multiplicity": len(rows)})
+    if not odd:
+        return Irreducibility(True)
+    n, odd_idx = len(odd), np.flatnonzero(alg.parity == 1)
+    vecs = np.vstack([rows for _, rows in odd])
+    even = np.eye(alg.dim, dtype=np.int64)[alg.parity == 0]
+    images = alg.brackets(even, vecs)[:, odd_idx]  # row a*n + b = [even_a, v_b]
+    coeffs = images @ fp.inverse(vecs[:, odd_idx], alg.p) % alg.p  # over the weight vectors
+    reach = coeffs.reshape(-1, n, n).any(axis=0) | np.eye(n, dtype=bool)
+    while not np.array_equal(grown := reach @ reach, reach):  # transitive closure
+        reach = grown
+    if reach.all():
+        return Irreducibility(True)
+    start = int(np.flatnonzero(~reach.all(axis=1))[0])
+    return Irreducibility(False, {"closed_weights": [odd[j][0] for j in np.flatnonzero(reach[start])]})
+
+
+def certify_even_route(ss: SemisimplifiedAlgebra, target: TargetSpec) -> Certificate:
+    """Certificate for a target identified through its even part: Cartan-type
+    recognition stands in for the relation check, irreducibility of the odd
+    part for generation; both read one weight split under the Cartan torus."""
+    alg = ss.algebra
+    split = None
+    try:
+        split = weight_split(alg, cartan_torus_images(ss))
+        label, _, dim = recognize_even_type(alg, split)
+        type_ok = label == target.even_type and dim == target.superdim[0]
+    except (NotDiagonalizable, UnrecognizedType) as exc:
+        label, type_ok = str(exc), False
+    irreducible = odd_part_irreducible(alg, split) if split is not None else Irreducibility(False, {"no_split": label})
+    axioms = ss.checks["super_jacobi"].ok and check_odd_cubes(alg).ok
+    return Certificate(target.name, alg.p, superdim(alg), target.superdim,
+                       type_ok, irreducible.proven, axioms, {"even_type": label}, irreducible.witness)
+
+
+# -- even-part Cartan-type recognition ----------------------------------------
+
+
+def _resolve_pairing(p: int, eigs: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """True integer Cartan pairings <lam, mu^v> = r - q from their mod-p
+    eigenvalues and upward string lengths q, for strings of length <= 3
     (everything except the rank-2 triple edge): r ranges over 0..2-q."""
-    for r in range(0, 3 - q):
-        if (r - q) % p == eig:
-            return r - q
-    raise UnrecognizedType(f"up-string {q} inconsistent with eigenvalue {eig}")
+    r = np.arange(3)
+    fits = (r <= 2 - q[..., None]) & ((r - q[..., None]) % p == eigs[..., None])
+    bad = np.flatnonzero(~fits.any(axis=-1))
+    if len(bad):
+        k = bad[0]
+        raise UnrecognizedType(f"up-string {q.flat[k]} inconsistent with eigenvalue {eigs.flat[k]}")
+    return np.argmax(fits, axis=-1) - q
 
 
-def recognize_even_type(alg: ModularSuperAlgebra, torus) -> tuple[str, int, int]:
-    """Cartan type of the even part from the joint eigenvalue data of a
-    commuting family acting diagonally: weights, root strings, a rational
-    embedding, simple roots as indecomposable positives, catalog match."""
+def _multiples(p: int, products, vectors: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """c with row r of the sparse `products` equal to c[r] times row
+    targets[r] of `vectors` (zero where targets[r] is -1); NotDiagonalizable
+    if a row is no such multiple.  Each row of `vectors` leads with a 1."""
+    lead = np.argmax(vectors != 0, axis=1)
+    t = np.maximum(targets, 0)
+    c = np.asarray(products[np.arange(len(t)), lead[t]]).ravel() * (targets >= 0)
+    rest = products - sp.diags(c, dtype=np.int64) @ sp.csr_matrix(vectors)[t]
+    if (rest.data % p).any():
+        raise NotDiagonalizable("a bracket of weight vectors leaves its weight space")
+    return c
+
+
+def recognize_even_type(alg: ModularSuperAlgebra, split: WeightSplit) -> tuple[str, int, int]:
+    """Cartan type of the even part from its torus weight split: roots, root
+    strings, a rational embedding, simple roots as indecomposable positives,
+    catalog match.
+
+    The brackets come in two batched calls over the root vectors u_lam.
+    [u_mu, u_lam] lies in the one-dimensional weight space mu + lam, so the
+    up-string of lam along mu has length 2 exactly when [u_mu, u_lam] and
+    [u_mu, u_{mu+lam}] are both nonzero.  The coroot h_mu = [u_mu, u_-mu]
+    acts on each u_lam by a scalar, the eigenvalue.  A bracket off its weight
+    space raises NotDiagonalizable."""
     p = alg.p
-    torus = np.atleast_2d(fp.normalize(torus, p))
-    even_idx = [int(i) for i in np.nonzero(alg.parity == 0)[0]]
-    dim_e = len(even_idx)
-    for t in torus:
-        if alg.vector_parity(t) != 0:
-            raise ValueError("torus vectors must be even")
-    for a in range(len(torus)):
-        for b in range(a + 1, len(torus)):
-            if alg.bracket(torus[a], torus[b]).any():
-                raise ValueError("torus vectors must commute")
-    mats = [alg.ad(t)[np.ix_(even_idx, even_idx)] for t in torus]
-    spaces = _eig_split(alg, mats, dim_e)
-    zero = tuple(0 for _ in torus)
+    zero = (0,) * split.rank
     cartan_dim = 0
     weight_vec: dict[tuple[int, ...], np.ndarray] = {}
-    for weight, rows in spaces:
+    for weight, rows in split.spaces(0):
         if weight == zero:
             cartan_dim = len(rows)
             continue
         if len(rows) != 1:
             raise UnrecognizedType(f"weight {weight} has multiplicity {len(rows)}")
-        full = np.zeros(alg.dim, dtype=np.int64)
-        full[even_idx] = rows[0]
-        weight_vec[weight] = full
-    roots = set(weight_vec)
-    if not roots:
+        weight_vec[weight] = rows[0]
+    if not weight_vec:
         raise UnrecognizedType("no nonzero weights")
-    for w in roots:
-        if tuple((-x) % p for x in w) not in roots:
-            raise UnrecognizedType("weights are not closed under negation")
+    # roots are numbered in ascending weight order from here on
+    roots = sorted(weight_vec)
+    n = len(roots)
+    index = {lam: j for j, lam in enumerate(roots)}
+    neg = [index.get(tuple((-x) % p for x in lam)) for lam in roots]
+    if None in neg:
+        raise UnrecognizedType("weights are not closed under negation")
 
-    def wneg(a):
-        return tuple((-x) % p for x in a)
-
-    # coroot-normalized eigenvalue pairing n[lam][mu] = <lam, mu^v>; the true
-    # integer is pinned by the upward string length measured through brackets
-    # (residue arithmetic on weights would alias distinct lattice vectors)
-    root_list = sorted(roots)
-    umat = np.stack([weight_vec[lam] for lam in root_list], axis=1)  # (dim, nroots)
-    pairing: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-    for mu in root_list:
-        u, v = weight_vec[mu], weight_vec[wneg(mu)]
-        h = alg.bracket(u, v)
-        hu = alg.bracket(h, u)
-        pos = int(np.nonzero(u)[0][0])
-        ratio = (int(hu[pos]) * fp.inv_scalar(int(u[pos]), p)) % p
-        if not np.array_equal(hu % p, ratio * u % p) or ratio == 0:
-            raise UnrecognizedType("coroot does not act as a nonzero scalar on its root space")
-        h = (2 * fp.inv_scalar(ratio, p) * h) % p
-        ad_mu = alg.ad(u)
-        up1 = (ad_mu @ umat) % p  # column j: [u_mu, u_lam_j]
-        up2 = (ad_mu @ up1) % p
-        hw = (alg.ad(h) @ umat) % p
-        for j, lam in enumerate(root_list):
-            if lam in (mu, wneg(mu)):
-                continue
-            w = weight_vec[lam]
-            wpos = int(np.nonzero(w)[0][0])
-            eig = (int(hw[wpos, j]) * fp.inv_scalar(int(w[wpos]), p)) % p
-            if not np.array_equal(hw[:, j] % p, eig * w % p):
-                raise NotDiagonalizable("coroot action is not scalar on a root space")
-            q = 2 if up2[:, j].any() else (1 if up1[:, j].any() else 0)
-            pairing[(lam, mu)] = _resolve_pairing(p, eig, q)
+    # coroot-normalized eigenvalue pairing pair[l][m] = <root_l, root_m^v>;
+    # the true integer is pinned by the upward string length measured through
+    # brackets (residue arithmetic on weights would alias distinct lattice vectors)
+    umat = np.stack([weight_vec[lam] for lam in roots])
+    ups = alg.brackets(umat, umat)  # row m*n + l = [u_m, u_l]
+    opposite = np.arange(n) * n + neg
+    coroots = ups[opposite].toarray()
+    targets = np.array([index.get(tuple((x + y) % p for x, y in zip(mu, lam)), -1) for mu in roots for lam in roots])
+    off = np.ones(n * n, dtype=np.int64)
+    off[opposite] = 0
+    up = _multiples(p, sp.diags(off, dtype=np.int64) @ ups, umat, targets).reshape(n, n) != 0
+    up[np.arange(n), neg] = True  # the coroots, nonzero as checked next
+    scalars = _multiples(p, alg.brackets(coroots, umat), umat, np.tile(np.arange(n), n)).reshape(n, n)
+    ratio = np.diag(scalars)
+    if not ratio.all():
+        raise UnrecognizedType("coroot does not act as a nonzero scalar on its root space")
+    eigs = 2 * np.array([fp.inv_scalar(r, p) for r in ratio])[:, None] * scalars % p
+    targets = targets.reshape(n, n)
+    beyond = np.take_along_axis(up, np.maximum(targets, 0), axis=1) & (targets >= 0)
+    q = up.astype(np.int64) + (up & beyond)
+    skip = np.eye(n, dtype=bool)
+    skip[np.arange(n), neg] = True  # the pairings with +-mu are fixed by the norms
+    pair = _resolve_pairing(p, np.where(skip, 0, eigs), np.where(skip, 0, q)).T.tolist()
     # norms by ratio propagation: (lam,lam)/(mu,mu) = <lam,mu^v>/<mu,lam^v>
-    ordered = sorted(roots)
-    norms: dict[tuple[int, ...], Fraction] = {ordered[0]: Fraction(2)}
-    queue = [ordered[0]]
+    norms: dict[int, Fraction] = {0: Fraction(2)}
+    queue = [0]
     while queue:
         mu = queue.pop(0)
-        neg = wneg(mu)
-        if neg not in norms:
-            norms[neg] = norms[mu]
-            queue.append(neg)
-        for lam in ordered:
-            if lam in norms or (lam, mu) not in pairing:
+        if neg[mu] not in norms:
+            norms[neg[mu]] = norms[mu]
+            queue.append(neg[mu])
+        for lam in range(n):
+            if lam in norms:
                 continue
-            nl, nm = pairing[(lam, mu)], pairing[(mu, lam)]
+            nl, nm = pair[lam][mu], pair[mu][lam]
             if nl and nm:
                 norms[lam] = norms[mu] * nl / nm
                 queue.append(lam)
-    if set(norms) != roots:
+    if len(norms) != n:
         raise UnrecognizedType("root graph is not connected")
 
     def gram(lam, mu) -> Fraction:
         if lam == mu:
             return norms[lam]
-        if lam == wneg(mu):
+        if lam == neg[mu]:
             return -norms[lam]
-        return Fraction(pairing[(lam, mu)]) * norms[mu] / 2
+        return pair[lam][mu] * norms[mu] / 2
 
-    # rational coordinates over a greedily chosen root basis
-    basis: list[tuple[int, ...]] = []
-    for cand in ordered:
-        trial = basis + [cand]
-        g = [[gram(x, y) for y in trial] for x in trial]
-        if len(_frac_rref(g)[1]) == len(trial):
-            basis = trial
+    # rational coordinates over a greedily chosen root basis: a root joins
+    # while the Gram matrix stays nonsingular, that is while its Schur
+    # complement over the basis is nonzero; `inv`, the inverse Gram matrix
+    # of the basis, grows by bordering
+    basis: list[int] = []
+    inv: list[list[Fraction]] = []
+    for cand in range(n):
+        g_col = [gram(x, cand) for x in basis]
+        g_row = [gram(cand, x) for x in basis]
+        col = [sum(v * g for v, g in zip(vals, g_col)) for vals in inv]  # inv @ gram(basis, cand)
+        row = [sum(g * vals[j] for g, vals in zip(g_row, inv)) for j in range(len(basis))]  # gram(cand, basis) @ inv
+        schur = gram(cand, cand) - sum(g * c for g, c in zip(g_row, col))
+        if schur:
+            inv = [[v + c * r / schur for v, r in zip(vals, row)] + [-c / schur] for vals, c in zip(inv, col)]
+            inv.append([-r / schur for r in row] + [1 / schur])
+            basis.append(cand)
     rank = len(basis)
-    # solve gram(basis, basis) x = gram(basis, lam) for every root at once
-    lams = list(roots)
-    solved, _ = _frac_rref([[gram(x, y) for y in basis] + [gram(lam, x) for lam in lams] for x in basis])
-    coords = {lam: tuple(row[rank + t] for row in solved) for t, lam in enumerate(lams)}
+    # coordinates x of each root: gram(basis, basis) x = gram(root, basis)
+    coords = [tuple(sum(v * gram(lam, x) for v, x in zip(vals, basis)) for vals in inv) for lam in range(n)]
     # lexicographic order from the last coordinate: positive when the last
     # nonzero coordinate is
     positive = []
-    for lam, cs in coords.items():
+    for lam, cs in enumerate(coords):
         last = next((c for c in reversed(cs) if c), 0)
         if last == 0:
             raise UnrecognizedType("degenerate positivity functional")
@@ -544,32 +657,12 @@ def recognize_even_type(alg: ModularSuperAlgebra, torus) -> tuple[str, int, int]
     simple.sort(key=lambda lam: coords[lam])
     if len(simple) != rank:
         raise UnrecognizedType(f"{len(simple)} simple roots for rank {rank}")
-    cartan = [[2 if i == j else pairing[(simple[j], simple[i])] for j in range(rank)] for i in range(rank)]
+    cartan = [[2 if i == j else pair[simple[j]][simple[i]] for j in range(rank)] for i in range(rank)]
     label = _match_type(cartan, rank)
     expected_roots = 2 * len(positive_roots(catalog_gcm(label.lower())).positive)
-    if expected_roots != len(roots) or cartan_dim != rank:
+    if expected_roots != n or cartan_dim != rank:
         raise UnrecognizedType("weight counts do not match the recognized type")
-    return label, rank, dim_e
-
-
-def _frac_rref(rows) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over Q, and the pivot columns."""
-    m = [list(r) for r in rows]
-    pivots: list[int] = []
-    for c in range(len(m[0]) if m else 0):
-        rank = len(pivots)
-        piv = next((r for r in range(rank, len(m)) if m[r][c] != 0), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = Fraction(1) / m[rank][c]
-        m[rank] = [x * inv for x in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][c]:
-                factor = m[r][c]
-                m[r] = [x - factor * y for x, y in zip(m[r], m[rank])]
-        pivots.append(c)
-    return m, pivots
+    return label, rank, int(np.count_nonzero(alg.parity == 0))
 
 
 def _match_type(cartan, rank: int) -> str:

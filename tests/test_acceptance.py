@@ -25,6 +25,7 @@ from verlie.verify import (
     odd_part_irreducible,
     recognize_even_type,
     tilde_target,
+    weight_split,
 )
 
 BLOCK_COUNTS = {
@@ -79,10 +80,10 @@ def test_criterion_3_characteristic_five():
     assert block_counts(decomp) == (55, 0, 0, 32, 13)
     assert superdim(ss.algebra) == (55, 32)
     assert check_super_jacobi(ss.algebra).ok
-    torus = cartan_torus_images(ss)
-    label, rank, dim = recognize_even_type(ss.algebra, torus)
+    split = weight_split(ss.algebra, cartan_torus_images(ss))
+    label, rank, dim = recognize_even_type(ss.algebra, split)
     assert (label, dim) == ("B5", 55)
-    assert odd_part_irreducible(ss.algebra)
+    assert odd_part_irreducible(ss.algebra, split)
     print("CRITERION 3 PASS: (55,0,0,32,13), superdim (55|32), even type B5, odd part irreducible")
 
 
@@ -171,7 +172,7 @@ def test_criterion_5_star_row():
 def test_criterion_6_even_row():
     realization, decomp, ss = row_pipeline("e7", 3, "e2+e5+e7", None)
     assert superdim(ss.algebra) == (52, 0)
-    label, rank, dim = recognize_even_type(ss.algebra, cartan_torus_images(ss))
+    label, rank, dim = recognize_even_type(ss.algebra, weight_split(ss.algebra, cartan_torus_images(ss)))
     assert (label, rank, dim) == ("F4", 4, 52)
     print("CRITERION 6 PASS: purely even output of dim 52 recognized as type F4")
 

@@ -14,18 +14,27 @@ from hypothesis import strategies as st
 import verlie as v
 from verlie import fp
 from verlie.errors import NotParityHomogeneous
-from verlie.superalgebra import Subspace, generated_subalgebra, ideal_closure, subalgebra_on
-from verlie.verify import odd_part_irreducible
+from verlie.superalgebra import Subspace, closure, generated_subalgebra, ideal_closure, subalgebra_on
+from verlie.table import row_pipeline
+from verlie.verify import cartan_torus_images, odd_part_irreducible, weight_split
+
+from .test_verify import sl2_module_algebra
 
 ALGEBRAS = [("gl3", 3), ("gl3", 5), ("sl4", 3), ("sl4", 5), ("g2", 3), ("g2", 5), ("f4|4", 3)]
 
 
 @lru_cache(maxsize=None)
+def f4_along_e4(p: int):
+    """The (21|14) semisimplification of f4 along e4."""
+    alg = v.catalog_algebra("f4", p)
+    realization = v.realize(alg, alg.gens["e4"])
+    return v.semisimplify(realization, v.structured_decompose(realization, (4,)))
+
+
+@lru_cache(maxsize=None)
 def algebra(name: str, p: int):
-    if name == "f4|4":  # the (21|14) semisimplification of f4 along e4
-        alg = v.catalog_algebra("f4", p)
-        realization = v.realize(alg, alg.gens["e4"])
-        return v.semisimplify(realization, v.structured_decompose(realization, (4,))).algebra
+    if name == "f4|4":
+        return f4_along_e4(p).algebra
     return v.catalog_algebra(name, p)
 
 
@@ -94,6 +103,9 @@ def test_ideal_closure_matches_naive_fixpoint(name, p, data):
 
 
 def naive_odd_irreducible(alg) -> bool:
+    """The closure of every odd basis vector is the whole odd part.  False
+    means a proper submodule was found; True proves nothing, as a proper
+    submodule need not contain a basis vector."""
     odd = np.nonzero(alg.parity == 1)[0]
     even_basis = np.eye(alg.dim, dtype=np.int64)[alg.parity == 0]
     return all(
@@ -102,12 +114,36 @@ def naive_odd_irreducible(alg) -> bool:
     )
 
 
-def test_odd_part_irreducible_matches_naive_closure():
+def weight_vectors_generate(alg, split) -> bool:
+    """The closure of every odd weight vector is the whole odd part: exact
+    where each odd weight has multiplicity 1, since every submodule is then
+    spanned by weight vectors."""
+    even = np.eye(alg.dim, dtype=np.int64)[alg.parity == 0]
+
+    def images(frontier, _):
+        return alg.brackets(even, frontier)
+
+    odd_dim = int(np.count_nonzero(alg.parity == 1))
+    return all(closure(Subspace.from_vectors(rows, alg.dim, alg.p), images).dim == odd_dim
+               for _, rows in split.spaces(1))
+
+
+def no_torus(alg) -> np.ndarray:
+    return np.zeros((0, alg.dim), dtype=np.int64)
+
+
+def test_odd_part_irreducible_is_sound_against_naive_closure():
+    # the verdict is never True where the naive closure finds a proper submodule
     fn_alg, der = v.free_nilpotent_example(3)
     realization = v.realize_derivation(fn_alg, der)
     reducible = v.semisimplify(realization, v.jordan_decompose(realization)).algebra
-    for alg in (algebra("f4|4", 3), reducible, algebra("g2", 3)):
-        assert odd_part_irreducible(alg) == naive_odd_irreducible(alg)
+    assert not naive_odd_irreducible(reducible)
+    g2, f44 = algebra("g2", 3), algebra("f4|4", 3)
+    cases = [(f44, cartan_torus_images(f4_along_e4(3))), (f44, no_torus(f44)), (reducible, no_torus(reducible)),
+             (g2, [g2.gens["h1"], g2.gens["h2"]])]
+    for alg, torus in cases:
+        verdict = odd_part_irreducible(alg, weight_split(alg, torus))
+        assert naive_odd_irreducible(alg) or not verdict
 
 
 @settings(max_examples=10, deadline=None)
@@ -119,4 +155,21 @@ def test_odd_part_irreducible_on_generated_subalgebras(data):
         restricted, _ = subalgebra_on(alg, sub)
     except NotParityHomogeneous:
         return
-    assert odd_part_irreducible(restricted) == naive_odd_irreducible(restricted)
+    verdict = odd_part_irreducible(restricted, weight_split(restricted, no_torus(restricted)))
+    assert naive_odd_irreducible(restricted) or not verdict
+
+
+def test_odd_part_irreducible_exact_on_multiplicity_one():
+    # the characteristic-5 output, the f4 output at p = 3 and V + a trivial
+    # line for sl2 have odd weights of multiplicity 1 under their tori
+    ss = row_pipeline("e8", 5, "e2+e3+e4", None)[2]
+    line = sl2_module_algebra((2, 1), np.eye(3, dtype=np.int64))
+    cases = [(ss.algebra, cartan_torus_images(ss)), (algebra("f4|4", 3), cartan_torus_images(f4_along_e4(3))),
+             (line, [np.eye(line.dim, dtype=np.int64)[1]])]
+    verdicts = []
+    for alg, torus in cases:
+        split = weight_split(alg, torus)
+        assert all(m == 1 for m, par in zip(split.multiplicities, split.parities) if par == 1)
+        verdicts.append(bool(odd_part_irreducible(alg, split)))
+        assert verdicts[-1] == weight_vectors_generate(alg, split)
+    assert verdicts == [True, True, False]

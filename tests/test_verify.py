@@ -6,7 +6,17 @@ import pytest
 import verlie as v
 from verlie.errors import NotDiagonalizable, UnrecognizedType
 from verlie.roots import catalog_gcm, derive_tilde
-from verlie.superalgebra import superdim
+from verlie.superalgebra import (
+    ModularSuperAlgebra,
+    Subspace,
+    check_odd_cubes,
+    check_super_jacobi,
+    check_super_skew,
+    closure,
+    make_constants,
+    superdim,
+)
+from verlie.table import row_pipeline
 from verlie.verify import (
     Certificate,
     GeneratorImages,
@@ -24,6 +34,7 @@ from verlie.verify import (
     target_by_name,
     target_catalog,
     tilde_target,
+    weight_split,
 )
 
 
@@ -173,26 +184,26 @@ def test_subquotient_certificate_star():
 def test_recognize_f4_self():
     alg = v.catalog_algebra("f4", 3)
     torus = [alg.gens[f"h{i}"] for i in (1, 2, 3, 4)]
-    assert recognize_even_type(alg, torus) == ("F4", 4, 52)
+    assert recognize_even_type(alg, weight_split(alg, torus)) == ("F4", 4, 52)
 
 
 def test_recognize_b5_self():
     alg = v.reduce_mod_p(v.chevalley_basis(catalog_gcm("b5")), 5)
     torus = [alg.gens[f"h{i}"] for i in range(1, 6)]
-    assert recognize_even_type(alg, torus) == ("B5", 5, 55)
+    assert recognize_even_type(alg, weight_split(alg, torus)) == ("B5", 5, 55)
 
 
 def test_recognize_a2():
     alg = v.sl(3, 5)
     torus = [alg.gens["h1"], alg.gens["h2"]]
-    assert recognize_even_type(alg, torus) == ("A2", 2, 8)
+    assert recognize_even_type(alg, weight_split(alg, torus)) == ("A2", 2, 8)
 
 
 def test_recognize_catalog_types():
     def recognize(name):
         gcm = catalog_gcm(name)
         alg = v.reduce_mod_p(v.chevalley_basis(gcm), 5)
-        return recognize_even_type(alg, [alg.gens[f"h{i}"] for i in range(1, gcm.n + 1)])
+        return recognize_even_type(alg, weight_split(alg, [alg.gens[f"h{i}"] for i in range(1, gcm.n + 1)]))
 
     dims = {"a1": 3, "a2": 8, "a3": 15, "a4": 24, "b2": 10, "b3": 21, "b4": 36,
             "c3": 21, "c4": 36, "d4": 28, "d5": 45, "f4": 52, "e6": 78}
@@ -206,13 +217,13 @@ def test_recognize_catalog_types():
 def test_recognize_rejects_nilpotent_torus():
     alg = v.sl(2, 3)
     with pytest.raises(NotDiagonalizable):
-        recognize_even_type(alg, [alg.gens["e1"]])
+        recognize_even_type(alg, weight_split(alg, [alg.gens["e1"]]))
 
 
 def test_recognize_rejects_noncommuting_torus():
     alg = v.sl(3, 5)
     with pytest.raises(ValueError):
-        recognize_even_type(alg, [alg.gens["h1"], alg.gens["e1"]])
+        recognize_even_type(alg, weight_split(alg, [alg.gens["h1"], alg.gens["e1"]]))
 
 
 def test_even_route_el55():
@@ -257,7 +268,91 @@ def test_odd_part_irreducible_negative_case():
     alg, der = v.free_nilpotent_example(3)
     realization = v.realize_derivation(alg, der)
     ss = v.semisimplify(realization, v.jordan_decompose(realization))
-    assert not odd_part_irreducible(ss.algebra)
+    assert not odd_part_irreducible(ss.algebra, weight_split(ss.algebra, []))
+
+
+SL2 = tuple(np.array(m) for m in ([[0, 1], [0, 0]], [[1, 0], [0, -1]], [[0, 0], [1, 0]]))  # e, h, f
+
+
+def sl2_module_algebra(blocks, odd_basis, p=5) -> ModularSuperAlgebra:
+    """sl2 ⋉ M over F_p with [M, M] = 0.  The even part has the basis e, h, f.
+    M is a direct sum of natural (block 2) and trivial (block 1) modules, and
+    its basis is `odd_basis`, given in the coordinates of that sum."""
+    basis = np.array(odd_basis, dtype=np.int64).T
+    to_basis = v.fp.inverse(basis, p)
+    m = len(basis)
+    entries = []
+    for i, x in enumerate(SL2):
+        for j, y in enumerate(SL2):
+            comm = x @ y - y @ x
+            entries += [(i, j, k, c) for k, c in enumerate((comm[0, 1], comm[0, 0], comm[1, 0])) if c]
+        act = np.zeros((m, m), dtype=np.int64)
+        start = 0
+        for size in blocks:
+            if size == 2:
+                act[start : start + 2, start : start + 2] = x
+            start += size
+        act = to_basis @ act @ basis % p  # column b: [x, w_b] over the odd basis
+        for a, b in zip(*np.nonzero(act)):
+            entries += [(i, 3 + b, 3 + a, act[a, b]), (3 + b, i, 3 + a, -act[a, b])]
+    return ModularSuperAlgebra(p=p, dim=3 + m, parity=[0, 0, 0] + [1] * m, constants=make_constants(entries, p))
+
+
+def test_odd_part_irreducible_sees_a_submodule_without_basis_vectors():
+    # V + V for the natural module V of sl2, on a basis no vector of which
+    # lies in a proper submodule; the diagonal {(v, v)} is one all the same
+    odd_basis = [(1, 0, 0, 1), (0, 1, 1, 0), (1, 0, 1, 1), (1, 1, 1, 0)]
+    alg = sl2_module_algebra((2, 2), odd_basis)
+    assert check_super_skew(alg).ok and check_super_jacobi(alg).ok and check_odd_cubes(alg).ok
+    even = np.eye(alg.dim, dtype=np.int64)[:3]
+
+    def images(frontier, _):
+        return alg.brackets(even, frontier)
+
+    for w in np.eye(alg.dim, dtype=np.int64)[3:]:
+        assert closure(Subspace.from_vectors([w], alg.dim, 5), images).dim == 4
+    diagonal = np.zeros((2, alg.dim), dtype=np.int64)
+    diagonal[:, 3:] = (v.fp.inverse(np.array(odd_basis).T, 5) @ [[1, 0], [0, 1], [1, 0], [0, 1]]).T % 5
+    assert closure(Subspace.from_vectors(diagonal, alg.dim, 5), images).dim == 2
+    # h has the weights 1 and -1 on the odd part, each twice
+    verdict = odd_part_irreducible(alg, weight_split(alg, [even[1]]))
+    assert not verdict
+    assert verdict.witness == {"weight": (1,), "multiplicity": 2}
+
+
+def test_odd_part_irreducible_names_a_closed_weight_set():
+    # V + a trivial line: odd weights 0, 1, -1 of multiplicity 1, the line closed
+    alg = sl2_module_algebra((2, 1), np.eye(3, dtype=np.int64))
+    h = np.eye(alg.dim, dtype=np.int64)[1]
+    verdict = odd_part_irreducible(alg, weight_split(alg, [h]))
+    assert not verdict
+    assert verdict.witness == {"closed_weights": [(0,)]}
+    natural = sl2_module_algebra((2,), np.eye(2, dtype=np.int64))
+    assert odd_part_irreducible(natural, weight_split(natural, [h[:5]]))
+
+
+def test_even_route_brackets_in_batches(monkeypatch):
+    _, _, ss = row_pipeline("e8", 5, "e2+e3+e4", None)
+    torus = cartan_torus_images(ss)
+    real_ad = ModularSuperAlgebra.ad
+    calls = []
+
+    def counted(self, vec):
+        calls.append(1)
+        return real_ad(self, vec)
+
+    monkeypatch.setattr(ModularSuperAlgebra, "ad", counted)
+    cert = certify_even_route(ss, target_by_name("el(5;5)"))
+    assert cert.conclusion == "Verified"
+    assert len(calls) <= len(torus)
+
+
+def test_even_route_certificate_keeps_its_witness_off_the_json():
+    _, _, ss = row_pipeline("e8", 5, "e2+e3+e4", None)
+    cert = certify_even_route(ss, target_by_name("el(5;5)"))
+    assert cert.witness is None
+    cert.witness = {"weight": (1,), "multiplicity": 2}
+    assert "witness" not in cert.to_json_dict()
 
 
 def test_relation_report_h_span_abelian():
