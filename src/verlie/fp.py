@@ -11,8 +11,8 @@ from __future__ import annotations
 from math import isqrt
 
 import numpy as np
-import scipy.sparse as sp
 
+from . import sparse
 from .errors import BadModulus, NotNilpotent
 
 Array = np.ndarray
@@ -35,9 +35,9 @@ def check_modulus(p: int, dim: int = 1) -> None:
 
     An int64 product of dim-sized operands accumulates up to dim·(p−1)²; the
     bound 2^50 leaves a factor 2^13 of headroom below 2^63 for the exact int64
-    sums built on such products (at most three per key in the Jacobi check:
-    the three rotations of a triple, or one product counted three times when
-    its three indices are equal).
+    sums built on such products (the Jacobi check sums at most 3·dim products
+    of residues per key: the three rotations of a triple, or one product
+    counted three times when its three indices are equal).
     """
     if p < 3 or p % 2 == 0:
         raise BadModulus(f"p = {p} is not an odd prime")
@@ -134,9 +134,8 @@ def rref_batch(stack, p: int) -> tuple[Array, Array]:
 def _entries(m) -> tuple[Array, Array, Array]:
     """Row, column and value of every stored entry of a sparse matrix, or of
     every nonzero of a dense one."""
-    if sp.issparse(m):
-        m = m.tocsr()
-        return np.repeat(np.arange(m.shape[0]), np.diff(m.indptr)), m.indices, m.data
+    if isinstance(m, sparse.Coo):
+        return m.row, m.col, m.data
     row, col = np.nonzero(m)
     return row, col, m[row, col]
 
@@ -230,16 +229,13 @@ def inverse(m, p: int) -> Array:
     return r[:, n:]
 
 
-def powers(m, k: int, p: int) -> list[sp.csr_matrix]:
-    """[I, m, ..., m^k] mod p as sparse int64 CSR matrices with no stored
-    zeros (derivations like ad e have a few nonzeros per column)."""
-    a = sp.csr_matrix(normalize(m, p))
-    out = [sp.identity(a.shape[0], dtype=np.int64, format="csr")]
+def powers(m, k: int, p: int) -> list[sparse.Coo]:
+    """[I, m, ..., m^k] mod p as sparse matrices (derivations like ad e have
+    a few nonzeros per column)."""
+    a = sparse.from_dense(normalize(m, p))
+    out = [sparse.identity(a.shape[0])]
     for _ in range(k):
-        power = out[-1] @ a
-        power.data %= p
-        power.eliminate_zeros()
-        out.append(power)
+        out.append(sparse.product(out[-1], a, p))
     return out
 
 

@@ -14,9 +14,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 
-from . import fp
+from . import fp, sparse
 from .errors import DegreeExceedsP, ParseError, PreconditionViolated, UnknownGenerator
 from .roots import Root, admissible_subsets, attached_node
 from .superalgebra import ModularSuperAlgebra
@@ -161,7 +160,7 @@ class Realization:
 
     algebra: ModularSuperAlgebra
     der: np.ndarray
-    powers: list[sp.csr_matrix] = field(repr=False)
+    powers: list[sparse.Coo] = field(repr=False)
     element: Optional[np.ndarray] = None
 
     @property
@@ -195,12 +194,10 @@ def realize_derivation(alg: ModularSuperAlgebra, der) -> Realization:
     eye = np.eye(alg.dim, dtype=np.int64)
     moved = der.T  # row i is D b_i
     # row i*dim+j: D[b_i, b_j] - [D b_i, b_j] - [b_i, D b_j]
-    leibniz = alg.brackets(eye, eye) @ sp.csr_matrix(moved)
-    leibniz = leibniz - alg.brackets(moved, eye) - alg.brackets(eye, moved)
-    leibniz.data %= alg.p
-    leibniz.eliminate_zeros()
+    leibniz = sparse.combine([(1, sparse.product(alg.brackets(eye, eye), sparse.from_dense(moved), alg.p)),
+                              (-1, alg.brackets(moved, eye)), (-1, alg.brackets(eye, moved))], alg.p)
     if leibniz.nnz:
-        i = int(np.flatnonzero(np.diff(leibniz.indptr))[0]) // alg.dim
+        i = int(leibniz.row[0]) // alg.dim
         raise ValueError(f"matrix is not a derivation (fails at basis vector {i})")
     return _realization(alg, der, None)
 
@@ -229,8 +226,8 @@ class JordanChain:
 
 
 def _arrays(m) -> list[np.ndarray]:
-    """The arrays holding the entries of a dense, CSR or CSC matrix, and the arrays they view."""
-    out = [m.data, m.indices, m.indptr] if getattr(m, "format", None) in ("csr", "csc") else [np.asarray(m)]
+    """The arrays holding the entries of a dense or sparse matrix, and the arrays they view."""
+    out = [m.row, m.col, m.data] if isinstance(m, sparse.Coo) else [np.asarray(m)]
     for a in out:  # each view's base joins the list
         if isinstance(a.base, np.ndarray):
             out.append(a.base)
@@ -273,11 +270,11 @@ class ChainDecomposition:
         seen = (self.p, self.dim, der, *(chain.vectors for chain in self.chains))
         if (len(seen) != len(self._validated) or any(a is not b for a, b in zip(seen, self._validated))
                 or any(a.flags.writeable for m in seen[2:] for a in _arrays(m))):
-            self._check(der if sp.issparse(der) else sp.csr_matrix(der))
+            self._check(der if isinstance(der, sparse.Coo) else sparse.from_dense(der))
             _freeze(*(chain.vectors for chain in self.chains))
             self._validated = seen
 
-    def _check(self, der: sp.spmatrix):
+    def _check(self, der: sparse.Coo):
         """D maps every chain vector to the next one and the tail to zero,
         checked for all vectors in one product; the vectors form a basis,
         checked one block of the basis matrix at a time."""
@@ -294,7 +291,7 @@ class ChainDecomposition:
         shifted = np.zeros_like(vectors)
         shifted[:-1] = vectors[1:]
         shifted[tails] = 0  # D kills the tail
-        images = (der @ vectors.T).T % self.p
+        images = der.dot(vectors.T).T % self.p
         wrong = np.flatnonzero((images != shifted).any(axis=1))
         if wrong.size and wrong[0] in tails:
             raise ValueError("chain does not terminate")
@@ -303,7 +300,7 @@ class ChainDecomposition:
         # the rank of the basis is the sum of the ranks of the blocks of its
         # own row/column graph, whatever the chains are
         col, row = np.nonzero(vectors)
-        graph = sp.coo_matrix((np.ones(len(row)), (row, self.dim + col)), shape=(2 * self.dim,) * 2)
+        graph = sparse.from_entries(row, self.dim + col, np.ones(len(row)), (2 * self.dim,) * 2)
         blocks = fp.components(graph)
         _, pivots = fp.rref_batch(fp.block_stack([vectors.T], blocks[: self.dim], blocks[self.dim :]), self.p)
         if np.count_nonzero(pivots >= 0) != self.dim:
@@ -315,7 +312,7 @@ def block_counts(decomp: ChainDecomposition) -> tuple[int, ...]:
     return decomp.counts()
 
 
-def _power_blocks(powers: list[sp.csr_matrix]) -> tuple[np.ndarray, np.ndarray]:
+def _power_blocks(powers: list[sparse.Coo]) -> tuple[np.ndarray, np.ndarray]:
     """The D-stable blocks of the powers [I, D, D^2, ...]: the components of
     the graph of D + D^T, in which every power is block diagonal.  Returns
     the block of each coordinate and the stack of the diagonal blocks of
@@ -324,7 +321,7 @@ def _power_blocks(powers: list[sp.csr_matrix]) -> tuple[np.ndarray, np.ndarray]:
     return blocks, fp.block_stack(powers[1:], blocks, blocks)
 
 
-def rank_count_vector(powers: list[sp.csr_matrix], p: int) -> tuple[int, ...]:
+def rank_count_vector(powers: list[sparse.Coo], p: int) -> tuple[int, ...]:
     """Block counts straight from the ranks r_l of the powers [I, D, ..., D^p]
     of a derivation with D^p = 0 (so r_{p+1} = 0): n_l = r_{l-1} - 2 r_l + r_{l+1},
     each rank the sum of the ranks of the D-stable blocks."""
@@ -334,14 +331,14 @@ def rank_count_vector(powers: list[sp.csr_matrix], p: int) -> tuple[int, ...]:
     return tuple(ranks[l - 1] - 2 * ranks[l] + ranks[l + 1] for l in range(1, p + 1))
 
 
-def _orbits(powers: list[sp.csr_matrix], heads, length: int, p: int) -> np.ndarray:
+def _orbits(powers: list[sparse.Coo], heads, length: int, p: int) -> np.ndarray:
     """The chains of one length headed by the rows of heads, all at once:
     entry [a, t] is D^t heads[a]."""
     heads = np.asarray(heads, dtype=np.int64).reshape(-1, powers[0].shape[0]).T
-    return np.stack([(powers[t] @ heads).T % p for t in range(length)], axis=1)
+    return np.stack([powers[t].dot(heads).T % p for t in range(length)], axis=1)
 
 
-def _chains_of(powers: list[sp.csr_matrix], p: int) -> list[JordanChain]:
+def _chains_of(powers: list[sparse.Coo], p: int) -> list[JordanChain]:
     """Deterministic chain extraction: for lengths l = p down to 1, heads are
     a complement of (ker D^{l-1} + im D) inside ker D^l, picked by echelon order.
 
@@ -362,8 +359,7 @@ def _chains_of(powers: list[sp.csr_matrix], p: int) -> list[JordanChain]:
     dim = powers[0].shape[0]
     if dim == 0:
         return []
-    beyond = powers[-1] @ powers[1]  # D^{p+1}, zero when D^p = 0
-    beyond.data %= p
+    beyond = sparse.product(powers[-1], powers[1], p)  # D^{p+1}, zero when D^p = 0
     blocks, stack = _power_blocks([*powers, beyond])
     coords = fp.block_table(blocks)
     count, size = coords.shape
@@ -474,7 +470,8 @@ def structured_decompose(realization: Realization, subset) -> ChainDecomposition
     if der[np.ix_(outside, rest_idx)].any():
         raise AssertionError("complement is not D-stable")
     # the complement is D-stable, so the powers of D on it are the rest x rest blocks of D^k
-    for chain in _chains_of([power[rest_idx][:, rest_idx] for power in powers], alg.p):
+    rest = np.ix_(rest_idx, rest_idx)
+    for chain in _chains_of([sparse.from_dense(power.toarray()[rest]) for power in powers], alg.p):
         vectors = np.zeros((chain.length, alg.dim), dtype=np.int64)
         vectors[:, rest_idx] = chain.vectors
         chains.append(JordanChain(vectors))

@@ -13,9 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
-from . import fp
+from . import fp, sparse
 from .errors import JacobiViolation, MissingTags
 from .repalpha import ChainDecomposition, JordanChain, Realization
 from .superalgebra import (
@@ -23,7 +22,6 @@ from .superalgebra import (
     Report,
     check_super_jacobi,
     check_super_skew,
-    constants_from_products,
     make_constants,
 )
 
@@ -132,27 +130,24 @@ def semisimplify(realization: Realization, decomp: ChainDecomposition) -> Semisi
     # head coefficients: coords[k] @ v is the coordinate of v at the head of survivor k
     coords = fp.inverse(decomp.basis_matrix(), p)[[offsets[c] for c in survivors]]
     heads = np.array([decomp.chains[c].head for c in survivors], dtype=np.int64).reshape(m, alg.dim)
-    coords_t = sp.csr_matrix(coords.T)
-    values = (alg.brackets(heads, heads) @ coords_t).tocoo()  # row a*m+b: [head_a, head_b], column k
-    a, b = np.divmod(values.row.astype(np.int64), m)
-    cols, data = values.col.astype(np.int64), values.data
+    coords_t = sparse.from_dense(coords.T)
+    values = sparse.product(alg.brackets(heads, heads), coords_t, p)  # row a*m+b: [head_a, head_b], column k
+    a, b = np.divmod(values.row, m)
+    cols, data = values.col, values.data
     if odd:
         # odd-odd rows: the splitting vector sum_t (-1)^t [v_a^(t-1), v_b^(p-t-1)]
         layers = [np.array([decomp.chains[c].vectors[s] for c in odd], dtype=np.int64) for s in range(p - 1)]
-        split = sum((-1) ** t * alg.brackets(layers[t - 1], layers[p - t - 1]) for t in range(1, p))
-        split.data %= p
-        split = (split @ coords_t).tocoo()
-        sa, sb = np.divmod(split.row.astype(np.int64), len(odd))
+        split = sparse.combine([((-1) ** t, alg.brackets(layers[t - 1], layers[p - t - 1])) for t in range(1, p)], p)
+        split = sparse.product(split, coords_t, p)
+        sa, sb = np.divmod(split.row, len(odd))
         keep = (parity[a] == 0) | (parity[b] == 0)
         a, b = np.concatenate([a[keep], sa + len(even)]), np.concatenate([b[keep], sb + len(even)])
-        cols = np.concatenate([cols[keep], split.col.astype(np.int64)])
+        cols = np.concatenate([cols[keep], split.col])
         data = np.concatenate([data[keep], split.data])
     # keep the component whose parity is |a| + |b|
     keep = (parity[a] ^ parity[b]) == parity[cols]
-    values = sp.csr_matrix(((data % p)[keep], (a[keep] * m + b[keep], cols[keep])), shape=(m * m, m))
-    values.sort_indices()  # row-major entries, as the constants dict is built in that order
-    out = ModularSuperAlgebra(p=p, dim=m, parity=parity, constants=constants_from_products(values, m, p),
-                              labels=[_chain_labels(decomp, c) for c in survivors])
+    values = sparse.from_entries(a[keep] * m + b[keep], cols[keep], data[keep], (m * m, m))
+    out = ModularSuperAlgebra.from_products(values, p, parity, [_chain_labels(decomp, c) for c in survivors])
     skew = check_super_skew(out)
     if not skew.ok:
         raise JacobiViolation(f"projected bracket is not super skew at {skew.witness}")
@@ -184,22 +179,27 @@ def prop32_reference(realization: Realization, decomp: ChainDecomposition) -> Mo
     order = even + odd
     # row k: the coefficient of x_k, which sits at its chain's head
     coords = fp.inverse(decomp.basis_matrix(), p)[[offsets[c] for c in order]]
-    # sparse columns: the heads x_b of all survivors, the tails x_b' of the odd ones
-    xmat, xpmat = (sp.csc_matrix(np.array([decomp.chains[c].vectors[t] for c in chains], dtype=np.int64)
-                                 .reshape(-1, alg.dim).T) for t, chains in ((0, order), (1, odd)))
+    # columns: the heads x_b of all survivors, the tails x_b' of the odd ones
+    xmat, xpmat = (np.array([decomp.chains[c].vectors[t] for c in chains], dtype=np.int64).reshape(-1, alg.dim).T
+                   for t, chains in ((0, order), (1, odd)))
     entries = []
+
+    def coefficients(images):
+        """[b, k]: the coefficient of x_k in column b of images."""
+        return sparse.from_dense(images.T % p).dot(coords.T) % p
+
     for a, ca in enumerate(order):
-        ad_xa = sp.csr_matrix(alg.ad(decomp.chains[ca].vectors[0]))
-        plain = coords @ (ad_xa @ xmat) % p  # [k, b]: coefficient of x_k in [x_a, x_b]
+        ad_xa = sparse.from_dense(alg.ad(decomp.chains[ca].vectors[0]))
+        plain = coefficients(ad_xa.dot(xmat))  # [b, k]: coefficient of x_k in [x_a, x_b]
         out = np.zeros((n1 + n2, n1 + n2), dtype=np.int64)  # [b, k]: coefficient of y_k in [y_a, y_b]
         if a < n1:
-            out[:n1, :n1] = plain[:n1, :n1].T  # both even: on the even targets
-            out[n1:, n1:] = plain[n1:, n1:].T  # mixed: on the odd targets
+            out[:n1, :n1] = plain[:n1, :n1]  # both even: on the even targets
+            out[n1:, n1:] = plain[n1:, n1:]  # mixed: on the odd targets
         else:
-            out[:n1, n1:] = plain[n1:, :n1].T  # mixed: on the odd targets
+            out[:n1, n1:] = plain[:n1, n1:]  # mixed: on the odd targets
             # both odd: coefficient of x_k in -[x_a, x_b'] + [x_a', x_b], even targets
-            ad_xpa = sp.csr_matrix(alg.ad(decomp.chains[ca].vectors[1]))
-            out[n1:, :n1] = (coords[:n1] @ (ad_xpa @ xmat[:, n1:] - ad_xa @ xpmat) % p).T
+            ad_xpa = sparse.from_dense(alg.ad(decomp.chains[ca].vectors[1]))
+            out[n1:, :n1] = coefficients(ad_xpa.dot(xmat[:, n1:]) - ad_xa.dot(xpmat))[:, :n1]
         b, k = np.nonzero(out)
         entries += zip([a] * len(b), b.tolist(), k.tolist(), out[b, k].tolist())
     parity = np.array([0] * n1 + [1] * n2, dtype=np.int64)

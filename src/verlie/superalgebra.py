@@ -14,9 +14,8 @@ from itertools import combinations
 from typing import Iterable, Mapping
 
 import numpy as np
-import scipy.sparse as sp
 
-from . import fp
+from . import fp, sparse
 from .errors import MissingTags, NotAnIdeal, NotParityHomogeneous
 
 Constants = dict[tuple[int, int], dict[int, int]]
@@ -31,7 +30,7 @@ class ModularSuperAlgebra:
     labels: list[str] | None = None
     gens: dict[str, np.ndarray] | None = None  # generator name -> coordinate vector
     origin: object | None = None  # construction-time metadata, not serialized
-    _adl: sp.csr_matrix | None = field(default=None, repr=False, compare=False)
+    _adl: tuple | None = field(default=None, repr=False, compare=False)  # (constants, their tensor)
 
     def __post_init__(self):
         fp.check_modulus(self.p, self.dim)
@@ -55,42 +54,51 @@ class ModularSuperAlgebra:
             and all(np.array_equal(vec, other_gens[name]) for name, vec in gens.items())
         )
 
+    @classmethod
+    def from_products(cls, products: sparse.Coo, p: int, parity, labels=None) -> "ModularSuperAlgebra":
+        """The algebra whose bracket [b_a, b_b] is row a*dim+b of the reduced
+        sparse `products`, its constants and its tensor read off the same
+        sorted entries."""
+        n = len(parity)
+        alg = cls(p=p, dim=n, parity=parity, constants=constants_from_products(products, n), labels=labels)
+        a, b = np.divmod(products.row, n)
+        alg._adl = (alg.constants, sparse.from_entries(a, products.col * n + b, products.data, (n, n * n)))
+        return alg
+
     # -- bracket machinery ------------------------------------------------
 
-    def _ad_tensor(self) -> sp.csr_matrix:
-        """Cached CSR L[i, k*dim+j] = C(i,j,k): row i is ad(b_i), flattened."""
-        if self._adl is None:
-            d = self.dim
-            i, j, k, c = _tensor_coo(self.constants)
-            self._adl = sp.csr_matrix((c, (i, k * d + j)), shape=(d, d * d), dtype=np.int64)
-        return self._adl
+    def _ad_tensor(self) -> sparse.Coo:
+        """The structure constants as one sorted COO, L[i, k*dim+j] = C(i,j,k)
+        (row i is ad(b_i), flattened), built once per `constants` object:
+        the constants are replaced, never changed in place."""
+        if self._adl is None or self._adl[0] is not self.constants:
+            self._adl = (self.constants, tensor_coo(self.constants, self.dim, self.p))
+        return self._adl[1]
 
     def ad(self, v) -> np.ndarray:
         """Dense matrix of x -> [v, x]."""
-        v = fp.normalize(v, self.p)
-        flat = sp.csr_matrix(v.reshape(1, -1)) @ self._ad_tensor()
-        return np.asarray(flat.todense(), dtype=np.int64).reshape(self.dim, self.dim) % self.p
+        row = sparse.from_dense(fp.normalize(v, self.p).reshape(1, -1))
+        return sparse.product(row, self._ad_tensor(), self.p).toarray().reshape(self.dim, self.dim)
 
-    def brackets(self, u, v) -> sp.csr_matrix:
+    def brackets(self, u, v) -> sparse.Coo:
         """All brackets of the rows of u with the rows of v: a sparse
         (len(u)*len(v), dim) matrix whose row a*len(v)+b is [u_a, v_b].
 
-        Two sparse products: u @ L, read with rows (a, k) and columns j, then
-        @ v.T.  Reducing mod p in between keeps each sum below dim*(p-1)^2,
-        the bound fp.check_modulus enforces.  u and v may be dense or sparse
-        (sparse rows are taken as already reduced).
+        Two sparse products: u @ L gives [u_a, b_j]_k at row a, column
+        k*dim+j, and [u_a, v_b]_k sums it against v's coordinates j.
+        Reducing mod p in between keeps each sum below dim*(p-1)^2, the bound
+        fp.check_modulus enforces.  u and v may be dense or sparse (sparse
+        rows are taken as already reduced).
         """
         d, p = self.dim, self.p
-        u, v = (x.tocsr() if sp.issparse(x) else sp.csr_matrix(fp.normalize(x, p)) for x in (u, v))
-        m, n = u.shape[0], v.shape[0]
-        left = (u @ self._ad_tensor()).tocoo()
-        row, col = left.row.astype(np.int64), left.col.astype(np.int64)
-        left = sp.csr_matrix((left.data % p, (row * d + col // d, col % d)), shape=(m * d, d))
-        out = (left @ v.T).tocoo()
-        a, k = np.divmod(out.row.astype(np.int64), d)
-        res = sp.csr_matrix((out.data % p, (a * n + out.col, k)), shape=(m * n, d))
-        res.eliminate_zeros()
-        return res
+        u, v = (x if isinstance(x, sparse.Coo) else sparse.from_dense(fp.normalize(x, p)) for x in (u, v))
+        n = v.shape[0]
+        left = sparse.product(u, self._ad_tensor(), p)
+        k, j = np.divmod(left.col, d)
+        vt = v.transpose()  # row j: the coordinates v_bj
+        keys, vals = sparse.contract(left.row, j, left.data, vt,
+                                     lambda s, t: (left.row[s] * n + vt.col[t]) * d + k[s], p)
+        return sparse.from_keys(keys, vals, (u.shape[0] * n, d))
 
     def bracket(self, u, v) -> np.ndarray:
         u = fp.normalize(u, self.p)
@@ -152,11 +160,6 @@ class ModularSuperAlgebra:
         return cls(p=p, dim=dim, parity=parity, constants=make_constants(entries, p), labels=data.get("labels"))
 
 
-def _dense_rows(m: sp.csr_matrix) -> np.ndarray:
-    """The nonzero rows of a sparse matrix, densified."""
-    return m[np.diff(m.indptr) > 0].toarray()
-
-
 def make_constants(entries: Iterable[tuple[int, int, int, int]], p: int) -> Constants:
     """Assemble a constants dict from (i, j, k, c) quadruples, accumulating
     repeated triples and dropping zeros."""
@@ -172,17 +175,31 @@ def make_constants(entries: Iterable[tuple[int, int, int, int]], p: int) -> Cons
     return out
 
 
-def constants_from_products(products, n: int, p: int) -> Constants:
-    """Constants from a (sparse or dense) matrix whose row a*n+b holds [b_a, b_b]."""
-    coo = sp.coo_matrix(products)
-    a, b = np.divmod(coo.row.astype(np.int64), n)
-    return make_constants(zip(a.tolist(), b.tolist(), coo.col.tolist(), coo.data.tolist()), p)
+def constants_from_products(products: sparse.Coo, n: int) -> Constants:
+    """Constants from a reduced sparse matrix whose row a*n+b holds [b_a, b_b]:
+    one key per nonzero row, in row order, its components in column order
+    (the dict make_constants builds from the entries in that order)."""
+    cols, vals = products.col.tolist(), products.data.tolist()
+    starts = np.flatnonzero(np.diff(products.row, prepend=-1))
+    a, b = np.divmod(products.row[starts], n)
+    bounds = [*starts.tolist(), len(cols)]
+    return {key: dict(zip(cols[lo:hi], vals[lo:hi]))
+            for key, lo, hi in zip(zip(a.tolist(), b.tolist()), bounds, bounds[1:])}
 
 
-def _tensor_coo(constants: Constants) -> np.ndarray:
-    """The tensor as COO rows (i, j, k, c), one column per C(i,j,k) = c."""
-    quads = [(i, j, k, c) for (i, j), comps in constants.items() for k, c in comps.items()]
-    return np.array(quads, dtype=np.int64).reshape(-1, 4).T
+def tensor_coo(constants: Constants, dim: int, p: int | None) -> sparse.Coo:
+    """The tensor as a (dim, dim*dim) sparse matrix L[i, k*dim+j] = C(i,j,k),
+    reduced mod p (exact over Z if p is None)."""
+    entries = [(i, k * dim + j, c) for (i, j), comps in constants.items() for k, c in comps.items()]
+    return sparse.from_entries(*np.array(entries, dtype=np.int64).reshape(-1, 3).T, (dim, dim * dim), p)
+
+
+def _tensor(constants, dim: int, p: int | None) -> tuple[sparse.Coo, np.ndarray, np.ndarray]:
+    """The tensor of a constants dict, or an algebra's tensor as it is, with
+    the j and k of each entry."""
+    t = constants if isinstance(constants, sparse.Coo) else tensor_coo(constants, dim, p)
+    k, j = np.divmod(t.col, dim)
+    return t, j, k
 
 
 def superdim(alg: ModularSuperAlgebra) -> tuple[int, int]:
@@ -207,14 +224,8 @@ class Report:
 
 def _first_key(keys: np.ndarray, vals: np.ndarray, p: int | None) -> int | None:
     """Smallest key whose values sum to nonzero (mod p; over Z if p is None)."""
-    order = np.argsort(keys)
-    keys = keys[order]
-    starts = np.flatnonzero(np.diff(keys, prepend=-1))
-    sums = np.add.reduceat(vals[order], starts)
-    if p is not None:
-        sums %= p
-    bad = np.flatnonzero(sums)
-    return int(keys[starts[bad[0]]]) if bad.size else None
+    keys, _ = sparse.sum_by_key(keys, vals, p)
+    return int(keys[0]) if len(keys) else None
 
 
 def skew_witness(constants: Constants, parity, dim: int, p: int | None):
@@ -224,12 +235,13 @@ def skew_witness(constants: Constants, parity, dim: int, p: int | None):
     Each entry C(i,j,k) = c adds c at key (i,j,k) and (-1)^{|i||j|} c at its
     mirror key (j,i,k); the keys are summed exactly in int64.  The failures
     at (i,j,k) and (j,i,k) come together, so the smallest has i <= j.
-    p=None checks over Z.
+    `constants` is a dict or the algebra's tensor; p=None checks over Z.
     """
-    if dim == 0 or not constants:
+    t, j, k = _tensor(constants, dim, p)
+    if not t.nnz:
         return None
     par = np.asarray(parity, dtype=np.int64)
-    i, j, k, c = _tensor_coo(constants)
+    i, c = t.row, t.data
     keys = np.concatenate([(i * dim + j) * dim + k, (j * dim + i) * dim + k])
     vals = np.concatenate([c, (1 - 2 * par[i] * par[j]) * c])
     key = _first_key(keys, vals, p)
@@ -242,14 +254,14 @@ def skew_witness(constants: Constants, parity, dim: int, p: int | None):
 def check_super_skew(alg: ModularSuperAlgebra) -> Report:
     """C(i,j,k) = -(-1)^{|i||j|} C(j,i,k) for all triples; a failure's
     witness is the smallest failing (i, j, k) with i <= j."""
-    witness = skew_witness(alg.constants, alg.parity, alg.dim, alg.p)
+    witness = skew_witness(alg._ad_tensor(), alg.parity, alg.dim, alg.p)
     if witness is None:
         return Report("super_skew", True)
     i, j, k = witness
     return Report("super_skew", False, {"i": i, "j": j, "k": k})
 
 
-_JACOBI_BLOCK = 16  # values of x per sparse product in jacobi_witness
+_JACOBI_BLOCK = 16  # values of x expanded at once in jacobi_witness
 
 
 def jacobi_witness(constants: Constants, parity, dim: int, p: int | None):
@@ -257,37 +269,34 @@ def jacobi_witness(constants: Constants, parity, dim: int, p: int | None):
     identity fails, or None.
 
     Checks J(i,j,k) = (-1)^{|i||k|}[[b_i,b_j],b_k] + (-1)^{|j||i|}[[b_j,b_k],b_i]
-    + (-1)^{|k||j|}[[b_k,b_i],b_j] = 0 for every ordered triple.  Every term
-    is an entry P[(x,y),(z,l)] = [[b_x,b_y],b_z]_l of the sparse product
-    C1 @ C2 with sign (-1)^{|x||z|}, where (x,y,z) is a rotation of (i,j,k).
-    Rotating (i,j,k) permutes the three terms and keeps each one's sign, so
-    J is the same at all three rotations, and the smallest failing triple is
-    its own smallest rotation.  Each entry of P is therefore added once, to
-    the key of the smallest rotation of (x,y,z); an entry with x = y = z is
-    all three terms of J(x,x,x) and counts three times.  So a key still sums
-    at most three products.  P is formed one block of x values at a time,
-    and the keys are summed exactly in int64 after the last block, since the
-    entries of one key may come from three blocks.  This holds for any
-    constants, skew or not.  p=None checks over Z.
+    + (-1)^{|k||j|}[[b_k,b_i],b_j] = 0 for every ordered triple.  Each term
+    [[b_x,b_y],b_z]_l is a sum of products C(x,y,w) C(w,z,l), taken with the
+    sign (-1)^{|x||z|}, where (x,y,z) is a rotation of (i,j,k).  Rotating
+    (i,j,k) permutes the three terms and keeps each one's sign, so J is the
+    same at all three rotations, and the smallest failing triple is its own
+    smallest rotation.  Each product is therefore added once, to the key of
+    the smallest rotation of (x,y,z); a product with x = y = z is in all
+    three terms of J(x,x,x) and counts three times.  So a key sums at most
+    3*dim products.  The products are formed one block of x values at a
+    time, and the keys are summed exactly in int64 after the last block,
+    since the products of one key may come from three blocks.  This holds
+    for any constants, skew or not.  `constants` is a dict or the algebra's
+    tensor; p=None checks over Z.
     """
-    if dim == 0 or not constants:
+    d = dim
+    t, j, k = _tensor(constants, d, p)  # entries sorted by i = t.row
+    if not t.nnz:
         return None
     par = np.asarray(parity, dtype=np.int64)
-    d = dim
-    # c1[(i*d+j), k] = c2[i, (j*d+k)] = C(i,j,k)
-    ci, cj, ck, cv = _tensor_coo(constants)
-    c1 = sp.csr_matrix((cv, (ci * d + cj, ck)), shape=(d * d, d), dtype=np.int64)
-    c2 = sp.csr_matrix((cv, (ci, cj * d + ck)), shape=(d, d * d), dtype=np.int64)
+    bounds = np.searchsorted(t.row, [*range(0, d, _JACOBI_BLOCK), d])
     keys, vals = [], []
-    for start in range(0, d, _JACOBI_BLOCK):
-        lo = start * d
-        t = (c1[lo : min(start + _JACOBI_BLOCK, d) * d] @ c2).tocoo()
-        xy = lo + t.row.astype(np.int64)
-        x, y = np.divmod(xy, d)
-        z, l = np.divmod(t.col.astype(np.int64), d)
-        rotation = np.minimum(np.minimum(xy * d + z, (y * d + z) * d + x), (z * d + x) * d + y)
+    for lo, hi in zip(bounds, bounds[1:]):
+        s, u = sparse.pairs(t, k[lo:hi])  # C(x,y,w) at entry lo+s, C(w,z,l) at entry u
+        s += lo
+        x, y, z, l = t.row[s], j[s], j[u], k[u]
+        rotation = np.minimum(np.minimum((x * d + y) * d + z, (y * d + z) * d + x), (z * d + x) * d + y)
         keys.append(rotation * d + l)
-        vals.append((1 - 2 * par[x] * par[z]) * np.where((x == y) & (y == z), 3, 1) * t.data)
+        vals.append((1 - 2 * par[x] * par[z]) * np.where((x == y) & (y == z), 3, 1) * t.data[s] * t.data[u])
     key = _first_key(np.concatenate(keys), np.concatenate(vals), p)
     if key is None:
         return None
@@ -297,7 +306,7 @@ def jacobi_witness(constants: Constants, parity, dim: int, p: int | None):
 
 
 def check_super_jacobi(alg: ModularSuperAlgebra) -> Report:
-    witness = jacobi_witness(alg.constants, alg.parity, alg.dim, alg.p)
+    witness = jacobi_witness(alg._ad_tensor(), alg.parity, alg.dim, alg.p)
     if witness is None:
         return Report("super_jacobi", True)
     i, j, k, _ = witness
@@ -319,21 +328,20 @@ def odd_cube_generators(alg: ModularSuperAlgebra):
         return []
     basis = np.eye(alg.dim, dtype=np.int64)[odd]
     q = alg.brackets(basis, alg.brackets(basis, basis))
+    p = alg.p
 
     def at(a, b, c):
-        return q[(a * no + b) * no + c]
+        return q.take_rows((a * no + b) * no + c)
 
     ar = np.arange(no)
     sa, sb = (x.ravel() for x in np.meshgrid(ar, ar, indexing="ij"))
     sa, sb = sa[sa != sb], sb[sa != sb]
     ta, tb, tc = np.array(list(combinations(range(no), 3)), dtype=np.int64).reshape(-1, 3).T
-    pieces = sp.vstack([
+    pieces = sparse.vstack([
         at(ar, ar, ar),  # q(b_a) = [b_a, [b_a, b_a]]
-        2 * at(sa, sa, sb) + at(sb, sa, sa),  # A_ab = 2[b_a, W_ab] + [b_b, W_aa], a != b
-        2 * (at(ta, tb, tc) + at(tb, ta, tc) + at(tc, ta, tb)),  # B_abc, a < b < c
-    ]).tocsr()
-    pieces.data %= alg.p
-    pieces.eliminate_zeros()
+        sparse.combine([(2, at(sa, sa, sb)), (1, at(sb, sa, sa))], p),  # A_ab = 2[b_a, W_ab] + [b_b, W_aa], a != b
+        sparse.combine([(2, at(ta, tb, tc)), (2, at(tb, ta, tc)), (2, at(tc, ta, tb))], p),  # B_abc, a < b < c
+    ])
     groups = [("cube", [ar]), ("square", [sa, sb]), ("triple", [ta, tb, tc])]
 
     def label(r):
@@ -342,8 +350,7 @@ def odd_cube_generators(alg: ModularSuperAlgebra):
                 return {"kind": kind, "nodes": [int(odd[n[r]]) for n in nodes]}
             r -= len(nodes[0])
 
-    hit = np.flatnonzero(np.diff(pieces.indptr))
-    return [(vec, label(r)) for r, vec in zip(hit, pieces[hit].toarray())]
+    return [(vec, label(r)) for r, vec in zip(np.unique(pieces.row), pieces.nonzero_rows())]
 
 
 def odd_cube_values_literal(alg: ModularSuperAlgebra):
@@ -496,7 +503,7 @@ def derived_subalgebra(alg: ModularSuperAlgebra) -> Subspace:
     eye = np.eye(alg.dim, dtype=np.int64)
     sub = Subspace.zero(alg.dim, alg.p)
     for start in range(0, alg.dim, 16):
-        sub = sub.extended(_dense_rows(alg.brackets(eye[start : start + 16], eye)))
+        sub = sub.extended(alg.brackets(eye[start : start + 16], eye).nonzero_rows())
         if sub.dim == alg.dim:
             break
     return sub
@@ -509,15 +516,15 @@ def closure(sub: Subspace, images) -> Subspace:
     round; images returns a sparse matrix whose rows join the span."""
     frontier = sub.rows
     while len(frontier) and sub.dim < sub.ambient:
-        sub, frontier = _absorb(sub, _dense_rows(images(frontier, sub)))
+        sub, frontier = _absorb(sub, images(frontier, sub).nonzero_rows())
     return sub
 
 
-def _both_orders(alg: ModularSuperAlgebra, u, v) -> sp.csr_matrix:
+def _both_orders(alg: ModularSuperAlgebra, u, v) -> sparse.Coo:
     """[u, v], and [v, u] only if a row of u or v mixes parities: on a super
     skew algebra [y, x] = -(-1)^{|x||y|} [x, y] for homogeneous x and y."""
     mixed = any((m[:, alg.parity == 0].any(axis=1) & m[:, alg.parity == 1].any(axis=1)).any() for m in (u, v))
-    return sp.vstack([alg.brackets(u, v), alg.brackets(v, u)]) if mixed else alg.brackets(u, v)
+    return sparse.vstack([alg.brackets(u, v), alg.brackets(v, u)]) if mixed else alg.brackets(u, v)
 
 
 def generated_subalgebra(alg: ModularSuperAlgebra, vectors) -> Subspace:
@@ -557,17 +564,11 @@ def subalgebra_on(alg: ModularSuperAlgebra, sub: Subspace) -> tuple[ModularSuper
     parity = np.array([0] * len(ev_mat) + [1] * len(od_mat), dtype=np.int64)
     n = len(rows)
     products = alg.brackets(rows, rows)  # row a*n+b = [rows[a], rows[b]]
-    coeffs = products[:, pivots]
-    escaped = products - coeffs @ sp.csr_matrix(rows)
-    if (escaped.data % alg.p).any():
+    pick = sparse.from_dense(np.eye(alg.dim, dtype=np.int64)[:, pivots])
+    coeffs = sparse.product(products, pick, alg.p)  # the coordinates at the pivots
+    if sparse.product(coeffs, sparse.from_dense(rows), alg.p) != products:
         raise ValueError("subspace is not bracket-closed")
-    new = ModularSuperAlgebra(
-        p=alg.p,
-        dim=n,
-        parity=parity,
-        constants=constants_from_products(coeffs, n, alg.p),
-        labels=[f"sub[{i}]" for i in range(n)],
-    )
+    new = ModularSuperAlgebra.from_products(coeffs, alg.p, parity, [f"sub[{i}]" for i in range(n)])
     return new, rows
 
 
@@ -587,20 +588,18 @@ def quotient(alg: ModularSuperAlgebra, ideal: Subspace) -> QuotientAlgebra:
     the standard basis vectors at non-pivot coordinates."""
     _parity_split(alg, ideal)  # raises NotParityHomogeneous
     eye = np.eye(alg.dim, dtype=np.int64)
-    if ideal.reduce_rows(_dense_rows(alg.brackets(ideal.rows, eye))).any():
+    if ideal.reduce_rows(alg.brackets(ideal.rows, eye).nonzero_rows()).any():
         raise NotAnIdeal("[ideal, g] escapes the ideal")
-    if ideal.reduce_rows(_dense_rows(alg.brackets(eye, ideal.rows))).any():
+    if ideal.reduce_rows(alg.brackets(eye, ideal.rows).nonzero_rows()).any():
         raise NotAnIdeal("[g, ideal] escapes the ideal")
     keep = [c for c in range(alg.dim) if c not in set(ideal.pivots)]
     qdim = len(keep)
     proj = ideal.reduce_rows(eye).T[keep] % alg.p
     # row a*qdim+b: the projection of [b_keep[a], b_keep[b]]
-    images = alg.brackets(eye[keep], eye[keep]) @ sp.csr_matrix(proj.T)
-    images.data %= alg.p
+    images = sparse.product(alg.brackets(eye[keep], eye[keep]), sparse.from_dense(proj.T), alg.p)
     parity = alg.parity[keep]
     labels = [alg.labels[c] if alg.labels else f"q[{c}]" for c in keep]
-    quot = ModularSuperAlgebra(p=alg.p, dim=qdim, parity=parity,
-                               constants=constants_from_products(images, qdim, alg.p), labels=labels)
+    quot = ModularSuperAlgebra.from_products(images, alg.p, parity, labels)
     return QuotientAlgebra(parent=alg, ideal=ideal, quotient=quot, projection=proj)
 
 

@@ -15,9 +15,8 @@ from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
-import scipy.sparse as sp
 
-from . import fp
+from . import fp, sparse
 from .errors import MissingTags, NotDiagonalizable, UnrecognizedType
 from .roots import GCM, attached_node, catalog_gcm, derive_tilde, positive_roots, validate_gcm
 from .semisimplify import SemisimplifiedAlgebra
@@ -478,8 +477,9 @@ def odd_part_irreducible(alg: ModularSuperAlgebra, split: WeightSplit) -> Irredu
     n, odd_idx = len(odd), np.flatnonzero(alg.parity == 1)
     vecs = np.vstack([rows for _, rows in odd])
     even = np.eye(alg.dim, dtype=np.int64)[alg.parity == 0]
-    images = alg.brackets(even, vecs)[:, odd_idx]  # row a*n + b = [even_a, v_b]
-    coeffs = images @ fp.inverse(vecs[:, odd_idx], alg.p) % alg.p  # over the weight vectors
+    to_weights = np.zeros((alg.dim, n), dtype=np.int64)  # odd coordinates -> coefficients over the weight vectors
+    to_weights[odd_idx] = fp.inverse(vecs[:, odd_idx], alg.p)
+    coeffs = alg.brackets(even, vecs).dot(to_weights) % alg.p  # row a*n + b: [even_a, v_b]
     reach = coeffs.reshape(-1, n, n).any(axis=0) | np.eye(n, dtype=bool)
     while not np.array_equal(grown := reach @ reach, reach):  # transitive closure
         reach = grown
@@ -523,15 +523,17 @@ def _resolve_pairing(p: int, eigs: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.argmax(fits, axis=-1) - q
 
 
-def _multiples(p: int, products, vectors: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """c with row r of the sparse `products` equal to c[r] times row
+def _multiples(p: int, products: sparse.Coo, vectors: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """c with row r of the reduced `products` equal to c[r] times row
     targets[r] of `vectors` (zero where targets[r] is -1); NotDiagonalizable
     if a row is no such multiple.  Each row of `vectors` leads with a 1."""
     lead = np.argmax(vectors != 0, axis=1)
     t = np.maximum(targets, 0)
-    c = np.asarray(products[np.arange(len(t)), lead[t]]).ravel() * (targets >= 0)
-    rest = products - sp.diags(c, dtype=np.int64) @ sp.csr_matrix(vectors)[t]
-    if (rest.data % p).any():
+    at_lead = products.col == lead[t[products.row]]
+    c = np.zeros(len(t), dtype=np.int64)
+    c[products.row[at_lead]] = products.data[at_lead]
+    c *= targets >= 0
+    if sparse.from_dense(vectors).take_rows(t).scale_rows(c, p) != products:
         raise NotDiagonalizable("a bracket of weight vectors leaves its weight space")
     return c
 
@@ -574,11 +576,11 @@ def recognize_even_type(alg: ModularSuperAlgebra, split: WeightSplit) -> tuple[s
     umat = np.stack([weight_vec[lam] for lam in roots])
     ups = alg.brackets(umat, umat)  # row m*n + l = [u_m, u_l]
     opposite = np.arange(n) * n + neg
-    coroots = ups[opposite].toarray()
+    coroots = ups.take_rows(opposite).toarray()
     targets = np.array([index.get(tuple((x + y) % p for x, y in zip(mu, lam)), -1) for mu in roots for lam in roots])
     off = np.ones(n * n, dtype=np.int64)
     off[opposite] = 0
-    up = _multiples(p, sp.diags(off, dtype=np.int64) @ ups, umat, targets).reshape(n, n) != 0
+    up = _multiples(p, ups.scale_rows(off, p), umat, targets).reshape(n, n) != 0
     up[np.arange(n), neg] = True  # the coroots, nonzero as checked next
     scalars = _multiples(p, alg.brackets(coroots, umat), umat, np.tile(np.arange(n), n)).reshape(n, n)
     ratio = np.diag(scalars)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from sympy import GF
 from sympy.polys.matrices import DomainMatrix
 
-from verlie import fp
+from verlie import fp, sparse
 from verlie.errors import BadModulus, NotNilpotent
 
 
@@ -138,7 +138,8 @@ def test_powers_match_repeated_dense_products(p, n, k, density, seed):
     assert len(got) == k + 1
     expected = np.eye(n, dtype=np.int64)
     for power in got:
-        assert power.dtype == np.int64 and np.array_equal(power.toarray(), expected)
+        assert isinstance(power, sparse.Coo) and power.data.dtype == np.int64
+        assert np.array_equal(power.toarray(), expected)
         expected = expected @ m % p
 
 

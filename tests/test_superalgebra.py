@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import verlie as v
 from tests.test_fp import largest_accepted_prime
-from verlie import superalgebra
+from verlie import sparse, superalgebra
 from verlie.errors import BadModulus, NotAnIdeal, NotParityHomogeneous
 from verlie.superalgebra import (
     ModularSuperAlgebra,
@@ -28,7 +28,9 @@ from verlie.superalgebra import (
     quotient,
     skew_witness,
     superdim,
+    tensor_coo,
 )
+from verlie.table import TABLE, row_pipeline
 
 
 @pytest.fixture(scope="module")
@@ -406,6 +408,40 @@ def test_brackets_rows_match_single_brackets(name, p, m, n, density, seed):
 
     u, w = rows(m), rows(n)
     got = alg.brackets(u, w)
-    assert got.shape == (m * n, alg.dim)
+    assert isinstance(got, sparse.Coo) and got.shape == (m * n, alg.dim)
     expected = [alg.bracket(u[a], w[b]) for a in range(m) for b in range(n)]
     assert np.array_equal(got.toarray(), np.array(expected, dtype=np.int64).reshape(m * n, alg.dim))
+
+
+def entry_loop_constants(products, n: int, p: int):
+    """The constants make_constants builds entry by entry from the products
+    in row-major order: the construction the grouped one replaced."""
+    a, b = np.divmod(products.row, n)
+    return make_constants(zip(a.tolist(), b.tolist(), products.col.tolist(), products.data.tolist()), p)
+
+
+def ordered(constants):
+    return [(key, list(comps.items())) for key, comps in constants.items()]
+
+
+SMALL_SAMPLE = [("g2", 5, "e1"), ("f4", 7, "e1+e2"), ("a5", 3, "e2"), ("b4", 5, "e2"), ("c4", 7, "e1+e2"),
+                ("gl3", 3, "e2"), ("sl4", 5, "e2"), ("d4", 3, "e1")]
+
+
+def test_grouped_constants_match_the_entry_loop(monkeypatch):
+    """On every table output and a sample of small semisimplify calls, the
+    constants grouped by row equal make_constants over the same entries,
+    insertion order included, and the tensor read off those entries equals
+    the one walked from the dict."""
+    calls = []
+    grouped = superalgebra.constants_from_products
+    monkeypatch.setattr(superalgebra, "constants_from_products",
+                        lambda products, n: calls.append((products, n)) or grouped(products, n))
+    inputs = [(s.algebra, s.p, s.elements[0], s.subset) for s in TABLE] + [(*x, None) for x in SMALL_SAMPLE]
+    for name, p, element, subset in inputs:
+        realization, decomp, _ = row_pipeline(name, p, element, subset)
+        out = v.semisimplify(realization, decomp).algebra
+        products, n = calls[-1]
+        assert n == out.dim and out.constants
+        assert ordered(out.constants) == ordered(entry_loop_constants(products, n, p)), (name, p, element)
+        assert out._ad_tensor() == tensor_coo(out.constants, out.dim, p)
