@@ -4,11 +4,11 @@ A `Coo` keeps the nonzero entries of a matrix as three int64 arrays sorted by
 (row, column), one entry per position, so equal matrices have equal arrays.
 Products follow Gustavson ("Two fast algorithms for sparse matrices", 1978)
 by expansion: every pair of entries that meet at an inner index gives one
-term, and the terms are summed by output position, after one sort or, where
-they crowd their range, in one array over it.  Operands reduced mod p
-give sums of at most `inner dimension` terms below (p-1)^2, the bound
-fp.check_modulus keeps far from int64 overflow, and every product is reduced
-mod p before it is used again.  With p = None the arithmetic is exact over Z.
+term, and the terms are summed by output position after one sort.  Operands
+reduced mod p give sums of at most `inner dimension` terms below (p-1)^2,
+the bound fp.check_modulus keeps far from int64 overflow, and every product
+is reduced mod p before it is used again.  With p = None the arithmetic is
+exact over Z.
 """
 
 from __future__ import annotations
@@ -101,24 +101,10 @@ def pairs(m: Coo, rows) -> tuple[np.ndarray, np.ndarray]:
 
 def sum_by_key(keys: np.ndarray, vals: np.ndarray, p: int | None) -> tuple[np.ndarray, np.ndarray]:
     """The distinct keys in ascending order with the sums of their values,
-    mod p (exact over Z if p is None); keys whose sum vanishes are dropped.
-
-    Keys that fill a quarter of their range or more are added into one int64
-    array over the range; others are sorted.  Keys built from sorted
-    operands come in long ascending runs, which a merge sort joins fastest."""
+    mod p (exact over Z if p is None); keys whose sum vanishes are dropped."""
     if not len(keys):
         return keys.astype(np.int64), vals.astype(np.int64)
-    low = int(keys.min())
-    span = int(keys.max()) - low + 1
-    if span <= min(4 * len(keys), _CHUNK):
-        sums = np.zeros(span, dtype=np.int64)
-        np.add.at(sums, keys - low, vals)
-        if p is not None:
-            sums %= p
-        at = np.flatnonzero(sums)
-        return at + low, sums[at]
-    runs = np.count_nonzero(keys[1:] < keys[:-1]) + 1
-    order = np.argsort(keys, kind="stable" if 16 * runs <= len(keys) else "quicksort")
+    order = np.argsort(keys)
     keys = keys[order]
     starts = _starts(keys)
     sums = np.add.reduceat(vals[order], starts)

@@ -57,13 +57,10 @@ class ModularSuperAlgebra:
     @classmethod
     def from_products(cls, products: sparse.Coo, p: int, parity, labels=None) -> "ModularSuperAlgebra":
         """The algebra whose bracket [b_a, b_b] is row a*dim+b of the reduced
-        sparse `products`, its constants and its tensor read off the same
-        sorted entries."""
+        sparse `products`.  Its tensor is walked from the constants dict when
+        first needed, so the checks read the constants it publishes."""
         n = len(parity)
-        alg = cls(p=p, dim=n, parity=parity, constants=constants_from_products(products, n), labels=labels)
-        a, b = np.divmod(products.row, n)
-        alg._adl = (alg.constants, sparse.from_entries(a, products.col * n + b, products.data, (n, n * n)))
-        return alg
+        return cls(p=p, dim=n, parity=parity, constants=constants_from_products(products, n), labels=labels)
 
     # -- bracket machinery ------------------------------------------------
 

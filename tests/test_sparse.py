@@ -119,8 +119,8 @@ def test_row_operations_match_dense(rows, cols, density, seed):
 @given(n=st.integers(0, 300), span=st.sampled_from([1, 50, 10**4, 10**12]), run=st.sampled_from([1, 40]),
        p=st.sampled_from([None, 3]), seed=st.integers(0, 2**32 - 1))
 def test_sum_by_key_matches_a_dict(n, span, run, p, seed):
-    """Dense ranges are summed in place, sparse ones sorted (in ascending runs
-    or scattered); every way gives the sums a dict gives."""
+    """Keys over dense or sparse ranges, in ascending runs or scattered,
+    sum as a dict sums them."""
     rng = np.random.default_rng(seed)
     keys = np.sort(rng.integers(0, span, size=(n + run - 1) // run * run).reshape(-1, run), axis=1).ravel()[:n]
     vals = rng.integers(-5, 6, size=len(keys))

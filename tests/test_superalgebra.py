@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import verlie as v
 from tests.test_fp import largest_accepted_prime
 from verlie import sparse, superalgebra
-from verlie.errors import BadModulus, NotAnIdeal, NotParityHomogeneous
+from verlie.errors import BadModulus, JacobiViolation, NotAnIdeal, NotParityHomogeneous
 from verlie.superalgebra import (
     ModularSuperAlgebra,
     Subspace,
@@ -28,7 +28,6 @@ from verlie.superalgebra import (
     quotient,
     skew_witness,
     superdim,
-    tensor_coo,
 )
 from verlie.table import TABLE, row_pipeline
 
@@ -431,8 +430,7 @@ SMALL_SAMPLE = [("g2", 5, "e1"), ("f4", 7, "e1+e2"), ("a5", 3, "e2"), ("b4", 5, 
 def test_grouped_constants_match_the_entry_loop(monkeypatch):
     """On every table output and a sample of small semisimplify calls, the
     constants grouped by row equal make_constants over the same entries,
-    insertion order included, and the tensor read off those entries equals
-    the one walked from the dict."""
+    insertion order included."""
     calls = []
     grouped = superalgebra.constants_from_products
     monkeypatch.setattr(superalgebra, "constants_from_products",
@@ -444,4 +442,21 @@ def test_grouped_constants_match_the_entry_loop(monkeypatch):
         products, n = calls[-1]
         assert n == out.dim and out.constants
         assert ordered(out.constants) == ordered(entry_loop_constants(products, n, p)), (name, p, element)
-        assert out._ad_tensor() == tensor_coo(out.constants, out.dim, p)
+
+
+def test_semisimplify_checks_the_constants_it_publishes(monkeypatch):
+    """The skew and Jacobi checks read the output's constants dict, not the
+    products it was grouped from: one wrong constant in the dict fails them."""
+    grouped = superalgebra.constants_from_products
+
+    def one_wrong(products, n):
+        constants = grouped(products, n)
+        comps = next(comps for (a, b), comps in constants.items() if a != b)
+        k = next(iter(comps))
+        comps[k] = (comps[k] + 1) % 5
+        return constants
+
+    realization, decomp, _ = row_pipeline("g2", 5, "e1", None)
+    monkeypatch.setattr(superalgebra, "constants_from_products", one_wrong)
+    with pytest.raises(JacobiViolation, match="super skew"):
+        v.semisimplify(realization, decomp)
