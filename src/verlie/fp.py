@@ -53,7 +53,7 @@ def rref(m, p: int) -> tuple[Array, list[int]]:
     Returns (R, pivot_columns).  Zero rows are moved to the bottom; pivot
     entries are scaled to 1 and are the only nonzero entries in their column.
     """
-    a = normalize(m, p).copy()
+    a = normalize(m, p)  # a fresh array
     if a.ndim != 2:
         raise ValueError("rref expects a matrix")
     rows, cols = a.shape
@@ -102,7 +102,7 @@ def rref_batch(stack, p: int) -> tuple[Array, Array]:
     rows and columns never take a pivot.  Every product is of two residues
     and is reduced mod p before the next, so no intermediate exceeds p^2.
     """
-    a = normalize(stack, p).copy()
+    a = normalize(stack, p)  # a fresh array
     if a.ndim != 3:
         raise ValueError("rref_batch expects a (blocks, rows, cols) stack")
     n, rows, cols = a.shape
@@ -158,13 +158,13 @@ def components(m) -> Array:
         labels = new
 
 
-def _slots(blocks: Array, count: int) -> Array:
+def slots(blocks: Array, count: int) -> Array:
     """Position of each index within its block, in index order."""
     order = np.argsort(blocks, kind="stable")
     sizes = np.bincount(blocks, minlength=count)
-    slots = np.empty_like(blocks)
-    slots[order] = np.arange(len(blocks)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    return slots
+    out = np.empty_like(blocks)
+    out[order] = np.arange(len(blocks)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    return out
 
 
 def block_table(blocks: Array) -> Array:
@@ -172,7 +172,7 @@ def block_table(blocks: Array) -> Array:
     b in ascending order, padded with -1."""
     count = int(blocks.max(initial=-1)) + 1
     table = np.full((count, np.bincount(blocks, minlength=1).max()), -1, dtype=np.int64)
-    table[blocks, _slots(blocks, count)] = np.arange(len(blocks))
+    table[blocks, slots(blocks, count)] = np.arange(len(blocks))
     return table
 
 
@@ -182,7 +182,7 @@ def block_stack(ms, row_blocks: Array, col_blocks: Array) -> Array:
     the rows and columns of block b of ms[k], in their order in ms[k].
     Raises unless every nonzero joins a row and a column of one block."""
     count = int(max(row_blocks.max(initial=-1), col_blocks.max(initial=-1))) + 1
-    row_slots, col_slots = _slots(row_blocks, count), _slots(col_blocks, count)
+    row_slots, col_slots = slots(row_blocks, count), slots(col_blocks, count)
     out = np.zeros((len(ms) * count, np.bincount(row_blocks, minlength=1).max(),
                     np.bincount(col_blocks, minlength=1).max()), dtype=np.int64)
     for k, m in enumerate(ms):
@@ -227,6 +227,26 @@ def inverse(m, p: int) -> Array:
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
     return r[:, n:]
+
+
+def inverse_batch(stack, sizes, p: int) -> Array | None:
+    """Inverses of the top-left sizes[b] x sizes[b] blocks of a zero-padded
+    (blocks, n, n) stack, padded with the identity; None if one is singular.
+
+    Each block is padded with the identity and eliminated beside I, so
+    [M_b | I] reduces to [I | M_b^-1], and rref_batch stops after the left
+    half exactly when every block is invertible.
+    """
+    stack = normalize(stack, p)
+    count, n, _ = stack.shape
+    slot = np.arange(n)
+    block, pad = np.nonzero(slot >= np.asarray(sizes)[:, None])
+    stack[block, pad, pad] = 1
+    eye = np.broadcast_to(np.eye(n, dtype=np.int64), stack.shape)
+    r, pivots = rref_batch(np.concatenate([stack, eye], axis=2), p)
+    if not np.array_equal(pivots, np.broadcast_to(slot, pivots.shape)):
+        return None
+    return r[:, :, n:].copy()
 
 
 def powers(m, k: int, p: int) -> list[sparse.Coo]:

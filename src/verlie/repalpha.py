@@ -245,6 +245,7 @@ class ChainDecomposition:
     p: int
     dim: int
     _validated: tuple = field(default=(), init=False, repr=False, compare=False)  # what validate last passed
+    _inverse: tuple = field(default=(), init=False, repr=False, compare=False)  # the basis inverse it found
 
     def counts(self) -> tuple[int, ...]:
         out = [0] * self.p
@@ -270,14 +271,31 @@ class ChainDecomposition:
         seen = (self.p, self.dim, der, *(chain.vectors for chain in self.chains))
         if (len(seen) != len(self._validated) or any(a is not b for a, b in zip(seen, self._validated))
                 or any(a.flags.writeable for m in seen[2:] for a in _arrays(m))):
-            self._check(der if isinstance(der, sparse.Coo) else sparse.from_dense(der))
+            inverse = self._check(der if isinstance(der, sparse.Coo) else sparse.from_dense(der))
             _freeze(*(chain.vectors for chain in self.chains))
-            self._validated = seen
+            self._validated, self._inverse = seen, inverse
 
-    def _check(self, der: sparse.Coo):
+    def coordinates(self, der, columns) -> np.ndarray:
+        """Rows `columns` of the inverse of the basis matrix: row a @ v is the
+        coordinate of v at basis column columns[a].  Validates against D first,
+        and reads the rows off the block inverses that check found."""
+        self.validate(der)
+        inverses, coords, blocks, slots = self._inverse
+        columns = np.asarray(columns, dtype=np.int64)
+        block = blocks[columns]
+        local, where = inverses[block, slots[columns]], coords[block]
+        out = np.zeros((len(columns), self.dim), dtype=np.int64)
+        row, col = np.nonzero(where >= 0)
+        out[row, where[row, col]] = local[row, col]
+        return out
+
+    def _check(self, der: sparse.Coo) -> tuple:
         """D maps every chain vector to the next one and the tail to zero,
         checked for all vectors in one product; the vectors form a basis,
-        checked one block of the basis matrix at a time."""
+        checked one block of the basis matrix at a time.  Returns the inverse
+        of the basis matrix by blocks: the stack of block inverses, the
+        coordinates of each block, and the block and slot of each basis
+        column."""
         for chain in self.chains:
             if not 1 <= chain.length <= self.p:
                 raise ValueError(f"chain length {chain.length} outside 1..p")
@@ -285,7 +303,8 @@ class ChainDecomposition:
         if total != self.dim:
             raise ValueError(f"chain lengths sum to {total}, dim is {self.dim}")
         if not total:
-            return
+            empty = np.zeros(0, dtype=np.int64)
+            return empty.reshape(0, 0, 0), empty.reshape(0, 0), empty, empty
         vectors = np.vstack([chain.vectors for chain in self.chains])  # row k: basis column k
         tails = np.cumsum([chain.length for chain in self.chains]) - 1
         shifted = np.zeros_like(vectors)
@@ -297,14 +316,20 @@ class ChainDecomposition:
             raise ValueError("chain does not terminate")
         if wrong.size:
             raise ValueError("chain is not a D-orbit")
-        # the rank of the basis is the sum of the ranks of the blocks of its
-        # own row/column graph, whatever the chains are
+        # the basis matrix is invertible exactly when every block of its own
+        # row/column graph is square and invertible, whatever the chains are
         col, row = np.nonzero(vectors)
         graph = sparse.from_entries(row, self.dim + col, np.ones(len(row)), (2 * self.dim,) * 2)
         blocks = fp.components(graph)
-        _, pivots = fp.rref_batch(fp.block_stack([vectors.T], blocks[: self.dim], blocks[self.dim :]), self.p)
-        if np.count_nonzero(pivots >= 0) != self.dim:
+        rows, cols = blocks[: self.dim], blocks[self.dim :]
+        count = int(blocks.max()) + 1
+        sizes = np.bincount(cols, minlength=count)
+        inverses = None
+        if np.array_equal(np.bincount(rows, minlength=count), sizes):
+            inverses = fp.inverse_batch(fp.block_stack([vectors.T], rows, cols), sizes, self.p)
+        if inverses is None:
             raise ValueError("chain vectors are not a basis")
+        return inverses, fp.block_table(rows), cols, fp.slots(cols, count)
 
 
 def block_counts(decomp: ChainDecomposition) -> tuple[int, ...]:
@@ -321,26 +346,57 @@ def _power_blocks(powers: list[sparse.Coo]) -> tuple[np.ndarray, np.ndarray]:
     return blocks, fp.block_stack(powers[1:], blocks, blocks)
 
 
+def _rank_counts(ranks) -> tuple[int, ...]:
+    """Block counts n_l = r_{l-1} - 2 r_l + r_{l+1}, l = 1..p, from the ranks
+    [r_0, ..., r_{p+1}] of the powers of D."""
+    return tuple(ranks[l - 1] - 2 * ranks[l] + ranks[l + 1] for l in range(1, len(ranks) - 1))
+
+
 def rank_count_vector(powers: list[sparse.Coo], p: int) -> tuple[int, ...]:
     """Block counts straight from the ranks r_l of the powers [I, D, ..., D^p]
     of a derivation with D^p = 0 (so r_{p+1} = 0): n_l = r_{l-1} - 2 r_l + r_{l+1},
     each rank the sum of the ranks of the D-stable blocks."""
     _, stack = _power_blocks(powers)
     _, pivots = fp.rref_batch(stack, p)
-    ranks = [powers[0].shape[0]] + (pivots >= 0).reshape(p, -1).sum(axis=1).tolist() + [0]
-    return tuple(ranks[l - 1] - 2 * ranks[l] + ranks[l + 1] for l in range(1, p + 1))
+    return _rank_counts([powers[0].shape[0]] + (pivots >= 0).reshape(p, -1).sum(axis=1).tolist() + [0])
 
 
-def _orbits(powers: list[sparse.Coo], heads, length: int, p: int) -> np.ndarray:
-    """The chains of one length headed by the rows of heads, all at once:
-    entry [a, t] is D^t heads[a]."""
-    heads = np.asarray(heads, dtype=np.int64).reshape(-1, powers[0].shape[0]).T
-    return np.stack([powers[t].dot(heads).T % p for t in range(length)], axis=1)
+def _orbits(der: sparse.Coo, heads, lengths, p: int) -> list[np.ndarray]:
+    """The chains headed by the columns of heads (reduced mod p), longest
+    first: chain a is the (lengths[a], dim) array of D^t heads[:, a].  D is
+    applied to a shrinking prefix of the heads, one power at a time, and the
+    chains of one length view one array of exactly their size."""
+    lengths = np.asarray(lengths)
+    dim = der.shape[0]
+    level = np.asarray(heads, dtype=np.int64).reshape(dim, -1)  # column a: D^t of head a
+    groups, start = [], 0
+    for length in sorted(set(lengths.tolist()), reverse=True):
+        count = int(np.count_nonzero(lengths == length))
+        groups.append((slice(start, start + count), np.empty((count, length, dim), dtype=np.int64)))
+        start += count
+    for t in range(int(lengths.max(initial=0))):
+        if t:
+            level = der.dot(level[:, : np.count_nonzero(lengths > t)]) % p
+        for at, out in groups:
+            if out.shape[1] > t:
+                out[:, t] = level[:, at].T
+    return [chain for _, out in groups for chain in out]
 
 
-def _chains_of(powers: list[sparse.Coo], p: int) -> list[JordanChain]:
-    """Deterministic chain extraction: for lengths l = p down to 1, heads are
-    a complement of (ker D^{l-1} + im D) inside ker D^l, picked by echelon order.
+def _chains_of(powers: list[sparse.Coo], p: int) -> tuple[list[JordanChain], list[int]]:
+    """Deterministic chain extraction: the chains of the heads that `_heads`
+    picks, and the ranks [r_0, ..., r_{p+1}] of the powers of D.  The heads
+    are taken first, so the elimination's arrays are freed before the chains
+    are built."""
+    heads, lengths, ranks = _heads(powers, p)
+    return [JordanChain(vectors) for vectors in _orbits(powers[1], heads, lengths, p)], ranks
+
+
+def _heads(powers: list[sparse.Coo], p: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Deterministic head pick: for lengths l = p down to 1, heads are a
+    complement of (ker D^{l-1} + im D) inside ker D^l, picked by echelon order.
+    Returns the heads as the columns of a (dim, chains) array, their chain
+    lengths, and the ranks [r_0, ..., r_{p+1}] of the powers of D.
 
     The candidates are the fp.kernel_basis rows of D^l (row f has a 1 at the
     free column f and zeros at the other free columns), and one heads a chain
@@ -352,19 +408,21 @@ def _chains_of(powers: list[sparse.Coo], p: int) -> list[JordanChain]:
     coordinates eliminated right to left.
 
     Every power of D is block diagonal in the D-stable blocks, so all of this
-    splits by block: one elimination gives the kernels of every power in
-    every block, one more the ends of every W.  Heads are ordered by their
-    free coordinate, as the global kernel basis orders them.
+    splits by block: one elimination gives the kernels (and the ranks) of
+    every power in every block, one more the ends of every W.  Heads are
+    ordered longest chain first, then by their free coordinate, as the global
+    kernel basis orders them.
     """
     dim = powers[0].shape[0]
     if dim == 0:
-        return []
+        return np.zeros((0, 0), dtype=np.int64), np.zeros(0, dtype=np.int64), [0] * (p + 2)
     beyond = sparse.product(powers[-1], powers[1], p)  # D^{p+1}, zero when D^p = 0
     blocks, stack = _power_blocks([*powers, beyond])
     coords = fp.block_table(blocks)
     count, size = coords.shape
     # kernel rows of every block of D^1..D^{p+1}: row f has a 1 at free slot f
     rows, pivots = fp.rref_batch(stack, p)
+    ranks = [dim] + (pivots >= 0).reshape(p + 1, -1).sum(axis=1).tolist()
     free = np.tile(coords >= 0, (p + 1, 1))
     at, rank = np.nonzero(pivots >= 0)
     free[at, pivots[at, rank]] = False
@@ -381,25 +439,26 @@ def _chains_of(powers: list[sparse.Coo], p: int) -> list[JordanChain]:
     picked = free[1 : p + 1].reshape(p * count, size).copy()
     at, rank = np.nonzero(ends >= 0)
     picked[at, size - 1 - ends[at, rank]] = False
-    picked = picked.reshape(p, count, size)
-    chains: list[JordanChain] = []
-    for length in range(p, 0, -1):
-        block, slot = np.nonzero(picked[length - 1])
-        local, where = kernels[length][block, slot], coords[block]
-        heads = np.zeros((len(block), dim), dtype=np.int64)
-        row, col = np.nonzero(where >= 0)
-        heads[row, where[row, col]] = local[row, col]
-        heads = heads[np.argsort(coords[block, slot])]
-        chains += [JordanChain(vectors) for vectors in _orbits(powers, heads, length, p)]
-    return chains
+    # the heads, longest chain first, one column each
+    shorter, block, slot = np.nonzero(picked.reshape(p, count, size)[::-1])
+    order = np.lexsort((coords[block, slot], shorter))
+    lengths, block, slot = p - shorter[order], block[order], slot[order]
+    local, where = kernels[lengths, block, slot], coords[block]
+    heads = np.zeros((dim, len(lengths)), dtype=np.int64)
+    row, col = np.nonzero(where >= 0)
+    heads[where[row, col], row] = local[row, col]
+    return heads, lengths, ranks
 
 
 def jordan_decompose(realization: Realization) -> ChainDecomposition:
-    """Complete chain decomposition of the derivation action."""
+    """Complete chain decomposition of the derivation action, its chain
+    counts checked against the rank formula on the ranks of the powers that
+    the extraction eliminated."""
     alg = realization.algebra
-    decomp = ChainDecomposition(tuple(_chains_of(realization.powers, alg.p)), alg.p, alg.dim)
+    chains, ranks = _chains_of(realization.powers, alg.p)
+    decomp = ChainDecomposition(tuple(chains), alg.p, alg.dim)
     decomp.validate(realization.powers[1])
-    if decomp.counts() != rank_count_vector(realization.powers, alg.p):
+    if decomp.counts() != _rank_counts(ranks):
         raise AssertionError("chain counts disagree with the rank formula")
     return decomp
 
@@ -442,15 +501,16 @@ def structured_decompose(realization: Realization, subset) -> ChainDecomposition
         alpha_i, alpha_j = integral.roots.simple(i), integral.roots.simple(j)
         touched_roots.update({alpha_i, alpha_j, alpha_i + alpha_j})
         # e_j -> [e, e_j]
-        chains.append(JordanChain(_orbits(powers, eye[integral.generator_index("e", j)], 2, alg.p)[0], tag=("e", j)))
+        e_j = eye[integral.generator_index("e", j)]
+        chains.append(JordanChain(_orbits(powers[1], e_j, [2], alg.p)[0], tag=("e", j)))
         # [f, f_j] -> f_j
         ff = alg.bracket(eye[integral.generator_index("f", i)], eye[integral.generator_index("f", j)])
-        chain = JordanChain(_orbits(powers, ff, 2, alg.p)[0], tag=("f", j))
+        chain = JordanChain(_orbits(powers[1], ff, [2], alg.p)[0], tag=("f", j))
         if not np.array_equal(chain.tail, eye[integral.generator_index("f", j)]):
             raise AssertionError("[f, f_j] does not map onto f_j")
         chains.append(chain)
         # f_i -> h_i -> -2 e_i
-        chains.append(JordanChain(_orbits(powers, eye[integral.generator_index("f", i)], 3, alg.p)[0]))
+        chains.append(JordanChain(_orbits(powers[1], eye[integral.generator_index("f", i)], [3], alg.p)[0]))
         # h_j - h_i
         hdiff = (eye[integral.generator_index("h", j)] - eye[integral.generator_index("h", i)]) % alg.p
         chains.append(JordanChain(hdiff.reshape(1, -1), tag=("h", j)))
@@ -471,7 +531,7 @@ def structured_decompose(realization: Realization, subset) -> ChainDecomposition
         raise AssertionError("complement is not D-stable")
     # the complement is D-stable, so the powers of D on it are the rest x rest blocks of D^k
     rest = np.ix_(rest_idx, rest_idx)
-    for chain in _chains_of([sparse.from_dense(power.toarray()[rest]) for power in powers], alg.p):
+    for chain in _chains_of([sparse.from_dense(power.toarray()[rest]) for power in powers], alg.p)[0]:
         vectors = np.zeros((chain.length, alg.dim), dtype=np.int64)
         vectors[:, rest_idx] = chain.vectors
         chains.append(JordanChain(vectors))

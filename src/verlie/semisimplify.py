@@ -120,15 +120,15 @@ def semisimplify(realization: Realization, decomp: ChainDecomposition) -> Semisi
     """
     alg = realization.algebra
     p = alg.p
-    decomp.validate(realization.powers[1])
     even = tuple(i for i, c in enumerate(decomp.chains) if c.length == 1)
     odd = tuple(i for i, c in enumerate(decomp.chains) if c.length == p - 1)
     offsets = decomp.chain_offsets()
     survivors = even + odd
     m = len(survivors)
     parity = np.array([0] * len(even) + [1] * len(odd), dtype=np.int64)
-    # head coefficients: coords[k] @ v is the coordinate of v at the head of survivor k
-    coords = fp.inverse(decomp.basis_matrix(), p)[[offsets[c] for c in survivors]]
+    # head coefficients: coords[k] @ v is the coordinate of v at the head of
+    # survivor k, read off the block inverses that validating the chains found
+    coords = decomp.coordinates(realization.powers[1], [offsets[c] for c in survivors])
     heads = np.array([decomp.chains[c].head for c in survivors], dtype=np.int64).reshape(m, alg.dim)
     coords_t = sparse.from_dense(coords.T)
     values = sparse.product(alg.brackets(heads, heads), coords_t, p)  # row a*m+b: [head_a, head_b], column k

@@ -4,12 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import verlie as v
-from verlie import fp
+from tests.test_fp import largest_accepted_prime
+from verlie import fp, repalpha, roots
 from verlie.errors import DegreeExceedsP, ParseError, PreconditionViolated, UnknownGenerator
 from verlie.repalpha import (
     ChainDecomposition,
     JordanChain,
     _chains_of,
+    _rank_counts,
     block_counts,
     jordan_decompose,
     parse_element,
@@ -299,14 +301,14 @@ def test_batched_head_pick_matches_greedy_loop(p, blocks, split, seed):
     else:
         basis = unit_lu(dim)
     der = basis @ jordan @ fp.inverse(basis, p) % p
-    got = _chains_of(fp.powers(der, p, p), p)
+    got, ranks = _chains_of(fp.powers(der, p, p), p)
     expected = greedy_chains(der, p, dim)
     assert len(got) == len(expected)
     assert all(np.array_equal(chain.vectors, vectors) for chain, vectors in zip(got, expected))
     if max(blocks) <= p:
         decomp = ChainDecomposition(tuple(got), p, dim)
         decomp.validate(der)
-        assert decomp.counts() == rank_count_vector(fp.powers(der, p, p), p)
+        assert decomp.counts() == rank_count_vector(fp.powers(der, p, p), p) == _rank_counts(ranks)
 
 
 def test_realizations_compare_by_identity(f4mod3):
@@ -358,3 +360,118 @@ def test_validated_decomposition_cannot_change_silently(monkeypatch):
         own.validate(r.powers[1])
     with pytest.raises(ValueError):
         v.semisimplify(r, own)
+
+
+def columns_as_chains(m, p: int) -> ChainDecomposition:
+    """The columns of m as chains of length 1.  Under D = 0 every chain
+    condition holds, so validating them checks only that they form a basis."""
+    return ChainDecomposition(tuple(JordanChain(np.array([col])) for col in np.asarray(m).T), p, len(m))
+
+
+def test_basis_check_rejects_unequal_blocks():
+    """Columns e0 + e1, e2 and 2 e2: the graph of the basis matrix has a block
+    of two coordinates and one column beside one of one coordinate and two
+    columns."""
+    m = np.array([[1, 0, 0], [1, 0, 0], [0, 1, 2]])
+    with pytest.raises(ValueError, match="not a basis"):
+        columns_as_chains(m, 3).validate(np.zeros((3, 3), dtype=np.int64))
+
+
+def test_basis_check_rejects_a_singular_padded_block():
+    """A singular 2 x 2 block beside an invertible 3 x 3 one is padded with
+    the identity to size 3, and the padding must not hide its rank."""
+    m = np.zeros((5, 5), dtype=np.int64)
+    m[:3, :3] = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
+    m[3:, 3:] = [[1, 1], [2, 2]]
+    with pytest.raises(ValueError, match="not a basis"):
+        columns_as_chains(m, 3).validate(np.zeros((5, 5), dtype=np.int64))
+    m[4, 4] = 1
+    zero = np.zeros((5, 5), dtype=np.int64)
+    assert np.array_equal(columns_as_chains(m, 3).coordinates(zero, range(5)), fp.inverse(m, 3))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    p=st.sampled_from([3, 5, 7, "largest"]),
+    sizes=st.lists(st.integers(1, 4), min_size=1, max_size=4),
+    singular=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_basis_check_inverts_permuted_block_bases(p, sizes, singular, seed):
+    """Invertible blocks L·U on the diagonal, one made singular when
+    `singular`, then rows and columns permuted: the coordinates of a basis
+    are the rows of fp.inverse, and a singular matrix is not a basis."""
+    dim = sum(sizes)
+    p = largest_accepted_prime(dim) if p == "largest" else p
+    rng = np.random.default_rng(seed)
+    m = np.zeros((dim, dim), dtype=np.int64)
+    for start, size in zip(np.cumsum(sizes) - sizes, sizes):
+        lower = np.tril(rng.integers(0, p, size=(size, size)), -1) + np.eye(size, dtype=np.int64)
+        upper = np.triu(rng.integers(0, p, size=(size, size)), 1) + np.diag(rng.integers(1, p, size=size))
+        m[start : start + size, start : start + size] = lower @ upper % p
+    if singular:  # one column a multiple of another in its block, or zero
+        start, size = rng.choice(np.stack([np.cumsum(sizes) - sizes, sizes], axis=1))
+        m[:, start + size - 1] = m[:, start] * rng.integers(0, p) % p if size > 1 else 0
+    m = m[rng.permutation(dim)][:, rng.permutation(dim)]
+    assert (fp.rank(m, p) < dim) == singular
+    decomp, zero = columns_as_chains(m, p), np.zeros((dim, dim), dtype=np.int64)
+    if singular:
+        with pytest.raises(ValueError, match="not a basis"):
+            decomp.validate(zero)
+    else:
+        assert np.array_equal(decomp.coordinates(zero, range(dim)), fp.inverse(m, p))
+
+
+def orbit_members(name: str) -> list[tuple[int, ...]]:
+    """Every member of the swap orbit of every nonempty admissible subset."""
+    gcm = roots.catalog_gcm(name)
+    members = set()
+    for subset in roots.admissible_subsets(gcm):
+        if subset:
+            members.update(c.sorted_black() for c in roots.swap_orbit(roots.Coloring(gcm, frozenset(subset))))
+    return sorted(members)
+
+
+SMALL_ALGEBRAS = ("g2", "f4", "a4", "a5", "b3", "b4", "c3", "c4", "d4", "gl3", "sl4")
+
+
+def simple_elements(alg) -> list[str]:
+    """Each e_i, then each e_i + e_j."""
+    n = sum(1 for g in alg.gens if g.startswith("e"))
+    return [f"e{i}" for i in range(1, n + 1)] + [f"e{i}+e{j}" for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+
+
+def test_rank_formula_agrees_with_the_separate_elimination():
+    """The chain counts jordan_decompose checks against the ranks its own
+    extraction eliminated equal rank_count_vector's, on every f4 and e6 swap
+    orbit member at p = 3 and on every e_i and e_i + e_j of the small
+    algebras at p = 5 and 7."""
+    cases = [(v.catalog_algebra(name, 3), "+".join(f"e{i}" for i in nodes))
+             for name in ("f4", "e6") for nodes in orbit_members(name)]
+    cases += [(alg, element) for alg in (v.catalog_algebra(name, p) for name in SMALL_ALGEBRAS for p in (5, 7))
+              for element in simple_elements(alg)]
+    checked = 0
+    for alg, element in cases:
+        try:
+            r = realize(alg, parse_element(element, alg)[1])
+        except DegreeExceedsP:
+            continue
+        assert jordan_decompose(r).counts() == rank_count_vector(r.powers, alg.p), (alg.dim, alg.p, element)
+        checked += 1
+    assert checked > len(cases) // 2
+
+
+def test_rank_formula_catches_a_wrong_rank(monkeypatch):
+    """Correct chains with one wrong rank fail the rank-formula check."""
+    extract = repalpha._chains_of
+
+    def one_rank_off(powers, p):
+        chains, ranks = extract(powers, p)
+        ranks[1] += 1
+        return chains, ranks
+
+    alg = v.gl(3, 3)
+    r = realize(alg, parse_element("e2", alg)[1])
+    monkeypatch.setattr(repalpha, "_chains_of", one_rank_off)
+    with pytest.raises(AssertionError, match="rank formula"):
+        jordan_decompose(r)

@@ -3,9 +3,11 @@ import pytest
 
 import verlie as v
 from verlie import fp
+from verlie.errors import DegreeExceedsP
 from verlie.repalpha import ChainDecomposition, JordanChain
 from verlie.semisimplify import clebsch_gordan, pairing_vector, prop32_reference, semisimplify
 from verlie.superalgebra import center, derived_subalgebra, superdim
+from verlie.table import TABLE, row_pipeline
 
 
 def brute_clebsch_gordan(m, n, p):
@@ -212,3 +214,27 @@ def test_prop32_rejects_p5():
     realization = v.realize(alg, vec)
     with pytest.raises(ValueError):
         prop32_reference(realization, v.jordan_decompose(realization))
+
+
+def test_head_coordinates_match_the_dense_inverse():
+    """The coordinates read off the block inverses of the chain basis are the
+    rows of its dense inverse: on every table decomposition, structured and
+    generic, and on one element of each small algebra at p = 3, 5 and 7."""
+    from tests.test_repalpha import SMALL_ALGEBRAS, simple_elements
+
+    pipelines = [row_pipeline(s.algebra, s.p, s.elements[0], s.subset) for s in TABLE]
+    for alg in (v.catalog_algebra(name, p) for name in SMALL_ALGEBRAS for p in (3, 5, 7)):
+        for element in simple_elements(alg):
+            try:
+                realization = v.realize(alg, v.parse_element(element, alg)[1])
+            except DegreeExceedsP:
+                continue
+            decomp = v.jordan_decompose(realization)
+            pipelines.append((realization, decomp, semisimplify(realization, decomp)))
+            break
+    assert len(pipelines) == len(TABLE) + 3 * len(SMALL_ALGEBRAS)
+    for realization, decomp, ss in pipelines:
+        dense = fp.inverse(decomp.basis_matrix(), decomp.p)
+        assert np.array_equal(decomp.coordinates(realization.powers[1], range(decomp.dim)), dense)
+        offsets = decomp.chain_offsets()
+        assert np.array_equal(ss.coords, dense[[offsets[c] for c in ss.even_chains + ss.odd_chains]])
