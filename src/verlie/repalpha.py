@@ -368,7 +368,7 @@ def _orbits(der: sparse.Coo, heads, lengths, p: int) -> list[np.ndarray]:
     chains of one length view one array of exactly their size."""
     lengths = np.asarray(lengths)
     dim = der.shape[0]
-    level = np.asarray(heads, dtype=np.int64).reshape(dim, -1)  # column a: D^t of head a
+    level = np.asarray(heads, dtype=np.int64).reshape(dim, len(lengths))  # column a: D^t of head a
     groups, start = [], 0
     for length in sorted(set(lengths.tolist()), reverse=True):
         count = int(np.count_nonzero(lengths == length))

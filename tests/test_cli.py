@@ -35,6 +35,17 @@ def test_decompose_element_subset_consistency(capsys):
     assert main(["decompose", "--algebra", "f4", "--element", "e1", "--subset", "4"]) == 3
 
 
+@pytest.mark.parametrize("command", ["decompose", "semisimplify"])
+def test_structured_subset_with_empty_complement(command, capsys, tmp_path):
+    path = tmp_path / "out.json"
+    assert main([command, "--algebra", "a2", "-p", "3", "--subset", "1", "--json", str(path)]) == 0
+    data = json.loads(path.read_text())
+    assert data["block_counts"] == [1, 2, 1]
+    if command == "semisimplify":
+        assert data["superdim"] == [1, 2]
+        assert data["checks"] == {"super_skew": True, "super_jacobi": True, "odd_cubes": True}
+
+
 def test_semisimplify_f4(capsys, tmp_path):
     path = tmp_path / "ss.json"
     assert main(["semisimplify", "--algebra", "f4", "--subset", "4", "--json", str(path)]) == 0

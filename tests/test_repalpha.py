@@ -209,6 +209,24 @@ def test_structured_empty_subset(f4mod3):
     assert block_counts(decomp) == (52, 0, 0)
 
 
+@pytest.mark.parametrize("name,subset", [("a2", (1,)), ("a2", (2,)), ("a1", ())])
+def test_structured_empty_complement(name, subset):
+    """Every positive root is simple or touched, so the generically
+    decomposed complement is empty."""
+    from verlie.semisimplify import prop32_reference, semisimplify
+
+    alg = v.catalog_algebra(name, 3)
+    vec = np.zeros(alg.dim, dtype=np.int64)
+    if subset:
+        _, vec = parse_element("+".join(f"e{i}" for i in subset), alg)
+    r = realize(alg, vec)
+    decomp = structured_decompose(r, subset)
+    decomp.validate(r.der)
+    assert block_counts(decomp) == block_counts(jordan_decompose(r))
+    ss = semisimplify(r, decomp)
+    assert ss.algebra.constants == prop32_reference(r, decomp).constants
+
+
 def test_structured_preconditions(f4mod3, e6mod3):
     _, vec = parse_element("e4", f4mod3)
     r = realize(f4mod3, vec)
