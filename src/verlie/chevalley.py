@@ -23,7 +23,7 @@ import numpy as np
 from .errors import JacobiViolation
 from .fp import check_modulus
 from .roots import GCM, Root, RootSystem, catalog_gcm, positive_roots
-from .superalgebra import Constants, ModularSuperAlgebra, jacobi_witness, make_constants, skew_witness
+from .superalgebra import Constants, ModularSuperAlgebra, jacobi_witness, skew_witness, tensor_coo
 
 
 @dataclass
@@ -196,23 +196,17 @@ def chevalley_basis(gcm: GCM) -> IntegralLieAlgebra:
 
 def integral_jacobi_witness(alg: IntegralLieAlgebra):
     """First basis triple violating the Jacobi identity over Z, or None."""
-    parity = np.zeros(alg.dim, dtype=np.int64)
-    return jacobi_witness(alg.constants, parity, alg.dim, None)
+    return jacobi_witness(tensor_coo(alg.constants, alg.dim, None), np.zeros(alg.dim, dtype=np.int64), None)
 
 
 def integral_antisymmetry_ok(alg: IntegralLieAlgebra) -> bool:
     """C(i,j,k) = -C(j,i,k) over Z for every triple."""
-    return skew_witness(alg.constants, np.zeros(alg.dim, dtype=np.int64), alg.dim, None) is None
+    return skew_witness(tensor_coo(alg.constants, alg.dim, None), np.zeros(alg.dim, dtype=np.int64), None) is None
 
 
 def reduce_mod_p(alg: IntegralLieAlgebra, p: int) -> ModularSuperAlgebra:
     """Reduce the integral constants mod an odd prime; all-even parity."""
     check_modulus(p, alg.dim)
-    constants: Constants = {}
-    for pair, comps in alg.constants.items():
-        reduced = {k: c % p for k, c in comps.items() if c % p}
-        if reduced:
-            constants[pair] = reduced
     gens = {}
     eye = np.eye(alg.dim, dtype=np.int64)
     for i in range(1, alg.rank + 1):
@@ -223,7 +217,7 @@ def reduce_mod_p(alg: IntegralLieAlgebra, p: int) -> ModularSuperAlgebra:
         p=p,
         dim=alg.dim,
         parity=np.zeros(alg.dim, dtype=np.int64),
-        constants=constants,
+        tensor=tensor_coo(alg.constants, alg.dim, p),
         labels=list(alg.labels),
         gens=gens,
         origin=alg,
@@ -259,10 +253,8 @@ def gl(n: int, p: int) -> ModularSuperAlgebra:
         gens[f"e{i}"] = eye[idx(i, i + 1)]
         gens[f"f{i}"] = eye[idx(i + 1, i)]
         gens[f"h{i}"] = (eye[idx(i, i)] - eye[idx(i + 1, i + 1)]) % p
-    return ModularSuperAlgebra(
-        p=p, dim=dim, parity=np.zeros(dim, dtype=np.int64),
-        constants=make_constants(entries, p), labels=labels, gens=gens,
-    )
+    return ModularSuperAlgebra.from_entries(p, np.zeros(dim, dtype=np.int64), *np.transpose(entries),
+                                            labels=labels, gens=gens)
 
 
 def sl(n: int, p: int) -> ModularSuperAlgebra:
@@ -312,10 +304,8 @@ def sl(n: int, p: int) -> ModularSuperAlgebra:
         gens[f"e{i}"] = eye[pos[(i, i + 1)]]
         gens[f"f{i}"] = eye[pos[(i + 1, i)]]
         gens[f"h{i}"] = eye[len(off) + i - 1]
-    return ModularSuperAlgebra(
-        p=p, dim=dim, parity=np.zeros(dim, dtype=np.int64),
-        constants=make_constants(entries, p), labels=labels, gens=gens,
-    )
+    return ModularSuperAlgebra.from_entries(p, np.zeros(dim, dtype=np.int64), *np.transpose(entries),
+                                            labels=labels, gens=gens)
 
 
 def free_nilpotent_example(p: int = 3) -> tuple[ModularSuperAlgebra, np.ndarray]:
@@ -330,10 +320,7 @@ def free_nilpotent_example(p: int = 3) -> tuple[ModularSuperAlgebra, np.ndarray]
         (0, 2, 3, 1), (2, 0, 3, -1),   # [x,z] = [x,[x,y]]
         (1, 2, 4, -1), (2, 1, 4, 1),   # [y,z] = -[y,[y,x]]
     ]
-    alg = ModularSuperAlgebra(
-        p=p, dim=5, parity=np.zeros(5, dtype=np.int64),
-        constants=make_constants(entries, p), labels=labels,
-    )
+    alg = ModularSuperAlgebra.from_entries(p, np.zeros(5, dtype=np.int64), *np.transpose(entries), labels=labels)
     der = np.zeros((5, 5), dtype=np.int64)
     der[1, 0] = 1          # x -> y
     der[4, 3] = (-1) % p   # [x,[x,y]] -> -[y,[y,x]]
@@ -367,11 +354,8 @@ def g2_scaled(p: int = 3) -> ModularSuperAlgebra:
         gens[f"e{i}"] = eye[base.generator_index("e", i)]
         gens[f"f{i}"] = eye[base.generator_index("f", i)]
         gens[f"h{i}"] = eye[base.generator_index("h", i)]
-    return ModularSuperAlgebra(
-        p=p, dim=base.dim, parity=np.zeros(base.dim, dtype=np.int64),
-        constants=make_constants(entries, p), labels=list(base.labels),
-        gens=gens, origin=base,
-    )
+    return ModularSuperAlgebra.from_entries(p, np.zeros(base.dim, dtype=np.int64), *np.transpose(entries),
+                                            labels=list(base.labels), gens=gens, origin=base)
 
 
 @lru_cache(maxsize=None)
@@ -383,8 +367,8 @@ def integral_catalog(name: str) -> IntegralLieAlgebra:
 def catalog_algebra(name: str, p: int) -> ModularSuperAlgebra:
     """Named catalog algebra reduced mod p; 'gl<n>' and 'sl<n>' are accepted too.
 
-    The result is shared by every caller, so its structure constants,
-    generator vectors and parity are read-only.
+    The result is shared by every caller, so its tensor arrays, generator
+    vectors and parity are read-only.
     """
     check_modulus(p)
     name = name.lower()
@@ -394,7 +378,7 @@ def catalog_algebra(name: str, p: int) -> ModularSuperAlgebra:
         alg = sl(int(name[2:]), p)
     else:
         alg = reduce_mod_p(integral_catalog(name), p)
-    for vec in [alg.parity, *alg.gens.values()]:
+    t = alg.tensor
+    for vec in [alg.parity, *alg.gens.values(), t.row, t.col, t.data]:
         vec.setflags(write=False)
-    alg.constants = MappingProxyType({key: MappingProxyType(comps) for key, comps in alg.constants.items()})
     return alg

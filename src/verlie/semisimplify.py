@@ -17,13 +17,7 @@ import numpy as np
 from . import fp, sparse
 from .errors import JacobiViolation, MissingTags
 from .repalpha import ChainDecomposition, JordanChain, Realization
-from .superalgebra import (
-    ModularSuperAlgebra,
-    Report,
-    check_super_jacobi,
-    check_super_skew,
-    make_constants,
-)
+from .superalgebra import ModularSuperAlgebra, Report, check_super_jacobi, check_super_skew
 
 
 def clebsch_gordan(m: int, n: int, p: int) -> tuple[int, ...]:
@@ -182,7 +176,7 @@ def prop32_reference(realization: Realization, decomp: ChainDecomposition) -> Mo
     # columns: the heads x_b of all survivors, the tails x_b' of the odd ones
     xmat, xpmat = (np.array([decomp.chains[c].vectors[t] for c in chains], dtype=np.int64).reshape(-1, alg.dim).T
                    for t, chains in ((0, order), (1, odd)))
-    entries = []
+    entries = [np.zeros((4, 0), dtype=np.int64)]  # rows a, b, k, c; one block per left factor a
 
     def coefficients(images):
         """[b, k]: the coefficient of x_k in column b of images."""
@@ -201,8 +195,7 @@ def prop32_reference(realization: Realization, decomp: ChainDecomposition) -> Mo
             ad_xpa = sparse.from_dense(alg.ad(decomp.chains[ca].vectors[1]))
             out[n1:, :n1] = coefficients(ad_xpa.dot(xmat[:, n1:]) - ad_xa.dot(xpmat))[:, :n1]
         b, k = np.nonzero(out)
-        entries += zip([a] * len(b), b.tolist(), k.tolist(), out[b, k].tolist())
+        entries.append(np.array([np.full_like(b, a), b, k, out[b, k]]))
     parity = np.array([0] * n1 + [1] * n2, dtype=np.int64)
-    return ModularSuperAlgebra(p=p, dim=n1 + n2, parity=parity,
-                               constants=make_constants(entries, p),
-                               labels=[_chain_labels(decomp, c) for c in order])
+    return ModularSuperAlgebra.from_entries(p, parity, *np.hstack(entries),
+                                            labels=[_chain_labels(decomp, c) for c in order])

@@ -9,9 +9,9 @@ that equality and containment are exact and order-independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -26,21 +26,22 @@ class ModularSuperAlgebra:
     p: int
     dim: int
     parity: np.ndarray  # 0/1 per basis vector
-    constants: Constants  # (i, j) -> {k: C(i,j,k)}, every nonzero ordered pair
+    tensor: sparse.Coo  # L[i, k*dim+j] = C(i,j,k), reduced: row i is ad(b_i), flattened
     labels: list[str] | None = None
     gens: dict[str, np.ndarray] | None = None  # generator name -> coordinate vector
     origin: object | None = None  # construction-time metadata, not serialized
-    _adl: tuple | None = field(default=None, repr=False, compare=False)  # (constants, their tensor)
 
     def __post_init__(self):
         fp.check_modulus(self.p, self.dim)
         self.parity = np.asarray(self.parity, dtype=np.int64)
         if self.parity.shape != (self.dim,):
             raise ValueError("parity length must equal dim")
+        if self.tensor.shape != (self.dim, self.dim * self.dim):
+            raise ValueError("tensor shape must be (dim, dim*dim)")
 
     def __eq__(self, other) -> bool:
         """Same field, basis parities, structure constants, labels and
-        generator vectors (origin and caches are not compared)."""
+        generator vectors (origin is not compared)."""
         if not isinstance(other, ModularSuperAlgebra):
             return NotImplemented
         gens, other_gens = self.gens or {}, other.gens or {}
@@ -48,34 +49,56 @@ class ModularSuperAlgebra:
             self.p == other.p
             and self.dim == other.dim
             and np.array_equal(self.parity, other.parity)
-            and self.constants == other.constants
+            and self.tensor == other.tensor
             and self.labels == other.labels
             and gens.keys() == other_gens.keys()
             and all(np.array_equal(vec, other_gens[name]) for name, vec in gens.items())
         )
 
     @classmethod
+    def from_entries(cls, p: int, parity, i, j, k, c, labels=None, gens=None, origin=None) -> "ModularSuperAlgebra":
+        """The algebra with C(i,j,k) the sum mod p of the c given at (i, j, k);
+        zeros are dropped.  ValueError if an index lies outside [0, dim)."""
+        dim = len(parity)
+        fp.check_modulus(p, dim)  # before c % p
+        i, j, k, c = (np.asarray(x, dtype=np.int64) for x in (i, j, k, c))
+        _check_indices(dim, i, j, k)
+        tensor = sparse.from_entries(i, k * dim + j, c % p, (dim, dim * dim), p)
+        return cls(p, dim, parity, tensor, labels, gens, origin)
+
+    @classmethod
     def from_products(cls, products: sparse.Coo, p: int, parity, labels=None) -> "ModularSuperAlgebra":
         """The algebra whose bracket [b_a, b_b] is row a*dim+b of the reduced
-        sparse `products`.  Its tensor is walked from the constants dict when
-        first needed, so the checks read the constants it publishes."""
+        sparse `products`: entry (a*n+b, k) moves to row a, column k*n+b."""
         n = len(parity)
-        return cls(p=p, dim=n, parity=parity, constants=constants_from_products(products, n), labels=labels)
+        a, b = np.divmod(products.row, n)
+        keys = (a * n + products.col) * n + b
+        order = np.argsort(keys)
+        return cls(p, n, parity, sparse.from_keys(keys[order], products.data[order], (n, n * n)), labels)
+
+    @property
+    def constants(self) -> Constants:
+        """(i, j) -> {k: C(i,j,k)} for every nonzero ordered pair, keys in
+        (i, j) order and components in k order: a new dict, so writing to it
+        leaves the algebra as it is."""
+        out: Constants = {}
+        for i, j, k, c in zip(*(x.tolist() for x in self._entries())):
+            out.setdefault((i, j), {})[k] = c
+        return out
+
+    def _entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """i, j, k and C(i,j,k) of every nonzero constant, sorted by (i, j, k)."""
+        t = self.tensor
+        k, j = np.divmod(t.col, self.dim)
+        order = np.lexsort((k, j, t.row))
+        return t.row[order], j[order], k[order], t.data[order]
 
     # -- bracket machinery ------------------------------------------------
-
-    def _ad_tensor(self) -> sparse.Coo:
-        """The structure constants as one sorted COO, L[i, k*dim+j] = C(i,j,k)
-        (row i is ad(b_i), flattened), built once per `constants` object:
-        the constants are replaced, never changed in place."""
-        if self._adl is None or self._adl[0] is not self.constants:
-            self._adl = (self.constants, tensor_coo(self.constants, self.dim, self.p))
-        return self._adl[1]
 
     def ad(self, v) -> np.ndarray:
         """Dense matrix of x -> [v, x]."""
         row = sparse.from_dense(fp.normalize(v, self.p).reshape(1, -1))
-        return sparse.product(row, self._ad_tensor(), self.p).toarray().reshape(self.dim, self.dim)
+        return sparse.product(row, self.tensor, self.p).toarray().reshape(self.dim, self.dim)
 
     def brackets(self, u, v) -> sparse.Coo:
         """All brackets of the rows of u with the rows of v: a sparse
@@ -90,7 +113,7 @@ class ModularSuperAlgebra:
         d, p = self.dim, self.p
         u, v = (x if isinstance(x, sparse.Coo) else sparse.from_dense(fp.normalize(x, p)) for x in (u, v))
         n = v.shape[0]
-        left = sparse.product(u, self._ad_tensor(), p)
+        left = sparse.product(u, self.tensor, p)
         k, j = np.divmod(left.col, d)
         vt = v.transpose()  # row j: the coordinates v_bj
         keys, vals = sparse.contract(left.row, j, left.data, vt,
@@ -98,21 +121,8 @@ class ModularSuperAlgebra:
         return sparse.from_keys(keys, vals, (u.shape[0] * n, d))
 
     def bracket(self, u, v) -> np.ndarray:
-        u = fp.normalize(u, self.p)
-        v = fp.normalize(v, self.p)
-        su, sv = np.nonzero(u)[0], np.nonzero(v)[0]
-        out = np.zeros(self.dim, dtype=np.int64)
-        if len(su) * len(sv) <= 256:
-            for i in su:
-                ui = int(u[i])
-                for j in sv:
-                    comps = self.constants.get((int(i), int(j)))
-                    if comps:
-                        coef = ui * int(v[j]) % self.p  # keeps the sums below 256*(p-1)^2
-                        for k, c in comps.items():
-                            out[k] += coef * c
-            return out % self.p
-        return (self.ad(u) @ v) % self.p
+        """[u, v]: the one row of brackets(u, v)."""
+        return self.brackets(np.reshape(u, (1, -1)), np.reshape(v, (1, -1))).toarray()[0]
 
     def is_homogeneous(self, v) -> bool:
         v = fp.normalize(v, self.p)
@@ -130,18 +140,15 @@ class ModularSuperAlgebra:
     # -- serialization -----------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        quads = []
-        for (i, j), comps in sorted(self.constants.items()):
-            if i > j:
-                continue
-            for k, c in sorted(comps.items()):
-                quads.append([i, j, k, int(c)])
+        """The constants as [i, j, k, C(i,j,k)] for i <= j, sorted by (i, j, k);
+        from_json_dict restores the pairs i > j by super skew symmetry."""
+        entries = np.stack(self._entries(), axis=1)
         return {
             "p": self.p,
             "dim": self.dim,
             "parity": [int(x) for x in self.parity],
             "labels": self.labels,
-            "constants": quads,
+            "constants": entries[entries[:, 0] <= entries[:, 1]].tolist(),
         }
 
     @classmethod
@@ -149,54 +156,32 @@ class ModularSuperAlgebra:
         p = int(data["p"])
         dim = int(data["dim"])
         parity = np.asarray(data["parity"], dtype=np.int64)
-        entries = []
-        for i, j, k, c in data["constants"]:
-            entries.append((i, j, k, c))
-            if i != j:  # the super-skew mirror [b_j, b_i] = -(-1)^{|i||j|} [b_i, b_j]
-                entries.append((j, i, k, c if parity[i] == 1 and parity[j] == 1 else -c))
-        return cls(p=p, dim=dim, parity=parity, constants=make_constants(entries, p), labels=data.get("labels"))
+        if parity.shape != (dim,):
+            raise ValueError("parity length must equal dim")
+        quads = np.array(data["constants"], dtype=object).reshape(-1, 4)
+        quads[:, 3] %= p  # as Python ints, so a coefficient beyond int64 reduces exactly
+        i, j, k, c = quads.astype(np.int64).T
+        _check_indices(dim, i, j)  # before their parities are read
+        # the super-skew mirror [b_j, b_i] = -(-1)^{|i||j|} [b_i, b_j]
+        mirror = i != j
+        sign = np.where((parity[i] == 1) & (parity[j] == 1), 1, -1)
+        return cls.from_entries(p, parity, np.concatenate([i, j[mirror]]), np.concatenate([j, i[mirror]]),
+                                np.concatenate([k, k[mirror]]), np.concatenate([c, (sign * c)[mirror]]),
+                                labels=data.get("labels"))
 
 
-def make_constants(entries: Iterable[tuple[int, int, int, int]], p: int) -> Constants:
-    """Assemble a constants dict from (i, j, k, c) quadruples, accumulating
-    repeated triples and dropping zeros."""
-    acc: Constants = {}
-    for i, j, k, c in entries:
-        comps = acc.setdefault((i, j), {})
-        comps[k] = (comps.get(k, 0) + c) % p
-    out: Constants = {}
-    for key, comps in acc.items():
-        cleaned = {k: c for k, c in comps.items() if c}
-        if cleaned:
-            out[key] = cleaned
-    return out
-
-
-def constants_from_products(products: sparse.Coo, n: int) -> Constants:
-    """Constants from a reduced sparse matrix whose row a*n+b holds [b_a, b_b]:
-    one key per nonzero row, in row order, its components in column order
-    (the dict make_constants builds from the entries in that order)."""
-    cols, vals = products.col.tolist(), products.data.tolist()
-    starts = np.flatnonzero(np.diff(products.row, prepend=-1))
-    a, b = np.divmod(products.row[starts], n)
-    bounds = [*starts.tolist(), len(cols)]
-    return {key: dict(zip(cols[lo:hi], vals[lo:hi]))
-            for key, lo, hi in zip(zip(a.tolist(), b.tolist()), bounds, bounds[1:])}
+def _check_indices(dim: int, *indices: np.ndarray) -> None:
+    """ValueError unless every index lies in [0, dim)."""
+    for x in indices:
+        if len(x) and (x.min() < 0 or x.max() >= dim):
+            raise ValueError(f"basis index outside [0, {dim})")
 
 
 def tensor_coo(constants: Constants, dim: int, p: int | None) -> sparse.Coo:
-    """The tensor as a (dim, dim*dim) sparse matrix L[i, k*dim+j] = C(i,j,k),
-    reduced mod p (exact over Z if p is None)."""
+    """The tensor of a constants dict, as a (dim, dim*dim) sparse matrix
+    L[i, k*dim+j] = C(i,j,k), reduced mod p (exact over Z if p is None)."""
     entries = [(i, k * dim + j, c) for (i, j), comps in constants.items() for k, c in comps.items()]
     return sparse.from_entries(*np.array(entries, dtype=np.int64).reshape(-1, 3).T, (dim, dim * dim), p)
-
-
-def _tensor(constants, dim: int, p: int | None) -> tuple[sparse.Coo, np.ndarray, np.ndarray]:
-    """The tensor of a constants dict, or an algebra's tensor as it is, with
-    the j and k of each entry."""
-    t = constants if isinstance(constants, sparse.Coo) else tensor_coo(constants, dim, p)
-    k, j = np.divmod(t.col, dim)
-    return t, j, k
 
 
 def superdim(alg: ModularSuperAlgebra) -> tuple[int, int]:
@@ -225,20 +210,21 @@ def _first_key(keys: np.ndarray, vals: np.ndarray, p: int | None) -> int | None:
     return int(keys[0]) if len(keys) else None
 
 
-def skew_witness(constants: Constants, parity, dim: int, p: int | None):
+def skew_witness(tensor: sparse.Coo, parity, p: int | None):
     """Smallest basis triple (i, j, k), i <= j, at which
     C(i,j,k) = -(-1)^{|i||j|} C(j,i,k) fails, or None.
 
-    Each entry C(i,j,k) = c adds c at key (i,j,k) and (-1)^{|i||j|} c at its
-    mirror key (j,i,k); the keys are summed exactly in int64.  The failures
-    at (i,j,k) and (j,i,k) come together, so the smallest has i <= j.
-    `constants` is a dict or the algebra's tensor; p=None checks over Z.
+    Each entry C(i,j,k) = c of the tensor adds c at key (i,j,k) and
+    (-1)^{|i||j|} c at its mirror key (j,i,k); the keys are summed exactly in
+    int64.  The failures at (i,j,k) and (j,i,k) come together, so the
+    smallest has i <= j.  p=None checks over Z.
     """
-    t, j, k = _tensor(constants, dim, p)
-    if not t.nnz:
+    if not tensor.nnz:
         return None
+    dim = tensor.shape[0]
+    k, j = np.divmod(tensor.col, dim)
     par = np.asarray(parity, dtype=np.int64)
-    i, c = t.row, t.data
+    i, c = tensor.row, tensor.data
     keys = np.concatenate([(i * dim + j) * dim + k, (j * dim + i) * dim + k])
     vals = np.concatenate([c, (1 - 2 * par[i] * par[j]) * c])
     key = _first_key(keys, vals, p)
@@ -251,7 +237,7 @@ def skew_witness(constants: Constants, parity, dim: int, p: int | None):
 def check_super_skew(alg: ModularSuperAlgebra) -> Report:
     """C(i,j,k) = -(-1)^{|i||j|} C(j,i,k) for all triples; a failure's
     witness is the smallest failing (i, j, k) with i <= j."""
-    witness = skew_witness(alg._ad_tensor(), alg.parity, alg.dim, alg.p)
+    witness = skew_witness(alg.tensor, alg.parity, alg.p)
     if witness is None:
         return Report("super_skew", True)
     i, j, k = witness
@@ -261,7 +247,7 @@ def check_super_skew(alg: ModularSuperAlgebra) -> Report:
 _JACOBI_BLOCK = 16  # values of x expanded at once in jacobi_witness
 
 
-def jacobi_witness(constants: Constants, parity, dim: int, p: int | None):
+def jacobi_witness(t: sparse.Coo, parity, p: int | None):
     """Smallest basis quadruple (i, j, k, l) at which the (super) Jacobi
     identity fails, or None.
 
@@ -277,13 +263,12 @@ def jacobi_witness(constants: Constants, parity, dim: int, p: int | None):
     3*dim products.  The products are formed one block of x values at a
     time, and the keys are summed exactly in int64 after the last block,
     since the products of one key may come from three blocks.  This holds
-    for any constants, skew or not.  `constants` is a dict or the algebra's
-    tensor; p=None checks over Z.
+    for any tensor, skew or not.  p=None checks over Z.
     """
-    d = dim
-    t, j, k = _tensor(constants, d, p)  # entries sorted by i = t.row
     if not t.nnz:
         return None
+    d = t.shape[0]
+    k, j = np.divmod(t.col, d)  # entries sorted by i = t.row
     par = np.asarray(parity, dtype=np.int64)
     bounds = np.searchsorted(t.row, [*range(0, d, _JACOBI_BLOCK), d])
     keys, vals = [], []
@@ -303,7 +288,7 @@ def jacobi_witness(constants: Constants, parity, dim: int, p: int | None):
 
 
 def check_super_jacobi(alg: ModularSuperAlgebra) -> Report:
-    witness = jacobi_witness(alg._ad_tensor(), alg.parity, alg.dim, alg.p)
+    witness = jacobi_witness(alg.tensor, alg.parity, alg.p)
     if witness is None:
         return Report("super_jacobi", True)
     i, j, k, _ = witness

@@ -222,28 +222,22 @@ def check_relations(alg: ModularSuperAlgebra, gens: GeneratorImages, target: Tar
     if target.gcm is None or gens.rank != target.gcm.n:
         return RelationReport(False, [{"relation": "rank", "expected": target.gcm.n if target.gcm else None,
                                        "actual": gens.rank}])
-    a = target.gcm
-
-    def expect(kind: str, i: int, j: int, actual: np.ndarray, wanted: np.ndarray):
-        if not np.array_equal(actual % alg.p, wanted % alg.p):
-            failures.append({"relation": kind, "i": i + 1, "j": j + 1})
-
     for i in range(gens.rank):
         for vec, label in ((gens.e[i], "e"), (gens.f[i], "f")):
             if not alg.is_homogeneous(vec) or not vec.any() or alg.vector_parity(vec) != target.gcm.parity[i]:
                 failures.append({"relation": "parity", "generator": f"{label}{i + 1}"})
         if gens.h[i].any() and alg.vector_parity(gens.h[i]) != 0:
             failures.append({"relation": "parity", "generator": f"h{i + 1}"})
-    for i in range(gens.rank):
-        for j in range(gens.rank):
-            ef = alg.bracket(gens.e[i], gens.f[j])
-            expect("ef", i, j, ef, gens.h[i] if i == j else np.zeros(alg.dim, dtype=np.int64))
-            he = alg.bracket(gens.h[i], gens.e[j])
-            expect("he", i, j, he, a.a(i + 1, j + 1) * gens.e[j])
-            hf = alg.bracket(gens.h[i], gens.f[j])
-            expect("hf", i, j, hf, -a.a(i + 1, j + 1) * gens.f[j])
-            hh = alg.bracket(gens.h[i], gens.h[j])
-            expect("hh", i, j, hh, np.zeros(alg.dim, dtype=np.int64))
+    r, p = gens.rank, alg.p
+    e, f, h = (np.array(vecs, dtype=np.int64).reshape(r, alg.dim) for vecs in (gens.e, gens.f, gens.h))
+    a = target.gcm.matrix()[:, :, None]
+    # [x_i, y_j] at [i, j] against its expected value, one brackets call per kind
+    wanted = {"ef": np.eye(r, dtype=np.int64)[:, :, None] * h[:, None], "he": a * e, "hf": -a * f,
+              "hh": np.zeros((r, r, alg.dim), dtype=np.int64)}
+    bad = {kind: ((alg.brackets(x, y).toarray().reshape(r, r, alg.dim) - wanted[kind]) % p).any(axis=2)
+           for kind, x, y in (("ef", e, f), ("he", h, e), ("hf", h, f), ("hh", h, h))}
+    failures += [{"relation": kind, "i": i + 1, "j": j + 1}
+                 for i in range(r) for j in range(r) for kind in bad if bad[kind][i, j]]
     return RelationReport(not failures, failures)
 
 

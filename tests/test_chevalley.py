@@ -21,7 +21,7 @@ from verlie.chevalley import (
 )
 from verlie.errors import JacobiViolation
 from verlie.roots import Root, RootSystem, catalog_gcm, positive_roots
-from verlie.superalgebra import check_super_jacobi, check_super_skew, jacobi_witness, make_constants
+from verlie.superalgebra import ModularSuperAlgebra, check_super_jacobi, check_super_skew
 
 
 def test_a1_is_sl2():
@@ -180,12 +180,12 @@ def test_reduce_mod_p_sl2():
 
 @pytest.mark.parametrize("name,p", [("g2", 3), ("f4", 5), ("e6", 7)])
 def test_reduce_mod_p_keeps_the_integral_order(name, p):
+    """The reduction's tensor is the one from_entries sums from the integral
+    constants, entry by entry."""
     alg = integral_catalog(name)
     quads = [(i, j, k, c) for (i, j), comps in alg.constants.items() for k, c in comps.items()]
-    expected = make_constants(quads, p)
-    got = reduce_mod_p(alg, p).constants
-    assert [(key, list(comps.items())) for key, comps in got.items()] == [
-        (key, list(comps.items())) for key, comps in expected.items()]
+    expected = ModularSuperAlgebra.from_entries(p, np.zeros(alg.dim, dtype=np.int64), *np.transpose(quads))
+    assert reduce_mod_p(alg, p).tensor == expected.tensor
 
 
 def test_catalog_rejects_modulus_outside_odd_primes():
@@ -224,15 +224,17 @@ def test_modulus_bound_uses_dimension():
 
 @pytest.mark.parametrize("name", ["g2", "gl3"])
 def test_catalog_constants_are_read_only(name):
+    """Writes through `constants` land in a copy, and the tensor arrays
+    refuse them, so the shared catalog algebra keeps its constants."""
     alg = catalog_algebra(name, 3)
-    before = {key: dict(comps) for key, comps in alg.constants.items()}
+    before = alg.constants
     key, comps = next(iter(alg.constants.items()))
-    with pytest.raises(TypeError):
-        alg.constants[(0, 0)] = {0: 1}
-    with pytest.raises(TypeError):
-        alg.constants[key][next(iter(comps))] = 0
-    with pytest.raises(TypeError):
-        del alg.constants[key]
+    alg.constants[(0, 0)] = {0: 1}
+    alg.constants[key][next(iter(comps))] = 0
+    del alg.constants[key]
+    for arr in (alg.tensor.row, alg.tensor.col, alg.tensor.data):
+        with pytest.raises(ValueError):
+            arr[0] = 2
     assert catalog_algebra(name, 3).constants == before
 
 
@@ -249,7 +251,7 @@ def test_integral_catalog_is_read_only():
 
 def test_algebra_equality():
     assert gl(3, 3) == gl(3, 3)
-    assert catalog_algebra("gl3", 3) == gl(3, 3)  # frozen constants compare equal to a dict
+    assert catalog_algebra("gl3", 3) == gl(3, 3)  # frozen tensor arrays compare equal to writable ones
     assert gl(3, 3) != gl(3, 5)
     assert gl(3, 3) != sl(3, 3)
     alg = gl(3, 3)

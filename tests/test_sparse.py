@@ -89,7 +89,7 @@ def test_powers_match_scipy(p, n, k, density, seed):
 
 
 def test_brackets_on_a_zero_dimensional_algebra():
-    alg = ModularSuperAlgebra(p=3, dim=0, parity=np.zeros(0, dtype=np.int64), constants={})
+    alg = ModularSuperAlgebra.from_entries(3, np.zeros(0, dtype=np.int64), [], [], [], [])
     got = alg.brackets(np.zeros((2, 0), dtype=np.int64), np.zeros((3, 0), dtype=np.int64))
     assert got.shape == (6, 0) and got.nnz == 0
     assert alg.ad(np.zeros(0, dtype=np.int64)).shape == (0, 0)

@@ -1,4 +1,3 @@
-import copy
 import itertools
 
 import numpy as np
@@ -22,12 +21,12 @@ from verlie.superalgebra import (
     generated_subalgebra,
     ideal_closure,
     jacobi_witness,
-    make_constants,
     odd_cube_generators,
     odd_cube_values_literal,
     quotient,
     skew_witness,
     superdim,
+    tensor_coo,
 )
 from verlie.table import TABLE, row_pipeline
 
@@ -50,12 +49,10 @@ def free_nilpotent_ss():
 
 
 def corrupt(alg: ModularSuperAlgebra, i, j, k, delta=1) -> ModularSuperAlgebra:
-    constants = copy.deepcopy(alg.constants)
-    comps = constants.setdefault((i, j), {})
-    comps[k] = (comps.get(k, 0) + delta) % alg.p
-    if not comps[k]:
-        del comps[k]
-    return ModularSuperAlgebra(p=alg.p, dim=alg.dim, parity=alg.parity.copy(), constants=constants)
+    """The algebra with delta added to C(i, j, k)."""
+    t = alg.tensor
+    ks, js = np.divmod(t.col, alg.dim)
+    return ModularSuperAlgebra.from_entries(alg.p, alg.parity.copy(), [*t.row, i], [*js, j], [*ks, k], [*t.data, delta])
 
 
 def test_super_skew_pass(gl33):
@@ -90,7 +87,7 @@ def random_algebra(p, dim, density, seed) -> ModularSuperAlgebra:
             for k in range(dim):
                 if rng.random() < density:
                     entries.append((i, j, k, int(rng.integers(1, p))))
-    return ModularSuperAlgebra(p=p, dim=dim, parity=parity, constants=make_constants(entries, p))
+    return ModularSuperAlgebra.from_entries(p, parity, *np.array(entries, dtype=np.int64).reshape(-1, 4).T)
 
 
 def first_jacobi_violation(alg):
@@ -116,7 +113,7 @@ def first_jacobi_violation(alg):
 def test_jacobi_witness_matches_direct_scan(p):
     for dim in (5, 40):  # 40 spans several blocks of i values
         alg = random_algebra(p, dim, 0.2, seed=5)
-        fast = jacobi_witness(alg.constants, alg.parity, dim, alg.p)
+        fast = jacobi_witness(alg.tensor, alg.parity, alg.p)
         direct = first_jacobi_violation(alg)
         assert (fast is None) == (direct is None)
         if fast is not None:
@@ -130,7 +127,7 @@ def test_jacobi_witness_independent_of_block_size(seed, monkeypatch):
 
     def witnesses(block):
         monkeypatch.setattr(superalgebra, "_JACOBI_BLOCK", block)
-        return [jacobi_witness(alg.constants, alg.parity, alg.dim, p) for p in (alg.p, None)]
+        return [jacobi_witness(alg.tensor, alg.parity, p) for p in (alg.p, None)]
 
     whole = witnesses(alg.dim)
     assert whole[0] is not None
@@ -145,7 +142,7 @@ def test_jacobi_witness_weighs_the_diagonal_three_times(p):
     failure is J(0,0,1) = 2 b1."""
     constants = {(0, 0): {1: 1}, (1, 0): {0: 1}, (0, 1): {0: -1 if p is None else p - 1}}
     expected = (0, 0, 1, 1) if p == 3 else (0, 0, 0, 0)
-    assert jacobi_witness(constants, [1, 0], 2, p) == expected
+    assert jacobi_witness(tensor_coo(constants, 2, p), [1, 0], p) == expected
 
 
 def random_skew_constants(p, dim, density, faults, seed):
@@ -190,7 +187,7 @@ def first_skew_violation(constants, parity, dim, p):
 def test_skew_witness_matches_direct_scan(p, faults):
     for seed in range(4):
         constants, parity = random_skew_constants(p, 9, 0.1, faults, seed)
-        assert skew_witness(constants, parity, 9, p) == first_skew_violation(constants, parity, 9, p)
+        assert skew_witness(tensor_coo(constants, 9, p), parity, p) == first_skew_violation(constants, parity, 9, p)
 
 
 def test_super_skew_witness_is_the_smallest_triple(gl33):
@@ -224,7 +221,7 @@ def test_center_dimensions(gl33, f4mod3):
 def test_derived_subalgebra(gl33, f4mod3):
     assert derived_subalgebra(gl33).dim == 8  # sl_3
     assert derived_subalgebra(f4mod3).dim == 52
-    abelian = ModularSuperAlgebra(p=3, dim=4, parity=np.zeros(4, dtype=np.int64), constants={})
+    abelian = ModularSuperAlgebra.from_entries(3, np.zeros(4, dtype=np.int64), [], [], [], [])
     assert derived_subalgebra(abelian).dim == 0
 
 
@@ -349,11 +346,25 @@ def test_from_json_dict_drops_zero_coefficients():
     data = {"p": 3, "dim": 3, "parity": [0, 1, 1], "labels": None,
             "constants": [[0, 1, 1, 3], [0, 2, 2, 4], [1, 1, 0, 2], [1, 2, 0, 5]]}
     alg = ModularSuperAlgebra.from_json_dict(data)
-    entries = [(0, 2, 2, 1), (2, 0, 2, -1), (1, 1, 0, 2), (1, 2, 0, 2), (2, 1, 0, 2)]
-    assert alg.constants == make_constants(entries, 3)
+    i, j, k, c = [0, 2, 1, 1, 2], [2, 0, 1, 2, 1], [2, 2, 0, 0, 0], [1, -1, 2, 2, 2]
+    assert alg == ModularSuperAlgebra.from_entries(3, [0, 1, 1], i, j, k, c)
     written = alg.to_json_dict()
     assert written["constants"] == [[0, 2, 2, 1], [1, 1, 0, 2], [1, 2, 0, 2]]
     assert ModularSuperAlgebra.from_json_dict(written).to_json_dict() == written
+    big = {**data, "constants": [[0, 2, 2, 1 + 3 * 2**70]]}  # reduced exactly, beyond int64
+    assert ModularSuperAlgebra.from_json_dict(big).constants == {(0, 2): {2: 1}, (2, 0): {2: 2}}
+
+
+@pytest.mark.parametrize("quad", [[0, 0, 2, 1], [0, 1, 2, 1], [0, -1, 1, 1], [-1, 0, 1, 1], [0, 1, -1, 1]])
+def test_out_of_range_constant_index_is_rejected(quad):
+    """An index outside [0, dim) is an error, not a constant at another
+    position: C(0, 0, 2) at dim 2 would land at column 2*2+0, in the row of
+    [b_1, b_0], and a negative index would count from the end."""
+    data = {"p": 3, "dim": 2, "parity": [1, 1], "labels": None, "constants": [quad]}
+    with pytest.raises(ValueError, match="outside"):
+        ModularSuperAlgebra.from_json_dict(data)
+    with pytest.raises(ValueError, match="outside"):
+        ModularSuperAlgebra.from_entries(3, [1, 1], *np.transpose([quad]))
 
 
 @settings(max_examples=80, deadline=None)
@@ -412,51 +423,54 @@ def test_brackets_rows_match_single_brackets(name, p, m, n, density, seed):
     assert np.array_equal(got.toarray(), np.array(expected, dtype=np.int64).reshape(m * n, alg.dim))
 
 
-def entry_loop_constants(products, n: int, p: int):
-    """The constants make_constants builds entry by entry from the products
-    in row-major order: the construction the grouped one replaced."""
-    a, b = np.divmod(products.row, n)
-    return make_constants(zip(a.tolist(), b.tolist(), products.col.tolist(), products.data.tolist()), p)
-
-
-def ordered(constants):
-    return [(key, list(comps.items())) for key, comps in constants.items()]
-
-
 SMALL_SAMPLE = [("g2", 5, "e1"), ("f4", 7, "e1+e2"), ("a5", 3, "e2"), ("b4", 5, "e2"), ("c4", 7, "e1+e2"),
                 ("gl3", 3, "e2"), ("sl4", 5, "e2"), ("d4", 3, "e1")]
 
 
+def recording_from_products(monkeypatch, change=None):
+    """Record the arguments of every from_products call, after `change`
+    (if given) has replaced the products."""
+    calls = []
+    original = ModularSuperAlgebra.from_products
+
+    def from_products(cls, products, p, parity, labels=None):
+        products = change(products, len(parity), p) if change else products
+        calls.append((products, p, parity))
+        return original(products, p, parity, labels)
+
+    monkeypatch.setattr(ModularSuperAlgebra, "from_products", classmethod(from_products))
+    return calls
+
+
 def test_grouped_constants_match_the_entry_loop(monkeypatch):
     """On every table output and a sample of small semisimplify calls, the
-    constants grouped by row equal make_constants over the same entries,
-    insertion order included."""
-    calls = []
-    grouped = superalgebra.constants_from_products
-    monkeypatch.setattr(superalgebra, "constants_from_products",
-                        lambda products, n: calls.append((products, n)) or grouped(products, n))
+    tensor from_products re-keys out of the sorted products equals the one
+    from_entries sums from the same entries."""
+    calls = recording_from_products(monkeypatch)
     inputs = [(s.algebra, s.p, s.elements[0], s.subset) for s in TABLE] + [(*x, None) for x in SMALL_SAMPLE]
     for name, p, element, subset in inputs:
         realization, decomp, _ = row_pipeline(name, p, element, subset)
         out = v.semisimplify(realization, decomp).algebra
-        products, n = calls[-1]
-        assert n == out.dim and out.constants
-        assert ordered(out.constants) == ordered(entry_loop_constants(products, n, p)), (name, p, element)
+        products, q, parity = calls[-1]
+        assert q == p and np.array_equal(parity, out.parity) and out.tensor.nnz
+        a, b = np.divmod(products.row, out.dim)
+        expected = ModularSuperAlgebra.from_entries(p, parity, a, b, products.col, products.data)
+        assert out.tensor == expected.tensor, (name, p, element)
 
 
 def test_semisimplify_checks_the_constants_it_publishes(monkeypatch):
-    """The skew and Jacobi checks read the output's constants dict, not the
-    products it was grouped from: one wrong constant in the dict fails them."""
-    grouped = superalgebra.constants_from_products
+    """The skew and Jacobi checks read the output's tensor, which is the one
+    its JSON is written from: one wrong product handed to from_products fails
+    them."""
 
-    def one_wrong(products, n):
-        constants = grouped(products, n)
-        comps = next(comps for (a, b), comps in constants.items() if a != b)
-        k = next(iter(comps))
-        comps[k] = (comps[k] + 1) % 5
-        return constants
+    def one_wrong(products, n, p):
+        a, b = np.divmod(products.row, n)
+        data = products.data.copy()
+        e = int(np.flatnonzero(a != b)[0])
+        data[e] = data[e] % (p - 1) + 1  # another nonzero residue
+        return sparse.Coo(products.row, products.col, data, products.shape)
 
     realization, decomp, _ = row_pipeline("g2", 5, "e1", None)
-    monkeypatch.setattr(superalgebra, "constants_from_products", one_wrong)
+    recording_from_products(monkeypatch, one_wrong)
     with pytest.raises(JacobiViolation, match="super skew"):
         v.semisimplify(realization, decomp)

@@ -13,7 +13,6 @@ from verlie.superalgebra import (
     check_super_jacobi,
     check_super_skew,
     closure,
-    make_constants,
     superdim,
 )
 from verlie.table import row_pipeline
@@ -107,6 +106,40 @@ def test_check_relations_wrong_rank():
     gens = generator_images(ss, (1, 2))
     report = check_relations(ss.algebra, gens, target_by_name("g(2,3)"))
     assert not report.ok and report.failures[0]["relation"] == "rank"
+
+
+def pairwise_relation_failures(alg, gens, gcm):
+    """The relation failures check_relations lists, one bracket per pair."""
+    out = []
+    zero = np.zeros(alg.dim, dtype=np.int64)
+    for i in range(gens.rank):
+        for j in range(gens.rank):
+            a = gcm.a(i + 1, j + 1)
+            for kind, actual, wanted in (("ef", alg.bracket(gens.e[i], gens.f[j]), gens.h[i] if i == j else zero),
+                                         ("he", alg.bracket(gens.h[i], gens.e[j]), a * gens.e[j]),
+                                         ("hf", alg.bracket(gens.h[i], gens.f[j]), -a * gens.f[j]),
+                                         ("hh", alg.bracket(gens.h[i], gens.h[j]), zero)):
+                if ((actual - wanted) % alg.p).any():
+                    out.append({"relation": kind, "i": i + 1, "j": j + 1})
+    return out
+
+
+def test_check_relations_same_rank_wrong_target():
+    """Against the rank-4 even Cartan matrix of f4, the images of the e6
+    pair fail both parity and bracket relations; the batched check lists the
+    parity failures first, then the same bracket failures, in the same
+    order, as a loop over single brackets."""
+    _, _, ss = pipeline("e6", 3, "e1+e2", subset=(1, 2))
+    gens = generator_images(ss, (1, 2))
+    right = derive_tilde(catalog_gcm("e6"), (1, 2))
+    assert check_relations(ss.algebra, gens, TargetSpec("right", 3, ss.superdim(), right)).ok
+    assert pairwise_relation_failures(ss.algebra, gens, right) == []
+    wrong = catalog_gcm("f4")
+    report = check_relations(ss.algebra, gens, TargetSpec("wrong", 3, ss.superdim(), wrong))
+    parity = [f for f in report.failures if f["relation"] == "parity"]
+    expected = pairwise_relation_failures(ss.algebra, gens, wrong)
+    assert parity and expected and not report.ok
+    assert report.failures == parity + expected
 
 
 def test_certify_refuted_on_superdim():
@@ -295,7 +328,7 @@ def sl2_module_algebra(blocks, odd_basis, p=5) -> ModularSuperAlgebra:
         act = to_basis @ act @ basis % p  # column b: [x, w_b] over the odd basis
         for a, b in zip(*np.nonzero(act)):
             entries += [(i, 3 + b, 3 + a, act[a, b]), (3 + b, i, 3 + a, -act[a, b])]
-    return ModularSuperAlgebra(p=p, dim=3 + m, parity=[0, 0, 0] + [1] * m, constants=make_constants(entries, p))
+    return ModularSuperAlgebra.from_entries(p, [0, 0, 0] + [1] * m, *np.transpose(entries))
 
 
 def test_odd_part_irreducible_sees_a_submodule_without_basis_vectors():
