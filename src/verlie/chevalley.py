@@ -367,8 +367,9 @@ def integral_catalog(name: str) -> IntegralLieAlgebra:
 def catalog_algebra(name: str, p: int) -> ModularSuperAlgebra:
     """Named catalog algebra reduced mod p; 'gl<n>' and 'sl<n>' are accepted too.
 
-    The result is shared by every caller, so its tensor arrays, generator
-    vectors and parity are read-only.
+    The result is shared by every caller: like every algebra its fields
+    cannot be rebound, and its tensor arrays, generator vectors and parity
+    are read-only too.
     """
     check_modulus(p)
     name = name.lower()

@@ -13,7 +13,7 @@ from math import isqrt
 import numpy as np
 
 from . import sparse
-from .errors import BadModulus, NotNilpotent
+from .errors import BadModulus
 
 Array = np.ndarray
 
@@ -257,38 +257,3 @@ def powers(m, k: int, p: int) -> list[sparse.Coo]:
     for _ in range(k):
         out.append(sparse.product(out[-1], a, p))
     return out
-
-
-def _power(m: Array, k: int, p: int) -> Array:
-    result = np.eye(m.shape[0], dtype=np.int64)
-    base = m % p
-    while k:
-        if k & 1:
-            result = (result @ base) % p
-        base = (base @ base) % p
-        k >>= 1
-    return result
-
-
-def nilpotency_degree(m, p: int) -> int:
-    """Smallest k with m^k = 0; raises NotNilpotent if m^dim != 0.
-
-    The zero matrix has degree 1 (m^0 is the identity, nonzero for dim > 0).
-    """
-    a = normalize(m, p)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError("nilpotency_degree expects a square matrix")
-    if n == 0:
-        return 0
-    if _power(a, n, p).any():
-        raise NotNilpotent(f"m^{n} != 0")
-    # Binary search for the degree: powers of a nilpotent matrix only lose rank.
-    lo, hi = 0, n  # m^lo != 0 (treat m^0 = I), m^hi = 0
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _power(a, mid, p).any():
-            lo = mid
-        else:
-            hi = mid
-    return hi

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from . import fp, sparse
-from .errors import DegreeExceedsP, ParseError, PreconditionViolated, UnknownGenerator
+from .errors import DegreeExceedsP, NotNilpotent, ParseError, PreconditionViolated, UnknownGenerator
 from .roots import Root, admissible_subsets, attached_node
 from .superalgebra import ModularSuperAlgebra
 
@@ -176,7 +176,11 @@ class Realization:
 def _realization(alg: ModularSuperAlgebra, der: np.ndarray, element) -> Realization:
     powers = fp.powers(der, alg.p, alg.p)
     if powers[-1].nnz:
-        fp.nilpotency_degree(der, alg.p)  # raises NotNilpotent when appropriate
+        top, exponent = powers[-1], alg.p  # D^exponent; a nilpotent D has D^dim = 0
+        while top.nnz and exponent < alg.dim:
+            top, exponent = sparse.product(top, top, alg.p), 2 * exponent
+        if top.nnz:
+            raise NotNilpotent(f"derivation is not nilpotent (D^{exponent} != 0)")
         raise DegreeExceedsP(f"derivation is nilpotent of degree > {alg.p}")
     _freeze(der, *powers)
     return Realization(algebra=alg, der=der, powers=powers, element=element)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
@@ -21,19 +22,23 @@ from .errors import MissingTags, NotAnIdeal, NotParityHomogeneous
 Constants = dict[tuple[int, int], dict[int, int]]
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ModularSuperAlgebra:
     p: int
     dim: int
     parity: np.ndarray  # 0/1 per basis vector
     tensor: sparse.Coo  # L[i, k*dim+j] = C(i,j,k), reduced: row i is ad(b_i), flattened
-    labels: list[str] | None = None
-    gens: dict[str, np.ndarray] | None = None  # generator name -> coordinate vector
+    labels: tuple[str, ...] | None = None  # any sequence, stored as a tuple
+    gens: Mapping[str, np.ndarray] | None = None  # generator name -> coordinate vector, stored read-only
     origin: object | None = None  # construction-time metadata, not serialized
 
     def __post_init__(self):
         fp.check_modulus(self.p, self.dim)
-        self.parity = np.asarray(self.parity, dtype=np.int64)
+        object.__setattr__(self, "parity", np.asarray(self.parity, dtype=np.int64))
+        if self.labels is not None:
+            object.__setattr__(self, "labels", tuple(self.labels))
+        if self.gens is not None:
+            object.__setattr__(self, "gens", MappingProxyType(dict(self.gens)))
         if self.parity.shape != (self.dim,):
             raise ValueError("parity length must equal dim")
         if self.tensor.shape != (self.dim, self.dim * self.dim):
@@ -61,8 +66,8 @@ class ModularSuperAlgebra:
         zeros are dropped.  ValueError if an index lies outside [0, dim)."""
         dim = len(parity)
         fp.check_modulus(p, dim)  # before c % p
-        i, j, k, c = (np.asarray(x, dtype=np.int64) for x in (i, j, k, c))
-        _check_indices(dim, i, j, k)
+        i, j, k = _indices(dim, i, j, k)
+        c = np.asarray(c, dtype=np.int64)
         tensor = sparse.from_entries(i, k * dim + j, c % p, (dim, dim * dim), p)
         return cls(p, dim, parity, tensor, labels, gens, origin)
 
@@ -147,7 +152,7 @@ class ModularSuperAlgebra:
             "p": self.p,
             "dim": self.dim,
             "parity": [int(x) for x in self.parity],
-            "labels": self.labels,
+            "labels": None if self.labels is None else list(self.labels),
             "constants": entries[entries[:, 0] <= entries[:, 1]].tolist(),
         }
 
@@ -159,9 +164,8 @@ class ModularSuperAlgebra:
         if parity.shape != (dim,):
             raise ValueError("parity length must equal dim")
         quads = np.array(data["constants"], dtype=object).reshape(-1, 4)
-        quads[:, 3] %= p  # as Python ints, so a coefficient beyond int64 reduces exactly
-        i, j, k, c = quads.astype(np.int64).T
-        _check_indices(dim, i, j)  # before their parities are read
+        i, j, k = _indices(dim, *quads[:, :3].T)  # before their parities are read
+        c = (quads[:, 3] % p).astype(np.int64)  # as Python ints, so a coefficient beyond int64 reduces exactly
         # the super-skew mirror [b_j, b_i] = -(-1)^{|i||j|} [b_i, b_j]
         mirror = i != j
         sign = np.where((parity[i] == 1) & (parity[j] == 1), 1, -1)
@@ -170,11 +174,16 @@ class ModularSuperAlgebra:
                                 labels=data.get("labels"))
 
 
-def _check_indices(dim: int, *indices: np.ndarray) -> None:
-    """ValueError unless every index lies in [0, dim)."""
-    for x in indices:
-        if len(x) and (x.min() < 0 or x.max() >= dim):
-            raise ValueError(f"basis index outside [0, {dim})")
+def _indices(dim: int, *indices) -> list[np.ndarray]:
+    """The indices as int64 arrays; ValueError unless every index lies in
+    [0, dim), also for one beyond int64."""
+    try:
+        out = [np.asarray(x, dtype=np.int64) for x in indices]
+    except OverflowError:
+        out = None
+    if out is None or any(len(x) and (x.min() < 0 or x.max() >= dim) for x in out):
+        raise ValueError(f"basis index outside [0, {dim})")
+    return out
 
 
 def tensor_coo(constants: Constants, dim: int, p: int | None) -> sparse.Coo:

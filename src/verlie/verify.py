@@ -10,7 +10,6 @@ irreducible odd module), matching how that algebra is identified.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 
@@ -534,8 +533,8 @@ def _multiples(p: int, products: sparse.Coo, vectors: np.ndarray, targets: np.nd
 
 def recognize_even_type(alg: ModularSuperAlgebra, split: WeightSplit) -> tuple[str, int, int]:
     """Cartan type of the even part from its torus weight split: roots, root
-    strings, a rational embedding, simple roots as indecomposable positives,
-    catalog match.
+    strings, integer coroot pairings, simple roots as indecomposable
+    positives, catalog match.
 
     The brackets come in two batched calls over the root vectors u_lam.
     [u_mu, u_lam] lies in the one-dimensional weight space mu + lam, so the
@@ -585,75 +584,25 @@ def recognize_even_type(alg: ModularSuperAlgebra, split: WeightSplit) -> tuple[s
     beyond = np.take_along_axis(up, np.maximum(targets, 0), axis=1) & (targets >= 0)
     q = up.astype(np.int64) + (up & beyond)
     skip = np.eye(n, dtype=bool)
-    skip[np.arange(n), neg] = True  # the pairings with +-mu are fixed by the norms
-    pair = _resolve_pairing(p, np.where(skip, 0, eigs), np.where(skip, 0, q)).T.tolist()
-    # norms by ratio propagation: (lam,lam)/(mu,mu) = <lam,mu^v>/<mu,lam^v>
-    norms: dict[int, Fraction] = {0: Fraction(2)}
-    queue = [0]
-    while queue:
-        mu = queue.pop(0)
-        if neg[mu] not in norms:
-            norms[neg[mu]] = norms[mu]
-            queue.append(neg[mu])
-        for lam in range(n):
-            if lam in norms:
-                continue
-            nl, nm = pair[lam][mu], pair[mu][lam]
-            if nl and nm:
-                norms[lam] = norms[mu] * nl / nm
-                queue.append(lam)
-    if len(norms) != n:
-        raise UnrecognizedType("root graph is not connected")
-
-    def gram(lam, mu) -> Fraction:
-        if lam == mu:
-            return norms[lam]
-        if lam == neg[mu]:
-            return -norms[lam]
-        return pair[lam][mu] * norms[mu] / 2
-
-    # rational coordinates over a greedily chosen root basis: a root joins
-    # while the Gram matrix stays nonsingular, that is while its Schur
-    # complement over the basis is nonzero; `inv`, the inverse Gram matrix
-    # of the basis, grows by bordering
-    basis: list[int] = []
-    inv: list[list[Fraction]] = []
-    for cand in range(n):
-        g_col = [gram(x, cand) for x in basis]
-        g_row = [gram(cand, x) for x in basis]
-        col = [sum(v * g for v, g in zip(vals, g_col)) for vals in inv]  # inv @ gram(basis, cand)
-        row = [sum(g * vals[j] for g, vals in zip(g_row, inv)) for j in range(len(basis))]  # gram(cand, basis) @ inv
-        schur = gram(cand, cand) - sum(g * c for g, c in zip(g_row, col))
-        if schur:
-            inv = [[v + c * r / schur for v, r in zip(vals, row)] + [-c / schur] for vals, c in zip(inv, col)]
-            inv.append([-r / schur for r in row] + [1 / schur])
-            basis.append(cand)
-    rank = len(basis)
-    # coordinates x of each root: gram(basis, basis) x = gram(root, basis)
-    coords = [tuple(sum(v * gram(lam, x) for v, x in zip(vals, basis)) for vals in inv) for lam in range(n)]
-    # lexicographic order from the last coordinate: positive when the last
-    # nonzero coordinate is
-    positive = []
-    for lam, cs in enumerate(coords):
-        last = next((c for c in reversed(cs) if c), 0)
-        if last == 0:
-            raise UnrecognizedType("degenerate positivity functional")
-        if last > 0:
-            positive.append(lam)
-    pos_coords = {coords[lam] for lam in positive}
-    simple = []
-    for lam in positive:
-        decomposable = any(
-            tuple(a - b for a, b in zip(coords[lam], coords[mu])) in pos_coords
-            for mu in positive
-            if mu != lam
-        )
-        if not decomposable:
-            simple.append(lam)
-    simple.sort(key=lambda lam: coords[lam])
-    if len(simple) != rank:
-        raise UnrecognizedType(f"{len(simple)} simple roots for rank {rank}")
-    cartan = [[2 if i == j else pair[simple[j]][simple[i]] for j in range(rank)] for i in range(rank)]
+    skip[np.arange(n), neg] = True  # the pairings with +-mu, set next
+    pair = _resolve_pairing(p, np.where(skip, 0, eigs), np.where(skip, 0, q)).T
+    pair[np.arange(n), np.arange(n)] = 2
+    pair[np.arange(n), neg] = -2
+    if not np.array_equal(pair[neg], -pair):
+        raise UnrecognizedType("pairings are not odd under negation")
+    # row lam, the pairings <lam, mu^v> over every root mu, is lam in integer
+    # coordinates: each column is linear and the coroots span the dual of the
+    # torus.  Ordering the rows by their last nonzero entry is compatible
+    # with sums, so it picks a positive system, whose simple roots are the
+    # positive roots that are no sum of two.
+    positive = [lam for lam, row in enumerate(pair) if row[np.flatnonzero(row)[-1]] > 0]
+    rows = {pair[lam].tobytes() for lam in positive}
+    simple = [lam for lam in positive if not any(d.tobytes() in rows for d in pair[lam] - pair[positive])]
+    # no count check against the rank: every positive root is a sum of
+    # simple ones, and the simple roots are independent once their Cartan
+    # matrix matches a catalog one, which is nonsingular
+    cartan = pair[np.ix_(simple, simple)].T  # a_ij = <alpha_j, alpha_i^v>
+    rank = len(simple)
     label = _match_type(cartan, rank)
     expected_roots = 2 * len(positive_roots(catalog_gcm(label.lower())).positive)
     if expected_roots != n or cartan_dim != rank:
@@ -661,7 +610,7 @@ def recognize_even_type(alg: ModularSuperAlgebra, split: WeightSplit) -> tuple[s
     return label, rank, int(np.count_nonzero(alg.parity == 0))
 
 
-def _match_type(cartan, rank: int) -> str:
+def _match_type(cartan: np.ndarray, rank: int) -> str:
     candidates = []
     if rank == 2:
         candidates += ["a2", "b2", "c2", "g2"]
@@ -675,15 +624,14 @@ def _match_type(cartan, rank: int) -> str:
         candidates.append("f4")
     if rank in (6, 7, 8):
         candidates.append(f"e{rank}")
-    got = np.array(cartan, dtype=np.int64)
     for name in candidates:
         try:
             ref = catalog_gcm(name).matrix()
         except ValueError:
             continue
-        if ref.shape != got.shape:
+        if ref.shape != cartan.shape:
             continue
         for perm in permutations(range(rank)):
-            if np.array_equal(got[np.ix_(perm, perm)], ref):
+            if np.array_equal(cartan[np.ix_(perm, perm)], ref):
                 return name.upper()
-    raise UnrecognizedType(f"no catalog match for Cartan matrix {cartan}")
+    raise UnrecognizedType(f"no catalog match for Cartan matrix {cartan.tolist()}")

@@ -1,5 +1,5 @@
 import hashlib
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -271,6 +271,12 @@ def test_catalog_algebra_is_read_only(name):
         alg.gens["h1"] += 1
     with pytest.raises(ValueError):
         alg.parity[0] = 1
+    with pytest.raises(FrozenInstanceError):
+        alg.dim = 9
+    with pytest.raises(TypeError):
+        alg.gens["e1"] = alg.gens["f1"]
+    with pytest.raises(TypeError):
+        alg.labels[0] = "x"
     again = catalog_algebra(name, 3)
     assert again.gens.keys() == before.keys()
     assert all(np.array_equal(again.gens[gen], vec) for gen, vec in before.items())

@@ -118,6 +118,12 @@ def test_bad_modulus_exit_code(command, p, capsys):
     assert err.startswith("error:") and "not an odd prime" in err and "Traceback" not in err
 
 
+def test_non_nilpotent_element_exit_code(capsys):
+    assert main(["decompose", "--algebra", "g2", "--element", "h1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "not nilpotent" in err and "Traceback" not in err
+
+
 def test_modulus_beyond_accumulation_bound_exit_code(capsys):
     assert main(["decompose", "--algebra", "g2", "-p", "4294967311", "--element", "e1"]) == 3
     err = capsys.readouterr().err

@@ -9,7 +9,9 @@ from sympy import GF
 from sympy.polys.matrices import DomainMatrix
 
 from verlie import fp, sparse
-from verlie.errors import BadModulus, NotNilpotent
+from verlie.errors import BadModulus, DegreeExceedsP, NotNilpotent
+from verlie.repalpha import realize_derivation
+from verlie.superalgebra import ModularSuperAlgebra
 
 
 def brute_rank(m, p):
@@ -81,31 +83,43 @@ def test_inverse_roundtrip():
         assert np.array_equal((m @ inv) % p, np.eye(6, dtype=np.int64))
 
 
+def realize_in_abelian(m, p):
+    """Realize m as a derivation of the abelian algebra of its size, where
+    every matrix is one."""
+    n = len(m)
+    return realize_derivation(ModularSuperAlgebra.from_entries(p, np.zeros(n, dtype=np.int64), [], [], [], []), m)
+
+
 def test_nilpotency_zero_matrix():
-    assert fp.nilpotency_degree(np.zeros((4, 4), dtype=np.int64), 3) == 1
+    assert realize_in_abelian(np.zeros((4, 4), dtype=np.int64), 3).degree == 1
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
 def test_nilpotency_jordan_block(n):
     block = np.diag(np.ones(n - 1, dtype=np.int64), k=-1) if n > 1 else np.zeros((1, 1), dtype=np.int64)
-    assert fp.nilpotency_degree(block, 5) == n
+    if n <= 5:
+        assert realize_in_abelian(block, 5).degree == n
+    else:
+        with pytest.raises(DegreeExceedsP):
+            realize_in_abelian(block, 5)
 
 
 def test_nilpotency_rejects_invertible():
     with pytest.raises(NotNilpotent):
-        fp.nilpotency_degree(np.eye(3, dtype=np.int64), 3)
+        realize_in_abelian(np.eye(3, dtype=np.int64), 3)
 
 
-def test_nilpotency_degree_contract():
+def test_realized_degree_contract():
     rng = np.random.default_rng(31)
     for _ in range(20):
         n = int(rng.integers(2, 7))
         strict = np.triu(rng.integers(0, 3, size=(n, n)), k=1)
-        k = fp.nilpotency_degree(strict, 3)
-        powk = np.linalg.matrix_power(strict, k) % 3
-        assert not powk.any()
-        if k > 1:
-            assert (np.linalg.matrix_power(strict, k - 1) % 3).any()
+        k = next(k for k in range(1, n + 1) if not (np.linalg.matrix_power(strict, k) % 3).any())
+        if k <= 3:
+            assert realize_in_abelian(strict, 3).degree == k
+        else:
+            with pytest.raises(DegreeExceedsP):
+                realize_in_abelian(strict, 3)
 
 
 def test_nilpotency_g2_adjoint_of_long_root_generator():
@@ -113,7 +127,7 @@ def test_nilpotency_g2_adjoint_of_long_root_generator():
 
     alg = v.catalog_algebra("g2", 3)
     _, vec = v.parse_element("e2", alg)
-    assert fp.nilpotency_degree(alg.ad(vec), 3) == 3
+    assert v.realize(alg, vec).degree == 3
 
 
 def test_rref_deterministic():

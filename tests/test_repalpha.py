@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import verlie as v
 from tests.test_fp import largest_accepted_prime
 from verlie import fp, repalpha, roots
-from verlie.errors import DegreeExceedsP, ParseError, PreconditionViolated, UnknownGenerator
+from verlie.errors import DegreeExceedsP, NotNilpotent, ParseError, PreconditionViolated, UnknownGenerator
 from verlie.repalpha import (
     ChainDecomposition,
     JordanChain,
@@ -108,6 +108,13 @@ def test_realize_exceeds_p():
         powers.append(powers[-1] @ der % 3)
     assert powers[3].any() and not powers[7].any()
     with pytest.raises(DegreeExceedsP):
+        realize(alg, vec)
+
+
+def test_realize_rejects_non_nilpotent():
+    alg = v.catalog_algebra("g2", 3)
+    _, vec = parse_element("h1", alg)
+    with pytest.raises(NotNilpotent):
         realize(alg, vec)
 
 

@@ -355,7 +355,8 @@ def test_from_json_dict_drops_zero_coefficients():
     assert ModularSuperAlgebra.from_json_dict(big).constants == {(0, 2): {2: 1}, (2, 0): {2: 2}}
 
 
-@pytest.mark.parametrize("quad", [[0, 0, 2, 1], [0, 1, 2, 1], [0, -1, 1, 1], [-1, 0, 1, 1], [0, 1, -1, 1]])
+@pytest.mark.parametrize("quad", [[0, 0, 2, 1], [0, 1, 2, 1], [0, -1, 1, 1], [-1, 0, 1, 1], [0, 1, -1, 1],
+                                  [0, 2**70, 1, 1]])
 def test_out_of_range_constant_index_is_rejected(quad):
     """An index outside [0, dim) is an error, not a constant at another
     position: C(0, 0, 2) at dim 2 would land at column 2*2+0, in the row of

@@ -5,7 +5,7 @@ import pytest
 
 import verlie as v
 from verlie.errors import NotDiagonalizable, UnrecognizedType
-from verlie.roots import catalog_gcm, derive_tilde
+from verlie.roots import catalog_gcm, derive_tilde, validate_gcm
 from verlie.superalgebra import (
     ModularSuperAlgebra,
     Subspace,
@@ -233,18 +233,31 @@ def test_recognize_a2():
 
 
 def test_recognize_catalog_types():
-    def recognize(name):
-        gcm = catalog_gcm(name)
+    def recognize(gcm, mix=None):
+        """Recognize under the torus mix @ (h_1, ..., h_n) mod 5."""
         alg = v.reduce_mod_p(v.chevalley_basis(gcm), 5)
-        return recognize_even_type(alg, weight_split(alg, [alg.gens[f"h{i}"] for i in range(1, gcm.n + 1)]))
+        cartan = np.array([alg.gens[f"h{i}"] for i in range(1, gcm.n + 1)])
+        torus = cartan if mix is None else np.asarray(mix) @ cartan % 5
+        return recognize_even_type(alg, weight_split(alg, torus))
 
     dims = {"a1": 3, "a2": 8, "a3": 15, "a4": 24, "b2": 10, "b3": 21, "b4": 36,
             "c3": 21, "c4": 36, "d4": 28, "d5": 45, "f4": 52, "e6": 78}
     for name, dim in dims.items():
-        assert recognize(name) == (name.upper(), catalog_gcm(name).n, dim)
+        assert recognize(catalog_gcm(name)) == (name.upper(), catalog_gcm(name).n, dim)
+    # a reversed or recombined torus orders the roots differently and so
+    # picks another positive system; B and C must still come out the right way round
+    for name in ("b3", "c3", "d4", "f4"):
+        n = catalog_gcm(name).n
+        reversed_torus = np.eye(n, dtype=np.int64)[::-1]
+        lower, upper = (np.eye(n, dtype=np.int64) + np.eye(n, k=k, dtype=np.int64) for k in (-1, 1))
+        unimodular = lower @ upper  # determinant 1
+        for mix in (reversed_torus, unimodular):
+            assert recognize(catalog_gcm(name), mix) == (name.upper(), n, dims[name])
     # the triple edge has root strings of length 4, past _resolve_pairing
     with pytest.raises(UnrecognizedType):
-        recognize("g2")
+        recognize(catalog_gcm("g2"))
+    with pytest.raises(UnrecognizedType, match=r"no catalog match for Cartan matrix \[\[2, 0\], \[0, 2\]\]"):
+        recognize(validate_gcm([[2, 0], [0, 2]]))
 
 
 def test_recognize_rejects_nilpotent_torus():
