@@ -367,9 +367,9 @@ def integral_catalog(name: str) -> IntegralLieAlgebra:
 def catalog_algebra(name: str, p: int) -> ModularSuperAlgebra:
     """Named catalog algebra reduced mod p; 'gl<n>' and 'sl<n>' are accepted too.
 
-    The result is shared by every caller: like every algebra its fields
-    cannot be rebound, and its tensor arrays, generator vectors and parity
-    are read-only too.
+    The result is shared by every caller: like every algebra, its fields
+    cannot be rebound and its tensor arrays and parity are read-only; its
+    generator vectors are made read-only here too.
     """
     check_modulus(p)
     name = name.lower()
@@ -379,7 +379,6 @@ def catalog_algebra(name: str, p: int) -> ModularSuperAlgebra:
         alg = sl(int(name[2:]), p)
     else:
         alg = reduce_mod_p(integral_catalog(name), p)
-    t = alg.tensor
-    for vec in [alg.parity, *alg.gens.values(), t.row, t.col, t.data]:
+    for vec in alg.gens.values():
         vec.setflags(write=False)
     return alg

@@ -47,6 +47,19 @@ def check_modulus(p: int, dim: int = 1) -> None:
         raise BadModulus(f"p = {p} is not an odd prime")
 
 
+def matmul(a, b, p: int) -> Array:
+    """a @ b mod p for operands reduced mod p, through float64 BLAS.
+
+    Exact: every partial sum is an integer below inner·(p−1)² < 2^50 < 2^53,
+    so no summation order rounds.  Raises BadModulus when inner·(p−1)²
+    reaches 2^50.
+    """
+    inner = np.shape(a)[-1]
+    if inner * (p - 1) ** 2 >= 1 << 50:
+        raise BadModulus(f"p = {p} is too large for an inner dimension {inner}: inner*(p-1)^2 must stay below 2^50")
+    return (np.asarray(a, dtype=np.float64) @ np.asarray(b, dtype=np.float64)).astype(np.int64) % p
+
+
 def rref(m, p: int) -> tuple[Array, list[int]]:
     """Reduced row echelon form over F_p.
 
@@ -192,11 +205,6 @@ def block_stack(ms, row_blocks: Array, col_blocks: Array) -> Array:
             raise ValueError("matrix is not block diagonal in the given blocks")
         out[k * count + block, row_slots[row], col_slots[col]] = data
     return out
-
-
-def rank(m, p: int) -> int:
-    _, pivots = rref(m, p)
-    return len(pivots)
 
 
 def kernel_basis(m, p: int) -> Array:

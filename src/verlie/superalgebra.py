@@ -9,7 +9,7 @@ that equality and containment are exact and order-independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from types import MappingProxyType
 from typing import Mapping
@@ -31,10 +31,16 @@ class ModularSuperAlgebra:
     labels: tuple[str, ...] | None = None  # any sequence, stored as a tuple
     gens: Mapping[str, np.ndarray] | None = None  # generator name -> coordinate vector, stored read-only
     origin: object | None = None  # construction-time metadata, not serialized
+    # check name -> Report of check_super_skew / check_super_jacobi, kept because
+    # the tensor and parity cannot change; not compared, printed or serialized
+    _reports: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         fp.check_modulus(self.p, self.dim)
-        object.__setattr__(self, "parity", np.asarray(self.parity, dtype=np.int64))
+        parity = np.array(self.parity, dtype=np.int64)  # a copy, so no caller can write to it
+        for a in (parity, self.tensor.row, self.tensor.col, self.tensor.data):
+            a.setflags(write=False)
+        object.__setattr__(self, "parity", parity)
         if self.labels is not None:
             object.__setattr__(self, "labels", tuple(self.labels))
         if self.gens is not None:
@@ -243,14 +249,21 @@ def skew_witness(tensor: sparse.Coo, parity, p: int | None):
     return (i, *divmod(rest, dim))
 
 
+def _kept_report(alg: ModularSuperAlgebra, check: str, witness) -> Report:
+    """The report of check on alg, computed by witness() on the first call
+    and kept on the algebra; a failure's witness names its first three
+    indices i, j, k."""
+    if check not in alg._reports:
+        found = witness()
+        alg._reports[check] = Report(check, found is None, None if found is None else dict(zip("ijk", found)))
+    return alg._reports[check]
+
+
 def check_super_skew(alg: ModularSuperAlgebra) -> Report:
     """C(i,j,k) = -(-1)^{|i||j|} C(j,i,k) for all triples; a failure's
-    witness is the smallest failing (i, j, k) with i <= j."""
-    witness = skew_witness(alg.tensor, alg.parity, alg.p)
-    if witness is None:
-        return Report("super_skew", True)
-    i, j, k = witness
-    return Report("super_skew", False, {"i": i, "j": j, "k": k})
+    witness is the smallest failing (i, j, k) with i <= j.  Runs once per
+    algebra."""
+    return _kept_report(alg, "super_skew", lambda: skew_witness(alg.tensor, alg.parity, alg.p))
 
 
 _JACOBI_BLOCK = 16  # values of x expanded at once in jacobi_witness
@@ -297,11 +310,15 @@ def jacobi_witness(t: sparse.Coo, parity, p: int | None):
 
 
 def check_super_jacobi(alg: ModularSuperAlgebra) -> Report:
-    witness = jacobi_witness(alg.tensor, alg.parity, alg.p)
-    if witness is None:
-        return Report("super_jacobi", True)
-    i, j, k, _ = witness
-    return Report("super_jacobi", False, {"i": i, "j": j, "k": k})
+    """J(i,j,k) = 0 for all triples (see jacobi_witness); a failure's witness
+    is the smallest failing (i, j, k).  Runs once per algebra."""
+    return _kept_report(alg, "super_jacobi", lambda: jacobi_witness(alg.tensor, alg.parity, alg.p))
+
+
+def _respects_parity(alg: ModularSuperAlgebra) -> bool:
+    """|k| = |i| + |j| at every nonzero C(i,j,k)."""
+    k, j = np.divmod(alg.tensor.col, alg.dim)
+    return not (alg.parity[alg.tensor.row] ^ alg.parity[j] ^ alg.parity[k]).any()
 
 
 def odd_cube_generators(alg: ModularSuperAlgebra):
@@ -311,20 +328,39 @@ def odd_cube_generators(alg: ModularSuperAlgebra):
     (q(b_a); the c^2-coefficients A_{ab}; the trilinear coefficients B_{abc}),
     whose span equals the span of q on all sums of up to three distinct odd
     basis vectors with coefficients in {1, 2}.  All of them are sums of rows
-    of one contraction Q, row (a*no+b)*no+c = [b_a, [b_b, b_c]].
+    of one contraction Q, row (a*no+b)*no+c = [b_a, [b_b, b_c]].  Pieces
+    that vanish are dropped.
+
+    When the algebra carries passing super skew and super Jacobi reports
+    and its bracket respects parity, only the cube rows q(b_a) are formed.
+    With J as in jacobi_witness and a, b, c odd, J(a,b,c) =
+    -([[a,b],c] + [[b,c],a] + [[c,a],b]).  [a,b] is even, and super skew
+    gives [x,y] = [y,x] for odd x, y and [w,x] = -[x,w] for even w, so
+    J(a,b,c) = [a,[b,c]] + [b,[c,a]] + [c,[a,b]], and therefore
+    A_ab = J(a,a,b) and B_abc = 2·J(a,b,c): both vanish when Jacobi holds,
+    and the list is the nonzero cube rows.  (J(a,a,a) = 3·q(b_a), so at
+    p = 5 and 7 Jacobi kills the cubes too, and the same code is right at
+    every p.)  Otherwise every piece is formed.
     """
     odd = np.nonzero(alg.parity == 1)[0]
     no = len(odd)
     if no == 0:
         return []
     basis = np.eye(alg.dim, dtype=np.int64)[odd]
-    q = alg.brackets(basis, alg.brackets(basis, basis))
+    squares = alg.brackets(basis, basis)
+    ar = np.arange(no)
+    proven = all(check in alg._reports and alg._reports[check].ok for check in ("super_skew", "super_jacobi"))
+    if proven and _respects_parity(alg):
+        diagonal = ar * no + ar
+        cubes = alg.brackets(basis, squares.take_rows(diagonal)).take_rows(diagonal)
+        return [(vec, {"kind": "cube", "nodes": [int(odd[a])]})
+                for a, vec in zip(np.unique(cubes.row), cubes.nonzero_rows())]
+    q = alg.brackets(basis, squares)
     p = alg.p
 
     def at(a, b, c):
         return q.take_rows((a * no + b) * no + c)
 
-    ar = np.arange(no)
     sa, sb = (x.ravel() for x in np.meshgrid(ar, ar, indexing="ij"))
     sa, sb = sa[sa != sb], sb[sa != sb]
     ta, tb, tc = np.array(list(combinations(range(no), 3)), dtype=np.int64).reshape(-1, 3).T
@@ -400,7 +436,7 @@ class Subspace:
         v = fp.normalize(v, self.p)
         if not self.pivots:
             return v.copy()
-        return (v - v[list(self.pivots)] @ self.rows) % self.p
+        return (v - fp.matmul(v[list(self.pivots)], self.rows, self.p)) % self.p
 
     def reduce_rows(self, mat) -> np.ndarray:
         """Row-wise residuals of a whole matrix (reduced echelon rows make
@@ -412,7 +448,7 @@ class Subspace:
         free = np.ones(self.ambient, dtype=bool)
         free[list(self.pivots)] = False
         out = np.zeros_like(mat)
-        out[:, free] = (mat[:, free] - mat[:, list(self.pivots)] @ self.rows[:, free]) % self.p
+        out[:, free] = (mat[:, free] - fp.matmul(mat[:, list(self.pivots)], self.rows[:, free], self.p)) % self.p
         return out
 
     def coefficients(self, v) -> np.ndarray:
@@ -426,9 +462,6 @@ class Subspace:
     def contains(self, v) -> bool:
         return not self.reduce(v).any()
 
-    def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(row) for row in other.rows)
-
     def extended(self, vectors) -> "Subspace":
         """Span of this subspace and the vectors.  Only the residuals of the
         vectors are eliminated; the old rows are cleared at the new pivot
@@ -439,7 +472,7 @@ class Subspace:
             return self
         new, piv = fp.rref(res, self.p)
         new = new[: len(piv)]
-        old = (self.rows - self.rows[:, piv] @ new) % self.p
+        old = (self.rows - fp.matmul(self.rows[:, piv], new, self.p)) % self.p
         pivots = np.array(self.pivots + tuple(piv))
         order = np.argsort(pivots)
         return Subspace(self.ambient, self.p, np.vstack([old, new])[order], tuple(int(c) for c in pivots[order]))

@@ -53,6 +53,9 @@ GOLDEN = [
      0, "3c65174085b9f5c40bab0c8c753a066038005c4301400f3e0e44a738b5923834"),
     (["swaps", "--algebra", "e7", "--subset", "2,7"],
      0, "5a9b06c364943103757a85117f6b4dd119096b9ed63db8fbbadd4f72b3c6c5f3"),
+    # all 16 rows of the results table, each certificate byte for byte
+    (["table"],
+     0, "9486fc34cd69dc8ad0e5a14d94f9def5f434155d7312580a904a56a92263d1e6"),
 ]
 
 

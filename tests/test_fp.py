@@ -14,6 +14,10 @@ from verlie.repalpha import realize_derivation
 from verlie.superalgebra import ModularSuperAlgebra
 
 
+def rank(m, p) -> int:
+    return len(fp.rref(m, p)[1])
+
+
 def brute_rank(m, p):
     """Independent oracle: |image| = p^rank, by enumerating all inputs."""
     m = np.asarray(m) % p
@@ -27,16 +31,16 @@ def brute_rank(m, p):
 
 
 def test_rank_zero_matrix():
-    assert fp.rank(np.zeros((3, 3), dtype=np.int64), 3) == 0
+    assert rank(np.zeros((3, 3), dtype=np.int64), 3) == 0
 
 
 def test_rank_identity():
-    assert fp.rank(np.eye(5, dtype=np.int64), 5) == 5
+    assert rank(np.eye(5, dtype=np.int64), 5) == 5
 
 
 def test_rank_dependent_rows_mod5():
     m = [[1, 2], [2, 4]]
-    assert fp.rank(m, 5) == 1
+    assert rank(m, 5) == 1
     assert brute_rank(m, 5) == 1
 
 
@@ -47,7 +51,7 @@ def test_kernel_identity_empty():
 def test_kernel_zero_row():
     basis = fp.kernel_basis(np.zeros((1, 3), dtype=np.int64), 3)
     assert basis.shape == (3, 3)
-    assert fp.rank(basis, 3) == 3
+    assert rank(basis, 3) == 3
 
 
 def test_kernel_proportional_vector():
@@ -67,7 +71,7 @@ def test_rank_plus_kernel_is_cols(p):
     for _ in range(25):
         rows, cols = rng.integers(1, 9, size=2)
         m = rng.integers(0, p, size=(rows, cols))
-        assert fp.rank(m, p) + len(fp.kernel_basis(m, p)) == cols
+        assert rank(m, p) + len(fp.kernel_basis(m, p)) == cols
         for row in fp.kernel_basis(m, p):
             assert not ((m @ row) % p).any()
 
@@ -77,7 +81,7 @@ def test_inverse_roundtrip():
     for p in (3, 5):
         while True:
             m = rng.integers(0, p, size=(6, 6))
-            if fp.rank(m, p) == 6:
+            if rank(m, p) == 6:
                 break
         inv = fp.inverse(m, p)
         assert np.array_equal((m @ inv) % p, np.eye(6, dtype=np.int64))
@@ -186,6 +190,29 @@ def test_check_modulus_accumulation_bound(dim):
         fp.check_modulus(4294967311, dim)
 
 
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_matmul_matches_int64_product(p):
+    rng = np.random.default_rng(p)
+    for rows, inner, cols in [(1, 1, 1), (7, 13, 5), (40, 248, 30), (0, 4, 3), (3, 0, 2)]:
+        a, b = rng.integers(0, p, size=(rows, inner)), rng.integers(0, p, size=(inner, cols))
+        out = fp.matmul(a, b, p)
+        assert out.dtype == np.int64 and np.array_equal(out, a @ b % p)
+        v = rng.integers(0, p, size=rows)  # a vector on the left, as in Subspace.reduce
+        assert np.array_equal(fp.matmul(v, a, p), v @ a % p)
+
+
+@pytest.mark.parametrize("inner", [1, 3, 248])
+def test_matmul_exact_up_to_its_bound(inner):
+    """All entries p−1 at the largest p with inner·(p−1)² < 2^50: every sum
+    is exact; at the next prime the product is refused."""
+    p = largest_accepted_prime(inner)
+    a, b = np.full((2, inner), p - 1, dtype=np.int64), np.full((inner, 3), p - 1, dtype=np.int64)
+    assert np.array_equal(fp.matmul(a, b, p), a @ b % p)
+    assert fp.matmul(a, b, p)[0, 0] == inner * (p - 1) ** 2 % p
+    with pytest.raises(BadModulus, match="too large"):
+        fp.matmul(a, b, next_prime(p))
+
+
 def test_inverse_exact_at_largest_accepted_prime():
     p = largest_accepted_prime(3)
     rng = np.random.default_rng(5)
@@ -231,7 +258,7 @@ def test_rref_and_rank_match_sympy(case):
     got, got_pivots = fp.rref(m, p)
     assert got_pivots == list(pivots)
     assert np.array_equal(got, _ints(expected, p))
-    assert fp.rank(m, p) == _gf(m, p).rank()
+    assert rank(m, p) == _gf(m, p).rank()
 
 
 @settings(max_examples=80, deadline=None)

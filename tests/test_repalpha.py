@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import verlie as v
-from tests.test_fp import largest_accepted_prime
+from tests.test_fp import largest_accepted_prime, rank
 from verlie import fp, repalpha, roots
 from verlie.errors import DegreeExceedsP, NotNilpotent, ParseError, PreconditionViolated, UnknownGenerator
 from verlie.repalpha import (
@@ -438,7 +438,7 @@ def test_basis_check_inverts_permuted_block_bases(p, sizes, singular, seed):
         start, size = rng.choice(np.stack([np.cumsum(sizes) - sizes, sizes], axis=1))
         m[:, start + size - 1] = m[:, start] * rng.integers(0, p) % p if size > 1 else 0
     m = m[rng.permutation(dim)][:, rng.permutation(dim)]
-    assert (fp.rank(m, p) < dim) == singular
+    assert (rank(m, p) < dim) == singular
     decomp, zero = columns_as_chains(m, p), np.zeros((dim, dim), dtype=np.int64)
     if singular:
         with pytest.raises(ValueError, match="not a basis"):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import verlie as v
+from tests.test_fp import rank
 from verlie import fp
 from verlie.errors import DegreeExceedsP
 from verlie.repalpha import ChainDecomposition, JordanChain
@@ -21,7 +22,7 @@ def brute_clebsch_gordan(m, n, p):
     power = np.eye(dim, dtype=np.int64)
     for _ in range(p + 1):
         power = power @ t % p
-        ranks.append(fp.rank(power, p))
+        ranks.append(rank(power, p))
     out = []
     for length in range(1, p):
         count = ranks[length - 1] - 2 * ranks[length] + ranks[length + 1]

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import verlie as v
 from tests.test_fp import largest_accepted_prime
 from verlie import sparse, superalgebra
-from verlie.errors import BadModulus, JacobiViolation, NotAnIdeal, NotParityHomogeneous
+from verlie.errors import BadModulus, DegreeExceedsP, JacobiViolation, NotAnIdeal, NotParityHomogeneous
 from verlie.superalgebra import (
     ModularSuperAlgebra,
     Subspace,
@@ -90,21 +90,24 @@ def random_algebra(p, dim, density, seed) -> ModularSuperAlgebra:
     return ModularSuperAlgebra.from_entries(p, parity, *np.array(entries, dtype=np.int64).reshape(-1, 4).T)
 
 
+def jacobi_value(alg, i, j, k):
+    """J(i,j,k) of jacobi_witness, from dense brackets of basis vectors."""
+    parity, eye = alg.parity, np.eye(alg.dim, dtype=np.int64)
+    s1 = (-1) ** (parity[i] * parity[k])
+    s2 = (-1) ** (parity[j] * parity[i])
+    s3 = (-1) ** (parity[k] * parity[j])
+    return (
+        s1 * alg.bracket(alg.bracket(eye[i], eye[j]), eye[k])
+        + s2 * alg.bracket(alg.bracket(eye[j], eye[k]), eye[i])
+        + s3 * alg.bracket(alg.bracket(eye[k], eye[i]), eye[j])
+    ) % alg.p
+
+
 def first_jacobi_violation(alg):
     """Direct cyclic scan: the first triple, in lexicographic order, at which
     the super Jacobi identity fails."""
-    parity, p = alg.parity, alg.p
-    eye = np.eye(alg.dim, dtype=np.int64)
     for i, j, k in itertools.product(range(alg.dim), repeat=3):
-        s1 = (-1) ** (parity[i] * parity[k])
-        s2 = (-1) ** (parity[j] * parity[i])
-        s3 = (-1) ** (parity[k] * parity[j])
-        total = (
-            s1 * alg.bracket(alg.bracket(eye[i], eye[j]), eye[k])
-            + s2 * alg.bracket(alg.bracket(eye[j], eye[k]), eye[i])
-            + s3 * alg.bracket(alg.bracket(eye[k], eye[i]), eye[j])
-        ) % p
-        if total.any():
+        if jacobi_value(alg, i, j, k).any():
             return (i, j, k)
     return None
 
@@ -211,6 +214,118 @@ def test_odd_cubes_vacuous_on_even(f4mod3):
     assert check_odd_cubes(f4mod3).ok
 
 
+def without_reports(alg: ModularSuperAlgebra) -> ModularSuperAlgebra:
+    """An equal algebra that has run no check."""
+    return ModularSuperAlgebra.from_entries(alg.p, alg.parity, *alg._entries(), labels=alg.labels, gens=alg.gens)
+
+
+def cube_lists_equal(left, right) -> bool:
+    return len(left) == len(right) and all(
+        np.array_equal(u, v) and a == b for (u, a), (v, b) in zip(left, right))
+
+
+def random_graded_skew_algebra(p, dim, seed) -> ModularSuperAlgebra:
+    """Random super skew constants with |k| = |i| + |j| (Jacobi fails)."""
+    constants, parity = random_skew_constants(p, dim, 0.15, 0, seed)
+    graded = {pair: {k: c for k, c in comps.items() if parity[k] == parity[pair[0]] ^ parity[pair[1]]}
+              for pair, comps in constants.items()}
+    return ModularSuperAlgebra(p, dim, parity, tensor_coo(graded, dim, p))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_odd_cube_pieces_are_jacobi_values(p):
+    """On a graded super skew algebra the square piece A_ab is J(a,a,b), the
+    triple piece B_abc is 2·J(a,b,c), and J(a,a,a) is 3·[b_a,[b_a,b_a]]:
+    so once Jacobi holds only the cubes can be nonzero."""
+    for seed in range(6):
+        alg = random_graded_skew_algebra(p, 10, seed)
+        assert check_super_skew(alg).ok and not check_super_jacobi(alg).ok
+        pieces = {(label["kind"], *label["nodes"]): vec for vec, label in odd_cube_generators(alg)}
+        assert {kind for kind, *_ in pieces} >= {"square", "triple"}
+        odd, zero = np.flatnonzero(alg.parity), np.zeros(alg.dim, dtype=np.int64)
+        eye = np.eye(alg.dim, dtype=np.int64)
+        for a, b in itertools.permutations(odd, 2):
+            assert np.array_equal(pieces.get(("square", a, b), zero), jacobi_value(alg, a, a, b))
+        for a, b, c in itertools.combinations(odd, 3):
+            assert np.array_equal(pieces.get(("triple", a, b, c), zero), 2 * jacobi_value(alg, a, b, c) % p)
+        for a in odd:
+            cube = alg.bracket(eye[a], alg.bracket(eye[a], eye[a]))
+            assert np.array_equal(pieces.get(("cube", a), zero), cube)
+            assert np.array_equal(jacobi_value(alg, a, a, a), 3 * cube % p)
+
+
+def small_outputs(names):
+    """The semisimplified algebras of every single and paired e_i, at p = 3, 5, 7."""
+    for name in names:
+        rank = sum(gen.startswith("e") for gen in v.catalog_algebra(name, 3).gens)
+        elements = [f"e{i}" for i in range(1, rank + 1)]
+        elements += [f"e{i}+e{j}" for i, j in itertools.combinations(range(1, rank + 1), 2)]
+        for p, element in itertools.product((3, 5, 7), elements):
+            try:
+                yield row_pipeline(name, p, element, None)[2].algebra
+            except DegreeExceedsP:
+                continue
+
+
+def test_odd_cubes_from_reports_match_full_expansion(free_nilpotent_ss):
+    outputs = [row_pipeline(spec.algebra, spec.p, spec.elements[0], spec.subset)[2].algebra for spec in TABLE]
+    outputs += [*small_outputs(["g2", "f4"]), free_nilpotent_ss.algebra]
+    assert any(superdim(alg)[1] for alg in outputs)
+    for alg in outputs:
+        assert check_super_skew(alg).ok and check_super_jacobi(alg).ok  # kept by semisimplify
+        fresh = without_reports(alg)
+        fast = odd_cube_generators(alg)
+        assert all(label["kind"] == "cube" for _, label in fast)
+        assert fresh == alg and cube_lists_equal(fast, odd_cube_generators(fresh))
+        assert not fresh._reports  # so that call took the full expansion, and ran no check
+    assert odd_cube_generators(free_nilpotent_ss.algebra)  # the fast path sees a failing cube
+
+
+def test_odd_cubes_after_failed_jacobi_take_the_full_expansion():
+    """Skew kept, Jacobi broken by a symmetric odd-odd entry: the triple
+    piece that the cube rows alone would miss is still found."""
+    alg = row_pipeline("f4", 3, "e4", (4,))[2].algebra
+    bad = corrupt(corrupt(alg, 21, 22, 0), 22, 21, 0)
+    assert check_super_skew(bad).ok
+    assert check_super_jacobi(bad).witness == {"i": 4, "j": 21, "k": 22}
+    report = check_odd_cubes(bad)
+    assert report == superalgebra.Report("odd_cubes", False, {"nodes": [21, 22, 23], "kind": "triple"})
+    assert cube_lists_equal(odd_cube_generators(bad), odd_cube_generators(without_reports(bad)))
+
+
+def test_odd_cubes_ignore_reports_on_a_bracket_that_mixes_parities():
+    """The cube-only path needs |[x,y]| = |x| + |y|: on a skew algebra that
+    breaks it, even passing reports do not shorten the expansion."""
+    constants, parity = random_skew_constants(3, 8, 0.15, 0, 0)
+    alg = ModularSuperAlgebra(3, 8, parity, tensor_coo(constants, 8, 3))
+    full = odd_cube_generators(alg)
+    assert any(label["kind"] != "cube" for _, label in full)
+    alg._reports.update(super_skew=check_super_skew(alg), super_jacobi=superalgebra.Report("super_jacobi", True))
+    assert cube_lists_equal(odd_cube_generators(alg), full)
+
+
+def test_skew_and_jacobi_reports_are_kept(monkeypatch):
+    alg = without_reports(v.catalog_algebra("g2", 3))
+    first = check_super_skew(alg), check_super_jacobi(alg)
+    monkeypatch.setattr(superalgebra, "skew_witness", None)
+    monkeypatch.setattr(superalgebra, "jacobi_witness", None)
+    assert (check_super_skew(alg), check_super_jacobi(alg)) == first
+    assert "_reports" not in repr(alg) and alg == without_reports(alg)
+
+
+def test_tensor_and_parity_are_read_only(free_nilpotent_ss):
+    entries = ModularSuperAlgebra.from_entries(3, [0, 1, 1], [1, 0], [0, 1], [2, 2], [1, 2])
+    products = ModularSuperAlgebra.from_products(sparse.from_dense(np.eye(9, 3, dtype=np.int64)), 3, [0, 1, 1])
+    restored = ModularSuperAlgebra.from_json_dict(free_nilpotent_ss.algebra.to_json_dict())
+    for alg in (entries, products, restored):
+        for a in (alg.tensor.row, alg.tensor.col, alg.tensor.data, alg.parity):
+            with pytest.raises(ValueError):
+                a[0] = 1
+    parity = np.zeros(3, dtype=np.int64)
+    ModularSuperAlgebra.from_entries(3, parity, [], [], [], [])
+    parity[0] = 1  # the algebra keeps a copy
+
+
 def test_center_dimensions(gl33, f4mod3):
     assert center(gl33).dim == 1  # scalar matrices
     assert center(f4mod3).dim == 0
@@ -232,7 +347,7 @@ def test_generated_subalgebra_basics(gl33):
     # monotone and idempotent
     small = generated_subalgebra(gl33, [gl33.gens["e1"]])
     bigger = generated_subalgebra(gl33, [gl33.gens["e1"], gl33.gens["f1"]])
-    assert bigger.contains_subspace(small)
+    assert all(bigger.contains(row) for row in small.rows)
     again = generated_subalgebra(gl33, bigger.rows)
     assert again == bigger
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import verlie as v
+from tests.test_fp import rank
 from verlie.errors import NotDiagonalizable, UnrecognizedType
 from verlie.roots import catalog_gcm, derive_tilde, validate_gcm
 from verlie.superalgebra import (
@@ -285,8 +286,6 @@ def test_so16_module_split_inside_rank8_mod5():
     # the 120-dim orthogonal subalgebra generated by e_2..e_8 and the deep
     # root vector splits off 55 J_1 + 13 J_5 under the derivation, leaving
     # the 128-dim spinor complement as exactly 32 J_4
-    from verlie import fp
-
     alg = v.catalog_algebra("e8", 5)
     deep = "[[[[e1,e3],[e4,e5]],[[e2,e4],[e5,e6]]],[[[e1,e3],[e2,e4]],[[e6,e7],[e5,[e3,e4]]]]]"
     _, e100 = v.parse_element(deep, alg)
@@ -303,7 +302,7 @@ def test_so16_module_split_inside_rank8_mod5():
     power = np.eye(sub.dim, dtype=np.int64)
     for _ in range(6):
         power = power @ (coeffs.T % 5) % 5
-        ranks.append(fp.rank(power, 5))
+        ranks.append(rank(power, 5))
     counts = tuple(ranks[l - 1] - 2 * ranks[l] + ranks[l + 1] for l in range(1, 6))
     assert counts == (55, 0, 0, 0, 13)
     total = (55, 0, 0, 32, 13)
