@@ -25,6 +25,10 @@ class BadModulus(VerlieError):
     """The characteristic is not an odd prime."""
 
 
+class DimensionTooLarge(VerlieError):
+    """The basis is too large for the int64 keys of the exact axiom checks."""
+
+
 class DegreeExceedsP(VerlieError):
     """Nilpotent, but of degree > p, so not a representation of the height-p shift algebra."""
 

@@ -35,9 +35,9 @@ def check_modulus(p: int, dim: int = 1) -> None:
 
     An int64 product of dim-sized operands accumulates up to dim·(p−1)²; the
     bound 2^50 leaves a factor 2^13 of headroom below 2^63 for the exact int64
-    sums built on such products (the Jacobi check sums at most 3·dim products
-    of residues per key: the three rotations of a triple, or one product
-    counted three times when its three indices are equal).
+    sums built on such products (a key of the Jacobi checks sums at most
+    3·dim products of residues, each with a coefficient of absolute value at
+    most 3, so below 9·2^50 < 2^54).
     """
     if p < 3 or p % 2 == 0:
         raise BadModulus(f"p = {p} is not an odd prime")

@@ -17,7 +17,7 @@ from typing import Mapping
 import numpy as np
 
 from . import fp, sparse
-from .errors import MissingTags, NotAnIdeal, NotParityHomogeneous
+from .errors import DimensionTooLarge, MissingTags, NotAnIdeal, NotParityHomogeneous
 
 Constants = dict[tuple[int, int], dict[int, int]]
 
@@ -37,6 +37,8 @@ class ModularSuperAlgebra:
 
     def __post_init__(self):
         fp.check_modulus(self.p, self.dim)
+        if self.dim**4 > 1 << 63:  # the Jacobi checks key (i, j, k, l) as one int64 below dim^4
+            raise DimensionTooLarge(f"dim = {self.dim} is too large: dim^4 must not exceed 2^63")
         parity = np.array(self.parity, dtype=np.int64)  # a copy, so no caller can write to it
         for a in (parity, self.tensor.row, self.tensor.col, self.tensor.data):
             a.setflags(write=False)
@@ -249,6 +251,11 @@ def skew_witness(tensor: sparse.Coo, parity, p: int | None):
     return (i, *divmod(rest, dim))
 
 
+def _passed(alg: ModularSuperAlgebra, *checks: str) -> bool:
+    """Whether the algebra keeps a passing report of every one of the checks."""
+    return all(check in alg._reports and alg._reports[check].ok for check in checks)
+
+
 def _kept_report(alg: ModularSuperAlgebra, check: str, witness) -> Report:
     """The report of check on alg, computed by witness() on the first call
     and kept on the algebra; a failure's witness names its first three
@@ -266,7 +273,36 @@ def check_super_skew(alg: ModularSuperAlgebra) -> Report:
     return _kept_report(alg, "super_skew", lambda: skew_witness(alg.tensor, alg.parity, alg.p))
 
 
-_JACOBI_BLOCK = 16  # values of x expanded at once in jacobi_witness
+_JACOBI_BLOCK = 16  # values of x expanded at once by the Jacobi sums
+
+
+def _jacobi_sum(left: sparse.Coo, t: sparse.Coo, p: int | None, weigh):
+    """Smallest (i, j, k, l) at which the Jacobi sum is nonzero, or None.
+
+    Every product C(x,y,w) C(w,z,l) of an entry of `left` (some entries of
+    t, sorted by x) and an entry of t is added once, times weight, at the
+    key of (i, j, k, l), where weigh(x, y, z) gives the key (i*d + j)*d + k
+    of the triple and the weight.  The products are formed one block of x
+    values at a time, and the keys are summed exactly in int64 after the
+    last block, since the products of one key may come from several blocks.
+    """
+    d = t.shape[0]
+    k, j = np.divmod(t.col, d)  # entries sorted by i = t.row
+    left_k, left_j = np.divmod(left.col, d)
+    bounds = np.searchsorted(left.row, [*range(0, d, _JACOBI_BLOCK), d])
+    keys, vals = [], []
+    for lo, hi in zip(bounds, bounds[1:]):
+        s, u = sparse.pairs(t, left_k[lo:hi])  # C(x,y,w) at left entry lo+s, C(w,z,l) at entry u
+        s += lo
+        triple, weight = weigh(left.row[s], left_j[s], j[u])
+        keys.append(triple * d + k[u])
+        vals.append(weight * left.data[s] * t.data[u])
+    key = _first_key(np.concatenate(keys), np.concatenate(vals), p)
+    if key is None:
+        return None
+    i, rest = divmod(key, d**3)
+    j, rest = divmod(rest, d * d)
+    return (i, j, *divmod(rest, d))
 
 
 def jacobi_witness(t: sparse.Coo, parity, p: int | None):
@@ -282,37 +318,66 @@ def jacobi_witness(t: sparse.Coo, parity, p: int | None):
     smallest rotation.  Each product is therefore added once, to the key of
     the smallest rotation of (x,y,z); a product with x = y = z is in all
     three terms of J(x,x,x) and counts three times.  So a key sums at most
-    3*dim products.  The products are formed one block of x values at a
-    time, and the keys are summed exactly in int64 after the last block,
-    since the products of one key may come from three blocks.  This holds
-    for any tensor, skew or not.  p=None checks over Z.
+    3*dim products.  This holds for any tensor, skew or not.  p=None checks
+    over Z.
     """
     if not t.nnz:
         return None
     d = t.shape[0]
-    k, j = np.divmod(t.col, d)  # entries sorted by i = t.row
     par = np.asarray(parity, dtype=np.int64)
-    bounds = np.searchsorted(t.row, [*range(0, d, _JACOBI_BLOCK), d])
-    keys, vals = [], []
-    for lo, hi in zip(bounds, bounds[1:]):
-        s, u = sparse.pairs(t, k[lo:hi])  # C(x,y,w) at entry lo+s, C(w,z,l) at entry u
-        s += lo
-        x, y, z, l = t.row[s], j[s], j[u], k[u]
+
+    def weigh(x, y, z):
         rotation = np.minimum(np.minimum((x * d + y) * d + z, (y * d + z) * d + x), (z * d + x) * d + y)
-        keys.append(rotation * d + l)
-        vals.append((1 - 2 * par[x] * par[z]) * np.where((x == y) & (y == z), 3, 1) * t.data[s] * t.data[u])
-    key = _first_key(np.concatenate(keys), np.concatenate(vals), p)
-    if key is None:
+        return rotation, (1 - 2 * par[x] * par[z]) * np.where((x == y) & (y == z), 3, 1)
+
+    return _jacobi_sum(t, t, p, weigh)
+
+
+def sorted_jacobi_witness(t: sparse.Coo, parity, p: int | None):
+    """jacobi_witness of a super skew tensor, from the products of the
+    entries C(x,y,w) with x <= y only.
+
+    Write e_ab = (-1)^{|a||b|}.  Skew gives C(y,x,w) = -e_xy C(x,y,w), so
+    J(j,i,k) = -(-1)^{|i||j|+|j||k|+|k||i|} J(i,j,k), and with J's rotation
+    invariance J vanishes at a triple if and only if it vanishes at its
+    sorted one: the smallest failing ordered triple is sorted, and it fails
+    at the same l.  J at a sorted triple is the sum over its rotations
+    (a,b,c) of e_ac [[b_a,b_b],b_c]; when a > b the term is rewritten by
+    skew as -e_ac e_ab [[b_b,b_a],b_c].  So the product of C(x,y,w), x <= y,
+    with C(w,z,l) is added once, at the key of sorted(x,y,z), weighed
+    e_xz ([z >= y] + [z <= x]) for the rotations equal to (x,y,z) plus
+    [x <= z <= y] c, c = -e_xy e_yz, for the one equal to (y,x,z).  Skew
+    leaves C(x,x,w) = 0 for even x, so x = y only for odd x, where the
+    three cases give x = y = z the weight -3 = 3 (-1)^{|x|}, the three
+    terms of J(x,x,x).  A key sums at most 3*dim products, each weighed at
+    most 3 in absolute value, and the sum forms about half the products of
+    jacobi_witness.  p=None checks over Z.
+    """
+    if not t.nnz:
         return None
-    i, rest = divmod(key, d**3)
-    j, rest = divmod(rest, d * d)
-    return (i, j, *divmod(rest, d))
+    d = t.shape[0]
+    par = np.asarray(parity, dtype=np.int64)
+    upper = t.row <= t.col % d  # x <= y
+    left = sparse.Coo(t.row[upper], t.col[upper], t.data[upper], t.shape)
+
+    def weigh(x, y, z):
+        px, py, pz = par[x], par[y], par[z]
+        e_xz = 1 - 2 * (px & pz)
+        between = (2 * (py & (px ^ pz)) - 1) * ((x <= z) & (z <= y))  # c = -e_xy e_yz
+        low, high = np.minimum(x, z), np.maximum(y, z)
+        triple = (low * d + x + y + z - low - high) * d + high
+        return triple, e_xz * ((z >= y).astype(np.int64) + (z <= x)) + between
+
+    return _jacobi_sum(left, t, p, weigh)
 
 
 def check_super_jacobi(alg: ModularSuperAlgebra) -> Report:
     """J(i,j,k) = 0 for all triples (see jacobi_witness); a failure's witness
-    is the smallest failing (i, j, k).  Runs once per algebra."""
-    return _kept_report(alg, "super_jacobi", lambda: jacobi_witness(alg.tensor, alg.parity, alg.p))
+    is the smallest failing (i, j, k).  When the algebra carries a passing
+    super skew report the sum runs over sorted triples (sorted_jacobi_witness),
+    which finds the same witness.  Runs once per algebra."""
+    witness = sorted_jacobi_witness if _passed(alg, "super_skew") else jacobi_witness
+    return _kept_report(alg, "super_jacobi", lambda: witness(alg.tensor, alg.parity, alg.p))
 
 
 def _respects_parity(alg: ModularSuperAlgebra) -> bool:
@@ -349,8 +414,7 @@ def odd_cube_generators(alg: ModularSuperAlgebra):
     basis = np.eye(alg.dim, dtype=np.int64)[odd]
     squares = alg.brackets(basis, basis)
     ar = np.arange(no)
-    proven = all(check in alg._reports and alg._reports[check].ok for check in ("super_skew", "super_jacobi"))
-    if proven and _respects_parity(alg):
+    if _passed(alg, "super_skew", "super_jacobi") and _respects_parity(alg):
         diagonal = ar * no + ar
         cubes = alg.brackets(basis, squares.take_rows(diagonal)).take_rows(diagonal)
         return [(vec, {"kind": "cube", "nodes": [int(odd[a])]})

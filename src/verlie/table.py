@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
+from . import repalpha
 from .chevalley import catalog_algebra
 from .repalpha import block_counts, jordan_decompose, parse_element, realize, structured_decompose
 from .semisimplify import semisimplify
@@ -155,7 +156,8 @@ def run_row(spec: RowSpec) -> TableRow:
     extra_counts = {}
     alg = catalog_algebra(spec.algebra, spec.p)
     for element in spec.elements[1:]:
-        other = block_counts(jordan_decompose(realize(alg, parse_element(element, alg)[1])))
+        # counted by the rank formula, with no chains; read off the module, where perfbench/spans.py wraps it
+        other = repalpha.rank_count_vector(realize(alg, parse_element(element, alg)[1]).powers, spec.p)
         extra_counts[element] = other
         if other != spec.counts:
             mismatches.append(f"{element}: block counts {other} != {spec.counts}")

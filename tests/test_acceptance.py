@@ -6,7 +6,7 @@ import pytest
 
 import verlie as v
 from verlie.chevalley import g2_scaled, integral_catalog, integral_jacobi_witness
-from verlie.repalpha import block_counts, jordan_decompose, parse_element, realize
+from verlie.repalpha import block_counts, jordan_decompose, parse_element, rank_count_vector, realize
 from verlie.roots import Coloring, admissible_subsets, catalog_gcm, derive_tilde, swap_orbit
 from verlie.semisimplify import clebsch_gordan, prop32_reference, semisimplify
 from verlie.superalgebra import (
@@ -62,6 +62,18 @@ def test_criterion_1_block_counts():
         got = block_counts(jordan_decompose(realize(alg, vec)))
         assert got == expected, f"{name} @ {expr}: {got} != {expected}"
     print(f"CRITERION 1 PASS: {len(BLOCK_COUNTS)} characteristic-3 block-count rows exact")
+
+
+def test_criterion_1_other_class_elements_by_chains():
+    """The table counts a row's other class elements by the rank formula;
+    their Jordan chains give the same counts."""
+    others = [(spec, element) for spec in TABLE for element in spec.elements[1:]]
+    assert len(others) == 12
+    for spec, element in others:
+        alg = v.catalog_algebra(spec.algebra, spec.p)
+        realization = realize(alg, parse_element(element, alg)[1])
+        assert block_counts(jordan_decompose(realization)) == spec.counts, f"{spec.key}: {element}"
+        assert rank_count_vector(realization.powers, spec.p) == spec.counts, f"{spec.key}: {element}"
 
 
 def test_criterion_2_certificate_table(table_rows):

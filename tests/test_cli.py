@@ -149,7 +149,7 @@ def test_semisimplify_checks_each_fact_once(monkeypatch, tmp_path):
     decomposition validated by the decomposer is not checked again."""
     from verlie import repalpha, superalgebra
 
-    calls = {"jacobi": 0, "validate": 0, "check": 0}
+    calls = {"jacobi": 0, "sorted_jacobi": 0, "validate": 0, "check": 0}
 
     def counting(owner, attr, key):
         original = getattr(owner, attr)
@@ -161,11 +161,13 @@ def test_semisimplify_checks_each_fact_once(monkeypatch, tmp_path):
         monkeypatch.setattr(owner, attr, wrapper)
 
     counting(superalgebra, "jacobi_witness", "jacobi")
+    counting(superalgebra, "sorted_jacobi_witness", "sorted_jacobi")
     counting(repalpha.ChainDecomposition, "validate", "validate")
     counting(repalpha.ChainDecomposition, "_check", "check")
     path = tmp_path / "out.json"
     assert main(["semisimplify", "--algebra", "f4", "-p", "5", "--element", "e1", "--json", str(path)]) == 0
-    assert calls == {"jacobi": 1, "validate": 2, "check": 1}
+    # the skew report passed, so the one Jacobi scan sums sorted triples
+    assert calls == {"jacobi": 0, "sorted_jacobi": 1, "validate": 2, "check": 1}
     checks = json.loads(path.read_text())["checks"]
     assert checks == {"super_skew": True, "super_jacobi": True, "odd_cubes": True}
 

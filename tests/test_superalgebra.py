@@ -8,7 +8,15 @@ from hypothesis import strategies as st
 import verlie as v
 from tests.test_fp import largest_accepted_prime
 from verlie import sparse, superalgebra
-from verlie.errors import BadModulus, DegreeExceedsP, JacobiViolation, NotAnIdeal, NotParityHomogeneous
+from verlie.errors import (
+    BadModulus,
+    DegreeExceedsP,
+    DimensionTooLarge,
+    JacobiViolation,
+    NotAnIdeal,
+    NotParityHomogeneous,
+    VerlieError,
+)
 from verlie.superalgebra import (
     ModularSuperAlgebra,
     Subspace,
@@ -25,6 +33,7 @@ from verlie.superalgebra import (
     odd_cube_values_literal,
     quotient,
     skew_witness,
+    sorted_jacobi_witness,
     superdim,
     tensor_coo,
 )
@@ -125,15 +134,19 @@ def test_jacobi_witness_matches_direct_scan(p):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_jacobi_witness_independent_of_block_size(seed, monkeypatch):
-    """The smallest bad quadruple over all blocks, whatever the block size."""
+    """The smallest bad quadruple over all blocks, whatever the block size,
+    also for the sorted sum over a skew tensor."""
     alg = random_algebra(3, 20, 0.03, seed)
+    constants, parity = random_skew_constants(3, 20, 0.03, 0, seed)
+    skew = tensor_coo(constants, 20, 3)
 
     def witnesses(block):
         monkeypatch.setattr(superalgebra, "_JACOBI_BLOCK", block)
-        return [jacobi_witness(alg.tensor, alg.parity, p) for p in (alg.p, None)]
+        return [*(jacobi_witness(alg.tensor, alg.parity, p) for p in (alg.p, None)),
+                sorted_jacobi_witness(skew, parity, 3)]
 
     whole = witnesses(alg.dim)
-    assert whole[0] is not None
+    assert whole[0] is not None and whole[2] is not None
     for block in (1, 3, 7):
         assert witnesses(block) == whole
 
@@ -142,10 +155,105 @@ def test_jacobi_witness_independent_of_block_size(seed, monkeypatch):
 def test_jacobi_witness_weighs_the_diagonal_three_times(p):
     """[b0,b0] = b1, [b1,b0] = b0 = -[b0,b1], b0 odd and b1 even.  J(0,0,0) is
     three equal terms, -3 b0, which vanishes only at p = 3; there the first
-    failure is J(0,0,1) = 2 b1."""
+    failure is J(0,0,1) = 2 b1.  The constants are super skew, so the sorted
+    sum gives the same witnesses."""
     constants = {(0, 0): {1: 1}, (1, 0): {0: 1}, (0, 1): {0: -1 if p is None else p - 1}}
     expected = (0, 0, 1, 1) if p == 3 else (0, 0, 0, 0)
-    assert jacobi_witness(tensor_coo(constants, 2, p), [1, 0], p) == expected
+    for witness in (jacobi_witness, sorted_jacobi_witness):
+        assert witness(tensor_coo(constants, 2, p), [1, 0], p) == expected
+
+
+def test_jacobi_keys_past_int64_are_rejected_at_construction():
+    """Jacobi keys reach dim^4, and 55,108^4 <= 2^63 < 55,109^4: only
+    construction runs, no check.  The constants above at the last two
+    indices of a 60,000-dim algebra are refused before a check could decode
+    a wrapped key."""
+    assert ModularSuperAlgebra.from_entries(3, np.zeros(55_108, dtype=np.int64), [], [], [], []).dim == 55_108
+    with pytest.raises(DimensionTooLarge, match="55109"):
+        ModularSuperAlgebra.from_entries(3, np.zeros(55_109, dtype=np.int64), [], [], [], [])
+    i, j, k = (np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]]) + 59_998).T
+    parity = np.zeros(60_000, dtype=np.int64)
+    parity[59_998] = 1
+    with pytest.raises(DimensionTooLarge):
+        ModularSuperAlgebra.from_entries(5, parity, i, j, k, [1, 1, -1])
+    assert issubclass(DimensionTooLarge, VerlieError)  # so the CLI exits 3
+
+
+def skew_pair_entries(alg, i, j, k, delta):
+    """delta at C(i,j,k) and its super skew mirror at C(j,i,k), as entry
+    lists; skew keeps C(i,i,k) = 0 for even i, so there nothing changes."""
+    if i == j:
+        return [i], [j], [k], [delta * int(alg.parity[i])]
+    return [i, j], [j, i], [k, k], [delta, -(-1) ** int(alg.parity[i] * alg.parity[j]) * delta]
+
+
+def test_sorted_jacobi_matches_rotations_on_skew_tensors():
+    """The same witness, None included, on random super skew tensors, graded
+    (|k| = |i| + |j|) and not, of dims 2-8 at p = 3, 5, 7 and over Z.  Among
+    the witnesses are the ties x = y < z, x < y = z and x = y = z of an odd
+    index (J vanishes on a repeated even index)."""
+    shapes = set()
+    for p, dim, graded, seed in itertools.product((3, 5, 7, None), range(2, 9), (False, True), range(10)):
+        constants, parity = random_skew_constants(p, dim, 0.25, 0, seed)
+        if graded:
+            constants = {pair: {k: c for k, c in comps.items() if parity[k] == parity[pair[0]] ^ parity[pair[1]]}
+                         for pair, comps in constants.items()}
+        t = tensor_coo(constants, dim, p)
+        assert skew_witness(t, parity, p) is None
+        witness = jacobi_witness(t, parity, p)
+        assert sorted_jacobi_witness(t, parity, p) == witness, (p, dim, graded, seed)
+        if witness is None:
+            shapes.add(None)
+        else:
+            i, j, k, _ = witness
+            shapes.add((i == j, j == k, int(parity[j])))
+    assert {None, (True, False, 1), (False, True, 1), (True, True, 1)} <= shapes
+
+
+def test_sorted_jacobi_matches_rotations_on_corrupted_table_outputs():
+    """Each table output, then with one constant and its skew mirror changed
+    (at an existing entry, and at a random position): the same witnesses."""
+    rng = np.random.default_rng(11)
+    failures = 0
+    for spec in TABLE:
+        alg = row_pipeline(spec.algebra, spec.p, spec.elements[0], spec.subset)[2].algebra
+        assert sorted_jacobi_witness(alg.tensor, alg.parity, alg.p) is None
+        entries = alg._entries()
+        at = int(rng.integers(len(entries[0])))
+        for i, j, k in [(x[at] for x in entries[:3]), rng.integers(0, alg.dim, 3)]:
+            change = skew_pair_entries(alg, int(i), int(j), int(k), int(rng.integers(1, alg.p)))
+            bad = ModularSuperAlgebra.from_entries(alg.p, alg.parity, *map(np.concatenate, zip(entries, change)))
+            assert check_super_skew(bad).ok
+            witness = jacobi_witness(bad.tensor, bad.parity, bad.p)
+            assert sorted_jacobi_witness(bad.tensor, bad.parity, bad.p) == witness, spec.key
+            failures += witness is not None
+    assert failures == 32  # every corruption breaks Jacobi
+
+
+def test_check_super_jacobi_sums_sorted_triples_after_a_passing_skew_report(monkeypatch):
+    """The sorted sum runs only on an algebra whose kept skew report passed;
+    without one, or after a failing one, the rotation sum runs."""
+    calls = []
+
+    def counting(name):
+        original = getattr(superalgebra, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(superalgebra, name, wrapper)
+
+    counting("jacobi_witness")
+    counting("sorted_jacobi_witness")
+    g2 = v.catalog_algebra("g2", 3)
+    skewed, unchecked = without_reports(g2), without_reports(g2)
+    assert check_super_skew(skewed).ok and check_super_jacobi(skewed).ok
+    assert check_super_jacobi(unchecked).ok
+    bad = corrupt(g2, 0, 1, 2)
+    assert not check_super_skew(bad).ok
+    check_super_jacobi(bad)
+    assert calls == ["sorted_jacobi_witness", "jacobi_witness", "jacobi_witness"]
 
 
 def random_skew_constants(p, dim, density, faults, seed):
@@ -309,6 +417,7 @@ def test_skew_and_jacobi_reports_are_kept(monkeypatch):
     first = check_super_skew(alg), check_super_jacobi(alg)
     monkeypatch.setattr(superalgebra, "skew_witness", None)
     monkeypatch.setattr(superalgebra, "jacobi_witness", None)
+    monkeypatch.setattr(superalgebra, "sorted_jacobi_witness", None)
     assert (check_super_skew(alg), check_super_jacobi(alg)) == first
     assert "_reports" not in repr(alg) and alg == without_reports(alg)
 
