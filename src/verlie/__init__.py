@@ -61,7 +61,6 @@ from .superalgebra import (
 )
 from .verify import (
     Certificate,
-    GeneratorImages,
     TargetSpec,
     cartan_torus_images,
     certify,
@@ -69,8 +68,8 @@ from .verify import (
     check_generation,
     check_relations,
     custom_plan_g36,
-    functorial_generator_images,
     generator_images,
+    plan_images,
     recognize_even_type,
     target_by_name,
     target_catalog,

@@ -18,7 +18,15 @@ import numpy as np
 
 from . import errors
 from .chevalley import catalog_algebra, chevalley_basis, reduce_mod_p
-from .repalpha import block_counts, jordan_decompose, parse_element, rank_count_vector, realize, structured_decompose
+from .repalpha import (
+    block_counts,
+    boundary_subset,
+    jordan_decompose,
+    parse_element,
+    rank_count_vector,
+    realize,
+    structured_decompose,
+)
 from .roots import (
     Coloring,
     catalog_gcm,
@@ -73,12 +81,16 @@ def _parse_subset(text: str) -> tuple[int, ...]:
     return tuple(sorted(int(tok) for tok in text.replace(" ", "").split(",") if tok))
 
 
-def _decomposed(args, structured: bool = True):
-    """Realize the element; decompose along --subset when one is given and
-    `structured`, generically otherwise."""
+def _realized(args):
     alg = _load_algebra(args.algebra, args.p)
-    realization = realize(alg, _element_vector(args, alg))
-    if structured and args.subset:
+    return alg, realize(alg, _element_vector(args, alg))
+
+
+def _decomposed(args):
+    """Realize the element; decompose along --subset when one is given,
+    generically otherwise."""
+    alg, realization = _realized(args)
+    if args.subset:
         return alg, realization, structured_decompose(realization, _parse_subset(args.subset))
     return alg, realization, jordan_decompose(realization)
 
@@ -142,13 +154,15 @@ def cmd_certify(args) -> int:
         route, star_sdim = "star", (9, 6)
     else:
         route = "maint"
-    alg, realization, decomp = _decomposed(args, structured=route in ("maint", "star"))
-    ss = semisimplify(realization, decomp)
+    alg, realization = _realized(args)
     subset = _parse_subset(args.subset) if args.subset else None
+    if route in ("maint", "star"):
+        subset = boundary_subset(realization, subset)
     target = args.target
     if route == "maint" and not target:
-        # the structured decomposition has checked that alg is a Chevalley reduction
         target = _infer_target(args.algebra, alg.origin.gcm, subset)
+    decomp = jordan_decompose(realization)
+    ss = semisimplify(realization, decomp)
     cert = certify_route(ss, route, subset, target, star_sdim)
     payload = cert.to_json_dict()
     payload.update({"command": "certify", "algebra": args.algebra,

@@ -60,11 +60,7 @@ class NotParityHomogeneous(VerlieError):
 
 
 class PreconditionViolated(VerlieError):
-    """Structured decomposition was called outside its supported setting."""
-
-
-class MissingTags(VerlieError):
-    """Generator-tagged chains were required but the decomposition carries none."""
+    """The boundary-node construction was asked for outside its supported setting."""
 
 
 class NotDiagonalizable(VerlieError):

@@ -467,6 +467,29 @@ def jordan_decompose(realization: Realization) -> ChainDecomposition:
     return decomp
 
 
+def boundary_subset(realization: Realization, subset) -> tuple[int, ...]:
+    """The sorted subset, once the realization is ad e for e = sum of e_i
+    over an admissible subset of boundary nodes of a Chevalley-basis algebra
+    in characteristic 3, the setting of the boundary-node construction;
+    PreconditionViolated otherwise."""
+    alg = realization.algebra
+    integral = alg.origin
+    if integral is None or not hasattr(integral, "roots"):
+        raise PreconditionViolated("the boundary-node construction needs a Chevalley-basis algebra")
+    if alg.p != 3:
+        raise PreconditionViolated("the boundary-node construction needs characteristic 3")
+    subset = tuple(sorted(int(i) for i in subset))
+    if subset not in admissible_subsets(integral.gcm):
+        raise PreconditionViolated(f"{subset} is not an admissible subset")
+    if realization.element is None:
+        raise PreconditionViolated("the boundary-node construction needs an inner realization")
+    expected = np.zeros(alg.dim, dtype=np.int64)
+    expected[[integral.generator_index("e", i) for i in subset]] = 1
+    if not np.array_equal(realization.element % alg.p, expected):
+        raise PreconditionViolated("element must be the sum of e_i over the subset")
+    return subset
+
+
 def structured_decompose(realization: Realization, subset) -> ChainDecomposition:
     """Generator-compatible decomposition for e = sum of e_i over an
     admissible subset of boundary nodes, characteristic 3.
@@ -477,24 +500,11 @@ def structured_decompose(realization: Realization, subset) -> ChainDecomposition
     h_j - h_i per subset node.  The D-stable complement spanned by the
     remaining root vectors is decomposed generically.
     """
+    subset = boundary_subset(realization, subset)
     alg = realization.algebra
     integral = alg.origin
-    if integral is None or not hasattr(integral, "roots"):
-        raise PreconditionViolated("structured decomposition needs a Chevalley-basis algebra")
-    if alg.p != 3:
-        raise PreconditionViolated("structured decomposition is a characteristic-3 construction")
-    subset = tuple(sorted(int(i) for i in subset))
     gcm = integral.gcm
-    if subset not in admissible_subsets(gcm):
-        raise PreconditionViolated(f"{subset} is not an admissible subset")
-    if realization.element is None:
-        raise PreconditionViolated("structured decomposition needs an inner realization")
     eye = np.eye(alg.dim, dtype=np.int64)
-    expected = np.zeros(alg.dim, dtype=np.int64)
-    for i in subset:
-        expected = (expected + eye[integral.generator_index("e", i)]) % alg.p
-    if not np.array_equal(realization.element % alg.p, expected):
-        raise PreconditionViolated("element must be the sum of e_i over the subset")
     der, powers = realization.der, realization.powers
     attached = {i: attached_node(gcm, i) for i in subset}
     chains: list[JordanChain] = []

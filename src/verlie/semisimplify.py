@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fp, sparse
-from .errors import JacobiViolation, MissingTags
+from .errors import JacobiViolation
 from .repalpha import ChainDecomposition, JordanChain, Realization
 from .superalgebra import ModularSuperAlgebra, Report, check_super_jacobi, check_super_skew
 
@@ -69,22 +69,6 @@ class SemisimplifiedAlgebra:
         """Functorial image of a vector: expansion coefficients at the
         length-1 vectors and at the heads of length-(p-1) chains."""
         return (self.coords @ fp.normalize(v, self.p)) % self.p
-
-    def basis_index_of_chain(self, chain_index: int) -> int:
-        survivors = self.even_chains + self.odd_chains
-        if chain_index not in survivors:
-            raise KeyError(f"chain {chain_index} does not survive")
-        return survivors.index(chain_index)
-
-    def tagged_basis(self) -> dict[tuple[str, int], int]:
-        """Map (generator kind, node) -> output basis index, from chain tags."""
-        out = {}
-        for ci, chain in enumerate(self.decomposition.chains):
-            if chain.tag is not None and chain.length in (1, self.p - 1):
-                out[chain.tag] = self.basis_index_of_chain(ci)
-        if not out:
-            raise MissingTags("decomposition carries no generator tags")
-        return out
 
     def provenance(self) -> list[dict]:
         return [{"index": a, "parity": int(a >= len(self.even_chains)), "chain": c,

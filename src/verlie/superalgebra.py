@@ -17,7 +17,7 @@ from typing import Mapping
 import numpy as np
 
 from . import fp, sparse
-from .errors import DimensionTooLarge, MissingTags, NotAnIdeal, NotParityHomogeneous
+from .errors import DimensionTooLarge, NotAnIdeal, NotParityHomogeneous
 
 Constants = dict[tuple[int, int], dict[int, int]]
 
@@ -496,7 +496,8 @@ class Subspace:
         return len(self.pivots)
 
     def reduce(self, v) -> np.ndarray:
-        """Residual of v after eliminating this subspace's pivot coordinates."""
+        """Residual of v after eliminating this subspace's pivot coordinates.
+        Unused here; perfbench/spans.py patches this name to count reductions."""
         v = fp.normalize(v, self.p)
         if not self.pivots:
             return v.copy()
@@ -514,17 +515,6 @@ class Subspace:
         out = np.zeros_like(mat)
         out[:, free] = (mat[:, free] - fp.matmul(mat[:, list(self.pivots)], self.rows[:, free], self.p)) % self.p
         return out
-
-    def coefficients(self, v) -> np.ndarray:
-        """Coefficients of v over the echelon rows; raises if v is outside."""
-        v = fp.normalize(v, self.p)
-        coeffs = v[list(self.pivots)] if self.pivots else np.zeros(0, dtype=np.int64)
-        if self.reduce(v).any():
-            raise ValueError("vector not in subspace")
-        return coeffs
-
-    def contains(self, v) -> bool:
-        return not self.reduce(v).any()
 
     def extended(self, vectors) -> "Subspace":
         """Span of this subspace and the vectors.  Only the residuals of the
@@ -694,28 +684,25 @@ def quotient(alg: ModularSuperAlgebra, ideal: Subspace) -> QuotientAlgebra:
 @dataclass
 class GenSubquotient:
     algebra: ModularSuperAlgebra
-    generators: dict[str, np.ndarray]  # images of the seed generators
-    sub_rows: np.ndarray  # generated subalgebra basis in ambient coordinates
+    generators: np.ndarray  # row a: the image of seed row a
     cube_ideal_dim: int
 
 
-def gen_subquotient(alg: ModularSuperAlgebra, generators: Mapping[str, np.ndarray]) -> GenSubquotient:
-    """Subalgebra generated by the given vectors, modulo the ideal forcing
+def gen_subquotient(alg: ModularSuperAlgebra, seeds) -> GenSubquotient:
+    """Subalgebra generated by the seed rows, modulo the ideal forcing
     [x,[x,x]] = 0 for odd x."""
-    if not generators:
-        raise MissingTags("no generator vectors supplied")
-    seeds = np.atleast_2d([fp.normalize(v, alg.p) for v in generators.values()])
+    seeds = fp.normalize(np.atleast_2d(seeds), alg.p)
+    if not len(seeds):
+        raise ValueError("no generator vectors supplied")
     sub = generated_subalgebra(alg, seeds)
     subalg, rows = subalgebra_on(alg, sub)
     pivots = [int(np.nonzero(r)[0][0]) for r in rows]
     coords = seeds[:, pivots]  # pivot entries are 1 and zero in every other row
     if ((seeds - coords @ rows) % alg.p).any():
         raise ValueError("vector not inside the subalgebra")
-    gen_coords = dict(zip(generators, coords))
     cube_vecs = [v for v, _ in odd_cube_generators(subalg)]
     ideal = ideal_closure(subalg, cube_vecs) if cube_vecs else Subspace.zero(subalg.dim, alg.p)
     if ideal.dim == 0:
-        return GenSubquotient(subalg, gen_coords, rows, 0)
+        return GenSubquotient(subalg, coords, 0)
     q = quotient(subalg, ideal)
-    gens_q = {name: q.project(v) for name, v in gen_coords.items()}
-    return GenSubquotient(q.quotient, gens_q, rows, ideal.dim)
+    return GenSubquotient(q.quotient, coords @ q.projection.T % alg.p, ideal.dim)

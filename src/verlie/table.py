@@ -13,7 +13,10 @@ from functools import lru_cache
 
 from . import repalpha
 from .chevalley import catalog_algebra
-from .repalpha import block_counts, jordan_decompose, parse_element, realize, structured_decompose
+from .repalpha import block_counts, jordan_decompose, parse_element, realize
+# unused, every row decomposes generically; perfbench/spans.py wraps this
+# name here, and test_traced_names_resolve checks that it exists
+from .repalpha import structured_decompose  # noqa: F401
 from .semisimplify import semisimplify
 # check_super_*: unused, `ss.checks` holds the reports; perfbench/spans.py wraps these names here
 from .superalgebra import check_odd_cubes, check_super_jacobi, check_super_skew, superdim  # noqa: F401
@@ -53,8 +56,9 @@ def certify_route(ss, route: str, subset, target: str | None, star_sdim):
     """Certificate along one of the certificate routes of `RowSpec.route`:
     maint (generator relations against the derived matrix of `subset`),
     star (the same for the generator subquotient, of superdimension
-    `star_sdim`), custom-g36 (the hand-built generator plan) or el55 (the
-    even part, at p = 5)."""
+    `star_sdim`), custom-g36 (the hand-written plan `G36_PLAN`) or el55 (the
+    even part, at p = 5).  The first three read generator images off any
+    decomposition of the element through plans."""
     if route == "custom-g36":
         return certify(ss, custom_plan_g36(ss), target_by_name("g(3,6)"))
     if route == "el55":
@@ -110,7 +114,6 @@ TABLE: tuple[RowSpec, ...] = (
 class TableRow:
     spec: RowSpec
     counts: tuple[int, ...]
-    extra_counts: dict[str, tuple[int, ...]]
     sdim: tuple[int, int]
     conclusion: str
     ok: bool
@@ -133,18 +136,18 @@ class TableRow:
 
 
 @lru_cache(maxsize=None)
-def row_pipeline(algebra: str, p: int, element: str, subset: tuple[int, ...] | None):
-    """Realize, decompose (structured when a subset is given), semisimplify."""
+def row_pipeline(algebra: str, p: int, element: str):
+    """Realize, decompose generically, semisimplify."""
     alg = catalog_algebra(algebra, p)
     realization = realize(alg, parse_element(element, alg)[1])
-    decomp = jordan_decompose(realization) if subset is None else structured_decompose(realization, subset)
+    decomp = jordan_decompose(realization)
     ss = semisimplify(realization, decomp)
     return realization, decomp, ss
 
 
 @lru_cache(maxsize=None)
 def run_row(spec: RowSpec) -> TableRow:
-    realization, decomp, ss = row_pipeline(spec.algebra, spec.p, spec.elements[0], spec.subset)
+    realization, decomp, ss = row_pipeline(spec.algebra, spec.p, spec.elements[0])
     counts = block_counts(decomp)
     sdim = superdim(ss.algebra)
     mismatches: list[str] = []
@@ -153,12 +156,10 @@ def run_row(spec: RowSpec) -> TableRow:
         mismatches.append(f"block counts {counts} != {spec.counts}")
     if sdim != spec.sdim:
         mismatches.append(f"superdim {sdim} != {spec.sdim}")
-    extra_counts = {}
     alg = catalog_algebra(spec.algebra, spec.p)
     for element in spec.elements[1:]:
         # counted by the rank formula, with no chains; read off the module, where perfbench/spans.py wraps it
         other = repalpha.rank_count_vector(realize(alg, parse_element(element, alg)[1]).powers, spec.p)
-        extra_counts[element] = other
         if other != spec.counts:
             mismatches.append(f"{element}: block counts {other} != {spec.counts}")
 
@@ -188,7 +189,6 @@ def run_row(spec: RowSpec) -> TableRow:
     return TableRow(
         spec=spec,
         counts=counts,
-        extra_counts=extra_counts,
         sdim=sdim,
         conclusion=conclusion,
         ok=not mismatches,

@@ -16,7 +16,8 @@ from itertools import permutations
 import numpy as np
 
 from . import fp, sparse
-from .errors import MissingTags, NotDiagonalizable, UnrecognizedType
+from .errors import NotDiagonalizable, UnrecognizedType
+from .repalpha import boundary_subset, parse_element
 from .roots import GCM, attached_node, catalog_gcm, derive_tilde, positive_roots, validate_gcm
 from .semisimplify import SemisimplifiedAlgebra
 from .superalgebra import (
@@ -38,11 +39,6 @@ class TargetSpec:
     superdim: tuple[int, int]
     gcm: GCM | None
     even_type: str | None = None  # set for targets identified through their even part
-    odd_dim: int | None = None
-
-    @property
-    def rank(self) -> int | None:
-        return self.gcm.n if self.gcm else None
 
 
 def _t(name, matrix, sdim, p=3) -> TargetSpec:
@@ -71,7 +67,7 @@ def target_catalog() -> tuple[TargetSpec, ...]:
                       [0, 0, -1, 2, -1, 0, 0], [0, 0, 0, -1, 2, -1, 0], [0, 0, 0, 0, -1, 2, -1],
                       [0, 0, 0, 0, 0, -1, 2]], (133, 56)),
         _t("g(3,6)", [[0, -1, 0, 0], [-1, 0, -1, 0], [0, -1, 0, -2], [0, 0, -1, 2]], (36, 40)),
-        TargetSpec(name="el(5;5)", p=5, superdim=(55, 32), gcm=None, even_type="B5", odd_dim=32),
+        TargetSpec(name="el(5;5)", p=5, superdim=(55, 32), gcm=None, even_type="B5"),
     )
 
 
@@ -92,114 +88,44 @@ def tilde_target(name: str, ss: SemisimplifiedAlgebra, subset, sdim=None) -> Tar
 # -- generator images ----------------------------------------------------------
 
 
-@dataclass
-class GeneratorImages:
-    """e/f/h image triples in target-node order, with the target parities."""
-
-    e: list[np.ndarray]
-    f: list[np.ndarray]
-    h: list[np.ndarray]
-    parity: list[int]
-    nodes: list[int] = field(default_factory=list)  # source-diagram labels, where known
-
-    @property
-    def rank(self) -> int:
-        return len(self.e)
-
-    def all_vectors(self) -> list[np.ndarray]:
-        return list(self.e) + list(self.f) + list(self.h)
-
-    def as_dict(self) -> dict[str, np.ndarray]:
-        out = {}
-        for idx in range(self.rank):
-            out[f"e{idx + 1}"] = self.e[idx]
-            out[f"f{idx + 1}"] = self.f[idx]
-            out[f"h{idx + 1}"] = self.h[idx]
-        return out
-
-
-def generator_images(ss: SemisimplifiedAlgebra, subset) -> GeneratorImages:
-    """Images of the Chevalley generators from the tagged chains of a
-    structured decomposition, ordered by surviving node label."""
-    integral = ss.realization.algebra.origin
-    if integral is None:
-        raise MissingTags("needs a Chevalley-basis source algebra")
-    tags = ss.tagged_basis()
-    gcm = integral.gcm
-    subset = tuple(sorted(subset))
-    attached = {attached_node(gcm, i) for i in subset}
-    survivors = [k for k in range(1, gcm.n + 1) if k not in subset]
-    eye = np.eye(ss.algebra.dim, dtype=np.int64)
-    e_vecs, f_vecs, h_vecs, parity = [], [], [], []
-    for node in survivors:
-        for kind, bucket in (("e", e_vecs), ("f", f_vecs), ("h", h_vecs)):
-            if (kind, node) not in tags:
-                raise MissingTags(f"no chain tagged {kind}{node}")
-            bucket.append(eye[tags[(kind, node)]])
-        parity.append(1 if node in attached else 0)
-    return GeneratorImages(e=e_vecs, f=f_vecs, h=h_vecs, parity=parity, nodes=survivors)
-
-
-def functorial_generator_images(ss: SemisimplifiedAlgebra, subset) -> GeneratorImages:
-    """Generator images computed as functorial projections of the canonical
-    split chains, independent of how the decomposition was chosen: the odd
-    triple per attached node j is (image e_j, image [f_i, f_j], image
-    h_j - h_i), the even triples come from the untouched generators."""
-    integral = ss.realization.algebra.origin
-    if integral is None:
-        raise MissingTags("needs a Chevalley-basis source algebra")
+def plan_images(ss: SemisimplifiedAlgebra, plan) -> np.ndarray:
+    """Images of a generator plan, one (e, f, h) triple of element
+    expressions per target node: each expression is evaluated in the source
+    algebra and mapped through `ss.image`.  Returns the (3, rank, dim) array
+    of the e, f and h images in node order."""
     alg = ss.realization.algebra
-    gcm = integral.gcm
-    subset = tuple(sorted(subset))
+    images = [[ss.image(parse_element(expr, alg)[1]) for expr in triple] for triple in plan]
+    return np.array(images, dtype=np.int64).reshape(len(plan), 3, ss.algebra.dim).transpose(1, 0, 2)
+
+
+def generator_images(ss: SemisimplifiedAlgebra, subset) -> np.ndarray:
+    """Images of the Chevalley generators of the nodes outside an admissible
+    subset, in node order: (e_k, f_k, h_k), or (e_k, [f_i, f_k], h_k - h_i)
+    when k is attached to subset node i."""
+    subset = boundary_subset(ss.realization, subset)
+    gcm = ss.realization.algebra.origin.gcm
     attached = {attached_node(gcm, i): i for i in subset}
-    eye = np.eye(alg.dim, dtype=np.int64)
-    e_vecs, f_vecs, h_vecs, parity = [], [], [], []
-    survivors = [k for k in range(1, gcm.n + 1) if k not in subset]
-    for node in survivors:
-        e_vecs.append(ss.image(eye[integral.generator_index("e", node)]))
-        parity.append(int(node in attached))
-        if node in attached:
-            i = attached[node]
-            ff = alg.bracket(eye[integral.generator_index("f", i)],
-                             eye[integral.generator_index("f", node)])
-            hdiff = (eye[integral.generator_index("h", node)]
-                     - eye[integral.generator_index("h", i)]) % alg.p
-            f_vecs.append(ss.image(ff))
-            h_vecs.append(ss.image(hdiff))
-        else:
-            f_vecs.append(ss.image(eye[integral.generator_index("f", node)]))
-            h_vecs.append(ss.image(eye[integral.generator_index("h", node)]))
-    return GeneratorImages(e=e_vecs, f=f_vecs, h=h_vecs, parity=parity, nodes=survivors)
+    plan = [(f"e{k}", f"[f{attached[k]},f{k}]", f"h{k}-h{attached[k]}") if k in attached
+            else (f"e{k}", f"f{k}", f"h{k}") for k in range(1, gcm.n + 1) if k not in subset]
+    return plan_images(ss, plan)
 
 
-def custom_plan_g36(ss: SemisimplifiedAlgebra) -> GeneratorImages:
-    """Hand-built generator images for the rank-8 source with element
-    e_1 + e_2 + e_6 + e_8: three odd generators from chains headed by
-    e_3, e_4, e_5 (and f-counterparts headed by [f_1,f_3], [f_2,f_4],
-    -[f_5,f_6]), one even generator from the singleton [e_6,e_7] - [e_8,e_7]."""
+# the rank-8 source at e_1 + e_2 + e_6 + e_8: three odd nodes on the chains
+# headed by e_3, e_4, e_5, one even node on the singleton [e_6,e_7] - [e_8,e_7]
+G36_PLAN = (("e3", "[f1,f3]", "h3"), ("e4", "[f2,f4]", "h4"), ("e5", "[f6,f5]", "h5"),
+            ("[e6,e7]-[e8,e7]", "[f8,f7]-[f6,f7]", "h6-h7+h8"))
+
+
+def custom_plan_g36(ss: SemisimplifiedAlgebra) -> np.ndarray:
+    """Images of `G36_PLAN`, on the rank-8 catalog algebra at the element
+    e_1 + e_2 + e_6 + e_8 only."""
     alg = ss.realization.algebra
-    if alg.gens is None or alg.dim != 248:
+    if alg.dim != 248:
         raise ValueError("custom plan expects the rank-8 catalog algebra")
-    eye = np.eye(alg.dim, dtype=np.int64)
-    g = alg.gens
-    expected = (g["e1"] + g["e2"] + g["e6"] + g["e8"]) % alg.p
-    if ss.realization.element is None or not np.array_equal(ss.realization.element, expected):
+    element = ss.realization.element
+    if element is None or not np.array_equal(element, parse_element("e1+e2+e6+e8", alg)[1]):
         raise ValueError("custom plan expects the element e1 + e2 + e6 + e8")
-    br = alg.bracket
-    f9 = br(g["f1"], g["f3"])
-    f10 = br(g["f2"], g["f4"])
-    f13 = br(g["f5"], g["f6"])
-    e14 = br(g["e6"], g["e7"])
-    e15 = (-br(g["e8"], g["e7"])) % alg.p
-    f14 = br(g["f6"], g["f7"])
-    f15 = (-br(g["f8"], g["f7"])) % alg.p
-    e_vecs = [ss.image(g["e3"]), ss.image(g["e4"]), ss.image(g["e5"]),
-              ss.image((e14 + e15) % alg.p)]
-    f_vecs = [ss.image(f9), ss.image(f10), ss.image((-f13) % alg.p),
-              ss.image((-(f14 + f15)) % alg.p)]
-    h_vecs = [ss.image(g["h3"]), ss.image(g["h4"]), ss.image(g["h5"]),
-              ss.image((g["h6"] - g["h7"] + g["h8"]) % alg.p)]
-    return GeneratorImages(e=e_vecs, f=f_vecs, h=h_vecs, parity=[1, 1, 1, 0], nodes=[3, 4, 5, 0])
+    return plan_images(ss, G36_PLAN)
 
 
 # -- relation and generation checks -------------------------------------------
@@ -214,21 +140,22 @@ class RelationReport:
         return {"pass": self.ok, "failures": self.failures}
 
 
-def check_relations(alg: ModularSuperAlgebra, gens: GeneratorImages, target: TargetSpec) -> RelationReport:
+def check_relations(alg: ModularSuperAlgebra, gens: np.ndarray, target: TargetSpec) -> RelationReport:
     """[e_i, f_j] = d_ij h_i, [h_i, e_j] = a_ij e_j, [h_i, f_j] = -a_ij f_j,
-    [h_i, h_j] = 0, and the generator parities match the target's."""
+    [h_i, h_j] = 0, and the generator parities match the target's; `gens`
+    is the (3, rank, dim) array of the e, f and h images."""
     failures: list[dict] = []
-    if target.gcm is None or gens.rank != target.gcm.n:
+    e, f, h = gens
+    r, p = len(e), alg.p
+    if target.gcm is None or r != target.gcm.n:
         return RelationReport(False, [{"relation": "rank", "expected": target.gcm.n if target.gcm else None,
-                                       "actual": gens.rank}])
-    for i in range(gens.rank):
-        for vec, label in ((gens.e[i], "e"), (gens.f[i], "f")):
+                                       "actual": r}])
+    for i in range(r):
+        for vec, label in ((e[i], "e"), (f[i], "f")):
             if not alg.is_homogeneous(vec) or not vec.any() or alg.vector_parity(vec) != target.gcm.parity[i]:
                 failures.append({"relation": "parity", "generator": f"{label}{i + 1}"})
-        if gens.h[i].any() and alg.vector_parity(gens.h[i]) != 0:
+        if h[i].any() and alg.vector_parity(h[i]) != 0:
             failures.append({"relation": "parity", "generator": f"h{i + 1}"})
-    r, p = gens.rank, alg.p
-    e, f, h = (np.array(vecs, dtype=np.int64).reshape(r, alg.dim) for vecs in (gens.e, gens.f, gens.h))
     a = target.gcm.matrix()[:, :, None]
     # [x_i, y_j] at [i, j] against its expected value, one brackets call per kind
     wanted = {"ef": np.eye(r, dtype=np.int64)[:, :, None] * h[:, None], "he": a * e, "hf": -a * f,
@@ -240,8 +167,8 @@ def check_relations(alg: ModularSuperAlgebra, gens: GeneratorImages, target: Tar
     return RelationReport(not failures, failures)
 
 
-def check_generation(alg: ModularSuperAlgebra, gens: GeneratorImages) -> bool:
-    return generated_subalgebra(alg, gens.all_vectors()).dim == alg.dim
+def check_generation(alg: ModularSuperAlgebra, gens: np.ndarray) -> bool:
+    return generated_subalgebra(alg, gens.reshape(-1, alg.dim)).dim == alg.dim
 
 
 # -- certificates --------------------------------------------------------------
@@ -290,8 +217,9 @@ class Certificate:
         }
 
 
-def certify(ss_or_alg, gens: GeneratorImages, target: TargetSpec) -> Certificate:
-    """Certificate for a characteristic-3 target given labeled generator images."""
+def certify(ss_or_alg, gens: np.ndarray, target: TargetSpec) -> Certificate:
+    """Certificate for a characteristic-3 target given the (3, rank, dim)
+    array of generator images."""
     alg = ss_or_alg.algebra if isinstance(ss_or_alg, SemisimplifiedAlgebra) else ss_or_alg
     if target.p != alg.p:
         raise ValueError("target characteristic differs from the algebra's")
@@ -303,21 +231,13 @@ def certify(ss_or_alg, gens: GeneratorImages, target: TargetSpec) -> Certificate
                        relations.ok, generation, cubes.ok, details)
 
 
-def subquotient_certificate(ss: SemisimplifiedAlgebra, gens: GeneratorImages, target: TargetSpec):
+def subquotient_certificate(ss: SemisimplifiedAlgebra, gens: np.ndarray, target: TargetSpec):
     """Certificate for the generator-generated subquotient (mod odd cubes)
     rather than the full semisimplification; used where the two differ."""
-    from .superalgebra import gen_subquotient
+    from .superalgebra import gen_subquotient  # looked up per call, where perfbench/spans.py wraps it
 
-    sq = gen_subquotient(ss.algebra, gens.as_dict())
-    rank = gens.rank
-    gens_q = GeneratorImages(
-        e=[sq.generators[f"e{i + 1}"] for i in range(rank)],
-        f=[sq.generators[f"f{i + 1}"] for i in range(rank)],
-        h=[sq.generators[f"h{i + 1}"] for i in range(rank)],
-        parity=list(gens.parity),
-        nodes=list(gens.nodes),
-    )
-    cert = certify(sq.algebra, gens_q, target)
+    sq = gen_subquotient(ss.algebra, gens.reshape(-1, ss.algebra.dim))
+    cert = certify(sq.algebra, sq.generators.reshape(gens.shape[:2] + (-1,)), target)
     cert.details["full_superdim"] = list(superdim(ss.algebra))
     cert.details["subquotient"] = True
     return cert, sq
@@ -487,6 +407,8 @@ def certify_even_route(ss: SemisimplifiedAlgebra, target: TargetSpec) -> Certifi
     recognition stands in for the relation check, irreducibility of the odd
     part for generation; both read one weight split under the Cartan torus."""
     alg = ss.algebra
+    if target.p != alg.p:
+        raise ValueError("target characteristic differs from the algebra's")
     split = None
     try:
         split = weight_split(alg, cartan_torus_images(ss))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import verlie as v
+from tests.pipelines import spec_pipeline
 from verlie.chevalley import g2_scaled, integral_catalog, integral_jacobi_witness
 from verlie.repalpha import block_counts, jordan_decompose, parse_element, rank_count_vector, realize
 from verlie.roots import Coloring, admissible_subsets, catalog_gcm, derive_tilde, swap_orbit
@@ -88,7 +89,7 @@ def test_criterion_2_certificate_table(table_rows):
 
 
 def test_criterion_3_characteristic_five():
-    realization, decomp, ss = row_pipeline("e8", 5, "e2+e3+e4", None)
+    realization, decomp, ss = row_pipeline("e8", 5, "e2+e3+e4")
     assert block_counts(decomp) == (55, 0, 0, 32, 13)
     assert superdim(ss.algebra) == (55, 32)
     assert check_super_jacobi(ss.algebra).ok
@@ -169,7 +170,7 @@ def test_criterion_4_micro_examples():
 def test_criterion_5_star_row():
     from verlie.verify import TargetSpec, subquotient_certificate
 
-    realization, decomp, ss = row_pipeline("f4", 3, "e1", (1,))
+    realization, decomp, ss = row_pipeline("f4", 3, "e1")
     assert superdim(ss.algebra) == (15, 8)
     gens = generator_images(ss, (1,))
     target = TargetSpec(name="sl(3|1)", p=3, superdim=(9, 6),
@@ -182,7 +183,7 @@ def test_criterion_5_star_row():
 
 
 def test_criterion_6_even_row():
-    realization, decomp, ss = row_pipeline("e7", 3, "e2+e5+e7", None)
+    realization, decomp, ss = row_pipeline("e7", 3, "e2+e5+e7")
     assert superdim(ss.algebra) == (52, 0)
     label, rank, dim = recognize_even_type(ss.algebra, weight_split(ss.algebra, cartan_torus_images(ss)))
     assert (label, rank, dim) == ("F4", 4, 52)
@@ -194,7 +195,7 @@ def test_criterion_7_oracle_equivalence():
     for spec in TABLE:
         if spec.p != 3:
             continue
-        realization, decomp, ss = row_pipeline(spec.algebra, spec.p, spec.elements[0], spec.subset)
+        realization, decomp, ss = spec_pipeline(spec)
         reference = prop32_reference(realization, decomp)
         assert reference.constants == ss.algebra.constants, spec.key
         assert np.array_equal(reference.parity, ss.algebra.parity)
@@ -211,7 +212,7 @@ def test_criterion_8_property_suites(table_rows):
         assert check_super_skew(alg).ok and check_super_jacobi(alg).ok
     row_algebras = 0
     for spec in TABLE:
-        _, _, ss = row_pipeline(spec.algebra, spec.p, spec.elements[0], spec.subset)
+        _, _, ss = spec_pipeline(spec)
         assert check_super_skew(ss.algebra).ok and check_super_jacobi(ss.algebra).ok
         row_algebras += 1
     # integral Jacobi on every Chevalley output (full scans)
@@ -258,7 +259,7 @@ def test_criterion_9_swap_orbit_invariance():
                 nodes = coloring.sorted_black()
                 if nodes not in admissible:
                     continue
-                _, _, ss = row_pipeline(name, 3, "+".join(f"e{i}" for i in nodes), nodes)
+                _, _, ss = row_pipeline(name, 3, "+".join(f"e{i}" for i in nodes))
                 gens = generator_images(ss, nodes)
                 cert = certify(ss, gens, tilde_target(spec.target, ss, nodes))
                 conclusions.add(cert.conclusion)

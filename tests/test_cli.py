@@ -101,6 +101,23 @@ def test_custom_plan_certify(capsys):
     assert "g(3,6)" in capsys.readouterr().out and main is not None
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--algebra", "gl3", "--subset", "1"], "Chevalley-basis algebra"),
+    (["--algebra", "e6", "-p", "5", "--subset", "2"], "characteristic 3"),
+    (["--algebra", "e6", "-p", "5", "--subset", "2", "--target", "g(2,6)"], "characteristic 3"),
+    (["--algebra", "e6", "--subset", "3"], "not an admissible subset"),
+    (["--algebra", "f4", "--element", "e4", "--plan", "g36"], "rank-8 catalog algebra"),
+    (["--algebra", "f4", "--element", "e1", "--target", "el(5;5)"], "characteristic differs"),
+], ids=lambda x: " ".join(x) if isinstance(x, list) else "")
+def test_certify_outside_its_routes_is_an_input_error(argv, message, capsys):
+    """Each route checks its own setting first: the boundary-node routes the
+    subset and characteristic, the hand plan its algebra, the even route the
+    target's characteristic."""
+    assert main(["certify", *argv]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err and "Traceback" not in err
+
+
 def test_table_command(capsys, tmp_path):
     path = tmp_path / "table.json"
     assert main(["table", "--json", str(path)]) == 0

@@ -162,7 +162,7 @@ def test_odd_part_irreducible_on_generated_subalgebras(data):
 def test_odd_part_irreducible_exact_on_multiplicity_one():
     # the characteristic-5 output, the f4 output at p = 3 and V + a trivial
     # line for sl2 have odd weights of multiplicity 1 under their tori
-    ss = row_pipeline("e8", 5, "e2+e3+e4", None)[2]
+    ss = row_pipeline("e8", 5, "e2+e3+e4")[2]
     line = sl2_module_algebra((2, 1), np.eye(3, dtype=np.int64))
     cases = [(ss.algebra, cartan_torus_images(ss)), (algebra("f4|4", 3), cartan_torus_images(f4_along_e4(3))),
              (line, [np.eye(line.dim, dtype=np.int64)[1]])]

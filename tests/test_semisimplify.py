@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import verlie as v
+from tests.pipelines import spec_pipeline
 from tests.test_fp import rank
 from verlie import fp
 from verlie.errors import DegreeExceedsP
@@ -150,9 +151,9 @@ def test_image_projection():
     decomp = v.jordan_decompose(realization)
     ss = semisimplify(realization, decomp)
     eye_out = np.eye(ss.algebra.dim, dtype=np.int64)
-    for chain_index in ss.even_chains + ss.odd_chains:
+    for a, chain_index in enumerate(ss.even_chains + ss.odd_chains):
         head = decomp.chains[chain_index].head
-        assert np.array_equal(ss.image(head), eye_out[ss.basis_index_of_chain(chain_index)])
+        assert np.array_equal(ss.image(head), eye_out[a])
     # tails of odd chains and every vector of a dead chain project to zero
     for chain_index in ss.odd_chains:
         assert not ss.image(decomp.chains[chain_index].tail).any()
@@ -176,7 +177,7 @@ def test_constants_in_row_major_order(name, p, element, sdim):
 
 
 def test_functoriality_structured_vs_generic():
-    from verlie.verify import certify, functorial_generator_images, tilde_target
+    from verlie.verify import certify, generator_images, tilde_target
 
     alg = v.catalog_algebra("f4", 3)
     _, vec = v.parse_element("e4", alg)
@@ -187,17 +188,11 @@ def test_functoriality_structured_vs_generic():
     assert center(a.algebra).dim == center(b.algebra).dim
     da, db = derived_subalgebra(a.algebra), derived_subalgebra(b.algebra)
     assert da.dim == db.dim
-    # certificate outcomes agree: the functorial generator images certify the
-    # same target through either decomposition
+    # certificate outcomes agree: the generator images certify the same
+    # target through either decomposition
     for ss in (a, b):
-        gens = functorial_generator_images(ss, (4,))
-        cert = certify(ss, gens, tilde_target("g(1,6)", ss, (4,)))
+        cert = certify(ss, generator_images(ss, (4,)), tilde_target("g(1,6)", ss, (4,)))
         assert cert.conclusion == "Verified"
-    # on the structured path the functorial images coincide with the tagged ones
-    tagged = v.generator_images(a, (4,))
-    functorial = functorial_generator_images(a, (4,))
-    for x, y in zip(tagged.all_vectors(), functorial.all_vectors()):
-        assert np.array_equal(x, y)
 
 
 def test_e8_mod5_superdim():
@@ -223,7 +218,8 @@ def test_head_coordinates_match_the_dense_inverse():
     generic, and on one element of each small algebra at p = 3, 5 and 7."""
     from tests.test_repalpha import SMALL_ALGEBRAS, simple_elements
 
-    pipelines = [row_pipeline(s.algebra, s.p, s.elements[0], s.subset) for s in TABLE]
+    boundary = [s for s in TABLE if s.subset]  # structured, and generic as the table decomposes them
+    pipelines = [spec_pipeline(s) for s in TABLE] + [row_pipeline(s.algebra, s.p, s.elements[0]) for s in boundary]
     for alg in (v.catalog_algebra(name, p) for name in SMALL_ALGEBRAS for p in (3, 5, 7)):
         for element in simple_elements(alg):
             try:
@@ -233,7 +229,7 @@ def test_head_coordinates_match_the_dense_inverse():
             decomp = v.jordan_decompose(realization)
             pipelines.append((realization, decomp, semisimplify(realization, decomp)))
             break
-    assert len(pipelines) == len(TABLE) + 3 * len(SMALL_ALGEBRAS)
+    assert len(pipelines) == len(TABLE) + len(boundary) + 3 * len(SMALL_ALGEBRAS)
     for realization, decomp, ss in pipelines:
         dense = fp.inverse(decomp.basis_matrix(), decomp.p)
         assert np.array_equal(decomp.coordinates(realization.powers[1], range(decomp.dim)), dense)

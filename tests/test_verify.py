@@ -16,10 +16,10 @@ from verlie.superalgebra import (
     closure,
     superdim,
 )
-from verlie.table import row_pipeline
+from tests.pipelines import spec_pipeline
+from verlie.table import TABLE, certify_route, row_pipeline, run_row
 from verlie.verify import (
     Certificate,
-    GeneratorImages,
     TargetSpec,
     cartan_torus_images,
     certify,
@@ -64,14 +64,12 @@ def test_target_catalog_contents():
     g36 = target_by_name("g(3,6)")
     assert g36.gcm.parity == (1, 1, 1, 0)
     el55 = target_by_name("el(5;5)")
-    assert el55.gcm is None and el55.even_type == "B5" and el55.odd_dim == 32 and el55.p == 5
+    assert el55.gcm is None and el55.even_type == "B5" and el55.p == 5
 
 
 def test_anchor_tilde_matrices_equal_catalog():
     # for every certificate row, deleting the subset nodes reproduces the
     # catalogued target matrix verbatim, parity included
-    from verlie.table import TABLE
-
     for spec in TABLE:
         if spec.route != "maint":
             continue
@@ -81,20 +79,24 @@ def test_anchor_tilde_matrices_equal_catalog():
         assert tilde.parity == cat.gcm.parity, spec.key
 
 
+def parities(alg, vectors):
+    return [alg.vector_parity(vec) for vec in vectors]
+
+
 def test_generator_images_e6_pair():
     _, _, ss = pipeline("e6", 3, "e1+e2", subset=(1, 2))
-    gens = generator_images(ss, (1, 2))
-    assert gens.nodes == [3, 4, 5, 6]
-    assert gens.parity == [1, 1, 0, 0]
     alg = ss.algebra
+    e, f, h = generator_images(ss, (1, 2))
+    assert len(e) == 4  # nodes 3, 4, 5, 6
+    assert parities(alg, e) == parities(alg, f) == [1, 1, 0, 0]
     for i in range(4):
-        assert np.array_equal(alg.bracket(gens.e[i], gens.f[i]), gens.h[i])
+        assert np.array_equal(alg.bracket(e[i], f[i]), h[i])
 
 
 def test_generator_images_empty_subset_match_source_relations():
     _, _, ss = pipeline("f4", 3, "e1-e1", subset=())
     gens = generator_images(ss, ())
-    assert gens.parity == [0, 0, 0, 0]
+    assert parities(ss.algebra, gens[0]) == [0, 0, 0, 0]
     target = TargetSpec(name="f4-self", p=3, superdim=(52, 0), gcm=catalog_gcm("f4"))
     report = check_relations(ss.algebra, gens, target)
     assert report.ok
@@ -113,13 +115,14 @@ def pairwise_relation_failures(alg, gens, gcm):
     """The relation failures check_relations lists, one bracket per pair."""
     out = []
     zero = np.zeros(alg.dim, dtype=np.int64)
-    for i in range(gens.rank):
-        for j in range(gens.rank):
+    e, f, h = gens
+    for i in range(len(e)):
+        for j in range(len(e)):
             a = gcm.a(i + 1, j + 1)
-            for kind, actual, wanted in (("ef", alg.bracket(gens.e[i], gens.f[j]), gens.h[i] if i == j else zero),
-                                         ("he", alg.bracket(gens.h[i], gens.e[j]), a * gens.e[j]),
-                                         ("hf", alg.bracket(gens.h[i], gens.f[j]), -a * gens.f[j]),
-                                         ("hh", alg.bracket(gens.h[i], gens.h[j]), zero)):
+            for kind, actual, wanted in (("ef", alg.bracket(e[i], f[j]), h[i] if i == j else zero),
+                                         ("he", alg.bracket(h[i], e[j]), a * e[j]),
+                                         ("hf", alg.bracket(h[i], f[j]), -a * f[j]),
+                                         ("hh", alg.bracket(h[i], h[j]), zero)):
                 if ((actual - wanted) % alg.p).any():
                     out.append({"relation": kind, "i": i + 1, "j": j + 1})
     return out
@@ -147,10 +150,7 @@ def test_certify_refuted_on_superdim():
     # purely even output vs a genuinely super target
     _, _, ss = pipeline("e7", 3, "e2+e5+e7")
     target = target_by_name("g(4,6)")
-    cert = certify(ss, GeneratorImages(e=[np.zeros(ss.algebra.dim, dtype=np.int64)] * 6,
-                                       f=[np.zeros(ss.algebra.dim, dtype=np.int64)] * 6,
-                                       h=[np.zeros(ss.algebra.dim, dtype=np.int64)] * 6,
-                                       parity=[0] * 6), target)
+    cert = certify(ss, np.zeros((3, 6, ss.algebra.dim), dtype=np.int64), target)
     assert cert.conclusion == "Refuted"
     assert cert.actual_superdim == (52, 0)
 
@@ -182,18 +182,37 @@ def test_certify_checks_characteristic():
         certify(ss, gens, target_by_name("el(5;5)"))
 
 
+def test_even_route_checks_characteristic():
+    _, _, ss = row_pipeline("f4", 3, "e1")
+    with pytest.raises(ValueError, match="characteristic"):
+        certify_even_route(ss, target_by_name("el(5;5)"))
+
+
 def test_custom_plan_g36_properties():
     _, _, ss = pipeline("e8", 3, "e1+e2+e6+e8")
     gens = custom_plan_g36(ss)
     alg = ss.algebra
-    assert gens.parity == [1, 1, 1, 0]
-    assert alg.vector_parity(gens.e[3]) == 0  # the singleton generator is even
+    assert parities(alg, gens[0]) == parities(alg, gens[1]) == [1, 1, 1, 0]  # the singleton generator is even
     for i in range(4):
         for j in range(4):
-            assert not alg.bracket(gens.h[i], gens.h[j]).any()
+            assert not alg.bracket(gens[2][i], gens[2][j]).any()
     assert check_generation(alg, gens)
     cert = certify(ss, gens, target_by_name("g(3,6)"))
     assert cert.conclusion == "Verified"
+
+
+def test_custom_plan_g36_matches_the_hand_built_vectors():
+    """The plan's images equal the bracket arithmetic the plan replaced."""
+    _, _, ss = row_pipeline("e8", 3, "e1+e2+e6+e8")
+    alg = ss.realization.algebra
+    g, br, p = alg.gens, alg.bracket, alg.p
+    e14, e15 = br(g["e6"], g["e7"]), -br(g["e8"], g["e7"]) % p
+    f14, f15 = br(g["f6"], g["f7"]), -br(g["f8"], g["f7"]) % p
+    hand = [[g["e3"], g["e4"], g["e5"], e14 + e15],
+            [br(g["f1"], g["f3"]), br(g["f2"], g["f4"]), -br(g["f5"], g["f6"]), -(f14 + f15)],
+            [g["h3"], g["h4"], g["h5"], g["h6"] - g["h7"] + g["h8"]]]
+    expected = np.array([[ss.image(vec % p) for vec in row] for row in hand])
+    assert np.array_equal(custom_plan_g36(ss), expected)
 
 
 def test_custom_plan_rejects_wrong_element():
@@ -377,7 +396,7 @@ def test_odd_part_irreducible_names_a_closed_weight_set():
 
 
 def test_even_route_brackets_in_batches(monkeypatch):
-    _, _, ss = row_pipeline("e8", 5, "e2+e3+e4", None)
+    _, _, ss = row_pipeline("e8", 5, "e2+e3+e4")
     torus = cartan_torus_images(ss)
     real_ad = ModularSuperAlgebra.ad
     calls = []
@@ -393,7 +412,7 @@ def test_even_route_brackets_in_batches(monkeypatch):
 
 
 def test_even_route_certificate_keeps_its_witness_off_the_json():
-    _, _, ss = row_pipeline("e8", 5, "e2+e3+e4", None)
+    _, _, ss = row_pipeline("e8", 5, "e2+e3+e4")
     cert = certify_even_route(ss, target_by_name("el(5;5)"))
     assert cert.witness is None
     cert.witness = {"weight": (1,), "multiplicity": 2}
@@ -409,10 +428,10 @@ def test_relation_report_h_span_abelian():
     assert cert.conclusion == "Verified"
     from verlie.superalgebra import Subspace
 
-    span = Subspace.from_vectors(gens.h, ss.algebra.dim, 3)
+    span = Subspace.from_vectors(gens[2], ss.algebra.dim, 3)
     assert span.dim == 5
-    for a in gens.h:
-        for b in gens.h:
+    for a in gens[2]:
+        for b in gens[2]:
             assert not ss.algebra.bracket(a, b).any()
 
 
@@ -449,8 +468,7 @@ def test_ideal_closure_is_bracket_stable():
     for sub in (ideal, bigger):
         for row in sub.rows:
             for j in range(alg.dim):
-                assert sub.contains(alg.bracket(eye[j], row))
-                assert sub.contains(alg.bracket(row, eye[j]))
+                assert not sub.reduce_rows([alg.bracket(eye[j], row), alg.bracket(row, eye[j])]).any()
 
 
 def test_swap_orbit_certificates_agree_e6():
@@ -461,3 +479,31 @@ def test_swap_orbit_certificates_agree_e6():
         cert = certify(ss, gens, tilde_target("g(2,6)", ss, subset))
         assert cert.conclusion == "Verified"
         assert cert.expected_superdim == target.superdim
+
+
+BOUNDARY_ROWS = [spec for spec in TABLE if spec.route in ("maint", "star")]
+
+
+def tagged_images(ss, nodes):
+    """Generator images read off a structured decomposition's tags: the unit
+    vectors at the surviving chains tagged e_k, f_k and h_k."""
+    survivors = ss.even_chains + ss.odd_chains
+    index = {ss.decomposition.chains[c].tag: a for a, c in enumerate(survivors)}
+    eye = np.eye(ss.algebra.dim, dtype=np.int64)
+    return np.array([[eye[index[(kind, k)]] for k in nodes] for kind in "efh"])
+
+
+def test_plan_images_are_the_tagged_chains_on_structured_decompositions():
+    for spec in BOUNDARY_ROWS:
+        _, _, ss = spec_pipeline(spec)
+        nodes = [k for k in range(1, catalog_gcm(spec.algebra).n + 1) if k not in spec.subset]
+        assert np.array_equal(generator_images(ss, spec.subset), tagged_images(ss, nodes)), spec.key
+
+
+def test_structured_and_generic_decompositions_certify_alike():
+    """The table certifies its boundary rows on the generic decomposition;
+    the structured one gives the same certificate, byte for byte."""
+    for spec in BOUNDARY_ROWS:
+        target = spec.target or f"tilde({spec.algebra};{','.join(map(str, spec.subset))})"
+        cert = certify_route(spec_pipeline(spec)[2], spec.route, spec.subset, target, spec.star_sdim)
+        assert cert.to_json_dict() == run_row(spec).certificate, spec.key
