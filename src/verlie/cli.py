@@ -16,14 +16,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import errors
+from . import errors, repalpha
 from .chevalley import catalog_algebra, chevalley_basis, reduce_mod_p
 from .repalpha import (
     block_counts,
     boundary_subset,
     jordan_decompose,
     parse_element,
-    rank_count_vector,
     realize,
     structured_decompose,
 )
@@ -223,7 +222,7 @@ def cmd_swaps(args) -> int:
     for coloring in orbit:
         nodes = coloring.sorted_black()
         vec = parse_element("+".join(f"e{i}" for i in nodes), alg)[1] if nodes else np.zeros(alg.dim, dtype=np.int64)
-        counts = rank_count_vector(realize(alg, vec).powers, alg.p)
+        counts = repalpha.rank_count_vector(realize(alg, vec).powers, alg.p)
         members.append({"black": list(nodes), "block_counts": list(counts)})
         reference = reference or counts
         print(f"  {set(nodes) if nodes else '{}'}: {counts}")

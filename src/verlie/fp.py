@@ -92,7 +92,7 @@ def rref(m, p: int) -> tuple[Array, list[int]]:
     return a, pivots
 
 
-def _inverses(a: Array, p: int) -> Array:
+def inverses(a: Array, p: int) -> Array:
     """Elementwise a^(p-2) mod p (the inverse of a nonzero residue); every
     product is of two residues, so it stays below p^2."""
     out = np.ones_like(a)
@@ -130,7 +130,7 @@ def rref_batch(stack, p: int) -> tuple[Array, Array]:
         r, src = rank[hit], candidates[hit].argmax(axis=1)
         top = a[hit, src]
         a[hit, src] = a[hit, r]
-        top = top * _inverses(top[:, c], p)[:, None] % p
+        top = top * inverses(top[:, c], p)[:, None] % p
         a[hit, r] = top
         col = a[hit, :, c]
         col[np.arange(hit.size), r] = 0

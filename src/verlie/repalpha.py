@@ -434,11 +434,14 @@ def _heads(powers: list[sparse.Coo], p: int) -> tuple[np.ndarray, np.ndarray, li
     kernels[at, :, pivots[at, rank]] = -rows[at, rank] % p
     kernels *= free[:, :, None]
     kernels[:, np.arange(size), np.arange(size)] = free
+    del rows  # the elimination arrays are freed once used: together they set the peak memory here
     kernels = np.concatenate([np.zeros((count, size, size), dtype=np.int64), kernels]).reshape(p + 2, count, size, size)
     free = np.concatenate([np.zeros((count, size), dtype=bool), free]).reshape(p + 2, count, size)
     # W for l = 1..p on the free coordinates of D^l, columns reversed
     images = kernels[2:] @ stack[:count].transpose(0, 2, 1) % p  # rows D x for x in ker D^{l+1}
+    del stack
     spans = np.concatenate([kernels[:p], images], axis=2) * free[1 : p + 1, :, None, :]
+    del images
     _, ends = fp.rref_batch(spans[..., ::-1].reshape(p * count, 2 * size, size), p)
     picked = free[1 : p + 1].reshape(p * count, size).copy()
     at, rank = np.nonzero(ends >= 0)

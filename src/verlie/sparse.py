@@ -80,13 +80,13 @@ def _starts(keys: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
 
 
-def _spans(m: Coo, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def spans(m: Coo, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Where the entries of each of the rows start in m, and how many there are."""
     lo = np.searchsorted(m.row, rows)
     return lo, np.searchsorted(m.row, rows, side="right") - lo
 
 
-def _pairs(lo: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def span_pairs(lo: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(s, t) for every t in lo[s] : lo[s] + counts[s], s ascending and t
     ascending within each s."""
     s = np.repeat(np.arange(len(lo)), counts)
@@ -96,7 +96,21 @@ def _pairs(lo: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def pairs(m: Coo, rows) -> tuple[np.ndarray, np.ndarray]:
     """(s, t) for every entry t of m in row rows[s]: the terms of a product
     whose left factor has its entries s at the inner indices rows."""
-    return _pairs(*_spans(m, np.asarray(rows, dtype=np.int64)))
+    return span_pairs(*spans(m, np.asarray(rows, dtype=np.int64)))
+
+
+def cuts(counts: np.ndarray, budget: int, group: np.ndarray | None = None) -> list[int]:
+    """Bounds 0 = b_0 < ... < b_m = len(counts) of runs of consecutive items
+    whose counts sum to about `budget`, never parting items of equal
+    `group` (an ascending array, if given): one run if everything fits, else
+    a run begins at each item (first of its group) whose offset
+    sum(counts[:b]) is the first to reach a new multiple of budget.  So a
+    run sums to less than budget plus the counts of its last item or group."""
+    if counts.sum() <= budget:
+        return [0, len(counts)]
+    starts = np.arange(len(counts)) if group is None else _starts(group)
+    _, opening = np.unique((np.cumsum(counts) - counts)[starts] // budget, return_index=True)
+    return [*starts[opening].tolist(), len(counts)]
 
 
 def sum_by_key(keys: np.ndarray, vals: np.ndarray, p: int | None) -> tuple[np.ndarray, np.ndarray]:
@@ -120,15 +134,11 @@ def contract(group, join, data, right: Coo, key, p: int | None) -> tuple[np.ndar
 
     group[s] is ascending, and terms of different groups never share a key,
     so the left entries are expanded a few whole groups at a time."""
-    lo, counts = _spans(right, join)
-    cuts = [0, len(join)]
-    if counts.sum() > _CHUNK:
-        starts = _starts(group)
-        _, opening = np.unique((np.cumsum(counts) - counts)[starts] // _CHUNK, return_index=True)
-        cuts = [*starts[opening].tolist(), len(join)]
+    lo, counts = spans(right, join)
+    bounds = cuts(counts, _CHUNK, group)
     parts = []
-    for first, last in zip(cuts, cuts[1:]):
-        s, t = _pairs(lo[first:last], counts[first:last])
+    for first, last in zip(bounds, bounds[1:]):
+        s, t = span_pairs(lo[first:last], counts[first:last])
         s += first
         parts.append(sum_by_key(key(s, t), data[s] * right.data[t], p))
     if len(parts) == 1:

@@ -10,7 +10,7 @@ that equality and containment are exact and order-independent.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, pairwise
 from types import MappingProxyType
 from typing import Mapping
 
@@ -273,36 +273,43 @@ def check_super_skew(alg: ModularSuperAlgebra) -> Report:
     return _kept_report(alg, "super_skew", lambda: skew_witness(alg.tensor, alg.parity, alg.p))
 
 
-_JACOBI_BLOCK = 16  # values of x expanded at once by the Jacobi sums
+_JACOBI_BUDGET = 1 << 14  # products a Jacobi sum expands per block, give or take one index's (sparse.cuts)
+
+
+def _quadruple(key: int | None, d: int):
+    """(i, j, k, l) of the key ((i*d + j)*d + k)*d + l, or None."""
+    if key is None:
+        return None
+    i, rest = divmod(key, d**3)
+    j, rest = divmod(rest, d * d)
+    return (i, j, *divmod(rest, d))
 
 
 def _jacobi_sum(left: sparse.Coo, t: sparse.Coo, p: int | None, weigh):
     """Smallest (i, j, k, l) at which the Jacobi sum is nonzero, or None.
 
     Every product C(x,y,w) C(w,z,l) of an entry of `left` (some entries of
-    t, sorted by x) and an entry of t is added once, times weight, at the
-    key of (i, j, k, l), where weigh(x, y, z) gives the key (i*d + j)*d + k
-    of the triple and the weight.  The products are formed one block of x
-    values at a time, and the keys are summed exactly in int64 after the
-    last block, since the products of one key may come from several blocks.
+    t) and an entry of t is added once, times weight, at the key of
+    (i, j, k, l), where weigh(x, y, z) gives the key (i*d + j)*d + k of the
+    triple and the weight.  The products are formed from runs of left
+    entries of about _JACOBI_BUDGET products each, and the keys are summed
+    exactly in int64 after the last run, since the products of one key may
+    come from several runs: the expansion is bounded by the budget, the
+    summed keys and values are not.
     """
     d = t.shape[0]
     k, j = np.divmod(t.col, d)  # entries sorted by i = t.row
     left_k, left_j = np.divmod(left.col, d)
-    bounds = np.searchsorted(left.row, [*range(0, d, _JACOBI_BLOCK), d])
+    lo, counts = sparse.spans(t, left_k)
+    bounds = sparse.cuts(counts, _JACOBI_BUDGET)
     keys, vals = [], []
-    for lo, hi in zip(bounds, bounds[1:]):
-        s, u = sparse.pairs(t, left_k[lo:hi])  # C(x,y,w) at left entry lo+s, C(w,z,l) at entry u
-        s += lo
+    for first, last in zip(bounds, bounds[1:]):
+        s, u = sparse.span_pairs(lo[first:last], counts[first:last])  # C(x,y,w) at left entry s, C(w,z,l) at u
+        s += first
         triple, weight = weigh(left.row[s], left_j[s], j[u])
         keys.append(triple * d + k[u])
         vals.append(weight * left.data[s] * t.data[u])
-    key = _first_key(np.concatenate(keys), np.concatenate(vals), p)
-    if key is None:
-        return None
-    i, rest = divmod(key, d**3)
-    j, rest = divmod(rest, d * d)
-    return (i, j, *divmod(rest, d))
+    return _quadruple(_first_key(np.concatenate(keys), np.concatenate(vals), p), d)
 
 
 def jacobi_witness(t: sparse.Coo, parity, p: int | None):
@@ -319,7 +326,8 @@ def jacobi_witness(t: sparse.Coo, parity, p: int | None):
     the smallest rotation of (x,y,z); a product with x = y = z is in all
     three terms of J(x,x,x) and counts three times.  So a key sums at most
     3*dim products.  This holds for any tensor, skew or not.  p=None checks
-    over Z.
+    over Z.  The keys are summed once, over the whole expansion
+    (_jacobi_sum).
     """
     if not t.nnz:
         return None
@@ -352,12 +360,27 @@ def sorted_jacobi_witness(t: sparse.Coo, parity, p: int | None):
     terms of J(x,x,x).  A key sums at most 3*dim products, each weighed at
     most 3 in absolute value, and the sum forms about half the products of
     jacobi_witness.  p=None checks over Z.
+
+    Memory: the smallest index of sorted(x,y,z) is min(x, z).  When the
+    products outnumber _JACOBI_BUDGET they are summed by blocks [a, b) of
+    smallest indices, about a budget of products each: the products with x
+    in the block and z >= x (with the entries C(w,z,l) sorted by (w, z),
+    a suffix of row w), and those with z in the block and x > z (with the
+    entries C(x,y,w) sorted by (w, x), a suffix of w's span).  Each product
+    lands in one block, and a block holds every product of its keys, so the
+    blocks are summed one at a time in ascending order and the first nonzero
+    sum holds the smallest failing key: the witness is the one-sort witness,
+    the check stops at the first failing block, and no transient array
+    outgrows a block (or the O(nnz) sorted copies of the entries).  When
+    every product fits one budget they are summed at once (_jacobi_sum),
+    without the sorts and counts per index.
     """
     if not t.nnz:
         return None
     d = t.shape[0]
     par = np.asarray(parity, dtype=np.int64)
-    upper = t.row <= t.col % d  # x <= y
+    k, j = np.divmod(t.col, d)
+    upper = t.row <= j  # x <= y
     left = sparse.Coo(t.row[upper], t.col[upper], t.data[upper], t.shape)
 
     def weigh(x, y, z):
@@ -368,7 +391,32 @@ def sorted_jacobi_witness(t: sparse.Coo, parity, p: int | None):
         triple = (low * d + x + y + z - low - high) * d + high
         return triple, e_xz * ((z >= y).astype(np.int64) + (z <= x)) + between
 
-    return _jacobi_sum(left, t, p, weigh)
+    x, y, w, c = left.row, j[upper], k[upper], left.data  # C(x,y,w), sorted by x
+    if np.bincount(t.row, minlength=d)[w].sum() <= _JACOBI_BUDGET:
+        return _jacobi_sum(left, t, p, weigh)
+    by_wz = np.lexsort((j, t.row))
+    rw, rz, rl, rc = t.row[by_wz], j[by_wz], k[by_wz], t.data[by_wz]  # C(w,z,l), sorted by (w, z)
+    rkey = rw * d + rz
+    lo_x = np.searchsorted(rkey, w * d + x)  # C(w,z,l) with z >= x
+    n_x = np.searchsorted(rkey, (w + 1) * d) - lo_x
+    by_wx = np.lexsort((x, w))
+    lkey = w[by_wx] * d + x[by_wx]
+    by_z = np.argsort(rz, kind="stable")  # the entries C(w,z,l) by z, as positions in the (w, z) order
+    z = rz[by_z]
+    lo_z = np.searchsorted(lkey, rkey[by_z], side="right")  # C(x,y,w) with x > z
+    n_z = np.searchsorted(lkey, (rw[by_z] + 1) * d) - lo_z
+    per_index = (np.bincount(x, n_x, minlength=d) + np.bincount(z, n_z, minlength=d)).astype(np.int64)
+    bounds = sparse.cuts(per_index, _JACOBI_BUDGET)
+    for (x0, x1), (z0, z1) in zip(pairwise(np.searchsorted(x, bounds)), pairwise(np.searchsorted(z, bounds))):
+        s, u = sparse.span_pairs(lo_x[x0:x1], n_x[x0:x1])  # x in the block, z >= x
+        r, v = sparse.span_pairs(lo_z[z0:z1], n_z[z0:z1])  # z in the block, x > z
+        s = np.concatenate([s + x0, by_wx[v]])
+        u = np.concatenate([u, by_z[r + z0]])
+        triple, weight = weigh(x[s], y[s], rz[u])
+        key = _first_key(triple * d + rl[u], weight * c[s] * rc[u], p)
+        if key is not None:
+            return _quadruple(key, d)
+    return None
 
 
 def check_super_jacobi(alg: ModularSuperAlgebra) -> Report:
@@ -587,14 +635,37 @@ def derived_subalgebra(alg: ModularSuperAlgebra) -> Subspace:
     return sub
 
 
+def distinct_rows(m: sparse.Coo, p: int) -> np.ndarray:
+    """The nonzero rows of m, each scaled to lead with 1 and kept once,
+    densified: pairwise non-proportional rows spanning what m.nonzero_rows()
+    spans.  Rows with equal numbers of entries are compared exactly, as
+    their columns followed by their values, by np.unique."""
+    _, starts, sizes = np.unique(m.row, return_index=True, return_counts=True)
+    data = m.data * np.repeat(fp.inverses(m.data[starts], p), sizes) % p
+    out = [np.zeros((0, m.shape[1]), dtype=np.int64)]
+    for n in np.unique(sizes):
+        at = starts[sizes == n, None] + np.arange(n)
+        rows = np.unique(np.hstack([m.col[at], data[at]]), axis=0)
+        out.append(np.zeros((len(rows), m.shape[1]), dtype=np.int64))
+        np.put_along_axis(out[-1], rows[:, :n], rows[:, n:], axis=1)
+    return np.vstack(out)
+
+
 def closure(sub: Subspace, images) -> Subspace:
     """Smallest subspace containing sub that holds images(frontier, span)
     for the rows it spans.  Only rows new since the last round form the
     frontier, and span is the subspace as it stood at the start of that
-    round; images returns a sparse matrix whose rows join the span."""
+    round; images returns a sparse matrix whose rows join the span.
+
+    Memory: the images are densified only after distinct_rows has dropped
+    their repeats up to scale (on e8@e1 at p = 3, 537 of 3,850 rows), so
+    the dense rows and the elimination copies made of them scale with the
+    distinct lines, not with the expansion.  The span is the same, and a
+    Subspace is the unique reduced echelon basis of its span, so every
+    round, and the result, is the one the full image rows would give."""
     frontier = sub.rows
     while len(frontier) and sub.dim < sub.ambient:
-        sub, frontier = _absorb(sub, images(frontier, sub).nonzero_rows())
+        sub, frontier = _absorb(sub, distinct_rows(images(frontier, sub), sub.p))
     return sub
 
 

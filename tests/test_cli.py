@@ -80,6 +80,19 @@ def test_swaps_f4(capsys, tmp_path):
     assert sorted(tuple(m["black"]) for m in data["orbit"]) == [(3,), (4,)]
 
 
+def test_swaps_counts_through_the_module(monkeypatch, capsys):
+    """`swaps` reaches rank_count_vector as an attribute of verlie.repalpha,
+    so a wrapper set there (as the benchmark tracer sets one) sees every
+    orbit member."""
+    from verlie import repalpha
+
+    calls = []
+    original = repalpha.rank_count_vector
+    monkeypatch.setattr(repalpha, "rank_count_vector", lambda *args: calls.append(args) or original(*args))
+    assert main(["swaps", "--algebra", "f4", "--subset", "4"]) == 0
+    assert len(calls) == 2
+
+
 def test_json_outputs_deterministic(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["decompose", "--algebra", "g2", "--element", "e2", "--json", str(a)]) == 0

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import verlie as v
-from verlie import fp
+from verlie import fp, sparse
 from verlie.errors import NotParityHomogeneous
 from verlie.superalgebra import Subspace, closure, generated_subalgebra, ideal_closure, subalgebra_on
 from verlie.table import row_pipeline
@@ -100,6 +100,24 @@ def test_ideal_closure_matches_naive_fixpoint(name, p, data):
     seeds = draw_seeds(data, alg)
     eye = np.eye(alg.dim, dtype=np.int64)
     assert same_span(ideal_closure(alg, seeds), naive_closure(alg, seeds, left=eye, right=eye), alg)
+
+
+@pytest.mark.parametrize("name,p", ALGEBRAS)
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_closure_of_images_repeated_up_to_scale_matches_naive_fixpoint(name, p, data):
+    """Each bracket [frontier, span] given at every nonzero multiple, beside
+    [span, frontier]: the repeats collapse to one line each, and the closure
+    is the naive fixpoint's."""
+    alg = algebra(name, p)
+    seeds = draw_seeds(data, alg)
+
+    def images(frontier, span):
+        once = alg.brackets(frontier, span.rows)
+        return sparse.vstack([*(once.scale_rows(np.full(once.shape[0], c), p) for c in range(1, p)),
+                              alg.brackets(span.rows, frontier)])
+
+    assert same_span(closure(Subspace.from_vectors(seeds, alg.dim, alg.p), images), naive_closure(alg, seeds), alg)
 
 
 def naive_odd_irreducible(alg) -> bool:

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 import verlie as v
 from tests.pipelines import spec_pipeline, structured_pipeline
 from tests.test_fp import largest_accepted_prime
-from verlie import sparse, superalgebra
+from verlie import fp, sparse, superalgebra, verify
 from verlie.errors import (
     BadModulus,
     DegreeExceedsP,
@@ -26,6 +27,7 @@ from verlie.superalgebra import (
     check_super_jacobi,
     check_super_skew,
     derived_subalgebra,
+    distinct_rows,
     gen_subquotient,
     generated_subalgebra,
     ideal_closure,
@@ -133,23 +135,26 @@ def test_jacobi_witness_matches_direct_scan(p):
             assert fast[:3] == direct
 
 
+EVERYTHING = 1 << 62  # a product budget every expansion here fits: one block
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_jacobi_witness_independent_of_block_size(seed, monkeypatch):
-    """The smallest bad quadruple over all blocks, whatever the block size,
-    also for the sorted sum over a skew tensor."""
+    """The smallest bad quadruple over all blocks, whatever the product
+    budget that cuts them, also for the sorted sum over a skew tensor."""
     alg = random_algebra(3, 20, 0.03, seed)
     constants, parity = random_skew_constants(3, 20, 0.03, 0, seed)
     skew = tensor_coo(constants, 20, 3)
 
-    def witnesses(block):
-        monkeypatch.setattr(superalgebra, "_JACOBI_BLOCK", block)
+    def witnesses(budget):
+        monkeypatch.setattr(superalgebra, "_JACOBI_BUDGET", budget)
         return [*(jacobi_witness(alg.tensor, alg.parity, p) for p in (alg.p, None)),
                 sorted_jacobi_witness(skew, parity, 3)]
 
-    whole = witnesses(alg.dim)
+    whole = witnesses(EVERYTHING)
     assert whole[0] is not None and whole[2] is not None
-    for block in (1, 3, 7):
-        assert witnesses(block) == whole
+    for budget in (1, 3, 7):
+        assert witnesses(budget) == whole
 
 
 @pytest.mark.parametrize("p", [3, 5, None])
@@ -188,11 +193,12 @@ def skew_pair_entries(alg, i, j, k, delta):
     return [i, j], [j, i], [k, k], [delta, -(-1) ** int(alg.parity[i] * alg.parity[j]) * delta]
 
 
-def test_sorted_jacobi_matches_rotations_on_skew_tensors():
+def test_sorted_jacobi_matches_rotations_on_skew_tensors(monkeypatch):
     """The same witness, None included, on random super skew tensors, graded
-    (|k| = |i| + |j|) and not, of dims 2-8 at p = 3, 5, 7 and over Z.  Among
-    the witnesses are the ties x = y < z, x < y = z and x = y = z of an odd
-    index (J vanishes on a repeated even index)."""
+    (|k| = |i| + |j|) and not, of dims 2-8 at p = 3, 5, 7 and over Z, with
+    the sorted sum streamed one product, a few products, or everything per
+    block.  Among the witnesses are the ties x = y < z, x < y = z and
+    x = y = z of an odd index (J vanishes on a repeated even index)."""
     shapes = set()
     for p, dim, graded, seed in itertools.product((3, 5, 7, None), range(2, 9), (False, True), range(10)):
         constants, parity = random_skew_constants(p, dim, 0.25, 0, seed)
@@ -202,7 +208,9 @@ def test_sorted_jacobi_matches_rotations_on_skew_tensors():
         t = tensor_coo(constants, dim, p)
         assert skew_witness(t, parity, p) is None
         witness = jacobi_witness(t, parity, p)
-        assert sorted_jacobi_witness(t, parity, p) == witness, (p, dim, graded, seed)
+        for budget in (1, 5, EVERYTHING):
+            monkeypatch.setattr(superalgebra, "_JACOBI_BUDGET", budget)
+            assert sorted_jacobi_witness(t, parity, p) == witness, (p, dim, graded, seed, budget)
         if witness is None:
             shapes.add(None)
         else:
@@ -211,14 +219,25 @@ def test_sorted_jacobi_matches_rotations_on_skew_tensors():
     assert {None, (True, False, 1), (False, True, 1), (True, True, 1)} <= shapes
 
 
-def test_sorted_jacobi_matches_rotations_on_corrupted_table_outputs():
+def test_sorted_jacobi_matches_rotations_on_corrupted_table_outputs(monkeypatch):
     """Each table output, then with one constant and its skew mirror changed
-    (at an existing entry, and at a random position): the same witnesses."""
+    (at an existing entry, and at a random position): the same witnesses,
+    with the sorted sum streamed one product, a few products, the default
+    budget, or everything per block."""
     rng = np.random.default_rng(11)
     failures = 0
+
+    def sorted_witnesses(alg):
+        found = set()
+        for budget in (1, 5, superalgebra._JACOBI_BUDGET, EVERYTHING):
+            with monkeypatch.context() as m:
+                m.setattr(superalgebra, "_JACOBI_BUDGET", budget)
+                found.add(sorted_jacobi_witness(alg.tensor, alg.parity, alg.p))
+        return found
+
     for spec in TABLE:
         alg = spec_pipeline(spec)[2].algebra
-        assert sorted_jacobi_witness(alg.tensor, alg.parity, alg.p) is None
+        assert sorted_witnesses(alg) == {None}
         entries = alg._entries()
         at = int(rng.integers(len(entries[0])))
         for i, j, k in [(x[at] for x in entries[:3]), rng.integers(0, alg.dim, 3)]:
@@ -226,9 +245,82 @@ def test_sorted_jacobi_matches_rotations_on_corrupted_table_outputs():
             bad = ModularSuperAlgebra.from_entries(alg.p, alg.parity, *map(np.concatenate, zip(entries, change)))
             assert check_super_skew(bad).ok
             witness = jacobi_witness(bad.tensor, bad.parity, bad.p)
-            assert sorted_jacobi_witness(bad.tensor, bad.parity, bad.p) == witness, spec.key
+            assert sorted_witnesses(bad) == {witness}, spec.key
             failures += witness is not None
     assert failures == 32  # every corruption breaks Jacobi
+
+
+def traced_mb(f, *args):
+    """f(*args), and the peak memory tracemalloc sees above the call's start, in MiB."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        out = f(*args)
+        return out, (tracemalloc.get_traced_memory()[1] - start) / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_certification_checks_stay_within_a_memory_bound(monkeypatch):
+    """On the e8@e1 output at p = 3 (dim 189, 312,896 sorted Jacobi products,
+    3,850 generation image rows), super Jacobi and the generation closure
+    each stay below 8 MiB above their start.  One sort of every Jacobi
+    product, or densifying every image row, takes about 20 MiB."""
+    spec = next(s for s in TABLE if s.key == "e8@e1|p=3")
+    ss = row_pipeline(spec.algebra, spec.p, spec.elements[0])[2]
+    alg = without_reports(ss.algebra)
+    assert check_super_skew(alg).ok
+    report, jacobi_mb = traced_mb(check_super_jacobi, alg)
+    assert report.ok and jacobi_mb < 8
+    closure_mb = []
+    generated = verify.generated_subalgebra
+
+    def traced_closure(*args):
+        sub, mb = traced_mb(generated, *args)
+        closure_mb.append(mb)
+        return sub
+
+    monkeypatch.setattr(verify, "generated_subalgebra", traced_closure)
+    assert verify.check_generation(ss.algebra, verify.generator_images(ss, spec.subset))
+    assert len(closure_mb) == 1 and closure_mb[0] < 8
+
+
+def normalized_lines(dense, p):
+    """The nonzero rows of dense, each scaled to lead with 1, as a set."""
+    lines = set()
+    for row in dense:
+        if row.any():
+            lines.add(tuple(row * pow(int(row[np.flatnonzero(row)[0]]), p - 2, p) % p))
+    return lines
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_distinct_rows_are_the_lines_of_the_nonzero_rows(p):
+    """Rows of every entry count from 0 to the width, repeated at random
+    multiples, an empty matrix, zero rows only, and multiples of one row:
+    the output rows lead with 1, are pairwise non-proportional (rows that
+    lead with 1 are proportional only when equal), are the lines of the
+    input rows, and span what nonzero_rows spans."""
+    rng = np.random.default_rng(p)
+    width = 7
+    base = np.zeros((width + 1, width), dtype=np.int64)
+    for n in range(width + 1):
+        base[n, rng.choice(width, n, replace=False)] = rng.integers(1, p, n)
+    repeats = base[rng.integers(0, width + 1, 60)] * rng.integers(1, p, (60, 1)) % p
+    line = rng.integers(0, p, width)
+    line[2] = 1
+    cases = [np.zeros((0, width), dtype=np.int64), np.zeros((3, width), dtype=np.int64), base, repeats,
+             np.vstack([repeats, base]), np.arange(1, p)[:, None] * line % p]
+    for dense in cases:
+        m = sparse.from_dense(dense)
+        out = distinct_rows(m, p)
+        assert out.shape == (len(normalized_lines(dense, p)), width)
+        assert set(map(tuple, out)) == normalized_lines(dense, p)
+        assert (out[np.arange(len(out)), np.argmax(out != 0, axis=1)] == 1).all()
+        (mine, mine_piv), (full, full_piv) = fp.rref(out, p), fp.rref(m.nonzero_rows(), p)
+        assert mine_piv == full_piv and np.array_equal(mine[: len(mine_piv)], full[: len(full_piv)])
+    assert len(distinct_rows(sparse.from_dense(cases[-1]), p)) == 1
 
 
 def test_check_super_jacobi_sums_sorted_triples_after_a_passing_skew_report(monkeypatch):
