@@ -37,9 +37,9 @@ from .roots import (
     validate_gcm,
 )
 from .semisimplify import semisimplify
-# check_super_*: unused, `ss.checks` holds the reports; perfbench/spans.py wraps these names here
+# check_*: unused, `ss.checks` holds the reports; perfbench/spans.py wraps these names here
 from .superalgebra import check_odd_cubes, check_super_jacobi, check_super_skew, superdim  # noqa: F401
-from .table import certify_route, run_table
+from .table import TABLE, certify_route, run_table
 from .verify import target_catalog
 
 SCHEMA = 1
@@ -129,7 +129,6 @@ def cmd_semisimplify(args) -> int:
     ss = semisimplify(realization, decomp)
     sdim = superdim(ss.algebra)
     checks = {name: report.ok for name, report in ss.checks.items()}
-    checks["odd_cubes"] = check_odd_cubes(ss.algebra).ok
     print(f"{args.algebra} p={alg.p}: superdimension ({sdim[0]}|{sdim[1]})")
     print(f"  block counts {block_counts(decomp)}")
     print(f"  checks: {checks}")
@@ -149,10 +148,11 @@ def cmd_certify(args) -> int:
         route = "el55"
     elif not args.subset:
         raise errors.VerlieError("certification needs --subset (or --plan g36 / --target 'el(5;5)')")
-    elif args.target == "sl(3|1)":
-        route, star_sdim = "star", (9, 6)
     else:
-        route = "maint"
+        # a star row's target is certified on the generator subquotient, of the superdimension the row expects
+        stars = {spec.target: spec.star_sdim for spec in TABLE if spec.route == "star" and spec.target}
+        star_sdim = stars.get(args.target)
+        route = "star" if star_sdim else "maint"
     alg, realization = _realized(args)
     subset = _parse_subset(args.subset) if args.subset else None
     if route in ("maint", "star"):

@@ -155,17 +155,12 @@ def parse_element(src: str, alg: ModularSuperAlgebra) -> tuple[ElementExpr, np.n
 
 @dataclass(eq=False)
 class Realization:
-    """Algebra plus a nilpotent derivation D with D^p = 0, carrying its
-    powers [I, D, ..., D^p] as sparse matrices; D and its powers are read-only."""
+    """Algebra plus a nilpotent derivation D with D^p = 0, held only as its
+    powers [I, D, ..., D^p], sparse and read-only; D is powers[1]."""
 
     algebra: ModularSuperAlgebra
-    der: np.ndarray
     powers: list[sparse.Coo] = field(repr=False)
     element: Optional[np.ndarray] = None
-
-    @property
-    def p(self) -> int:
-        return self.algebra.p
 
     @property
     def degree(self) -> int:
@@ -182,8 +177,8 @@ def _realization(alg: ModularSuperAlgebra, der: np.ndarray, element) -> Realizat
         if top.nnz:
             raise NotNilpotent(f"derivation is not nilpotent (D^{exponent} != 0)")
         raise DegreeExceedsP(f"derivation is nilpotent of degree > {alg.p}")
-    _freeze(der, *powers)
-    return Realization(algebra=alg, der=der, powers=powers, element=element)
+    _freeze(*powers)
+    return Realization(algebra=alg, powers=powers, element=element)
 
 
 def realize(alg: ModularSuperAlgebra, v) -> Realization:
@@ -250,12 +245,6 @@ class ChainDecomposition:
     dim: int
     _validated: tuple = field(default=(), init=False, repr=False, compare=False)  # what validate last passed
     _inverse: tuple = field(default=(), init=False, repr=False, compare=False)  # the basis inverse it found
-
-    def counts(self) -> tuple[int, ...]:
-        out = [0] * self.p
-        for chain in self.chains:
-            out[chain.length - 1] += 1
-        return tuple(out)
 
     def basis_matrix(self) -> np.ndarray:
         """Columns are the chain vectors, chain by chain."""
@@ -338,7 +327,10 @@ class ChainDecomposition:
 
 def block_counts(decomp: ChainDecomposition) -> tuple[int, ...]:
     """Multiset of chain lengths as the count vector (n_1, ..., n_p)."""
-    return decomp.counts()
+    out = [0] * decomp.p
+    for chain in decomp.chains:
+        out[chain.length - 1] += 1
+    return tuple(out)
 
 
 def _power_blocks(powers: list[sparse.Coo]) -> tuple[np.ndarray, np.ndarray]:
@@ -465,7 +457,7 @@ def jordan_decompose(realization: Realization) -> ChainDecomposition:
     chains, ranks = _chains_of(realization.powers, alg.p)
     decomp = ChainDecomposition(tuple(chains), alg.p, alg.dim)
     decomp.validate(realization.powers[1])
-    if decomp.counts() != _rank_counts(ranks):
+    if block_counts(decomp) != _rank_counts(ranks):
         raise AssertionError("chain counts disagree with the rank formula")
     return decomp
 
@@ -508,7 +500,7 @@ def structured_decompose(realization: Realization, subset) -> ChainDecomposition
     integral = alg.origin
     gcm = integral.gcm
     eye = np.eye(alg.dim, dtype=np.int64)
-    der, powers = realization.der, realization.powers
+    powers = realization.powers
     attached = {i: attached_node(gcm, i) for i in subset}
     chains: list[JordanChain] = []
 
@@ -543,8 +535,7 @@ def structured_decompose(realization: Realization, subset) -> ChainDecomposition
             continue
         rest_idx.extend([gi, integral.npos + gi])
     rest_idx = sorted(rest_idx)
-    outside = [r for r in range(alg.dim) if r not in set(rest_idx)]
-    if der[np.ix_(outside, rest_idx)].any():
+    if (np.isin(powers[1].col, rest_idx) & ~np.isin(powers[1].row, rest_idx)).any():  # D b_col has a row outside
         raise AssertionError("complement is not D-stable")
     # the complement is D-stable, so the powers of D on it are the rest x rest blocks of D^k
     rest = np.ix_(rest_idx, rest_idx)

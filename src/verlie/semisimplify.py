@@ -17,7 +17,7 @@ import numpy as np
 from . import fp, sparse
 from .errors import JacobiViolation
 from .repalpha import ChainDecomposition, JordanChain, Realization
-from .superalgebra import ModularSuperAlgebra, Report, check_super_jacobi, check_super_skew
+from .superalgebra import ModularSuperAlgebra, Report, check_odd_cubes, check_super_jacobi, check_super_skew
 
 
 def clebsch_gordan(m: int, n: int, p: int) -> tuple[int, ...]:
@@ -47,7 +47,7 @@ class SemisimplifiedAlgebra:
 
     Basis order: one even vector per length-1 chain, then one odd vector per
     length-(p-1) chain, both in decomposition order.  `checks` holds the
-    super skew and super Jacobi reports of `algebra`, by check name.
+    super skew, super Jacobi and odd-cube reports of `algebra`, by check name.
     """
 
     algebra: ModularSuperAlgebra
@@ -61,9 +61,6 @@ class SemisimplifiedAlgebra:
     @property
     def p(self) -> int:
         return self.algebra.p
-
-    def superdim(self) -> tuple[int, int]:
-        return len(self.even_chains), len(self.odd_chains)
 
     def image(self, v) -> np.ndarray:
         """Functorial image of a vector: expansion coefficients at the
@@ -94,7 +91,8 @@ def semisimplify(realization: Realization, decomp: ChainDecomposition) -> Semisi
 
     Raises JacobiViolation if the projected bracket fails super skew or super
     Jacobi; that signals a broken decomposition, not a recoverable state.
-    Both reports are kept on the result as `checks`.
+    Both reports are kept on the result as `checks`, with the odd-cube
+    report, whose failure is a fact about the output rather than an error.
     """
     alg = realization.algebra
     p = alg.p
@@ -132,8 +130,9 @@ def semisimplify(realization: Realization, decomp: ChainDecomposition) -> Semisi
     jac = check_super_jacobi(out)
     if not jac.ok:
         raise JacobiViolation(f"projected bracket fails super Jacobi at {jac.witness}")
+    checks = {"super_skew": skew, "super_jacobi": jac, "odd_cubes": check_odd_cubes(out)}
     return SemisimplifiedAlgebra(algebra=out, realization=realization, decomposition=decomp, even_chains=even,
-                                 odd_chains=odd, coords=coords, checks={"super_skew": skew, "super_jacobi": jac})
+                                 odd_chains=odd, coords=coords, checks=checks)
 
 
 def prop32_reference(realization: Realization, decomp: ChainDecomposition) -> ModularSuperAlgebra:

@@ -31,7 +31,7 @@ class ModularSuperAlgebra:
     labels: tuple[str, ...] | None = None  # any sequence, stored as a tuple
     gens: Mapping[str, np.ndarray] | None = None  # generator name -> coordinate vector, stored read-only
     origin: object | None = None  # construction-time metadata, not serialized
-    # check name -> Report of check_super_skew / check_super_jacobi, kept because
+    # check name -> Report of check_super_skew / check_super_jacobi / check_odd_cubes, kept because
     # the tensor and parity cannot change; not compared, printed or serialized
     _reports: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -210,9 +210,15 @@ def superdim(alg: ModularSuperAlgebra) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class Report:
+    """One check's result: whether it passed and, if not, a witness saying
+    where.  Its truth value is `ok`."""
+
     check: str
     ok: bool
     witness: dict | None = None
+
+    def __bool__(self) -> bool:
+        return self.ok
 
     def to_json_dict(self) -> dict:
         out = {"check": self.check, "pass": self.ok}
@@ -258,19 +264,23 @@ def _passed(alg: ModularSuperAlgebra, *checks: str) -> bool:
 
 def _kept_report(alg: ModularSuperAlgebra, check: str, witness) -> Report:
     """The report of check on alg, computed by witness() on the first call
-    and kept on the algebra; a failure's witness names its first three
-    indices i, j, k."""
+    and kept on the algebra; witness() returns a failure's witness, or None."""
     if check not in alg._reports:
         found = witness()
-        alg._reports[check] = Report(check, found is None, None if found is None else dict(zip("ijk", found)))
+        alg._reports[check] = Report(check, found is None, found)
     return alg._reports[check]
+
+
+def _indexed(found) -> dict | None:
+    """A failing basis triple as the witness {i, j, k}."""
+    return None if found is None else dict(zip("ijk", found))
 
 
 def check_super_skew(alg: ModularSuperAlgebra) -> Report:
     """C(i,j,k) = -(-1)^{|i||j|} C(j,i,k) for all triples; a failure's
     witness is the smallest failing (i, j, k) with i <= j.  Runs once per
     algebra."""
-    return _kept_report(alg, "super_skew", lambda: skew_witness(alg.tensor, alg.parity, alg.p))
+    return _kept_report(alg, "super_skew", lambda: _indexed(skew_witness(alg.tensor, alg.parity, alg.p)))
 
 
 _JACOBI_BUDGET = 1 << 14  # products a Jacobi sum expands per block, give or take one index's (sparse.cuts)
@@ -425,7 +435,7 @@ def check_super_jacobi(alg: ModularSuperAlgebra) -> Report:
     super skew report the sum runs over sorted triples (sorted_jacobi_witness),
     which finds the same witness.  Runs once per algebra."""
     witness = sorted_jacobi_witness if _passed(alg, "super_skew") else jacobi_witness
-    return _kept_report(alg, "super_jacobi", lambda: witness(alg.tensor, alg.parity, alg.p))
+    return _kept_report(alg, "super_jacobi", lambda: _indexed(witness(alg.tensor, alg.parity, alg.p)))
 
 
 def _respects_parity(alg: ModularSuperAlgebra) -> bool:
@@ -509,12 +519,13 @@ def odd_cube_values_literal(alg: ModularSuperAlgebra):
 
 
 def check_odd_cubes(alg: ModularSuperAlgebra) -> Report:
-    """[x,[x,x]] = 0 for every odd x (the extra characteristic-3 axiom)."""
-    gens = odd_cube_generators(alg)
-    if not gens:
-        return Report("odd_cubes", True)
-    _, label = gens[0]
-    return Report("odd_cubes", False, {"nodes": label["nodes"], "kind": label["kind"]})
+    """[x,[x,x]] = 0 for every odd x (the extra characteristic-3 axiom); a
+    failure's witness labels the first piece of odd_cube_generators.  Runs
+    once per algebra, and the report does not depend on whether skew and
+    Jacobi were checked first: the cube-row path runs only when both hold,
+    and then the square and triple pieces of the other path vanish, so the
+    two paths span the same space, and both list the cube rows first."""
+    return _kept_report(alg, "odd_cubes", lambda: next((label for _, label in odd_cube_generators(alg)), None))
 
 
 # -- subspaces ---------------------------------------------------------------

@@ -13,12 +13,13 @@ from functools import lru_cache
 
 from . import repalpha
 from .chevalley import catalog_algebra
+from .errors import NotDiagonalizable, UnrecognizedType
 from .repalpha import block_counts, jordan_decompose, parse_element, realize
 # unused, every row decomposes generically; perfbench/spans.py wraps this
 # name here, and test_traced_names_resolve checks that it exists
 from .repalpha import structured_decompose  # noqa: F401
 from .semisimplify import semisimplify
-# check_super_*: unused, `ss.checks` holds the reports; perfbench/spans.py wraps these names here
+# check_*: unused, `ss.checks` holds the reports; perfbench/spans.py wraps these names here
 from .superalgebra import check_odd_cubes, check_super_jacobi, check_super_skew, superdim  # noqa: F401
 from .verify import (
     cartan_torus_images,
@@ -60,15 +61,14 @@ def certify_route(ss, route: str, subset, target: str | None, star_sdim):
     even part, at p = 5).  The first three read generator images off any
     decomposition of the element through plans."""
     if route == "custom-g36":
-        return certify(ss, custom_plan_g36(ss), target_by_name("g(3,6)"))
+        return certify(ss.algebra, custom_plan_g36(ss), target_by_name("g(3,6)"))
     if route == "el55":
         return certify_even_route(ss, target_by_name("el(5;5)"))
-    if route == "maint":
-        return certify(ss, generator_images(ss, subset), tilde_target(target, ss, subset))
-    if route == "star":
-        spec = tilde_target(target, ss, subset, star_sdim)
-        return subquotient_certificate(ss, generator_images(ss, subset), spec)[0]
-    raise ValueError(f"unknown route {route}")
+    if route not in ("maint", "star"):
+        raise ValueError(f"unknown route {route}")
+    gens = generator_images(ss, subset)
+    spec = tilde_target(target, ss, subset, star_sdim)
+    return certify(ss.algebra, gens, spec) if route == "maint" else subquotient_certificate(ss, gens, spec)[0]
 
 
 TABLE: tuple[RowSpec, ...] = (
@@ -147,7 +147,8 @@ def row_pipeline(algebra: str, p: int, element: str):
 
 @lru_cache(maxsize=None)
 def run_row(spec: RowSpec) -> TableRow:
-    realization, decomp, ss = row_pipeline(spec.algebra, spec.p, spec.elements[0])
+    # unwrapped, so the row's realization, decomposition and output are freed with it
+    realization, decomp, ss = row_pipeline.__wrapped__(spec.algebra, spec.p, spec.elements[0])
     counts = block_counts(decomp)
     sdim = superdim(ss.algebra)
     mismatches: list[str] = []
@@ -170,11 +171,11 @@ def run_row(spec: RowSpec) -> TableRow:
             conclusion = f"EvenType:{label}"
             if label != spec.even_type or dim_e != spec.sdim[0]:
                 mismatches.append(f"even type {label}/{dim_e} != {spec.even_type}/{spec.sdim[0]}")
-        except Exception as exc:  # recognition failures are row failures
+        except (NotDiagonalizable, UnrecognizedType) as exc:  # recognition failures are row failures
             conclusion = f"EvenType:failed({exc})"
             mismatches.append(conclusion)
     elif spec.route == "superdim":
-        axioms = all(report.ok for report in ss.checks.values()) and check_odd_cubes(ss.algebra).ok
+        axioms = all(report.ok for report in ss.checks.values())
         conclusion = "SuperdimMatch" if (sdim == spec.sdim and axioms) else "SuperdimMismatch"
         if not axioms:
             mismatches.append("axiom checks failed")

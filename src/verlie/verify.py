@@ -22,6 +22,7 @@ from .roots import GCM, attached_node, catalog_gcm, derive_tilde, positive_roots
 from .semisimplify import SemisimplifiedAlgebra
 from .superalgebra import (
     ModularSuperAlgebra,
+    Report,
     Subspace,
     check_odd_cubes,
     check_super_jacobi,  # noqa: F401  (unused, `ss.checks` holds the report; perfbench/spans.py wraps it here)
@@ -131,25 +132,17 @@ def custom_plan_g36(ss: SemisimplifiedAlgebra) -> np.ndarray:
 # -- relation and generation checks -------------------------------------------
 
 
-@dataclass
-class RelationReport:
-    ok: bool
-    failures: list[dict]
-
-    def to_json_dict(self) -> dict:
-        return {"pass": self.ok, "failures": self.failures}
-
-
-def check_relations(alg: ModularSuperAlgebra, gens: np.ndarray, target: TargetSpec) -> RelationReport:
+def check_relations(alg: ModularSuperAlgebra, gens: np.ndarray, target: TargetSpec) -> Report:
     """[e_i, f_j] = d_ij h_i, [h_i, e_j] = a_ij e_j, [h_i, f_j] = -a_ij f_j,
     [h_i, h_j] = 0, and the generator parities match the target's; `gens`
-    is the (3, rank, dim) array of the e, f and h images."""
+    is the (3, rank, dim) array of the e, f and h images.  A failure's
+    witness lists every failing relation under "failures"."""
     failures: list[dict] = []
     e, f, h = gens
     r, p = len(e), alg.p
     if target.gcm is None or r != target.gcm.n:
-        return RelationReport(False, [{"relation": "rank", "expected": target.gcm.n if target.gcm else None,
-                                       "actual": r}])
+        failures = [{"relation": "rank", "expected": target.gcm.n if target.gcm else None, "actual": r}]
+        return Report("relations", False, {"failures": failures})
     for i in range(r):
         for vec, label in ((e[i], "e"), (f[i], "f")):
             if not alg.is_homogeneous(vec) or not vec.any() or alg.vector_parity(vec) != target.gcm.parity[i]:
@@ -164,11 +157,15 @@ def check_relations(alg: ModularSuperAlgebra, gens: np.ndarray, target: TargetSp
            for kind, x, y in (("ef", e, f), ("he", h, e), ("hf", h, f), ("hh", h, h))}
     failures += [{"relation": kind, "i": i + 1, "j": j + 1}
                  for i in range(r) for j in range(r) for kind in bad if bad[kind][i, j]]
-    return RelationReport(not failures, failures)
+    return Report("relations", not failures, {"failures": failures} if failures else None)
 
 
-def check_generation(alg: ModularSuperAlgebra, gens: np.ndarray) -> bool:
-    return generated_subalgebra(alg, gens.reshape(-1, alg.dim)).dim == alg.dim
+def check_generation(alg: ModularSuperAlgebra, gens: np.ndarray) -> Report:
+    """The generator images generate the algebra; a failure's witness is the
+    generated dimension against the algebra's."""
+    generated = generated_subalgebra(alg, gens.reshape(-1, alg.dim)).dim
+    ok = generated == alg.dim
+    return Report("generation", ok, None if ok else {"dim": generated, "expected": alg.dim})
 
 
 # -- certificates --------------------------------------------------------------
@@ -217,18 +214,16 @@ class Certificate:
         }
 
 
-def certify(ss_or_alg, gens: np.ndarray, target: TargetSpec) -> Certificate:
+def certify(alg: ModularSuperAlgebra, gens: np.ndarray, target: TargetSpec) -> Certificate:
     """Certificate for a characteristic-3 target given the (3, rank, dim)
-    array of generator images."""
-    alg = ss_or_alg.algebra if isinstance(ss_or_alg, SemisimplifiedAlgebra) else ss_or_alg
+    array of generator images; its witness is the first failing report's."""
     if target.p != alg.p:
         raise ValueError("target characteristic differs from the algebra's")
-    relations = check_relations(alg, gens, target)
-    generation = check_generation(alg, gens)
-    cubes = check_odd_cubes(alg)
-    details = {"relation_failures": relations.failures} if relations.failures else {}
-    return Certificate(target.name, alg.p, superdim(alg), target.superdim,
-                       relations.ok, generation, cubes.ok, details)
+    reports = check_relations(alg, gens, target), check_generation(alg, gens), check_odd_cubes(alg)
+    relations, generation, cubes = reports
+    details = {} if relations else {"relation_failures": relations.witness["failures"]}
+    return Certificate(target.name, alg.p, superdim(alg), target.superdim, relations.ok, generation.ok, cubes.ok,
+                       details, next((r.witness for r in reports if not r), None))
 
 
 def subquotient_certificate(ss: SemisimplifiedAlgebra, gens: np.ndarray, target: TargetSpec):
@@ -254,7 +249,7 @@ def cartan_torus_images(ss: SemisimplifiedAlgebra) -> np.ndarray:
     cartan = np.zeros((alg.dim, n), dtype=np.int64)
     for i in range(1, n + 1):
         cartan[integral.generator_index("h", i), i - 1] = 1
-    killed = fp.kernel_basis((ss.realization.der @ cartan) % alg.p, alg.p)
+    killed = fp.kernel_basis(ss.realization.powers[1].dot(cartan) % alg.p, alg.p)
     images = [ss.image(cartan @ combo % alg.p) for combo in killed]
     sub = Subspace.from_vectors(images, ss.algebra.dim, alg.p) if images else Subspace.zero(ss.algebra.dim, alg.p)
     return sub.rows
@@ -354,22 +349,7 @@ def _eig_split(p: int, mats, dim: int):
 # -- odd-part irreducibility ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Irreducibility:
-    """Whether the odd part is proven irreducible under the even part.  An
-    unproven verdict is falsy and carries its witness: the weights of a
-    closed proper subset (`closed_weights`), the weight whose multiplicity
-    blocked the proof (`weight`, `multiplicity`), or why there is no odd
-    weight split (`no_split`)."""
-
-    proven: bool
-    witness: dict | None = None
-
-    def __bool__(self) -> bool:
-        return self.proven
-
-
-def odd_part_irreducible(alg: ModularSuperAlgebra, split: WeightSplit) -> Irreducibility:
+def odd_part_irreducible(alg: ModularSuperAlgebra, split: WeightSplit) -> Report:
     """Decide irreducibility of the odd part on the torus weights of `split`.
 
     A submodule is torus-stable, so it is a sum of weight spaces.  When every
@@ -378,15 +358,18 @@ def odd_part_irreducible(alg: ModularSuperAlgebra, split: WeightSplit) -> Irredu
     even basis vector sends v_lam to a vector with a nonzero v_mu
     coefficient; the odd part is irreducible exactly when the graph is
     strongly connected.  A larger multiplicity, or a torus that does not act
-    diagonally, leaves the verdict unproven, never True."""
+    diagonally, leaves the verdict unproven, never passed, with its witness:
+    the weights of a closed proper subset (`closed_weights`), the weight
+    whose multiplicity blocked the proof (`weight`, `multiplicity`), or why
+    there is no odd weight split (`no_split`)."""
     if split.odd_blocked:
-        return Irreducibility(False, {"no_split": split.odd_blocked})
+        return Report("irreducibility", False, {"no_split": split.odd_blocked})
     odd = split.spaces(1)
     for weight, rows in odd:
         if len(rows) > 1:
-            return Irreducibility(False, {"weight": weight, "multiplicity": len(rows)})
+            return Report("irreducibility", False, {"weight": weight, "multiplicity": len(rows)})
     if not odd:
-        return Irreducibility(True)
+        return Report("irreducibility", True)
     n, odd_idx = len(odd), np.flatnonzero(alg.parity == 1)
     vecs = np.vstack([rows for _, rows in odd])
     even = np.eye(alg.dim, dtype=np.int64)[alg.parity == 0]
@@ -397,9 +380,9 @@ def odd_part_irreducible(alg: ModularSuperAlgebra, split: WeightSplit) -> Irredu
     while not np.array_equal(grown := reach @ reach, reach):  # transitive closure
         reach = grown
     if reach.all():
-        return Irreducibility(True)
+        return Report("irreducibility", True)
     start = int(np.flatnonzero(~reach.all(axis=1))[0])
-    return Irreducibility(False, {"closed_weights": [odd[j][0] for j in np.flatnonzero(reach[start])]})
+    return Report("irreducibility", False, {"closed_weights": [odd[j][0] for j in np.flatnonzero(reach[start])]})
 
 
 def certify_even_route(ss: SemisimplifiedAlgebra, target: TargetSpec) -> Certificate:
@@ -416,10 +399,11 @@ def certify_even_route(ss: SemisimplifiedAlgebra, target: TargetSpec) -> Certifi
         type_ok = label == target.even_type and dim == target.superdim[0]
     except (NotDiagonalizable, UnrecognizedType) as exc:
         label, type_ok = str(exc), False
-    irreducible = odd_part_irreducible(alg, split) if split is not None else Irreducibility(False, {"no_split": label})
-    axioms = ss.checks["super_jacobi"].ok and check_odd_cubes(alg).ok
+    irreducible = (odd_part_irreducible(alg, split) if split is not None
+                   else Report("irreducibility", False, {"no_split": label}))
+    axioms = all(r.ok for r in ss.checks.values())
     return Certificate(target.name, alg.p, superdim(alg), target.superdim,
-                       type_ok, irreducible.proven, axioms, {"even_type": label}, irreducible.witness)
+                       type_ok, irreducible.ok, axioms, {"even_type": label}, irreducible.witness)
 
 
 # -- even-part Cartan-type recognition ----------------------------------------
@@ -533,27 +517,14 @@ def recognize_even_type(alg: ModularSuperAlgebra, split: WeightSplit) -> tuple[s
 
 
 def _match_type(cartan: np.ndarray, rank: int) -> str:
-    candidates = []
-    if rank == 2:
-        candidates += ["a2", "b2", "c2", "g2"]
-    if rank >= 1:
-        candidates.append(f"a{rank}")
-    if rank >= 2:
-        candidates += [f"b{rank}", f"c{rank}"]
-    if rank >= 3:
-        candidates.append(f"d{rank}")
-    if rank == 4:
-        candidates.append("f4")
-    if rank in (6, 7, 8):
-        candidates.append(f"e{rank}")
-    for name in candidates:
+    """The first catalog name of `rank`, in the order a, b, ..., g, whose
+    Cartan matrix is `cartan` up to a simultaneous permutation."""
+    for kind in "abcdefg":
         try:
-            ref = catalog_gcm(name).matrix()
-        except ValueError:
-            continue
-        if ref.shape != cartan.shape:
+            ref = catalog_gcm(f"{kind}{rank}").matrix()
+        except ValueError:  # no such catalog name, as d2 or f3
             continue
         for perm in permutations(range(rank)):
             if np.array_equal(cartan[np.ix_(perm, perm)], ref):
-                return name.upper()
+                return f"{kind}{rank}".upper()
     raise UnrecognizedType(f"no catalog match for Cartan matrix {cartan.tolist()}")

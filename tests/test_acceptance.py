@@ -261,7 +261,7 @@ def test_criterion_9_swap_orbit_invariance():
                     continue
                 _, _, ss = row_pipeline(name, 3, "+".join(f"e{i}" for i in nodes))
                 gens = generator_images(ss, nodes)
-                cert = certify(ss, gens, tilde_target(spec.target, ss, nodes))
+                cert = certify(ss.algebra, gens, tilde_target(spec.target, ss, nodes))
                 conclusions.add(cert.conclusion)
                 certs_checked += 1
             assert conclusions == {"Verified"}, f"{name} {subset}: {conclusions}"

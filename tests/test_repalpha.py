@@ -137,12 +137,12 @@ def test_chain_property_and_rank_formula(f4mod3):
     _, vec = parse_element("e4", f4mod3)
     r = realize(f4mod3, vec)
     decomp = jordan_decompose(r)
-    decomp.validate(r.der)
-    assert decomp.counts() == rank_count_vector(r.powers, 3)
+    decomp.validate(r.powers[1])
+    assert block_counts(decomp) == rank_count_vector(r.powers, 3)
     for chain in decomp.chains:
         for t in range(chain.length - 1):
-            assert np.array_equal(r.der @ chain.vectors[t] % 3, chain.vectors[t + 1])
-        assert not (r.der @ chain.vectors[-1] % 3).any()
+            assert np.array_equal(r.powers[1].dot(chain.vectors[t]) % 3, chain.vectors[t + 1])
+        assert not (r.powers[1].dot(chain.vectors[-1]) % 3).any()
 
 
 def test_jordan_decompose_deterministic(f4mod3):
@@ -216,6 +216,19 @@ def test_structured_empty_subset(f4mod3):
     assert block_counts(decomp) == (52, 0, 0)
 
 
+def test_structured_complement_must_be_d_stable(f4mod3):
+    """The complement check reads the entries of the sparse D: one entry
+    sending a complement root vector to the Cartan part fails it."""
+    r = realize(f4mod3, parse_element("e4", f4mod3)[1])
+    integral = f4mod3.origin
+    gamma = integral.roots.simple(1) + integral.roots.simple(2)  # in the complement of subset (4,)
+    der = r.powers[1].toarray()
+    der[integral.generator_index("h", 1), integral.roots.positive.index(gamma)] = 1
+    broken = repalpha.Realization(f4mod3, [r.powers[0], v.sparse.from_dense(der), *r.powers[2:]], r.element)
+    with pytest.raises(AssertionError, match="complement is not D-stable"):
+        structured_decompose(broken, (4,))
+
+
 @pytest.mark.parametrize("name,subset", [("a2", (1,)), ("a2", (2,)), ("a1", ())])
 def test_structured_empty_complement(name, subset):
     """Every positive root is simple or touched, so the generically
@@ -228,7 +241,7 @@ def test_structured_empty_complement(name, subset):
         _, vec = parse_element("+".join(f"e{i}" for i in subset), alg)
     r = realize(alg, vec)
     decomp = structured_decompose(r, subset)
-    decomp.validate(r.der)
+    decomp.validate(r.powers[1])
     assert block_counts(decomp) == block_counts(jordan_decompose(r))
     ss = semisimplify(r, decomp)
     assert ss.algebra.constants == prop32_reference(r, decomp).constants
@@ -262,7 +275,7 @@ def test_chain_decomposition_validate_rejects_broken():
     chains[0] = JordanChain(bad_vectors)
     broken = ChainDecomposition(tuple(chains), 3, 9)
     with pytest.raises(ValueError):
-        broken.validate(r.der)
+        broken.validate(r.powers[1])
 
 
 def greedy_chains(der, p: int, dim: int) -> list[JordanChain]:
@@ -333,7 +346,7 @@ def test_batched_head_pick_matches_greedy_loop(p, blocks, split, seed):
     if max(blocks) <= p:
         decomp = ChainDecomposition(tuple(got), p, dim)
         decomp.validate(der)
-        assert decomp.counts() == rank_count_vector(fp.powers(der, p, p), p) == _rank_counts(ranks)
+        assert block_counts(decomp) == rank_count_vector(fp.powers(der, p, p), p) == _rank_counts(ranks)
 
 
 def test_realizations_compare_by_identity(f4mod3):
@@ -351,7 +364,6 @@ def test_validated_decomposition_cannot_change_silently(monkeypatch):
     decomp = jordan_decompose(r)
     for write in (lambda: decomp.chains[0].vectors.__setitem__((0, 0), 1),
                   lambda: decomp.chains[0].vectors.base.fill(0),  # the stack the chains view
-                  lambda: r.der.__setitem__((0, 0), 1),
                   lambda: r.powers[1].data.__setitem__(0, 2)):
         with pytest.raises(ValueError, match="read-only"):
             write()
@@ -360,7 +372,7 @@ def test_validated_decomposition_cannot_change_silently(monkeypatch):
     monkeypatch.setattr(ChainDecomposition, "_check", lambda self, der: full.append(der) or check(self, der))
     decomp.validate(r.powers[1])
     assert not full  # same read-only D and chains: nothing left to check
-    decomp.validate(r.der)  # another D, even an equal one, is checked
+    decomp.validate(r.powers[1].toarray())  # another D, even an equal one, is checked
     assert len(full) == 1
     # a chain replaced after validation
     longest = max(range(len(decomp.chains)), key=lambda i: decomp.chains[i].length)
@@ -481,7 +493,7 @@ def test_rank_formula_agrees_with_the_separate_elimination():
             r = realize(alg, parse_element(element, alg)[1])
         except DegreeExceedsP:
             continue
-        assert jordan_decompose(r).counts() == rank_count_vector(r.powers, alg.p), (alg.dim, alg.p, element)
+        assert block_counts(jordan_decompose(r)) == rank_count_vector(r.powers, alg.p), (alg.dim, alg.p, element)
         checked += 1
     assert checked > len(cases) // 2
 

@@ -74,7 +74,7 @@ def gl3_setup():
     _, vec = v.parse_element("e2", alg)  # the (2,3) elementary matrix
     realization = v.realize(alg, vec)
     decomp = ChainDecomposition(paper_gl3_chains(), 3, 9)
-    decomp.validate(realization.der)
+    decomp.validate(realization.powers[1].toarray())  # a dense D is accepted too
     return realization, decomp
 
 
@@ -139,7 +139,7 @@ def test_superdim_always_n1_np1():
     realization = v.realize(alg, vec)
     decomp = v.jordan_decompose(realization)
     ss = semisimplify(realization, decomp)
-    counts = decomp.counts()
+    counts = v.block_counts(decomp)
     assert superdim(ss.algebra) == (counts[0], counts[1])
     assert superdim(ss.algebra) == (3, 4)
 
@@ -191,7 +191,7 @@ def test_functoriality_structured_vs_generic():
     # certificate outcomes agree: the generator images certify the same
     # target through either decomposition
     for ss in (a, b):
-        cert = certify(ss, generator_images(ss, (4,)), tilde_target("g(1,6)", ss, (4,)))
+        cert = certify(ss.algebra, generator_images(ss, (4,)), tilde_target("g(1,6)", ss, (4,)))
         assert cert.conclusion == "Verified"
 
 

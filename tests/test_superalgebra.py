@@ -482,6 +482,15 @@ def test_odd_cubes_from_reports_match_full_expansion(free_nilpotent_ss):
     assert odd_cube_generators(free_nilpotent_ss.algebra)  # the fast path sees a failing cube
 
 
+def test_kept_odd_cube_report_matches_a_fresh_check():
+    """semisimplify keeps the odd-cube report it took on the cube rows; a
+    copy without kept reports takes the full expansion to the same report."""
+    for spec in TABLE:
+        ss = row_pipeline(spec.algebra, spec.p, spec.elements[0])[2]
+        fresh = without_reports(ss.algebra)
+        assert ss.checks["odd_cubes"] == check_odd_cubes(fresh) and set(fresh._reports) == {"odd_cubes"}, spec.key
+
+
 def test_odd_cubes_after_failed_jacobi_take_the_full_expansion():
     """Skew kept, Jacobi broken by a symmetric odd-odd entry: the triple
     piece that the cube rows alone would miss is still found."""

@@ -7,8 +7,10 @@ import verlie as v
 from tests.test_fp import rank
 from verlie.errors import NotDiagonalizable, UnrecognizedType
 from verlie.roots import catalog_gcm, derive_tilde, validate_gcm
+from verlie import superalgebra, table, verify
 from verlie.superalgebra import (
     ModularSuperAlgebra,
+    Report,
     Subspace,
     check_odd_cubes,
     check_super_jacobi,
@@ -17,6 +19,7 @@ from verlie.superalgebra import (
     superdim,
 )
 from tests.pipelines import spec_pipeline
+from tests.test_superalgebra import corrupt
 from verlie.table import TABLE, certify_route, row_pipeline, run_row
 from verlie.verify import (
     Certificate,
@@ -100,7 +103,7 @@ def test_generator_images_empty_subset_match_source_relations():
     target = TargetSpec(name="f4-self", p=3, superdim=(52, 0), gcm=catalog_gcm("f4"))
     report = check_relations(ss.algebra, gens, target)
     assert report.ok
-    cert = certify(ss, gens, target)
+    cert = certify(ss.algebra, gens, target)
     assert cert.conclusion == "Verified"
 
 
@@ -108,7 +111,7 @@ def test_check_relations_wrong_rank():
     _, _, ss = pipeline("e6", 3, "e1+e2", subset=(1, 2))
     gens = generator_images(ss, (1, 2))
     report = check_relations(ss.algebra, gens, target_by_name("g(2,3)"))
-    assert not report.ok and report.failures[0]["relation"] == "rank"
+    assert not report.ok and report.witness["failures"][0]["relation"] == "rank"
 
 
 def pairwise_relation_failures(alg, gens, gcm):
@@ -136,21 +139,21 @@ def test_check_relations_same_rank_wrong_target():
     _, _, ss = pipeline("e6", 3, "e1+e2", subset=(1, 2))
     gens = generator_images(ss, (1, 2))
     right = derive_tilde(catalog_gcm("e6"), (1, 2))
-    assert check_relations(ss.algebra, gens, TargetSpec("right", 3, ss.superdim(), right)).ok
+    assert check_relations(ss.algebra, gens, TargetSpec("right", 3, superdim(ss.algebra), right)).ok
     assert pairwise_relation_failures(ss.algebra, gens, right) == []
     wrong = catalog_gcm("f4")
-    report = check_relations(ss.algebra, gens, TargetSpec("wrong", 3, ss.superdim(), wrong))
-    parity = [f for f in report.failures if f["relation"] == "parity"]
+    report = check_relations(ss.algebra, gens, TargetSpec("wrong", 3, superdim(ss.algebra), wrong))
+    parity = [f for f in report.witness["failures"] if f["relation"] == "parity"]
     expected = pairwise_relation_failures(ss.algebra, gens, wrong)
     assert parity and expected and not report.ok
-    assert report.failures == parity + expected
+    assert report.witness["failures"] == parity + expected
 
 
 def test_certify_refuted_on_superdim():
     # purely even output vs a genuinely super target
     _, _, ss = pipeline("e7", 3, "e2+e5+e7")
     target = target_by_name("g(4,6)")
-    cert = certify(ss, np.zeros((3, 6, ss.algebra.dim), dtype=np.int64), target)
+    cert = certify(ss.algebra, np.zeros((3, 6, ss.algebra.dim), dtype=np.int64), target)
     assert cert.conclusion == "Refuted"
     assert cert.actual_superdim == (52, 0)
 
@@ -179,7 +182,7 @@ def test_certify_checks_characteristic():
     _, _, ss = pipeline("e6", 3, "e1+e2", subset=(1, 2))
     gens = generator_images(ss, (1, 2))
     with pytest.raises(ValueError):
-        certify(ss, gens, target_by_name("el(5;5)"))
+        certify(ss.algebra, gens, target_by_name("el(5;5)"))
 
 
 def test_even_route_checks_characteristic():
@@ -197,7 +200,7 @@ def test_custom_plan_g36_properties():
         for j in range(4):
             assert not alg.bracket(gens[2][i], gens[2][j]).any()
     assert check_generation(alg, gens)
-    cert = certify(ss, gens, target_by_name("g(3,6)"))
+    cert = certify(ss.algebra, gens, target_by_name("g(3,6)"))
     assert cert.conclusion == "Verified"
 
 
@@ -278,6 +281,88 @@ def test_recognize_catalog_types():
         recognize(catalog_gcm("g2"))
     with pytest.raises(UnrecognizedType, match=r"no catalog match for Cartan matrix \[\[2, 0\], \[0, 2\]\]"):
         recognize(validate_gcm([[2, 0], [0, 2]]))
+
+
+def old_match_type(cartan: np.ndarray, rank: int, permutations=itertools.permutations) -> str:
+    """The label search as it stood with a hand-built candidate list, the
+    oracle for `verify._match_type`; `permutations` is its source of index
+    permutations."""
+    candidates = []
+    if rank == 2:
+        candidates += ["a2", "b2", "c2", "g2"]
+    if rank >= 1:
+        candidates.append(f"a{rank}")
+    if rank >= 2:
+        candidates += [f"b{rank}", f"c{rank}"]
+    if rank >= 3:
+        candidates.append(f"d{rank}")
+    if rank == 4:
+        candidates.append("f4")
+    if rank in (6, 7, 8):
+        candidates.append(f"e{rank}")
+    for name in candidates:
+        try:
+            ref = catalog_gcm(name).matrix()
+        except ValueError:
+            continue
+        if ref.shape != cartan.shape:
+            continue
+        for perm in permutations(range(rank)):
+            if np.array_equal(cartan[np.ix_(perm, perm)], ref):
+                return name.upper()
+    raise UnrecognizedType(f"no catalog match for Cartan matrix {cartan.tolist()}")
+
+
+def matching_permutation(cartan: np.ndarray, ref: np.ndarray):
+    """A permutation perm with cartan[perm, perm] == ref, by backtracking, or None."""
+    def extend(perm):
+        k = len(perm)
+        if k == len(ref):
+            return tuple(perm)
+        for c in set(range(len(ref))) - set(perm):
+            if cartan[c, c] == ref[k, k] and all(cartan[c, perm[a]] == ref[k, a] and cartan[perm[a], c] == ref[a, k]
+                                                 for a in range(k)):
+                found = extend(perm + [c])
+                if found:
+                    return found
+        return None
+
+    return extend([])
+
+
+CATALOG_NAMES = ([f"a{n}" for n in range(1, 9)] + [f"{kind}{n}" for kind in "bc" for n in range(2, 9)]
+                 + [f"d{n}" for n in range(3, 9)] + ["e6", "e7", "e8", "f4", "g2"])
+
+
+def test_match_type_keeps_its_labels(monkeypatch):
+    """Every catalog Cartan matrix, under a seeded random simultaneous
+    permutation, gets the label the hand-built candidate list gave: C2
+    reads B2 and D3 reads A3, as before.  From rank 7 on, both searches see
+    only the permutations under which the matrix equals some catalog matrix
+    of its rank: a candidate matches under one of them exactly when it
+    matches at all, and 8! permutations per candidate would take seconds."""
+    rng = np.random.default_rng(20)
+    labels = {}
+    for name in CATALOG_NAMES:
+        ref = catalog_gcm(name).matrix()
+        rank = len(ref)
+        perm = rng.permutation(rank)
+        cartan = ref[np.ix_(perm, perm)]
+        perms = itertools.permutations
+        if rank >= 7:
+            refs = [catalog_gcm(other).matrix() for other in CATALOG_NAMES if other[1:] == str(rank)]
+            found = [match for other in refs if (match := matching_permutation(cartan, other))]
+
+            def perms(_, found=found):
+                return iter(found)
+
+        monkeypatch.setattr(verify, "permutations", perms)
+        labels[name] = verify._match_type(cartan, rank)
+        assert labels[name] == old_match_type(cartan, rank, perms), name
+    assert labels["c2"] == "B2" and labels["d3"] == "A3" and labels["e8"] == "E8" and labels["g2"] == "G2"
+    monkeypatch.undo()
+    with pytest.raises(UnrecognizedType):
+        verify._match_type(np.array([[2, 0], [0, 2]]), 2)  # A1+A1
 
 
 def test_recognize_rejects_nilpotent_torus():
@@ -411,6 +496,96 @@ def test_even_route_brackets_in_batches(monkeypatch):
     assert len(calls) <= len(torus)
 
 
+def test_even_row_fails_only_on_recognition_errors(monkeypatch):
+    """The even route turns a failed recognition into a failed row, and lets
+    every other exception through."""
+    spec = next(spec for spec in TABLE if spec.route == "even")
+
+    def fails(error):
+        def recognize(alg, split):
+            raise error
+        return recognize
+
+    monkeypatch.setattr(table, "recognize_even_type", fails(UnrecognizedType("no match")))
+    row = run_row.__wrapped__(spec)
+    assert row.conclusion == "EvenType:failed(no match)" and not row.ok
+    monkeypatch.setattr(table, "recognize_even_type", fails(RuntimeError("a bug")))
+    with pytest.raises(RuntimeError, match="a bug"):
+        run_row.__wrapped__(spec)
+
+
+def output_and_images(algebra: str, element: str, subset):
+    """A p = 3 table output and the generator images of `subset` in it."""
+    ss = row_pipeline(algebra, 3, element)[2]
+    return ss.algebra, generator_images(ss, subset)
+
+
+def free_nilpotent_output() -> ModularSuperAlgebra:
+    realization = v.realize_derivation(*v.free_nilpotent_example(3))
+    return v.semisimplify(realization, v.jordan_decompose(realization)).algebra
+
+
+def sl2_irreducibility(blocks):
+    """The irreducibility report of sl2 ⋉ M, M the sum of `blocks`, under h."""
+    alg = sl2_module_algebra(blocks, np.eye(sum(blocks), dtype=np.int64))
+    return odd_part_irreducible(alg, weight_split(alg, np.eye(alg.dim, dtype=np.int64)[[1]]))
+
+
+# each check with one passing and one failing input
+REPORTS = [
+    ("super_skew", True, lambda: check_super_skew(v.gl(3, 3))),
+    ("super_skew", False, lambda: check_super_skew(corrupt(v.gl(3, 3), 1, 5, 2))),
+    ("super_jacobi", True, lambda: check_super_jacobi(v.gl(3, 3))),
+    ("super_jacobi", False, lambda: check_super_jacobi(corrupt(corrupt(v.gl(3, 3), 1, 3, 0), 3, 1, 0, delta=-1))),
+    ("odd_cubes", True, lambda: check_odd_cubes(output_and_images("f4", "e4", (4,))[0])),
+    ("odd_cubes", False, lambda: check_odd_cubes(free_nilpotent_output())),
+    ("relations", True, lambda: check_relations(*output_and_images("f4", "e4", (4,)), target_by_name("g(1,6)"))),
+    ("relations", False, lambda: check_relations(*output_and_images("e6", "e1+e2", (1, 2)), target_by_name("g(2,3)"))),
+    ("generation", True, lambda: check_generation(*output_and_images("f4", "e4", (4,)))),
+    ("generation", False, lambda: check_generation(*output_and_images("f4", "e1", (1,)))),
+    ("irreducibility", True, lambda: sl2_irreducibility((2,))),
+    ("irreducibility", False, lambda: sl2_irreducibility((2, 1))),
+]
+
+
+@pytest.mark.parametrize("check, ok, run", REPORTS, ids=[f"{c}-{'pass' if ok else 'fail'}" for c, ok, _ in REPORTS])
+def test_every_check_returns_a_report_true_exactly_when_ok(check, ok, run):
+    report = run()
+    assert isinstance(report, Report) and report.check == check
+    assert report.ok is ok and bool(report) is ok
+    assert (report.witness is None) is ok  # a failure says where
+
+
+def test_generation_witness_counts_the_generated_dimension():
+    assert check_generation(*output_and_images("f4", "e1", (1,))).witness == {"dim": 15, "expected": 23}
+
+
+def test_failing_certificate_keeps_the_first_failing_witness():
+    _, _, ss = row_pipeline("f4", 3, "e1")
+    gens = generator_images(ss, (1,))
+    # the full output on the maint route: only generation fails
+    cert = certify_route(ss, "maint", (1,), "sl(3|1)", (15, 8))
+    assert cert.conclusion == "Inconclusive" and cert.witness == {"dim": 15, "expected": 23}
+    # a wrong target: relations and generation both fail, and relations come first
+    target = target_by_name("g(2,3)")
+    reports = check_relations(ss.algebra, gens, target), check_generation(ss.algebra, gens)
+    assert not any(reports)
+    cert = certify(ss.algebra, gens, target)
+    assert cert.witness == reports[0].witness and cert.details["relation_failures"] == reports[0].witness["failures"]
+
+
+def test_odd_cubes_run_once_per_algebra(monkeypatch):
+    """semisimplify keeps the odd-cube report, and certify reads it."""
+    calls = []
+    generators = superalgebra.odd_cube_generators
+    monkeypatch.setattr(superalgebra, "odd_cube_generators", lambda alg: calls.append(alg) or generators(alg))
+    spec = next(spec for spec in TABLE if spec.route == "maint")
+    _, _, ss = pipeline(spec.algebra, spec.p, spec.elements[0])  # built anew, so no report is kept yet
+    cert = certify_route(ss, spec.route, spec.subset, spec.target, spec.star_sdim)
+    assert cert.conclusion == "Verified" and ss.checks["odd_cubes"].ok
+    assert len(calls) == 1 and calls[0] is ss.algebra
+
+
 def test_even_route_certificate_keeps_its_witness_off_the_json():
     _, _, ss = row_pipeline("e8", 5, "e2+e3+e4")
     cert = certify_even_route(ss, target_by_name("el(5;5)"))
@@ -424,7 +599,7 @@ def test_relation_report_h_span_abelian():
     # target rank
     _, _, ss = pipeline("e7", 3, "e1+e7", subset=(1, 7))
     gens = generator_images(ss, (1, 7))
-    cert = certify(ss, gens, tilde_target("el(5;3)", ss, (1, 7)))
+    cert = certify(ss.algebra, gens, tilde_target("el(5;3)", ss, (1, 7)))
     assert cert.conclusion == "Verified"
     from verlie.superalgebra import Subspace
 
@@ -476,7 +651,7 @@ def test_swap_orbit_certificates_agree_e6():
     for subset in ((1,), (2,), (6,)):
         _, _, ss = pipeline("e6", 3, f"e{subset[0]}", subset=subset)
         gens = generator_images(ss, subset)
-        cert = certify(ss, gens, tilde_target("g(2,6)", ss, subset))
+        cert = certify(ss.algebra, gens, tilde_target("g(2,6)", ss, subset))
         assert cert.conclusion == "Verified"
         assert cert.expected_superdim == target.superdim
 
