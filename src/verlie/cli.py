@@ -39,7 +39,7 @@ from .roots import (
 from .semisimplify import semisimplify
 # check_*: unused, `ss.checks` holds the reports; perfbench/spans.py wraps these names here
 from .superalgebra import check_odd_cubes, check_super_jacobi, check_super_skew, superdim  # noqa: F401
-from .table import TABLE, certify_route, run_table
+from .table import CERTIFY, TABLE, RowSpec, run_table
 from .verify import target_catalog
 
 SCHEMA = 1
@@ -141,32 +141,31 @@ def cmd_semisimplify(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    star_sdim = None
+    star_sdim, target = None, args.target
     if args.plan == "g36":
-        route = "custom-g36"
-    elif args.target == "el(5;5)":
+        if target not in (None, "g(3,6)"):
+            raise errors.VerlieError("--plan g36 certifies against g(3,6) only")
+        route, target = "custom-g36", "g(3,6)"
+    elif target == "el(5;5)":
         route = "el55"
     elif not args.subset:
         raise errors.VerlieError("certification needs --subset (or --plan g36 / --target 'el(5;5)')")
     else:
         # a star row's target is certified on the generator subquotient, of the superdimension the row expects
         stars = {spec.target: spec.star_sdim for spec in TABLE if spec.route == "star" and spec.target}
-        star_sdim = stars.get(args.target)
+        star_sdim = stars.get(target)
         route = "star" if star_sdim else "maint"
     alg, realization = _realized(args)
-    subset = _parse_subset(args.subset) if args.subset else None
-    if route in ("maint", "star"):
-        subset = boundary_subset(realization, subset)
-    target = args.target
-    if route == "maint" and not target:
-        target = _infer_target(args.algebra, alg.origin.gcm, subset)
+    subset = None
+    if route in ("maint", "star"):  # checked before any decomposition runs
+        subset = boundary_subset(realization, _parse_subset(args.subset))
+        target = target or _infer_target(args.algebra, alg.origin.gcm, subset)
     decomp = jordan_decompose(realization)
     ss = semisimplify(realization, decomp)
-    cert = certify_route(ss, route, subset, target, star_sdim)
-    payload = cert.to_json_dict()
-    payload.update({"command": "certify", "algebra": args.algebra,
-                    "element": args.element or args.subset,
-                    "block_counts": list(block_counts(decomp))})
+    element = args.element or args.subset
+    cert = CERTIFY[route](ss, RowSpec(args.algebra, alg.p, (element,), route, subset, target, star_sdim=star_sdim))
+    payload = {**cert.to_json_dict(), "command": "certify", "algebra": args.algebra, "element": element,
+               "block_counts": list(block_counts(decomp))}
     print(f"{args.algebra} vs {cert.target}: {cert.conclusion} "
           f"(superdim ({cert.actual_superdim[0]}|{cert.actual_superdim[1]}))")
     _emit(payload, args.json)

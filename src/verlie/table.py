@@ -40,7 +40,7 @@ class RowSpec:
     algebra: str
     p: int
     elements: tuple[str, ...]  # all elements in the row's class; first is certified
-    route: str  # maint | star | even | superdim | custom-g36 | el55
+    route: str  # a CERTIFY key, or even or superdim, which run_row handles itself
     subset: tuple[int, ...] | None = None  # admissible subset behind the first element
     target: str | None = None
     counts: tuple[int, ...] = ()
@@ -53,22 +53,20 @@ class RowSpec:
         return f"{self.algebra}@{self.elements[0]}|p={self.p}"
 
 
-def certify_route(ss, route: str, subset, target: str | None, star_sdim):
-    """Certificate along one of the certificate routes of `RowSpec.route`:
-    maint (generator relations against the derived matrix of `subset`),
-    star (the same for the generator subquotient, of superdimension
-    `star_sdim`), custom-g36 (the hand-written plan `G36_PLAN`) or el55 (the
-    even part, at p = 5).  The first three read generator images off any
-    decomposition of the element through plans."""
-    if route == "custom-g36":
-        return certify(ss.algebra, custom_plan_g36(ss), target_by_name("g(3,6)"))
-    if route == "el55":
-        return certify_even_route(ss, target_by_name("el(5;5)"))
-    if route not in ("maint", "star"):
-        raise ValueError(f"unknown route {route}")
-    gens = generator_images(ss, subset)
-    spec = tilde_target(target, ss, subset, star_sdim)
-    return certify(ss.algebra, gens, spec) if route == "maint" else subquotient_certificate(ss, gens, spec)[0]
+def _boundary(ss, spec: RowSpec):
+    """Generator images and derived target of a boundary row, named by the row or tilde(algebra;subset)."""
+    name = spec.target or f"tilde({spec.algebra};{','.join(map(str, spec.subset))})"
+    return generator_images(ss, spec.subset), tilde_target(name, ss, spec.subset, spec.star_sdim)
+
+
+# the certificate of each route, for `run_row` and `verlie certify`; star certifies the
+# generator subquotient, and all but el55 read generator images off plans (`G36_PLAN`)
+CERTIFY = {
+    "maint": lambda ss, spec: certify(ss.algebra, *_boundary(ss, spec)),
+    "star": lambda ss, spec: subquotient_certificate(ss, *_boundary(ss, spec))[0],
+    "custom-g36": lambda ss, spec: certify(ss.algebra, custom_plan_g36(ss), target_by_name(spec.target)),
+    "el55": lambda ss, spec: certify_even_route(ss, target_by_name(spec.target)),
+}
 
 
 TABLE: tuple[RowSpec, ...] = (
@@ -181,8 +179,7 @@ def run_row(spec: RowSpec) -> TableRow:
             mismatches.append("axiom checks failed")
     else:
         star = spec.route == "star"
-        target = spec.target or f"tilde({spec.algebra};{','.join(map(str, spec.subset))})"
-        cert = certify_route(ss, spec.route, spec.subset, target, spec.star_sdim)
+        cert = CERTIFY[spec.route](ss, spec)
         certificate = cert.to_json_dict()
         conclusion = ("Star:" if star else "") + cert.conclusion
         if cert.conclusion != "Verified":

@@ -173,29 +173,33 @@ def check_generation(alg: ModularSuperAlgebra, gens: np.ndarray) -> Report:
 
 @dataclass
 class Certificate:
-    """The four facts a verdict follows from, and the verdict they support."""
+    """The superdimensions and three reports a verdict follows from, and the verdict."""
 
     target: str
     p: int
     actual_superdim: tuple[int, int]
     expected_superdim: tuple[int, int]
-    relations_pass: bool
-    generation_pass: bool
-    odd_cubes_pass: bool
+    relations: Report
+    generation: Report
+    odd_cubes: Report
     details: dict = field(default_factory=dict)
-    witness: dict | None = None  # why an unproven fact failed, where its check says; not in the JSON
 
     @property
     def superdim_match(self) -> bool:
         return self.actual_superdim == self.expected_superdim
 
     @property
+    def witness(self) -> dict | None:
+        """The first failing report's witness; not in the JSON."""
+        return next((r.witness for r in (self.relations, self.generation, self.odd_cubes) if not r), None)
+
+    @property
     def conclusion(self) -> str:
-        """Refuted on a superdimension mismatch, Verified when every fact
-        holds, Inconclusive otherwise."""
+        """Refuted on a superdimension mismatch, Verified when every report
+        passes, Inconclusive otherwise."""
         if not self.superdim_match:
             return "Refuted"
-        if self.relations_pass and self.generation_pass and self.odd_cubes_pass:
+        if self.relations and self.generation and self.odd_cubes:
             return "Verified"
         return "Inconclusive"
 
@@ -206,9 +210,9 @@ class Certificate:
             "superdim": list(self.actual_superdim),
             "expected_superdim": list(self.expected_superdim),
             "superdim_match": self.superdim_match,
-            "relations": self.relations_pass,
-            "generation": self.generation_pass,
-            "odd_cubes": self.odd_cubes_pass,
+            "relations": self.relations.ok,
+            "generation": self.generation.ok,
+            "odd_cubes": self.odd_cubes.ok,
             "conclusion": self.conclusion,
             **({"details": self.details} if self.details else {}),
         }
@@ -216,14 +220,13 @@ class Certificate:
 
 def certify(alg: ModularSuperAlgebra, gens: np.ndarray, target: TargetSpec) -> Certificate:
     """Certificate for a characteristic-3 target given the (3, rank, dim)
-    array of generator images; its witness is the first failing report's."""
+    array of generator images."""
     if target.p != alg.p:
         raise ValueError("target characteristic differs from the algebra's")
-    reports = check_relations(alg, gens, target), check_generation(alg, gens), check_odd_cubes(alg)
-    relations, generation, cubes = reports
+    relations = check_relations(alg, gens, target)
     details = {} if relations else {"relation_failures": relations.witness["failures"]}
-    return Certificate(target.name, alg.p, superdim(alg), target.superdim, relations.ok, generation.ok, cubes.ok,
-                       details, next((r.witness for r in reports if not r), None))
+    return Certificate(target.name, alg.p, superdim(alg), target.superdim, relations,
+                       check_generation(alg, gens), check_odd_cubes(alg), details)
 
 
 def subquotient_certificate(ss: SemisimplifiedAlgebra, gens: np.ndarray, target: TargetSpec):
@@ -387,8 +390,8 @@ def odd_part_irreducible(alg: ModularSuperAlgebra, split: WeightSplit) -> Report
 
 def certify_even_route(ss: SemisimplifiedAlgebra, target: TargetSpec) -> Certificate:
     """Certificate for a target identified through its even part: Cartan-type
-    recognition stands in for the relation check, irreducibility of the odd
-    part for generation; both read one weight split under the Cartan torus."""
+    recognition, odd-part irreducibility (both on one weight split under the
+    Cartan torus) and the output's axiom reports stand in for the three checks."""
     alg = ss.algebra
     if target.p != alg.p:
         raise ValueError("target characteristic differs from the algebra's")
@@ -399,11 +402,12 @@ def certify_even_route(ss: SemisimplifiedAlgebra, target: TargetSpec) -> Certifi
         type_ok = label == target.even_type and dim == target.superdim[0]
     except (NotDiagonalizable, UnrecognizedType) as exc:
         label, type_ok = str(exc), False
+    even_type = Report("even_type", type_ok, None if type_ok else {"even_type": label, "expected": target.even_type})
     irreducible = (odd_part_irreducible(alg, split) if split is not None
                    else Report("irreducibility", False, {"no_split": label}))
-    axioms = all(r.ok for r in ss.checks.values())
+    axioms = next((r for r in ss.checks.values() if not r), Report("axioms", True))
     return Certificate(target.name, alg.p, superdim(alg), target.superdim,
-                       type_ok, irreducible.ok, axioms, {"even_type": label}, irreducible.witness)
+                       even_type, irreducible, axioms, {"even_type": label})
 
 
 # -- even-part Cartan-type recognition ----------------------------------------

@@ -177,7 +177,7 @@ def test_criterion_5_star_row():
                         gcm=derive_tilde(catalog_gcm("f4"), (1,)))
     cert, sq = subquotient_certificate(ss, gens, target)
     assert superdim(sq.algebra) == (9, 6)
-    assert cert.relations_pass and cert.conclusion == "Verified"
+    assert cert.relations.ok and cert.conclusion == "Verified"
     print("CRITERION 5 PASS: full semisimplification (15|8); generator subquotient (9|6) "
           "satisfies the sl(3|1) relations")
 

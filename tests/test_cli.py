@@ -5,6 +5,7 @@ import pytest
 
 from verlie.cli import main
 from verlie.roots import catalog_gcm
+from verlie.table import CERTIFY, TABLE, run_row
 
 
 def test_roots_command(capsys):
@@ -120,15 +121,42 @@ def test_custom_plan_certify(capsys):
     (["--algebra", "e6", "-p", "5", "--subset", "2", "--target", "g(2,6)"], "characteristic 3"),
     (["--algebra", "e6", "--subset", "3"], "not an admissible subset"),
     (["--algebra", "f4", "--element", "e4", "--plan", "g36"], "rank-8 catalog algebra"),
+    (["--algebra", "e8", "--element", "e1+e2+e6+e8", "--plan", "g36", "--target", "g(2,3)"],
+     "--plan g36 certifies against g(3,6) only"),
     (["--algebra", "f4", "--element", "e1", "--target", "el(5;5)"], "characteristic differs"),
 ], ids=lambda x: " ".join(x) if isinstance(x, list) else "")
 def test_certify_outside_its_routes_is_an_input_error(argv, message, capsys):
     """Each route checks its own setting first: the boundary-node routes the
-    subset and characteristic, the hand plan its algebra, the even route the
-    target's characteristic."""
+    subset and characteristic, the hand plan its algebra and target, the even
+    route the target's characteristic."""
     assert main(["certify", *argv]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err and "Traceback" not in err
+
+
+# one table row per certificate route, and the `certify` flags that reach it
+ROUTE_ROWS = [
+    ("maint", "e6@e2|p=3", ["--algebra", "e6", "--subset", "2"]),
+    ("star", "f4@e1|p=3", ["--algebra", "f4", "--subset", "1", "--target", "sl(3|1)"]),
+    ("custom-g36", "e8@e1+e2+e6+e8|p=3", ["--algebra", "e8", "--element", "e1+e2+e6+e8", "--plan", "g36"]),
+    ("el55", "e8@e2+e3+e4|p=5", ["--algebra", "e8", "-p", "5", "--element", "e2+e3+e4", "--target", "el(5;5)"]),
+]
+
+
+@pytest.mark.parametrize("route,key,argv", ROUTE_ROWS, ids=[row[0] for row in ROUTE_ROWS])
+def test_each_route_gives_one_certificate_through_certify_and_table(route, key, argv, tmp_path):
+    spec = next(spec for spec in TABLE if spec.key == key)
+    assert spec.route == route
+    path = tmp_path / "cert.json"
+    assert main(["certify", *argv, "--json", str(path)]) == 0
+    payload = json.loads(path.read_text())
+    certificate = json.loads(json.dumps(run_row(spec).certificate))
+    assert {k: payload[k] for k in certificate} == certificate
+
+
+def test_every_table_route_is_a_certificate_route_or_run_by_the_row():
+    assert {route for route, _, _ in ROUTE_ROWS} == set(CERTIFY)
+    assert {spec.route for spec in TABLE} <= set(CERTIFY) | {"even", "superdim"}
 
 
 def test_table_command(capsys, tmp_path):

@@ -20,7 +20,7 @@ from verlie.superalgebra import (
 )
 from tests.pipelines import spec_pipeline
 from tests.test_superalgebra import corrupt
-from verlie.table import TABLE, certify_route, row_pipeline, run_row
+from verlie.table import CERTIFY, TABLE, RowSpec, row_pipeline, run_row
 from verlie.verify import (
     Certificate,
     TargetSpec,
@@ -158,9 +158,15 @@ def test_certify_refuted_on_superdim():
     assert cert.actual_superdim == (52, 0)
 
 
+def fact(check, ok):
+    """A report of one certificate fact, with a witness when it fails."""
+    return Report(check, ok, None if ok else {"check": check})
+
+
 def test_certificate_verdict_follows_its_facts():
     for match, relations, generation, cubes in itertools.product((True, False), repeat=4):
-        cert = Certificate("t", 3, (2, 2), (2, 2) if match else (3, 1), relations, generation, cubes)
+        reports = fact("relations", relations), fact("generation", generation), fact("odd_cubes", cubes)
+        cert = Certificate("t", 3, (2, 2), (2, 2) if match else (3, 1), *reports)
         assert cert.superdim_match == match
         if not match:
             assert cert.conclusion == "Refuted"
@@ -168,10 +174,14 @@ def test_certificate_verdict_follows_its_facts():
             assert cert.conclusion == "Verified"
         else:
             assert cert.conclusion == "Inconclusive"
-        assert cert.to_json_dict()["conclusion"] == cert.conclusion
-    cert = Certificate("t", 3, (2, 2), (2, 2), True, True, True)
+        payload = cert.to_json_dict()
+        assert payload["conclusion"] == cert.conclusion
+        assert (payload["relations"], payload["generation"], payload["odd_cubes"]) == (relations, generation, cubes)
+        assert cert.witness == next((r.witness for r in reports if not r.ok), None)
+    passing = (fact(check, True) for check in ("relations", "generation", "odd_cubes"))
+    cert = Certificate("t", 3, (2, 2), (2, 2), *passing)
     assert cert.conclusion == "Verified"
-    cert.generation_pass = False
+    cert.generation = fact("generation", False)
     assert cert.conclusion == cert.to_json_dict()["conclusion"] == "Inconclusive"
     cert.expected_superdim = (3, 1)
     assert cert.conclusion == cert.to_json_dict()["conclusion"] == "Refuted"
@@ -564,7 +574,7 @@ def test_failing_certificate_keeps_the_first_failing_witness():
     _, _, ss = row_pipeline("f4", 3, "e1")
     gens = generator_images(ss, (1,))
     # the full output on the maint route: only generation fails
-    cert = certify_route(ss, "maint", (1,), "sl(3|1)", (15, 8))
+    cert = CERTIFY["maint"](ss, RowSpec("f4", 3, ("e1",), "maint", subset=(1,), target="sl(3|1)", star_sdim=(15, 8)))
     assert cert.conclusion == "Inconclusive" and cert.witness == {"dim": 15, "expected": 23}
     # a wrong target: relations and generation both fail, and relations come first
     target = target_by_name("g(2,3)")
@@ -581,7 +591,7 @@ def test_odd_cubes_run_once_per_algebra(monkeypatch):
     monkeypatch.setattr(superalgebra, "odd_cube_generators", lambda alg: calls.append(alg) or generators(alg))
     spec = next(spec for spec in TABLE if spec.route == "maint")
     _, _, ss = pipeline(spec.algebra, spec.p, spec.elements[0])  # built anew, so no report is kept yet
-    cert = certify_route(ss, spec.route, spec.subset, spec.target, spec.star_sdim)
+    cert = CERTIFY[spec.route](ss, spec)
     assert cert.conclusion == "Verified" and ss.checks["odd_cubes"].ok
     assert len(calls) == 1 and calls[0] is ss.algebra
 
@@ -590,8 +600,22 @@ def test_even_route_certificate_keeps_its_witness_off_the_json():
     _, _, ss = row_pipeline("e8", 5, "e2+e3+e4")
     cert = certify_even_route(ss, target_by_name("el(5;5)"))
     assert cert.witness is None
-    cert.witness = {"weight": (1,), "multiplicity": 2}
-    assert "witness" not in cert.to_json_dict()
+    witness = {"weight": (1,), "multiplicity": 2}
+    cert = Certificate(cert.target, cert.p, cert.actual_superdim, cert.expected_superdim, cert.relations,
+                       Report("irreducibility", False, witness), cert.odd_cubes, cert.details)
+    assert cert.witness == witness and "witness" not in cert.to_json_dict()
+
+
+def test_even_route_witness_names_the_failed_fact():
+    """A wrong even type fails the certificate with the recognized type as
+    its witness, though the odd part is irreducible."""
+    _, _, ss = row_pipeline("e8", 5, "e2+e3+e4")
+    el55 = target_by_name("el(5;5)")
+    target = TargetSpec(el55.name, el55.p, el55.superdim, el55.gcm, even_type="F4")
+    cert = certify_even_route(ss, target)
+    assert cert.generation.ok and cert.odd_cubes.ok
+    assert cert.witness == {"even_type": "B5", "expected": "F4"}
+    assert cert.conclusion == "Inconclusive" and cert.to_json_dict()["relations"] is False
 
 
 def test_relation_report_h_span_abelian():
@@ -679,6 +703,5 @@ def test_structured_and_generic_decompositions_certify_alike():
     """The table certifies its boundary rows on the generic decomposition;
     the structured one gives the same certificate, byte for byte."""
     for spec in BOUNDARY_ROWS:
-        target = spec.target or f"tilde({spec.algebra};{','.join(map(str, spec.subset))})"
-        cert = certify_route(spec_pipeline(spec)[2], spec.route, spec.subset, target, spec.star_sdim)
+        cert = CERTIFY[spec.route](spec_pipeline(spec)[2], spec)
         assert cert.to_json_dict() == run_row(spec).certificate, spec.key
