@@ -13,17 +13,19 @@ arithmetic over root indices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import gcd
 from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
+from . import sparse
 from .errors import JacobiViolation
 from .fp import check_modulus
 from .roots import GCM, Root, RootSystem, catalog_gcm, positive_roots
-from .superalgebra import Constants, ModularSuperAlgebra, jacobi_witness, skew_witness, tensor_coo
+from .superalgebra import ModularSuperAlgebra, jacobi_witness, skew_witness
 
 
 @dataclass
@@ -32,7 +34,22 @@ class IntegralLieAlgebra:
     roots: RootSystem
     dim: int
     labels: list[str]
-    constants: Constants  # over Z, every nonzero ordered pair
+    # (nnz, 4) int64 rows (i, j, k, C(i,j,k)) over Z, one per nonzero constant, each
+    # bracket followed by its mirror; read-only, since integral_catalog shares one basis per name
+    entries: np.ndarray
+
+    @property
+    def constants(self) -> Mapping[tuple[int, int], Mapping[int, int]]:
+        """(i, j) -> {k: C(i,j,k)} in the order of `entries`: a read-only view built on each call."""
+        out: dict[tuple[int, int], dict[int, int]] = {}
+        for i, j, k, c in self.entries.tolist():
+            out.setdefault((i, j), {})[k] = c
+        return MappingProxyType({pair: MappingProxyType(comps) for pair, comps in out.items()})
+
+    def tensor(self, p: int | None = None) -> sparse.Coo:
+        """The sorted COO L[i, k*dim+j] = C(i,j,k), reduced mod p (exact over Z if p is None)."""
+        i, j, k, c = self.entries.T
+        return sparse.from_entries(i, k * self.dim + j, c, (self.dim, self.dim * self.dim), p)
 
     @property
     def rank(self) -> int:
@@ -48,14 +65,11 @@ class IntegralLieAlgebra:
     def f_index(self, gamma: Root) -> int:
         return self.npos + self.roots.index(gamma)
 
-    def h_index(self, i: int) -> int:
-        return 2 * self.npos + (i - 1)
-
     def generator_index(self, kind: str, i: int) -> int:
         if kind == "h":
             if not 1 <= i <= self.rank:
                 raise ValueError(f"h{i} out of range")
-            return self.h_index(i)
+            return 2 * self.npos + i - 1
         simple = self.roots.simple(i)
         return self.e_index(simple) if kind == "e" else self.f_index(simple)
 
@@ -162,13 +176,12 @@ def chevalley_basis(gcm: GCM) -> IntegralLieAlgebra:
         + [f"f@{list(g.coords)}" for g in pos]
         + [f"h@{i}" for i in range(1, n + 1)]
     )
-    constants: dict[tuple[int, int], dict[int, int]] = {}
+    flat: list[int] = []
 
     def emit(i: int, j: int, k: int, c: int):
-        # every (i, j, k) is emitted at most once, so nothing accumulates
+        # every (i, j, k) is emitted at most once and i != j, so no two rows share a position
         if c:
-            constants.setdefault((i, j), {})[k] = c
-            constants.setdefault((j, i), {})[k] = -c
+            flat.extend((i, j, k, c, j, i, k, -c))
 
     for gi, gamma in enumerate(pos):
         # [e_gamma, f_gamma] = h_gamma expanded over simple coroots
@@ -189,39 +202,28 @@ def chevalley_basis(gcm: GCM) -> IntegralLieAlgebra:
             if diff >= 0:
                 emit(gi, npos + di, diff, n_any(gi, npos + di))
 
-    # read-only: integral_catalog shares one basis per name with every caller
-    frozen = MappingProxyType({pair: MappingProxyType(comps) for pair, comps in constants.items()})
-    return IntegralLieAlgebra(gcm=gcm, roots=rs, dim=dim, labels=labels, constants=frozen)
+    entries = np.array(flat, dtype=np.int64).reshape(-1, 4)
+    entries.setflags(write=False)
+    return IntegralLieAlgebra(gcm=gcm, roots=rs, dim=dim, labels=labels, entries=entries)
 
 
 def integral_jacobi_witness(alg: IntegralLieAlgebra):
     """First basis triple violating the Jacobi identity over Z, or None."""
-    return jacobi_witness(tensor_coo(alg.constants, alg.dim, None), np.zeros(alg.dim, dtype=np.int64), None)
+    return jacobi_witness(alg.tensor(), np.zeros(alg.dim, dtype=np.int64), None)
 
 
 def integral_antisymmetry_ok(alg: IntegralLieAlgebra) -> bool:
     """C(i,j,k) = -C(j,i,k) over Z for every triple."""
-    return skew_witness(tensor_coo(alg.constants, alg.dim, None), np.zeros(alg.dim, dtype=np.int64), None) is None
+    return skew_witness(alg.tensor(), np.zeros(alg.dim, dtype=np.int64), None) is None
 
 
 def reduce_mod_p(alg: IntegralLieAlgebra, p: int) -> ModularSuperAlgebra:
     """Reduce the integral constants mod an odd prime; all-even parity."""
     check_modulus(p, alg.dim)
-    gens = {}
     eye = np.eye(alg.dim, dtype=np.int64)
-    for i in range(1, alg.rank + 1):
-        gens[f"e{i}"] = eye[alg.generator_index("e", i)]
-        gens[f"f{i}"] = eye[alg.generator_index("f", i)]
-        gens[f"h{i}"] = eye[alg.generator_index("h", i)]
-    return ModularSuperAlgebra(
-        p=p,
-        dim=alg.dim,
-        parity=np.zeros(alg.dim, dtype=np.int64),
-        tensor=tensor_coo(alg.constants, alg.dim, p),
-        labels=list(alg.labels),
-        gens=gens,
-        origin=alg,
-    )
+    gens = {f"{kind}{i}": eye[alg.generator_index(kind, i)] for i in range(1, alg.rank + 1) for kind in "efh"}
+    return ModularSuperAlgebra(p, alg.dim, np.zeros(alg.dim, dtype=np.int64), alg.tensor(p), list(alg.labels),
+                               gens, origin=alg)
 
 
 def gl(n: int, p: int) -> ModularSuperAlgebra:
@@ -339,23 +341,14 @@ def g2_scaled(p: int = 3) -> ModularSuperAlgebra:
     """
     base = integral_catalog("g2")
     factors = {Root((2, 1)): 2, Root((3, 1)): 6, Root((3, 2)): 6}
-    scale = [1] * base.dim
+    scale = np.ones(base.dim, dtype=np.int64)
     for root, factor in factors.items():
-        scale[base.e_index(root)] = factor
-        scale[base.f_index(root)] = factor
-    entries = []
-    for (i, j), comps in base.constants.items():
-        for k, c in comps.items():
-            val = _exact_div(scale[i] * scale[j] * c, scale[k], "rescaled constants are not integral")
-            entries.append((i, j, k, val % p))
-    gens = {}
-    eye = np.eye(base.dim, dtype=np.int64)
-    for i in (1, 2):
-        gens[f"e{i}"] = eye[base.generator_index("e", i)]
-        gens[f"f{i}"] = eye[base.generator_index("f", i)]
-        gens[f"h{i}"] = eye[base.generator_index("h", i)]
-    return ModularSuperAlgebra.from_entries(p, np.zeros(base.dim, dtype=np.int64), *np.transpose(entries),
-                                            labels=list(base.labels), gens=gens, origin=base)
+        scale[[base.e_index(root), base.f_index(root)]] = factor
+    i, j, k, c = base.entries.T
+    num, den = scale[i] * scale[j] * c, scale[k]
+    for r in np.flatnonzero(num % den):  # raises at the first
+        _exact_div(int(num[r]), int(den[r]), "rescaled constants are not integral")
+    return reduce_mod_p(replace(base, entries=np.stack([i, j, k, num // den], axis=1)), p)
 
 
 @lru_cache(maxsize=None)

@@ -40,7 +40,7 @@ from .semisimplify import semisimplify
 # check_*: unused, `ss.checks` holds the reports; perfbench/spans.py wraps these names here
 from .superalgebra import check_odd_cubes, check_super_jacobi, check_super_skew, superdim  # noqa: F401
 from .table import CERTIFY, TABLE, RowSpec, run_table
-from .verify import target_catalog
+from .verify import require_plan_g36_element, require_target_characteristic, target_by_name, target_catalog
 
 SCHEMA = 1
 
@@ -157,9 +157,13 @@ def cmd_certify(args) -> int:
         route = "star" if star_sdim else "maint"
     alg, realization = _realized(args)
     subset = None
-    if route in ("maint", "star"):  # checked before any decomposition runs
+    if route in ("maint", "star"):  # each route's setting is checked before any decomposition runs
         subset = boundary_subset(realization, _parse_subset(args.subset))
         target = target or _infer_target(args.algebra, alg.origin.gcm, subset)
+    elif route == "custom-g36":
+        require_plan_g36_element(realization)
+    else:
+        require_target_characteristic(realization, target_by_name(target))
     decomp = jordan_decompose(realization)
     ss = semisimplify(realization, decomp)
     element = args.element or args.subset

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import fp, sparse
 from .errors import NotDiagonalizable, UnrecognizedType
-from .repalpha import boundary_subset, parse_element
+from .repalpha import Realization, boundary_subset, parse_element
 from .roots import GCM, attached_node, catalog_gcm, derive_tilde, positive_roots, validate_gcm
 from .semisimplify import SemisimplifiedAlgebra
 from .superalgebra import (
@@ -117,15 +117,20 @@ G36_PLAN = (("e3", "[f1,f3]", "h3"), ("e4", "[f2,f4]", "h4"), ("e5", "[f6,f5]", 
             ("[e6,e7]-[e8,e7]", "[f8,f7]-[f6,f7]", "h6-h7+h8"))
 
 
-def custom_plan_g36(ss: SemisimplifiedAlgebra) -> np.ndarray:
-    """Images of `G36_PLAN`, on the rank-8 catalog algebra at the element
-    e_1 + e_2 + e_6 + e_8 only."""
-    alg = ss.realization.algebra
+def require_plan_g36_element(realization: Realization) -> None:
+    """ValueError unless the realization is of e_1 + e_2 + e_6 + e_8 on the
+    rank-8 catalog algebra, the one element `G36_PLAN` is written for."""
+    alg = realization.algebra
     if alg.dim != 248:
         raise ValueError("custom plan expects the rank-8 catalog algebra")
-    element = ss.realization.element
+    element = realization.element
     if element is None or not np.array_equal(element, parse_element("e1+e2+e6+e8", alg)[1]):
         raise ValueError("custom plan expects the element e1 + e2 + e6 + e8")
+
+
+def custom_plan_g36(ss: SemisimplifiedAlgebra) -> np.ndarray:
+    """Images of `G36_PLAN`, under `require_plan_g36_element`."""
+    require_plan_g36_element(ss.realization)
     return plan_images(ss, G36_PLAN)
 
 
@@ -388,13 +393,18 @@ def odd_part_irreducible(alg: ModularSuperAlgebra, split: WeightSplit) -> Report
     return Report("irreducibility", False, {"closed_weights": [odd[j][0] for j in np.flatnonzero(reach[start])]})
 
 
+def require_target_characteristic(realization: Realization, target: TargetSpec) -> None:
+    """ValueError unless the target lives in the realization's characteristic."""
+    if target.p != realization.algebra.p:
+        raise ValueError("target characteristic differs from the algebra's")
+
+
 def certify_even_route(ss: SemisimplifiedAlgebra, target: TargetSpec) -> Certificate:
     """Certificate for a target identified through its even part: Cartan-type
     recognition, odd-part irreducibility (both on one weight split under the
     Cartan torus) and the output's axiom reports stand in for the three checks."""
+    require_target_characteristic(ss.realization, target)
     alg = ss.algebra
-    if target.p != alg.p:
-        raise ValueError("target characteristic differs from the algebra's")
     split = None
     try:
         split = weight_split(alg, cartan_torus_images(ss))

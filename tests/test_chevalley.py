@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -130,18 +131,35 @@ def test_integral_jacobi_full_small(name):
     assert integral_jacobi_witness(alg) is None
 
 
+def test_e8_build_is_one_small_entry_array():
+    """The E8 basis is built straight into its entry array, each bracket
+    followed by its mirror, without a dict per pair of basis vectors."""
+    gcm = catalog_gcm("e8")
+    tracemalloc.start()
+    try:
+        alg = chevalley_basis(gcm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3_000_000
+    entries = alg.entries
+    assert entries.dtype == np.int64 and entries.shape == (16694, 4)
+    with pytest.raises(ValueError):
+        entries[0, 3] = 0
+    bracket, mirror = entries[0::2], entries[1::2]
+    assert np.array_equal(mirror, bracket[:, [1, 0, 2, 3]] * [1, 1, 1, -1])
+
+
 @pytest.mark.parametrize("change", [2, -1, 0])
 def test_integral_antisymmetry_detects_one_changed_constant(change):
     """Doubling, negating or dropping one constant of g2 breaks
     C(i,j,k) = -C(j,i,k) over Z."""
     alg = integral_catalog("g2")
-    (i, j), comps = next((pair, comps) for pair, comps in alg.constants.items() if pair[0] != pair[1])
-    k, c = next(iter(comps.items()))
-    constants = {pair: dict(cs) for pair, cs in alg.constants.items()}
-    constants[(i, j)][k] = c * change
-    if not constants[(i, j)][k]:
-        del constants[(i, j)][k]
-    assert not integral_antisymmetry_ok(replace(alg, constants=constants))
+    entries = alg.entries.copy()
+    entries[0, 3] *= change
+    if not entries[0, 3]:
+        entries = entries[1:]
+    assert not integral_antisymmetry_ok(replace(alg, entries=entries))
 
 
 @pytest.mark.parametrize("name", ["e7", "e8"])

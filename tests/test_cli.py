@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from verlie import cli
 from verlie.cli import main
 from verlie.roots import catalog_gcm
 from verlie.table import CERTIFY, TABLE, run_row
@@ -121,14 +122,19 @@ def test_custom_plan_certify(capsys):
     (["--algebra", "e6", "-p", "5", "--subset", "2", "--target", "g(2,6)"], "characteristic 3"),
     (["--algebra", "e6", "--subset", "3"], "not an admissible subset"),
     (["--algebra", "f4", "--element", "e4", "--plan", "g36"], "rank-8 catalog algebra"),
+    (["--algebra", "e8", "--element", "e1", "--plan", "g36"], "element e1 + e2 + e6 + e8"),
     (["--algebra", "e8", "--element", "e1+e2+e6+e8", "--plan", "g36", "--target", "g(2,3)"],
      "--plan g36 certifies against g(3,6) only"),
     (["--algebra", "f4", "--element", "e1", "--target", "el(5;5)"], "characteristic differs"),
 ], ids=lambda x: " ".join(x) if isinstance(x, list) else "")
-def test_certify_outside_its_routes_is_an_input_error(argv, message, capsys):
-    """Each route checks its own setting first: the boundary-node routes the
-    subset and characteristic, the hand plan its algebra and target, the even
-    route the target's characteristic."""
+def test_certify_outside_its_routes_is_an_input_error(argv, message, monkeypatch, capsys):
+    """Each route checks its own setting first, before any decomposition: the
+    boundary-node routes the subset and characteristic, the hand plan its
+    algebra, element and target, the even route the target's characteristic."""
+    def refuse(*_):
+        raise AssertionError("decomposed an input that certify refuses")
+
+    monkeypatch.setattr(cli, "jordan_decompose", refuse)
     assert main(["certify", *argv]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err and "Traceback" not in err

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import verlie as v
+from tests.oracles import tensor_coo
 from tests.pipelines import spec_pipeline, structured_pipeline
 from tests.test_fp import largest_accepted_prime
 from verlie import fp, sparse, superalgebra, verify
@@ -38,7 +39,6 @@ from verlie.superalgebra import (
     skew_witness,
     sorted_jacobi_witness,
     superdim,
-    tensor_coo,
 )
 from verlie.table import TABLE, row_pipeline
 
