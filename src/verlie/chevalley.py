@@ -217,11 +217,22 @@ def integral_antisymmetry_ok(alg: IntegralLieAlgebra) -> bool:
     return skew_witness(alg.tensor(), np.zeros(alg.dim, dtype=np.int64), None) is None
 
 
+def _generators(dim: int, p: int, terms: dict[str, dict[int, int]]) -> dict[str, np.ndarray]:
+    """Generators named by their coordinates {index: coefficient}, as the
+    read-only rows of one (generators, dim) array reduced mod p."""
+    rows = np.zeros((len(terms), dim), dtype=np.int64)
+    for row, coeffs in zip(rows, terms.values()):
+        row[list(coeffs)] = list(coeffs.values())
+    rows %= p
+    rows.setflags(write=False)
+    return dict(zip(terms, rows))
+
+
 def reduce_mod_p(alg: IntegralLieAlgebra, p: int) -> ModularSuperAlgebra:
     """Reduce the integral constants mod an odd prime; all-even parity."""
     check_modulus(p, alg.dim)
-    eye = np.eye(alg.dim, dtype=np.int64)
-    gens = {f"{kind}{i}": eye[alg.generator_index(kind, i)] for i in range(1, alg.rank + 1) for kind in "efh"}
+    gens = _generators(alg.dim, p, {f"{kind}{i}": {alg.generator_index(kind, i): 1}
+                                    for i in range(1, alg.rank + 1) for kind in "efh"})
     return ModularSuperAlgebra(p, alg.dim, np.zeros(alg.dim, dtype=np.int64), alg.tensor(p), list(alg.labels),
                                gens, origin=alg)
 
@@ -249,14 +260,12 @@ def gl(n: int, p: int) -> ModularSuperAlgebra:
                     if l == i:
                         entries.append((idx(i, j), idx(k, l), idx(k, j), -1))
     labels = [f"E[{i},{j}]" for i in range(1, n + 1) for j in range(1, n + 1)]
-    eye = np.eye(dim, dtype=np.int64)
-    gens = {}
+    terms = {}
     for i in range(1, n):
-        gens[f"e{i}"] = eye[idx(i, i + 1)]
-        gens[f"f{i}"] = eye[idx(i + 1, i)]
-        gens[f"h{i}"] = (eye[idx(i, i)] - eye[idx(i + 1, i + 1)]) % p
+        terms |= {f"e{i}": {idx(i, i + 1): 1}, f"f{i}": {idx(i + 1, i): 1},
+                  f"h{i}": {idx(i, i): 1, idx(i + 1, i + 1): -1}}
     return ModularSuperAlgebra.from_entries(p, np.zeros(dim, dtype=np.int64), *np.transpose(entries),
-                                            labels=labels, gens=gens)
+                                            labels=labels, gens=_generators(dim, p, terms))
 
 
 def sl(n: int, p: int) -> ModularSuperAlgebra:
@@ -300,14 +309,11 @@ def sl(n: int, p: int) -> ModularSuperAlgebra:
             for k, c in expand(comm).items():
                 entries.append((a, b, k, c))
     labels = [f"E[{i},{j}]" for i, j in off] + [f"H[{i}]" for i in range(1, n)]
-    eye = np.eye(dim, dtype=np.int64)
-    gens = {}
+    terms = {}
     for i in range(1, n):
-        gens[f"e{i}"] = eye[pos[(i, i + 1)]]
-        gens[f"f{i}"] = eye[pos[(i + 1, i)]]
-        gens[f"h{i}"] = eye[len(off) + i - 1]
+        terms |= {f"e{i}": {pos[(i, i + 1)]: 1}, f"f{i}": {pos[(i + 1, i)]: 1}, f"h{i}": {len(off) + i - 1: 1}}
     return ModularSuperAlgebra.from_entries(p, np.zeros(dim, dtype=np.int64), *np.transpose(entries),
-                                            labels=labels, gens=gens)
+                                            labels=labels, gens=_generators(dim, p, terms))
 
 
 def free_nilpotent_example(p: int = 3) -> tuple[ModularSuperAlgebra, np.ndarray]:
@@ -361,17 +367,13 @@ def catalog_algebra(name: str, p: int) -> ModularSuperAlgebra:
     """Named catalog algebra reduced mod p; 'gl<n>' and 'sl<n>' are accepted too.
 
     The result is shared by every caller: like every algebra, its fields
-    cannot be rebound and its tensor arrays and parity are read-only; its
-    generator vectors are made read-only here too.
+    cannot be rebound and its tensor arrays, parity and generator vectors
+    are read-only.
     """
     check_modulus(p)
     name = name.lower()
     if name.startswith("gl"):
-        alg = gl(int(name[2:]), p)
-    elif name.startswith("sl") and name[2:].isdigit():
-        alg = sl(int(name[2:]), p)
-    else:
-        alg = reduce_mod_p(integral_catalog(name), p)
-    for vec in alg.gens.values():
-        vec.setflags(write=False)
-    return alg
+        return gl(int(name[2:]), p)
+    if name.startswith("sl") and name[2:].isdigit():
+        return sl(int(name[2:]), p)
+    return reduce_mod_p(integral_catalog(name), p)

@@ -207,6 +207,17 @@ def block_stack(ms, row_blocks: Array, col_blocks: Array) -> Array:
     return out
 
 
+def unique_rows(a: Array) -> tuple[Array, Array]:
+    """The distinct rows of a 2-d array, compared byte for byte as one
+    np.void each (np.unique(axis=0) costs several times more per call):
+    the index of the first occurrence of each, and for every row the
+    number of its distinct row in that list."""
+    a = np.ascontiguousarray(a)
+    _, first, kind = np.unique(a.view(np.dtype((np.void, a.dtype.itemsize * a.shape[1]))).ravel(),
+                               return_index=True, return_inverse=True)
+    return first, kind.ravel()
+
+
 def kernel_basis(m, p: int) -> Array:
     """Basis of the right kernel of m, one vector per row.
 

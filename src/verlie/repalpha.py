@@ -333,13 +333,23 @@ def block_counts(decomp: ChainDecomposition) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _power_blocks(powers: list[sparse.Coo]) -> tuple[np.ndarray, np.ndarray]:
-    """The D-stable blocks of the powers [I, D, D^2, ...]: the components of
-    the graph of D + D^T, in which every power is block diagonal.  Returns
-    the block of each coordinate and the stack of the diagonal blocks of
-    powers[1:], power-major."""
-    blocks = fp.components(powers[1])
-    return blocks, fp.block_stack(powers[1:], blocks, blocks)
+def _power_blocks(der: sparse.Coo, k: int, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The D-stable blocks: the components of the graph of D + D^T, in which
+    every power of D is block diagonal, (D^j)_b = (D_b)^j.  Blocks of one
+    size and one local matrix of D are equal, and so are their powers and
+    their eliminations, so each is kept once.  Returns the block of each
+    coordinate, the distinct block of each block, and the zero-padded stack
+    of the distinct blocks of D, ..., D^k, power-major."""
+    blocks = fp.components(der)
+    local = fp.block_stack([der], blocks, blocks)
+    count, size, _ = local.shape
+    first, kind = fp.unique_rows(np.hstack([np.bincount(blocks)[:, None], local.reshape(count, size * size)]))
+    stack = np.empty((k, len(first), size, size), dtype=np.int64)
+    stack[0] = local[first]
+    for j in range(1, k):
+        np.matmul(stack[j - 1], stack[0], out=stack[j])
+        stack[j] %= p
+    return blocks, kind, stack.reshape(k * len(first), size, size)
 
 
 def _rank_counts(ranks) -> tuple[int, ...]:
@@ -351,10 +361,12 @@ def _rank_counts(ranks) -> tuple[int, ...]:
 def rank_count_vector(powers: list[sparse.Coo], p: int) -> tuple[int, ...]:
     """Block counts straight from the ranks r_l of the powers [I, D, ..., D^p]
     of a derivation with D^p = 0 (so r_{p+1} = 0): n_l = r_{l-1} - 2 r_l + r_{l+1},
-    each rank the sum of the ranks of the D-stable blocks."""
-    _, stack = _power_blocks(powers)
+    each rank the sum of the ranks of the D-stable blocks, a distinct block's
+    rank counted once per block it stands for."""
+    _, kind, stack = _power_blocks(powers[1], p, p)
     _, pivots = fp.rref_batch(stack, p)
-    return _rank_counts([powers[0].shape[0]] + (pivots >= 0).reshape(p, -1).sum(axis=1).tolist() + [0])
+    ranks = (pivots >= 0).sum(axis=1).reshape(p, -1) @ np.bincount(kind)
+    return _rank_counts([powers[0].shape[0]] + ranks.tolist() + [0])
 
 
 def _orbits(der: sparse.Coo, heads, lengths, p: int) -> list[np.ndarray]:
@@ -404,45 +416,47 @@ def _heads(powers: list[sparse.Coo], p: int) -> tuple[np.ndarray, np.ndarray, li
     coordinates eliminated right to left.
 
     Every power of D is block diagonal in the D-stable blocks, so all of this
-    splits by block: one elimination gives the kernels (and the ranks) of
-    every power in every block, one more the ends of every W.  Heads are
-    ordered longest chain first, then by their free coordinate, as the global
-    kernel basis orders them.
+    splits by block, and equal blocks give equal results: one elimination of
+    the distinct blocks gives the kernels (and the ranks) of every power in
+    every block, one more the ends of every W, and each block reads its
+    picks off its distinct block.  Heads are ordered longest chain first,
+    then by their free coordinate, as the global kernel basis orders them.
     """
     dim = powers[0].shape[0]
     if dim == 0:
         return np.zeros((0, 0), dtype=np.int64), np.zeros(0, dtype=np.int64), [0] * (p + 2)
-    beyond = sparse.product(powers[-1], powers[1], p)  # D^{p+1}, zero when D^p = 0
-    blocks, stack = _power_blocks([*powers, beyond])
+    blocks, kind, stack = _power_blocks(powers[1], p + 1, p)  # D^{p+1} = 0 when D^p = 0
+    count, size = len(stack) // (p + 1), stack.shape[1]
     coords = fp.block_table(blocks)
-    count, size = coords.shape
-    # kernel rows of every block of D^1..D^{p+1}: row f has a 1 at free slot f
+    # kernel rows of every distinct block of D^1..D^{p+1}: row f has a 1 at free slot f
     rows, pivots = fp.rref_batch(stack, p)
-    ranks = [dim] + (pivots >= 0).reshape(p + 1, -1).sum(axis=1).tolist()
-    free = np.tile(coords >= 0, (p + 1, 1))
+    ranks = [dim] + ((pivots >= 0).sum(axis=1).reshape(p + 1, -1) @ np.bincount(kind)).tolist()
+    free = np.zeros((p + 2, count, size), dtype=bool)  # free[l]: the free slots of D^l, none for D^0 = I
+    free[1:, kind] = coords >= 0
+    kernels = np.zeros((p + 2, count, size, size), dtype=np.int64)  # kernels[0] = ker I = 0
     at, rank = np.nonzero(pivots >= 0)
-    free[at, pivots[at, rank]] = False
-    kernels = np.zeros_like(rows)
-    kernels[at, :, pivots[at, rank]] = -rows[at, rank] % p
-    kernels *= free[:, :, None]
-    kernels[:, np.arange(size), np.arange(size)] = free
+    free[1:].reshape(-1, size)[at, pivots[at, rank]] = False
+    kernels[1:].reshape(-1, size, size)[at, :, pivots[at, rank]] = -rows[at, rank] % p
+    kernels[~free] = 0
+    kernels[:, :, np.arange(size), np.arange(size)] = free
     del rows  # the elimination arrays are freed once used: together they set the peak memory here
-    kernels = np.concatenate([np.zeros((count, size, size), dtype=np.int64), kernels]).reshape(p + 2, count, size, size)
-    free = np.concatenate([np.zeros((count, size), dtype=bool), free]).reshape(p + 2, count, size)
-    # W for l = 1..p on the free coordinates of D^l, columns reversed
-    images = kernels[2:] @ stack[:count].transpose(0, 2, 1) % p  # rows D x for x in ker D^{l+1}
+    # W for l = 1..p on the free coordinates of D^l, columns reversed: ker D^{l-1}, then D ker D^{l+1}
+    spans = np.empty((p, count, 2 * size, size), dtype=np.int64)
+    spans[:, :, :size] = kernels[:p, ..., ::-1]
+    np.matmul(kernels[2:], stack[:count].transpose(0, 2, 1)[..., ::-1], out=spans[:, :, size:])
     del stack
-    spans = np.concatenate([kernels[:p], images], axis=2) * free[1 : p + 1, :, None, :]
-    del images
-    _, ends = fp.rref_batch(spans[..., ::-1].reshape(p * count, 2 * size, size), p)
-    picked = free[1 : p + 1].reshape(p * count, size).copy()
+    spans %= p
+    spans *= free[1 : p + 1, :, None, ::-1]
+    _, ends = fp.rref_batch(spans.reshape(p * count, 2 * size, size), p)
+    del spans
+    picked = free[1 : p + 1].copy()
     at, rank = np.nonzero(ends >= 0)
-    picked[at, size - 1 - ends[at, rank]] = False
-    # the heads, longest chain first, one column each
-    shorter, block, slot = np.nonzero(picked.reshape(p, count, size)[::-1])
+    picked.reshape(p * count, size)[at, size - 1 - ends[at, rank]] = False
+    # the heads of every block, longest chain first, one column each
+    shorter, block, slot = np.nonzero(picked[::-1][:, kind])
     order = np.lexsort((coords[block, slot], shorter))
     lengths, block, slot = p - shorter[order], block[order], slot[order]
-    local, where = kernels[lengths, block, slot], coords[block]
+    local, where = kernels[lengths, kind[block], slot], coords[block]
     heads = np.zeros((dim, len(lengths)), dtype=np.int64)
     row, col = np.nonzero(where >= 0)
     heads[where[row, col], row] = local[row, col]
@@ -499,8 +513,11 @@ def structured_decompose(realization: Realization, subset) -> ChainDecomposition
     alg = realization.algebra
     integral = alg.origin
     gcm = integral.gcm
-    eye = np.eye(alg.dim, dtype=np.int64)
     powers = realization.powers
+
+    def unit(kind: str, k: int) -> np.ndarray:  # a row of its own, so no chain views a dim x dim array
+        return (np.arange(alg.dim) == integral.generator_index(kind, k)).astype(np.int64)[None]
+
     attached = {i: attached_node(gcm, i) for i in subset}
     chains: list[JordanChain] = []
 
@@ -510,22 +527,20 @@ def structured_decompose(realization: Realization, subset) -> ChainDecomposition
         alpha_i, alpha_j = integral.roots.simple(i), integral.roots.simple(j)
         touched_roots.update({alpha_i, alpha_j, alpha_i + alpha_j})
         # e_j -> [e, e_j]
-        e_j = eye[integral.generator_index("e", j)]
-        chains.append(JordanChain(_orbits(powers[1], e_j, [2], alg.p)[0], tag=("e", j)))
+        chains.append(JordanChain(_orbits(powers[1], unit("e", j), [2], alg.p)[0], tag=("e", j)))
         # [f, f_j] -> f_j
-        ff = alg.bracket(eye[integral.generator_index("f", i)], eye[integral.generator_index("f", j)])
+        ff = alg.bracket(unit("f", i), unit("f", j))
         chain = JordanChain(_orbits(powers[1], ff, [2], alg.p)[0], tag=("f", j))
-        if not np.array_equal(chain.tail, eye[integral.generator_index("f", j)]):
+        if not np.array_equal(chain.tail, unit("f", j)[0]):
             raise AssertionError("[f, f_j] does not map onto f_j")
         chains.append(chain)
         # f_i -> h_i -> -2 e_i
-        chains.append(JordanChain(_orbits(powers[1], eye[integral.generator_index("f", i)], [3], alg.p)[0]))
+        chains.append(JordanChain(_orbits(powers[1], unit("f", i), [3], alg.p)[0]))
         # h_j - h_i
-        hdiff = (eye[integral.generator_index("h", j)] - eye[integral.generator_index("h", i)]) % alg.p
-        chains.append(JordanChain(hdiff.reshape(1, -1), tag=("h", j)))
+        chains.append(JordanChain((unit("h", j) - unit("h", i)) % alg.p, tag=("h", j)))
     untouched = [k for k in range(1, gcm.n + 1) if k not in subset and k not in attached.values()]
     for k in untouched:
-        chains += [JordanChain(eye[integral.generator_index(kind, k)].reshape(1, -1), tag=(kind, k)) for kind in "efh"]
+        chains += [JordanChain(unit(kind, k), tag=(kind, k)) for kind in "efh"]
     # Complement: root spaces the template leaves alone.  Every simple root
     # vector sits in a tagged chain, so only non-simple roots other than the
     # sums alpha_i + alpha_j remain.

@@ -643,13 +643,14 @@ def distinct_rows(m: sparse.Coo, p: int) -> np.ndarray:
     """The nonzero rows of m, each scaled to lead with 1 and kept once,
     densified: pairwise non-proportional rows spanning what m.nonzero_rows()
     spans.  Rows with equal numbers of entries are compared exactly, as
-    their columns followed by their values, by np.unique."""
+    their columns followed by their values, by fp.unique_rows."""
     _, starts, sizes = np.unique(m.row, return_index=True, return_counts=True)
     data = m.data * np.repeat(fp.inverses(m.data[starts], p), sizes) % p
     out = [np.zeros((0, m.shape[1]), dtype=np.int64)]
     for n in np.unique(sizes):
         at = starts[sizes == n, None] + np.arange(n)
-        rows = np.unique(np.hstack([m.col[at], data[at]]), axis=0)
+        rows = np.hstack([m.col[at], data[at]])
+        rows = rows[fp.unique_rows(rows)[0]]
         out.append(np.zeros((len(rows), m.shape[1]), dtype=np.int64))
         np.put_along_axis(out[-1], rows[:, :n], rows[:, n:], axis=1)
     return np.vstack(out)

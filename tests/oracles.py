@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from verlie import sparse
+from verlie import fp, sparse
 from verlie.superalgebra import Constants
 
 
@@ -13,3 +13,78 @@ def tensor_coo(constants: Constants, dim: int, p: int | None) -> sparse.Coo:
     L[i, k*dim+j] = C(i,j,k), reduced mod p (exact over Z if p is None)."""
     entries = [(i, k * dim + j, c) for (i, j), comps in constants.items() for k, c in comps.items()]
     return sparse.from_entries(*np.array(entries, dtype=np.int64).reshape(-1, 3).T, (dim, dim * dim), p)
+
+
+# The head pick that pads every D-stable block to the largest one and
+# eliminates each block, repeats included: the reference that
+# repalpha._heads, which eliminates each distinct block once, must match.
+
+
+def padded_power_blocks(powers: list[sparse.Coo]) -> tuple[np.ndarray, np.ndarray]:
+    """The D-stable blocks of the powers [I, D, D^2, ...]: the components of
+    the graph of D + D^T, in which every power is block diagonal.  Returns
+    the block of each coordinate and the stack of the diagonal blocks of
+    powers[1:], power-major."""
+    blocks = fp.components(powers[1])
+    return blocks, fp.block_stack(powers[1:], blocks, blocks)
+
+
+def padded_heads(powers: list[sparse.Coo], p: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Deterministic head pick: for lengths l = p down to 1, heads are a
+    complement of (ker D^{l-1} + im D) inside ker D^l, picked by echelon order.
+    Returns the heads as the columns of a (dim, chains) array, their chain
+    lengths, and the ranks [r_0, ..., r_{p+1}] of the powers of D.
+
+    The candidates are the fp.kernel_basis rows of D^l (row f has a 1 at the
+    free column f and zeros at the other free columns), and one heads a chain
+    when it is independent of that subspace and of the candidates before it.
+    Inside ker D^l the subspace is W = ker D^{l-1} + D ker D^{l+1}, and a
+    vector of ker D^l is fixed by its free coordinates; so the candidate at f
+    is picked exactly when no vector of W ends at f (is nonzero at f and at no
+    later free column), that is, when f is not a pivot of W's free
+    coordinates eliminated right to left.
+
+    Every power of D is block diagonal in the D-stable blocks, so all of this
+    splits by block: one elimination gives the kernels (and the ranks) of
+    every power in every block, one more the ends of every W.  Heads are
+    ordered longest chain first, then by their free coordinate, as the global
+    kernel basis orders them.
+    """
+    dim = powers[0].shape[0]
+    if dim == 0:
+        return np.zeros((0, 0), dtype=np.int64), np.zeros(0, dtype=np.int64), [0] * (p + 2)
+    beyond = sparse.product(powers[-1], powers[1], p)  # D^{p+1}, zero when D^p = 0
+    blocks, stack = padded_power_blocks([*powers, beyond])
+    coords = fp.block_table(blocks)
+    count, size = coords.shape
+    # kernel rows of every block of D^1..D^{p+1}: row f has a 1 at free slot f
+    rows, pivots = fp.rref_batch(stack, p)
+    ranks = [dim] + (pivots >= 0).reshape(p + 1, -1).sum(axis=1).tolist()
+    free = np.tile(coords >= 0, (p + 1, 1))
+    at, rank = np.nonzero(pivots >= 0)
+    free[at, pivots[at, rank]] = False
+    kernels = np.zeros_like(rows)
+    kernels[at, :, pivots[at, rank]] = -rows[at, rank] % p
+    kernels *= free[:, :, None]
+    kernels[:, np.arange(size), np.arange(size)] = free
+    del rows  # the elimination arrays are freed once used: together they set the peak memory here
+    kernels = np.concatenate([np.zeros((count, size, size), dtype=np.int64), kernels]).reshape(p + 2, count, size, size)
+    free = np.concatenate([np.zeros((count, size), dtype=bool), free]).reshape(p + 2, count, size)
+    # W for l = 1..p on the free coordinates of D^l, columns reversed
+    images = kernels[2:] @ stack[:count].transpose(0, 2, 1) % p  # rows D x for x in ker D^{l+1}
+    del stack
+    spans = np.concatenate([kernels[:p], images], axis=2) * free[1 : p + 1, :, None, :]
+    del images
+    _, ends = fp.rref_batch(spans[..., ::-1].reshape(p * count, 2 * size, size), p)
+    picked = free[1 : p + 1].reshape(p * count, size).copy()
+    at, rank = np.nonzero(ends >= 0)
+    picked[at, size - 1 - ends[at, rank]] = False
+    # the heads, longest chain first, one column each
+    shorter, block, slot = np.nonzero(picked.reshape(p, count, size)[::-1])
+    order = np.lexsort((coords[block, slot], shorter))
+    lengths, block, slot = p - shorter[order], block[order], slot[order]
+    local, where = kernels[lengths, block, slot], coords[block]
+    heads = np.zeros((dim, len(lengths)), dtype=np.int64)
+    row, col = np.nonzero(where >= 0)
+    heads[where[row, col], row] = local[row, col]
+    return heads, lengths, ranks

@@ -267,6 +267,17 @@ def test_integral_catalog_is_read_only():
     assert check_super_jacobi(reduce_mod_p(integral_catalog("g2"), 5)).ok
 
 
+@pytest.mark.parametrize("name", ["g2", "f4", "e6", "e7", "e8", "a4", "b3", "c3", "d4", "gl3", "sl4"])
+def test_catalog_generators_are_rows_of_one_small_array(name):
+    """The generators are read-only rows of one (3·rank, dim) array, so an
+    algebra keeps no dim x dim identity alive for them."""
+    alg = catalog_algebra(name, 3)
+    rank = alg.origin.rank if alg.origin is not None else int(name[2:]) - 1
+    base = alg.gens["e1"].base
+    assert base.shape == (3 * rank, alg.dim) and not base.flags.writeable
+    assert all(vec.base is base and not vec.flags.writeable for vec in alg.gens.values())
+
+
 def test_algebra_equality():
     assert gl(3, 3) == gl(3, 3)
     assert catalog_algebra("gl3", 3) == gl(3, 3)  # frozen tensor arrays compare equal to writable ones

@@ -1,25 +1,31 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import verlie as v
+from tests.oracles import padded_heads
 from tests.test_fp import largest_accepted_prime, rank
-from verlie import fp, repalpha, roots
+from verlie import fp, repalpha, roots, sparse
 from verlie.errors import DegreeExceedsP, NotNilpotent, ParseError, PreconditionViolated, UnknownGenerator
 from verlie.repalpha import (
     ChainDecomposition,
     JordanChain,
     _chains_of,
+    _heads,
+    _orbits,
     _rank_counts,
     block_counts,
     jordan_decompose,
     parse_element,
     rank_count_vector,
     realize,
+    realize_derivation,
     structured_decompose,
 )
-from verlie.superalgebra import Subspace
+from verlie.superalgebra import ModularSuperAlgebra, Subspace
 
 
 @pytest.fixture(scope="module")
@@ -347,6 +353,101 @@ def test_batched_head_pick_matches_greedy_loop(p, blocks, split, seed):
         decomp = ChainDecomposition(tuple(got), p, dim)
         decomp.validate(der)
         assert block_counts(decomp) == rank_count_vector(fp.powers(der, p, p), p) == _rank_counts(ranks)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.sampled_from([3, 5, 7]),
+    kinds=st.lists(st.tuples(st.lists(st.integers(1, 7), min_size=1, max_size=3), st.integers(1, 4)), max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(p=3, kinds=[], seed=0)  # dim 0
+@example(p=5, kinds=[([1], 1), ([2, 3], 1), ([5, 1, 4], 1)], seed=1)  # no block repeats
+@example(p=7, kinds=[([1], 9), ([3, 3], 3), ([7], 2)], seed=2)
+def test_repeated_blocks_give_the_padded_head_pick(p, kinds, seed):
+    """D is built from a few block types, each a nilpotent matrix (Jordan
+    blocks of lengths at most p in a random unit L·U basis) repeated a drawn
+    number of times, with the blocks' coordinates interleaved at random but
+    kept in order, so the copies of a type stay equal blocks.  D is a
+    derivation of the abelian algebra of its dimension.  Each repeat drops
+    out of the elimination; the chains equal those of the head pick that
+    pads and eliminates every block, and the rank formula equals the one on
+    the ranks of the whole powers."""
+    rng = np.random.default_rng(seed)
+    types = []
+    for lengths, repeats in kinds:
+        lengths = [min(length, p) for length in lengths]
+        size = sum(lengths)
+        jordan = np.zeros((size, size), dtype=np.int64)
+        ends = np.cumsum(lengths)
+        for i in range(size - 1):
+            if i + 1 not in ends:
+                jordan[i + 1, i] = 1
+        lower = np.tril(rng.integers(0, p, (size, size)), -1) + np.eye(size, dtype=np.int64)
+        upper = np.triu(rng.integers(0, p, (size, size)), 1) + np.eye(size, dtype=np.int64)
+        basis = lower @ upper % p
+        types += [basis @ jordan @ fp.inverse(basis, p) % p] * repeats
+    sizes = [len(block) for block in types]
+    dim = sum(sizes)
+    # the k-th coordinate of copy c goes to the k-th place that a shuffle of the copies' labels gives c
+    where = np.argsort(rng.permutation(np.repeat(np.arange(len(types)), sizes)), kind="stable")
+    der = np.zeros((dim, dim), dtype=np.int64)
+    for block, start in zip(types, np.cumsum(sizes) - sizes):
+        at = where[start : start + len(block)]
+        der[np.ix_(at, at)] = block
+    _, kind, stack = repalpha._power_blocks(sparse.from_dense(der), p, p)
+    assert len(stack) // p <= len(kind) - sum(repeats - 1 for _, repeats in kinds)
+    r = realize_derivation(ModularSuperAlgebra.from_entries(p, np.zeros(dim, dtype=np.int64), [], [], [], []), der)
+    heads, lengths, ranks = padded_heads(r.powers, p)
+    decomp = jordan_decompose(r)
+    expected = _orbits(r.powers[1], heads, lengths, p)
+    assert len(decomp.chains) == len(expected)
+    assert all(np.array_equal(chain.vectors, vectors) for chain, vectors in zip(decomp.chains, expected))
+    assert _heads(r.powers, p)[2] == ranks
+    power_ranks = [rank(power.toarray(), p) for power in r.powers] + [0]
+    assert rank_count_vector(r.powers, p) == _rank_counts(power_ranks) == block_counts(decomp)
+
+
+def test_block_sizes_tell_apart_equally_padded_blocks():
+    """A stored zero joins coordinates 0 and 1 into one D-stable block whose
+    matrix of D is zero, padded just like the lone coordinate 2: only the
+    sizes keep the two blocks apart."""
+    der = sparse.Coo(np.array([0, 3]), np.array([1, 4]), np.array([0, 1]), (5, 5))
+    powers = [sparse.identity(5), der, *[sparse.product(der, der, 3)] * 2]
+    expected, got = padded_heads(powers, 3), _heads(powers, 3)
+    assert np.array_equal(got[0], expected[0]) and np.array_equal(got[1], expected[1]) and got[2] == expected[2]
+    assert rank_count_vector(powers, 3) == (3, 1, 0)
+
+
+def test_heads_eliminate_each_distinct_block_once():
+    """e8@e2+e3+e4 at p = 5 has 86 D-stable blocks, 8 of them distinct, the
+    largest of size 17: the head pick eliminates only the distinct ones, so
+    its traced peak stays below 2.5 MB (6.5 MB when every block is padded
+    and eliminated)."""
+    alg = v.catalog_algebra("e8", 5)
+    r = realize(alg, parse_element("e2+e3+e4", alg)[1])
+    blocks, kind, stack = repalpha._power_blocks(r.powers[1], 6, 5)
+    assert blocks.max() + 1 == len(kind) == 86 and stack.shape == (6 * 8, 17, 17)
+    tracemalloc.start()
+    try:
+        _heads(r.powers, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_500_000
+
+
+def test_structured_chains_view_no_square_array():
+    """The singleton chains of untouched nodes are rows of their own, not
+    views of a dim x dim identity."""
+    alg = v.catalog_algebra("e8", 3)
+    decomp = structured_decompose(realize(alg, parse_element("e1+e2", alg)[1]), (1, 2))
+    assert sum(chain.tag is not None and chain.length == 1 for chain in decomp.chains) > 12
+    for chain in decomp.chains:
+        array = chain.vectors
+        while isinstance(array, np.ndarray):
+            assert array.shape != (alg.dim, alg.dim)
+            array = array.base
 
 
 def test_realizations_compare_by_identity(f4mod3):
