@@ -204,7 +204,7 @@ def realize_derivation(alg: ModularSuperAlgebra, der) -> Realization:
 # -- Jordan chains ------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class JordanChain:
     """v -> Dv -> ... -> D^{l-1}v, with an optional generator tag."""
 
@@ -238,45 +238,68 @@ def _freeze(*matrices):
         a.flags.writeable = False
 
 
-@dataclass
 class ChainDecomposition:
-    chains: tuple[JordanChain, ...]
-    p: int
-    dim: int
-    _validated: tuple = field(default=(), init=False, repr=False, compare=False)  # what validate last passed
-    _inverse: tuple = field(default=(), init=False, repr=False, compare=False)  # the basis inverse it found
+    """Jordan chains kept as the rows of one read-only int64 basis array:
+    row k is the k-th chain vector, chain by chain, and chain c has length
+    lengths[c] and generator tag tags[c] (or None).  The chains themselves
+    are frozen row views of that array."""
+
+    def __init__(self, chains, p: int, dim: int):
+        """Hand-built chains, stacked into the basis array once."""
+        chains = tuple(chains)
+        rows = np.vstack([np.zeros((0, dim), dtype=np.int64), *(chain.vectors for chain in chains)], dtype=np.int64)
+        self._store(rows, [chain.length for chain in chains], p, tuple(chain.tag for chain in chains))
+
+    @classmethod
+    def of_rows(cls, basis: np.ndarray, lengths, p: int) -> ChainDecomposition:
+        """Untagged chains of the given lengths laid out in the rows of
+        basis, which is kept (and made read-only), not copied."""
+        decomp = cls.__new__(cls)
+        decomp._store(basis, lengths, p, (None,) * len(lengths))
+        return decomp
+
+    def _store(self, basis, lengths, p: int, tags: tuple):
+        self.basis, self.lengths = basis, np.asarray(lengths, dtype=np.int64).reshape(-1)
+        self.p, self.dim, self.tags = p, basis.shape[1], tags
+        _freeze(self.basis, self.lengths)
+        self._validated: tuple = ()  # what validate last passed
+        self._inverse: tuple = ()  # the basis inverse it found
+
+    @property
+    def chains(self) -> tuple[JordanChain, ...]:
+        """The chains, in order, as frozen views of their rows."""
+        ends = np.cumsum(self.lengths).tolist()
+        return tuple(JordanChain(self.basis[end - length : end], tag)
+                     for end, length, tag in zip(ends, self.lengths.tolist(), self.tags))
 
     def basis_matrix(self) -> np.ndarray:
         """Columns are the chain vectors, chain by chain."""
-        return np.hstack([chain.vectors.T for chain in self.chains])
+        return self.basis.T
 
-    def chain_offsets(self) -> list[int]:
-        offsets, total = [], 0
-        for chain in self.chains:
-            offsets.append(total)
-            total += chain.length
-        return offsets
+    def chain_offsets(self) -> np.ndarray:
+        """The row of the basis array at which each chain starts."""
+        return np.cumsum(self.lengths) - self.lengths
 
     def validate(self, der):
-        """Check the chains against D, dense or sparse, once.  A passed check
-        makes the chain arrays read-only; it is skipped only for the same D and
-        chain arrays, all still read-only (as a `Realization` holds D)."""
-        seen = (self.p, self.dim, der, *(chain.vectors for chain in self.chains))
+        """Check the chains against D, dense or sparse, once.  It is skipped
+        only for the same D, basis array and lengths, all still read-only
+        (as a `Realization` holds D)."""
+        seen = (self.p, self.dim, der, self.basis, self.lengths)
         if (len(seen) != len(self._validated) or any(a is not b for a, b in zip(seen, self._validated))
                 or any(a.flags.writeable for m in seen[2:] for a in _arrays(m))):
             inverse = self._check(der if isinstance(der, sparse.Coo) else sparse.from_dense(der))
-            _freeze(*(chain.vectors for chain in self.chains))
+            _freeze(self.basis, self.lengths)
             self._validated, self._inverse = seen, inverse
 
     def coordinates(self, der, columns) -> np.ndarray:
         """Rows `columns` of the inverse of the basis matrix: row a @ v is the
         coordinate of v at basis column columns[a].  Validates against D first,
-        and reads the rows off the block inverses that check found."""
+        and reads the rows off the distinct block inverses that check found."""
         self.validate(der)
-        inverses, coords, blocks, slots = self._inverse
+        inverses, kind, coords, blocks, slots = self._inverse
         columns = np.asarray(columns, dtype=np.int64)
         block = blocks[columns]
-        local, where = inverses[block, slots[columns]], coords[block]
+        local, where = inverses[kind[block], slots[columns]], coords[block]
         out = np.zeros((len(columns), self.dim), dtype=np.int64)
         row, col = np.nonzero(where >= 0)
         out[row, where[row, col]] = local[row, col]
@@ -284,53 +307,60 @@ class ChainDecomposition:
 
     def _check(self, der: sparse.Coo) -> tuple:
         """D maps every chain vector to the next one and the tail to zero,
-        checked for all vectors in one product; the vectors form a basis,
-        checked one block of the basis matrix at a time.  Returns the inverse
-        of the basis matrix by blocks: the stack of block inverses, the
-        coordinates of each block, and the block and slot of each basis
-        column."""
-        for chain in self.chains:
-            if not 1 <= chain.length <= self.p:
-                raise ValueError(f"chain length {chain.length} outside 1..p")
-        total = sum(chain.length for chain in self.chains)
-        if total != self.dim:
-            raise ValueError(f"chain lengths sum to {total}, dim is {self.dim}")
+        checked for all vectors in one sparse product; the vectors form a
+        basis, checked one block of the basis matrix at a time, each
+        distinct block inverted once.  Returns the inverse of the basis
+        matrix by blocks: the stack of distinct block inverses, the distinct
+        block of each block, the coordinates of each block, and the block
+        and slot of each basis column."""
+        lengths, p, dim = self.lengths, self.p, self.dim
+        outside = lengths[(lengths < 1) | (lengths > p)]
+        if outside.size:
+            raise ValueError(f"chain length {outside[0]} outside 1..p")
+        total = int(lengths.sum())
+        if total != dim:
+            raise ValueError(f"chain lengths sum to {total}, dim is {dim}")
         if not total:
             empty = np.zeros(0, dtype=np.int64)
-            return empty.reshape(0, 0, 0), empty.reshape(0, 0), empty, empty
-        vectors = np.vstack([chain.vectors for chain in self.chains])  # row k: basis column k
-        tails = np.cumsum([chain.length for chain in self.chains]) - 1
-        shifted = np.zeros_like(vectors)
-        shifted[:-1] = vectors[1:]
-        shifted[tails] = 0  # D kills the tail
-        images = der.dot(vectors.T).T % self.p
-        wrong = np.flatnonzero((images != shifted).any(axis=1))
-        if wrong.size and wrong[0] in tails:
-            raise ValueError("chain does not terminate")
-        if wrong.size:
+            return empty.reshape(0, 0, 0), empty, empty.reshape(0, 0), empty, empty
+        # row k of the basis array is basis column k; its entries, row-major
+        row, col = np.nonzero(self.basis)
+        data = self.basis[row, col]
+        starts = self.chain_offsets()
+        head = np.zeros(dim, dtype=bool)
+        head[starts] = True
+        images = sparse.product(sparse.Coo(row, col, data, (dim, dim)), der.transpose(), p)  # row k: (D v_k)^T
+        keep = ~head[row]  # row k + 1 moved up to row k; the heads drop out, so the tails meet zero
+        shifted = sparse.Coo(row[keep] - 1, col[keep], data[keep], (dim, dim))
+        if images != shifted:
+            wrong = sparse.combine([(1, images), (-1, shifted)], None)  # over Z: shifted entries may be unreduced
+            if wrong.row[0] in starts + lengths - 1:  # the first wrong row is a tail
+                raise ValueError("chain does not terminate")
             raise ValueError("chain is not a D-orbit")
         # the basis matrix is invertible exactly when every block of its own
-        # row/column graph is square and invertible, whatever the chains are
-        col, row = np.nonzero(vectors)
-        graph = sparse.from_entries(row, self.dim + col, np.ones(len(row)), (2 * self.dim,) * 2)
-        blocks = fp.components(graph)
-        rows, cols = blocks[: self.dim], blocks[self.dim :]
+        # row/column graph is square and invertible, whatever the chains are;
+        # graph nodes: the basis columns, then the coordinates
+        blocks = fp.components(sparse.Coo(row, dim + col, data, (2 * dim, 2 * dim)))
+        cols, rows = blocks[:dim], blocks[dim:]
         count = int(blocks.max()) + 1
         sizes = np.bincount(cols, minlength=count)
-        inverses = None
-        if np.array_equal(np.bincount(rows, minlength=count), sizes):
-            inverses = fp.inverse_batch(fp.block_stack([vectors.T], rows, cols), sizes, self.p)
+        if not np.array_equal(np.bincount(rows, minlength=count), sizes):
+            raise ValueError("chain vectors are not a basis")
+        slots = fp.slots(cols, count)
+        # block b of the basis matrix, zero-padded: its coordinates by its columns, each in index order
+        local = np.zeros((count, sizes.max(), sizes.max()), dtype=np.int64)
+        local[cols[row], fp.slots(rows, count)[col], slots[row]] = data
+        # blocks of one size and one matrix have one inverse, found once
+        first, kind = fp.unique_rows(np.hstack([sizes[:, None], local.reshape(count, -1)]))
+        inverses = fp.inverse_batch(local[first], sizes[first], p)
         if inverses is None:
             raise ValueError("chain vectors are not a basis")
-        return inverses, fp.block_table(rows), cols, fp.slots(cols, count)
+        return inverses, kind, fp.block_table(rows), cols, slots
 
 
 def block_counts(decomp: ChainDecomposition) -> tuple[int, ...]:
     """Multiset of chain lengths as the count vector (n_1, ..., n_p)."""
-    out = [0] * decomp.p
-    for chain in decomp.chains:
-        out[chain.length - 1] += 1
-    return tuple(out)
+    return tuple(np.bincount(decomp.lengths, minlength=decomp.p + 1)[1:].tolist())
 
 
 def _power_blocks(der: sparse.Coo, k: int, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -369,35 +399,31 @@ def rank_count_vector(powers: list[sparse.Coo], p: int) -> tuple[int, ...]:
     return _rank_counts([powers[0].shape[0]] + ranks.tolist() + [0])
 
 
-def _orbits(der: sparse.Coo, heads, lengths, p: int) -> list[np.ndarray]:
-    """The chains headed by the columns of heads (reduced mod p), longest
-    first: chain a is the (lengths[a], dim) array of D^t heads[:, a].  D is
-    applied to a shrinking prefix of the heads, one power at a time, and the
-    chains of one length view one array of exactly their size."""
-    lengths = np.asarray(lengths)
+def _orbits(der: sparse.Coo, heads, lengths, p: int) -> np.ndarray:
+    """The chains headed by the columns of heads, longest first, as the rows
+    of one (sum(lengths), dim) array: chain a fills lengths[a] rows with
+    D^t heads[:, a], t = 0, 1, ..., reduced mod p for t > 0.  D is applied
+    to a shrinking prefix of the heads, one power at a time."""
+    lengths = np.asarray(lengths, dtype=np.int64)
     dim = der.shape[0]
     level = np.asarray(heads, dtype=np.int64).reshape(dim, len(lengths))  # column a: D^t of head a
-    groups, start = [], 0
-    for length in sorted(set(lengths.tolist()), reverse=True):
-        count = int(np.count_nonzero(lengths == length))
-        groups.append((slice(start, start + count), np.empty((count, length, dim), dtype=np.int64)))
-        start += count
+    offsets = np.cumsum(lengths) - lengths
+    out = np.empty((int(lengths.sum()), dim), dtype=np.int64)
     for t in range(int(lengths.max(initial=0))):
         if t:
             level = der.dot(level[:, : np.count_nonzero(lengths > t)]) % p
-        for at, out in groups:
-            if out.shape[1] > t:
-                out[:, t] = level[:, at].T
-    return [chain for _, out in groups for chain in out]
+        out[offsets[: level.shape[1]] + t] = level.T
+    return out
 
 
-def _chains_of(powers: list[sparse.Coo], p: int) -> tuple[list[JordanChain], list[int]]:
-    """Deterministic chain extraction: the chains of the heads that `_heads`
-    picks, and the ranks [r_0, ..., r_{p+1}] of the powers of D.  The heads
-    are taken first, so the elimination's arrays are freed before the chains
-    are built."""
+def _chains_of(powers: list[sparse.Coo], p: int) -> tuple[ChainDecomposition, list[int]]:
+    """Deterministic chain extraction, not yet validated: the chains of the
+    heads that `_heads` picks, written straight into one basis array, and
+    the ranks [r_0, ..., r_{p+1}] of the powers of D.  The heads are taken
+    first, so the elimination's arrays are freed before the chains are
+    built."""
     heads, lengths, ranks = _heads(powers, p)
-    return [JordanChain(vectors) for vectors in _orbits(powers[1], heads, lengths, p)], ranks
+    return ChainDecomposition.of_rows(_orbits(powers[1], heads, lengths, p), lengths, p), ranks
 
 
 def _heads(powers: list[sparse.Coo], p: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
@@ -468,8 +494,7 @@ def jordan_decompose(realization: Realization) -> ChainDecomposition:
     counts checked against the rank formula on the ranks of the powers that
     the extraction eliminated."""
     alg = realization.algebra
-    chains, ranks = _chains_of(realization.powers, alg.p)
-    decomp = ChainDecomposition(tuple(chains), alg.p, alg.dim)
+    decomp, ranks = _chains_of(realization.powers, alg.p)
     decomp.validate(realization.powers[1])
     if block_counts(decomp) != _rank_counts(ranks):
         raise AssertionError("chain counts disagree with the rank formula")
@@ -527,15 +552,15 @@ def structured_decompose(realization: Realization, subset) -> ChainDecomposition
         alpha_i, alpha_j = integral.roots.simple(i), integral.roots.simple(j)
         touched_roots.update({alpha_i, alpha_j, alpha_i + alpha_j})
         # e_j -> [e, e_j]
-        chains.append(JordanChain(_orbits(powers[1], unit("e", j), [2], alg.p)[0], tag=("e", j)))
+        chains.append(JordanChain(_orbits(powers[1], unit("e", j), [2], alg.p), tag=("e", j)))
         # [f, f_j] -> f_j
         ff = alg.bracket(unit("f", i), unit("f", j))
-        chain = JordanChain(_orbits(powers[1], ff, [2], alg.p)[0], tag=("f", j))
+        chain = JordanChain(_orbits(powers[1], ff, [2], alg.p), tag=("f", j))
         if not np.array_equal(chain.tail, unit("f", j)[0]):
             raise AssertionError("[f, f_j] does not map onto f_j")
         chains.append(chain)
         # f_i -> h_i -> -2 e_i
-        chains.append(JordanChain(_orbits(powers[1], unit("f", i), [3], alg.p)[0]))
+        chains.append(JordanChain(_orbits(powers[1], unit("f", i), [3], alg.p)))
         # h_j - h_i
         chains.append(JordanChain((unit("h", j) - unit("h", i)) % alg.p, tag=("h", j)))
     untouched = [k for k in range(1, gcm.n + 1) if k not in subset and k not in attached.values()]
@@ -554,10 +579,10 @@ def structured_decompose(realization: Realization, subset) -> ChainDecomposition
         raise AssertionError("complement is not D-stable")
     # the complement is D-stable, so the powers of D on it are the rest x rest blocks of D^k
     rest = np.ix_(rest_idx, rest_idx)
-    for chain in _chains_of([sparse.from_dense(power.toarray()[rest]) for power in powers], alg.p)[0]:
-        vectors = np.zeros((chain.length, alg.dim), dtype=np.int64)
-        vectors[:, rest_idx] = chain.vectors
-        chains.append(JordanChain(vectors))
-    decomp = ChainDecomposition(tuple(chains), alg.p, alg.dim)
+    complement = _chains_of([sparse.from_dense(power.toarray()[rest]) for power in powers], alg.p)[0]
+    embedded = np.zeros((len(complement.basis), alg.dim), dtype=np.int64)
+    embedded[:, rest_idx] = complement.basis
+    chains += [JordanChain(vectors) for vectors in np.split(embedded, np.cumsum(complement.lengths))[:-1]]
+    decomp = ChainDecomposition(chains, alg.p, alg.dim)
     decomp.validate(powers[1])
     return decomp

@@ -68,9 +68,11 @@ class SemisimplifiedAlgebra:
         return (self.coords @ fp.normalize(v, self.p)) % self.p
 
     def provenance(self) -> list[dict]:
+        decomp, survivors = self.decomposition, list(self.even_chains + self.odd_chains)
+        starts, lengths = decomp.chain_offsets()[survivors].tolist(), decomp.lengths[survivors].tolist()
         return [{"index": a, "parity": int(a >= len(self.even_chains)), "chain": c,
-                 "vectors": self.decomposition.chains[c].vectors.tolist()}
-                for a, c in enumerate(self.even_chains + self.odd_chains)]
+                 "vectors": decomp.basis[start : start + length].tolist()}
+                for a, (c, start, length) in enumerate(zip(survivors, starts, lengths))]
 
     def to_json_dict(self) -> dict:
         data = self.algebra.to_json_dict()
@@ -79,9 +81,9 @@ class SemisimplifiedAlgebra:
 
 
 def _chain_labels(decomp: ChainDecomposition, chain_index: int) -> str:
-    chain = decomp.chains[chain_index]
-    if chain.tag is not None:
-        kind, node = chain.tag
+    tag = decomp.tags[chain_index]
+    if tag is not None:
+        kind, node = tag
         return f"{kind}{node}~"
     return f"chain{chain_index}"
 
@@ -96,23 +98,23 @@ def semisimplify(realization: Realization, decomp: ChainDecomposition) -> Semisi
     """
     alg = realization.algebra
     p = alg.p
-    even = tuple(i for i, c in enumerate(decomp.chains) if c.length == 1)
-    odd = tuple(i for i, c in enumerate(decomp.chains) if c.length == p - 1)
+    even = tuple(np.flatnonzero(decomp.lengths == 1).tolist())
+    odd = tuple(np.flatnonzero(decomp.lengths == p - 1).tolist())
     offsets = decomp.chain_offsets()
-    survivors = even + odd
+    survivors = np.array(even + odd, dtype=np.int64)
     m = len(survivors)
     parity = np.array([0] * len(even) + [1] * len(odd), dtype=np.int64)
     # head coefficients: coords[k] @ v is the coordinate of v at the head of
     # survivor k, read off the block inverses that validating the chains found
-    coords = decomp.coordinates(realization.powers[1], [offsets[c] for c in survivors])
-    heads = np.array([decomp.chains[c].head for c in survivors], dtype=np.int64).reshape(m, alg.dim)
+    coords = decomp.coordinates(realization.powers[1], offsets[survivors])
+    heads = decomp.basis[offsets[survivors]]
     coords_t = sparse.from_dense(coords.T)
     values = sparse.product(alg.brackets(heads, heads), coords_t, p)  # row a*m+b: [head_a, head_b], column k
     a, b = np.divmod(values.row, m)
     cols, data = values.col, values.data
     if odd:
         # odd-odd rows: the splitting vector sum_t (-1)^t [v_a^(t-1), v_b^(p-t-1)]
-        layers = [np.array([decomp.chains[c].vectors[s] for c in odd], dtype=np.int64) for s in range(p - 1)]
+        layers = [decomp.basis[offsets[survivors[len(even) :]] + s] for s in range(p - 1)]
         split = sparse.combine([((-1) ** t, alg.brackets(layers[t - 1], layers[p - t - 1])) for t in range(1, p)], p)
         split = sparse.product(split, coords_t, p)
         sa, sb = np.divmod(split.row, len(odd))
@@ -123,7 +125,7 @@ def semisimplify(realization: Realization, decomp: ChainDecomposition) -> Semisi
     # keep the component whose parity is |a| + |b|
     keep = (parity[a] ^ parity[b]) == parity[cols]
     values = sparse.from_entries(a[keep] * m + b[keep], cols[keep], data[keep], (m * m, m))
-    out = ModularSuperAlgebra.from_products(values, p, parity, [_chain_labels(decomp, c) for c in survivors])
+    out = ModularSuperAlgebra.from_products(values, p, parity, [_chain_labels(decomp, c) for c in even + odd])
     skew = check_super_skew(out)
     if not skew.ok:
         raise JacobiViolation(f"projected bracket is not super skew at {skew.witness}")

@@ -42,9 +42,13 @@ class Coo:
         out[self.row, self.col] = self.data
         return out
 
+    def held_rows(self) -> np.ndarray:
+        """The indices of the rows holding an entry, ascending."""
+        return self.row[_starts(self.row)]
+
     def nonzero_rows(self) -> np.ndarray:
         """The rows holding an entry, densified, in row order."""
-        rows = np.unique(self.row)
+        rows = self.held_rows()
         out = np.zeros((len(rows), self.shape[1]), dtype=np.int64)
         out[np.searchsorted(rows, self.row), self.col] = self.data
         return out
@@ -77,7 +81,15 @@ class Coo:
 
 def _starts(keys: np.ndarray) -> np.ndarray:
     """Positions where a run of equal values begins in a sorted array."""
-    return np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    first = np.ones(min(len(keys), 1), dtype=bool)  # an empty array has no run
+    return np.flatnonzero(np.concatenate((first, keys[1:] != keys[:-1])))
+
+
+def distinct(values) -> np.ndarray:
+    """The distinct values in ascending order.  A plain np.unique would do,
+    but it imports numpy.ma on its first call."""
+    keys = np.sort(np.ravel(values))
+    return keys[_starts(keys)]
 
 
 def spans(m: Coo, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -184,7 +196,7 @@ def vstack(mats) -> Coo:
                (int(offsets[-1]), mats[0].shape[1]))
 
 
-def combine(terms, p: int) -> Coo:
-    """sum of c * m over the (c, m) in terms, mod p."""
+def combine(terms, p: int | None) -> Coo:
+    """sum of c * m over the (c, m) in terms, mod p (exact over Z if p is None)."""
     return from_entries(np.concatenate([m.row for _, m in terms]), np.concatenate([m.col for _, m in terms]),
                         np.concatenate([c * m.data for c, m in terms]), terms[0][1].shape, p)

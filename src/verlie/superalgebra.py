@@ -469,7 +469,7 @@ def odd_cube_generators(alg: ModularSuperAlgebra):
         diagonal = ar * no + ar
         cubes = alg.brackets(basis, squares.take_rows(diagonal)).take_rows(diagonal)
         return [(vec, {"kind": "cube", "nodes": [int(odd[a])]})
-                for a, vec in zip(np.unique(cubes.row), cubes.nonzero_rows())]
+                for a, vec in zip(cubes.held_rows(), cubes.nonzero_rows())]
     q = alg.brackets(basis, squares)
     p = alg.p
 
@@ -492,7 +492,7 @@ def odd_cube_generators(alg: ModularSuperAlgebra):
                 return {"kind": kind, "nodes": [int(odd[n[r]]) for n in nodes]}
             r -= len(nodes[0])
 
-    return [(vec, label(r)) for r, vec in zip(np.unique(pieces.row), pieces.nonzero_rows())]
+    return [(vec, label(r)) for r, vec in zip(pieces.held_rows(), pieces.nonzero_rows())]
 
 
 def odd_cube_values_literal(alg: ModularSuperAlgebra):
@@ -647,7 +647,7 @@ def distinct_rows(m: sparse.Coo, p: int) -> np.ndarray:
     _, starts, sizes = np.unique(m.row, return_index=True, return_counts=True)
     data = m.data * np.repeat(fp.inverses(m.data[starts], p), sizes) % p
     out = [np.zeros((0, m.shape[1]), dtype=np.int64)]
-    for n in np.unique(sizes):
+    for n in sparse.distinct(sizes):
         at = starts[sizes == n, None] + np.arange(n)
         rows = np.hstack([m.col[at], data[at]])
         rows = rows[fp.unique_rows(rows)[0]]

@@ -339,7 +339,7 @@ def _eig_split(p: int, mats, dim: int):
                 raise NotDiagonalizable("eigenspace is not invariant")
             diagonal = np.diag(action)
             if not (action - np.diag(diagonal)).any():  # rows already weight vectors: group them
-                refined += [(weight + (int(lam),), rows[diagonal == lam]) for lam in np.unique(diagonal)]
+                refined += [(weight + (int(lam),), rows[diagonal == lam]) for lam in sparse.distinct(diagonal)]
                 continue
             found = 0
             for lam in range(p):

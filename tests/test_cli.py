@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -261,3 +265,22 @@ def test_parser_keeps_no_state_between_calls(tmp_path):
         code, digest = pinned[tuple(argv)]
         assert main(argv + ["--json", str(path)]) == code
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, argv
+
+
+def test_commands_import_no_masked_arrays(tmp_path):
+    """A plain np.unique (no index or count outputs) imports numpy.ma on its
+    first call, which costs a process over a megabyte of memory.  These
+    commands reach every place that once called it: the cube rows of
+    semisimplify's odd-cube check, the closure and the full odd-cube pieces
+    of the star route's generator subquotient, and the eigenspace split of
+    the even route."""
+    commands = [["semisimplify", "--algebra", "g2", "-p", "5", "--element", "e1"],
+                ["certify", "--algebra", "f4", "--subset", "1", "--target", "sl(3|1)"],
+                ["certify", "--algebra", "e8", "-p", "5", "--element", "e2+e3+e4", "--target", "el(5;5)"]]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import json, sys\nfrom verlie.cli import main\n"
+            f"codes = [main(argv + ['--json', {str(tmp_path / 'out.json')!r}]) for argv in {commands!r}]\n"
+            "print(json.dumps([codes, 'numpy.ma' in sys.modules]))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert json.loads(out.stdout.splitlines()[-1]) == [[0, 0, 0], False]

@@ -18,6 +18,9 @@ GOLDEN = [
      0, "7049a497c52a64e7fcae35032afb0c6b3d1b561bff79928ab0a256469f6a8245"),
     (["decompose", "--algebra", "e8", "-p", "5", "--element", "e2+e3+e4"],
      0, "6adb8c439baa99568924ba8925de7a1951ddaff9d4cea5f04ad937b25b7bbf22"),
+    # the largest generic decomposition at p = 3: 190 chains, one 248 x 248 basis
+    (["decompose", "--algebra", "e8", "--element", "e1"],
+     0, "076ab73639dfca840fbc52ad57505af37082d360e528fbf4555ecf40f3faf5e6"),
     (["semisimplify", "--algebra", "gl3", "-p", "3", "--element", "e2"],
      0, "c949f5e4452aa2e1b9a6b5d12231879b0f47a80a0148859a2964aa44e2ef931d"),
     (["semisimplify", "--algebra", "f4", "--subset", "4"],

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import verlie as v
-from tests.oracles import padded_heads
+from tests.oracles import dense_chain_check, padded_heads
 from tests.test_fp import largest_accepted_prime, rank
 from verlie import fp, repalpha, roots, sparse
 from verlie.errors import DegreeExceedsP, NotNilpotent, ParseError, PreconditionViolated, UnknownGenerator
@@ -347,33 +348,19 @@ def test_batched_head_pick_matches_greedy_loop(p, blocks, split, seed):
     der = basis @ jordan @ fp.inverse(basis, p) % p
     got, ranks = _chains_of(fp.powers(der, p, p), p)
     expected = greedy_chains(der, p, dim)
-    assert len(got) == len(expected)
-    assert all(np.array_equal(chain.vectors, vectors) for chain, vectors in zip(got, expected))
+    assert len(got.chains) == len(expected)
+    assert all(np.array_equal(chain.vectors, vectors) for chain, vectors in zip(got.chains, expected))
     if max(blocks) <= p:
-        decomp = ChainDecomposition(tuple(got), p, dim)
-        decomp.validate(der)
-        assert block_counts(decomp) == rank_count_vector(fp.powers(der, p, p), p) == _rank_counts(ranks)
+        got.validate(der)
+        assert block_counts(got) == rank_count_vector(fp.powers(der, p, p), p) == _rank_counts(ranks)
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    p=st.sampled_from([3, 5, 7]),
-    kinds=st.lists(st.tuples(st.lists(st.integers(1, 7), min_size=1, max_size=3), st.integers(1, 4)), max_size=4),
-    seed=st.integers(0, 2**32 - 1),
-)
-@example(p=3, kinds=[], seed=0)  # dim 0
-@example(p=5, kinds=[([1], 1), ([2, 3], 1), ([5, 1, 4], 1)], seed=1)  # no block repeats
-@example(p=7, kinds=[([1], 9), ([3, 3], 3), ([7], 2)], seed=2)
-def test_repeated_blocks_give_the_padded_head_pick(p, kinds, seed):
-    """D is built from a few block types, each a nilpotent matrix (Jordan
-    blocks of lengths at most p in a random unit L·U basis) repeated a drawn
-    number of times, with the blocks' coordinates interleaved at random but
-    kept in order, so the copies of a type stay equal blocks.  D is a
-    derivation of the abelian algebra of its dimension.  Each repeat drops
-    out of the elimination; the chains equal those of the head pick that
-    pads and eliminates every block, and the rank formula equals the one on
-    the ranks of the whole powers."""
-    rng = np.random.default_rng(seed)
+def repeated_block_derivation(p: int, kinds, rng) -> np.ndarray:
+    """A nilpotent D made of a few block types, each a nilpotent matrix (Jordan
+    blocks of the given lengths, cut at p, in a random unit L·U basis)
+    repeated a given number of times, with the blocks' coordinates
+    interleaved at random but kept in order, so the copies of a type stay
+    equal blocks."""
     types = []
     for lengths, repeats in kinds:
         lengths = [min(length, p) for length in lengths]
@@ -395,14 +382,36 @@ def test_repeated_blocks_give_the_padded_head_pick(p, kinds, seed):
     for block, start in zip(types, np.cumsum(sizes) - sizes):
         at = where[start : start + len(block)]
         der[np.ix_(at, at)] = block
+    return der
+
+
+BLOCK_KINDS = st.lists(st.tuples(st.lists(st.integers(1, 7), min_size=1, max_size=3), st.integers(1, 4)), max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.sampled_from([3, 5, 7]),
+    kinds=BLOCK_KINDS,
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(p=3, kinds=[], seed=0)  # dim 0
+@example(p=5, kinds=[([1], 1), ([2, 3], 1), ([5, 1, 4], 1)], seed=1)  # no block repeats
+@example(p=7, kinds=[([1], 9), ([3, 3], 3), ([7], 2)], seed=2)
+def test_repeated_blocks_give_the_padded_head_pick(p, kinds, seed):
+    """D is built from a few block types repeated a drawn number of times
+    (repeated_block_derivation); it is a derivation of the abelian algebra
+    of its dimension.  Each repeat drops out of the elimination; the chains
+    equal those of the head pick that pads and eliminates every block, and
+    the rank formula equals the one on the ranks of the whole powers."""
+    der = repeated_block_derivation(p, kinds, np.random.default_rng(seed))
+    dim = len(der)
     _, kind, stack = repalpha._power_blocks(sparse.from_dense(der), p, p)
     assert len(stack) // p <= len(kind) - sum(repeats - 1 for _, repeats in kinds)
     r = realize_derivation(ModularSuperAlgebra.from_entries(p, np.zeros(dim, dtype=np.int64), [], [], [], []), der)
     heads, lengths, ranks = padded_heads(r.powers, p)
     decomp = jordan_decompose(r)
-    expected = _orbits(r.powers[1], heads, lengths, p)
-    assert len(decomp.chains) == len(expected)
-    assert all(np.array_equal(chain.vectors, vectors) for chain, vectors in zip(decomp.chains, expected))
+    assert np.array_equal(decomp.lengths, lengths)
+    assert np.array_equal(decomp.basis, _orbits(r.powers[1], heads, lengths, p))
     assert _heads(r.powers, p)[2] == ranks
     power_ranks = [rank(power.toarray(), p) for power in r.powers] + [0]
     assert rank_count_vector(r.powers, p) == _rank_counts(power_ranks) == block_counts(decomp)
@@ -438,16 +447,15 @@ def test_heads_eliminate_each_distinct_block_once():
 
 
 def test_structured_chains_view_no_square_array():
-    """The singleton chains of untouched nodes are rows of their own, not
-    views of a dim x dim identity."""
+    """The singleton chains of untouched nodes are rows of the decomposition's
+    own basis array, which owns its memory, not views of a dim x dim
+    identity: the only square array a chain views is that basis."""
     alg = v.catalog_algebra("e8", 3)
     decomp = structured_decompose(realize(alg, parse_element("e1+e2", alg)[1]), (1, 2))
     assert sum(chain.tag is not None and chain.length == 1 for chain in decomp.chains) > 12
+    assert decomp.basis.shape == (alg.dim, alg.dim) and decomp.basis.base is None
     for chain in decomp.chains:
-        array = chain.vectors
-        while isinstance(array, np.ndarray):
-            assert array.shape != (alg.dim, alg.dim)
-            array = array.base
+        assert chain.vectors.base is decomp.basis
 
 
 def test_realizations_compare_by_identity(f4mod3):
@@ -457,46 +465,55 @@ def test_realizations_compare_by_identity(f4mod3):
 
 
 def test_validated_decomposition_cannot_change_silently(monkeypatch):
-    """A validated decomposition and its realization are read-only; a chain
-    that is replaced or made writable again is checked in full."""
+    """A decomposition's basis array, its chain lengths and its realization
+    are read-only, and its chains are frozen views of that array; a basis
+    replaced or made writable again is checked in full."""
     alg = v.gl(3, 3)
     _, vec = parse_element("e2", alg)
     r = realize(alg, vec)
     decomp = jordan_decompose(r)
     for write in (lambda: decomp.chains[0].vectors.__setitem__((0, 0), 1),
-                  lambda: decomp.chains[0].vectors.base.fill(0),  # the stack the chains view
+                  lambda: decomp.chains[0].vectors.base.fill(0),  # the basis array the chains view
+                  lambda: decomp.lengths.__setitem__(0, 1),
                   lambda: r.powers[1].data.__setitem__(0, 2)):
         with pytest.raises(ValueError, match="read-only"):
             write()
+    longest = int(np.argmax(decomp.lengths))
+    good = decomp.chains[longest].vectors
+    bad = good.copy()
+    bad[0] = (bad[0] + bad[1]) % 3
+    with pytest.raises(dataclasses.FrozenInstanceError):  # a chain's vectors cannot be replaced
+        decomp.chains[longest].vectors = bad
     full = []
     check = ChainDecomposition._check
     monkeypatch.setattr(ChainDecomposition, "_check", lambda self, der: full.append(der) or check(self, der))
     decomp.validate(r.powers[1])
-    assert not full  # same read-only D and chains: nothing left to check
+    assert not full  # same read-only D and basis: nothing left to check
     decomp.validate(r.powers[1].toarray())  # another D, even an equal one, is checked
     assert len(full) == 1
-    # a chain replaced after validation
-    longest = max(range(len(decomp.chains)), key=lambda i: decomp.chains[i].length)
-    good = decomp.chains[longest].vectors
-    bad = good.copy()
-    bad[0] = (bad[0] + bad[1]) % 3
-    decomp.chains[longest].vectors = bad
-    with pytest.raises(ValueError):
-        decomp.validate(r.powers[1])
-    decomp.chains[longest].vectors = good
-    decomp.validate(r.powers[1])
-    assert len(full) == 3
-    # a chain array made writable again and changed in place
-    own = ChainDecomposition(tuple(JordanChain(c.vectors.copy()) for c in decomp.chains), 3, 9)
+    # hand-built chains are stacked into a basis of their own, validated once
+    own = ChainDecomposition(decomp.chains, 3, 9)
+    assert own.basis is not decomp.basis and not own.basis.flags.writeable
     own.validate(r.powers[1])
     own.validate(r.powers[1])
-    assert len(full) == 4
-    vectors = own.chains[longest].vectors
-    vectors.flags.writeable = True
-    vectors[0] = (vectors[0] + vectors[1]) % 3
-    with pytest.raises(ValueError):
+    assert len(full) == 2
+    # a basis array replaced after validation
+    start = int(own.chain_offsets()[longest])
+    replaced = own.basis.copy()
+    replaced[start] = bad[0]
+    kept, own.basis = own.basis, replaced
+    with pytest.raises(ValueError, match="D-orbit"):
         own.validate(r.powers[1])
-    with pytest.raises(ValueError):
+    own.basis = kept
+    own.validate(r.powers[1])
+    assert len(full) == 3  # the validated basis, put back unchanged and read-only
+    # the basis array made writable again and changed in place
+    own.basis.flags.writeable = True
+    own.basis[start] = bad[0]
+    with pytest.raises(ValueError, match="D-orbit"):
+        own.validate(r.powers[1])
+    assert len(full) == 4
+    with pytest.raises(ValueError, match="D-orbit"):
         v.semisimplify(r, own)
 
 
@@ -558,6 +575,78 @@ def test_basis_check_inverts_permuted_block_bases(p, sizes, singular, seed):
             decomp.validate(zero)
     else:
         assert np.array_equal(decomp.coordinates(zero, range(dim)), fp.inverse(m, p))
+
+
+FAULTS = ("none", "middle", "tail", "terminate", "zero", "span", "singular", "unequal", "merge", "drop")
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=st.sampled_from([3, 5, 7]), kinds=BLOCK_KINDS, fault=st.sampled_from(FAULTS), seed=st.integers(0, 2**32 - 1))
+@example(p=3, kinds=[([1, 1], 3), ([2, 3], 2)], fault="span", seed=0)  # vectors across two D-blocks, like h_j - h_i
+@example(p=5, kinds=[([2, 1, 1], 2), ([4, 3, 1], 1)], fault="singular", seed=2)  # a singular block, padded
+@example(p=7, kinds=[([3], 2), ([1], 2)], fault="unequal", seed=2)
+@example(p=3, kinds=[([1], 2), ([3, 2], 2)], fault="terminate", seed=3)
+@example(p=3, kinds=[([1, 2], 2)], fault="tail", seed=1)  # a length-1 chain D does not kill
+@example(p=5, kinds=[([5, 4], 2)], fault="middle", seed=4)
+@example(p=7, kinds=[([2, 1, 1], 2)], fault="zero", seed=0)
+@example(p=3, kinds=[([2, 3], 2)], fault="merge", seed=6)  # a chain longer than p
+@example(p=5, kinds=[([2, 3], 1)], fault="drop", seed=7)
+def test_validate_agrees_with_the_dense_check(p, kinds, fault, seed):
+    """Chains of a D with repeated blocks (repeated_block_derivation), with
+    one fault: a middle vector or a tail changed, a chain replaced by the
+    orbit of a head plus a longer chain's head (it does not terminate), a
+    vector zeroed, a chain plus an equally long chain of another D-block
+    (still a basis, its vectors across two D-blocks), a chain replaced by a
+    multiple of another of its D-block (a singular block) or of another
+    D-block (unequal block counts), two chains merged into one, or a chain
+    dropped.  validate accepts and rejects exactly as the dense check does,
+    with the same message, and the coordinates it finds are the rows of the
+    dense inverse."""
+    rng = np.random.default_rng(seed)
+    der = repeated_block_derivation(p, kinds, rng)
+    dim = len(der)
+    generic, _ = _chains_of(fp.powers(der, p, p), p)
+    chains = [chain.vectors.copy() for chain in generic.chains]
+    d_blocks = fp.components(sparse.from_dense(der))
+    block = [d_blocks[np.flatnonzero(vectors[0])[0]] for vectors in chains]
+    lengths = [len(vectors) for vectors in chains]
+
+    def pick(where):
+        """A random chain index where `where(index)` holds, or None."""
+        found = [c for c in range(len(chains)) if where(c)]
+        return found[rng.integers(len(found))] if found else None
+
+    c = pick(lambda c: True)
+    if fault == "middle" and (c := pick(lambda c: lengths[c] >= 3)) is not None:
+        chains[c][rng.integers(1, lengths[c] - 1)] += rng.integers(0, p, dim)
+    elif fault == "tail" and c is not None:
+        chains[c][-1] += rng.integers(0, p, dim)
+    elif fault == "terminate" and (c := pick(lambda c: lengths[c] < max(lengths))) is not None:
+        d = pick(lambda d: lengths[d] > lengths[c])
+        chains[c] = _orbits(sparse.from_dense(der), chains[c][0] + chains[d][0], [lengths[c]], p)
+    elif fault == "zero" and c is not None:
+        chains[c][rng.integers(lengths[c])] = 0
+    elif fault in ("span", "singular", "unequal") and c is not None:
+        same = fault == "singular"
+        d = pick(lambda d: d != c and lengths[d] == lengths[c] and (block[d] == block[c]) == same)
+        if d is not None and fault == "span":
+            chains[c] += rng.integers(1, p) * chains[d]
+        elif d is not None:
+            chains[c] = rng.integers(1, p) * chains[d]
+    elif fault == "merge" and (c := pick(lambda c: c + 1 < len(chains))) is not None:
+        chains[c : c + 2] = [np.vstack(chains[c : c + 2])]
+    elif fault == "drop" and c is not None:
+        del chains[c]
+    decomp = ChainDecomposition([JordanChain(vectors % p) for vectors in chains], p, dim)
+    try:
+        dense_chain_check(decomp, sparse.from_dense(der))
+    except ValueError as error:
+        with pytest.raises(ValueError) as raised:
+            decomp.validate(der)
+        assert str(raised.value) == str(error)
+    else:
+        decomp.validate(der)
+        assert np.array_equal(decomp.coordinates(der, range(dim)), fp.inverse(decomp.basis_matrix(), p))
 
 
 def orbit_members(name: str) -> list[tuple[int, ...]]:
