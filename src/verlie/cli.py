@@ -225,7 +225,7 @@ def cmd_swaps(args) -> int:
     for coloring in orbit:
         nodes = coloring.sorted_black()
         vec = parse_element("+".join(f"e{i}" for i in nodes), alg)[1] if nodes else np.zeros(alg.dim, dtype=np.int64)
-        counts = repalpha.rank_count_vector(realize(alg, vec).powers, alg.p)
+        counts = repalpha.rank_count_vector(realize(alg, vec))
         members.append({"black": list(nodes), "block_counts": list(counts)})
         reference = reference or counts
         print(f"  {set(nodes) if nodes else '{}'}: {counts}")

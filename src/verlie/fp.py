@@ -267,12 +267,3 @@ def inverse_batch(stack, sizes, p: int) -> Array | None:
         return None
     return r[:, :, n:].copy()
 
-
-def powers(m, k: int, p: int) -> list[sparse.Coo]:
-    """[I, m, ..., m^k] mod p as sparse matrices (derivations like ad e have
-    a few nonzeros per column)."""
-    a = sparse.from_dense(normalize(m, p))
-    out = [sparse.identity(a.shape[0])]
-    for _ in range(k):
-        out.append(sparse.product(out[-1], a, p))
-    return out

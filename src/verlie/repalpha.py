@@ -153,38 +153,38 @@ def parse_element(src: str, alg: ModularSuperAlgebra) -> tuple[ElementExpr, np.n
 # -- realizations -------------------------------------------------------------
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Realization:
-    """Algebra plus a nilpotent derivation D with D^p = 0, held only as its
-    powers [I, D, ..., D^p], sparse and read-only; D is powers[1]."""
+    """Algebra plus a nilpotent derivation D with D^p = 0, held as one sparse
+    read-only matrix (a dense one is converted), and its degree, the
+    smallest k >= 1 with D^k = 0, found when the realization is made."""
 
     algebra: ModularSuperAlgebra
-    powers: list[sparse.Coo] = field(repr=False)
+    der: sparse.Coo = field(repr=False)
     element: Optional[np.ndarray] = None
+    degree: int = field(init=False)
 
-    @property
-    def degree(self) -> int:
-        """Smallest k >= 1 with D^k = 0."""
-        return next(k for k in range(1, len(self.powers)) if not self.powers[k].nnz)
-
-
-def _realization(alg: ModularSuperAlgebra, der: np.ndarray, element) -> Realization:
-    powers = fp.powers(der, alg.p, alg.p)
-    if powers[-1].nnz:
-        top, exponent = powers[-1], alg.p  # D^exponent; a nilpotent D has D^dim = 0
-        while top.nnz and exponent < alg.dim:
-            top, exponent = sparse.product(top, top, alg.p), 2 * exponent
+    def __post_init__(self):
+        p, dim = self.algebra.p, self.algebra.dim
+        der = self.der if isinstance(self.der, sparse.Coo) else sparse.from_dense(fp.normalize(self.der, p))
+        top, exponent = der, 1  # D^exponent; a nilpotent D has D^dim = 0
+        while top.nnz and exponent < min(p, dim):
+            top, exponent = sparse.product(top, der, p), exponent + 1
+        while top.nnz and exponent < dim:  # D^p != 0: square until the exponent reaches dim
+            top, exponent = sparse.product(top, top, p), 2 * exponent
         if top.nnz:
-            raise NotNilpotent(f"derivation is not nilpotent (D^{exponent} != 0)")
-        raise DegreeExceedsP(f"derivation is nilpotent of degree > {alg.p}")
-    _freeze(*powers)
-    return Realization(algebra=alg, powers=powers, element=element)
+            raise NotNilpotent(f"derivation is not nilpotent (D^{max(exponent, p)} != 0)")
+        if exponent > p:
+            raise DegreeExceedsP(f"derivation is nilpotent of degree > {p}")
+        _freeze(der)
+        object.__setattr__(self, "der", der)
+        object.__setattr__(self, "degree", exponent)
 
 
 def realize(alg: ModularSuperAlgebra, v) -> Realization:
     """Realize with respect to the inner derivation ad v."""
     v = fp.normalize(v, alg.p)
-    return _realization(alg, alg.ad(v), v)
+    return Realization(alg, alg.ad(v), v)
 
 
 def realize_derivation(alg: ModularSuperAlgebra, der) -> Realization:
@@ -198,7 +198,7 @@ def realize_derivation(alg: ModularSuperAlgebra, der) -> Realization:
     if leibniz.nnz:
         i = int(leibniz.row[0]) // alg.dim
         raise ValueError(f"matrix is not a derivation (fails at basis vector {i})")
-    return _realization(alg, der, None)
+    return Realization(alg, der)
 
 
 # -- Jordan chains ------------------------------------------------------------
@@ -385,18 +385,23 @@ def _power_blocks(der: sparse.Coo, k: int, p: int) -> tuple[np.ndarray, np.ndarr
 def _rank_counts(ranks) -> tuple[int, ...]:
     """Block counts n_l = r_{l-1} - 2 r_l + r_{l+1}, l = 1..p, from the ranks
     [r_0, ..., r_{p+1}] of the powers of D."""
-    return tuple(ranks[l - 1] - 2 * ranks[l] + ranks[l + 1] for l in range(1, len(ranks) - 1))
+    return tuple(np.diff(ranks, 2).tolist())
 
 
-def rank_count_vector(powers: list[sparse.Coo], p: int) -> tuple[int, ...]:
-    """Block counts straight from the ranks r_l of the powers [I, D, ..., D^p]
-    of a derivation with D^p = 0 (so r_{p+1} = 0): n_l = r_{l-1} - 2 r_l + r_{l+1},
-    each rank the sum of the ranks of the D-stable blocks, a distinct block's
-    rank counted once per block it stands for."""
-    _, kind, stack = _power_blocks(powers[1], p, p)
-    _, pivots = fp.rref_batch(stack, p)
-    ranks = (pivots >= 0).sum(axis=1).reshape(p, -1) @ np.bincount(kind)
-    return _rank_counts([powers[0].shape[0]] + ranks.tolist() + [0])
+def _power_ranks(dim: int, kind: np.ndarray, pivots: np.ndarray, k: int, p: int) -> list[int]:
+    """The ranks [r_0, ..., r_{p+1}] of the powers of D, zero past D^k, from the pivots of the eliminated
+    distinct blocks of D, ..., D^k, power-major, each counted once per block it stands for."""
+    ranks = [0] * (p + 2)
+    ranks[: k + 1] = [dim, *((pivots >= 0).sum(axis=1).reshape(k, -1) @ np.bincount(kind)).tolist()]
+    return ranks
+
+
+def rank_count_vector(realization: Realization) -> tuple[int, ...]:
+    """Block counts straight from the ranks r_l of the powers of D, each the
+    sum of the ranks of the D-stable blocks of D, ..., D^d for the degree d."""
+    der, p, d = realization.der, realization.algebra.p, realization.degree
+    _, kind, stack = _power_blocks(der, d, p)
+    return _rank_counts(_power_ranks(der.shape[0], kind, fp.rref_batch(stack, p)[1], d, p))
 
 
 def _orbits(der: sparse.Coo, heads, lengths, p: int) -> np.ndarray:
@@ -416,21 +421,21 @@ def _orbits(der: sparse.Coo, heads, lengths, p: int) -> np.ndarray:
     return out
 
 
-def _chains_of(powers: list[sparse.Coo], p: int) -> tuple[ChainDecomposition, list[int]]:
-    """Deterministic chain extraction, not yet validated: the chains of the
-    heads that `_heads` picks, written straight into one basis array, and
-    the ranks [r_0, ..., r_{p+1}] of the powers of D.  The heads are taken
-    first, so the elimination's arrays are freed before the chains are
-    built."""
-    heads, lengths, ranks = _heads(powers, p)
-    return ChainDecomposition.of_rows(_orbits(powers[1], heads, lengths, p), lengths, p), ranks
+def _chains_of(der: sparse.Coo, d: int, p: int) -> tuple[ChainDecomposition, list[int]]:
+    """Deterministic chain extraction for a D with D^d = 0, d <= p, not yet
+    validated: the chains of the heads that `_heads` picks, written straight
+    into one basis array, and the ranks [r_0, ..., r_{p+1}] of the powers of
+    D.  The heads are taken first, so the elimination's arrays are freed
+    before the chains are built."""
+    heads, lengths, ranks = _heads(der, d, p)
+    return ChainDecomposition.of_rows(_orbits(der, heads, lengths, p), lengths, p), ranks
 
 
-def _heads(powers: list[sparse.Coo], p: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """Deterministic head pick: for lengths l = p down to 1, heads are a
-    complement of (ker D^{l-1} + im D) inside ker D^l, picked by echelon order.
-    Returns the heads as the columns of a (dim, chains) array, their chain
-    lengths, and the ranks [r_0, ..., r_{p+1}] of the powers of D.
+def _heads(der: sparse.Coo, d: int, p: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Deterministic head pick for a D with D^d = 0, d <= p: for lengths l = d
+    down to 1, heads are a complement of (ker D^{l-1} + im D) inside ker D^l,
+    picked by echelon order.  Returns the heads as the columns of a (dim,
+    chains) array, their chain lengths, and the ranks [r_0, ..., r_{p+1}].
 
     The candidates are the fp.kernel_basis rows of D^l (row f has a 1 at the
     free column f and zeros at the other free columns), and one heads a chain
@@ -448,40 +453,40 @@ def _heads(powers: list[sparse.Coo], p: int) -> tuple[np.ndarray, np.ndarray, li
     picks off its distinct block.  Heads are ordered longest chain first,
     then by their free coordinate, as the global kernel basis orders them.
     """
-    dim = powers[0].shape[0]
+    dim = der.shape[0]
     if dim == 0:
         return np.zeros((0, 0), dtype=np.int64), np.zeros(0, dtype=np.int64), [0] * (p + 2)
-    blocks, kind, stack = _power_blocks(powers[1], p + 1, p)  # D^{p+1} = 0 when D^p = 0
-    count, size = len(stack) // (p + 1), stack.shape[1]
+    blocks, kind, stack = _power_blocks(der, d + 1, p)  # D^{d+1} = 0 too
+    count, size = len(stack) // (d + 1), stack.shape[1]
     coords = fp.block_table(blocks)
-    # kernel rows of every distinct block of D^1..D^{p+1}: row f has a 1 at free slot f
+    # kernel rows of every distinct block of D^1..D^{d+1}: row f has a 1 at free slot f
     rows, pivots = fp.rref_batch(stack, p)
-    ranks = [dim] + ((pivots >= 0).sum(axis=1).reshape(p + 1, -1) @ np.bincount(kind)).tolist()
-    free = np.zeros((p + 2, count, size), dtype=bool)  # free[l]: the free slots of D^l, none for D^0 = I
+    ranks = _power_ranks(dim, kind, pivots, d + 1, p)
+    free = np.zeros((d + 2, count, size), dtype=bool)  # free[l]: the free slots of D^l, none for D^0 = I
     free[1:, kind] = coords >= 0
-    kernels = np.zeros((p + 2, count, size, size), dtype=np.int64)  # kernels[0] = ker I = 0
+    kernels = np.zeros((d + 2, count, size, size), dtype=np.int64)  # kernels[0] = ker I = 0
     at, rank = np.nonzero(pivots >= 0)
     free[1:].reshape(-1, size)[at, pivots[at, rank]] = False
     kernels[1:].reshape(-1, size, size)[at, :, pivots[at, rank]] = -rows[at, rank] % p
     kernels[~free] = 0
     kernels[:, :, np.arange(size), np.arange(size)] = free
     del rows  # the elimination arrays are freed once used: together they set the peak memory here
-    # W for l = 1..p on the free coordinates of D^l, columns reversed: ker D^{l-1}, then D ker D^{l+1}
-    spans = np.empty((p, count, 2 * size, size), dtype=np.int64)
-    spans[:, :, :size] = kernels[:p, ..., ::-1]
+    # W for l = 1..d on the free coordinates of D^l, columns reversed: ker D^{l-1}, then D ker D^{l+1}
+    spans = np.empty((d, count, 2 * size, size), dtype=np.int64)
+    spans[:, :, :size] = kernels[:d, ..., ::-1]
     np.matmul(kernels[2:], stack[:count].transpose(0, 2, 1)[..., ::-1], out=spans[:, :, size:])
     del stack
     spans %= p
-    spans *= free[1 : p + 1, :, None, ::-1]
-    _, ends = fp.rref_batch(spans.reshape(p * count, 2 * size, size), p)
+    spans *= free[1 : d + 1, :, None, ::-1]
+    _, ends = fp.rref_batch(spans.reshape(d * count, 2 * size, size), p)
     del spans
-    picked = free[1 : p + 1].copy()
+    picked = free[1 : d + 1].copy()
     at, rank = np.nonzero(ends >= 0)
-    picked.reshape(p * count, size)[at, size - 1 - ends[at, rank]] = False
+    picked.reshape(d * count, size)[at, size - 1 - ends[at, rank]] = False
     # the heads of every block, longest chain first, one column each
     shorter, block, slot = np.nonzero(picked[::-1][:, kind])
     order = np.lexsort((coords[block, slot], shorter))
-    lengths, block, slot = p - shorter[order], block[order], slot[order]
+    lengths, block, slot = d - shorter[order], block[order], slot[order]
     local, where = kernels[lengths, kind[block], slot], coords[block]
     heads = np.zeros((dim, len(lengths)), dtype=np.int64)
     row, col = np.nonzero(where >= 0)
@@ -494,8 +499,8 @@ def jordan_decompose(realization: Realization) -> ChainDecomposition:
     counts checked against the rank formula on the ranks of the powers that
     the extraction eliminated."""
     alg = realization.algebra
-    decomp, ranks = _chains_of(realization.powers, alg.p)
-    decomp.validate(realization.powers[1])
+    decomp, ranks = _chains_of(realization.der, realization.degree, alg.p)
+    decomp.validate(realization.der)
     if block_counts(decomp) != _rank_counts(ranks):
         raise AssertionError("chain counts disagree with the rank formula")
     return decomp
@@ -538,7 +543,7 @@ def structured_decompose(realization: Realization, subset) -> ChainDecomposition
     alg = realization.algebra
     integral = alg.origin
     gcm = integral.gcm
-    powers = realization.powers
+    der = realization.der
 
     def unit(kind: str, k: int) -> np.ndarray:  # a row of its own, so no chain views a dim x dim array
         return (np.arange(alg.dim) == integral.generator_index(kind, k)).astype(np.int64)[None]
@@ -552,15 +557,15 @@ def structured_decompose(realization: Realization, subset) -> ChainDecomposition
         alpha_i, alpha_j = integral.roots.simple(i), integral.roots.simple(j)
         touched_roots.update({alpha_i, alpha_j, alpha_i + alpha_j})
         # e_j -> [e, e_j]
-        chains.append(JordanChain(_orbits(powers[1], unit("e", j), [2], alg.p), tag=("e", j)))
+        chains.append(JordanChain(_orbits(der, unit("e", j), [2], alg.p), tag=("e", j)))
         # [f, f_j] -> f_j
         ff = alg.bracket(unit("f", i), unit("f", j))
-        chain = JordanChain(_orbits(powers[1], ff, [2], alg.p), tag=("f", j))
+        chain = JordanChain(_orbits(der, ff, [2], alg.p), tag=("f", j))
         if not np.array_equal(chain.tail, unit("f", j)[0]):
             raise AssertionError("[f, f_j] does not map onto f_j")
         chains.append(chain)
         # f_i -> h_i -> -2 e_i
-        chains.append(JordanChain(_orbits(powers[1], unit("f", i), [3], alg.p)))
+        chains.append(JordanChain(_orbits(der, unit("f", i), [3], alg.p)))
         # h_j - h_i
         chains.append(JordanChain((unit("h", j) - unit("h", i)) % alg.p, tag=("h", j)))
     untouched = [k for k in range(1, gcm.n + 1) if k not in subset and k not in attached.values()]
@@ -575,14 +580,14 @@ def structured_decompose(realization: Realization, subset) -> ChainDecomposition
             continue
         rest_idx.extend([gi, integral.npos + gi])
     rest_idx = sorted(rest_idx)
-    if (np.isin(powers[1].col, rest_idx) & ~np.isin(powers[1].row, rest_idx)).any():  # D b_col has a row outside
+    if (np.isin(der.col, rest_idx) & ~np.isin(der.row, rest_idx)).any():  # D b_col has a row outside
         raise AssertionError("complement is not D-stable")
-    # the complement is D-stable, so the powers of D on it are the rest x rest blocks of D^k
-    rest = np.ix_(rest_idx, rest_idx)
-    complement = _chains_of([sparse.from_dense(power.toarray()[rest]) for power in powers], alg.p)[0]
+    # the complement is D-stable, so D on it is the rest x rest block of D, of degree at most D's
+    block = sparse.from_dense(der.toarray()[np.ix_(rest_idx, rest_idx)])
+    complement = _chains_of(block, realization.degree, alg.p)[0]
     embedded = np.zeros((len(complement.basis), alg.dim), dtype=np.int64)
     embedded[:, rest_idx] = complement.basis
     chains += [JordanChain(vectors) for vectors in np.split(embedded, np.cumsum(complement.lengths))[:-1]]
     decomp = ChainDecomposition(chains, alg.p, alg.dim)
-    decomp.validate(powers[1])
+    decomp.validate(der)
     return decomp

@@ -106,7 +106,7 @@ def semisimplify(realization: Realization, decomp: ChainDecomposition) -> Semisi
     parity = np.array([0] * len(even) + [1] * len(odd), dtype=np.int64)
     # head coefficients: coords[k] @ v is the coordinate of v at the head of
     # survivor k, read off the block inverses that validating the chains found
-    coords = decomp.coordinates(realization.powers[1], offsets[survivors])
+    coords = decomp.coordinates(realization.der, offsets[survivors])
     heads = decomp.basis[offsets[survivors]]
     coords_t = sparse.from_dense(coords.T)
     values = sparse.product(alg.brackets(heads, heads), coords_t, p)  # row a*m+b: [head_a, head_b], column k
@@ -150,7 +150,7 @@ def prop32_reference(realization: Realization, decomp: ChainDecomposition) -> Mo
     p = alg.p
     if p != 3:
         raise ValueError("the reference formula is specific to characteristic 3")
-    decomp.validate(realization.powers[1])
+    decomp.validate(realization.der)
     even = [i for i, c in enumerate(decomp.chains) if c.length == 1]
     odd = [i for i, c in enumerate(decomp.chains) if c.length == 2]
     offsets = decomp.chain_offsets()

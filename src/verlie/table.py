@@ -158,7 +158,7 @@ def run_row(spec: RowSpec) -> TableRow:
     alg = catalog_algebra(spec.algebra, spec.p)
     for element in spec.elements[1:]:
         # counted by the rank formula, with no chains; read off the module, where perfbench/spans.py wraps it
-        other = repalpha.rank_count_vector(realize(alg, parse_element(element, alg)[1]).powers, spec.p)
+        other = repalpha.rank_count_vector(realize(alg, parse_element(element, alg)[1]))
         if other != spec.counts:
             mismatches.append(f"{element}: block counts {other} != {spec.counts}")
 

@@ -257,7 +257,7 @@ def cartan_torus_images(ss: SemisimplifiedAlgebra) -> np.ndarray:
     cartan = np.zeros((alg.dim, n), dtype=np.int64)
     for i in range(1, n + 1):
         cartan[integral.generator_index("h", i), i - 1] = 1
-    killed = fp.kernel_basis(ss.realization.powers[1].dot(cartan) % alg.p, alg.p)
+    killed = fp.kernel_basis(ss.realization.der.dot(cartan) % alg.p, alg.p)
     images = [ss.image(cartan @ combo % alg.p) for combo in killed]
     sub = Subspace.from_vectors(images, ss.algebra.dim, alg.p) if images else Subspace.zero(ss.algebra.dim, alg.p)
     return sub.rows

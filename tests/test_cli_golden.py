@@ -31,6 +31,9 @@ GOLDEN = [
     # p = 5: the splitting vector sums four layers
     (["semisimplify", "--algebra", "g2", "-p", "5", "--element", "e1"],
      0, "0eaf0541d09eb7f56c6eea536baf0558b239d286cf89be73f4897c7b2e002dd0"),
+    # p = 7, an odd part: (3|2), of degree 6 < p, so the head pick stops at the degree
+    (["semisimplify", "--algebra", "f4", "-p", "7", "--element", "e1+e2+e4"],
+     0, "8174019a212cda539cacc7e8a613fe3c28b2c2f57d386a929eef08d965a53893"),
     # maint route, target g(2,6) matched directly
     (["certify", "--algebra", "e6", "--subset", "2"],
      0, "5ff41ff12d1a852eb1a22f35d5c77b56456aededf9200bd9eee5e20bee625ea7"),

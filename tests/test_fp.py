@@ -150,15 +150,46 @@ def test_rref_deterministic():
     seed=st.integers(0, 2**32 - 1),
 )
 def test_powers_match_repeated_dense_products(p, n, k, density, seed):
+    """A realization holds D reduced mod p as one sparse int64 matrix, and
+    its degree, or the error it raises, is what repeated dense products
+    predict; for m and for its part below the k-th subdiagonal, which is
+    nilpotent."""
     rng = np.random.default_rng(seed)
     m = rng.integers(-2 * p, 2 * p, size=(n, n)) * (rng.random((n, n)) < density)
-    got = fp.powers(m, k, p)
-    assert len(got) == k + 1
-    expected = np.eye(n, dtype=np.int64)
-    for power in got:
-        assert isinstance(power, sparse.Coo) and power.data.dtype == np.int64
-        assert np.array_equal(power.toarray(), expected)
-        expected = expected @ m % p
+    for der in (m, np.tril(m, -max(k, 1))):
+        r = realized_with_degree(der, p, dense_degree(der % p, p))
+        if r is not None:
+            assert isinstance(r.der, sparse.Coo) and r.der.data.dtype == np.int64
+            assert np.array_equal(r.der.toarray(), der % p)
+
+
+def dense_degree(m, p: int) -> int | None:
+    """The first k >= 1 with m^k = 0 mod p by repeated dense products, or
+    None when m is not nilpotent (m^dim != 0)."""
+    power = np.eye(len(m), dtype=np.int64)
+    for k in range(1, max(len(m), 1) + 1):
+        power = power @ m % p
+        if not power.any():
+            return k
+    return None
+
+
+def realized_with_degree(m, p: int, k: int | None):
+    """realize_in_abelian(m, p), asserted to hold the degree k, the first
+    power of m that is zero mod p, when k <= p; for a larger k, or None (m
+    not nilpotent), asserts that it raises the error k predicts, and
+    returns None."""
+    if k is None:
+        with pytest.raises(NotNilpotent, match="not nilpotent"):
+            realize_in_abelian(m, p)
+    elif k > p:
+        with pytest.raises(DegreeExceedsP, match=f"degree > {p}"):
+            realize_in_abelian(m, p)
+    else:
+        r = realize_in_abelian(m, p)
+        assert r.degree == k
+        return r
+    return None
 
 
 def is_prime(n: int) -> bool:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import verlie as v
 from tests.oracles import dense_chain_check, padded_heads
-from tests.test_fp import largest_accepted_prime, rank
+from tests.test_fp import largest_accepted_prime, rank, realize_in_abelian
 from verlie import fp, repalpha, roots, sparse
 from verlie.errors import DegreeExceedsP, NotNilpotent, ParseError, PreconditionViolated, UnknownGenerator
 from verlie.repalpha import (
@@ -144,12 +144,12 @@ def test_chain_property_and_rank_formula(f4mod3):
     _, vec = parse_element("e4", f4mod3)
     r = realize(f4mod3, vec)
     decomp = jordan_decompose(r)
-    decomp.validate(r.powers[1])
-    assert block_counts(decomp) == rank_count_vector(r.powers, 3)
+    decomp.validate(r.der)
+    assert block_counts(decomp) == rank_count_vector(r)
     for chain in decomp.chains:
         for t in range(chain.length - 1):
-            assert np.array_equal(r.powers[1].dot(chain.vectors[t]) % 3, chain.vectors[t + 1])
-        assert not (r.powers[1].dot(chain.vectors[-1]) % 3).any()
+            assert np.array_equal(r.der.dot(chain.vectors[t]) % 3, chain.vectors[t + 1])
+        assert not (r.der.dot(chain.vectors[-1]) % 3).any()
 
 
 def test_jordan_decompose_deterministic(f4mod3):
@@ -229,9 +229,10 @@ def test_structured_complement_must_be_d_stable(f4mod3):
     r = realize(f4mod3, parse_element("e4", f4mod3)[1])
     integral = f4mod3.origin
     gamma = integral.roots.simple(1) + integral.roots.simple(2)  # in the complement of subset (4,)
-    der = r.powers[1].toarray()
+    der = r.der.toarray()
     der[integral.generator_index("h", 1), integral.roots.positive.index(gamma)] = 1
-    broken = repalpha.Realization(f4mod3, [r.powers[0], v.sparse.from_dense(der), *r.powers[2:]], r.element)
+    broken = repalpha.Realization(f4mod3, v.sparse.from_dense(der), r.element)
+    assert broken.degree == 3
     with pytest.raises(AssertionError, match="complement is not D-stable"):
         structured_decompose(broken, (4,))
 
@@ -248,7 +249,7 @@ def test_structured_empty_complement(name, subset):
         _, vec = parse_element("+".join(f"e{i}" for i in subset), alg)
     r = realize(alg, vec)
     decomp = structured_decompose(r, subset)
-    decomp.validate(r.powers[1])
+    decomp.validate(r.der)
     assert block_counts(decomp) == block_counts(jordan_decompose(r))
     ss = semisimplify(r, decomp)
     assert ss.algebra.constants == prop32_reference(r, decomp).constants
@@ -282,7 +283,7 @@ def test_chain_decomposition_validate_rejects_broken():
     chains[0] = JordanChain(bad_vectors)
     broken = ChainDecomposition(tuple(chains), 3, 9)
     with pytest.raises(ValueError):
-        broken.validate(r.powers[1])
+        broken.validate(r.der)
 
 
 def greedy_chains(der, p: int, dim: int) -> list[JordanChain]:
@@ -346,13 +347,27 @@ def test_batched_head_pick_matches_greedy_loop(p, blocks, split, seed):
     else:
         basis = unit_lu(dim)
     der = basis @ jordan @ fp.inverse(basis, p) % p
-    got, ranks = _chains_of(fp.powers(der, p, p), p)
+    got, ranks = _chains_of(sparse.from_dense(der), p, p)
     expected = greedy_chains(der, p, dim)
     assert len(got.chains) == len(expected)
     assert all(np.array_equal(chain.vectors, vectors) for chain, vectors in zip(got.chains, expected))
     if max(blocks) <= p:
         got.validate(der)
-        assert block_counts(got) == rank_count_vector(fp.powers(der, p, p), p) == _rank_counts(ranks)
+        r = realize_in_abelian(der, p)
+        assert r.degree == max(blocks)
+        assert block_counts(got) == rank_count_vector(r) == _rank_counts(ranks)
+        # bounded by the degree, the head pick picks the same chains and ranks
+        bounded, bounded_ranks = _chains_of(r.der, r.degree, p)
+        assert np.array_equal(bounded.basis, got.basis) and np.array_equal(bounded.lengths, got.lengths)
+        assert bounded_ranks == ranks
+
+
+def power_list(der: sparse.Coo, p: int) -> list[sparse.Coo]:
+    """[I, D, ..., D^p] as sparse matrices, the power list the padded oracles read."""
+    powers = [sparse.identity(der.shape[0])]
+    for _ in range(p):
+        powers.append(sparse.product(powers[-1], der, p))
+    return powers
 
 
 def repeated_block_derivation(p: int, kinds, rng) -> np.ndarray:
@@ -408,13 +423,14 @@ def test_repeated_blocks_give_the_padded_head_pick(p, kinds, seed):
     _, kind, stack = repalpha._power_blocks(sparse.from_dense(der), p, p)
     assert len(stack) // p <= len(kind) - sum(repeats - 1 for _, repeats in kinds)
     r = realize_derivation(ModularSuperAlgebra.from_entries(p, np.zeros(dim, dtype=np.int64), [], [], [], []), der)
-    heads, lengths, ranks = padded_heads(r.powers, p)
+    powers = power_list(r.der, p)
+    heads, lengths, ranks = padded_heads(powers, p)
     decomp = jordan_decompose(r)
     assert np.array_equal(decomp.lengths, lengths)
-    assert np.array_equal(decomp.basis, _orbits(r.powers[1], heads, lengths, p))
-    assert _heads(r.powers, p)[2] == ranks
-    power_ranks = [rank(power.toarray(), p) for power in r.powers] + [0]
-    assert rank_count_vector(r.powers, p) == _rank_counts(power_ranks) == block_counts(decomp)
+    assert np.array_equal(decomp.basis, _orbits(r.der, heads, lengths, p))
+    assert _heads(r.der, r.degree, p)[2] == ranks
+    power_ranks = [rank(power.toarray(), p) for power in powers] + [0]
+    assert rank_count_vector(r) == _rank_counts(power_ranks) == block_counts(decomp)
 
 
 def test_block_sizes_tell_apart_equally_padded_blocks():
@@ -422,10 +438,10 @@ def test_block_sizes_tell_apart_equally_padded_blocks():
     matrix of D is zero, padded just like the lone coordinate 2: only the
     sizes keep the two blocks apart."""
     der = sparse.Coo(np.array([0, 3]), np.array([1, 4]), np.array([0, 1]), (5, 5))
-    powers = [sparse.identity(5), der, *[sparse.product(der, der, 3)] * 2]
-    expected, got = padded_heads(powers, 3), _heads(powers, 3)
+    expected, got = padded_heads(power_list(der, 3), 3), _heads(der, 3, 3)
     assert np.array_equal(got[0], expected[0]) and np.array_equal(got[1], expected[1]) and got[2] == expected[2]
-    assert rank_count_vector(powers, 3) == (3, 1, 0)
+    r = repalpha.Realization(ModularSuperAlgebra.from_entries(3, np.zeros(5, dtype=np.int64), [], [], [], []), der)
+    assert rank_count_vector(r) == (3, 1, 0)
 
 
 def test_heads_eliminate_each_distinct_block_once():
@@ -435,11 +451,12 @@ def test_heads_eliminate_each_distinct_block_once():
     and eliminated)."""
     alg = v.catalog_algebra("e8", 5)
     r = realize(alg, parse_element("e2+e3+e4", alg)[1])
-    blocks, kind, stack = repalpha._power_blocks(r.powers[1], 6, 5)
+    assert r.degree == 5
+    blocks, kind, stack = repalpha._power_blocks(r.der, 6, 5)
     assert blocks.max() + 1 == len(kind) == 86 and stack.shape == (6 * 8, 17, 17)
     tracemalloc.start()
     try:
-        _heads(r.powers, 5)
+        _heads(r.der, r.degree, 5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -462,6 +479,10 @@ def test_realizations_compare_by_identity(f4mod3):
     _, vec = parse_element("e4", f4mod3)
     first, second = realize(f4mod3, vec), realize(f4mod3, vec)
     assert first == first and first != second
+    # D and its degree are fixed together when the realization is made
+    for name, value in (("der", second.der), ("degree", 2)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(first, name, value)
 
 
 def test_validated_decomposition_cannot_change_silently(monkeypatch):
@@ -475,7 +496,7 @@ def test_validated_decomposition_cannot_change_silently(monkeypatch):
     for write in (lambda: decomp.chains[0].vectors.__setitem__((0, 0), 1),
                   lambda: decomp.chains[0].vectors.base.fill(0),  # the basis array the chains view
                   lambda: decomp.lengths.__setitem__(0, 1),
-                  lambda: r.powers[1].data.__setitem__(0, 2)):
+                  lambda: r.der.data.__setitem__(0, 2)):
         with pytest.raises(ValueError, match="read-only"):
             write()
     longest = int(np.argmax(decomp.lengths))
@@ -487,15 +508,15 @@ def test_validated_decomposition_cannot_change_silently(monkeypatch):
     full = []
     check = ChainDecomposition._check
     monkeypatch.setattr(ChainDecomposition, "_check", lambda self, der: full.append(der) or check(self, der))
-    decomp.validate(r.powers[1])
+    decomp.validate(r.der)
     assert not full  # same read-only D and basis: nothing left to check
-    decomp.validate(r.powers[1].toarray())  # another D, even an equal one, is checked
+    decomp.validate(r.der.toarray())  # another D, even an equal one, is checked
     assert len(full) == 1
     # hand-built chains are stacked into a basis of their own, validated once
     own = ChainDecomposition(decomp.chains, 3, 9)
     assert own.basis is not decomp.basis and not own.basis.flags.writeable
-    own.validate(r.powers[1])
-    own.validate(r.powers[1])
+    own.validate(r.der)
+    own.validate(r.der)
     assert len(full) == 2
     # a basis array replaced after validation
     start = int(own.chain_offsets()[longest])
@@ -503,15 +524,15 @@ def test_validated_decomposition_cannot_change_silently(monkeypatch):
     replaced[start] = bad[0]
     kept, own.basis = own.basis, replaced
     with pytest.raises(ValueError, match="D-orbit"):
-        own.validate(r.powers[1])
+        own.validate(r.der)
     own.basis = kept
-    own.validate(r.powers[1])
+    own.validate(r.der)
     assert len(full) == 3  # the validated basis, put back unchanged and read-only
     # the basis array made writable again and changed in place
     own.basis.flags.writeable = True
     own.basis[start] = bad[0]
     with pytest.raises(ValueError, match="D-orbit"):
-        own.validate(r.powers[1])
+        own.validate(r.der)
     assert len(full) == 4
     with pytest.raises(ValueError, match="D-orbit"):
         v.semisimplify(r, own)
@@ -605,7 +626,7 @@ def test_validate_agrees_with_the_dense_check(p, kinds, fault, seed):
     rng = np.random.default_rng(seed)
     der = repeated_block_derivation(p, kinds, rng)
     dim = len(der)
-    generic, _ = _chains_of(fp.powers(der, p, p), p)
+    generic, _ = _chains_of(sparse.from_dense(der), p, p)
     chains = [chain.vectors.copy() for chain in generic.chains]
     d_blocks = fp.components(sparse.from_dense(der))
     block = [d_blocks[np.flatnonzero(vectors[0])[0]] for vectors in chains]
@@ -683,7 +704,7 @@ def test_rank_formula_agrees_with_the_separate_elimination():
             r = realize(alg, parse_element(element, alg)[1])
         except DegreeExceedsP:
             continue
-        assert block_counts(jordan_decompose(r)) == rank_count_vector(r.powers, alg.p), (alg.dim, alg.p, element)
+        assert block_counts(jordan_decompose(r)) == rank_count_vector(r), (alg.dim, alg.p, element)
         checked += 1
     assert checked > len(cases) // 2
 
@@ -692,8 +713,8 @@ def test_rank_formula_catches_a_wrong_rank(monkeypatch):
     """Correct chains with one wrong rank fail the rank-formula check."""
     extract = repalpha._chains_of
 
-    def one_rank_off(powers, p):
-        chains, ranks = extract(powers, p)
+    def one_rank_off(der, d, p):
+        chains, ranks = extract(der, d, p)
         ranks[1] += 1
         return chains, ranks
 

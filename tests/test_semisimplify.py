@@ -1,12 +1,16 @@
+import itertools
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import verlie as v
 from tests.pipelines import spec_pipeline
-from tests.test_fp import rank
+from tests.test_fp import largest_accepted_prime, rank
 from verlie import fp
 from verlie.errors import DegreeExceedsP
-from verlie.repalpha import ChainDecomposition, JordanChain
+from verlie.repalpha import ChainDecomposition, JordanChain, block_counts, jordan_decompose, parse_element, realize
 from verlie.semisimplify import clebsch_gordan, pairing_vector, prop32_reference, semisimplify
 from verlie.superalgebra import center, derived_subalgebra, superdim
 from verlie.table import TABLE, row_pipeline
@@ -74,7 +78,7 @@ def gl3_setup():
     _, vec = v.parse_element("e2", alg)  # the (2,3) elementary matrix
     realization = v.realize(alg, vec)
     decomp = ChainDecomposition(paper_gl3_chains(), 3, 9)
-    decomp.validate(realization.powers[1].toarray())  # a dense D is accepted too
+    decomp.validate(realization.der.toarray())  # a dense D is accepted too
     return realization, decomp
 
 
@@ -232,6 +236,62 @@ def test_head_coordinates_match_the_dense_inverse():
     assert len(pipelines) == len(TABLE) + len(boundary) + 3 * len(SMALL_ALGEBRAS)
     for realization, decomp, ss in pipelines:
         dense = fp.inverse(decomp.basis_matrix(), decomp.p)
-        assert np.array_equal(decomp.coordinates(realization.powers[1], range(decomp.dim)), dense)
+        assert np.array_equal(decomp.coordinates(realization.der, range(decomp.dim)), dense)
         offsets = decomp.chain_offsets()
         assert np.array_equal(ss.coords, dense[[offsets[c] for c in ss.even_chains + ss.odd_chains]])
+
+
+# bounds at about twice what a shared 2-core machine measured: g2 0.74 s and
+# 359 MB, f4 0.40 s and 186 MB (tracemalloc on)
+@pytest.mark.parametrize("name,p,element,degree,seconds,megabytes", [
+    ("g2", 8_967_799, "e1", 4, 2.0, 720),
+    ("f4", 4_653_151, "e1+e2+e4", 6, 1.0, 380),
+])
+def test_largest_accepted_prime_is_answered_exactly(name, p, element, degree, seconds, megabytes):
+    """At the largest prime that fp.check_modulus accepts for the algebra,
+    where an int64 product of two residues reaches (p-1)^2 ~ 2^46, realize,
+    jordan_decompose and semisimplify answer within a wall-time and a
+    tracemalloc bound: their work is bounded by the degree of D, and only
+    the count vectors have p entries.  The output constants are the brackets
+    of the head vectors taken in Python integers, with the integral
+    structure constants, projected onto the head coordinates, whose
+    exactness is checked in Python integers too."""
+    alg = v.catalog_algebra(name, p)
+    assert p == largest_accepted_prime(alg.dim)
+    vec = parse_element(element, alg)[1]
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        r = realize(alg, vec)
+        decomp = jordan_decompose(r)
+        ss = semisimplify(r, decomp)
+        elapsed, peak = time.perf_counter() - start, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < seconds and peak < megabytes * 1_000_000, (elapsed, peak)
+    counts = block_counts(decomp)
+    assert r.degree == degree and len(counts) == p and counts[degree - 1] and not any(counts[degree:])
+    assert not ss.odd_chains and all(report.ok for report in ss.checks.values())
+    # the head coordinates: coords[a] . (basis column c) = [c is the head of survivor a]
+    heads = decomp.chain_offsets()[list(ss.even_chains)]
+    basis, coords = decomp.basis.tolist(), ss.coords.tolist()
+    for a, row in enumerate(coords):
+        assert [sum(x * y for x, y in zip(row, column)) % p for column in basis] == [
+            int(c == heads[a]) for c in range(alg.dim)]
+    constants = alg.origin.constants
+
+    def bracket(u, w) -> list[int]:
+        out = [0] * alg.dim
+        for (i, j), comps in constants.items():
+            if u[i] and w[j]:
+                for k, c in comps.items():
+                    out[k] += u[i] * w[j] * c
+        return out
+
+    expected = {}
+    for a, b in itertools.product(range(len(heads)), repeat=2):
+        value = bracket(basis[heads[a]], basis[heads[b]])
+        comps = {k: sum(x * y for x, y in zip(row, value)) % p for k, row in enumerate(coords)}
+        if any(comps.values()):
+            expected[a, b] = {k: c for k, c in comps.items() if c}
+    assert ss.algebra.constants == expected and expected

@@ -12,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import verlie as v
-from tests.test_fp import largest_accepted_prime
-from verlie import fp, sparse
+from tests.test_fp import largest_accepted_prime, realized_with_degree
+from verlie import sparse
+from verlie.repalpha import block_counts, jordan_decompose, realize
 from verlie.superalgebra import ModularSuperAlgebra
 
 PRIMES = st.sampled_from([3, 5, 7, "largest"])
@@ -80,12 +81,20 @@ def test_brackets_match_scipy(name, p, m, n, density, seed):
 @given(p=PRIMES, n=st.integers(0, 9), k=st.integers(0, 6), density=st.floats(0, 1),
        seed=st.integers(0, 2**32 - 1))
 def test_powers_match_scipy(p, n, k, density, seed):
+    """A realization's degree is the first power of D that scipy's sparse
+    products send to zero, up to the largest accepted p; a D with D^p != 0
+    raises what those powers predict.  For m and for its part below the
+    k-th subdiagonal, which is nilpotent."""
     p = modulus(p, n)
     m = operand(np.random.default_rng(seed), n, n, p, density)
-    power = sp.identity(n, dtype=np.int64, format="csr")
-    for got in fp.powers(m, k, p):
-        assert np.array_equal(got.toarray(), power.toarray())
-        power = sp.csr_matrix((power @ sp.csr_matrix(m)).toarray() % p)
+    for der in (m, np.tril(m, -max(k, 1))):
+        power, first = sp.csr_matrix(der), None
+        for j in range(1, max(n, 1) + 1):  # a nilpotent D has D^n = 0
+            if not power.count_nonzero():
+                first = j
+                break
+            power = sp.csr_matrix((power @ sp.csr_matrix(der)).toarray() % p)
+        realized_with_degree(der, p, first)
 
 
 def test_brackets_on_a_zero_dimensional_algebra():
@@ -93,7 +102,10 @@ def test_brackets_on_a_zero_dimensional_algebra():
     got = alg.brackets(np.zeros((2, 0), dtype=np.int64), np.zeros((3, 0), dtype=np.int64))
     assert got.shape == (6, 0) and got.nnz == 0
     assert alg.ad(np.zeros(0, dtype=np.int64)).shape == (0, 0)
-    assert [power.shape for power in fp.powers(np.zeros((0, 0)), 2, 3)] == [(0, 0)] * 3
+    r = realize(alg, np.zeros(0, dtype=np.int64))
+    assert r.der.shape == (0, 0) and r.degree == 1
+    decomp = jordan_decompose(r)
+    assert decomp.basis.shape == (0, 0) and not decomp.chains and block_counts(decomp) == (0, 0, 0)
 
 
 @settings(max_examples=60, deadline=None)

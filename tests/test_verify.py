@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -705,3 +706,61 @@ def test_structured_and_generic_decompositions_certify_alike():
     for spec in BOUNDARY_ROWS:
         cert = CERTIFY[spec.route](spec_pipeline(spec)[2], spec)
         assert cert.to_json_dict() == run_row(spec).certificate, spec.key
+
+
+def own_generators(alg) -> np.ndarray:
+    """The (3, rank, dim) array of an algebra's own e, f and h generators."""
+    rank = sum(name.startswith("e") for name in alg.gens)
+    return np.array([[alg.gens[f"{kind}{i}"] for i in range(1, rank + 1)] for kind in "efh"])
+
+
+def test_relations_witness_lists_noncommuting_h_images():
+    """sl3 against A2 passes with its own generators; with h2 replaced by
+    e1, [h1, h2] = 2 e1 != 0 and the witness lists the hh relation."""
+    alg = v.catalog_algebra("a2", 3)
+    gens = own_generators(alg)
+    target = TargetSpec("A2", 3, (8, 0), catalog_gcm("a2"))
+    assert check_relations(alg, gens, target).ok
+    gens[2, 1] = alg.gens["e1"]
+    failures = check_relations(alg, gens, target).witness["failures"]
+    assert {"relation": "hh", "i": 1, "j": 2} in failures and {"relation": "hh", "i": 2, "j": 1} in failures
+
+
+def test_relations_witness_lists_an_odd_h_image():
+    """An odd vector in place of h1 fails the parity relation of h1."""
+    alg, gens = output_and_images("f4", "e4", (4,))
+    target = target_by_name("g(1,6)")
+    assert check_relations(alg, gens, target).ok
+    gens = gens.copy()
+    gens[2, 0] = np.eye(alg.dim, dtype=np.int64)[np.flatnonzero(alg.parity)[0]]
+    assert {"relation": "parity", "generator": "h1"} in check_relations(alg, gens, target).witness["failures"]
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_sl3_generators_generate_a_hyperplane_of_gl3(p):
+    """The sl3 generators inside gl3 generate 8 of its 9 dimensions."""
+    alg = v.gl(3, p)
+    report = check_generation(alg, own_generators(alg))
+    assert not report.ok and report.witness == {"dim": 8, "expected": 9}
+
+
+def test_even_route_checks_the_even_dimension():
+    """The right even type with the wrong even dimension fails the even-type
+    fact, not only the superdimension."""
+    _, _, ss = row_pipeline("e8", 5, "e2+e3+e4")
+    el55 = target_by_name("el(5;5)")
+    target = TargetSpec(el55.name, el55.p, (el55.superdim[0] + 1, el55.superdim[1]), el55.gcm, el55.even_type)
+    cert = certify_even_route(ss, target)
+    assert not cert.relations.ok and cert.witness == {"even_type": "B5", "expected": "B5"}
+    assert cert.conclusion != "Verified"
+
+
+def test_even_route_reads_the_axiom_reports():
+    """An output whose odd-cube report fails is not Verified by the even
+    route, which keeps that report as its third fact."""
+    _, _, ss = row_pipeline("e8", 5, "e2+e3+e4")
+    failed = Report("odd_cubes", False, {"cube": 0})
+    broken = dataclasses.replace(ss, checks={**ss.checks, "odd_cubes": failed})
+    cert = certify_even_route(broken, target_by_name("el(5;5)"))
+    assert cert.relations.ok and cert.generation.ok and cert.odd_cubes is failed
+    assert cert.conclusion == "Inconclusive" and cert.witness == {"cube": 0}
