@@ -47,9 +47,8 @@ SCHEMA = 1
 
 def _emit(payload: dict, path: str | None):
     payload = {"schema": SCHEMA, **payload}
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if path:
-        Path(path).write_text(text + "\n")
+    if path:  # no text is built without a path
+        Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return payload
 
 

@@ -48,16 +48,17 @@ def check_modulus(p: int, dim: int = 1) -> None:
 
 
 def matmul(a, b, p: int) -> Array:
-    """a @ b mod p for operands reduced mod p, through float64 BLAS.
+    """a @ b mod p for operands reduced mod p, in int64.
 
-    Exact: every partial sum is an integer below inner·(p−1)² < 2^50 < 2^53,
-    so no summation order rounds.  Raises BadModulus when inner·(p−1)²
-    reaches 2^50.
+    Exact: every partial sum is an integer below inner·(p−1)² < 2^50.
+    Raises BadModulus when inner·(p−1)² reaches 2^50.  On the subspace
+    products of the table's closures numpy's int64 loop is as fast as
+    float64 BLAS, without float copies of both operands or BLAS buffers.
     """
     inner = np.shape(a)[-1]
     if inner * (p - 1) ** 2 >= 1 << 50:
         raise BadModulus(f"p = {p} is too large for an inner dimension {inner}: inner*(p-1)^2 must stay below 2^50")
-    return (np.asarray(a, dtype=np.float64) @ np.asarray(b, dtype=np.float64)).astype(np.int64) % p
+    return np.asarray(a, dtype=np.int64) @ np.asarray(b, dtype=np.int64) % p
 
 
 def rref(m, p: int) -> tuple[Array, list[int]]:

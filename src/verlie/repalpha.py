@@ -184,7 +184,7 @@ class Realization:
 def realize(alg: ModularSuperAlgebra, v) -> Realization:
     """Realize with respect to the inner derivation ad v."""
     v = fp.normalize(v, alg.p)
-    return Realization(alg, alg.ad(v), v)
+    return Realization(alg, alg.sparse_ad(v), v)
 
 
 def realize_derivation(alg: ModularSuperAlgebra, der) -> Realization:

@@ -88,33 +88,28 @@ def _chain_labels(decomp: ChainDecomposition, chain_index: int) -> str:
     return f"chain{chain_index}"
 
 
-def semisimplify(realization: Realization, decomp: ChainDecomposition) -> SemisimplifiedAlgebra:
-    """Apply the semisimplification functor and project onto supervector spaces.
-
-    Raises JacobiViolation if the projected bracket fails super skew or super
-    Jacobi; that signals a broken decomposition, not a recoverable state.
-    Both reports are kept on the result as `checks`, with the odd-cube
-    report, whose failure is a fact about the output rather than an error.
-    """
+def _projected(realization: Realization, decomp: ChainDecomposition, even: tuple[int, ...],
+               odd: tuple[int, ...]) -> tuple[ModularSuperAlgebra, np.ndarray]:
+    """The projected bracket on the survivors, the chains even then odd, and
+    the head coordinates: row k of coords @ v is the coordinate of v at the
+    head of survivor k.  The heads, their brackets and the splitting
+    products live only here, so they are freed before the output is checked."""
     alg = realization.algebra
     p = alg.p
-    even = tuple(np.flatnonzero(decomp.lengths == 1).tolist())
-    odd = tuple(np.flatnonzero(decomp.lengths == p - 1).tolist())
     offsets = decomp.chain_offsets()
     survivors = np.array(even + odd, dtype=np.int64)
     m = len(survivors)
     parity = np.array([0] * len(even) + [1] * len(odd), dtype=np.int64)
-    # head coefficients: coords[k] @ v is the coordinate of v at the head of
-    # survivor k, read off the block inverses that validating the chains found
+    # head coefficients, read off the block inverses that validating the chains found
     coords = decomp.coordinates(realization.der, offsets[survivors])
-    heads = decomp.basis[offsets[survivors]]
     coords_t = sparse.from_dense(coords.T)
+    heads = sparse.from_dense(decomp.basis[offsets[survivors]])  # the basis rows are reduced and mostly zero
     values = sparse.product(alg.brackets(heads, heads), coords_t, p)  # row a*m+b: [head_a, head_b], column k
     a, b = np.divmod(values.row, m)
     cols, data = values.col, values.data
     if odd:
         # odd-odd rows: the splitting vector sum_t (-1)^t [v_a^(t-1), v_b^(p-t-1)]
-        layers = [decomp.basis[offsets[survivors[len(even) :]] + s] for s in range(p - 1)]
+        layers = [sparse.from_dense(decomp.basis[offsets[survivors[len(even) :]] + s]) for s in range(p - 1)]
         split = sparse.combine([((-1) ** t, alg.brackets(layers[t - 1], layers[p - t - 1])) for t in range(1, p)], p)
         split = sparse.product(split, coords_t, p)
         sa, sb = np.divmod(split.row, len(odd))
@@ -126,6 +121,21 @@ def semisimplify(realization: Realization, decomp: ChainDecomposition) -> Semisi
     keep = (parity[a] ^ parity[b]) == parity[cols]
     values = sparse.from_entries(a[keep] * m + b[keep], cols[keep], data[keep], (m * m, m))
     out = ModularSuperAlgebra.from_products(values, p, parity, [_chain_labels(decomp, c) for c in even + odd])
+    return out, coords
+
+
+def semisimplify(realization: Realization, decomp: ChainDecomposition) -> SemisimplifiedAlgebra:
+    """Apply the semisimplification functor and project onto supervector spaces.
+
+    Raises JacobiViolation if the projected bracket fails super skew or super
+    Jacobi; that signals a broken decomposition, not a recoverable state.
+    Both reports are kept on the result as `checks`, with the odd-cube
+    report, whose failure is a fact about the output rather than an error.
+    """
+    p = realization.algebra.p
+    even = tuple(np.flatnonzero(decomp.lengths == 1).tolist())
+    odd = tuple(np.flatnonzero(decomp.lengths == p - 1).tolist())
+    out, coords = _projected(realization, decomp, even, odd)
     skew = check_super_skew(out)
     if not skew.ok:
         raise JacobiViolation(f"projected bracket is not super skew at {skew.witness}")

@@ -102,7 +102,9 @@ def span_pairs(lo: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarr
     """(s, t) for every t in lo[s] : lo[s] + counts[s], s ascending and t
     ascending within each s."""
     s = np.repeat(np.arange(len(lo)), counts)
-    return s, np.arange(len(s)) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    t = np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    t += np.arange(len(s))
+    return s, t
 
 
 def pairs(m: Coo, rows) -> tuple[np.ndarray, np.ndarray]:

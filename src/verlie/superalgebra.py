@@ -110,8 +110,13 @@ class ModularSuperAlgebra:
 
     def ad(self, v) -> np.ndarray:
         """Dense matrix of x -> [v, x]."""
+        return self.sparse_ad(v).toarray()
+
+    def sparse_ad(self, v) -> sparse.Coo:
+        """Sparse matrix of x -> [v, x]."""
         row = sparse.from_dense(fp.normalize(v, self.p).reshape(1, -1))
-        return sparse.product(row, self.tensor, self.p).toarray().reshape(self.dim, self.dim)
+        flat = sparse.product(row, self.tensor, self.p)  # column k*dim + j: [v, b_j]_k
+        return sparse.from_keys(flat.col, flat.data, (self.dim, self.dim))
 
     def brackets(self, u, v) -> sparse.Coo:
         """All brackets of the rows of u with the rows of v: a sparse
@@ -230,20 +235,22 @@ def skew_witness(tensor: sparse.Coo, parity, p: int | None):
     """Smallest basis triple (i, j, k), i <= j, at which
     C(i,j,k) = -(-1)^{|i||j|} C(j,i,k) fails, or None.
 
-    Each entry C(i,j,k) = c of the tensor adds c at key (i,j,k) and
-    (-1)^{|i||j|} c at its mirror key (j,i,k); the keys are summed exactly in
-    int64.  The failures at (i,j,k) and (j,i,k) come together, so the
-    smallest has i <= j.  p=None checks over Z.
+    The sum C(i,j,k) + (-1)^{|i||j|} C(j,i,k) vanishes at (i,j,k) exactly
+    when it does at (j,i,k), so the failures come together and the smallest
+    has i <= j.  Each entry C(i,j,k) = c of the tensor adds its share of that
+    sum once, at the key of (min(i,j), max(i,j), k): c when i < j,
+    (-1)^{|i||j|} c when i > j, and both when i = j; the keys are summed
+    exactly in int64.  p=None checks over Z.
     """
     if not tensor.nnz:
         return None
     dim = tensor.shape[0]
     k, j = np.divmod(tensor.col, dim)
-    par = np.asarray(parity, dtype=np.int64)
+    par = np.asarray(parity, dtype=np.int8)
     i, c = tensor.row, tensor.data
-    keys = np.concatenate([(i * dim + j) * dim + k, (j * dim + i) * dim + k])
-    vals = np.concatenate([c, (1 - 2 * par[i] * par[j]) * c])
-    key = _first_key(keys, vals, p)
+    sign = 1 - 2 * (par[i] & par[j])
+    weight = np.where(i < j, 1, sign + (i == j))
+    key = _first_key((np.minimum(i, j) * dim + np.maximum(i, j)) * dim + k, weight * c, p)
     if key is None:
         return None
     i, rest = divmod(key, dim * dim)
@@ -276,7 +283,7 @@ def check_super_skew(alg: ModularSuperAlgebra) -> Report:
     return _kept_report(alg, "super_skew", lambda: _indexed(skew_witness(alg.tensor, alg.parity, alg.p)))
 
 
-_JACOBI_BUDGET = 1 << 14  # products a Jacobi sum expands per block, give or take one index's (sparse.cuts)
+_JACOBI_BUDGET = 1 << 12  # products a Jacobi sum expands per block, give or take one index's (sparse.cuts)
 
 
 def _quadruple(key: int | None, d: int):
@@ -288,31 +295,61 @@ def _quadruple(key: int | None, d: int):
     return (i, j, *divmod(rest, d))
 
 
-def _jacobi_sum(left: sparse.Coo, t: sparse.Coo, p: int | None, weigh):
-    """Smallest (i, j, k, l) at which the Jacobi sum is nonzero, or None.
+def _jacobi_blocks(t: sparse.Coo, p: int | None, weigh, upper: bool):
+    """Smallest (i, j, k, l) at which a Jacobi sum is nonzero, or None.
 
-    Every product C(x,y,w) C(w,z,l) of an entry of `left` (some entries of
-    t) and an entry of t is added once, times weight, at the key of
-    (i, j, k, l), where weigh(x, y, z) gives the key (i*d + j)*d + k of the
-    triple and the weight.  The products are formed from runs of left
-    entries of about _JACOBI_BUDGET products each, and the keys are summed
-    exactly in int64 after the last run, since the products of one key may
-    come from several runs: the expansion is bounded by the budget, the
-    summed keys and values are not.
+    Every product C(x,y,w) C(w,z,l) of a left entry (every entry of t, or
+    with `upper` those with x <= y) and an entry of t is added once, times
+    weight, at the key of (i, j, k, l), where weigh(x, y, z) gives the key
+    (i*d + j)*d + k of the triple and the weight, and i = min(a, z) for
+    a = min(x, y).  So the products fall into two kinds: those with z >= a,
+    found from the left entry (the entries C(w,z,l) sorted by (w, z), a
+    suffix of row w), and those with a > z, found from the right entry (the
+    left entries sorted by (w, a), a suffix of w's span).  They are expanded
+    in blocks [b, b') of i, in ascending order, of about _JACOBI_BUDGET
+    products each.  Each product lands in one block, and a block holds every
+    product of its keys, so the first block with a nonzero sum holds the
+    smallest failing key: the check stops there, and no transient array
+    outgrows a block or the O(nnz) sorted positions of the entries.  A
+    tensor whose products fit one budget is one block.
     """
     d = t.shape[0]
-    k, j = np.divmod(t.col, d)  # entries sorted by i = t.row
-    left_k, left_j = np.divmod(left.col, d)
-    lo, counts = sparse.spans(t, left_k)
-    bounds = sparse.cuts(counts, _JACOBI_BUDGET)
-    keys, vals = [], []
-    for first, last in zip(bounds, bounds[1:]):
-        s, u = sparse.span_pairs(lo[first:last], counts[first:last])  # C(x,y,w) at left entry s, C(w,z,l) at u
-        s += first
-        triple, weight = weigh(left.row[s], left_j[s], j[u])
-        keys.append(triple * d + k[u])
-        vals.append(weight * left.data[s] * t.data[u])
-    return _quadruple(_first_key(np.concatenate(keys), np.concatenate(vals), p), d)
+    k, j = np.divmod(t.col, d)  # C(i,j,k) at entry (i, k*d + j); the entries are sorted by i
+    left = np.flatnonzero(t.row <= j) if upper else np.arange(t.nnz)
+    w, a = k[left], np.minimum(t.row[left], j[left])
+    by_wz = np.lexsort((j, t.row))
+    rkey = t.row[by_wz] * d + j[by_wz]
+    lo_a = np.searchsorted(rkey, w * d + a)  # z >= a
+    n_a = np.searchsorted(rkey, (w + 1) * d) - lo_a
+    by_wa = np.lexsort((a, w))
+    lkey = w[by_wa] * d + a[by_wa]
+    del rkey, w  # each O(nnz) array is freed once read, so only positions and counts reach the blocks
+    lo_z = np.searchsorted(lkey, t.row * d + j, side="right")  # a > z
+    n_z = np.searchsorted(lkey, (t.row + 1) * d) - lo_z
+    del lkey
+    bounds = sparse.cuts((np.bincount(a, n_a, minlength=d) + np.bincount(j, n_z, minlength=d)).astype(np.int64),
+                         _JACOBI_BUDGET)
+    by_a, by_z = np.argsort(a, kind="stable"), np.argsort(j, kind="stable")
+    a_cuts, z_cuts = np.searchsorted(a[by_a], bounds), np.searchsorted(j[by_z], bounds)
+    lo_a, n_a, lo_z, n_z = lo_a[by_a], n_a[by_a], lo_z[by_z], n_z[by_z]
+    by_a, by_wa = left[by_a], left[by_wa]  # positions in t
+    del left, a
+    for (a0, a1), (z0, z1) in zip(pairwise(a_cuts), pairwise(z_cuts)):
+        s, u = sparse.span_pairs(lo_a[a0:a1], n_a[a0:a1])  # a in the block, z >= a
+        r, v = sparse.span_pairs(lo_z[z0:z1], n_z[z0:z1])  # z in the block, a > z
+        xy = np.concatenate([by_a[s + a0], by_wa[v]])  # the entries C(x,y,w)
+        zl = np.concatenate([by_wz[u], by_z[r + z0]])  # the entries C(w,z,l)
+        del s, u, r, v  # and each block array once read
+        keys, weight = weigh(t.row[xy], j[xy], j[zl])
+        keys *= d
+        keys += k[zl]
+        vals = t.data[xy] * weight
+        vals *= t.data[zl]
+        del xy, zl, weight
+        key = _first_key(keys, vals, p)
+        if key is not None:
+            return _quadruple(key, d)
+    return None
 
 
 def jacobi_witness(t: sparse.Coo, parity, p: int | None):
@@ -329,19 +366,20 @@ def jacobi_witness(t: sparse.Coo, parity, p: int | None):
     the smallest rotation of (x,y,z); a product with x = y = z is in all
     three terms of J(x,x,x) and counts three times.  So a key sums at most
     3*dim products.  This holds for any tensor, skew or not.  p=None checks
-    over Z.  The keys are summed once, over the whole expansion
-    (_jacobi_sum).
+    over Z.  The smallest index of the key is x, y or z, and the products
+    are summed in blocks of it (_jacobi_blocks): x or y when it is min(x, y)
+    and z >= min(x, y), z when z < min(x, y).
     """
     if not t.nnz:
         return None
     d = t.shape[0]
-    par = np.asarray(parity, dtype=np.int64)
+    par = np.asarray(parity, dtype=np.int8)
 
     def weigh(x, y, z):
         rotation = np.minimum(np.minimum((x * d + y) * d + z, (y * d + z) * d + x), (z * d + x) * d + y)
-        return rotation, (1 - 2 * par[x] * par[z]) * np.where((x == y) & (y == z), 3, 1)
+        return rotation, (1 - 2 * (par[x] & par[z])) * (1 + 2 * ((x == y) & (y == z)).view(np.int8))
 
-    return _jacobi_sum(t, t, p, weigh)
+    return _jacobi_blocks(t, p, weigh, upper=False)
 
 
 def sorted_jacobi_witness(t: sparse.Coo, parity, p: int | None):
@@ -362,29 +400,14 @@ def sorted_jacobi_witness(t: sparse.Coo, parity, p: int | None):
     three cases give x = y = z the weight -3 = 3 (-1)^{|x|}, the three
     terms of J(x,x,x).  A key sums at most 3*dim products, each weighed at
     most 3 in absolute value, and the sum forms about half the products of
-    jacobi_witness.  p=None checks over Z.
-
-    Memory: the smallest index of sorted(x,y,z) is min(x, z).  When the
-    products outnumber _JACOBI_BUDGET they are summed by blocks [a, b) of
-    smallest indices, about a budget of products each: the products with x
-    in the block and z >= x (with the entries C(w,z,l) sorted by (w, z),
-    a suffix of row w), and those with z in the block and x > z (with the
-    entries C(x,y,w) sorted by (w, x), a suffix of w's span).  Each product
-    lands in one block, and a block holds every product of its keys, so the
-    blocks are summed one at a time in ascending order and the first nonzero
-    sum holds the smallest failing key: the witness is the one-sort witness,
-    the check stops at the first failing block, and no transient array
-    outgrows a block (or the O(nnz) sorted copies of the entries).  When
-    every product fits one budget they are summed at once (_jacobi_sum),
-    without the sorts and counts per index.
+    jacobi_witness.  p=None checks over Z.  The smallest index of
+    sorted(x,y,z) is min(x, z), and the products are summed in blocks of it
+    (_jacobi_blocks): x when x <= z, z when z < x.
     """
     if not t.nnz:
         return None
     d = t.shape[0]
-    par = np.asarray(parity, dtype=np.int64)
-    k, j = np.divmod(t.col, d)
-    upper = t.row <= j  # x <= y
-    left = sparse.Coo(t.row[upper], t.col[upper], t.data[upper], t.shape)
+    par = np.asarray(parity, dtype=np.int8)
 
     def weigh(x, y, z):
         px, py, pz = par[x], par[y], par[z]
@@ -392,34 +415,9 @@ def sorted_jacobi_witness(t: sparse.Coo, parity, p: int | None):
         between = (2 * (py & (px ^ pz)) - 1) * ((x <= z) & (z <= y))  # c = -e_xy e_yz
         low, high = np.minimum(x, z), np.maximum(y, z)
         triple = (low * d + x + y + z - low - high) * d + high
-        return triple, e_xz * ((z >= y).astype(np.int64) + (z <= x)) + between
+        return triple, e_xz * ((z >= y).view(np.int8) + (z <= x)) + between
 
-    x, y, w, c = left.row, j[upper], k[upper], left.data  # C(x,y,w), sorted by x
-    if np.bincount(t.row, minlength=d)[w].sum() <= _JACOBI_BUDGET:
-        return _jacobi_sum(left, t, p, weigh)
-    by_wz = np.lexsort((j, t.row))
-    rw, rz, rl, rc = t.row[by_wz], j[by_wz], k[by_wz], t.data[by_wz]  # C(w,z,l), sorted by (w, z)
-    rkey = rw * d + rz
-    lo_x = np.searchsorted(rkey, w * d + x)  # C(w,z,l) with z >= x
-    n_x = np.searchsorted(rkey, (w + 1) * d) - lo_x
-    by_wx = np.lexsort((x, w))
-    lkey = w[by_wx] * d + x[by_wx]
-    by_z = np.argsort(rz, kind="stable")  # the entries C(w,z,l) by z, as positions in the (w, z) order
-    z = rz[by_z]
-    lo_z = np.searchsorted(lkey, rkey[by_z], side="right")  # C(x,y,w) with x > z
-    n_z = np.searchsorted(lkey, (rw[by_z] + 1) * d) - lo_z
-    per_index = (np.bincount(x, n_x, minlength=d) + np.bincount(z, n_z, minlength=d)).astype(np.int64)
-    bounds = sparse.cuts(per_index, _JACOBI_BUDGET)
-    for (x0, x1), (z0, z1) in zip(pairwise(np.searchsorted(x, bounds)), pairwise(np.searchsorted(z, bounds))):
-        s, u = sparse.span_pairs(lo_x[x0:x1], n_x[x0:x1])  # x in the block, z >= x
-        r, v = sparse.span_pairs(lo_z[z0:z1], n_z[z0:z1])  # z in the block, x > z
-        s = np.concatenate([s + x0, by_wx[v]])
-        u = np.concatenate([u, by_z[r + z0]])
-        triple, weight = weigh(x[s], y[s], rz[u])
-        key = _first_key(triple * d + rl[u], weight * c[s] * rc[u], p)
-        if key is not None:
-            return _quadruple(key, d)
-    return None
+    return _jacobi_blocks(t, p, weigh, upper=True)
 
 
 def check_super_jacobi(alg: ModularSuperAlgebra) -> Report:
@@ -558,15 +556,16 @@ class Subspace:
     def reduce_rows(self, mat) -> np.ndarray:
         """Row-wise residuals of a whole matrix (reduced echelon rows make
         the pivot coordinates the expansion coefficients)."""
-        mat = fp.normalize(np.atleast_2d(mat), self.p)
+        mat = fp.normalize(np.atleast_2d(mat), self.p)  # a fresh array, reduced in place
         if not self.pivots:
-            return mat.copy()
+            return mat
         # the residual vanishes at the pivot columns; only the free ones need the product
+        pivots = list(self.pivots)
         free = np.ones(self.ambient, dtype=bool)
-        free[list(self.pivots)] = False
-        out = np.zeros_like(mat)
-        out[:, free] = (mat[:, free] - fp.matmul(mat[:, list(self.pivots)], self.rows[:, free], self.p)) % self.p
-        return out
+        free[pivots] = False
+        mat[:, free] -= fp.matmul(mat[:, pivots], self.rows[:, free], self.p)
+        mat[:, pivots] = 0
+        return np.remainder(mat, self.p, out=mat)
 
     def extended(self, vectors) -> "Subspace":
         """Span of this subspace and the vectors.  Only the residuals of the

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from verlie import fp, sparse
-from verlie.superalgebra import Constants
+from verlie.superalgebra import Constants, ModularSuperAlgebra
 
 
 def tensor_coo(constants: Constants, dim: int, p: int | None) -> sparse.Coo:
@@ -137,3 +137,46 @@ def dense_chain_check(decomp, der: sparse.Coo) -> tuple:
     if inverses is None:
         raise ValueError("chain vectors are not a basis")
     return inverses, fp.block_table(rows), cols, fp.slots(cols, count)
+
+
+# The semisimplified bracket at any odd p, transcribed one survivor pair at a
+# time: the slow reference that semisimplify, which projects the brackets of
+# all heads and the splitting products at once, must match.
+
+
+def literal_reference(realization, decomp) -> ModularSuperAlgebra:
+    """The projected bracket on the survivors of decomp, the length-1 chains
+    (even) and then the length-(p-1) chains (odd), in chain order.  A
+    survivor's coordinate of a vector is its coordinate at the survivor's
+    head v^0 over the chain basis, read off the dense inverse of the basis
+    matrix.  Survivor a's chain is v_a^0, v_a^1, ...; the bracket [v_a^s, w]
+    is the dense ad of v_a^s applied to w; and [y_a, y_b] is
+      - both even: the even coordinates of [v_a^0, v_b^0];
+      - one even, one odd: the odd coordinates of [v_a^0, v_b^0];
+      - both odd: the even coordinates of the splitting vector
+        sum_{t=1}^{p-1} (-1)^t [v_a^(t-1), v_b^(p-1-t)]."""
+    alg = realization.algebra
+    p = alg.p
+    decomp.validate(realization.der)
+    chains = decomp.chains
+    even = [c for c, chain in enumerate(chains) if chain.length == 1]
+    odd = [c for c, chain in enumerate(chains) if chain.length == p - 1]
+    order = even + odd
+    parity = [0] * len(even) + [1] * len(odd)
+    offsets = decomp.chain_offsets()
+    coords = fp.inverse(decomp.basis_matrix(), p)[[offsets[c] for c in order]]
+    entries = []
+    for a, ca in enumerate(order):
+        ad = [alg.ad(u) for u in chains[ca].vectors]  # ad[s] @ w = [v_a^s, w]
+        for b, cb in enumerate(order):
+            vb = chains[cb].vectors
+            if parity[a] == 0 and parity[b] == 0:
+                image, target = ad[0] @ vb[0], 0
+            elif parity[a] != parity[b]:
+                image, target = ad[0] @ vb[0], 1
+            else:
+                image = sum((-1) ** t * (ad[t - 1] @ vb[p - 1 - t]) for t in range(1, p))
+                target = 0
+            values = coords @ (image % p) % p
+            entries += [(a, b, k, int(values[k])) for k in range(len(order)) if parity[k] == target and values[k]]
+    return ModularSuperAlgebra.from_entries(p, parity, *np.array(entries, dtype=np.int64).reshape(-1, 4).T)

@@ -106,6 +106,24 @@ def test_json_outputs_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("argv", [
+    ["roots", "g2"],
+    ["decompose", "--algebra", "g2", "-p", "101", "--element", "e1"],
+    ["semisimplify", "--algebra", "g2", "-p", "101", "--element", "e1"],
+    ["certify", "--algebra", "f4", "--subset", "1", "--target", "sl(3|1)"],
+    ["swaps", "--algebra", "f4", "--subset", "1"],
+])
+def test_commands_without_json_build_no_json_text(argv, monkeypatch, capsys):
+    """Without --json no payload text is built: at g2's largest accepted
+    prime that text held the p entries of each count vector, and building it
+    took most of the run's time and memory."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.dumps called without --json")
+
+    monkeypatch.setattr(cli.json, "dumps", refuse)
+    assert main(argv) == 0
+
+
 def test_algebra_spec_file(tmp_path, capsys):
     spec = {"name": "c3", "cartan": [[2, -1, 0], [-1, 2, -2], [0, -1, 2]], "p": 3}
     path = tmp_path / "c3.json"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import verlie as v
+from tests.oracles import literal_reference
 from tests.pipelines import spec_pipeline
 from tests.test_fp import largest_accepted_prime, rank
 from verlie import fp
@@ -214,6 +215,41 @@ def test_prop32_rejects_p5():
     realization = v.realize(alg, vec)
     with pytest.raises(ValueError):
         prop32_reference(realization, v.jordan_decompose(realization))
+
+
+def literal_inputs():
+    """el(5;5); every fourth e_i or e_i + e_j of each small algebra at p = 3,
+    5 and 7 (the inputs of the small benchmark); and the three (3|2) outputs
+    at p = 7, whose odd-odd brackets no other pin reaches."""
+    from tests.test_repalpha import SMALL_ALGEBRAS, simple_elements
+
+    inputs = [("e8", 5, "e2+e3+e4")]
+    for name, p in itertools.product(SMALL_ALGEBRAS, (3, 5, 7)):
+        inputs += [(name, p, element) for element in simple_elements(v.catalog_algebra(name, p))[::4]]
+    return inputs + [("b4", 7, "e1+e3+e4"), ("c4", 7, "e2+e3+e4"), ("f4", 7, "e1+e2+e4")]
+
+
+def test_semisimplify_matches_the_literal_reference_at_every_odd_p():
+    """semisimplify, which projects all head brackets and splitting products
+    at once, gives the constants and parities of the pair-by-pair reference
+    in tests/oracles.py, which at p = 3 is prop32_reference.  Scaling the
+    odd-odd brackets by any c keeps skew, Jacobi and the odd cubes, so only
+    a reference like this one sees such an error."""
+    odd_parts = {3: 0, 5: 0, 7: 0}
+    for name, p, element in literal_inputs():
+        alg = v.catalog_algebra(name, p)
+        try:
+            realization = realize(alg, parse_element(element, alg)[1])
+        except DegreeExceedsP:
+            continue
+        decomp = jordan_decompose(realization)
+        out, reference = semisimplify(realization, decomp).algebra, literal_reference(realization, decomp)
+        assert out.constants == reference.constants, (name, p, element)
+        assert np.array_equal(out.parity, reference.parity)
+        if p == 3:
+            assert prop32_reference(realization, decomp).constants == reference.constants
+        odd_parts[p] += any(out.parity)
+    assert all(odd_parts.values()), odd_parts
 
 
 def test_head_coordinates_match_the_dense_inverse():

@@ -157,6 +157,39 @@ def test_jacobi_witness_independent_of_block_size(seed, monkeypatch):
         assert witnesses(budget) == whole
 
 
+# one product C(x,y,14) C(14,z,18) beside the 14 basis vectors of g2, by the
+# index of (x, y, z) that is smallest, ties included: the failing key, the
+# smallest rotation of (x, y, z) and l = 18
+ONE_PRODUCT = {
+    "x": ((15, 17, 16), (15, 17, 16)),
+    "y": ((17, 15, 16), (15, 16, 17)),
+    "z": ((17, 16, 15), (15, 17, 16)),
+    "x = y < z": ((15, 15, 16), (15, 15, 16)),
+    "y = z < x": ((16, 15, 15), (15, 15, 16)),
+    "x = z < y": ((15, 16, 15), (15, 15, 16)),
+    "x = y = z": ((15, 15, 15), (15, 15, 15)),
+}
+
+
+@pytest.mark.parametrize("kind", ONE_PRODUCT)
+def test_jacobi_witness_independent_of_block_size_reaches_each_kind(kind, monkeypatch):
+    """The rotation sum expands each product in the block of the smallest
+    index of its triple, which is x, y or z.  The one failing product here
+    is of the given kind and lies past g2, whose own sums vanish: every
+    budget finds it, in a block after those that pass.  J(x,x,x) counts its
+    product three times, so it vanishes at p = 3."""
+    g2 = v.chevalley.integral_catalog("g2").entries
+    (x, y, z), triple = ONE_PRODUCT[kind]
+    i, j, k, c = np.vstack([g2, [[x, y, 14, 1], [14, z, 18, 1]]]).T
+    parity = np.zeros(20, dtype=np.int64)
+    for p in (3, 5, None):
+        t = sparse.from_entries(i, k * 20 + j, c if p is None else c % p, (20, 400), p)
+        expected = None if kind == "x = y = z" and p == 3 else (*triple, 18)
+        for budget in (1, 3, 7, EVERYTHING):
+            monkeypatch.setattr(superalgebra, "_JACOBI_BUDGET", budget)
+            assert jacobi_witness(t, parity, p) == expected, (p, budget)
+
+
 @pytest.mark.parametrize("p", [3, 5, None])
 def test_jacobi_witness_weighs_the_diagonal_three_times(p):
     """[b0,b0] = b1, [b1,b0] = b0 = -[b0,b1], b0 odd and b1 even.  J(0,0,0) is
@@ -264,15 +297,16 @@ def traced_mb(f, *args):
 
 def test_certification_checks_stay_within_a_memory_bound(monkeypatch):
     """On the e8@e1 output at p = 3 (dim 189, 312,896 sorted Jacobi products,
-    3,850 generation image rows), super Jacobi and the generation closure
-    each stay below 8 MiB above their start.  One sort of every Jacobi
-    product, or densifying every image row, takes about 20 MiB."""
+    3,850 generation image rows), super Jacobi stays below 2.5 MiB above its
+    start (1.24 MiB measured, in blocks of about 2^12 products; 3.9 MiB in
+    blocks of 2^14) and the generation closure below 8 MiB.  One sort of
+    every Jacobi product, or densifying every image row, takes about 20 MiB."""
     spec = next(s for s in TABLE if s.key == "e8@e1|p=3")
     ss = row_pipeline(spec.algebra, spec.p, spec.elements[0])[2]
     alg = without_reports(ss.algebra)
     assert check_super_skew(alg).ok
     report, jacobi_mb = traced_mb(check_super_jacobi, alg)
-    assert report.ok and jacobi_mb < 8
+    assert report.ok and jacobi_mb < 2.5
     closure_mb = []
     generated = verify.generated_subalgebra
 
@@ -284,6 +318,28 @@ def test_certification_checks_stay_within_a_memory_bound(monkeypatch):
     monkeypatch.setattr(verify, "generated_subalgebra", traced_closure)
     assert verify.check_generation(ss.algebra, verify.generator_images(ss, spec.subset))
     assert len(closure_mb) == 1 and closure_mb[0] < 8
+
+
+def test_semisimplify_stays_within_a_memory_bound():
+    """The whole semisimplify call on e8@e1 at p = 3, its checks included,
+    stays below 4 MiB above its start (1.86 MiB measured).  Its checks run
+    after the heads, their brackets and the splitting products are freed;
+    with them alive, and the Jacobi sum in blocks of 2^14 products, it took
+    5.7 MiB."""
+    alg = v.catalog_algebra("e8", 3)
+    realization = v.realize(alg, v.parse_element("e1", alg)[1])
+    decomp = v.jordan_decompose(realization)
+    decomp.validate(realization.der)
+    ss, mb = traced_mb(v.semisimplify, realization, decomp)
+    assert all(report.ok for report in ss.checks.values()) and mb < 4
+
+
+def test_integral_jacobi_stays_within_a_memory_bound():
+    """The rotation sum over Z on E8 stays below 5 MiB above its start
+    (2.59 MiB measured, the tensor build included): its products are summed
+    block by block.  Keying all of them for one sort took 71.8 MiB."""
+    found, mb = traced_mb(v.chevalley.integral_jacobi_witness, v.chevalley.integral_catalog("e8"))
+    assert found is None and mb < 5
 
 
 def normalized_lines(dense, p):
