@@ -238,15 +238,14 @@ def kernel_basis(m, p: int) -> Array:
 
 
 def inverse(m, p: int) -> Array:
-    a = normalize(m, p)
-    n = a.shape[0]
-    if a.shape != (n, n):
+    """The inverse of one square matrix: the one-block case of inverse_batch."""
+    a = np.asarray(m)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("inverse expects a square matrix")
-    aug = np.hstack([a, np.eye(n, dtype=np.int64)])
-    r, pivots = rref(aug, p)
-    if pivots[:n] != list(range(n)):
+    inv = inverse_batch(a[None], [len(a)], p)
+    if inv is None:
         raise ValueError("matrix is singular")
-    return r[:, n:]
+    return inv[0]
 
 
 def inverse_batch(stack, sizes, p: int) -> Array | None:

@@ -23,43 +23,18 @@ from .superalgebra import ModularSuperAlgebra
 # -- element expressions -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GenRef:
-    kind: str  # 'e' | 'f' | 'h'
-    index: int
-
-
-@dataclass(frozen=True)
-class BracketExpr:
-    left: "ElementExpr"
-    right: "ElementExpr"
-
-
-@dataclass(frozen=True)
-class ScaledExpr:
-    coeff: int
-    atom: "ElementExpr"
-
-
-@dataclass(frozen=True)
-class SumExpr:
-    terms: tuple[tuple[int, "ElementExpr"], ...]  # (sign, term)
-
-
-ElementExpr = GenRef | BracketExpr | ScaledExpr | SumExpr
-
-
 class _Parser:
-    """Grammar: expr := term (('+'|'-') term)* ; term := [int '*'] atom ;
+    """Reads an element expression as the vector it denotes, reduced mod p.
+
+    Grammar: expr := term (('+'|'-') term)* ; term := [int '*'] atom ;
     atom := gen | '[' expr ',' expr ']' | '(' expr ')' ; gen := ('e'|'f'|'h') int.
-    Whitespace insignificant; e_1 is accepted for e1."""
+    Whitespace insignificant; e_1 is accepted for e1.  An unknown generator
+    reads as zero and the first one is remembered, so that a syntax error
+    anywhere in the text is reported before it."""
 
-    def __init__(self, src: str):
-        self.src = src
-        self.pos = 0
-
-    def error(self, message: str):
-        raise ParseError(message, self.pos)
+    def __init__(self, src: str, alg: ModularSuperAlgebra):
+        self.src, self.alg, self.pos = src, alg, 0
+        self.unknown: Optional[str] = None  # the first generator the algebra lacks
 
     def skip_ws(self):
         while self.pos < len(self.src) and self.src[self.pos].isspace():
@@ -71,7 +46,7 @@ class _Parser:
 
     def take(self, ch: str):
         if self.peek() != ch:
-            self.error(f"expected {ch!r}")
+            raise ParseError(f"expected {ch!r}", self.pos)
         self.pos += 1
 
     def integer(self) -> int:
@@ -80,25 +55,25 @@ class _Parser:
         while self.pos < len(self.src) and self.src[self.pos].isdigit():
             self.pos += 1
         if self.pos == start:
-            self.error("expected an integer")
+            raise ParseError("expected an integer", self.pos)
         return int(self.src[start : self.pos])
 
-    def expr(self) -> SumExpr:
-        terms = [(1, self.term())]
+    def expr(self) -> np.ndarray:
+        out = self.term()
         while self.peek() in ("+", "-"):
             sign = 1 if self.peek() == "+" else -1
             self.pos += 1
-            terms.append((sign, self.term()))
-        return SumExpr(tuple(terms))
+            out = (out + sign * self.term()) % self.alg.p
+        return out
 
-    def term(self) -> ElementExpr:
+    def term(self) -> np.ndarray:
         if self.peek().isdigit():
-            coeff = self.integer()
+            coeff = self.integer() % self.alg.p  # exact, so the product below stays below p^2
             self.take("*")
-            return ScaledExpr(coeff, self.atom())
+            return coeff * self.atom() % self.alg.p
         return self.atom()
 
-    def atom(self) -> ElementExpr:
+    def atom(self) -> np.ndarray:
         ch = self.peek()
         if ch == "[":
             self.take("[")
@@ -106,48 +81,38 @@ class _Parser:
             self.take(",")
             right = self.expr()
             self.take("]")
-            return BracketExpr(left, right)
+            return self.alg.bracket(left, right)
         if ch == "(":
             self.take("(")
             inner = self.expr()
             self.take(")")
             return inner
         if ch in ("e", "f", "h"):
-            kind = ch
             self.pos += 1
             if self.peek() == "_":
                 self.pos += 1
-            return GenRef(kind, self.integer())
-        self.error("expected a generator, bracket, or parenthesis")
-        raise AssertionError
+            name = f"{ch}{self.integer()}"
+            if self.alg.gens and name in self.alg.gens:
+                return self.alg.gens[name].copy()
+            self.unknown = self.unknown or name
+            return np.zeros(self.alg.dim, dtype=np.int64)
+        raise ParseError("expected a generator, bracket, or parenthesis", self.pos)
 
 
-def evaluate_element(expr: ElementExpr, alg: ModularSuperAlgebra) -> np.ndarray:
-    if isinstance(expr, GenRef):
-        name = f"{expr.kind}{expr.index}"
-        if not alg.gens or name not in alg.gens:
-            raise UnknownGenerator(f"algebra has no generator {name}")
-        return alg.gens[name].copy()
-    if isinstance(expr, ScaledExpr):
-        return (expr.coeff * evaluate_element(expr.atom, alg)) % alg.p
-    if isinstance(expr, BracketExpr):
-        return alg.bracket(evaluate_element(expr.left, alg), evaluate_element(expr.right, alg))
-    if isinstance(expr, SumExpr):
-        out = np.zeros(alg.dim, dtype=np.int64)
-        for sign, term in expr.terms:
-            out = (out + sign * evaluate_element(term, alg)) % alg.p
-        return out
-    raise TypeError(f"not an element expression: {expr!r}")
+def parse_element(src: str, alg: ModularSuperAlgebra) -> tuple[str, np.ndarray]:
+    """Parse an element expression into its vector in the algebra.
 
-
-def parse_element(src: str, alg: ModularSuperAlgebra) -> tuple[ElementExpr, np.ndarray]:
-    """Parse an element expression and evaluate it in the algebra."""
-    parser = _Parser(src)
-    tree = parser.expr()
+    Returns (src, vector): the text as given, then the vector reduced mod p.
+    A syntax error (ParseError) is raised before an unknown generator
+    (UnknownGenerator), and of several unknown generators the first named."""
+    parser = _Parser(src, alg)
+    vec = parser.expr()
     parser.skip_ws()
     if parser.pos != len(src):
-        parser.error("trailing input")
-    return tree, evaluate_element(tree, alg)
+        raise ParseError("trailing input", parser.pos)
+    if parser.unknown:
+        raise UnknownGenerator(f"algebra has no generator {parser.unknown}")
+    return src, vec
 
 
 # -- realizations -------------------------------------------------------------

@@ -1,0 +1,133 @@
+"""Mutants of `src/` that the tests must kill, and a script that checks it.
+
+Each mutant is an exact one-place edit (file, old text, new text) with the
+tests named to kill it.  Each weakens a fact that a printed result rests on.
+A change that adds a fast path or a check adds its own mutants here.
+
+    python tests/mutants.py
+
+copies `src/`, `tests/` and `pyproject.toml` into a temporary directory, runs
+the named tests there once unmutated (they must pass), then applies each
+mutant to a fresh copy and runs only its tests.  It never edits the working
+tree.  It exits non-zero, naming each survivor, if a mutant survives, its old
+text is not found exactly once, or its tests cannot run.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str  # relative to the repository root
+    old: str
+    new: str
+    tests: tuple[str, ...]  # pytest node ids
+
+
+MUTANTS = [
+    Mutant("relations skip hh", "src/verlie/verify.py",
+           '("hf", h, f), ("hh", h, h))}', '("hf", h, f))}',
+           ("tests/test_verify.py::test_relations_witness_lists_noncommuting_h_images",)),
+    Mutant("relations skip the h parity", "src/verlie/verify.py",
+           "        if h[i].any() and alg.vector_parity(h[i]) != 0:", "        if False:",
+           ("tests/test_verify.py::test_relations_witness_lists_an_odd_h_image",)),
+    Mutant("generation passes at dim - 1", "src/verlie/verify.py",
+           "    ok = generated == alg.dim", "    ok = generated >= alg.dim - 1",
+           ("tests/test_verify.py::test_sl3_generators_generate_a_hyperplane_of_gl3",)),
+    Mutant("even route ignores the even dimension", "src/verlie/verify.py",
+           "type_ok = label == target.even_type and dim == target.superdim[0]",
+           "type_ok = label == target.even_type",
+           ("tests/test_verify.py::test_even_route_checks_the_even_dimension",)),
+    Mutant("even route passes its axioms report", "src/verlie/verify.py",
+           '    axioms = next((r for r in ss.checks.values() if not r), Report("axioms", True))',
+           '    axioms = Report("axioms", True)',
+           ("tests/test_verify.py::test_even_route_reads_the_axiom_reports",)),
+    Mutant("odd-odd brackets scaled by 3 at p = 7", "src/verlie/semisimplify.py",
+           "        split = sparse.product(split, coords_t, p)",
+           "        split = sparse.product(sparse.combine([(3 if p == 7 else 1, split)], p), coords_t, p)",
+           ("tests/test_cli_golden.py::test_json_payload_pinned[semisimplify --algebra f4 -p 7 --element e1+e2+e4]",
+            "tests/test_semisimplify.py::test_semisimplify_matches_the_literal_reference_at_every_odd_p")),
+    Mutant("parser looks generators up before the parse ends", "src/verlie/repalpha.py",
+           "            self.unknown = self.unknown or name",
+           '            raise UnknownGenerator(f"algebra has no generator {name}")',
+           ("tests/test_repalpha.py::test_a_syntax_error_wins_over_an_unknown_generator",)),
+    Mutant("parser leaves a scaled term unreduced", "src/verlie/repalpha.py",
+           "            return coeff * self.atom() % self.alg.p", "            return coeff * self.atom()",
+           ("tests/test_repalpha.py::test_parse_reduces_every_scaled_term",
+            "tests/test_repalpha.py::test_parse_matches_the_expression_it_was_built_from")),
+    Mutant("parser swaps the operands of a bracket", "src/verlie/repalpha.py",
+           "            return self.alg.bracket(left, right)", "            return self.alg.bracket(right, left)",
+           ("tests/test_repalpha.py::test_parse_brackets_in_order",
+            "tests/test_repalpha.py::test_parse_matches_the_expression_it_was_built_from")),
+    Mutant("parser scales by the coefficient as read", "src/verlie/repalpha.py",
+           "            coeff = self.integer() % self.alg.p", "            coeff = self.integer()",
+           ("tests/test_repalpha.py::test_parse_reduces_every_scaled_term",)),
+]
+
+
+def copy_tree(dest: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, dest / name, ignore=ignore)
+    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+
+
+def apply(mutant: Mutant, root: Path) -> None:
+    path = root / mutant.path
+    text = path.read_text()
+    if text.count(mutant.old) != 1:
+        raise LookupError(f"{mutant.name}: old text found {text.count(mutant.old)} times in {mutant.path}")
+    path.write_text(text.replace(mutant.old, mutant.new))
+
+
+def run_tests(root: Path, tests) -> int:
+    env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(cmd, cwd=root, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+
+
+def main(chosen: list[Mutant]) -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        clean = Path(tmp) / "clean"
+        copy_tree(clean)
+        named = sorted({t for m in chosen for t in m.tests})
+        code = run_tests(clean, named)
+        if code != 0:
+            print(f"the named tests do not pass unmutated (pytest exit {code})")
+            return 1
+        bad = []
+        for i, mutant in enumerate(chosen):
+            root = Path(tmp) / f"mutant{i}"
+            copy_tree(root)
+            try:
+                apply(mutant, root)
+            except LookupError as exc:
+                print(f"error    {exc}")
+                bad.append(mutant.name)
+                continue
+            code = run_tests(root, mutant.tests)
+            verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"error (pytest exit {code})")
+            print(f"{verdict:8} {mutant.name}")
+            if code != 1:
+                bad.append(mutant.name)
+            shutil.rmtree(root)
+    if bad:
+        print(f"{len(bad)} of {len(chosen)} mutants not killed: {'; '.join(bad)}")
+        return 1
+    print(f"all {len(chosen)} mutants killed")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(MUTANTS))

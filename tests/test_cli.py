@@ -210,6 +210,15 @@ def test_non_nilpotent_element_exit_code(capsys):
     assert err.startswith("error:") and "not nilpotent" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("element,message", [
+    ("e99 + *", "error: expected a generator, bracket, or parenthesis (at position 6)"),
+    ("e99 + e1", "error: algebra has no generator e99"),
+])
+def test_bad_element_exit_code(element, message, capsys):
+    assert main(["decompose", "--algebra", "g2", "--element", element]) == 3
+    assert capsys.readouterr().err.strip() == message
+
+
 def test_modulus_beyond_accumulation_bound_exit_code(capsys):
     assert main(["decompose", "--algebra", "g2", "-p", "4294967311", "--element", "e1"]) == 3
     err = capsys.readouterr().err

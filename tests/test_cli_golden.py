@@ -57,6 +57,11 @@ GOLDEN = [
     # p = 7, nilpotent of degree 4
     (["decompose", "--algebra", "g2", "-p", "7", "--element", "e1"],
      0, "3c65174085b9f5c40bab0c8c753a066038005c4301400f3e0e44a738b5923834"),
+    # the expression grammar end to end: a scaled term, a difference, a bracket, parentheses
+    (["decompose", "--algebra", "e6", "-p", "3", "--element", "2*e1-[e2,e4]+(e6)"],
+     0, "68a1a3d5b77b0c379b97baf68f7fea530d0e78f3cb959cfaf4bb43a89dc6acb6"),
+    (["semisimplify", "--algebra", "b3", "-p", "5", "--element", "2*e1+[e2,e3]"],
+     0, "e1ed9a8e700034fd034c58d1fd7639b3e09ecf986e5fc01982fc15d9fcce2949"),
     (["swaps", "--algebra", "e7", "--subset", "2,7"],
      0, "5a9b06c364943103757a85117f6b4dd119096b9ed63db8fbbadd4f72b3c6c5f3"),
     # all 16 rows of the results table, each certificate byte for byte

@@ -83,6 +83,82 @@ def test_unknown_generator(e6mod3):
         parse_element("e9", e6mod3)
 
 
+def test_parse_returns_the_text_as_given(e6mod3):
+    assert parse_element(" 2*e_1 ", e6mod3)[0] == " 2*e_1 "
+
+
+@pytest.mark.parametrize("src,error,message", [
+    ("e99 + *", ParseError, "expected a generator, bracket, or parenthesis (at position 6)"),
+    ("[e1, e9", ParseError, "expected ']' (at position 7)"),
+    ("e99 + e1", UnknownGenerator, "algebra has no generator e99"),
+    ("[e98, e99]", UnknownGenerator, "algebra has no generator e98"),
+])
+def test_a_syntax_error_wins_over_an_unknown_generator(src, error, message):
+    """The whole text is read before an unknown generator is reported, and
+    of several the first in reading order is named."""
+    with pytest.raises(error) as exc:
+        parse_element(src, v.catalog_algebra("g2", 3))
+    assert type(exc.value) is error and str(exc.value) == message
+
+
+def test_parse_reduces_every_scaled_term(e6mod3):
+    """A scaled sum is reduced mod p, and so is a coefficient past int64."""
+    e1 = e6mod3.gens["e1"]
+    assert np.array_equal(parse_element("2*(e1 + e1)", e6mod3)[1], e1)
+    assert np.array_equal(parse_element(f"{2**62}*(e1 + e1)", e6mod3)[1], 2 * e1)  # 2^63 = 2 mod 3
+    assert np.array_equal(parse_element(f"{10**30}*e1", e6mod3)[1], e1)
+
+
+def _sum_of_terms(terms, p):
+    """The text and value of expr := term (('+'|'-') term)*, from
+    (sign, coeff or None, atom) triples; an atom is a (text, value) pair."""
+    text, value = "", np.zeros_like(terms[0][2][1])
+    for i, (sign, coeff, (atom_text, atom_value)) in enumerate(terms):
+        sign = 1 if i == 0 else sign
+        term_text = atom_text if coeff is None else f"{coeff}*{atom_text}"
+        text += ("" if i == 0 else " + " if sign > 0 else " - ") + term_text
+        scaled = atom_value if coeff is None else (atom_value.astype(object) * coeff % p).astype(np.int64)
+        value = (value + sign * scaled) % p
+    return text, value
+
+
+@st.composite
+def _expressions(draw):
+    """An algebra and a random expression over its generators, with the
+    vector it denotes built from alg.gens, sums and alg.bracket."""
+    alg = v.catalog_algebra(draw(st.sampled_from(["g2", "f4", "sl4"])), draw(st.sampled_from([3, 5, 7])))
+    p = alg.p
+    names = sorted(alg.gens)
+    gen = st.builds(lambda name, underscore: (f"{name[0]}_{name[1:]}" if underscore else name, alg.gens[name]),
+                    st.sampled_from(names), st.booleans())
+    coeff = st.none() | st.integers(0, 3 * p) | st.integers(0, 10**20)
+
+    def exprs(atoms):
+        return st.lists(st.tuples(st.sampled_from([1, -1]), coeff, atoms), min_size=1, max_size=3).map(
+            lambda terms: _sum_of_terms(terms, p))
+
+    def compound(atoms):
+        return (st.tuples(exprs(atoms), exprs(atoms)).map(
+                    lambda lr: (f"[{lr[0][0]}, {lr[1][0]}]", alg.bracket(lr[0][1], lr[1][1])))
+                | exprs(atoms).map(lambda e: (f"({e[0]})", e[1])))
+
+    return alg, draw(exprs(st.recursive(gen, compound, max_leaves=8)))
+
+
+def test_parse_brackets_in_order(e6mod3):
+    e1, e3 = e6mod3.gens["e1"], e6mod3.gens["e3"]
+    assert e6mod3.bracket(e1, e3).any()
+    assert np.array_equal(parse_element("[e1, e3]", e6mod3)[1], e6mod3.bracket(e1, e3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_expressions(), st.integers(0, 20))
+def test_parse_matches_the_expression_it_was_built_from(case, k):
+    alg, (text, expected) = case
+    assert np.array_equal(parse_element(text, alg)[1], expected)
+    assert np.array_equal(parse_element(f"{k}*({text})", alg)[1], k * expected % alg.p)
+
+
 def test_realize_degree(f4mod3):
     _, vec = parse_element("e4", f4mod3)
     assert realize(f4mod3, vec).degree == 3

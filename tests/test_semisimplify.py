@@ -252,6 +252,21 @@ def test_semisimplify_matches_the_literal_reference_at_every_odd_p():
     assert all(odd_parts.values()), odd_parts
 
 
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_the_splitting_vector_is_killed_by_the_tensor_derivation(p):
+    """In chain coordinates, with J the length-(p-1) Jordan block sending
+    v^(k) to v^(k+1), J (x) 1 + 1 (x) J kills sum_{t=1}^{p-1} (-1)^t
+    v^(t-1) (x) v^(p-1-t) mod p: the odd-odd bracket lands on a D-invariant."""
+    n = p - 1
+    jordan = np.eye(n, k=-1, dtype=np.int64)  # column k is J v^(k)
+    eye = np.eye(n, dtype=np.int64)
+    tensor_jordan = np.kron(jordan, eye) + np.kron(eye, jordan)
+    split = sum((-1) ** t * np.kron(eye[t - 1], eye[p - 1 - t]) for t in range(1, p)) % p
+    assert split.any() and not (tensor_jordan @ split % p).any()
+    unsigned = sum(np.kron(eye[t - 1], eye[p - 1 - t]) for t in range(1, p)) % p
+    assert (tensor_jordan @ unsigned % p).any()  # the signs matter
+
+
 def test_head_coordinates_match_the_dense_inverse():
     """The coordinates read off the block inverses of the chain basis are the
     rows of its dense inverse: on every table decomposition, structured and
