@@ -123,25 +123,22 @@ def chevalley_basis(gcm: GCM) -> IntegralLieAlgebra:
     # follow from the Jacobi identity on (x_a1, x_b1, x_-alpha), whose terms
     # all lie in the beta root space
     t: dict[tuple[int, int], int] = {}
-    memo: dict[tuple[int, int], int] = {}
+
+    def n_pos(a: int, b: int) -> int:
+        return t[(a, b)] if a < b else -t[(b, a)]
 
     def n_any(a: int, b: int) -> int:
-        """N_{a,b} for any two roots with a + b a root."""
-        if (a, b) in memo:
-            return memo[(a, b)]
+        """N_{a,b} for two roots, not both negative, with a + b a root."""
         if a < npos and b < npos:
-            val = t[(a, b)] if a < b else -t[(b, a)]
-        elif a >= npos and b >= npos:
-            val = -n_any(a - npos, b - npos)
-        else:
-            # N_{a,b}/(z,z) = N_{b,z}/(a,a) = N_{z,a}/(b,b) for a + b + z = 0
-            z = neg(at[key[a] + key[b]])
-            if (a < npos) == (z >= npos):
-                val = _exact_div(norm[z] * n_any(b, z), norm[a], "non-integral mixed constant")
-            else:
-                val = _exact_div(norm[z] * n_any(z, a), norm[b], "non-integral mixed constant")
-        memo[(a, b)] = val
-        return val
+            return n_pos(a, b)
+        # N_{a,b}/(z,z) = N_{b,z}/(a,a) = N_{z,a}/(b,b) for a + b + z = 0, and (b, z) or
+        # (z, a) has a common sign: its constant is read from t, negated when both are negative
+        z = neg(at[key[a] + key[b]])
+        if (a < npos) == (z >= npos):
+            same = n_pos(b, z) if z < npos else -n_pos(b - npos, z - npos)
+            return _exact_div(norm[z] * same, norm[a], "non-integral mixed constant")
+        same = n_pos(z, a) if a < npos else -n_pos(z - npos, a - npos)
+        return _exact_div(norm[z] * same, norm[b], "non-integral mixed constant")
 
     for gamma in range(npos):
         pairs = []

@@ -238,14 +238,55 @@ def kernel_basis(m, p: int) -> Array:
 
 
 def inverse(m, p: int) -> Array:
-    """The inverse of one square matrix: the one-block case of inverse_batch."""
+    """The inverse of one square matrix, found by the blocks of its row/column graph."""
     a = np.asarray(m)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("inverse expects a square matrix")
-    inv = inverse_batch(a[None], [len(a)], p)
-    if inv is None:
+    t = normalize(a, p).T
+    row, col = np.nonzero(t)
+    if (blocks := block_inverse(row, col, t[row, col], len(a), p)) is None:
         raise ValueError("matrix is singular")
-    return inv[0]
+    return inverse_rows(blocks, np.arange(len(a)), len(a))
+
+
+def block_inverse(row, col, data, n: int, p: int) -> tuple | None:
+    """The inverse of M = A^T, A the n x n matrix with entries data at (row,
+    col), by the blocks of its row/column graph; None unless every block is
+    square and invertible.  Returns what inverse_rows reads: the distinct
+    block inverses, the distinct block of each block, the columns of A in
+    each block, and the block and slot of each row of A."""
+    if not n:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty.reshape(0, 0, 0), empty, empty.reshape(0, 0), empty, empty
+    # graph nodes: the rows of A, then its columns
+    blocks = components(sparse.Coo(row, n + col, data, (2 * n, 2 * n)))
+    rows, cols = blocks[:n], blocks[n:]
+    count = int(blocks.max()) + 1
+    sizes = np.bincount(rows, minlength=count)
+    if not np.array_equal(np.bincount(cols, minlength=count), sizes):
+        return None
+    row_slots = slots(rows, count)
+    # block b of the matrix, zero-padded: its entries by the columns of A, then its rows, each in index order
+    local = np.zeros((count, sizes.max(), sizes.max()), dtype=np.int64)
+    local[rows[row], slots(cols, count)[col], row_slots[row]] = data
+    # blocks of one size and one matrix have one inverse, found once
+    first, kind = unique_rows(np.hstack([sizes[:, None], local.reshape(count, -1)]))
+    inverses = inverse_batch(local[first], sizes[first], p)
+    if inverses is None:
+        return None
+    return inverses, kind, block_table(cols), rows, row_slots
+
+
+def inverse_rows(blocks: tuple, rows, n: int) -> Array:
+    """Rows `rows` of the n x n inverse that block_inverse returned by blocks."""
+    inverses, kind, coords, block_of, slot = blocks
+    rows = np.asarray(rows, dtype=np.int64)
+    block = block_of[rows]
+    local, where = inverses[kind[block], slot[rows]], coords[block]
+    out = np.zeros((len(rows), n), dtype=np.int64)
+    row, col = np.nonzero(where >= 0)
+    out[row, where[row, col]] = local[row, col]
+    return out
 
 
 def inverse_batch(stack, sizes, p: int) -> Array | None:

@@ -261,23 +261,14 @@ class ChainDecomposition:
         coordinate of v at basis column columns[a].  Validates against D first,
         and reads the rows off the distinct block inverses that check found."""
         self.validate(der)
-        inverses, kind, coords, blocks, slots = self._inverse
-        columns = np.asarray(columns, dtype=np.int64)
-        block = blocks[columns]
-        local, where = inverses[kind[block], slots[columns]], coords[block]
-        out = np.zeros((len(columns), self.dim), dtype=np.int64)
-        row, col = np.nonzero(where >= 0)
-        out[row, where[row, col]] = local[row, col]
-        return out
+        return fp.inverse_rows(self._inverse, columns, self.dim)
 
     def _check(self, der: sparse.Coo) -> tuple:
         """D maps every chain vector to the next one and the tail to zero,
         checked for all vectors in one sparse product; the vectors form a
         basis, checked one block of the basis matrix at a time, each
         distinct block inverted once.  Returns the inverse of the basis
-        matrix by blocks: the stack of distinct block inverses, the distinct
-        block of each block, the coordinates of each block, and the block
-        and slot of each basis column."""
+        matrix by blocks, as fp.block_inverse gives it."""
         lengths, p, dim = self.lengths, self.p, self.dim
         outside = lengths[(lengths < 1) | (lengths > p)]
         if outside.size:
@@ -285,9 +276,6 @@ class ChainDecomposition:
         total = int(lengths.sum())
         if total != dim:
             raise ValueError(f"chain lengths sum to {total}, dim is {dim}")
-        if not total:
-            empty = np.zeros(0, dtype=np.int64)
-            return empty.reshape(0, 0, 0), empty, empty.reshape(0, 0), empty, empty
         # row k of the basis array is basis column k; its entries, row-major
         row, col = np.nonzero(self.basis)
         data = self.basis[row, col]
@@ -302,25 +290,10 @@ class ChainDecomposition:
             if wrong.row[0] in starts + lengths - 1:  # the first wrong row is a tail
                 raise ValueError("chain does not terminate")
             raise ValueError("chain is not a D-orbit")
-        # the basis matrix is invertible exactly when every block of its own
-        # row/column graph is square and invertible, whatever the chains are;
-        # graph nodes: the basis columns, then the coordinates
-        blocks = fp.components(sparse.Coo(row, dim + col, data, (2 * dim, 2 * dim)))
-        cols, rows = blocks[:dim], blocks[dim:]
-        count = int(blocks.max()) + 1
-        sizes = np.bincount(cols, minlength=count)
-        if not np.array_equal(np.bincount(rows, minlength=count), sizes):
+        inverse = fp.block_inverse(row, col, data, dim, p)
+        if inverse is None:
             raise ValueError("chain vectors are not a basis")
-        slots = fp.slots(cols, count)
-        # block b of the basis matrix, zero-padded: its coordinates by its columns, each in index order
-        local = np.zeros((count, sizes.max(), sizes.max()), dtype=np.int64)
-        local[cols[row], fp.slots(rows, count)[col], slots[row]] = data
-        # blocks of one size and one matrix have one inverse, found once
-        first, kind = fp.unique_rows(np.hstack([sizes[:, None], local.reshape(count, -1)]))
-        inverses = fp.inverse_batch(local[first], sizes[first], p)
-        if inverses is None:
-            raise ValueError("chain vectors are not a basis")
-        return inverses, kind, fp.block_table(rows), cols, slots
+        return inverse
 
 
 def block_counts(decomp: ChainDecomposition) -> tuple[int, ...]:

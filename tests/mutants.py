@@ -73,6 +73,12 @@ MUTANTS = [
     Mutant("parser scales by the coefficient as read", "src/verlie/repalpha.py",
            "            coeff = self.integer() % self.alg.p", "            coeff = self.integer()",
            ("tests/test_repalpha.py::test_parse_reduces_every_scaled_term",)),
+    Mutant("mixed constant keeps a negative (b, z) pair's sign", "src/verlie/chevalley.py",
+           "-n_pos(b - npos, z - npos)", "n_pos(b - npos, z - npos)",
+           ("tests/test_chevalley.py::test_chevalley_basis_pinned",)),
+    Mutant("mixed constant keeps a negative (z, a) pair's sign", "src/verlie/chevalley.py",
+           "-n_pos(z - npos, a - npos)", "n_pos(z - npos, a - npos)",
+           ("tests/test_chevalley.py::test_chevalley_basis_pinned",)),
 ]
 
 

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import tracemalloc
 from dataclasses import FrozenInstanceError, replace
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 import verlie as v
-from verlie import chevalley
+from verlie import chevalley, table
 from verlie.chevalley import (
     _exact_div,
     catalog_algebra,
@@ -135,19 +136,41 @@ def test_e8_build_is_one_small_entry_array():
     """The E8 basis is built straight into its entry array, each bracket
     followed by its mirror, without a dict per pair of basis vectors."""
     gcm = catalog_gcm("e8")
+    gc.collect()
+    gc.disable()
     tracemalloc.start()
     try:
         alg = chevalley_basis(gcm)
         peak = tracemalloc.get_traced_memory()[1]
+        del alg
+        # with the collector off, nothing of the build outlives what it returns
+        left = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert peak < 3_000_000
-    entries = alg.entries
+        gc.enable()
+    assert peak < 1_600_000
+    assert left < 300_000
+    entries = chevalley_basis(gcm).entries
     assert entries.dtype == np.int64 and entries.shape == (16694, 4)
     with pytest.raises(ValueError):
         entries[0, 3] = 0
     bracket, mirror = entries[0::2], entries[1::2]
     assert np.array_equal(mirror, bracket[:, [1, 0, 2, 3]] * [1, 1, 1, -1])
+
+
+def test_builds_leave_no_reference_cycles():
+    """Every catalog build, its reduction and one E8 table row free all they
+    made when they return, without waiting for the cyclic collector."""
+    spec = next(s for s in table.TABLE if s.algebra == "e8" and s.elements[0] == "e1")
+    gc.collect()
+    gc.disable()
+    try:
+        for name in PINNED_BASES:
+            reduce_mod_p(chevalley_basis(catalog_gcm(name)), 3)
+        assert table.run_row.__wrapped__(spec).ok
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("change", [2, -1, 0])

@@ -639,7 +639,9 @@ def test_basis_check_rejects_a_singular_padded_block():
         columns_as_chains(m, 3).validate(np.zeros((5, 5), dtype=np.int64))
     m[4, 4] = 1
     zero = np.zeros((5, 5), dtype=np.int64)
-    assert np.array_equal(columns_as_chains(m, 3).coordinates(zero, range(5)), fp.inverse(m, 3))
+    inverse = fp.inverse(m, 3)
+    assert np.array_equal(columns_as_chains(m, 3).coordinates(zero, range(5)), inverse)
+    assert np.array_equal(m @ inverse % 3, np.eye(5, dtype=np.int64))
 
 
 @settings(max_examples=80, deadline=None)
@@ -671,7 +673,10 @@ def test_basis_check_inverts_permuted_block_bases(p, sizes, singular, seed):
         with pytest.raises(ValueError, match="not a basis"):
             decomp.validate(zero)
     else:
-        assert np.array_equal(decomp.coordinates(zero, range(dim)), fp.inverse(m, p))
+        # both read the block inverses of fp.block_inverse, so the product checks the split itself
+        inverse = fp.inverse(m, p)
+        assert np.array_equal(decomp.coordinates(zero, range(dim)), inverse)
+        assert np.array_equal(m @ inverse % p, np.eye(dim, dtype=np.int64))
 
 
 FAULTS = ("none", "middle", "tail", "terminate", "zero", "span", "singular", "unequal", "merge", "drop")

@@ -287,6 +287,7 @@ def test_head_coordinates_match_the_dense_inverse():
     assert len(pipelines) == len(TABLE) + len(boundary) + 3 * len(SMALL_ALGEBRAS)
     for realization, decomp, ss in pipelines:
         dense = fp.inverse(decomp.basis_matrix(), decomp.p)
+        assert np.array_equal(decomp.basis_matrix() @ dense % decomp.p, np.eye(decomp.dim, dtype=np.int64))
         assert np.array_equal(decomp.coordinates(realization.der, range(decomp.dim)), dense)
         offsets = decomp.chain_offsets()
         assert np.array_equal(ss.coords, dense[[offsets[c] for c in ss.even_chains + ss.odd_chains]])
