@@ -7,7 +7,6 @@ from .chevalley import (
     IntegralLieAlgebra,
     catalog_algebra,
     chevalley_basis,
-    free_nilpotent_example,
     gl,
     integral_catalog,
     reduce_mod_p,
@@ -40,19 +39,14 @@ from .roots import (
 )
 from .semisimplify import (
     SemisimplifiedAlgebra,
-    clebsch_gordan,
-    pairing_vector,
-    prop32_reference,
     semisimplify,
 )
 from .superalgebra import (
     ModularSuperAlgebra,
     Subspace,
-    center,
     check_odd_cubes,
     check_super_jacobi,
     check_super_skew,
-    derived_subalgebra,
     gen_subquotient,
     generated_subalgebra,
     ideal_closure,

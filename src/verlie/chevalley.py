@@ -13,7 +13,7 @@ arithmetic over root indices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 from types import MappingProxyType
@@ -25,7 +25,7 @@ from . import sparse
 from .errors import JacobiViolation
 from .fp import check_modulus
 from .roots import GCM, Root, RootSystem, catalog_gcm, positive_roots
-from .superalgebra import ModularSuperAlgebra, jacobi_witness, skew_witness
+from .superalgebra import ModularSuperAlgebra
 
 
 @dataclass
@@ -204,16 +204,6 @@ def chevalley_basis(gcm: GCM) -> IntegralLieAlgebra:
     return IntegralLieAlgebra(gcm=gcm, roots=rs, dim=dim, labels=labels, entries=entries)
 
 
-def integral_jacobi_witness(alg: IntegralLieAlgebra):
-    """First basis triple violating the Jacobi identity over Z, or None."""
-    return jacobi_witness(alg.tensor(), np.zeros(alg.dim, dtype=np.int64), None)
-
-
-def integral_antisymmetry_ok(alg: IntegralLieAlgebra) -> bool:
-    """C(i,j,k) = -C(j,i,k) over Z for every triple."""
-    return skew_witness(alg.tensor(), np.zeros(alg.dim, dtype=np.int64), None) is None
-
-
 def _generators(dim: int, p: int, terms: dict[str, dict[int, int]]) -> dict[str, np.ndarray]:
     """Generators named by their coordinates {index: coefficient}, as the
     read-only rows of one (generators, dim) array reduced mod p."""
@@ -311,47 +301,6 @@ def sl(n: int, p: int) -> ModularSuperAlgebra:
         terms |= {f"e{i}": {pos[(i, i + 1)]: 1}, f"f{i}": {pos[(i + 1, i)]: 1}, f"h{i}": {len(off) + i - 1: 1}}
     return ModularSuperAlgebra.from_entries(p, np.zeros(dim, dtype=np.int64), *np.transpose(entries),
                                             labels=labels, gens=_generators(dim, p, terms))
-
-
-def free_nilpotent_example(p: int = 3) -> tuple[ModularSuperAlgebra, np.ndarray]:
-    """The free Lie algebra on x, y truncated above degree 3, with the
-    square-zero-on-generators derivation d(x) = y, d(y) = 0.
-
-    Basis {x, y, [x,y], [x,[x,y]], [y,[y,x]]}; returns (algebra, derivation matrix).
-    """
-    labels = ["x", "y", "[x,y]", "[x,[x,y]]", "[y,[y,x]]"]
-    entries = [
-        (0, 1, 2, 1), (1, 0, 2, -1),   # [x,y] = z
-        (0, 2, 3, 1), (2, 0, 3, -1),   # [x,z] = [x,[x,y]]
-        (1, 2, 4, -1), (2, 1, 4, 1),   # [y,z] = -[y,[y,x]]
-    ]
-    alg = ModularSuperAlgebra.from_entries(p, np.zeros(5, dtype=np.int64), *np.transpose(entries), labels=labels)
-    der = np.zeros((5, 5), dtype=np.int64)
-    der[1, 0] = 1          # x -> y
-    der[4, 3] = (-1) % p   # [x,[x,y]] -> -[y,[y,x]]
-    return alg, der
-
-
-def g2_scaled(p: int = 3) -> ModularSuperAlgebra:
-    """Alternative integral form of the rank-2 exceptional algebra: the root
-    vectors at beta+2alpha, beta+3alpha, 2beta+3alpha (and their negatives)
-    are rescaled by the ad-string factorials 2, 6, 6.
-
-    Over Z this spans a different lattice than the Chevalley basis; mod 3 the
-    top two root pairs span a 4-dimensional ideal, and the semisimplification
-    with respect to e_beta carries a (0|2) odd ideal with quotient of
-    superdimension (3|2).  The Chevalley reduction itself has no such ideal.
-    """
-    base = integral_catalog("g2")
-    factors = {Root((2, 1)): 2, Root((3, 1)): 6, Root((3, 2)): 6}
-    scale = np.ones(base.dim, dtype=np.int64)
-    for root, factor in factors.items():
-        scale[[base.e_index(root), base.f_index(root)]] = factor
-    i, j, k, c = base.entries.T
-    num, den = scale[i] * scale[j] * c, scale[k]
-    for r in np.flatnonzero(num % den):  # raises at the first
-        _exact_div(int(num[r]), int(den[r]), "rescaled constants are not integral")
-    return reduce_mod_p(replace(base, entries=np.stack([i, j, k, num // den], axis=1)), p)
 
 
 @lru_cache(maxsize=None)

@@ -32,6 +32,7 @@ from .roots import (
     derive_tilde,
     diagram_ascii,
     diagram_json,
+    exact_int,
     positive_roots,
     swap_orbit,
     validate_gcm,
@@ -56,10 +57,12 @@ def _load_algebra(spec: str, p: int):
     """Catalog name, or a JSON file {name?, cartan: [[...]], parity: [...], p}."""
     if spec.endswith(".json"):
         data = json.loads(Path(spec).read_text())
+        if not isinstance(data, dict):
+            raise errors.BadSpec(f"{spec} must hold a JSON object, not a {type(data).__name__}")
         gcm = validate_gcm(data["cartan"], data.get("parity"))
         if not gcm.all_even:
             raise errors.VerlieError("input Cartan matrix must be purely even")
-        return reduce_mod_p(chevalley_basis(gcm), int(data.get("p", p)))
+        return reduce_mod_p(chevalley_basis(gcm), exact_int(data.get("p", p), "p"))
     return catalog_algebra(spec, p)
 
 

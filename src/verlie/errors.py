@@ -25,6 +25,11 @@ class BadModulus(VerlieError):
     """The characteristic is not an odd prime."""
 
 
+class BadSpec(VerlieError):
+    """An algebra spec is not a JSON object, or one of its values is not
+    the exact integer (or list of them) it must be."""
+
+
 class DimensionTooLarge(VerlieError):
     """The basis is too large for the int64 keys of the exact axiom checks."""
 

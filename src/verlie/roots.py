@@ -17,7 +17,7 @@ from math import gcd
 
 import numpy as np
 
-from .errors import AxiomViolation, IllegalSwap, NotFiniteType
+from .errors import AxiomViolation, BadSpec, IllegalSwap, NotFiniteType
 
 EVEN, ODD = 0, 1
 
@@ -57,12 +57,30 @@ class GCM:
         return i != j and self.a(i, j) != 0
 
 
+def exact_int(value, field: str) -> int:
+    """value as an int, read exactly: a float, a bool, a string or anything
+    else that is not an integer raises BadSpec naming the field."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise BadSpec(f"{field} must be an integer, not {value!r}")
+    return int(value)
+
+
+def _exact_ints(values, field: str) -> tuple[int, ...]:
+    if not isinstance(values, (list, tuple)):
+        raise BadSpec(f"{field} must be a list, not {values!r}")
+    return tuple(exact_int(x, f"{field}[{i}]") for i, x in enumerate(values))
+
+
 def validate_gcm(entries, parity=None) -> GCM:
     """Check the four GCM axioms; raise AxiomViolation(axiom index) on failure.
+    Entries and parities are read exactly (BadSpec names a value that is
+    not an integer).
 
     With parity omitted, it is deduced from the diagonal (2 -> even, 0/1 -> odd).
     """
-    mat = [tuple(int(x) for x in row) for row in entries]
+    if not isinstance(entries, (list, tuple)):
+        raise BadSpec(f"cartan must be a list of rows, not {entries!r}")
+    mat = [_exact_ints(row, f"cartan[{i}]") for i, row in enumerate(entries)]
     n = len(mat)
     if any(len(row) != n for row in mat):
         raise ValueError("Cartan matrix must be square")
@@ -76,7 +94,7 @@ def validate_gcm(entries, parity=None) -> GCM:
                 parity.append(ODD)
             else:
                 raise AxiomViolation(1, f"a_{i+1}{i+1} = {d} fits no parity")
-    parity = tuple(int(x) for x in parity)
+    parity = _exact_ints(parity, "parity")
     if len(parity) != n or any(par not in (EVEN, ODD) for par in parity):
         raise ValueError("parity vector must be 0/1 of matching length")
     for i in range(n):

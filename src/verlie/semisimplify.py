@@ -16,29 +16,8 @@ import numpy as np
 
 from . import fp, sparse
 from .errors import JacobiViolation
-from .repalpha import ChainDecomposition, JordanChain, Realization
+from .repalpha import ChainDecomposition, Realization
 from .superalgebra import ModularSuperAlgebra, Report, check_odd_cubes, check_super_jacobi, check_super_skew
-
-
-def clebsch_gordan(m: int, n: int, p: int) -> tuple[int, ...]:
-    """Simple factors of L_m (x) L_n: {|m-n| + 2i - 1 : 1 <= i <= min(m, n, p-m, p-n)}."""
-    if not (1 <= m <= p - 1 and 1 <= n <= p - 1):
-        raise ValueError("labels must lie in 1..p-1")
-    top = min(m, n, p - m, p - n)
-    return tuple(abs(m - n) + 2 * i - 1 for i in range(1, top + 1))
-
-
-def pairing_vector(realization: Realization, ci: JordanChain, cj: JordanChain) -> np.ndarray:
-    """sum_{a=1}^{p-1} (-1)^a [ci[a], cj[p-a]], computed in the realized algebra."""
-    alg = realization.algebra
-    p = alg.p
-    if ci.length != p - 1 or cj.length != p - 1:
-        raise ValueError("pairing needs two chains of length p-1")
-    out = np.zeros(alg.dim, dtype=np.int64)
-    for a in range(1, p):
-        sign = -1 if a % 2 else 1
-        out = (out + sign * alg.bracket(ci.vectors[a - 1], cj.vectors[p - a - 1])) % p
-    return out
 
 
 @dataclass
@@ -146,51 +125,3 @@ def semisimplify(realization: Realization, decomp: ChainDecomposition) -> Semisi
     return SemisimplifiedAlgebra(algebra=out, realization=realization, decomposition=decomp, even_chains=even,
                                  odd_chains=odd, coords=coords, checks=checks)
 
-
-def prop32_reference(realization: Realization, decomp: ChainDecomposition) -> ModularSuperAlgebra:
-    """Literal three-case transcription of the characteristic-3 structure
-    constants, kept as an independent oracle for semisimplify.
-
-    Even y's come from the length-1 chains (their vectors x_i), odd y's from
-    the length-2 chains (x_i the head, x_i' the tail); the coefficient of
-    x_k means the expansion coordinate at that chain position over the full
-    chain basis.
-    """
-    alg = realization.algebra
-    p = alg.p
-    if p != 3:
-        raise ValueError("the reference formula is specific to characteristic 3")
-    decomp.validate(realization.der)
-    even = [i for i, c in enumerate(decomp.chains) if c.length == 1]
-    odd = [i for i, c in enumerate(decomp.chains) if c.length == 2]
-    offsets = decomp.chain_offsets()
-    n1, n2 = len(even), len(odd)
-    order = even + odd
-    # row k: the coefficient of x_k, which sits at its chain's head
-    coords = fp.inverse(decomp.basis_matrix(), p)[[offsets[c] for c in order]]
-    # columns: the heads x_b of all survivors, the tails x_b' of the odd ones
-    xmat, xpmat = (np.array([decomp.chains[c].vectors[t] for c in chains], dtype=np.int64).reshape(-1, alg.dim).T
-                   for t, chains in ((0, order), (1, odd)))
-    entries = [np.zeros((4, 0), dtype=np.int64)]  # rows a, b, k, c; one block per left factor a
-
-    def coefficients(images):
-        """[b, k]: the coefficient of x_k in column b of images."""
-        return sparse.from_dense(images.T % p).dot(coords.T) % p
-
-    for a, ca in enumerate(order):
-        ad_xa = sparse.from_dense(alg.ad(decomp.chains[ca].vectors[0]))
-        plain = coefficients(ad_xa.dot(xmat))  # [b, k]: coefficient of x_k in [x_a, x_b]
-        out = np.zeros((n1 + n2, n1 + n2), dtype=np.int64)  # [b, k]: coefficient of y_k in [y_a, y_b]
-        if a < n1:
-            out[:n1, :n1] = plain[:n1, :n1]  # both even: on the even targets
-            out[n1:, n1:] = plain[n1:, n1:]  # mixed: on the odd targets
-        else:
-            out[:n1, n1:] = plain[:n1, n1:]  # mixed: on the odd targets
-            # both odd: coefficient of x_k in -[x_a, x_b'] + [x_a', x_b], even targets
-            ad_xpa = sparse.from_dense(alg.ad(decomp.chains[ca].vectors[1]))
-            out[n1:, :n1] = coefficients(ad_xpa.dot(xmat[:, n1:]) - ad_xa.dot(xpmat))[:, :n1]
-        b, k = np.nonzero(out)
-        entries.append(np.array([np.full_like(b, a), b, k, out[b, k]]))
-    parity = np.array([0] * n1 + [1] * n2, dtype=np.int64)
-    return ModularSuperAlgebra.from_entries(p, parity, *np.hstack(entries),
-                                            labels=[_chain_labels(decomp, c) for c in order])

@@ -179,11 +179,6 @@ def from_dense(a) -> Coo:
     return Coo(row, col, a[row, col], a.shape)
 
 
-def identity(n: int) -> Coo:
-    diag = np.arange(n)
-    return Coo(diag, diag, np.ones(n, dtype=np.int64), (n, n))
-
-
 def product(a: Coo, b: Coo, p: int | None) -> Coo:
     """a @ b, reduced mod p."""
     width = b.shape[1]

@@ -2,9 +2,9 @@
 
 A ModularSuperAlgebra is a basis with parity labels and a sparse tensor
 C(i,j,k) over F_p; Lie algebras are the all-even case.  Structural
-operations (center, derived subalgebra, generated subalgebras, ideal
-closures, quotients) all work on subspaces kept in reduced echelon form so
-that equality and containment are exact and order-independent.
+operations (generated subalgebras, ideal closures, quotients) all work on
+subspaces kept in reduced echelon form so that equality and containment are
+exact and order-independent.
 """
 
 from __future__ import annotations
@@ -493,22 +493,6 @@ def odd_cube_generators(alg: ModularSuperAlgebra):
     return [(vec, label(r)) for r, vec in zip(pieces.held_rows(), pieces.nonzero_rows())]
 
 
-def odd_cube_values_literal(alg: ModularSuperAlgebra):
-    """q(x) on all sums of up to 3 distinct odd basis vectors with coefficients in {1, 2}."""
-    from itertools import product
-
-    odd = np.nonzero(alg.parity == 1)[0]
-    vals = []
-    for size in (1, 2, 3):
-        for nodes in combinations(odd, size):
-            for coeffs in product((1, 2), repeat=size):
-                x = np.zeros(alg.dim, dtype=np.int64)
-                for n, c in zip(nodes, coeffs):
-                    x[n] = c
-                vals.append(alg.bracket(x, alg.bracket(x, x)))
-    return vals
-
-
 def check_odd_cubes(alg: ModularSuperAlgebra) -> Report:
     """[x,[x,x]] = 0 for every odd x (the extra characteristic-3 axiom); a
     failure's witness labels the first piece of odd_cube_generators.  Runs
@@ -606,36 +590,11 @@ def _parity_split(alg: ModularSuperAlgebra, sub: Subspace) -> tuple[np.ndarray, 
 # -- structural operations ---------------------------------------------------
 
 
-def center(alg: ModularSuperAlgebra) -> Subspace:
-    """{x : [x, g] = 0}, as the iterated kernel of right-bracket maps."""
-    eye = np.eye(alg.dim, dtype=np.int64)
-    basis = eye
-    for j in range(alg.dim):
-        if basis.shape[0] == 0:
-            break
-        m = alg.brackets(basis, eye[j : j + 1]).toarray().T  # column r = [basis_r, b_j]
-        ker = fp.kernel_basis(m, alg.p)
-        basis = (ker @ basis) % alg.p
-    return Subspace.from_vectors(basis, alg.dim, alg.p)
-
-
 def _absorb(sub: Subspace, mat) -> tuple[Subspace, np.ndarray]:
     """Extend a subspace by the rows of mat; returns (new subspace, genuinely new rows)."""
     extended = sub.extended(mat)
     old = set(sub.pivots)
     return extended, extended.rows[[c not in old for c in extended.pivots]]
-
-
-def derived_subalgebra(alg: ModularSuperAlgebra) -> Subspace:
-    """Span of all brackets of basis pairs, sixteen left factors at a time,
-    until the span is the whole algebra."""
-    eye = np.eye(alg.dim, dtype=np.int64)
-    sub = Subspace.zero(alg.dim, alg.p)
-    for start in range(0, alg.dim, 16):
-        sub = sub.extended(alg.brackets(eye[start : start + 16], eye).nonzero_rows())
-        if sub.dim == alg.dim:
-            break
-    return sub
 
 
 def distinct_rows(m: sparse.Coo, p: int) -> np.ndarray:

@@ -10,7 +10,8 @@ copies `src/`, `tests/` and `pyproject.toml` into a temporary directory, runs
 the named tests there once unmutated (they must pass), then applies each
 mutant to a fresh copy and runs only its tests.  It never edits the working
 tree.  It exits non-zero, naming each survivor, if a mutant survives, its old
-text is not found exactly once, or its tests cannot run.
+text is not found exactly once, its tests cannot run, or they run past
+TIMEOUT seconds.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+TIMEOUT = 120  # seconds for one pytest run; a mutant whose tests run longer is not killed
 
 
 @dataclass(frozen=True)
@@ -53,6 +55,9 @@ MUTANTS = [
            '    axioms = next((r for r in ss.checks.values() if not r), Report("axioms", True))',
            '    axioms = Report("axioms", True)',
            ("tests/test_verify.py::test_even_route_reads_the_axiom_reports",)),
+    Mutant("odd-odd splitting sum with its sign flipped", "src/verlie/semisimplify.py",
+           "split = sparse.combine([((-1) ** t,", "split = sparse.combine([(-(-1) ** t,",
+           ("tests/test_acceptance.py::test_criterion_7_oracle_equivalence",)),
     Mutant("odd-odd brackets scaled by 3 at p = 7", "src/verlie/semisimplify.py",
            "        split = sparse.product(split, coords_t, p)",
            "        split = sparse.product(sparse.combine([(3 if p == 7 else 1, split)], p), coords_t, p)",
@@ -79,6 +84,14 @@ MUTANTS = [
     Mutant("mixed constant keeps a negative (z, a) pair's sign", "src/verlie/chevalley.py",
            "-n_pos(z - npos, a - npos)", "n_pos(z - npos, a - npos)",
            ("tests/test_chevalley.py::test_chevalley_basis_pinned",)),
+    Mutant("parity check passes unless every entry is bad", "src/verlie/roots.py",
+           "any(par not in (EVEN, ODD) for par in parity)", "all(par not in (EVEN, ODD) for par in parity)",
+           ("tests/test_roots.py::test_parity_with_one_bad_entry_is_rejected",)),
+    Mutant("spec values read without the integrality check", "src/verlie/roots.py",
+           "    if isinstance(value, bool) or not isinstance(value, int):", "    if False:",
+           ("tests/test_roots.py::test_entries_are_read_exactly[float]",
+            "tests/test_cli.py::test_spec_file_values_are_read_exactly[cartan-float]",
+            "tests/test_cli.py::test_spec_file_values_are_read_exactly[p-float]")),
 ]
 
 
@@ -97,10 +110,15 @@ def apply(mutant: Mutant, root: Path) -> None:
     path.write_text(text.replace(mutant.old, mutant.new))
 
 
-def run_tests(root: Path, tests) -> int:
+def run_tests(root: Path, tests) -> int | None:
+    """pytest's exit code, or None if it ran past TIMEOUT and was stopped."""
     env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
-    return subprocess.run(cmd, cwd=root, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+    try:
+        return subprocess.run(cmd, cwd=root, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+                              timeout=TIMEOUT).returncode
+    except subprocess.TimeoutExpired:
+        return None
 
 
 def main(chosen: list[Mutant]) -> int:
@@ -110,7 +128,8 @@ def main(chosen: list[Mutant]) -> int:
         named = sorted({t for m in chosen for t in m.tests})
         code = run_tests(clean, named)
         if code != 0:
-            print(f"the named tests do not pass unmutated (pytest exit {code})")
+            reason = f"timed out after {TIMEOUT} s" if code is None else f"pytest exit {code}"
+            print(f"the named tests do not pass unmutated ({reason})")
             return 1
         bad = []
         for i, mutant in enumerate(chosen):
@@ -123,7 +142,8 @@ def main(chosen: list[Mutant]) -> int:
                 bad.append(mutant.name)
                 continue
             code = run_tests(root, mutant.tests)
-            verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"error (pytest exit {code})")
+            verdict = {0: "SURVIVED", 1: "killed", None: f"timed out after {TIMEOUT} s"}.get(
+                code, f"error (pytest exit {code})")
             print(f"{verdict:8} {mutant.name}")
             if code != 1:
                 bad.append(mutant.name)

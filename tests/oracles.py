@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+from itertools import combinations, product
+
 import numpy as np
 
 from verlie import fp, sparse
-from verlie.superalgebra import Constants, ModularSuperAlgebra
+from verlie.chevalley import _exact_div, integral_catalog, reduce_mod_p
+from verlie.roots import Root
+from verlie.superalgebra import Constants, ModularSuperAlgebra, Subspace
 
 
 def tensor_coo(constants: Constants, dim: int, p: int | None) -> sparse.Coo:
@@ -139,9 +144,33 @@ def dense_chain_check(decomp, der: sparse.Coo) -> tuple:
     return inverses, fp.block_table(rows), cols, fp.slots(cols, count)
 
 
-# The semisimplified bracket at any odd p, transcribed one survivor pair at a
-# time: the slow reference that semisimplify, which projects the brackets of
-# all heads and the splitting products at once, must match.
+
+
+# The semisimplified bracket at any odd p, transcribed one left factor at a
+# time with the three parity cases spelled out: the reference that
+# semisimplify, which projects the brackets of all heads and the splitting
+# products at once, must match.
+
+
+def sparse_ads(alg, vectors) -> list[sparse.Coo]:
+    """alg.sparse_ad of each row of vectors, from one sparse product of the
+    rows with the tensor: row r, column k*dim+j holds [v_r, b_j]_k."""
+    dim = alg.dim
+    flat = sparse.product(sparse.from_dense(vectors), alg.tensor, alg.p)
+    starts = np.searchsorted(flat.row, np.arange(len(vectors) + 1)).tolist()
+    return [sparse.from_keys(flat.col[s:e], flat.data[s:e], (dim, dim)) for s, e in zip(starts[:-1], starts[1:])]
+
+
+def pairing_vector(alg, left, right) -> np.ndarray:
+    """The splitting sum sum_{t=1}^{p-1} (-1)^t [left^(t-1), right^(p-1-t)]
+    of two length-(p-1) chains, computed in alg.  left holds one chain's
+    vectors as rows; right holds one chain, (p-1, dim), or a stack of them,
+    (chains, p-1, dim), with one sum per chain."""
+    p = alg.p
+    if len(left) != p - 1 or right.shape[-2] != p - 1:
+        raise ValueError("pairing needs two chains of length p-1")
+    ads = sparse_ads(alg, left)
+    return sum((-1) ** t * ads[t - 1].dot(right[..., p - 1 - t, :].T).T for t in range(1, p)) % p
 
 
 def literal_reference(realization, decomp) -> ModularSuperAlgebra:
@@ -149,34 +178,136 @@ def literal_reference(realization, decomp) -> ModularSuperAlgebra:
     (even) and then the length-(p-1) chains (odd), in chain order.  A
     survivor's coordinate of a vector is its coordinate at the survivor's
     head v^0 over the chain basis, read off the dense inverse of the basis
-    matrix.  Survivor a's chain is v_a^0, v_a^1, ...; the bracket [v_a^s, w]
-    is the dense ad of v_a^s applied to w; and [y_a, y_b] is
+    matrix.  Survivor a's chain is v_a^0, v_a^1, ...; and [y_a, y_b] is
       - both even: the even coordinates of [v_a^0, v_b^0];
       - one even, one odd: the odd coordinates of [v_a^0, v_b^0];
       - both odd: the even coordinates of the splitting vector
-        sum_{t=1}^{p-1} (-1)^t [v_a^(t-1), v_b^(p-1-t)]."""
+        sum_{t=1}^{p-1} (-1)^t [v_a^(t-1), v_b^(p-1-t)] (pairing_vector).
+    One left factor a at a time, the sparse ad of each of a's chain vectors
+    is applied to all right factors at once."""
     alg = realization.algebra
     p = alg.p
     decomp.validate(realization.der)
-    chains = decomp.chains
-    even = [c for c, chain in enumerate(chains) if chain.length == 1]
-    odd = [c for c, chain in enumerate(chains) if chain.length == p - 1]
-    order = even + odd
-    parity = [0] * len(even) + [1] * len(odd)
-    offsets = decomp.chain_offsets()
-    coords = fp.inverse(decomp.basis_matrix(), p)[[offsets[c] for c in order]]
-    entries = []
-    for a, ca in enumerate(order):
-        ad = [alg.ad(u) for u in chains[ca].vectors]  # ad[s] @ w = [v_a^s, w]
-        for b, cb in enumerate(order):
-            vb = chains[cb].vectors
-            if parity[a] == 0 and parity[b] == 0:
-                image, target = ad[0] @ vb[0], 0
-            elif parity[a] != parity[b]:
-                image, target = ad[0] @ vb[0], 1
-            else:
-                image = sum((-1) ** t * (ad[t - 1] @ vb[p - 1 - t]) for t in range(1, p))
-                target = 0
-            values = coords @ (image % p) % p
-            entries += [(a, b, k, int(values[k])) for k in range(len(order)) if parity[k] == target and values[k]]
-    return ModularSuperAlgebra.from_entries(p, parity, *np.array(entries, dtype=np.int64).reshape(-1, 4).T)
+    lengths, offsets = decomp.lengths, decomp.chain_offsets()
+    even, odd = np.flatnonzero(lengths == 1), np.flatnonzero(lengths == p - 1)
+    order = np.concatenate([even, odd])
+    n1, m = len(even), len(order)
+    # column k: the coordinate at survivor k's head, a row of the inverse basis matrix
+    coords = fp.inverse(decomp.basis_matrix(), p)[offsets[order]].T
+    heads = decomp.basis[offsets[order]]  # row k: the head v_k^0
+    odd_chains = decomp.basis[offsets[odd, None] + np.arange(p - 1)]  # (odd chains, p-1, dim)
+    entries = [np.zeros((4, 0), dtype=np.int64)]  # rows a, b, k, c; one block per left factor a
+    for a, head_ad in enumerate(sparse_ads(alg, heads)):
+        images = head_ad.dot(heads.T).T  # row b: [v_a^0, v_b^0]
+        if a >= n1:  # rows m..: the splitting vectors of a with each odd b
+            images = np.vstack([images, pairing_vector(alg, odd_chains[a - n1], odd_chains)])
+        values = sparse.from_dense(images % p).dot(coords) % p  # [b, k]: coordinate of image b at head k
+        out = np.zeros((m, m), dtype=np.int64)  # [b, k]: coefficient of y_k in [y_a, y_b]
+        if a < n1:
+            out[:n1, :n1] = values[:n1, :n1]  # both even: on the even targets
+            out[n1:, n1:] = values[n1:m, n1:]  # one of each: on the odd targets
+        else:
+            out[:n1, n1:] = values[:n1, n1:]  # one of each: on the odd targets
+            out[n1:, :n1] = values[m:, :n1]  # both odd: the splitting vector, on the even targets
+        b, k = np.nonzero(out)
+        entries.append(np.array([np.full_like(b, a), b, k, out[b, k]]))
+    parity = np.array([0] * n1 + [1] * len(odd), dtype=np.int64)
+    return ModularSuperAlgebra.from_entries(p, parity, *np.hstack(entries))
+
+
+# The truncated tensor rule, which the tests compare with Jordan block counts
+# of the shift action on a tensor product of Jordan blocks.
+
+
+def clebsch_gordan(m: int, n: int, p: int) -> tuple[int, ...]:
+    """Simple factors of L_m (x) L_n: {|m-n| + 2i - 1 : 1 <= i <= min(m, n, p-m, p-n)}."""
+    if not (1 <= m <= p - 1 and 1 <= n <= p - 1):
+        raise ValueError("labels must lie in 1..p-1")
+    top = min(m, n, p - m, p - n)
+    return tuple(abs(m - n) + 2 * i - 1 for i in range(1, top + 1))
+
+
+# Structural invariants of an output, compared across decompositions.
+
+
+def center(alg: ModularSuperAlgebra) -> Subspace:
+    """{x : [x, g] = 0}, as the iterated kernel of right-bracket maps."""
+    eye = np.eye(alg.dim, dtype=np.int64)
+    basis = eye
+    for j in range(alg.dim):
+        if basis.shape[0] == 0:
+            break
+        m = alg.brackets(basis, eye[j : j + 1]).toarray().T  # column r = [basis_r, b_j]
+        ker = fp.kernel_basis(m, alg.p)
+        basis = (ker @ basis) % alg.p
+    return Subspace.from_vectors(basis, alg.dim, alg.p)
+
+
+def derived_subalgebra(alg: ModularSuperAlgebra) -> Subspace:
+    """Span of all brackets of basis pairs, sixteen left factors at a time,
+    until the span is the whole algebra."""
+    eye = np.eye(alg.dim, dtype=np.int64)
+    sub = Subspace.zero(alg.dim, alg.p)
+    for start in range(0, alg.dim, 16):
+        sub = sub.extended(alg.brackets(eye[start : start + 16], eye).nonzero_rows())
+        if sub.dim == alg.dim:
+            break
+    return sub
+
+
+def odd_cube_values_literal(alg: ModularSuperAlgebra):
+    """q(x) on all sums of up to 3 distinct odd basis vectors with coefficients in {1, 2}."""
+    odd = np.nonzero(alg.parity == 1)[0]
+    vals = []
+    for size in (1, 2, 3):
+        for nodes in combinations(odd, size):
+            for coeffs in product((1, 2), repeat=size):
+                x = np.zeros(alg.dim, dtype=np.int64)
+                for n, c in zip(nodes, coeffs):
+                    x[n] = c
+                vals.append(alg.bracket(x, alg.bracket(x, x)))
+    return vals
+
+
+# Example algebras with a known answer.
+
+
+def free_nilpotent_example(p: int = 3) -> tuple[ModularSuperAlgebra, np.ndarray]:
+    """The free Lie algebra on x, y truncated above degree 3, with the
+    square-zero-on-generators derivation d(x) = y, d(y) = 0.
+
+    Basis {x, y, [x,y], [x,[x,y]], [y,[y,x]]}; returns (algebra, derivation matrix).
+    """
+    labels = ["x", "y", "[x,y]", "[x,[x,y]]", "[y,[y,x]]"]
+    entries = [
+        (0, 1, 2, 1), (1, 0, 2, -1),   # [x,y] = z
+        (0, 2, 3, 1), (2, 0, 3, -1),   # [x,z] = [x,[x,y]]
+        (1, 2, 4, -1), (2, 1, 4, 1),   # [y,z] = -[y,[y,x]]
+    ]
+    alg = ModularSuperAlgebra.from_entries(p, np.zeros(5, dtype=np.int64), *np.transpose(entries), labels=labels)
+    der = np.zeros((5, 5), dtype=np.int64)
+    der[1, 0] = 1          # x -> y
+    der[4, 3] = (-1) % p   # [x,[x,y]] -> -[y,[y,x]]
+    return alg, der
+
+
+def g2_scaled(p: int = 3) -> ModularSuperAlgebra:
+    """Alternative integral form of the rank-2 exceptional algebra: the root
+    vectors at beta+2alpha, beta+3alpha, 2beta+3alpha (and their negatives)
+    are rescaled by the ad-string factorials 2, 6, 6.
+
+    Over Z this spans a different lattice than the Chevalley basis; mod 3 the
+    top two root pairs span a 4-dimensional ideal, and the semisimplification
+    with respect to e_beta carries a (0|2) odd ideal with quotient of
+    superdimension (3|2).  The Chevalley reduction itself has no such ideal.
+    """
+    base = integral_catalog("g2")
+    factors = {Root((2, 1)): 2, Root((3, 1)): 6, Root((3, 2)): 6}
+    scale = np.ones(base.dim, dtype=np.int64)
+    for root, factor in factors.items():
+        scale[[base.e_index(root), base.f_index(root)]] = factor
+    i, j, k, c = base.entries.T
+    num, den = scale[i] * scale[j] * c, scale[k]
+    for r in np.flatnonzero(num % den):  # raises at the first
+        _exact_div(int(num[r]), int(den[r]), "rescaled constants are not integral")
+    return reduce_mod_p(replace(base, entries=np.stack([i, j, k, num // den], axis=1)), p)

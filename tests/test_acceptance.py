@@ -5,16 +5,25 @@ import numpy as np
 import pytest
 
 import verlie as v
+from tests.oracles import (
+    center,
+    clebsch_gordan,
+    derived_subalgebra,
+    free_nilpotent_example,
+    g2_scaled,
+    literal_reference,
+)
 from tests.pipelines import spec_pipeline
-from verlie.chevalley import g2_scaled, integral_catalog, integral_jacobi_witness
+from verlie.chevalley import integral_catalog
 from verlie.repalpha import block_counts, jordan_decompose, parse_element, rank_count_vector, realize
 from verlie.roots import Coloring, admissible_subsets, catalog_gcm, derive_tilde, swap_orbit
-from verlie.semisimplify import clebsch_gordan, prop32_reference, semisimplify
+from verlie.semisimplify import semisimplify
 from verlie.superalgebra import (
     check_odd_cubes,
     check_super_jacobi,
     check_super_skew,
     ideal_closure,
+    jacobi_witness,
     quotient,
     superdim,
 )
@@ -150,7 +159,7 @@ def test_criterion_4_micro_examples():
     assert check_super_jacobi(quot.quotient).ok and check_odd_cubes(quot.quotient).ok
     # perfect and centerless, with the odd part generating everything: the
     # defining behavior of the (3|2) orthosymplectic algebra
-    from verlie.superalgebra import center, derived_subalgebra, generated_subalgebra
+    from verlie.superalgebra import generated_subalgebra
 
     assert derived_subalgebra(quot.quotient).dim == 5
     assert center(quot.quotient).dim == 0
@@ -158,7 +167,7 @@ def test_criterion_4_micro_examples():
     assert generated_subalgebra(quot.quotient, odd_rows).dim == 5
 
     # the truncated free Lie algebra fails the odd-cube axiom
-    fn, der = v.free_nilpotent_example(3)
+    fn, der = free_nilpotent_example(3)
     rn = v.realize_derivation(fn, der)
     ssn = semisimplify(rn, jordan_decompose(rn))
     assert superdim(ssn.algebra) == (1, 2)
@@ -193,15 +202,13 @@ def test_criterion_6_even_row():
 def test_criterion_7_oracle_equivalence():
     checked = 0
     for spec in TABLE:
-        if spec.p != 3:
-            continue
         realization, decomp, ss = spec_pipeline(spec)
-        reference = prop32_reference(realization, decomp)
+        reference = literal_reference(realization, decomp)
         assert reference.constants == ss.algebra.constants, spec.key
         assert np.array_equal(reference.parity, ss.algebra.parity)
         checked += 1
-    print(f"CRITERION 7 PASS: semisimplify == literal three-case reference on {checked} "
-          "characteristic-3 rows, constant for constant")
+    print(f"CRITERION 7 PASS: semisimplify == literal three-case reference on all {checked} "
+          "table rows, constant for constant")
 
 
 def test_criterion_8_property_suites(table_rows):
@@ -217,7 +224,8 @@ def test_criterion_8_property_suites(table_rows):
         row_algebras += 1
     # integral Jacobi on every Chevalley output (full scans)
     for name in ("g2", "f4", "e6", "e7", "e8"):
-        assert integral_jacobi_witness(integral_catalog(name)) is None
+        alg = integral_catalog(name)
+        assert jacobi_witness(alg.tensor(), np.zeros(alg.dim, dtype=np.int64), None) is None
     # truncated tensor rule vs brute-force Jordan decomposition
     from tests.test_semisimplify import brute_clebsch_gordan
 

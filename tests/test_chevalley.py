@@ -7,23 +7,20 @@ import numpy as np
 import pytest
 
 import verlie as v
+from tests.oracles import derived_subalgebra, free_nilpotent_example, g2_scaled
 from verlie import chevalley, table
 from verlie.chevalley import (
     _exact_div,
     catalog_algebra,
     chevalley_basis,
-    free_nilpotent_example,
-    g2_scaled,
     gl,
-    integral_antisymmetry_ok,
     integral_catalog,
-    integral_jacobi_witness,
     reduce_mod_p,
     sl,
 )
 from verlie.errors import JacobiViolation
 from verlie.roots import Root, RootSystem, catalog_gcm, positive_roots
-from verlie.superalgebra import ModularSuperAlgebra, check_super_jacobi, check_super_skew
+from verlie.superalgebra import ModularSuperAlgebra, check_super_jacobi, check_super_skew, jacobi_witness, skew_witness
 
 
 def test_a1_is_sl2():
@@ -128,8 +125,8 @@ def test_bootstrap_rejects_a_root_system_missing_a_root(monkeypatch, name, dropp
 @pytest.mark.parametrize("name", ["g2", "f4", "e6", *CLASSICAL])
 def test_integral_jacobi_full_small(name):
     alg = integral_catalog(name)
-    assert integral_antisymmetry_ok(alg)
-    assert integral_jacobi_witness(alg) is None
+    assert skew_witness(alg.tensor(), np.zeros(alg.dim, dtype=np.int64), None) is None
+    assert jacobi_witness(alg.tensor(), np.zeros(alg.dim, dtype=np.int64), None) is None
 
 
 def test_e8_build_is_one_small_entry_array():
@@ -182,7 +179,8 @@ def test_integral_antisymmetry_detects_one_changed_constant(change):
     entries[0, 3] *= change
     if not entries[0, 3]:
         entries = entries[1:]
-    assert not integral_antisymmetry_ok(replace(alg, entries=entries))
+    changed = replace(alg, entries=entries)
+    assert skew_witness(changed.tensor(), np.zeros(alg.dim, dtype=np.int64), None) is not None
 
 
 @pytest.mark.parametrize("name", ["e7", "e8"])
@@ -190,8 +188,8 @@ def test_integral_jacobi_large(name):
     # the exact scan over all basis triples, which implies the derivation
     # identity [ad a, ad b] = ad [a, b] on every pair of generators
     alg = integral_catalog(name)
-    assert integral_antisymmetry_ok(alg)
-    assert integral_jacobi_witness(alg) is None
+    assert skew_witness(alg.tensor(), np.zeros(alg.dim, dtype=np.int64), None) is None
+    assert jacobi_witness(alg.tensor(), np.zeros(alg.dim, dtype=np.int64), None) is None
 
 
 def test_root_grading():
@@ -286,7 +284,7 @@ def test_integral_catalog_is_read_only():
         alg.constants[(0, 6)] = {0: 1}
     with pytest.raises(TypeError):
         alg.constants[key][next(iter(comps))] = 0
-    assert integral_jacobi_witness(integral_catalog("g2")) is None
+    assert jacobi_witness(alg.tensor(), np.zeros(alg.dim, dtype=np.int64), None) is None
     assert check_super_jacobi(reduce_mod_p(integral_catalog("g2"), 5)).ok
 
 
@@ -352,8 +350,6 @@ def test_sl3():
     alg = sl(3, 3)
     assert alg.dim == 8
     assert check_super_jacobi(alg).ok
-    from verlie.superalgebra import derived_subalgebra
-
     assert derived_subalgebra(alg).dim == 8
 
 

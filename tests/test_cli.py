@@ -133,6 +133,30 @@ def test_algebra_spec_file(tmp_path, capsys):
     assert "block counts" in out
 
 
+@pytest.mark.parametrize("spec,field", [
+    ({"cartan": [[2, -1.5], [-1, 2]], "p": 3}, "cartan[0][1]"),
+    ({"cartan": [[2, -1], [False, 2]], "p": 3}, "cartan[1][0]"),
+    ({"cartan": [[2, -1], ["-1", 2]], "p": 3}, "cartan[1][0]"),
+    ({"cartan": [[2, -1], [-1, 2]], "parity": [0, 0.0], "p": 3}, "parity[1]"),
+    ({"cartan": [[2, -1], [-1, 2]], "parity": [True, 0], "p": 3}, "parity[0]"),
+    ({"cartan": [[2, -1], [-1, 2]], "parity": ["0", 0], "p": 3}, "parity[0]"),
+    ({"cartan": [[2, -1], [-1, 2]], "p": 3.5}, "p must"),
+    ({"cartan": [[2, -1], [-1, 2]], "p": 3.0}, "p must"),
+    ({"cartan": [[2, -1], [-1, 2]], "p": True}, "p must"),
+    ({"cartan": [[2, -1], [-1, 2]], "p": "3"}, "p must"),
+    ([[2, -1], [-1, 2]], "JSON object"),
+], ids=["cartan-float", "cartan-bool", "cartan-string", "parity-float", "parity-bool", "parity-string", "p-float",
+        "p-integral-float", "p-bool", "p-string", "not-an-object"])
+def test_spec_file_values_are_read_exactly(spec, field, tmp_path, capsys):
+    """A spec file whose Cartan entries, parity or p are not exact integers,
+    or that is not a JSON object, exits 3 with an error naming the field."""
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["semisimplify", "--algebra", str(path), "--element", "e1"]) == 3
+    captured = capsys.readouterr()
+    assert field in captured.err and not captured.out
+
+
 def test_custom_plan_certify(capsys):
     assert main(["certify", "--algebra", "e8", "--element", "e1+e2+e6+e8", "--plan", "g36"]) == 0
     assert "g(3,6)" in capsys.readouterr().out and main is not None

@@ -18,6 +18,7 @@ from verlie.superalgebra import Subspace, closure, generated_subalgebra, ideal_c
 from verlie.table import row_pipeline
 from verlie.verify import cartan_torus_images, odd_part_irreducible, weight_split
 
+from .oracles import free_nilpotent_example
 from .test_verify import sl2_module_algebra
 
 ALGEBRAS = [("gl3", 3), ("gl3", 5), ("sl4", 3), ("sl4", 5), ("g2", 3), ("g2", 5), ("f4|4", 3)]
@@ -152,7 +153,7 @@ def no_torus(alg) -> np.ndarray:
 
 def test_odd_part_irreducible_is_sound_against_naive_closure():
     # the verdict is never True where the naive closure finds a proper submodule
-    fn_alg, der = v.free_nilpotent_example(3)
+    fn_alg, der = free_nilpotent_example(3)
     realization = v.realize_derivation(fn_alg, der)
     reducible = v.semisimplify(realization, v.jordan_decompose(realization)).algebra
     assert not naive_odd_irreducible(reducible)

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import verlie as v
-from tests.oracles import dense_chain_check, padded_heads
+from tests.oracles import dense_chain_check, free_nilpotent_example, literal_reference, padded_heads
 from tests.test_fp import largest_accepted_prime, rank, realize_in_abelian
 from verlie import fp, repalpha, roots, sparse
 from verlie.errors import DegreeExceedsP, NotNilpotent, ParseError, PreconditionViolated, UnknownGenerator
@@ -202,7 +202,7 @@ def test_realize_rejects_non_nilpotent():
 
 
 def test_realize_derivation_rejects_non_derivation():
-    alg, _ = v.free_nilpotent_example(3)
+    alg, _ = free_nilpotent_example(3)
     bad = np.zeros((5, 5), dtype=np.int64)
     bad[0, 1] = 1  # y -> x is not a derivation of this algebra
     with pytest.raises(ValueError):
@@ -317,7 +317,7 @@ def test_structured_complement_must_be_d_stable(f4mod3):
 def test_structured_empty_complement(name, subset):
     """Every positive root is simple or touched, so the generically
     decomposed complement is empty."""
-    from verlie.semisimplify import prop32_reference, semisimplify
+    from verlie.semisimplify import semisimplify
 
     alg = v.catalog_algebra(name, 3)
     vec = np.zeros(alg.dim, dtype=np.int64)
@@ -328,7 +328,7 @@ def test_structured_empty_complement(name, subset):
     decomp.validate(r.der)
     assert block_counts(decomp) == block_counts(jordan_decompose(r))
     ss = semisimplify(r, decomp)
-    assert ss.algebra.constants == prop32_reference(r, decomp).constants
+    assert ss.algebra.constants == literal_reference(r, decomp).constants
 
 
 def test_structured_preconditions(f4mod3, e6mod3):
@@ -440,7 +440,7 @@ def test_batched_head_pick_matches_greedy_loop(p, blocks, split, seed):
 
 def power_list(der: sparse.Coo, p: int) -> list[sparse.Coo]:
     """[I, D, ..., D^p] as sparse matrices, the power list the padded oracles read."""
-    powers = [sparse.identity(der.shape[0])]
+    powers = [sparse.from_dense(np.eye(der.shape[0], dtype=np.int64))]
     for _ in range(p):
         powers.append(sparse.product(powers[-1], der, p))
     return powers

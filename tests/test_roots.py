@@ -1,7 +1,7 @@
 import pytest
 
 from verlie import roots
-from verlie.errors import AxiomViolation, IllegalSwap, NotFiniteType
+from verlie.errors import AxiomViolation, BadSpec, IllegalSwap, NotFiniteType
 from verlie.roots import (
     Coloring,
     Root,
@@ -62,6 +62,32 @@ def test_axiom_violations():
     with pytest.raises(AxiomViolation) as exc:
         validate_gcm([[3, 0], [0, 2]])
     assert exc.value.axiom == 1
+
+
+def test_parity_with_one_bad_entry_is_rejected():
+    """The parity has the right length and one entry that is neither 0 nor 1."""
+    with pytest.raises(ValueError, match="0/1"):
+        validate_gcm([[2, -1], [-1, 2]], [0, 5])
+
+
+@pytest.mark.parametrize("entries,parity,field", [
+    ([[2, -1.5], [-1, 2]], None, r"cartan\[0\]\[1\]"),
+    ([[2, -1], [-1.0, 2]], None, r"cartan\[1\]\[0\]"),
+    ([[2, True], [-1, 2]], None, r"cartan\[0\]\[1\]"),
+    ([[2, "-1"], [-1, 2]], None, r"cartan\[0\]\[1\]"),
+    ([[2, -1], 2], None, r"cartan\[1\]"),
+    (2, None, "cartan"),
+    ([[2, -1], [-1, 2]], [0, 0.0], r"parity\[1\]"),
+    ([[2, -1], [-1, 2]], [False, 0], r"parity\[0\]"),
+    ([[2, -1], [-1, 2]], ["0", 0], r"parity\[0\]"),
+    ([[2, -1], [-1, 2]], 0, "parity"),
+], ids=["float", "float-below", "bool", "string", "row", "matrix", "parity-float", "parity-bool", "parity-string",
+        "parity-list"])
+def test_entries_are_read_exactly(entries, parity, field):
+    """A float, a bool or a string is refused, naming the field, rather than
+    rounded or parsed: -1.5 must not read as -1."""
+    with pytest.raises(BadSpec, match=field):
+        validate_gcm(entries, parity)
 
 
 def test_positive_roots_a2():

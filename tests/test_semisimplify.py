@@ -6,14 +6,22 @@ import numpy as np
 import pytest
 
 import verlie as v
-from tests.oracles import literal_reference
+from tests.oracles import (
+    center,
+    clebsch_gordan,
+    derived_subalgebra,
+    free_nilpotent_example,
+    literal_reference,
+    pairing_vector,
+    sparse_ads,
+)
 from tests.pipelines import spec_pipeline
 from tests.test_fp import largest_accepted_prime, rank
 from verlie import fp
 from verlie.errors import DegreeExceedsP
 from verlie.repalpha import ChainDecomposition, JordanChain, block_counts, jordan_decompose, parse_element, realize
-from verlie.semisimplify import clebsch_gordan, pairing_vector, prop32_reference, semisimplify
-from verlie.superalgebra import center, derived_subalgebra, superdim
+from verlie.semisimplify import semisimplify
+from verlie.superalgebra import superdim
 from verlie.table import TABLE, row_pipeline
 
 
@@ -85,7 +93,7 @@ def gl3_setup():
 
 def test_pairing_vector_gl3(gl3_setup):
     realization, decomp = gl3_setup
-    out = pairing_vector(realization, decomp.chains[2], decomp.chains[3])
+    out = pairing_vector(realization.algebra, decomp.chains[2].vectors, decomp.chains[3].vectors)
     expected = np.zeros(9, dtype=np.int64)
     expected[0] = expected[4] = expected[8] = 1  # identity matrix
     assert np.array_equal(out, expected)
@@ -93,20 +101,26 @@ def test_pairing_vector_gl3(gl3_setup):
 
 def test_pairing_vector_symmetric(gl3_setup):
     realization, decomp = gl3_setup
-    a = pairing_vector(realization, decomp.chains[2], decomp.chains[3])
-    b = pairing_vector(realization, decomp.chains[3], decomp.chains[2])
+    a = pairing_vector(realization.algebra, decomp.chains[2].vectors, decomp.chains[3].vectors)
+    b = pairing_vector(realization.algebra, decomp.chains[3].vectors, decomp.chains[2].vectors)
     assert np.array_equal(a, b)
 
 
 def test_pairing_vector_against_central_chain():
-    alg, der = v.free_nilpotent_example(3)
+    alg, der = free_nilpotent_example(3)
     realization = v.realize_derivation(alg, der)
     decomp = v.jordan_decompose(realization)
     chains = [c for c in decomp.chains if c.length == 2]
     central = [c for c in chains if not alg.ad(c.vectors[0]).any() and not alg.ad(c.vectors[1]).any()]
     assert central  # the chain through [x,[x,y]] is central
     for other in chains:
-        assert not pairing_vector(realization, central[0], other).any()
+        assert not pairing_vector(alg, central[0].vectors, other.vectors).any()
+
+
+def test_sparse_ads_are_the_ads_of_the_rows(gl3_setup):
+    realization, decomp = gl3_setup
+    alg = realization.algebra
+    assert sparse_ads(alg, decomp.basis) == [alg.sparse_ad(row) for row in decomp.basis]
 
 
 def test_gl3_exact_constants(gl3_setup):
@@ -123,7 +137,7 @@ def test_gl3_exact_constants(gl3_setup):
 def test_gl3_oracle_equality(gl3_setup):
     realization, decomp = gl3_setup
     ss = semisimplify(realization, decomp)
-    ref = prop32_reference(realization, decomp)
+    ref = literal_reference(realization, decomp)
     assert ref.constants == ss.algebra.constants
     assert np.array_equal(ref.parity, ss.algebra.parity)
 
@@ -135,7 +149,7 @@ def test_gl3_generic_chain_invariants(gl3_setup):
     assert superdim(ss.algebra) == (2, 2)
     assert center(ss.algebra).dim == 1
     assert derived_subalgebra(ss.algebra).dim == 3
-    assert prop32_reference(realization, generic).constants == ss.algebra.constants
+    assert literal_reference(realization, generic).constants == ss.algebra.constants
 
 
 def test_superdim_always_n1_np1():
@@ -209,32 +223,25 @@ def test_e8_mod5_superdim():
     assert superdim(ss.algebra) == (55, 32)
 
 
-def test_prop32_rejects_p5():
-    alg = v.catalog_algebra("e8", 5)
-    _, vec = v.parse_element("e2+e3+e4", alg)
-    realization = v.realize(alg, vec)
-    with pytest.raises(ValueError):
-        prop32_reference(realization, v.jordan_decompose(realization))
-
-
 def literal_inputs():
-    """el(5;5); every fourth e_i or e_i + e_j of each small algebra at p = 3,
-    5 and 7 (the inputs of the small benchmark); and the three (3|2) outputs
-    at p = 7, whose odd-odd brackets no other pin reaches."""
+    """el(5;5); every e_i and e_i + e_j of each small algebra at p = 3, 5
+    and 7 (the inputs of the small benchmark); and the three (3|2) outputs at
+    p = 7, whose odd-odd brackets no other pin reaches."""
     from tests.test_repalpha import SMALL_ALGEBRAS, simple_elements
 
     inputs = [("e8", 5, "e2+e3+e4")]
     for name, p in itertools.product(SMALL_ALGEBRAS, (3, 5, 7)):
-        inputs += [(name, p, element) for element in simple_elements(v.catalog_algebra(name, p))[::4]]
+        inputs += [(name, p, element) for element in simple_elements(v.catalog_algebra(name, p))]
     return inputs + [("b4", 7, "e1+e3+e4"), ("c4", 7, "e2+e3+e4"), ("f4", 7, "e1+e2+e4")]
 
 
 def test_semisimplify_matches_the_literal_reference_at_every_odd_p():
     """semisimplify, which projects all head brackets and splitting products
-    at once, gives the constants and parities of the pair-by-pair reference
-    in tests/oracles.py, which at p = 3 is prop32_reference.  Scaling the
-    odd-odd brackets by any c keeps skew, Jacobi and the odd cubes, so only
-    a reference like this one sees such an error."""
+    at once, gives the constants and parities of the literal reference in
+    tests/oracles.py, which spells out the three parity cases one left
+    factor at a time.  Scaling the odd-odd brackets by any c keeps skew,
+    Jacobi and the odd cubes, so only a reference like this one sees such an
+    error."""
     odd_parts = {3: 0, 5: 0, 7: 0}
     for name, p, element in literal_inputs():
         alg = v.catalog_algebra(name, p)
@@ -246,8 +253,6 @@ def test_semisimplify_matches_the_literal_reference_at_every_odd_p():
         out, reference = semisimplify(realization, decomp).algebra, literal_reference(realization, decomp)
         assert out.constants == reference.constants, (name, p, element)
         assert np.array_equal(out.parity, reference.parity)
-        if p == 3:
-            assert prop32_reference(realization, decomp).constants == reference.constants
         odd_parts[p] += any(out.parity)
     assert all(odd_parts.values()), odd_parts
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import verlie as v
-from tests.oracles import tensor_coo
+from tests.oracles import center, derived_subalgebra, free_nilpotent_example, odd_cube_values_literal, tensor_coo
 from tests.pipelines import spec_pipeline, structured_pipeline
 from tests.test_fp import largest_accepted_prime
 from verlie import fp, sparse, superalgebra, verify
@@ -23,18 +23,15 @@ from verlie.errors import (
 from verlie.superalgebra import (
     ModularSuperAlgebra,
     Subspace,
-    center,
     check_odd_cubes,
     check_super_jacobi,
     check_super_skew,
-    derived_subalgebra,
     distinct_rows,
     gen_subquotient,
     generated_subalgebra,
     ideal_closure,
     jacobi_witness,
     odd_cube_generators,
-    odd_cube_values_literal,
     quotient,
     skew_witness,
     sorted_jacobi_witness,
@@ -55,7 +52,7 @@ def f4mod3():
 
 @pytest.fixture(scope="module")
 def free_nilpotent_ss():
-    alg, der = v.free_nilpotent_example(3)
+    alg, der = free_nilpotent_example(3)
     realization = v.realize_derivation(alg, der)
     return v.semisimplify(realization, v.jordan_decompose(realization))
 
@@ -338,7 +335,8 @@ def test_integral_jacobi_stays_within_a_memory_bound():
     """The rotation sum over Z on E8 stays below 5 MiB above its start
     (2.59 MiB measured, the tensor build included): its products are summed
     block by block.  Keying all of them for one sort took 71.8 MiB."""
-    found, mb = traced_mb(v.chevalley.integral_jacobi_witness, v.chevalley.integral_catalog("e8"))
+    found, mb = traced_mb(lambda alg: jacobi_witness(alg.tensor(), np.zeros(alg.dim, dtype=np.int64), None),
+                          v.chevalley.integral_catalog("e8"))
     assert found is None and mb < 5
 
 

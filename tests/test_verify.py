@@ -19,6 +19,7 @@ from verlie.superalgebra import (
     closure,
     superdim,
 )
+from tests.oracles import center, free_nilpotent_example
 from tests.pipelines import spec_pipeline
 from tests.test_superalgebra import corrupt
 from verlie.table import CERTIFY, TABLE, RowSpec, row_pipeline, run_row
@@ -425,7 +426,7 @@ def test_so16_module_split_inside_rank8_mod5():
 
 
 def test_odd_part_irreducible_negative_case():
-    alg, der = v.free_nilpotent_example(3)
+    alg, der = free_nilpotent_example(3)
     realization = v.realize_derivation(alg, der)
     ss = v.semisimplify(realization, v.jordan_decompose(realization))
     assert not odd_part_irreducible(ss.algebra, weight_split(ss.algebra, []))
@@ -532,7 +533,7 @@ def output_and_images(algebra: str, element: str, subset):
 
 
 def free_nilpotent_output() -> ModularSuperAlgebra:
-    realization = v.realize_derivation(*v.free_nilpotent_example(3))
+    realization = v.realize_derivation(*free_nilpotent_example(3))
     return v.semisimplify(realization, v.jordan_decompose(realization)).algebra
 
 
@@ -642,7 +643,7 @@ def test_relation_report_h_span_abelian():
 def test_simple_modulo_center_outputs(expr, subset, center_dim):
     # the rank-6 source and all three of its outputs have one-dimensional
     # centers, and quotienting by the center leaves a centerless algebra
-    from verlie.superalgebra import center, quotient
+    from verlie.superalgebra import quotient
 
     _, _, ss = pipeline("e6", 3, expr, subset=subset)
     z = center(ss.algebra)
@@ -660,7 +661,6 @@ def test_ideal_closure_is_bracket_stable():
     _, _, ss = pipeline("e6", 3, "e1+e2+e6", subset=(1, 2, 6))
     alg = ss.algebra
     eye = np.eye(alg.dim, dtype=np.int64)
-    from verlie.superalgebra import center
 
     ideal = ideal_closure(alg, center(alg).rows)
     odd_seed = eye[int(np.nonzero(alg.parity == 1)[0][0])]
