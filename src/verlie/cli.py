@@ -79,7 +79,10 @@ def _element_vector(args, alg):
 
 
 def _parse_subset(text: str) -> tuple[int, ...]:
-    return tuple(sorted(int(tok) for tok in text.replace(" ", "").split(",") if tok))
+    tokens = [tok for tok in text.replace(" ", "").split(",") if tok]
+    if bad := [tok for tok in tokens if not (tok.isascii() and tok.isdigit())]:  # node numbers are runs of digits
+        raise errors.BadSpec(f"--subset must list node numbers, not {bad[0]!r}")
+    return tuple(sorted(map(int, tokens)))
 
 
 def _realized(args):

@@ -94,14 +94,14 @@ def rref(m, p: int) -> tuple[Array, list[int]]:
 
 
 def inverses(a: Array, p: int) -> Array:
-    """Elementwise a^(p-2) mod p (the inverse of a nonzero residue); every
-    product is of two residues, so it stays below p^2."""
-    out = np.ones_like(a)
-    base, e = a % p, p - 2
+    """Elementwise a^(p-2) mod p (the inverse of a nonzero residue), from a^1
+    since p - 2 is odd; every product is of two residues, so it stays below p^2."""
+    out = base = a % p
+    e = (p - 2) >> 1
     while e:
+        base = base * base % p
         if e & 1:
             out = out * base % p
-        base = base * base % p
         e >>= 1
     return out
 
@@ -111,38 +111,37 @@ def rref_batch(stack, p: int) -> tuple[Array, Array]:
     stack at once, one column step for all blocks.
 
     Returns (R, pivots): R[b] is rref(stack[b])[0], and pivots[b, i] is the
-    pivot column of row i of R[b], or -1 past its rank.  Each slice follows
-    the pivot order of rref, so it equals rref's output exactly; zero-padded
-    rows and columns never take a pivot.  Every product is of two residues
-    and is reduced mod p before the next, so no intermediate exceeds p^2.
+    pivot column of row i of R[b], or -1 past its rank.  Each slice takes
+    the pivots of rref, each in the first row still without one, and its rows
+    are put in pivot order at the end, so it equals rref's output exactly;
+    zero-padded rows and columns never take a pivot.  Every product is of two
+    residues and is reduced mod p before the next, so no intermediate exceeds p^2.
     """
     a = normalize(stack, p)  # a fresh array
     if a.ndim != 3:
         raise ValueError("rref_batch expects a (blocks, rows, cols) stack")
     n, rows, cols = a.shape
-    pivots = np.full((n, rows), -1, dtype=np.int64)
-    rank = np.zeros(n, dtype=np.int64)
-    below = np.arange(rows)
+    held = np.full((n, rows), cols, dtype=np.int64)  # the pivot column of each row, cols while it holds none
     for c in range(cols):
-        candidates = (a[:, :, c] != 0) & (below >= rank[:, None])
-        hit = np.flatnonzero(candidates.any(axis=1))
+        candidates = (a[:, :, c] != 0) & (held == cols)
+        hit = candidates.any(axis=1).nonzero()[0]
         if not hit.size:
             continue
-        r, src = rank[hit], candidates[hit].argmax(axis=1)
+        src = candidates[hit].argmax(axis=1)
         top = a[hit, src]
-        a[hit, src] = a[hit, r]
         top = top * inverses(top[:, c], p)[:, None] % p
-        a[hit, r] = top
         col = a[hit, :, c]
-        col[np.arange(hit.size), r] = 0
-        # the pivot row is zero left of c, so only columns c.. change
+        # the pivot row is zero left of c, so only columns c.. change; it clears itself and is put back scaled
         at = slice(None) if hit.size == n else hit
         a[at, :, c:] = (a[at, :, c:] - col[:, :, None] * top[:, None, c:]) % p
-        pivots[hit, r] = c
-        rank[hit] += 1
-        if rank.min() == rows:
+        a[hit, src] = top
+        held[hit, src] = c
+        if (held < cols).all():
             break
-    return a, pivots
+    each, order = np.arange(n)[:, None], held.argsort(axis=1, kind="stable")
+    pivots = held[each, order]
+    pivots[pivots == cols] = -1
+    return a[each, order], pivots
 
 
 def _entries(m) -> tuple[Array, Array, Array]:
@@ -166,18 +165,18 @@ def components(m) -> Array:
         new = labels.copy()
         np.minimum.at(new, u, labels[v])
         new = new[new]
-        if np.array_equal(new, labels):
+        if (new == labels).all():
             smallest = labels == np.arange(len(labels))
-            return (np.cumsum(smallest) - 1)[labels]
+            return (smallest.cumsum() - 1)[labels]
         labels = new
 
 
 def slots(blocks: Array, count: int) -> Array:
     """Position of each index within its block, in index order."""
-    order = np.argsort(blocks, kind="stable")
+    order = blocks.argsort(kind="stable")
     sizes = np.bincount(blocks, minlength=count)
     out = np.empty_like(blocks)
-    out[order] = np.arange(len(blocks)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    out[order] = np.arange(len(blocks)) - (sizes.cumsum() - sizes).repeat(sizes)
     return out
 
 
@@ -190,33 +189,18 @@ def block_table(blocks: Array) -> Array:
     return table
 
 
-def block_stack(ms, row_blocks: Array, col_blocks: Array) -> Array:
-    """The diagonal blocks of the matrices ms as one zero-padded
-    (len(ms)*blocks, rows, cols) stack, matrix-major: slice k*blocks + b holds
-    the rows and columns of block b of ms[k], in their order in ms[k].
-    Raises unless every nonzero joins a row and a column of one block."""
-    count = int(max(row_blocks.max(initial=-1), col_blocks.max(initial=-1))) + 1
-    row_slots, col_slots = slots(row_blocks, count), slots(col_blocks, count)
-    out = np.zeros((len(ms) * count, np.bincount(row_blocks, minlength=1).max(),
-                    np.bincount(col_blocks, minlength=1).max()), dtype=np.int64)
-    for k, m in enumerate(ms):
-        row, col, data = _entries(m)
-        block = row_blocks[row]
-        if not np.array_equal(block, col_blocks[col]):
-            raise ValueError("matrix is not block diagonal in the given blocks")
-        out[k * count + block, row_slots[row], col_slots[col]] = data
-    return out
-
-
 def unique_rows(a: Array) -> tuple[Array, Array]:
-    """The distinct rows of a 2-d array, compared byte for byte as one
-    np.void each (np.unique(axis=0) costs several times more per call):
-    the index of the first occurrence of each, and for every row the
-    number of its distinct row in that list."""
+    """The distinct rows of a 2-d array, in the byte order of their np.void
+    views, by one stable argsort of the views (np.unique costs several times
+    more per call): the index of the first occurrence of each, and for every
+    row the number of its distinct row in that list."""
     a = np.ascontiguousarray(a)
-    _, first, kind = np.unique(a.view(np.dtype((np.void, a.dtype.itemsize * a.shape[1]))).ravel(),
-                               return_index=True, return_inverse=True)
-    return first, kind.ravel()
+    order = a.view(np.dtype((np.void, a.dtype.itemsize * a.shape[1]))).ravel().argsort(kind="stable")
+    new = np.ones(len(a), dtype=bool)
+    new[1:] = (a[order[1:]] != a[order[:-1]]).any(axis=1)
+    kind = np.empty(len(a), dtype=np.int64)
+    kind[order] = new.cumsum() - 1
+    return order[new], kind
 
 
 def kernel_basis(m, p: int) -> Array:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import fp, sparse
 from .errors import DegreeExceedsP, NotNilpotent, ParseError, PreconditionViolated, UnknownGenerator
-from .roots import Root, admissible_subsets, attached_node
+from .roots import Root, admissible_subsets, attached_node, exact_int
 from .superalgebra import ModularSuperAlgebra
 
 # -- element expressions -----------------------------------------------------
@@ -301,45 +301,80 @@ def block_counts(decomp: ChainDecomposition) -> tuple[int, ...]:
     return tuple(np.bincount(decomp.lengths, minlength=decomp.p + 1)[1:].tolist())
 
 
-def _power_blocks(der: sparse.Coo, k: int, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The D-stable blocks: the components of the graph of D + D^T, in which
-    every power of D is block diagonal, (D^j)_b = (D_b)^j.  Blocks of one
-    size and one local matrix of D are equal, and so are their powers and
-    their eliminations, so each is kept once.  Returns the block of each
-    coordinate, the distinct block of each block, and the zero-padded stack
-    of the distinct blocks of D, ..., D^k, power-major."""
+def _power_blocks(der: sparse.Coo, k: int, p: int) -> tuple[np.ndarray, ...]:
+    """The level parts of D, and the distinct level-to-level parts of D, ..., D^k.
+
+    In each D-stable block (a component of the graph of D + D^T), φ spreads
+    from the smallest index with φ(row) = φ(col) + 1 along the entries, and
+    φ mod n, n the gcd of the defects |φ(row) - φ(col) - 1|, is a level
+    function (exact for n = 0).  D maps each level part into the next,
+    cyclically, so D^l maps part q into the l-th part above by a product of l
+    level maps; parts whose maps agree from the part below through D^k are kept
+    once.  Returns the coordinates of each part (as fp.block_table lists them),
+    the distinct part of each, the zero-padded stack of the distinct parts of
+    D, ..., D^k, power-major, and the distinct part below each distinct part
+    with the map of D from there."""
+    row, col, dim = der.row, der.col, der.shape[0]
     blocks = fp.components(der)
-    local = fp.block_stack([der], blocks, blocks)
-    count, size, _ = local.shape
-    first, kind = fp.unique_rows(np.hstack([np.bincount(blocks)[:, None], local.reshape(count, size * size)]))
+    count = int(blocks.max(initial=-1)) + 1
+    phi, known = np.zeros(dim, dtype=np.int64), np.zeros(dim, dtype=bool)
+    known[np.maximum.accumulate(blocks).searchsorted(np.arange(count))] = True  # the smallest index of each block
+    tail, head, step = np.concatenate([col, row]), np.concatenate([row, col]), np.array([1, -1]).repeat(len(row))
+    while (go := (known[tail] & ~known[head]).nonzero()[0]).size:  # one step along the entries
+        phi[head[go]], known[head[go]] = phi[tail[go]] + step[go], True
+    n, low, levels = np.zeros(count, dtype=np.int64), np.full(count, dim), np.zeros(count, dtype=np.int64)
+    np.gcd.at(n, blocks[row], np.abs(phi[row] - phi[col] - 1))
+    np.minimum.at(low, blocks, phi)
+    level = (phi - low[blocks]) % np.where(n > 0, n, dim)[blocks]
+    np.maximum.at(levels, blocks, level + 1)
+    offset = levels.cumsum() - levels  # the parts of a block are numbered up its levels
+    parts, start, cycle = offset[blocks] + level, offset.repeat(levels), levels.repeat(levels)
+    above = start + (np.arange(len(start)) - start + 1) % cycle
+    below = above.argsort()
+    if (parts[row] != above[parts[col]]).any():
+        raise AssertionError("D does not map each level into the next")
+    coords = fp.block_table(parts)
+    size, held = coords.shape[1], coords >= 0
+    slot = np.empty(dim, dtype=np.int64)
+    slot[coords[held]] = held.nonzero()[1]
+    maps = np.zeros((len(start), size, size), dtype=np.int64)  # slice q: D from part q into the part above
+    maps[parts[col], slot[row], slot[col]] = der.data
+    sizes = held.sum(axis=1)[:, None]
+    _, same = fp.unique_rows(np.hstack([sizes, sizes[above], maps.reshape(len(maps), size * size)]))
+    path = [below]  # path[t]: the part t - 1 levels above
+    for _ in range(k):
+        path.append(above[path[-1]])
+    first, kind = fp.unique_rows(same[np.stack(path, axis=1)])
     stack = np.empty((k, len(first), size, size), dtype=np.int64)
-    stack[0] = local[first]
+    stack[:1] = maps[first]
     for j in range(1, k):
-        np.matmul(stack[j - 1], stack[0], out=stack[j])
+        np.matmul(maps[path[j + 1][first]], stack[j - 1], out=stack[j])
         stack[j] %= p
-    return blocks, kind, stack.reshape(k * len(first), size, size)
+    return coords, kind, stack.reshape(k * len(first), size, size), kind[below[first]], maps[below[first]]
 
 
 def _rank_counts(ranks) -> tuple[int, ...]:
-    """Block counts n_l = r_{l-1} - 2 r_l + r_{l+1}, l = 1..p, from the ranks
-    [r_0, ..., r_{p+1}] of the powers of D."""
+    """Block counts n_l = r_{l-1} - 2 r_l + r_{l+1}, l = 1..d, from the ranks
+    [r_0, ..., r_{d+1}] of the powers of D."""
     return tuple(np.diff(ranks, 2).tolist())
 
 
-def _power_ranks(dim: int, kind: np.ndarray, pivots: np.ndarray, k: int, p: int) -> list[int]:
-    """The ranks [r_0, ..., r_{p+1}] of the powers of D, zero past D^k, from the pivots of the eliminated
-    distinct blocks of D, ..., D^k, power-major, each counted once per block it stands for."""
-    ranks = [0] * (p + 2)
-    ranks[: k + 1] = [dim, *((pivots >= 0).sum(axis=1).reshape(k, -1) @ np.bincount(kind)).tolist()]
-    return ranks
+def _power_ranks(dim: int, kind: np.ndarray, pivots: np.ndarray, k: int) -> list[int]:
+    """The ranks [r_0, ..., r_k] of the powers of D, from the pivots of the
+    eliminated distinct parts of D, ..., D^k, power-major, each counted once
+    per part it stands for."""
+    weights = np.bincount(kind)
+    return [dim, *((pivots >= 0).sum(axis=1).reshape(k, len(weights)) @ weights).tolist()]
 
 
 def rank_count_vector(realization: Realization) -> tuple[int, ...]:
-    """Block counts straight from the ranks r_l of the powers of D, each the
-    sum of the ranks of the D-stable blocks of D, ..., D^d for the degree d."""
+    """Block counts (n_1, ..., n_p) straight from the ranks r_l of the powers
+    of D, each the sum of the ranks of the distinct level parts of D, ...,
+    D^{d-1} for the degree d; every rank and count from D^d on is zero."""
     der, p, d = realization.der, realization.algebra.p, realization.degree
-    _, kind, stack = _power_blocks(der, d, p)
-    return _rank_counts(_power_ranks(der.shape[0], kind, fp.rref_batch(stack, p)[1], d, p))
+    kind, stack = _power_blocks(der, d - 1, p)[1:3]
+    ranks = _power_ranks(der.shape[0], kind, fp.rref_batch(stack, p)[1], d - 1)
+    return _rank_counts([*ranks, 0, 0]) + (0,) * (p - d)
 
 
 def _orbits(der: sparse.Coo, heads, lengths, p: int) -> np.ndarray:
@@ -362,7 +397,7 @@ def _orbits(der: sparse.Coo, heads, lengths, p: int) -> np.ndarray:
 def _chains_of(der: sparse.Coo, d: int, p: int) -> tuple[ChainDecomposition, list[int]]:
     """Deterministic chain extraction for a D with D^d = 0, d <= p, not yet
     validated: the chains of the heads that `_heads` picks, written straight
-    into one basis array, and the ranks [r_0, ..., r_{p+1}] of the powers of
+    into one basis array, and the ranks [r_0, ..., r_{d+1}] of the powers of
     D.  The heads are taken first, so the elimination's arrays are freed
     before the chains are built."""
     heads, lengths, ranks = _heads(der, d, p)
@@ -373,7 +408,7 @@ def _heads(der: sparse.Coo, d: int, p: int) -> tuple[np.ndarray, np.ndarray, lis
     """Deterministic head pick for a D with D^d = 0, d <= p: for lengths l = d
     down to 1, heads are a complement of (ker D^{l-1} + im D) inside ker D^l,
     picked by echelon order.  Returns the heads as the columns of a (dim,
-    chains) array, their chain lengths, and the ranks [r_0, ..., r_{p+1}].
+    chains) array, their chain lengths, and the ranks [r_0, ..., r_{d+1}].
 
     The candidates are the fp.kernel_basis rows of D^l (row f has a 1 at the
     free column f and zeros at the other free columns), and one heads a chain
@@ -384,62 +419,59 @@ def _heads(der: sparse.Coo, d: int, p: int) -> tuple[np.ndarray, np.ndarray, lis
     later free column), that is, when f is not a pivot of W's free
     coordinates eliminated right to left.
 
-    Every power of D is block diagonal in the D-stable blocks, so all of this
-    splits by block, and equal blocks give equal results: one elimination of
-    the distinct blocks gives the kernels (and the ranks) of every power in
-    every block, one more the ends of every W, and each block reads its
-    picks off its distinct block.  Heads are ordered longest chain first,
-    then by their free coordinate, as the global kernel basis orders them.
+    D^l maps each level part of `_power_blocks` into the l-th part above, so
+    all of this splits by part (the W of a part is its ker D^{l-1} plus D ker
+    D^{l+1} of the part below), and equal parts give equal results: one
+    elimination of the distinct parts gives the kernels (and the ranks) of
+    every power, one more the ends of every W.  Heads are ordered longest
+    chain first, then by their free coordinate, as the global kernel basis
+    orders them.
     """
     dim = der.shape[0]
-    if dim == 0:
-        return np.zeros((0, 0), dtype=np.int64), np.zeros(0, dtype=np.int64), [0] * (p + 2)
-    blocks, kind, stack = _power_blocks(der, d + 1, p)  # D^{d+1} = 0 too
-    count, size = len(stack) // (d + 1), stack.shape[1]
-    coords = fp.block_table(blocks)
-    # kernel rows of every distinct block of D^1..D^{d+1}: row f has a 1 at free slot f
+    coords, kind, stack, lower, below = _power_blocks(der, d + 1, p)  # D^{d+1} = 0 too
+    count, size = len(lower), stack.shape[1]
+    # kernel rows of every distinct part of D^1..D^{d+1}: row f has a 1 at free slot f
     rows, pivots = fp.rref_batch(stack, p)
-    ranks = _power_ranks(dim, kind, pivots, d + 1, p)
+    ranks = _power_ranks(dim, kind, pivots, d + 1)
     free = np.zeros((d + 2, count, size), dtype=bool)  # free[l]: the free slots of D^l, none for D^0 = I
     free[1:, kind] = coords >= 0
     kernels = np.zeros((d + 2, count, size, size), dtype=np.int64)  # kernels[0] = ker I = 0
-    at, rank = np.nonzero(pivots >= 0)
-    free[1:].reshape(-1, size)[at, pivots[at, rank]] = False
-    kernels[1:].reshape(-1, size, size)[at, :, pivots[at, rank]] = -rows[at, rank] % p
+    at, rank = (pivots >= 0).nonzero()
+    free[1:].reshape(len(pivots), size)[at, pivots[at, rank]] = False
+    kernels[1:].reshape(len(rows), size, size)[at, :, pivots[at, rank]] = -rows[at, rank] % p
     kernels[~free] = 0
     kernels[:, :, np.arange(size), np.arange(size)] = free
-    del rows  # the elimination arrays are freed once used: together they set the peak memory here
-    # W for l = 1..d on the free coordinates of D^l, columns reversed: ker D^{l-1}, then D ker D^{l+1}
+    del rows, stack  # the elimination arrays are freed once used: together they set the peak memory here
+    # W for l = 1..d on the free coordinates of D^l, columns reversed: ker D^{l-1}, then D ker D^{l+1} from below
     spans = np.empty((d, count, 2 * size, size), dtype=np.int64)
     spans[:, :, :size] = kernels[:d, ..., ::-1]
-    np.matmul(kernels[2:], stack[:count].transpose(0, 2, 1)[..., ::-1], out=spans[:, :, size:])
-    del stack
+    np.matmul(kernels[2:, lower], below.transpose(0, 2, 1)[..., ::-1], out=spans[:, :, size:])
     spans %= p
     spans *= free[1 : d + 1, :, None, ::-1]
     _, ends = fp.rref_batch(spans.reshape(d * count, 2 * size, size), p)
     del spans
     picked = free[1 : d + 1].copy()
-    at, rank = np.nonzero(ends >= 0)
+    at, rank = (ends >= 0).nonzero()
     picked.reshape(d * count, size)[at, size - 1 - ends[at, rank]] = False
-    # the heads of every block, longest chain first, one column each
-    shorter, block, slot = np.nonzero(picked[::-1][:, kind])
-    order = np.lexsort((coords[block, slot], shorter))
-    lengths, block, slot = d - shorter[order], block[order], slot[order]
-    local, where = kernels[lengths, kind[block], slot], coords[block]
+    # the heads of every part, longest chain first, one column each
+    shorter, part, slot = picked[::-1][:, kind].nonzero()
+    order = np.lexsort((coords[part, slot], shorter))
+    lengths, part, slot = d - shorter[order], part[order], slot[order]
+    local, where = kernels[lengths, kind[part], slot], coords[part]
     heads = np.zeros((dim, len(lengths)), dtype=np.int64)
-    row, col = np.nonzero(where >= 0)
+    row, col = (where >= 0).nonzero()
     heads[where[row, col], row] = local[row, col]
     return heads, lengths, ranks
 
 
 def jordan_decompose(realization: Realization) -> ChainDecomposition:
     """Complete chain decomposition of the derivation action, its chain
-    counts checked against the rank formula on the ranks of the powers that
-    the extraction eliminated."""
-    alg = realization.algebra
-    decomp, ranks = _chains_of(realization.der, realization.degree, alg.p)
+    counts n_1, ..., n_d (no chain is longer than the degree d) checked
+    against the rank formula on the ranks the extraction eliminated."""
+    d = realization.degree
+    decomp, ranks = _chains_of(realization.der, d, realization.algebra.p)
     decomp.validate(realization.der)
-    if block_counts(decomp) != _rank_counts(ranks):
+    if tuple(np.bincount(decomp.lengths, minlength=d + 1)[1:].tolist()) != _rank_counts(ranks):
         raise AssertionError("chain counts disagree with the rank formula")
     return decomp
 
@@ -455,7 +487,7 @@ def boundary_subset(realization: Realization, subset) -> tuple[int, ...]:
         raise PreconditionViolated("the boundary-node construction needs a Chevalley-basis algebra")
     if alg.p != 3:
         raise PreconditionViolated("the boundary-node construction needs characteristic 3")
-    subset = tuple(sorted(int(i) for i in subset))
+    subset = tuple(sorted(exact_int(i, "subset") for i in subset))
     if subset not in admissible_subsets(integral.gcm):
         raise PreconditionViolated(f"{subset} is not an admissible subset")
     if realization.element is None:

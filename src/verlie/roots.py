@@ -82,6 +82,8 @@ def validate_gcm(entries, parity=None) -> GCM:
         raise BadSpec(f"cartan must be a list of rows, not {entries!r}")
     mat = [_exact_ints(row, f"cartan[{i}]") for i, row in enumerate(entries)]
     n = len(mat)
+    if not n:
+        raise BadSpec("cartan must have at least one row")
     if any(len(row) != n for row in mat):
         raise ValueError("Cartan matrix must be square")
     if parity is None:

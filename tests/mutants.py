@@ -87,6 +87,14 @@ MUTANTS = [
     Mutant("parity check passes unless every entry is bad", "src/verlie/roots.py",
            "any(par not in (EVEN, ODD) for par in parity)", "all(par not in (EVEN, ODD) for par in parity)",
            ("tests/test_roots.py::test_parity_with_one_bad_entry_is_rejected",)),
+    Mutant("head pick reads D ker D^(l+1) at a part's own level, not the one below", "src/verlie/repalpha.py",
+           "np.matmul(kernels[2:, lower], below", "np.matmul(kernels[2:], below",
+           ("tests/test_repalpha.py::test_level_parts_give_the_padded_head_pick",
+            "tests/test_repalpha.py::test_a_cycle_of_defect_two_gives_levels_mod_two")),
+    Mutant("levels ignore the gcd of the cycle defects", "src/verlie/repalpha.py",
+           "level = (phi - low[blocks]) % np.where(n > 0, n, dim)[blocks]", "level = phi - low[blocks]",
+           ("tests/test_repalpha.py::test_a_cycle_of_defect_two_gives_levels_mod_two",
+            "tests/test_repalpha.py::test_dependent_roots_give_one_level_per_block")),
     Mutant("spec values read without the integrality check", "src/verlie/roots.py",
            "    if isinstance(value, bool) or not isinstance(value, int):", "    if False:",
            ("tests/test_roots.py::test_entries_are_read_exactly[float]",

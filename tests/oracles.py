@@ -20,9 +20,27 @@ def tensor_coo(constants: Constants, dim: int, p: int | None) -> sparse.Coo:
     return sparse.from_entries(*np.array(entries, dtype=np.int64).reshape(-1, 3).T, (dim, dim * dim), p)
 
 
+def block_stack(ms, row_blocks: np.ndarray, col_blocks: np.ndarray) -> np.ndarray:
+    """The diagonal blocks of the matrices ms as one zero-padded
+    (len(ms)*blocks, rows, cols) stack, matrix-major: slice k*blocks + b holds
+    the rows and columns of block b of ms[k], in their order in ms[k].
+    Raises unless every nonzero joins a row and a column of one block."""
+    count = int(max(row_blocks.max(initial=-1), col_blocks.max(initial=-1))) + 1
+    row_slots, col_slots = fp.slots(row_blocks, count), fp.slots(col_blocks, count)
+    out = np.zeros((len(ms) * count, np.bincount(row_blocks, minlength=1).max(),
+                    np.bincount(col_blocks, minlength=1).max()), dtype=np.int64)
+    for k, m in enumerate(ms):
+        row, col, data = fp._entries(m)
+        block = row_blocks[row]
+        if not np.array_equal(block, col_blocks[col]):
+            raise ValueError("matrix is not block diagonal in the given blocks")
+        out[k * count + block, row_slots[row], col_slots[col]] = data
+    return out
+
+
 # The head pick that pads every D-stable block to the largest one and
-# eliminates each block, repeats included: the reference that
-# repalpha._heads, which eliminates each distinct block once, must match.
+# eliminates each block whole, repeats included: the reference that
+# repalpha._heads, which eliminates each distinct level part once, must match.
 
 
 def padded_power_blocks(powers: list[sparse.Coo]) -> tuple[np.ndarray, np.ndarray]:
@@ -31,7 +49,7 @@ def padded_power_blocks(powers: list[sparse.Coo]) -> tuple[np.ndarray, np.ndarra
     the block of each coordinate and the stack of the diagonal blocks of
     powers[1:], power-major."""
     blocks = fp.components(powers[1])
-    return blocks, fp.block_stack(powers[1:], blocks, blocks)
+    return blocks, block_stack(powers[1:], blocks, blocks)
 
 
 def padded_heads(powers: list[sparse.Coo], p: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
@@ -138,7 +156,7 @@ def dense_chain_check(decomp, der: sparse.Coo) -> tuple:
     sizes = np.bincount(cols, minlength=count)
     inverses = None
     if np.array_equal(np.bincount(rows, minlength=count), sizes):
-        inverses = fp.inverse_batch(fp.block_stack([vectors.T], rows, cols), sizes, decomp.p)
+        inverses = fp.inverse_batch(block_stack([vectors.T], rows, cols), sizes, decomp.p)
     if inverses is None:
         raise ValueError("chain vectors are not a basis")
     return inverses, fp.block_table(rows), cols, fp.slots(cols, count)

@@ -157,6 +157,26 @@ def test_spec_file_values_are_read_exactly(spec, field, tmp_path, capsys):
     assert field in captured.err and not captured.out
 
 
+def test_empty_cartan_matrix_is_refused(tmp_path, capsys):
+    """A spec file with an empty Cartan matrix exits 3 naming cartan, not
+    with the empty max() of the root system build."""
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"cartan": []}))
+    assert main(["decompose", "--algebra", str(path), "--element", "e1"]) == 3
+    captured = capsys.readouterr()
+    assert "cartan must have at least one row" in captured.err and not captured.out
+
+
+@pytest.mark.parametrize("command", ["decompose", "swaps"])
+@pytest.mark.parametrize("subset", ["1.5", "1,true"], ids=["fraction", "bool"])
+def test_subset_tokens_are_read_exactly(subset, command, capsys):
+    """--subset lists node numbers as runs of digits: a fraction or a word
+    exits 3 naming --subset, not with int()'s message."""
+    assert main([command, "--algebra", "f4", "--subset", subset]) == 3
+    captured = capsys.readouterr()
+    assert "--subset must list node numbers" in captured.err and not captured.out
+
+
 def test_custom_plan_certify(capsys):
     assert main(["certify", "--algebra", "e8", "--element", "e1+e2+e6+e8", "--plan", "g36"]) == 0
     assert "g(3,6)" in capsys.readouterr().out and main is not None

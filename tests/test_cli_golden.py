@@ -21,6 +21,9 @@ GOLDEN = [
     # the largest generic decomposition at p = 3: 190 chains, one 248 x 248 basis
     (["decompose", "--algebra", "e8", "--element", "e1"],
      0, "076ab73639dfca840fbc52ad57505af37082d360e528fbf4555ecf40f3faf5e6"),
+    # the regular element at p = 61: one D-stable block of 248 coordinates, eliminated by its 59 levels
+    (["decompose", "--algebra", "e8", "-p", "61", "--element", "e1+e2+e3+e4+e5+e6+e7+e8"],
+     0, "831630211407de57aa43e9264137c3e45bb2e20f5aec818397133c6917ce7199"),
     (["semisimplify", "--algebra", "gl3", "-p", "3", "--element", "e2"],
      0, "c949f5e4452aa2e1b9a6b5d12231879b0f47a80a0148859a2964aa44e2ef931d"),
     (["semisimplify", "--algebra", "f4", "--subset", "4"],

@@ -1,4 +1,5 @@
 import dataclasses
+import time
 import tracemalloc
 
 import numpy as np
@@ -10,7 +11,7 @@ import verlie as v
 from tests.oracles import dense_chain_check, free_nilpotent_example, literal_reference, padded_heads
 from tests.test_fp import largest_accepted_prime, rank, realize_in_abelian
 from verlie import fp, repalpha, roots, sparse
-from verlie.errors import DegreeExceedsP, NotNilpotent, ParseError, PreconditionViolated, UnknownGenerator
+from verlie.errors import BadSpec, DegreeExceedsP, NotNilpotent, ParseError, PreconditionViolated, UnknownGenerator
 from verlie.repalpha import (
     ChainDecomposition,
     JordanChain,
@@ -19,6 +20,7 @@ from verlie.repalpha import (
     _orbits,
     _rank_counts,
     block_counts,
+    boundary_subset,
     jordan_decompose,
     parse_element,
     rank_count_vector,
@@ -331,6 +333,16 @@ def test_structured_empty_complement(name, subset):
     assert ss.algebra.constants == literal_reference(r, decomp).constants
 
 
+@pytest.mark.parametrize("node", [4.0, True, "4"], ids=["float", "bool", "string"])
+def test_boundary_subset_reads_nodes_exactly(f4mod3, node):
+    """A subset node that is not an int is refused by name, not rounded or
+    parsed into node 4 (or node 1)."""
+    r = realize(f4mod3, parse_element("e4", f4mod3)[1])
+    assert boundary_subset(r, (4,)) == (4,)
+    with pytest.raises(BadSpec, match="subset must be an integer"):
+        boundary_subset(r, (node,))
+
+
 def test_structured_preconditions(f4mod3, e6mod3):
     _, vec = parse_element("e4", f4mod3)
     r = realize(f4mod3, vec)
@@ -435,7 +447,7 @@ def test_batched_head_pick_matches_greedy_loop(p, blocks, split, seed):
         # bounded by the degree, the head pick picks the same chains and ranks
         bounded, bounded_ranks = _chains_of(r.der, r.degree, p)
         assert np.array_equal(bounded.basis, got.basis) and np.array_equal(bounded.lengths, got.lengths)
-        assert bounded_ranks == ranks
+        assert bounded_ranks == ranks[: r.degree + 2] and not any(ranks[r.degree + 2 :])
 
 
 def power_list(der: sparse.Coo, p: int) -> list[sparse.Coo]:
@@ -496,7 +508,7 @@ def test_repeated_blocks_give_the_padded_head_pick(p, kinds, seed):
     the rank formula equals the one on the ranks of the whole powers."""
     der = repeated_block_derivation(p, kinds, np.random.default_rng(seed))
     dim = len(der)
-    _, kind, stack = repalpha._power_blocks(sparse.from_dense(der), p, p)
+    _, kind, stack, _, _ = repalpha._power_blocks(sparse.from_dense(der), p, p)
     assert len(stack) // p <= len(kind) - sum(repeats - 1 for _, repeats in kinds)
     r = realize_derivation(ModularSuperAlgebra.from_entries(p, np.zeros(dim, dtype=np.int64), [], [], [], []), der)
     powers = power_list(r.der, p)
@@ -504,9 +516,93 @@ def test_repeated_blocks_give_the_padded_head_pick(p, kinds, seed):
     decomp = jordan_decompose(r)
     assert np.array_equal(decomp.lengths, lengths)
     assert np.array_equal(decomp.basis, _orbits(r.der, heads, lengths, p))
-    assert _heads(r.der, r.degree, p)[2] == ranks
+    assert _heads(r.der, r.degree, p)[2] == ranks[: r.degree + 2] and not any(ranks[r.degree + 2 :])
     power_ranks = [rank(power.toarray(), p) for power in powers] + [0]
     assert rank_count_vector(r) == _rank_counts(power_ranks) == block_counts(decomp)
+
+
+def level_derivation(p: int, kind: str, sizes, n: int, rng) -> np.ndarray:
+    """A nilpotent D whose entries follow a level function of the given kind,
+    with random values and its coordinates shuffled.  "exact": levels 0, 1,
+    ... of the given sizes, every entry from a level into the next; "cyclic":
+    levels mod n drawn for the coordinates taken in order, every entry from
+    an earlier coordinate at level j to a later one at level j + 1 mod n;
+    "none": every entry from an earlier coordinate to a later one, so that
+    most blocks hold cycles of coprime defects and are one level."""
+    dim = sum(sizes)
+    level = np.repeat(np.arange(len(sizes)), sizes) if kind == "exact" else rng.integers(0, n, dim)
+    later = np.arange(dim)[:, None] > np.arange(dim)[None, :]  # [row, col]: row after col
+    allowed = {"exact": level[:, None] == level[None, :] + 1,
+               "cyclic": later & ((level[:, None] - level[None, :] - 1) % n == 0), "none": later}[kind]
+    der = np.where(allowed & (rng.random((dim, dim)) < 0.6), rng.integers(1, p, (dim, dim)), 0)
+    order = rng.permutation(dim)
+    return der[np.ix_(order, order)]
+
+
+def assert_matches_the_padded_head_pick(der: sparse.Coo, p: int, degree: int | None):
+    """_heads, and for a realization also jordan_decompose and
+    rank_count_vector, against the head pick that eliminates every block
+    whole and padded."""
+    heads, lengths, ranks = padded_heads(power_list(der, p), p)
+    got = _heads(der, p, p)
+    assert np.array_equal(got[0], heads) and np.array_equal(got[1], lengths) and got[2] == ranks
+    if degree is not None:
+        r = repalpha.Realization(ModularSuperAlgebra.from_entries(p, np.zeros(der.shape[0], dtype=np.int64), [], [], [], []), der)
+        assert r.degree == degree
+        bounded = _heads(der, degree, p)
+        assert np.array_equal(bounded[0], heads) and bounded[2] == ranks[: degree + 2] and not any(ranks[degree + 2 :])
+        decomp = jordan_decompose(r)
+        assert np.array_equal(decomp.lengths, lengths) and np.array_equal(decomp.basis, _orbits(der, heads, lengths, p))
+        assert rank_count_vector(r) == _rank_counts(ranks) == block_counts(decomp)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    p=st.sampled_from([3, 5, 7]),
+    kind=st.sampled_from(["exact", "cyclic", "none"]),
+    sizes=st.lists(st.integers(1, 4), min_size=1, max_size=5),
+    n=st.integers(2, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(p=5, kind="exact", sizes=[2, 3, 3, 1], n=2, seed=0)
+@example(p=7, kind="cyclic", sizes=[4, 4], n=2, seed=1)  # one block, levels mod 2
+@example(p=7, kind="cyclic", sizes=[5, 5], n=3, seed=2)  # one block, levels mod 3
+@example(p=7, kind="none", sizes=[3, 3], n=2, seed=2)
+def test_level_parts_give_the_padded_head_pick(p, kind, sizes, n, seed):
+    """Nilpotent matrices with an exact level function, with levels only mod
+    n >= 2, and with none: the head pick on the distinct level parts picks
+    the heads, chains, ranks and counts of the one that eliminates every
+    block whole, and so do jordan_decompose and rank_count_vector wherever
+    the degree is at most p."""
+    der = sparse.from_dense(level_derivation(p, kind, sizes, n, np.random.default_rng(seed)))
+    top, degree = der, 1  # D^degree
+    while top.nnz and degree <= p:
+        top, degree = sparse.product(top, der, p), degree + 1
+    assert_matches_the_padded_head_pick(der, p, degree if degree <= p else None)
+
+
+def test_a_cycle_of_defect_two_gives_levels_mod_two():
+    """Entries 0 -> 1 -> 2 -> 3 and 0 -> 3: the cycle has defect 2, so the
+    block has no exact level function, and its levels mod 2 are {0, 2} and
+    {1, 3}; D maps each into the other: 1 -> 2 into the first, the other
+    three entries into the second."""
+    der = sparse.from_entries([1, 2, 3, 3], [0, 1, 2, 0], [1, 2, 1, 1], (4, 4))
+    coords, kind, stack, lower, below = repalpha._power_blocks(der, 3, 5)
+    assert coords.tolist() == [[0, 2], [1, 3]] and len(set(kind.tolist())) == 2
+    assert np.array_equal(below[kind[0]], [[0, 0], [2, 0]]) and np.array_equal(below[kind[1]], [[1, 0], [1, 1]])
+    assert_matches_the_padded_head_pick(der, 5, 4)
+
+
+@pytest.mark.parametrize("name,p", [("a3", 3), ("a3", 5), ("g2", 7), ("f4", 3), ("f4", 7)])
+def test_dependent_roots_give_one_level_per_block(name, p):
+    """e1 + e2 + [e1, e2] has terms of linearly dependent roots: no block of
+    ad e has a level function, so each block is one part, and the head pick
+    is the one that eliminates every block whole."""
+    alg = v.catalog_algebra(name, p)
+    r = realize(alg, parse_element("e1+e2+[e1,e2]", alg)[1])
+    coords = repalpha._power_blocks(r.der, r.degree, p)[0]
+    assert len(coords) == fp.components(r.der).max() + 1
+    assert_matches_the_padded_head_pick(r.der, p, r.degree)
 
 
 def test_block_sizes_tell_apart_equally_padded_blocks():
@@ -521,22 +617,48 @@ def test_block_sizes_tell_apart_equally_padded_blocks():
 
 
 def test_heads_eliminate_each_distinct_block_once():
-    """e8@e2+e3+e4 at p = 5 has 86 D-stable blocks, 8 of them distinct, the
-    largest of size 17: the head pick eliminates only the distinct ones, so
-    its traced peak stays below 2.5 MB (6.5 MB when every block is padded
-    and eliminated)."""
+    """e8@e2+e3+e4 at p = 5 has 86 D-stable blocks, the largest of size 17,
+    which split into 228 level parts of at most 5 coordinates, 31 of them
+    distinct: the head pick eliminates only the distinct parts, so its traced
+    peak stays below 1 MB (2.5 MB when each distinct block was eliminated
+    whole, 6.5 MB when every block is padded and eliminated)."""
     alg = v.catalog_algebra("e8", 5)
     r = realize(alg, parse_element("e2+e3+e4", alg)[1])
     assert r.degree == 5
-    blocks, kind, stack = repalpha._power_blocks(r.der, 6, 5)
-    assert blocks.max() + 1 == len(kind) == 86 and stack.shape == (6 * 8, 17, 17)
+    assert fp.components(r.der).max() + 1 == 86
+    coords, kind, stack, _, _ = repalpha._power_blocks(r.der, 6, 5)
+    assert len(coords) == len(kind) == 228 and stack.shape == (6 * 31, 5, 5)
     tracemalloc.start()
     try:
         _heads(r.der, r.degree, 5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2_500_000
+    assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("element,degree,seconds", [
+    ("e1+e2+e3+e4+e5+e6+e7+e8", 59, 1.0),
+    ("e1+e2+e3+e4+e5+e6+e7", 35, 0.3),
+], ids=["regular", "e1-e7"])
+def test_large_blocks_split_into_levels(element, degree, seconds):
+    """At p = 61, ad e of the regular element of e8 is one D-stable block of
+    all 248 coordinates, and that of e1 + ... + e7 has one of 134; both split
+    into levels of at most 8 coordinates.  Eliminating the whole block took
+    jordan_decompose 10.2 s and 2.1 s, with a traced peak of 249 MiB on the
+    regular element; by levels it stays below 1 s and 0.3 s and 25 MB."""
+    alg = v.catalog_algebra("e8", 61)
+    r = realize(alg, parse_element(element, alg)[1])
+    assert r.degree == degree and repalpha._power_blocks(r.der, 1, 61)[0].shape[1] == 8
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        decomp = jordan_decompose(r)
+        elapsed, peak = time.perf_counter() - start, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < seconds and peak < 25_000_000, (elapsed, peak)
+    assert decomp.lengths.max() == degree
 
 
 def test_structured_chains_view_no_square_array():

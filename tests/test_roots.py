@@ -81,8 +81,9 @@ def test_parity_with_one_bad_entry_is_rejected():
     ([[2, -1], [-1, 2]], [False, 0], r"parity\[0\]"),
     ([[2, -1], [-1, 2]], ["0", 0], r"parity\[0\]"),
     ([[2, -1], [-1, 2]], 0, "parity"),
+    ([], None, "cartan must have at least one row"),
 ], ids=["float", "float-below", "bool", "string", "row", "matrix", "parity-float", "parity-bool", "parity-string",
-        "parity-list"])
+        "parity-list", "empty"])
 def test_entries_are_read_exactly(entries, parity, field):
     """A float, a bool or a string is refused, naming the field, rather than
     rounded or parsed: -1.5 must not read as -1."""
