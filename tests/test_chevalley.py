@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import json
 import tracemalloc
 from dataclasses import FrozenInstanceError, replace
 
@@ -94,6 +95,35 @@ def _basis_digest(alg) -> str:
 @pytest.mark.parametrize("name", sorted(PINNED_BASES))
 def test_chevalley_basis_pinned(name):
     assert _basis_digest(chevalley_basis(catalog_gcm(name))) == PINNED_BASES[name]
+
+
+# SHA-256 of the sorted tensor, labels, generator rows and parity of gl_n and sl_n at p = 3, 5 and 7
+PINNED_MATRIX_ALGEBRAS = {
+    "gl1": "5b419b65ac791e69ff57f4221cd1ba22e4010df82f5eaa4beab3ff53fc44b486",
+    "gl2": "b01d32ce664571b3868e9c928cd8ba84e3300f41d6801e13fd0b66ffeec33178",
+    "gl3": "b01007d2caa01c585460111fa06bb1278705c9aa57aeaa84728352123d3d1c59",
+    "gl4": "1ddef86002bdfa17f357c2b2ebd7fde622d2ecb4f4606f9b59c6b36245f9c981",
+    "gl5": "7a6a973bd210cba3016fcc3afc5fb9d7a8a0fc9a4df3ec48522dcaf160495df5",
+    "gl6": "9f1e643539fcafbbe14e73f8c3b7b5da5005746cc3af54938a10a167e896fa3f",
+    "sl2": "61ee458d5eaf5d79e331187b40279fee01ded2d45bdac01e830154d791c0b218",
+    "sl3": "8dabcd578f13257a726cde242caea6ca48e914093ecf76d2409404e8de95ae61",
+    "sl4": "1deb93df4e34fcb3ae79170fc34c95fc4263f2d01eff80bcdf9059ec35369a8c",
+    "sl5": "bfae8761e16f824c7eda82fd45a938d1c2592048f310dc3dfe3cc1cf48015a21",
+    "sl6": "e49e4e16130e00d2f70de0ef429dcaae821d256799f65f631e7ad48be536bb01",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_MATRIX_ALGEBRAS))
+def test_matrix_algebras_pinned(name):
+    make = gl if name.startswith("gl") else sl
+    payload = []
+    for p in (3, 5, 7):
+        alg = make(int(name[2:]), p)
+        t = alg.tensor
+        payload.append({"p": p, "shape": list(t.shape), "row": t.row.tolist(), "col": t.col.tolist(),
+                        "data": t.data.tolist(), "labels": list(alg.labels),
+                        "gens": {gen: vec.tolist() for gen, vec in alg.gens.items()}, "parity": alg.parity.tolist()})
+    assert hashlib.sha256(json.dumps(payload).encode()).hexdigest() == PINNED_MATRIX_ALGEBRAS[name]
 
 
 def test_exact_div_returns_the_quotient():

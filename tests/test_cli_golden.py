@@ -24,6 +24,9 @@ GOLDEN = [
     # the regular element at p = 61: one D-stable block of 248 coordinates, eliminated by its 59 levels
     (["decompose", "--algebra", "e8", "-p", "61", "--element", "e1+e2+e3+e4+e5+e6+e7+e8"],
      0, "831630211407de57aa43e9264137c3e45bb2e20f5aec818397133c6917ce7199"),
+    # gl_n built by the one rule on elementary matrices
+    (["decompose", "--algebra", "gl5", "-p", "7", "--element", "e1+e2+e3+e4"],
+     0, "9dee29173e54216736f73c4a254322c9e75d0e1bfee6a35db19b2724c608bb8d"),
     (["semisimplify", "--algebra", "gl3", "-p", "3", "--element", "e2"],
      0, "c949f5e4452aa2e1b9a6b5d12231879b0f47a80a0148859a2964aa44e2ef931d"),
     (["semisimplify", "--algebra", "f4", "--subset", "4"],
@@ -31,6 +34,9 @@ GOLDEN = [
     # no chain survives: superdimension (0|0)
     (["semisimplify", "--algebra", "gl3", "-p", "3", "--element", "e1+e2"],
      0, "8cc89f5d23878edc40325eb64046a32b9db90486e58a3840e619f8e36c95f66b"),
+    # sl_n read back as a subalgebra of gl_n: (2|2)
+    (["semisimplify", "--algebra", "sl6", "-p", "5", "--element", "e1+e2+e4"],
+     0, "08b70f8347cfeecae0ecdf346c9a3a77ebd4b0c9b66a512e7c7df4cc9d28f690"),
     # p = 5: the splitting vector sums four layers
     (["semisimplify", "--algebra", "g2", "-p", "5", "--element", "e1"],
      0, "0eaf0541d09eb7f56c6eea536baf0558b239d286cf89be73f4897c7b2e002dd0"),
