@@ -25,7 +25,7 @@ from . import sparse
 from .errors import JacobiViolation
 from .fp import check_modulus
 from .roots import GCM, Root, RootSystem, catalog_gcm, positive_roots
-from .superalgebra import ModularSuperAlgebra
+from .superalgebra import ModularSuperAlgebra, read_back
 
 
 @dataclass
@@ -233,74 +233,44 @@ def gl(n: int, p: int) -> ModularSuperAlgebra:
         raise ValueError("rank must be positive")
     dim = n * n
     check_modulus(p, dim)
-
-    def idx(i: int, j: int) -> int:
-        return (i - 1) * n + (j - 1)
-
-    entries = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            for k in range(1, n + 1):
-                for l in range(1, n + 1):
-                    if j == k:
-                        entries.append((idx(i, j), idx(k, l), idx(i, l), 1))
-                    if l == i:
-                        entries.append((idx(i, j), idx(k, l), idx(k, j), -1))
+    # for every x, y, z: [E_xy, E_yz] gains E_xz and [E_yz, E_xy] loses it (x = y = z cancels)
+    x, y, z = np.indices((n, n, n)).reshape(3, -1)
+    xy, yz, xz = x * n + y, y * n + z, x * n + z
+    ones = np.ones(len(x), dtype=np.int64)
     labels = [f"E[{i},{j}]" for i in range(1, n + 1) for j in range(1, n + 1)]
     terms = {}
-    for i in range(1, n):
-        terms |= {f"e{i}": {idx(i, i + 1): 1}, f"f{i}": {idx(i + 1, i): 1},
-                  f"h{i}": {idx(i, i): 1, idx(i + 1, i + 1): -1}}
-    return ModularSuperAlgebra.from_entries(p, np.zeros(dim, dtype=np.int64), *np.transpose(entries),
-                                            labels=labels, gens=_generators(dim, p, terms))
+    for i in range(n - 1):
+        terms |= {f"e{i + 1}": {i * n + i + 1: 1}, f"f{i + 1}": {(i + 1) * n + i: 1},
+                  f"h{i + 1}": {i * (n + 1): 1, (i + 1) * (n + 1): -1}}
+    return ModularSuperAlgebra.from_entries(p, np.zeros(dim, dtype=np.int64), np.concatenate([xy, yz]),
+                                            np.concatenate([yz, xy]), np.concatenate([xz, xz]),
+                                            np.concatenate([ones, -ones]), labels=labels,
+                                            gens=_generators(dim, p, terms))
 
 
 def sl(n: int, p: int) -> ModularSuperAlgebra:
-    """sl_n over F_p: off-diagonal E_ij plus H_i = E_ii - E_{i+1,i+1}."""
+    """sl_n over F_p, the subalgebra of gl_n on the off-diagonal E_ij, row-major,
+    then H_i = E_ii - E_{i+1,i+1}."""
     if n < 2:
         raise ValueError("rank must be at least 2")
-    off = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    off = [i * n + j for i in range(n) for j in range(n) if i != j]  # E_ij in gl_n
     dim = len(off) + n - 1
     check_modulus(p, dim)
-    pos = {pair: k for k, pair in enumerate(off)}
-
-    def as_matrix(b: int) -> np.ndarray:
-        m = np.zeros((n, n), dtype=np.int64)
-        if b < len(off):
-            i, j = off[b]
-            m[i - 1, j - 1] = 1
-        else:
-            i = b - len(off)
-            m[i, i] = 1
-            m[i + 1, i + 1] = -1
-        return m
-
-    def expand(m: np.ndarray) -> dict[int, int]:
-        out = {}
-        for i in range(n):
-            for j in range(n):
-                if i != j and m[i, j]:
-                    out[pos[(i + 1, j + 1)]] = int(m[i, j])
-        partial = 0
-        for i in range(n - 1):
-            partial += int(m[i, i])
-            if partial:
-                out[len(off) + i] = partial
-        return out
-
-    entries = []
-    mats = [as_matrix(b) for b in range(dim)]
-    for a in range(dim):
-        for b in range(dim):
-            comm = mats[a] @ mats[b] - mats[b] @ mats[a]
-            for k, c in expand(comm).items():
-                entries.append((a, b, k, c))
-    labels = [f"E[{i},{j}]" for i, j in off] + [f"H[{i}]" for i in range(1, n)]
+    h, diag = np.arange(len(off), dim), np.arange(n - 1) * (n + 1)  # H_m, and E_mm in gl_n for m < n
+    rows = np.zeros((dim, n * n), dtype=np.int64)
+    rows[np.arange(len(off)), off] = 1
+    rows[h, diag] = 1
+    rows[h, diag + n + 1] = p - 1
+    # a left inverse of the rows: E_ij to its own index, E_mm to 1 at H_m ... H_{n-1}; the trace is dropped
+    inverse = np.zeros((n * n, dim), dtype=np.int64)
+    inverse[off, np.arange(len(off))] = 1
+    for m in range(n - 1):
+        inverse[m * (n + 1), len(off) + m:] = 1
+    labels = [f"E[{k // n + 1},{k % n + 1}]" for k in off] + [f"H[{i}]" for i in range(1, n)]
     terms = {}
-    for i in range(1, n):
-        terms |= {f"e{i}": {pos[(i, i + 1)]: 1}, f"f{i}": {pos[(i + 1, i)]: 1}, f"h{i}": {len(off) + i - 1: 1}}
-    return ModularSuperAlgebra.from_entries(p, np.zeros(dim, dtype=np.int64), *np.transpose(entries),
-                                            labels=labels, gens=_generators(dim, p, terms))
+    for i in range(n - 1):  # E_{i,i+1} and E_{i+1,i} sit at i*n and i*n + n - 1 of the off-diagonal order
+        terms |= {f"e{i + 1}": {i * n: 1}, f"f{i + 1}": {i * n + n - 1: 1}, f"h{i + 1}": {len(off) + i: 1}}
+    return read_back(gl(n, p), rows, inverse, np.zeros(dim, dtype=np.int64), labels, _generators(dim, p, terms))
 
 
 @lru_cache(maxsize=None)
@@ -318,8 +288,6 @@ def catalog_algebra(name: str, p: int) -> ModularSuperAlgebra:
     """
     check_modulus(p)
     name = name.lower()
-    if name.startswith("gl"):
-        return gl(int(name[2:]), p)
-    if name.startswith("sl") and name[2:].isdigit():
-        return sl(int(name[2:]), p)
+    if name[:2] in ("gl", "sl") and name[2:].isascii() and name[2:].isdigit():  # the rank is a run of ASCII digits
+        return (gl if name[:2] == "gl" else sl)(int(name[2:]), p)
     return reduce_mod_p(integral_catalog(name), p)

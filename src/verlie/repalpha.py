@@ -181,10 +181,6 @@ class JordanChain:
         return self.vectors.shape[0]
 
     @property
-    def head(self) -> np.ndarray:
-        return self.vectors[0]
-
-    @property
     def tail(self) -> np.ndarray:
         return self.vectors[-1]
 
@@ -236,10 +232,6 @@ class ChainDecomposition:
         ends = np.cumsum(self.lengths).tolist()
         return tuple(JordanChain(self.basis[end - length : end], tag)
                      for end, length, tag in zip(ends, self.lengths.tolist(), self.tags))
-
-    def basis_matrix(self) -> np.ndarray:
-        """Columns are the chain vectors, chain by chain."""
-        return self.basis.T
 
     def chain_offsets(self) -> np.ndarray:
         """The row of the basis array at which each chain starts."""

@@ -389,7 +389,7 @@ def catalog_gcm(name: str) -> GCM:
             mat[i - 1][j - 1] = -1
             mat[j - 1][i - 1] = -1
         return validate_gcm(mat)
-    if name and name[0] in _CHAIN_TYPES and name[1:].isdigit():
+    if name and name[0] in _CHAIN_TYPES and name[1:].isascii() and name[1:].isdigit():
         kind, n = name[0], int(name[1:])
         if n < 1 or (kind == "b" and n < 2) or (kind == "c" and n < 2) or (kind == "d" and n < 3):
             raise ValueError(f"rank too small for type {kind}")

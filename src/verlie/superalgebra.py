@@ -80,14 +80,14 @@ class ModularSuperAlgebra:
         return cls(p, dim, parity, tensor, labels, gens, origin)
 
     @classmethod
-    def from_products(cls, products: sparse.Coo, p: int, parity, labels=None) -> "ModularSuperAlgebra":
+    def from_products(cls, products: sparse.Coo, p: int, parity, labels=None, gens=None) -> "ModularSuperAlgebra":
         """The algebra whose bracket [b_a, b_b] is row a*dim+b of the reduced
         sparse `products`: entry (a*n+b, k) moves to row a, column k*n+b."""
         n = len(parity)
         a, b = np.divmod(products.row, n)
         keys = (a * n + products.col) * n + b
         order = np.argsort(keys)
-        return cls(p, n, parity, sparse.from_keys(keys[order], products.data[order], (n, n * n)), labels)
+        return cls(p, n, parity, sparse.from_keys(keys[order], products.data[order], (n, n * n)), labels, gens)
 
     @property
     def constants(self) -> Constants:
@@ -217,12 +217,6 @@ class Report:
 
     def __bool__(self) -> bool:
         return self.ok
-
-    def to_json_dict(self) -> dict:
-        out = {"check": self.check, "pass": self.ok}
-        if self.witness is not None:
-            out["witness"] = self.witness
-        return out
 
 
 def _first_key(keys: np.ndarray, vals: np.ndarray, p: int | None) -> int | None:
@@ -671,28 +665,29 @@ def subalgebra_on(alg: ModularSuperAlgebra, sub: Subspace) -> tuple[ModularSuper
     ev_mat, od_mat = _parity_split(alg, sub)
     rows = np.vstack([ev_mat, od_mat])
     # even block first, so the rows are not one echelon form; each row's
-    # pivot is still zero in every other row
+    # pivot is 1 and zero in every other row, so the pivot columns of the identity are a left inverse
     pivots = [int(np.flatnonzero(row)[0]) for row in rows]
     parity = np.array([0] * len(ev_mat) + [1] * len(od_mat), dtype=np.int64)
-    n = len(rows)
+    labels = [f"sub[{i}]" for i in range(len(rows))]
+    return read_back(alg, rows, np.eye(alg.dim, dtype=np.int64)[:, pivots], parity, labels), rows
+
+
+def read_back(alg: ModularSuperAlgebra, rows: np.ndarray, inverse: np.ndarray, parity, labels,
+              gens=None) -> ModularSuperAlgebra:
+    """The algebra on the span of `rows` (reduced mod p): [rows[a], rows[b]]
+    read back to coordinates through `inverse`, a (dim, len(rows)) left inverse
+    of the rows.  ValueError unless every bracket lies in their span."""
     products = alg.brackets(rows, rows)  # row a*n+b = [rows[a], rows[b]]
-    pick = sparse.from_dense(np.eye(alg.dim, dtype=np.int64)[:, pivots])
-    coeffs = sparse.product(products, pick, alg.p)  # the coordinates at the pivots
+    coeffs = sparse.product(products, sparse.from_dense(inverse), alg.p)
     if sparse.product(coeffs, sparse.from_dense(rows), alg.p) != products:
         raise ValueError("subspace is not bracket-closed")
-    new = ModularSuperAlgebra.from_products(coeffs, alg.p, parity, [f"sub[{i}]" for i in range(n)])
-    return new, rows
+    return ModularSuperAlgebra.from_products(coeffs, alg.p, parity, labels, gens)
 
 
 @dataclass
 class QuotientAlgebra:
-    parent: ModularSuperAlgebra
-    ideal: Subspace
     quotient: ModularSuperAlgebra
     projection: np.ndarray  # (quotient dim, parent dim)
-
-    def project(self, v) -> np.ndarray:
-        return (self.projection @ fp.normalize(v, self.parent.p)) % self.parent.p
 
 
 def quotient(alg: ModularSuperAlgebra, ideal: Subspace) -> QuotientAlgebra:
@@ -712,7 +707,7 @@ def quotient(alg: ModularSuperAlgebra, ideal: Subspace) -> QuotientAlgebra:
     parity = alg.parity[keep]
     labels = [alg.labels[c] if alg.labels else f"q[{c}]" for c in keep]
     quot = ModularSuperAlgebra.from_products(images, alg.p, parity, labels)
-    return QuotientAlgebra(parent=alg, ideal=ideal, quotient=quot, projection=proj)
+    return QuotientAlgebra(quotient=quot, projection=proj)
 
 
 @dataclass

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import permutations
 
 import numpy as np
 
@@ -283,10 +282,6 @@ class WeightSplit:
     parities: tuple[int, ...]
     odd_blocked: str | None = None
 
-    @property
-    def multiplicities(self) -> tuple[int, ...]:
-        return tuple(len(rows) for rows in self.vectors)
-
     def spaces(self, parity: int) -> list[tuple[tuple[int, ...], np.ndarray]]:
         """(weight, rows) of each weight space of one parity."""
         return [(w, rows) for w, rows, par in zip(self.weights, self.vectors, self.parities) if par == parity]
@@ -538,7 +533,20 @@ def _match_type(cartan: np.ndarray, rank: int) -> str:
             ref = catalog_gcm(f"{kind}{rank}").matrix()
         except ValueError:  # no such catalog name, as d2 or f3
             continue
-        for perm in permutations(range(rank)):
-            if np.array_equal(cartan[np.ix_(perm, perm)], ref):
-                return f"{kind}{rank}".upper()
+        if _extends(cartan, ref, []):
+            return f"{kind}{rank}".upper()
     raise UnrecognizedType(f"no catalog match for Cartan matrix {cartan.tolist()}")
+
+
+def _extends(cartan: np.ndarray, ref: np.ndarray, perm: list[int]) -> bool:
+    """Whether the nodes perm of cartan, matched to ref's first len(perm)
+    nodes, extend to a permutation with cartan[perm, perm] == ref: by
+    backtracking, ref's next node against each unmatched node whose entries
+    with the nodes matched so far agree."""
+    k = len(perm)
+    if k == len(ref):
+        return True
+    fits = ((cartan[:, perm] == ref[k, :k]).all(axis=1) & (cartan[perm].T == ref[:k, k]).all(axis=1)
+            & (np.diag(cartan) == ref[k, k]))
+    fits[perm] = False
+    return any(_extends(cartan, ref, perm + [int(c)]) for c in np.flatnonzero(fits))

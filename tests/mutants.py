@@ -100,6 +100,14 @@ MUTANTS = [
            ("tests/test_roots.py::test_entries_are_read_exactly[float]",
             "tests/test_cli.py::test_spec_file_values_are_read_exactly[cartan-float]",
             "tests/test_cli.py::test_spec_file_values_are_read_exactly[p-float]")),
+    # at the parent's permutation search this mutant ran past any per-test time limit
+    Mutant("simple roots are the positives with no difference outside the positives", "src/verlie/verify.py",
+           "if not any(d.tobytes()", "if not all(d.tobytes()",
+           ("tests/test_verify.py::test_recognize_f4_self",
+            "tests/test_verify.py::test_recognize_e8_self_within_a_second")),
+    Mutant("sl left inverse stops its partial sum one H early", "src/verlie/chevalley.py",
+           "inverse[m * (n + 1), len(off) + m:] = 1", "inverse[m * (n + 1), len(off) + m:-1] = 1",
+           ("tests/test_chevalley.py::test_matrix_algebras_pinned",)),
 ]
 
 

@@ -211,7 +211,7 @@ def literal_reference(realization, decomp) -> ModularSuperAlgebra:
     order = np.concatenate([even, odd])
     n1, m = len(even), len(order)
     # column k: the coordinate at survivor k's head, a row of the inverse basis matrix
-    coords = fp.inverse(decomp.basis_matrix(), p)[offsets[order]].T
+    coords = fp.inverse(decomp.basis.T, p)[offsets[order]].T
     heads = decomp.basis[offsets[order]]  # row k: the head v_k^0
     odd_chains = decomp.basis[offsets[odd, None] + np.arange(p - 1)]  # (odd chains, p-1, dim)
     entries = [np.zeros((4, 0), dtype=np.int64)]  # rows a, b, k, c; one block per left factor a

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+import time
 import tracemalloc
 from dataclasses import FrozenInstanceError, replace
 
@@ -9,6 +10,7 @@ import pytest
 
 import verlie as v
 from tests.oracles import derived_subalgebra, free_nilpotent_example, g2_scaled
+from tests.test_fp import largest_accepted_prime, next_prime
 from verlie import chevalley, table
 from verlie.chevalley import (
     _exact_div,
@@ -289,6 +291,29 @@ def test_modulus_bound_uses_dimension():
             make(3, p)
     with pytest.raises(BadModulus, match="too large"):
         reduce_mod_p(integral_catalog("g2"), p)
+
+
+def test_sl_accepts_the_primes_of_its_ambient_gl():
+    """sl_n is read back from the brackets of gl_n, so its modulus bound is
+    that of dimension n^2: the largest prime gl_2 accepts builds sl_2, and the
+    next prime is refused naming dimension 4, although sl_2 has dimension 3."""
+    from verlie.errors import BadModulus
+
+    p = largest_accepted_prime(4)
+    assert sl(2, p).dim == 3
+    with pytest.raises(BadModulus, match="too large for dimension 4"):
+        sl(2, next_prime(p))
+
+
+def test_sl12_builds_in_well_under_a_second():
+    """One batch of brackets of the basis rows in gl_12, read back through
+    the left inverse, instead of a dense commutator per pair of basis vectors."""
+    elapsed = []
+    for _ in range(3):
+        start = time.perf_counter()
+        alg = sl(12, 3)
+        elapsed.append(time.perf_counter() - start)
+    assert alg.dim == 143 and min(elapsed) < 0.05
 
 
 @pytest.mark.parametrize("name", ["g2", "gl3"])

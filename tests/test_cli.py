@@ -177,6 +177,18 @@ def test_subset_tokens_are_read_exactly(subset, command, capsys):
     assert "--subset must list node numbers" in captured.err and not captured.out
 
 
+@pytest.mark.parametrize("name", ["glx", "gl1.5", "gl", "a²", "gl²", "sl²", "a٦"],
+                         ids=["gl-word", "gl-fraction", "gl-no-rank", "a-superscript", "gl-superscript",
+                              "sl-superscript", "a-arabic-indic-digit"])
+def test_catalog_ranks_are_ascii_digit_runs(name, capsys):
+    """A catalog name's rank is a run of ASCII digits: any other name exits 3
+    as an unknown catalog name, neither with int()'s message nor built as
+    the algebra its Unicode digit stands for."""
+    assert main(["decompose", "--algebra", name, "-p", "3", "--element", "e1"]) == 3
+    captured = capsys.readouterr()
+    assert f"unknown catalog name {name!r}" in captured.err and not captured.out
+
+
 def test_custom_plan_certify(capsys):
     assert main(["certify", "--algebra", "e8", "--element", "e1+e2+e6+e8", "--plan", "g36"]) == 0
     assert "g(3,6)" in capsys.readouterr().out and main is not None

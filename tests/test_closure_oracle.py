@@ -188,7 +188,7 @@ def test_odd_part_irreducible_exact_on_multiplicity_one():
     verdicts = []
     for alg, torus in cases:
         split = weight_split(alg, torus)
-        assert all(m == 1 for m, par in zip(split.multiplicities, split.parities) if par == 1)
+        assert all(len(rows) == 1 for rows, par in zip(split.vectors, split.parities) if par == 1)
         verdicts.append(bool(odd_part_irreducible(alg, split)))
         assert verdicts[-1] == weight_vectors_generate(alg, split)
     assert verdicts == [True, True, False]

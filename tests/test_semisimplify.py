@@ -171,7 +171,7 @@ def test_image_projection():
     ss = semisimplify(realization, decomp)
     eye_out = np.eye(ss.algebra.dim, dtype=np.int64)
     for a, chain_index in enumerate(ss.even_chains + ss.odd_chains):
-        head = decomp.chains[chain_index].head
+        head = decomp.chains[chain_index].vectors[0]
         assert np.array_equal(ss.image(head), eye_out[a])
     # tails of odd chains and every vector of a dead chain project to zero
     for chain_index in ss.odd_chains:
@@ -291,8 +291,8 @@ def test_head_coordinates_match_the_dense_inverse():
             break
     assert len(pipelines) == len(TABLE) + len(boundary) + 3 * len(SMALL_ALGEBRAS)
     for realization, decomp, ss in pipelines:
-        dense = fp.inverse(decomp.basis_matrix(), decomp.p)
-        assert np.array_equal(decomp.basis_matrix() @ dense % decomp.p, np.eye(decomp.dim, dtype=np.int64))
+        dense = fp.inverse(decomp.basis.T, decomp.p)
+        assert np.array_equal(decomp.basis.T @ dense % decomp.p, np.eye(decomp.dim, dtype=np.int64))
         assert np.array_equal(decomp.coordinates(realization.der, range(decomp.dim)), dense)
         offsets = decomp.chain_offsets()
         assert np.array_equal(ss.coords, dense[[offsets[c] for c in ss.even_chains + ss.odd_chains]])

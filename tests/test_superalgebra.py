@@ -694,11 +694,6 @@ def test_superdim(gl33):
     assert superdim(gl33) == (9, 0)
 
 
-def test_report_serialization(gl33):
-    data = check_super_skew(gl33).to_json_dict()
-    assert data == {"check": "super_skew", "pass": True}
-
-
 def test_semisimplified_serialization_keeps_odd_diagonal(free_nilpotent_ss):
     alg = free_nilpotent_ss.algebra
     data = free_nilpotent_ss.to_json_dict()

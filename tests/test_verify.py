@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -261,6 +262,16 @@ def test_recognize_b5_self():
     assert recognize_even_type(alg, weight_split(alg, torus)) == ("B5", 5, 55)
 
 
+def test_recognize_e8_self_within_a_second():
+    """e8 under its own torus at p = 5: the catalog match backtracks over
+    nodes whose entries agree instead of trying 8! permutations per name."""
+    alg = v.catalog_algebra("e8", 5)
+    split = weight_split(alg, [alg.gens[f"h{i}"] for i in range(1, 9)])
+    start = time.perf_counter()
+    assert recognize_even_type(alg, split) == ("E8", 8, 248)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_recognize_a2():
     alg = v.sl(3, 5)
     torus = [alg.gens["h1"], alg.gens["h2"]]
@@ -346,10 +357,10 @@ CATALOG_NAMES = ([f"a{n}" for n in range(1, 9)] + [f"{kind}{n}" for kind in "bc"
                  + [f"d{n}" for n in range(3, 9)] + ["e6", "e7", "e8", "f4", "g2"])
 
 
-def test_match_type_keeps_its_labels(monkeypatch):
+def test_match_type_keeps_its_labels():
     """Every catalog Cartan matrix, under a seeded random simultaneous
     permutation, gets the label the hand-built candidate list gave: C2
-    reads B2 and D3 reads A3, as before.  From rank 7 on, both searches see
+    reads B2 and D3 reads A3, as before.  From rank 7 on, the oracle sees
     only the permutations under which the matrix equals some catalog matrix
     of its rank: a candidate matches under one of them exactly when it
     matches at all, and 8! permutations per candidate would take seconds."""
@@ -368,11 +379,9 @@ def test_match_type_keeps_its_labels(monkeypatch):
             def perms(_, found=found):
                 return iter(found)
 
-        monkeypatch.setattr(verify, "permutations", perms)
         labels[name] = verify._match_type(cartan, rank)
         assert labels[name] == old_match_type(cartan, rank, perms), name
     assert labels["c2"] == "B2" and labels["d3"] == "A3" and labels["e8"] == "E8" and labels["g2"] == "G2"
-    monkeypatch.undo()
     with pytest.raises(UnrecognizedType):
         verify._match_type(np.array([[2, 0], [0, 2]]), 2)  # A1+A1
 
