@@ -47,23 +47,27 @@ SCHEMA = 1
 
 
 def _emit(payload: dict, path: str | None):
-    payload = {"schema": SCHEMA, **payload}
     if path:  # no text is built without a path
-        Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return payload
+        Path(path).write_text(json.dumps({"schema": SCHEMA, **payload}, indent=2, sort_keys=True) + "\n")
 
 
-def _load_algebra(spec: str, p: int):
-    """Catalog name, or a JSON file {name?, cartan: [[...]], parity: [...], p}."""
-    if spec.endswith(".json"):
-        data = json.loads(Path(spec).read_text())
-        if not isinstance(data, dict):
-            raise errors.BadSpec(f"{spec} must hold a JSON object, not a {type(data).__name__}")
-        gcm = validate_gcm(data["cartan"], data.get("parity"))
-        if not gcm.all_even:
-            raise errors.VerlieError("input Cartan matrix must be purely even")
-        return reduce_mod_p(chevalley_basis(gcm), exact_int(data.get("p", p), "p"))
-    return catalog_algebra(spec, p)
+def _load_algebra(spec: str, p: int | None):
+    """Catalog name, built at p (3 if p is None); or a JSON file {name?, cartan: [[...]], parity?: [...], p?},
+    built at its own p, else at p, else at 3, and refused if its p and p differ."""
+    if not spec.endswith(".json"):
+        return catalog_algebra(spec, 3 if p is None else p)
+    data = json.loads(Path(spec).read_text())
+    if not isinstance(data, dict):
+        raise errors.BadSpec(f"{spec} must hold a JSON object, not a {type(data).__name__}")
+    if unknown := set(data) - {"name", "cartan", "parity", "p"}:
+        raise errors.BadSpec(f"{spec} has an unknown key {min(unknown)!r}")
+    gcm = validate_gcm(data.get("cartan"), data.get("parity"))
+    if not gcm.all_even:
+        raise errors.VerlieError("input Cartan matrix must be purely even")
+    own = exact_int(data.get("p", 3 if p is None else p), "p")
+    if p not in (None, own):
+        raise errors.BadSpec(f"p is {own} in {spec} but -p is {p}")
+    return reduce_mod_p(chevalley_basis(gcm), own)
 
 
 def _element_vector(args, alg):
@@ -146,59 +150,48 @@ def cmd_semisimplify(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    star_sdim, target = None, args.target
-    if args.plan == "g36":
-        if target not in (None, "g(3,6)"):
-            raise errors.VerlieError("--plan g36 certifies against g(3,6) only")
+    target, subset, star_sdim = args.target, None, None
+    if args.plan and target not in (None, "g(3,6)"):
+        raise errors.VerlieError("--plan g36 certifies against g(3,6) only")
+    if not (args.subset or args.plan or target == "el(5;5)"):
+        raise errors.VerlieError("certification needs --subset (or --plan g36 / --target 'el(5;5)')")
+    alg, realization = _realized(args)
+    # the route, its setting checked before any decomposition runs
+    if args.plan:
         route, target = "custom-g36", "g(3,6)"
+        require_plan_g36_element(realization)
     elif target == "el(5;5)":
         route = "el55"
-    elif not args.subset:
-        raise errors.VerlieError("certification needs --subset (or --plan g36 / --target 'el(5;5)')")
+        require_target_characteristic(alg, target_by_name(target))
     else:
+        subset = boundary_subset(realization, _parse_subset(args.subset))
         # a star row's target is certified on the generator subquotient, of the superdimension the row expects
         stars = {spec.target: spec.star_sdim for spec in TABLE if spec.route == "star" and spec.target}
-        star_sdim = stars.get(target)
-        route = "star" if star_sdim else "maint"
-    alg, realization = _realized(args)
-    subset = None
-    if route in ("maint", "star"):  # each route's setting is checked before any decomposition runs
-        subset = boundary_subset(realization, _parse_subset(args.subset))
-        target = target or _infer_target(args.algebra, alg.origin.gcm, subset)
-    elif route == "custom-g36":
-        require_plan_g36_element(realization)
-    else:
-        require_target_characteristic(realization, target_by_name(target))
+        if star_sdim := stars.get(target):
+            route = "star"
+        else:  # a maint target is a catalog one, inferred when not given
+            route, target = "maint", target_by_name(target or _infer_target(args.algebra, alg.origin.gcm, subset)).name
     decomp = jordan_decompose(realization)
     ss = semisimplify(realization, decomp)
     element = args.element or args.subset
     cert = CERTIFY[route](ss, RowSpec(args.algebra, alg.p, (element,), route, subset, target, star_sdim=star_sdim))
-    payload = {**cert.to_json_dict(), "command": "certify", "algebra": args.algebra, "element": element,
-               "block_counts": list(block_counts(decomp))}
     print(f"{args.algebra} vs {cert.target}: {cert.conclusion} "
           f"(superdim ({cert.actual_superdim[0]}|{cert.actual_superdim[1]}))")
-    _emit(payload, args.json)
+    _emit({**cert.to_json_dict(), "command": "certify", "algebra": args.algebra, "element": element,
+           "block_counts": list(block_counts(decomp))}, args.json)
     return 0 if cert.conclusion == "Verified" else 2
 
 
 def _infer_target(algebra: str, gcm, subset: tuple[int, ...]) -> str:
-    def catalog_match(nodes):
+    """The catalog target whose matrix is derived from the subset, or else
+    from the first member of its swap orbit that has one: every legal
+    recoloring gives the same output."""
+    names = {t.gcm: t.name for t in target_catalog() if t.gcm}
+    for nodes in (subset, *(c.sorted_black() for c in swap_orbit(Coloring(gcm, frozenset(subset))))):
         try:
-            tilde = derive_tilde(gcm, nodes)
-        except ValueError:
-            return None
-        for t in target_catalog():
-            if t.gcm and t.gcm.entries == tilde.entries and t.gcm.parity == tilde.parity:
-                return t.name
-        return None
-
-    name = catalog_match(subset)
-    if name:
-        return name
-    # the same output arises from every legal recoloring; look for an orbit
-    # member whose derived matrix is catalogued
-    for coloring in swap_orbit(Coloring(gcm, frozenset(subset))):
-        name = catalog_match(coloring.sorted_black())
+            name = names.get(derive_tilde(gcm, nodes))
+        except ValueError:  # an orbit member that is no admissible subset
+            continue
         if name:
             return name
     raise errors.VerlieError(f"no catalog target for {algebra} with subset {subset}; pass --target")
@@ -206,17 +199,14 @@ def _infer_target(algebra: str, gcm, subset: tuple[int, ...]) -> str:
 
 def cmd_table(args) -> int:
     rows = run_table()
-    payload_rows = []
-    all_ok = True
     for row in rows:
         sdim = f"({row.sdim[0]}|{row.sdim[1]})"
         status = "ok" if row.ok else "MISMATCH: " + "; ".join(row.mismatches)
         print(f"{row.spec.algebra:>3} p={row.spec.p} {', '.join(row.spec.elements):<26} "
               f"{str(row.counts):<22} {sdim:>9}  {row.spec.target or '-':<9} {row.conclusion:<18} [{status}]")
-        payload_rows.append(row.to_json_dict())
-        all_ok = all_ok and row.ok
+    all_ok = all(row.ok for row in rows)
     print("table:", "all rows match" if all_ok else "MISMATCHES PRESENT")
-    _emit({"command": "table", "rows": payload_rows, "ok": all_ok}, args.json)
+    _emit({"command": "table", "rows": [row.to_json_dict() for row in rows], "ok": all_ok}, args.json)
     return 0 if all_ok else 2
 
 
@@ -226,15 +216,13 @@ def cmd_swaps(args) -> int:
     orbit = swap_orbit(Coloring(gcm, frozenset(subset)))
     alg = catalog_algebra(args.algebra, args.p)
     members = []
-    reference = None
     for coloring in orbit:
         nodes = coloring.sorted_black()
         vec = parse_element("+".join(f"e{i}" for i in nodes), alg)[1] if nodes else np.zeros(alg.dim, dtype=np.int64)
         counts = repalpha.rank_count_vector(realize(alg, vec))
         members.append({"black": list(nodes), "block_counts": list(counts)})
-        reference = reference or counts
         print(f"  {set(nodes) if nodes else '{}'}: {counts}")
-    agree = all(tuple(m["block_counts"]) == reference for m in members)
+    agree = all(m["block_counts"] == members[0]["block_counts"] for m in members)
     print(f"orbit size {len(members)}; block counts agree: {agree}")
     _emit({"command": "swaps", "algebra": args.algebra, "subset": list(subset),
            "orbit": members, "counts_agree": agree}, args.json)
@@ -257,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--algebra", required=True, help="catalog name or algebra-spec JSON file")
-        p.add_argument("-p", type=int, default=3, help="odd prime characteristic")
+        p.add_argument("-p", type=int, help="odd prime characteristic (default: a spec file's p, else 3)")
         p.add_argument("--element", help="element expression, e.g. 'e1+e2' or '[e8,[e6,e7]]'")
         p.add_argument("--subset", help="comma-separated boundary nodes, e.g. '1,2'")
         p.add_argument("--json", help="write the JSON payload to this path")

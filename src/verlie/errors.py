@@ -72,5 +72,9 @@ class NotDiagonalizable(VerlieError):
     """A torus element does not act diagonalizably on the given algebra."""
 
 
+class UnknownTarget(VerlieError):
+    """A target name is not in the catalog."""
+
+
 class UnrecognizedType(VerlieError):
     """Eigenvalue data does not match any finite-type root system in the catalog."""

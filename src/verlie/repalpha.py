@@ -104,9 +104,13 @@ def parse_element(src: str, alg: ModularSuperAlgebra) -> tuple[str, np.ndarray]:
 
     Returns (src, vector): the text as given, then the vector reduced mod p.
     A syntax error (ParseError) is raised before an unknown generator
-    (UnknownGenerator), and of several unknown generators the first named."""
+    (UnknownGenerator), and of several unknown generators the first named;
+    nesting deeper than the interpreter's stack is a ParseError too."""
     parser = _Parser(src, alg)
-    vec = parser.expr()
+    try:
+        vec = parser.expr()
+    except RecursionError:
+        raise ParseError("nested too deeply", parser.pos) from None
     parser.skip_ws()
     if parser.pos != len(src):
         raise ParseError("trailing input", parser.pos)

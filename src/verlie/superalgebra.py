@@ -515,10 +515,6 @@ class Subspace:
         r, piv = fp.rref(mat, p)
         return cls(ambient, p, r[: len(piv)].copy(), tuple(piv))
 
-    @classmethod
-    def zero(cls, ambient: int, p: int) -> "Subspace":
-        return cls(ambient, p, np.zeros((0, ambient), dtype=np.int64), ())
-
     @property
     def dim(self) -> int:
         return len(self.pivots)
@@ -571,14 +567,14 @@ class Subspace:
 
 
 def _parity_split(alg: ModularSuperAlgebra, sub: Subspace) -> tuple[np.ndarray, np.ndarray]:
-    """Split echelon rows into even and odd parts; raise if the subspace mixes parities."""
-    parts = [sub.rows * (alg.parity == parity) for parity in (0, 1)]
-    if sub.reduce_rows(np.vstack(parts)).any():
+    """The even and the odd echelon rows; raise if the subspace mixes parities.
+    On a sum of homogeneous parts every reduced echelon row is homogeneous:
+    the odd part of an even-pivot row lies in the subspace and vanishes at
+    every pivot, so it is zero (and likewise for odd pivots)."""
+    odd = sub.rows[:, alg.parity == 1].any(axis=1)
+    if (odd & sub.rows[:, alg.parity == 0].any(axis=1)).any():
         raise NotParityHomogeneous("subspace is not a sum of homogeneous parts")
-    (ev_mat, ev_piv), (od_mat, od_piv) = (fp.rref(part, alg.p) for part in parts)
-    if len(ev_piv) + len(od_piv) != sub.dim:
-        raise NotParityHomogeneous("homogeneous parts do not add up")
-    return ev_mat[: len(ev_piv)], od_mat[: len(od_piv)]
+    return sub.rows[~odd], sub.rows[odd]
 
 
 # -- structural operations ---------------------------------------------------
@@ -730,7 +726,7 @@ def gen_subquotient(alg: ModularSuperAlgebra, seeds) -> GenSubquotient:
     if ((seeds - coords @ rows) % alg.p).any():
         raise ValueError("vector not inside the subalgebra")
     cube_vecs = [v for v, _ in odd_cube_generators(subalg)]
-    ideal = ideal_closure(subalg, cube_vecs) if cube_vecs else Subspace.zero(subalg.dim, alg.p)
+    ideal = ideal_closure(subalg, cube_vecs)
     if ideal.dim == 0:
         return GenSubquotient(subalg, coords, 0)
     q = quotient(subalg, ideal)

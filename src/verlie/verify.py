@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import fp, sparse
-from .errors import NotDiagonalizable, UnrecognizedType
+from .errors import NotDiagonalizable, UnknownTarget, UnrecognizedType
 from .repalpha import Realization, boundary_subset, parse_element
 from .roots import GCM, attached_node, catalog_gcm, derive_tilde, positive_roots, validate_gcm
 from .semisimplify import SemisimplifiedAlgebra
@@ -75,7 +75,7 @@ def target_by_name(name: str) -> TargetSpec:
     for t in target_catalog():
         if t.name == name:
             return t
-    raise KeyError(f"unknown target {name!r}")
+    raise UnknownTarget(f"unknown target {name!r}")
 
 
 def tilde_target(name: str, ss: SemisimplifiedAlgebra, subset, sdim=None) -> TargetSpec:
@@ -222,11 +222,16 @@ class Certificate:
         }
 
 
+def require_target_characteristic(alg: ModularSuperAlgebra, target: TargetSpec) -> None:
+    """ValueError unless the target lives in the algebra's characteristic."""
+    if target.p != alg.p:
+        raise ValueError("target characteristic differs from the algebra's")
+
+
 def certify(alg: ModularSuperAlgebra, gens: np.ndarray, target: TargetSpec) -> Certificate:
     """Certificate for a characteristic-3 target given the (3, rank, dim)
     array of generator images."""
-    if target.p != alg.p:
-        raise ValueError("target characteristic differs from the algebra's")
+    require_target_characteristic(alg, target)
     relations = check_relations(alg, gens, target)
     details = {} if relations else {"relation_failures": relations.witness["failures"]}
     return Certificate(target.name, alg.p, superdim(alg), target.superdim, relations,
@@ -258,8 +263,7 @@ def cartan_torus_images(ss: SemisimplifiedAlgebra) -> np.ndarray:
         cartan[integral.generator_index("h", i), i - 1] = 1
     killed = fp.kernel_basis(ss.realization.der.dot(cartan) % alg.p, alg.p)
     images = [ss.image(cartan @ combo % alg.p) for combo in killed]
-    sub = Subspace.from_vectors(images, ss.algebra.dim, alg.p) if images else Subspace.zero(ss.algebra.dim, alg.p)
-    return sub.rows
+    return Subspace.from_vectors(images, ss.algebra.dim, alg.p).rows
 
 
 # -- torus weight split ----------------------------------------------------------
@@ -388,18 +392,12 @@ def odd_part_irreducible(alg: ModularSuperAlgebra, split: WeightSplit) -> Report
     return Report("irreducibility", False, {"closed_weights": [odd[j][0] for j in np.flatnonzero(reach[start])]})
 
 
-def require_target_characteristic(realization: Realization, target: TargetSpec) -> None:
-    """ValueError unless the target lives in the realization's characteristic."""
-    if target.p != realization.algebra.p:
-        raise ValueError("target characteristic differs from the algebra's")
-
-
 def certify_even_route(ss: SemisimplifiedAlgebra, target: TargetSpec) -> Certificate:
     """Certificate for a target identified through its even part: Cartan-type
     recognition, odd-part irreducibility (both on one weight split under the
     Cartan torus) and the output's axiom reports stand in for the three checks."""
-    require_target_characteristic(ss.realization, target)
     alg = ss.algebra
+    require_target_characteristic(alg, target)
     split = None
     try:
         split = weight_split(alg, cartan_torus_images(ss))

@@ -108,6 +108,16 @@ MUTANTS = [
     Mutant("sl left inverse stops its partial sum one H early", "src/verlie/chevalley.py",
            "inverse[m * (n + 1), len(off) + m:] = 1", "inverse[m * (n + 1), len(off) + m:-1] = 1",
            ("tests/test_chevalley.py::test_matrix_algebras_pinned",)),
+    Mutant("parity split keeps rows that mix parities", "src/verlie/superalgebra.py",
+           "    if (odd & sub.rows[:, alg.parity == 0].any(axis=1)).any():", "    if False:",
+           ("tests/test_superalgebra.py::test_quotient_rejects_mixed_parity",
+            "tests/test_superalgebra.py::test_parity_split_reads_the_echelon_rows")),
+    Mutant("a spec file's p wins over a -p that differs", "src/verlie/cli.py",
+           "    if p not in (None, own):", "    if False:",
+           ("tests/test_cli.py::test_spec_file_p_and_flag_that_differ_are_refused",)),
+    Mutant("parser lets a nesting past the stack raise RecursionError", "src/verlie/repalpha.py",
+           '        raise ParseError("nested too deeply", parser.pos) from None', "        raise",
+           ("tests/test_cli.py::test_element_nested_400_deep_is_a_parse_error",)),
 ]
 
 

@@ -265,7 +265,7 @@ def derived_subalgebra(alg: ModularSuperAlgebra) -> Subspace:
     """Span of all brackets of basis pairs, sixteen left factors at a time,
     until the span is the whole algebra."""
     eye = np.eye(alg.dim, dtype=np.int64)
-    sub = Subspace.zero(alg.dim, alg.p)
+    sub = Subspace.from_vectors([], alg.dim, alg.p)
     for start in range(0, alg.dim, 16):
         sub = sub.extended(alg.brackets(eye[start : start + 16], eye).nonzero_rows())
         if sub.dim == alg.dim:

@@ -7,9 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from verlie import cli
+from verlie import cli, errors
 from verlie.cli import main
-from verlie.roots import catalog_gcm
+from verlie.roots import admissible_subsets, catalog_gcm
 from verlie.table import CERTIFY, TABLE, run_row
 
 
@@ -189,6 +189,72 @@ def test_catalog_ranks_are_ascii_digit_runs(name, capsys):
     assert f"unknown catalog name {name!r}" in captured.err and not captured.out
 
 
+@pytest.mark.parametrize("flags,spec_p,p", [([], None, 3), (["-p", "5"], None, 5), ([], 5, 5), (["-p", "5"], 5, 5)],
+                         ids=["neither", "flag-only", "file-only", "both-agree"])
+def test_spec_file_runs_at_its_p_else_at_the_flag_else_at_3(flags, spec_p, p, tmp_path, capsys):
+    spec = {"cartan": [[2, -1], [-1, 2]], **({"p": spec_p} if spec_p else {})}
+    path = tmp_path / "a2.json"
+    path.write_text(json.dumps(spec))
+    assert main(["decompose", "--algebra", str(path), "--element", "e1", *flags]) == 0
+    assert capsys.readouterr().out.startswith(f"{path} p={p}:")
+
+
+def test_spec_file_p_and_flag_that_differ_are_refused(tmp_path, capsys):
+    """A spec file's p and -p that disagree exit 3 naming p, rather than the
+    file's p running in silence."""
+    path = tmp_path / "a2.json"
+    path.write_text(json.dumps({"cartan": [[2, -1], [-1, 2]], "p": 3}))
+    assert main(["semisimplify", "--algebra", str(path), "-p", "5", "--element", "e1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"error: p is 3 in {path} but -p is 5\n" and not captured.out
+
+
+def test_spec_file_without_cartan_is_refused(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"name": "x", "p": 3}))
+    assert main(["decompose", "--algebra", str(path), "--element", "e1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: cartan must be a list of rows, not None\n" and not captured.out
+
+
+def test_spec_file_with_an_unknown_key_is_refused(tmp_path, capsys):
+    """Only name, cartan, parity and p are read; any other key, such as a
+    misspelt parity, exits 3 naming it."""
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"cartan": [[2, -1], [-1, 2]], "parities": [0, 0], "p": 3}))
+    assert main(["decompose", "--algebra", str(path), "--element", "e1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {path} has an unknown key 'parities'\n" and not captured.out
+
+
+@pytest.mark.parametrize("element", ["(" * 400 + "e1" + ")" * 400, "[e1," * 400 + "e2" + "]" * 400],
+                         ids=["parentheses", "brackets"])
+def test_element_nested_400_deep_is_a_parse_error(element, capsys):
+    assert main(["decompose", "--algebra", "g2", "--element", element]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: nested too deeply (at position ") and not captured.out
+
+
+def test_element_nested_300_deep_runs_from_the_command_line(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = ["decompose", "--algebra", "g2", "--element", "(" * 300 + "e1" + ")" * 300]
+    out = subprocess.run([sys.executable, "-m", "verlie.cli", *argv], env=env, capture_output=True, text=True)
+    assert out.returncode == 0 and out.stdout.startswith("g2 p=3: block counts (5, 0, 3)"), out.stderr
+
+
+def test_certify_refuses_an_unknown_target_before_decomposing(monkeypatch, capsys):
+    """A maint target outside the catalog exits 3 with a typed message, not
+    a KeyError's repr after the whole pipeline has run."""
+    def refuse(*_):
+        raise AssertionError("decomposed an input that certify refuses")
+
+    monkeypatch.setattr(cli, "jordan_decompose", refuse)
+    assert main(["certify", "--algebra", "e6", "--subset", "2", "--target", "foo"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: unknown target 'foo'\n" and not captured.out
+
+
 def test_custom_plan_certify(capsys):
     assert main(["certify", "--algebra", "e8", "--element", "e1+e2+e6+e8", "--plan", "g36"]) == 0
     assert "g(3,6)" in capsys.readouterr().out and main is not None
@@ -294,6 +360,39 @@ def test_certify_spec_file_infers_target_like_catalog(name, subset, tmp_path, ca
     assert "unknown catalog name" not in outputs[1]
 
 
+# 30 catalog names, and the target inferred for each admissible subset that
+# resolves (22 of the 78 non-empty ones); every other subset is refused
+INFER_NAMES = ["g2", "f4", "e6", "e7", "e8", *(f"{kind}{n}" for kind, low in (("a", 2), ("b", 2), ("c", 3), ("d", 4))
+                                                for n in range(low, 9))]
+INFERRED_TARGETS = {
+    ("f4", (4,)): "g(1,6)",
+    **{("e6", subset): "g(2,6)" for subset in ((1,), (2,), (6,))},
+    **{("e6", subset): "g(3,3)" for subset in ((1, 2), (1, 6), (2, 6))},
+    ("e6", (1, 2, 6)): "g(2,3)",
+    **{("e7", subset): "g(4,6)" for subset in ((1,), (2,), (7,))},
+    **{("e7", subset): "el(5;3)" for subset in ((1, 2), (1, 7), (2, 7))},
+    ("e7", (1, 2, 7)): "g(4,3)",
+    **{("e8", subset): "g(8,6)" for subset in ((1,), (2,), (8,))},
+    **{("e8", subset): "g(6,6)" for subset in ((1, 2), (1, 8), (2, 8))},
+    ("e8", (1, 2, 8)): "g(8,3)",
+}
+
+
+def test_inferred_target_pinned_on_every_admissible_subset():
+    """The target certify infers from the subset or its swap orbit, or the
+    refusal that asks for --target, on every non-empty admissible subset."""
+    answers, refused = {}, 0
+    for name in INFER_NAMES:
+        gcm = catalog_gcm(name)
+        for subset in filter(None, admissible_subsets(gcm)):
+            try:
+                answers[name, subset] = cli._infer_target(name, gcm, subset)
+            except errors.VerlieError as exc:
+                assert str(exc) == f"no catalog target for {name} with subset {subset}; pass --target"
+                refused += 1
+    assert answers == INFERRED_TARGETS and refused == 78 - 22
+
+
 def test_semisimplify_checks_each_fact_once(monkeypatch, tmp_path):
     """One `semisimplify` call runs the super Jacobi scan once and the full
     chain check once: the CLI reads the reports `semisimplify` keeps, and the
@@ -334,7 +433,7 @@ def test_parser_keeps_no_state_between_calls(tmp_path):
                                        "--json", "x.json"])
     second = build_parser().parse_args(["decompose", "--algebra", "f4", "--subset", "4"])
     assert (first.p, first.json, first.element) == (5, "x.json", "e1")
-    assert (second.p, second.json, second.element, second.subset) == (3, None, None, "4")
+    assert (second.p, second.json, second.element, second.subset) == (None, None, None, "4")
     assert second.func.__name__ == "cmd_decompose" and not hasattr(second, "plan")
     pinned = {tuple(argv): (code, digest) for argv, code, digest in GOLDEN}
     order = [

@@ -654,7 +654,7 @@ def test_quotient_by_center_e6():
 
 
 def test_quotient_by_zero_ideal(gl33):
-    q = quotient(gl33, Subspace.zero(9, 3))
+    q = quotient(gl33, Subspace.from_vectors([], 9, 3))
     assert q.quotient.constants == gl33.constants
 
 
@@ -673,6 +673,42 @@ def test_quotient_rejects_mixed_parity(free_nilpotent_ss):
     mixed[odd_i] = 1
     with pytest.raises(NotParityHomogeneous):
         quotient(alg, Subspace.from_vectors([mixed], alg.dim, alg.p))
+
+
+def rref_parity_split(alg: ModularSuperAlgebra, sub: Subspace) -> tuple[np.ndarray, np.ndarray]:
+    """The split `_parity_split` replaced: each homogeneous part of the rows
+    checked against the subspace and eliminated again."""
+    parts = [sub.rows * (alg.parity == parity) for parity in (0, 1)]
+    if sub.reduce_rows(np.vstack(parts)).any():
+        raise NotParityHomogeneous("subspace is not a sum of homogeneous parts")
+    (ev_mat, ev_piv), (od_mat, od_piv) = (fp.rref(part, alg.p) for part in parts)
+    if len(ev_piv) + len(od_piv) != sub.dim:
+        raise NotParityHomogeneous("homogeneous parts do not add up")
+    return ev_mat[: len(ev_piv)], od_mat[: len(od_piv)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(p=st.sampled_from([3, 5, 7]), parity=st.lists(st.integers(0, 1), min_size=1, max_size=8),
+       homogeneous=st.booleans(), data=st.data())
+def test_parity_split_reads_the_echelon_rows(p, parity, homogeneous, data):
+    """Splitting the reduced echelon rows by their parity gives the parts that
+    eliminating each homogeneous part gave, and raises where that raised."""
+    n, parity = len(parity), np.array(parity, dtype=np.int64)
+    alg = ModularSuperAlgebra.from_entries(p, parity, [], [], [], [])
+    rows = data.draw(st.lists(st.lists(st.integers(0, p - 1), min_size=n, max_size=n), max_size=5))
+    vectors = np.array(rows, dtype=np.int64).reshape(-1, n)
+    if homogeneous:  # each vector keeps the coordinates of one parity
+        keep = data.draw(st.lists(st.integers(0, 1), min_size=len(vectors), max_size=len(vectors)))
+        vectors = vectors * (parity == np.array(keep, dtype=np.int64)[:, None])
+    sub = Subspace.from_vectors(vectors, n, p)
+    try:
+        expected = rref_parity_split(alg, sub)
+    except NotParityHomogeneous as exc:
+        with pytest.raises(NotParityHomogeneous, match=f"^{exc}$"):
+            superalgebra._parity_split(alg, sub)
+        return
+    split = superalgebra._parity_split(alg, sub)
+    assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(split, expected, strict=True))
 
 
 def test_subspace_canonical_equality():
