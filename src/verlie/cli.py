@@ -165,9 +165,10 @@ def cmd_certify(args) -> int:
         require_target_characteristic(alg, target_by_name(target))
     else:
         subset = boundary_subset(realization, _parse_subset(args.subset))
-        # a star row's target is certified on the generator subquotient, of the superdimension the row expects
-        stars = {spec.target: spec.star_sdim for spec in TABLE if spec.route == "star" and spec.target}
-        if star_sdim := stars.get(target):
+        # a star row's target is certified on the generator subquotient, for that row's Cartan matrix and subset
+        stars = {(catalog_gcm(spec.algebra), spec.subset, spec.target): spec.star_sdim
+                 for spec in TABLE if spec.route == "star" and spec.target}
+        if star_sdim := stars.get((alg.origin.gcm, subset, target)):
             route = "star"
         else:  # a maint target is a catalog one, inferred when not given
             route, target = "maint", target_by_name(target or _infer_target(args.algebra, alg.origin.gcm, subset)).name

@@ -195,6 +195,8 @@ def unique_rows(a: Array) -> tuple[Array, Array]:
     more per call): the index of the first occurrence of each, and for every
     row the number of its distinct row in that list."""
     a = np.ascontiguousarray(a)
+    if not a.shape[1]:  # every row is the empty row
+        return np.arange(min(len(a), 1)), np.zeros(len(a), dtype=np.int64)
     order = a.view(np.dtype((np.void, a.dtype.itemsize * a.shape[1]))).ravel().argsort(kind="stable")
     new = np.ones(len(a), dtype=bool)
     new[1:] = (a[order[1:]] != a[order[:-1]]).any(axis=1)
@@ -226,35 +228,54 @@ def inverse(m, p: int) -> Array:
     a = np.asarray(m)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("inverse expects a square matrix")
-    t = normalize(a, p).T
-    row, col = np.nonzero(t)
-    if (blocks := block_inverse(row, col, t[row, col], len(a), p)) is None:
+    if (blocks := block_inverse(sparse.from_dense(normalize(a, p).T), p)) is None:
         raise ValueError("matrix is singular")
     return inverse_rows(blocks, np.arange(len(a)), len(a))
 
 
-def block_inverse(row, col, data, n: int, p: int) -> tuple | None:
-    """The inverse of M = A^T, A the n x n matrix with entries data at (row,
-    col), by the blocks of its row/column graph; None unless every block is
-    square and invertible.  Returns what inverse_rows reads: the distinct
-    block inverses, the distinct block of each block, the columns of A in
-    each block, and the block and slot of each row of A."""
-    if not n:
+def _block_split(a: sparse.Coo) -> tuple:
+    """The blocks of the row/column graph of a sparse matrix A: each row's
+    block and slot, each column's block, the rows and the columns of A in
+    each block, and each block of A^T zero-padded, both in index order."""
+    m, n = a.shape
+    blocks = components(sparse.Coo(a.row, m + a.col, a.data, (m + n, m + n)))  # nodes: the rows, then the columns
+    rows, cols, count = blocks[:m], blocks[m:], int(blocks.max(initial=-1)) + 1
+    heights, widths = np.bincount(rows, minlength=count), np.bincount(cols, minlength=count)
+    local = np.zeros((count, widths.max(initial=0), heights.max(initial=0)), dtype=np.int64)
+    row_slots = slots(rows, count)
+    local[rows[a.row], slots(cols, count)[a.col], row_slots[a.row]] = a.data
+    return rows, row_slots, cols, heights, widths, local
+
+
+def independent_rows(a: sparse.Coo, p: int) -> bool:
+    """Whether the rows of a sparse matrix are independent: no block of its
+    row/column graph has more rows than columns (a zero row has none), and
+    each distinct block of several rows has full rank, found by one
+    elimination."""
+    _, _, _, heights, widths, local = _block_split(a)
+    if (heights > widths).any():
+        return False
+    if not (several := (heights > 1).nonzero()[0]).size:
+        return True
+    first, _ = unique_rows(np.hstack([heights[several, None], local[several].reshape(len(several), -1)]))
+    pivots = rref_batch(local[several[first]], p)[1]
+    return bool(np.array_equal((pivots >= 0).sum(axis=1), heights[several[first]]))
+
+
+def block_inverse(a: sparse.Coo, p: int) -> tuple | None:
+    """The inverse of M = A^T, A a square sparse matrix, by the blocks of its
+    row/column graph; None unless every block is square and invertible.
+    Returns what inverse_rows reads: the distinct block inverses, the
+    distinct block of each block, the columns of A in each block, and the
+    block and slot of each row of A."""
+    if not a.shape[0]:
         empty = np.zeros(0, dtype=np.int64)
         return empty.reshape(0, 0, 0), empty, empty.reshape(0, 0), empty, empty
-    # graph nodes: the rows of A, then its columns
-    blocks = components(sparse.Coo(row, n + col, data, (2 * n, 2 * n)))
-    rows, cols = blocks[:n], blocks[n:]
-    count = int(blocks.max()) + 1
-    sizes = np.bincount(rows, minlength=count)
-    if not np.array_equal(np.bincount(cols, minlength=count), sizes):
+    rows, row_slots, cols, sizes, widths, local = _block_split(a)
+    if not np.array_equal(widths, sizes):
         return None
-    row_slots = slots(rows, count)
-    # block b of the matrix, zero-padded: its entries by the columns of A, then its rows, each in index order
-    local = np.zeros((count, sizes.max(), sizes.max()), dtype=np.int64)
-    local[rows[row], slots(cols, count)[col], row_slots[row]] = data
     # blocks of one size and one matrix have one inverse, found once
-    first, kind = unique_rows(np.hstack([sizes[:, None], local.reshape(count, -1)]))
+    first, kind = unique_rows(np.hstack([sizes[:, None], local.reshape(len(local), -1)]))
     inverses = inverse_batch(local[first], sizes[first], p)
     if inverses is None:
         return None

@@ -216,19 +216,20 @@ class ChainDecomposition:
         self._store(rows, [chain.length for chain in chains], p, tuple(chain.tag for chain in chains))
 
     @classmethod
-    def of_rows(cls, basis: np.ndarray, lengths, p: int) -> ChainDecomposition:
-        """Untagged chains of the given lengths laid out in the rows of
-        basis, which is kept (and made read-only), not copied."""
+    def of_entries(cls, entries: sparse.Coo, lengths, p: int) -> ChainDecomposition:
+        """Untagged chains of the given lengths in the rows of the matrix with
+        these row-major entries, which fill the basis array and are kept."""
         decomp = cls.__new__(cls)
-        decomp._store(basis, lengths, p, (None,) * len(lengths))
+        decomp._store(entries.toarray(), lengths, p, (None,) * len(lengths), entries)
         return decomp
 
-    def _store(self, basis, lengths, p: int, tags: tuple):
+    def _store(self, basis, lengths, p: int, tags: tuple, entries: sparse.Coo | None = None):
         self.basis, self.lengths = basis, np.asarray(lengths, dtype=np.int64).reshape(-1)
         self.p, self.dim, self.tags = p, basis.shape[1], tags
         _freeze(self.basis, self.lengths)
+        self._entries = (basis, entries)  # the basis array, and its entries if known
         self._validated: tuple = ()  # what validate last passed
-        self._inverse: tuple = ()  # the basis inverse it found
+        self._inverse: tuple | None = None  # the basis inverse, once coordinates asks
 
     @property
     def chains(self) -> tuple[JordanChain, ...]:
@@ -248,23 +249,28 @@ class ChainDecomposition:
         seen = (self.p, self.dim, der, self.basis, self.lengths)
         if (len(seen) != len(self._validated) or any(a is not b for a, b in zip(seen, self._validated))
                 or any(a.flags.writeable for m in seen[2:] for a in _arrays(m))):
-            inverse = self._check(der if isinstance(der, sparse.Coo) else sparse.from_dense(der))
+            entries = self._check(der if isinstance(der, sparse.Coo) else sparse.from_dense(der))
             _freeze(self.basis, self.lengths)
-            self._validated, self._inverse = seen, inverse
+            self._validated, self._entries, self._inverse = seen, (self.basis, entries), None
 
     def coordinates(self, der, columns) -> np.ndarray:
         """Rows `columns` of the inverse of the basis matrix: row a @ v is the
-        coordinate of v at basis column columns[a].  Validates against D first,
-        and reads the rows off the distinct block inverses that check found."""
+        coordinate of v at basis column columns[a].  Validates against D first;
+        the basis is inverted by blocks (fp.block_inverse) on the first call."""
         self.validate(der)
+        if self._inverse is None:
+            if (inverse := fp.block_inverse(self._entries[1], self.p)) is None:
+                raise AssertionError("a validated chain basis is singular")
+            self._inverse = inverse
         return fp.inverse_rows(self._inverse, columns, self.dim)
 
-    def _check(self, der: sparse.Coo) -> tuple:
+    def _check(self, der: sparse.Coo) -> sparse.Coo:
         """D maps every chain vector to the next one and the tail to zero,
-        checked for all vectors in one sparse product; the vectors form a
-        basis, checked one block of the basis matrix at a time, each
-        distinct block inverted once.  Returns the inverse of the basis
-        matrix by blocks, as fp.block_inverse gives it."""
+        checked for all vectors in one sparse product; they then form a basis
+        exactly when the tails are independent (D^m of a relation, m the
+        largest power it leaves room for, is one among the tails), as when
+        every tail ends at its own column.  Returns the basis entries it read:
+        those kept with the basis while it is that read-only array."""
         lengths, p, dim = self.lengths, self.p, self.dim
         outside = lengths[(lengths < 1) | (lengths > p)]
         if outside.size:
@@ -272,13 +278,14 @@ class ChainDecomposition:
         total = int(lengths.sum())
         if total != dim:
             raise ValueError(f"chain lengths sum to {total}, dim is {dim}")
-        # row k of the basis array is basis column k; its entries, row-major
-        row, col = np.nonzero(self.basis)
-        data = self.basis[row, col]
+        made, entries = self._entries  # row k of the basis array is basis column k; its entries, row-major
+        if made is not self.basis or entries is None or any(a.flags.writeable for a in _arrays(made)):
+            entries = sparse.from_dense(self.basis)
+        row, col, data = entries.row, entries.col, entries.data
         starts = self.chain_offsets()
         head = np.zeros(dim, dtype=bool)
         head[starts] = True
-        images = sparse.product(sparse.Coo(row, col, data, (dim, dim)), der.transpose(), p)  # row k: (D v_k)^T
+        images = sparse.product(entries, der.transpose(), p)  # row k: (D v_k)^T
         keep = ~head[row]  # row k + 1 moved up to row k; the heads drop out, so the tails meet zero
         shifted = sparse.Coo(row[keep] - 1, col[keep], data[keep], (dim, dim))
         if images != shifted:
@@ -286,10 +293,14 @@ class ChainDecomposition:
             if wrong.row[0] in starts + lengths - 1:  # the first wrong row is a tail
                 raise ValueError("chain does not terminate")
             raise ValueError("chain is not a D-orbit")
-        inverse = fp.block_inverse(row, col, data, dim, p)
-        if inverse is None:
+        tail = np.full(dim, -1)
+        tail[starts + lengths - 1] = np.arange(len(lengths))
+        at = ((tail[row] >= 0) & (data % p != 0)).nonzero()[0]  # the tails' entries (a head may be unreduced)
+        ends = col[at[row[at] != np.append(row[at[1:]], -1)]]  # the column each nonzero tail ends at
+        if len(sparse.distinct(ends)) < len(lengths) and not fp.independent_rows(
+                sparse.Coo(tail[row[at]], col[at], data[at], (len(lengths), dim)), p):
             raise ValueError("chain vectors are not a basis")
-        return inverse
+        return entries
 
 
 def block_counts(decomp: ChainDecomposition) -> tuple[int, ...]:
@@ -308,8 +319,8 @@ def _power_blocks(der: sparse.Coo, k: int, p: int) -> tuple[np.ndarray, ...]:
     level maps; parts whose maps agree from the part below through D^k are kept
     once.  Returns the coordinates of each part (as fp.block_table lists them),
     the distinct part of each, the zero-padded stack of the distinct parts of
-    D, ..., D^k, power-major, and the distinct part below each distinct part
-    with the map of D from there."""
+    D, ..., D^k, power-major, the distinct part below each distinct part
+    with the map of D from there, and the part above each part."""
     row, col, dim = der.row, der.col, der.shape[0]
     blocks = fp.components(der)
     count = int(blocks.max(initial=-1)) + 1
@@ -346,7 +357,7 @@ def _power_blocks(der: sparse.Coo, k: int, p: int) -> tuple[np.ndarray, ...]:
     for j in range(1, k):
         np.matmul(maps[path[j + 1][first]], stack[j - 1], out=stack[j])
         stack[j] %= p
-    return coords, kind, stack.reshape(k * len(first), size, size), kind[below[first]], maps[below[first]]
+    return coords, kind, stack.reshape(k * len(first), size, size), kind[below[first]], maps[below[first]], above
 
 
 def _rank_counts(ranks) -> tuple[int, ...]:
@@ -373,38 +384,21 @@ def rank_count_vector(realization: Realization) -> tuple[int, ...]:
     return _rank_counts([*ranks, 0, 0]) + (0,) * (p - d)
 
 
-def _orbits(der: sparse.Coo, heads, lengths, p: int) -> np.ndarray:
-    """The chains headed by the columns of heads, longest first, as the rows
-    of one (sum(lengths), dim) array: chain a fills lengths[a] rows with
-    D^t heads[:, a], t = 0, 1, ..., reduced mod p for t > 0.  D is applied
-    to a shrinking prefix of the heads, one power at a time."""
-    lengths = np.asarray(lengths, dtype=np.int64)
-    dim = der.shape[0]
-    level = np.asarray(heads, dtype=np.int64).reshape(dim, len(lengths))  # column a: D^t of head a
-    offsets = np.cumsum(lengths) - lengths
-    out = np.empty((int(lengths.sum()), dim), dtype=np.int64)
-    for t in range(int(lengths.max(initial=0))):
-        if t:
-            level = der.dot(level[:, : np.count_nonzero(lengths > t)]) % p
-        out[offsets[: level.shape[1]] + t] = level.T
-    return out
-
-
 def _chains_of(der: sparse.Coo, d: int, p: int) -> tuple[ChainDecomposition, list[int]]:
     """Deterministic chain extraction for a D with D^d = 0, d <= p, not yet
-    validated: the chains of the heads that `_heads` picks, written straight
-    into one basis array, and the ranks [r_0, ..., r_{d+1}] of the powers of
-    D.  The heads are taken first, so the elimination's arrays are freed
-    before the chains are built."""
-    heads, lengths, ranks = _heads(der, d, p)
-    return ChainDecomposition.of_rows(_orbits(der, heads, lengths, p), lengths, p), ranks
+    validated: the chains of the heads that `_heads` picks, filled into one
+    basis array from their entries, and the ranks [r_0, ..., r_{d+1}] of the
+    powers of D."""
+    entries, lengths, ranks = _heads(der, d, p)
+    return ChainDecomposition.of_entries(entries, lengths, p), ranks
 
 
-def _heads(der: sparse.Coo, d: int, p: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
+def _heads(der: sparse.Coo, d: int, p: int) -> tuple[sparse.Coo, np.ndarray, list[int]]:
     """Deterministic head pick for a D with D^d = 0, d <= p: for lengths l = d
     down to 1, heads are a complement of (ker D^{l-1} + im D) inside ker D^l,
-    picked by echelon order.  Returns the heads as the columns of a (dim,
-    chains) array, their chain lengths, and the ranks [r_0, ..., r_{d+1}].
+    picked by echelon order.  Returns the row-major entries of the chains
+    h, Dh, ... of the heads, one row each, then the chain lengths and the
+    ranks [r_0, ..., r_{d+1}].
 
     The candidates are the fp.kernel_basis rows of D^l (row f has a 1 at the
     free column f and zeros at the other free columns), and one heads a chain
@@ -421,10 +415,11 @@ def _heads(der: sparse.Coo, d: int, p: int) -> tuple[np.ndarray, np.ndarray, lis
     elimination of the distinct parts gives the kernels (and the ranks) of
     every power, one more the ends of every W.  Heads are ordered longest
     chain first, then by their free coordinate, as the global kernel basis
-    orders them.
+    orders them.  D^t h, for a head h of part q, is D^t's distinct part for
+    q applied to h there, and lies in the t-th part above q.
     """
     dim = der.shape[0]
-    coords, kind, stack, lower, below = _power_blocks(der, d + 1, p)  # D^{d+1} = 0 too
+    coords, kind, stack, lower, below, above = _power_blocks(der, d + 1, p)  # D^{d+1} = 0 too
     count, size = len(lower), stack.shape[1]
     # kernel rows of every distinct part of D^1..D^{d+1}: row f has a 1 at free slot f
     rows, pivots = fp.rref_batch(stack, p)
@@ -437,6 +432,7 @@ def _heads(der: sparse.Coo, d: int, p: int) -> tuple[np.ndarray, np.ndarray, lis
     kernels[1:].reshape(len(rows), size, size)[at, :, pivots[at, rank]] = -rows[at, rank] % p
     kernels[~free] = 0
     kernels[:, :, np.arange(size), np.arange(size)] = free
+    powers = stack[: (d - 1) * count].reshape(d - 1, count, size, size).copy()  # D^1..D^{d-1}, for the chains
     del rows, stack  # the elimination arrays are freed once used: together they set the peak memory here
     # W for l = 1..d on the free coordinates of D^l, columns reversed: ker D^{l-1}, then D ker D^{l+1} from below
     spans = np.empty((d, count, 2 * size, size), dtype=np.int64)
@@ -449,15 +445,21 @@ def _heads(der: sparse.Coo, d: int, p: int) -> tuple[np.ndarray, np.ndarray, lis
     picked = free[1 : d + 1].copy()
     at, rank = (ends >= 0).nonzero()
     picked.reshape(d * count, size)[at, size - 1 - ends[at, rank]] = False
-    # the heads of every part, longest chain first, one column each
+    # the heads of every part, longest chain first
     shorter, part, slot = picked[::-1][:, kind].nonzero()
     order = np.lexsort((coords[part, slot], shorter))
     lengths, part, slot = d - shorter[order], part[order], slot[order]
-    local, where = kernels[lengths, kind[part], slot], coords[part]
-    heads = np.zeros((dim, len(lengths)), dtype=np.int64)
-    row, col = (where >= 0).nonzero()
-    heads[where[row, col], row] = local[row, col]
-    return heads, lengths, ranks
+    # D^t h of every head, t < d, in the coordinates of the t-th part above its own
+    local, where = np.empty((2, len(lengths), d, size), dtype=np.int64)
+    local[:, 0], where[:, 0], own = kernels[lengths, kind[part], slot], coords[part], kind[part]
+    for t in range(1, d):
+        local[:, t] = np.matmul(powers[t - 1, own], local[:, 0, :, None])[..., 0] % p
+        part = above[part]
+        where[:, t] = coords[part]
+    held = (np.arange(d) < lengths[:, None])[..., None] & (where >= 0) & (local != 0)
+    chain, t, _ = held.nonzero()  # row-major: chain by chain, t ascending, each part's coordinates ascending
+    return sparse.Coo(np.cumsum(lengths)[chain] - lengths[chain] + t, where[held], local[held],
+                      (int(lengths.sum()), dim)), lengths, ranks
 
 
 def jordan_decompose(realization: Realization) -> ChainDecomposition:
@@ -514,6 +516,12 @@ def structured_decompose(realization: Realization, subset) -> ChainDecomposition
     def unit(kind: str, k: int) -> np.ndarray:  # a row of its own, so no chain views a dim x dim array
         return (np.arange(alg.dim) == integral.generator_index(kind, k)).astype(np.int64)[None]
 
+    def orbit(v, length: int) -> np.ndarray:  # the rows v, Dv, ..., D^{length-1} v
+        rows = [np.reshape(v, -1)]
+        while len(rows) < length:
+            rows.append(der.dot(rows[-1]) % alg.p)
+        return np.array(rows)
+
     attached = {i: attached_node(gcm, i) for i in subset}
     chains: list[JordanChain] = []
 
@@ -523,15 +531,15 @@ def structured_decompose(realization: Realization, subset) -> ChainDecomposition
         alpha_i, alpha_j = integral.roots.simple(i), integral.roots.simple(j)
         touched_roots.update({alpha_i, alpha_j, alpha_i + alpha_j})
         # e_j -> [e, e_j]
-        chains.append(JordanChain(_orbits(der, unit("e", j), [2], alg.p), tag=("e", j)))
+        chains.append(JordanChain(orbit(unit("e", j), 2), tag=("e", j)))
         # [f, f_j] -> f_j
         ff = alg.bracket(unit("f", i), unit("f", j))
-        chain = JordanChain(_orbits(der, ff, [2], alg.p), tag=("f", j))
+        chain = JordanChain(orbit(ff, 2), tag=("f", j))
         if not np.array_equal(chain.tail, unit("f", j)[0]):
             raise AssertionError("[f, f_j] does not map onto f_j")
         chains.append(chain)
         # f_i -> h_i -> -2 e_i
-        chains.append(JordanChain(_orbits(der, unit("f", i), [3], alg.p)))
+        chains.append(JordanChain(orbit(unit("f", i), 3)))
         # h_j - h_i
         chains.append(JordanChain((unit("h", j) - unit("h", i)) % alg.p, tag=("h", j)))
     untouched = [k for k in range(1, gcm.n + 1) if k not in subset and k not in attached.values()]

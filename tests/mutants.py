@@ -118,6 +118,24 @@ MUTANTS = [
     Mutant("parser lets a nesting past the stack raise RecursionError", "src/verlie/repalpha.py",
            '        raise ParseError("nested too deeply", parser.pos) from None', "        raise",
            ("tests/test_cli.py::test_element_nested_400_deep_is_a_parse_error",)),
+    Mutant("subspaces of one ambient compare equal whatever their spans", "src/verlie/superalgebra.py",
+           "            and self.p == other.p", "            or self.p == other.p",
+           ("tests/test_superalgebra.py::test_distinct_spans_of_one_ambient_compare_unequal",)),
+    Mutant("basis check accepts any set of nonzero tails", "src/verlie/repalpha.py",
+           "if len(sparse.distinct(ends)) < len(lengths)", "if len(ends) < len(lengths)",
+           ("tests/test_repalpha.py::test_independent_heads_with_dependent_tails_are_not_a_basis",
+            "tests/test_repalpha.py::test_basis_verdict_agrees_with_the_dense_check_on_mixed_chains")),
+    Mutant("basis check refuses tails that share a column without the blocked fallback", "src/verlie/repalpha.py",
+           "< len(lengths) and not fp.independent_rows(", "< len(lengths) or not fp.independent_rows(",
+           ("tests/test_repalpha.py::test_independent_heads_with_dependent_tails_are_not_a_basis",
+            "tests/test_cli_golden.py::test_json_payload_pinned[decompose --algebra e6 -p 3 --element e1+e2+e5]")),
+    Mutant("blocked fallback skips the rank of blocks of several rows", "src/verlie/fp.py",
+           "    if not (several := (heights > 1).nonzero()[0]).size:", "    if True:",
+           ("tests/test_repalpha.py::test_independent_heads_with_dependent_tails_are_not_a_basis",
+            "tests/test_fp.py::test_independent_rows_matches_the_rank")),
+    Mutant("basis check reads stored entries for a replaced basis", "src/verlie/repalpha.py",
+           "        if made is not self.basis or entries is None or any(", "        if entries is None or any(",
+           ("tests/test_repalpha.py::test_stored_entries_serve_only_their_own_basis",)),
 ]
 
 

@@ -113,6 +113,24 @@ def padded_heads(powers: list[sparse.Coo], p: int) -> tuple[np.ndarray, np.ndarr
     return heads, lengths, ranks
 
 
+def chain_orbits(der: sparse.Coo, heads, lengths, p: int) -> np.ndarray:
+    """The chains headed by the columns of heads, as the rows of one
+    (sum(lengths), dim) array: chain a fills lengths[a] rows with D^t
+    heads[:, a], t = 0, 1, ..., reduced mod p for t > 0, D applied to the
+    dense heads one power at a time: the reference for the chains that
+    repalpha._heads builds from the level parts of the powers of D."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    dim = der.shape[0]
+    level = np.asarray(heads, dtype=np.int64).reshape(dim, len(lengths))  # column a: D^t of head a
+    offsets = np.cumsum(lengths) - lengths
+    out = np.empty((int(lengths.sum()), dim), dtype=np.int64)
+    for t in range(int(lengths.max(initial=0))):
+        if t:
+            level = der.dot(level[:, : np.count_nonzero(lengths > t)]) % p
+        out[offsets[: level.shape[1]] + t] = level.T
+    return out
+
+
 # The chain check that stacks the chain vectors densely, multiplies them by D
 # densely and inverts every block of the basis matrix, repeats included: the
 # reference that ChainDecomposition.validate, which works on the entries of

@@ -78,6 +78,20 @@ def test_certify_star_target(capsys):
     assert "(9|6)" in capsys.readouterr().out
 
 
+def test_star_target_is_refused_for_another_algebra_or_subset(capsys, tmp_path):
+    """sl(3|1) is the star target of f4 with subset 1 only: e6 with subset 2,
+    or f4 with subset 4, naming it is refused before any decomposition, and
+    a spec file holding f4's Cartan matrix takes the star route."""
+    for algebra, subset in (("e6", "2"), ("f4", "4")):
+        assert main(["certify", "--algebra", algebra, "--subset", subset, "--target", "sl(3|1)"]) == 3
+        captured = capsys.readouterr()
+        assert "sl(3|1)" in captured.err and not captured.out
+    spec = tmp_path / "f4.json"
+    spec.write_text(json.dumps({"cartan": [list(row) for row in catalog_gcm("f4").entries]}))
+    assert main(["certify", "--algebra", str(spec), "--subset", "1", "--target", "sl(3|1)"]) == 0
+    assert "(9|6)" in capsys.readouterr().out
+
+
 def test_swaps_f4(capsys, tmp_path):
     path = tmp_path / "swaps.json"
     assert main(["swaps", "--algebra", "f4", "--subset", "4", "--json", str(path)]) == 0

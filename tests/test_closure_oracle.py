@@ -70,7 +70,9 @@ def naive_closure(alg, seeds, left=None, right=None) -> np.ndarray:
 
 
 def same_span(sub: Subspace, rows, alg) -> bool:
-    return sub == Subspace.from_vectors(rows, alg.dim, alg.p)
+    """Both spans have one reduced echelon form: the same pivots and rows."""
+    other = Subspace.from_vectors(rows, alg.dim, alg.p)
+    return sub.pivots == other.pivots and np.array_equal(sub.rows, other.rows)
 
 
 def draw_seeds(data, alg, homogeneous=False) -> np.ndarray:

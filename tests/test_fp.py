@@ -343,3 +343,30 @@ def test_rref_batch_slices_match_rref(case):
         expected, expected_pivots = fp.rref(m, p)
         assert np.array_equal(rows[block], expected)
         assert pivots[block].tolist() == expected_pivots + [-1] * (len(m) - len(expected_pivots))
+
+
+@settings(max_examples=100, deadline=None)
+@given(gf_stacks(), st.booleans(), st.integers(0, 2**32 - 1))
+def test_independent_rows_matches_the_rank(case, drop_zero_rows, seed):
+    """The matrices of a stack, some repeated, put on the diagonal of one
+    matrix, its zero rows dropped or kept, and its rows and columns
+    permuted: the rows are independent exactly when its rank is its row
+    count."""
+    stack, p = case
+    rng = np.random.default_rng(seed)
+    stack = stack[rng.integers(0, len(stack), 2 * len(stack))]
+    count, rows, cols = stack.shape
+    m = np.zeros((count * rows, count * cols), dtype=np.int64)
+    for b, block in enumerate(stack):
+        m[b * rows : (b + 1) * rows, b * cols : (b + 1) * cols] = block
+    if drop_zero_rows:
+        m = m[m.any(axis=1)]
+    m = m[rng.permutation(len(m))][:, rng.permutation(m.shape[1])]
+    assert fp.independent_rows(sparse.from_dense(m), p) == (rank(m, p) == len(m))
+
+
+@pytest.mark.parametrize("rows", [0, 1, 5])
+def test_unique_rows_of_zero_width(rows):
+    """Rows of no entries are all the one empty row."""
+    first, kind = fp.unique_rows(np.zeros((rows, 0), dtype=np.int64))
+    assert first.tolist() == [0] * (rows > 0) and kind.tolist() == [0] * rows

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import verlie as v
-from tests.oracles import dense_chain_check, free_nilpotent_example, literal_reference, padded_heads
+from tests.oracles import chain_orbits, dense_chain_check, free_nilpotent_example, literal_reference, padded_heads
 from tests.test_fp import largest_accepted_prime, rank, realize_in_abelian
 from verlie import fp, repalpha, roots, sparse
 from verlie.errors import BadSpec, DegreeExceedsP, NotNilpotent, ParseError, PreconditionViolated, UnknownGenerator
@@ -17,7 +17,6 @@ from verlie.repalpha import (
     JordanChain,
     _chains_of,
     _heads,
-    _orbits,
     _rank_counts,
     block_counts,
     boundary_subset,
@@ -508,14 +507,14 @@ def test_repeated_blocks_give_the_padded_head_pick(p, kinds, seed):
     the rank formula equals the one on the ranks of the whole powers."""
     der = repeated_block_derivation(p, kinds, np.random.default_rng(seed))
     dim = len(der)
-    _, kind, stack, _, _ = repalpha._power_blocks(sparse.from_dense(der), p, p)
+    _, kind, stack = repalpha._power_blocks(sparse.from_dense(der), p, p)[:3]
     assert len(stack) // p <= len(kind) - sum(repeats - 1 for _, repeats in kinds)
     r = realize_derivation(ModularSuperAlgebra.from_entries(p, np.zeros(dim, dtype=np.int64), [], [], [], []), der)
     powers = power_list(r.der, p)
     heads, lengths, ranks = padded_heads(powers, p)
     decomp = jordan_decompose(r)
     assert np.array_equal(decomp.lengths, lengths)
-    assert np.array_equal(decomp.basis, _orbits(r.der, heads, lengths, p))
+    assert np.array_equal(decomp.basis, chain_orbits(r.der, heads, lengths, p))
     assert _heads(r.der, r.degree, p)[2] == ranks[: r.degree + 2] and not any(ranks[r.degree + 2 :])
     power_ranks = [rank(power.toarray(), p) for power in powers] + [0]
     assert rank_count_vector(r) == _rank_counts(power_ranks) == block_counts(decomp)
@@ -542,17 +541,20 @@ def level_derivation(p: int, kind: str, sizes, n: int, rng) -> np.ndarray:
 def assert_matches_the_padded_head_pick(der: sparse.Coo, p: int, degree: int | None):
     """_heads, and for a realization also jordan_decompose and
     rank_count_vector, against the head pick that eliminates every block
-    whole and padded."""
+    whole and padded: the chains _heads builds from its heads are the orbits
+    of the padded pick's heads."""
     heads, lengths, ranks = padded_heads(power_list(der, p), p)
+    chains = chain_orbits(der, heads, lengths, p)
     got = _heads(der, p, p)
-    assert np.array_equal(got[0], heads) and np.array_equal(got[1], lengths) and got[2] == ranks
+    assert np.array_equal(got[0].toarray(), chains) and np.array_equal(got[1], lengths) and got[2] == ranks
     if degree is not None:
         r = repalpha.Realization(ModularSuperAlgebra.from_entries(p, np.zeros(der.shape[0], dtype=np.int64), [], [], [], []), der)
         assert r.degree == degree
         bounded = _heads(der, degree, p)
-        assert np.array_equal(bounded[0], heads) and bounded[2] == ranks[: degree + 2] and not any(ranks[degree + 2 :])
+        assert np.array_equal(bounded[0].toarray(), chains) and bounded[2] == ranks[: degree + 2]
+        assert not any(ranks[degree + 2 :])
         decomp = jordan_decompose(r)
-        assert np.array_equal(decomp.lengths, lengths) and np.array_equal(decomp.basis, _orbits(der, heads, lengths, p))
+        assert np.array_equal(decomp.lengths, lengths) and np.array_equal(decomp.basis, chains)
         assert rank_count_vector(r) == _rank_counts(ranks) == block_counts(decomp)
 
 
@@ -587,8 +589,8 @@ def test_a_cycle_of_defect_two_gives_levels_mod_two():
     {1, 3}; D maps each into the other: 1 -> 2 into the first, the other
     three entries into the second."""
     der = sparse.from_entries([1, 2, 3, 3], [0, 1, 2, 0], [1, 2, 1, 1], (4, 4))
-    coords, kind, stack, lower, below = repalpha._power_blocks(der, 3, 5)
-    assert coords.tolist() == [[0, 2], [1, 3]] and len(set(kind.tolist())) == 2
+    coords, kind, stack, lower, below, above = repalpha._power_blocks(der, 3, 5)
+    assert coords.tolist() == [[0, 2], [1, 3]] and len(set(kind.tolist())) == 2 and above.tolist() == [1, 0]
     assert np.array_equal(below[kind[0]], [[0, 0], [2, 0]]) and np.array_equal(below[kind[1]], [[1, 0], [1, 1]])
     assert_matches_the_padded_head_pick(der, 5, 4)
 
@@ -611,7 +613,8 @@ def test_block_sizes_tell_apart_equally_padded_blocks():
     sizes keep the two blocks apart."""
     der = sparse.Coo(np.array([0, 3]), np.array([1, 4]), np.array([0, 1]), (5, 5))
     expected, got = padded_heads(power_list(der, 3), 3), _heads(der, 3, 3)
-    assert np.array_equal(got[0], expected[0]) and np.array_equal(got[1], expected[1]) and got[2] == expected[2]
+    assert np.array_equal(got[0].toarray(), chain_orbits(der, *expected[:2], 3))
+    assert np.array_equal(got[1], expected[1]) and got[2] == expected[2]
     r = repalpha.Realization(ModularSuperAlgebra.from_entries(3, np.zeros(5, dtype=np.int64), [], [], [], []), der)
     assert rank_count_vector(r) == (3, 1, 0)
 
@@ -626,7 +629,7 @@ def test_heads_eliminate_each_distinct_block_once():
     r = realize(alg, parse_element("e2+e3+e4", alg)[1])
     assert r.degree == 5
     assert fp.components(r.der).max() + 1 == 86
-    coords, kind, stack, _, _ = repalpha._power_blocks(r.der, 6, 5)
+    coords, kind, stack = repalpha._power_blocks(r.der, 6, 5)[:3]
     assert len(coords) == len(kind) == 228 and stack.shape == (6 * 31, 5, 5)
     tracemalloc.start()
     try:
@@ -847,7 +850,7 @@ def test_validate_agrees_with_the_dense_check(p, kinds, fault, seed):
         chains[c][-1] += rng.integers(0, p, dim)
     elif fault == "terminate" and (c := pick(lambda c: lengths[c] < max(lengths))) is not None:
         d = pick(lambda d: lengths[d] > lengths[c])
-        chains[c] = _orbits(sparse.from_dense(der), chains[c][0] + chains[d][0], [lengths[c]], p)
+        chains[c] = chain_orbits(sparse.from_dense(der), chains[c][0] + chains[d][0], [lengths[c]], p)
     elif fault == "zero" and c is not None:
         chains[c][rng.integers(lengths[c])] = 0
     elif fault in ("span", "singular", "unequal") and c is not None:
@@ -871,6 +874,131 @@ def test_validate_agrees_with_the_dense_check(p, kinds, fault, seed):
     else:
         decomp.validate(der)
         assert np.array_equal(decomp.coordinates(der, range(dim)), fp.inverse(decomp.basis.T, p))
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=st.sampled_from([3, 5, 7]), kinds=BLOCK_KINDS, mixing=st.floats(0, 1), seed=st.integers(0, 2**32 - 1))
+@example(p=3, kinds=[([2, 1], 1)], mixing=1.0, seed=0)
+@example(p=5, kinds=[([3, 2, 1], 2)], mixing=0.5, seed=3)
+def test_basis_verdict_agrees_with_the_dense_check_on_mixed_chains(p, kinds, mixing, seed):
+    """Each chain replaced by a random combination of the last l vectors of
+    the chains of its length l or longer: a D-orbit of length l that
+    terminates, so only the basis verdict is in question.  A chain of
+    length 1 equal to a longer chain's tail, for one, has a head independent
+    of every other head and a tail that is not.  validate accepts and
+    rejects exactly as the dense check does, with the same message, and the
+    coordinates it finds are the rows of the dense inverse."""
+    rng = np.random.default_rng(seed)
+    der = repeated_block_derivation(p, kinds, rng)
+    dim = len(der)
+    generic, _ = _chains_of(sparse.from_dense(der), p, p)
+    chains = [chain.vectors for chain in generic.chains]
+    mixed = []
+    for vectors in chains:
+        length = len(vectors)
+        out = np.zeros_like(vectors)
+        for other in chains:
+            if len(other) >= length and (other is vectors or rng.random() < mixing / 2):
+                out += int(rng.integers(0, p)) * other[len(other) - length :]
+        mixed.append(JordanChain(out % p))
+    decomp = ChainDecomposition(mixed, p, dim)
+    try:
+        dense_chain_check(decomp, sparse.from_dense(der))
+    except ValueError as error:
+        assert str(error) == "chain vectors are not a basis"
+        with pytest.raises(ValueError) as raised:
+            decomp.validate(der)
+        assert str(raised.value) == str(error)
+    else:
+        decomp.validate(der)
+        assert np.array_equal(decomp.coordinates(der, range(dim)), fp.inverse(decomp.basis.T, p))
+
+
+def test_independent_heads_with_dependent_tails_are_not_a_basis():
+    """D e0 = e1 on three coordinates: the chains (e0, e1) and (e1 + e2)
+    form a basis, but (e0, e1) and (e1) do not, although they are D-orbits
+    whose heads e0 and e1 are independent; only their tails, both e1, are
+    not.  Under D = 0 the chains (e0 + e1) and (e1) have two tails that end
+    at e1 and are independent, and (e0 + e1) and (2 e0 + 2 e1) two that
+    are not, although their block has as many columns as rows."""
+    der = np.zeros((3, 3), dtype=np.int64)
+    der[1, 0] = 1
+    unit = np.eye(3, dtype=np.int64)
+    good = ChainDecomposition([JordanChain(unit[:2]), JordanChain(unit[1:2] + unit[2:])], 3, 3)
+    good.validate(der)
+    assert np.array_equal(good.coordinates(der, range(3)), fp.inverse(good.basis.T, 3))
+    with pytest.raises(ValueError, match="not a basis"):
+        ChainDecomposition([JordanChain(unit[:2]), JordanChain(unit[1:2])], 3, 3).validate(der)
+    zero = np.zeros((2, 2), dtype=np.int64)
+    shared = columns_as_chains(np.array([[1, 0], [1, 1]]), 3)
+    shared.validate(zero)
+    assert np.array_equal(shared.coordinates(zero, range(2)), [[1, 0], [2, 1]])
+    with pytest.raises(ValueError, match="not a basis"):
+        columns_as_chains(np.array([[1, 2], [1, 2]]), 3).validate(zero)
+    # a hand-built head need not be reduced: 3 e0 is zero, and 4 e0 is e0, at p = 3
+    with pytest.raises(ValueError, match="not a basis"):
+        columns_as_chains(np.array([[3, 0], [0, 1]]), 3).validate(zero)
+    unreduced = columns_as_chains(np.array([[4, 0], [3, 1]]), 3)
+    unreduced.validate(zero)
+    assert np.array_equal(unreduced.coordinates(zero, range(2)), np.eye(2, dtype=np.int64))
+
+
+def test_extracted_entries_are_the_nonzeros_of_the_basis():
+    """On every swap-orbit member of f4, e6, e7 and e8 at p = 3, the
+    entries the extraction hands over are the row-major nonzeros of the
+    basis array they fill, and the check reads those entries, not the
+    array."""
+    checked = 0
+    for name in ("f4", "e6", "e7", "e8"):
+        alg = v.catalog_algebra(name, 3)
+        for nodes in orbit_members(name):
+            r = realize(alg, parse_element("+".join(f"e{i}" for i in nodes), alg)[1])
+            decomp = _chains_of(r.der, r.degree, 3)[0]
+            made, entries = decomp._entries
+            assert made is decomp.basis and entries == sparse.from_dense(decomp.basis), (name, nodes)
+            assert decomp._check(r.der) is entries
+            checked += 1
+    assert checked == 110
+
+
+def test_stored_entries_serve_only_their_own_basis():
+    """The entries an extraction hands over describe its basis array only
+    while the decomposition holds that array, read-only: a read-only basis
+    put in its place, or the array made writable and changed, is read
+    afresh, and its fault found."""
+    alg = v.gl(3, 3)
+    r = realize(alg, parse_element("e2", alg)[1])
+    for replace in (True, False):
+        decomp = _chains_of(r.der, r.degree, 3)[0]
+        start = int(decomp.chain_offsets()[np.argmax(decomp.lengths)])
+        if replace:
+            bad = decomp.basis.copy()
+            bad[start] = (bad[start] + bad[start + 1]) % 3
+            bad.flags.writeable = False
+            decomp.basis = bad
+        else:
+            decomp.basis.flags.writeable = True
+            decomp.basis[start] = (decomp.basis[start] + decomp.basis[start + 1]) % 3
+        with pytest.raises(ValueError, match="D-orbit"):
+            decomp.validate(r.der)
+
+
+def test_basis_is_inverted_only_for_coordinates(monkeypatch):
+    """validate decides the basis without inverting it; coordinates inverts
+    it on its first call and keeps the inverse, and a validated basis found
+    singular there is an internal error, not a refused input."""
+    alg = v.gl(3, 3)
+    r = realize(alg, parse_element("e2", alg)[1])
+    inverted = []
+    block_inverse = fp.block_inverse
+    monkeypatch.setattr(fp, "block_inverse", lambda *args: inverted.append(args) or block_inverse(*args))
+    decomp = jordan_decompose(r)
+    assert not inverted
+    first = decomp.coordinates(r.der, range(9))
+    assert np.array_equal(decomp.coordinates(r.der, range(9)), first) and len(inverted) == 1
+    monkeypatch.setattr(fp, "block_inverse", lambda *args: None)
+    with pytest.raises(AssertionError, match="singular"):
+        jordan_decompose(r).coordinates(r.der, range(9))
 
 
 def orbit_members(name: str) -> list[tuple[int, ...]]:

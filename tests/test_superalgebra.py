@@ -719,6 +719,16 @@ def test_subspace_canonical_equality():
     assert a.reduce_rows([0, 1, 0]).any()
 
 
+def test_distinct_spans_of_one_ambient_compare_unequal():
+    """Subspaces of one ambient and one p are equal only when their spans
+    are: spans of other dimensions, other pivots or other rows differ, and so
+    does one span taken at another p."""
+    a = Subspace.from_vectors([[1, 2, 0], [0, 0, 1]], 3, 3)
+    for other in ([[1, 2, 0]], [[1, 0, 0], [0, 1, 0]], [[1, 1, 0], [0, 0, 1]]):
+        assert a != Subspace.from_vectors(other, 3, 3)
+    assert a != Subspace.from_vectors([[1, 2, 0], [0, 0, 1]], 3, 5)
+
+
 def test_gen_subquotient_trivial_on_even(gl33):
     out = gen_subquotient(gl33, [gl33.gens["e1"], gl33.gens["f1"], gl33.gens["h1"]])
     assert superdim(out.algebra) == (3, 0)
