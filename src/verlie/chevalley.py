@@ -28,15 +28,20 @@ from .roots import GCM, Root, RootSystem, catalog_gcm, positive_roots
 from .superalgebra import ModularSuperAlgebra, read_back
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class IntegralLieAlgebra:
+    """Frozen, with tuple labels and entries held by sparse.frozen: integral_catalog shares one per name."""
+
     gcm: GCM
     roots: RootSystem
     dim: int
-    labels: list[str]
-    # (nnz, 4) int64 rows (i, j, k, C(i,j,k)) over Z, one per nonzero constant, each
-    # bracket followed by its mirror; read-only, since integral_catalog shares one basis per name
+    labels: tuple[str, ...]
+    # (nnz, 4) int64 rows (i, j, k, C(i,j,k)) over Z, one per nonzero constant, each bracket followed by its mirror
     entries: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "labels", tuple(self.labels))
+        object.__setattr__(self, "entries", sparse.frozen(self.entries))
 
     @property
     def constants(self) -> Mapping[tuple[int, int], Mapping[int, int]]:
@@ -199,8 +204,8 @@ def chevalley_basis(gcm: GCM) -> IntegralLieAlgebra:
             if diff >= 0:
                 emit(gi, npos + di, diff, n_any(gi, npos + di))
 
-    entries = np.array(flat, dtype=np.int64).reshape(-1, 4)
-    entries.setflags(write=False)
+    entries = np.reshape(flat, (-1, 4))
+    flat.clear()  # freed before the entries are copied into their frozen buffer
     return IntegralLieAlgebra(gcm=gcm, roots=rs, dim=dim, labels=labels, entries=entries)
 
 

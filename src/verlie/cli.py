@@ -283,7 +283,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except errors.JacobiViolation as exc:
+    except errors.InternalError as exc:
         print(f"internal assertion failed: {exc}", file=sys.stderr)
         return 4
     except (errors.VerlieError, ValueError, KeyError, OSError) as exc:

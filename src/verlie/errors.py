@@ -52,7 +52,12 @@ class UnknownGenerator(VerlieError):
     """An element expression references a generator the algebra does not have."""
 
 
-class JacobiViolation(VerlieError):
+class InternalError(VerlieError):
+    """A consistency check of the program's own results failed: a fault of
+    the program, not of its input."""
+
+
+class JacobiViolation(InternalError):
     """A constructed bracket failed the (super) Jacobi identity."""
 
 

@@ -228,9 +228,9 @@ def inverse(m, p: int) -> Array:
     a = np.asarray(m)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("inverse expects a square matrix")
-    if (blocks := block_inverse(sparse.from_dense(normalize(a, p).T), p)) is None:
+    if (out := inverse_rows(sparse.from_dense(normalize(a, p).T), np.arange(len(a)), p)) is None:
         raise ValueError("matrix is singular")
-    return inverse_rows(blocks, np.arange(len(a)), len(a))
+    return out
 
 
 def _block_split(a: sparse.Coo) -> tuple:
@@ -262,33 +262,21 @@ def independent_rows(a: sparse.Coo, p: int) -> bool:
     return bool(np.array_equal((pivots >= 0).sum(axis=1), heights[several[first]]))
 
 
-def block_inverse(a: sparse.Coo, p: int) -> tuple | None:
-    """The inverse of M = A^T, A a square sparse matrix, by the blocks of its
-    row/column graph; None unless every block is square and invertible.
-    Returns what inverse_rows reads: the distinct block inverses, the
-    distinct block of each block, the columns of A in each block, and the
-    block and slot of each row of A."""
-    if not a.shape[0]:
-        empty = np.zeros(0, dtype=np.int64)
-        return empty.reshape(0, 0, 0), empty, empty.reshape(0, 0), empty, empty
-    rows, row_slots, cols, sizes, widths, local = _block_split(a)
+def inverse_rows(a: sparse.Coo, rows, p: int) -> Array | None:
+    """Rows `rows` of the inverse of M = A^T, A a square sparse matrix, found
+    by the blocks of its row/column graph, each distinct block (of one size
+    and one matrix) inverted once; None unless every block is square and
+    invertible."""
+    block_of, slot, cols, sizes, widths, local = _block_split(a)
     if not np.array_equal(widths, sizes):
         return None
-    # blocks of one size and one matrix have one inverse, found once
-    first, kind = unique_rows(np.hstack([sizes[:, None], local.reshape(len(local), -1)]))
-    inverses = inverse_batch(local[first], sizes[first], p)
-    if inverses is None:
+    first, kind = unique_rows(np.hstack([sizes[:, None], local.reshape(len(local), local.shape[1] * local.shape[2])]))
+    if (inverses := inverse_batch(local[first], sizes[first], p)) is None:
         return None
-    return inverses, kind, block_table(cols), rows, row_slots
-
-
-def inverse_rows(blocks: tuple, rows, n: int) -> Array:
-    """Rows `rows` of the n x n inverse that block_inverse returned by blocks."""
-    inverses, kind, coords, block_of, slot = blocks
     rows = np.asarray(rows, dtype=np.int64)
     block = block_of[rows]
-    local, where = inverses[kind[block], slot[rows]], coords[block]
-    out = np.zeros((len(rows), n), dtype=np.int64)
+    local, where = inverses[kind[block], slot[rows]], block_table(cols)[block]
+    out = np.zeros((len(rows), a.shape[0]), dtype=np.int64)
     row, col = np.nonzero(where >= 0)
     out[row, where[row, col]] = local[row, col]
     return out

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from . import fp, sparse
-from .errors import DegreeExceedsP, NotNilpotent, ParseError, PreconditionViolated, UnknownGenerator
+from .errors import DegreeExceedsP, InternalError, NotNilpotent, ParseError, PreconditionViolated, UnknownGenerator
 from .roots import Root, admissible_subsets, attached_node, exact_int
 from .superalgebra import ModularSuperAlgebra
 
@@ -125,7 +125,7 @@ def parse_element(src: str, alg: ModularSuperAlgebra) -> tuple[str, np.ndarray]:
 @dataclass(frozen=True, eq=False)
 class Realization:
     """Algebra plus a nilpotent derivation D with D^p = 0, held as one sparse
-    read-only matrix (a dense one is converted), and its degree, the
+    matrix in bytes buffers (a dense one is converted), and its degree, the
     smallest k >= 1 with D^k = 0, found when the realization is made."""
 
     algebra: ModularSuperAlgebra
@@ -145,8 +145,7 @@ class Realization:
             raise NotNilpotent(f"derivation is not nilpotent (D^{max(exponent, p)} != 0)")
         if exponent > p:
             raise DegreeExceedsP(f"derivation is nilpotent of degree > {p}")
-        _freeze(der)
-        object.__setattr__(self, "der", der)
+        object.__setattr__(self, "der", sparse.frozen(der))
         object.__setattr__(self, "degree", exponent)
 
 
@@ -189,88 +188,70 @@ class JordanChain:
         return self.vectors[-1]
 
 
-def _arrays(m) -> list[np.ndarray]:
-    """The arrays holding the entries of a dense or sparse matrix, and the arrays they view."""
-    out = [m.row, m.col, m.data] if isinstance(m, sparse.Coo) else [np.asarray(m)]
-    for a in out:  # each view's base joins the list
-        if isinstance(a.base, np.ndarray):
-            out.append(a.base)
-    return out
-
-
-def _freeze(*matrices):
-    for a in (a for m in matrices for a in _arrays(m)):
-        a.flags.writeable = False
-
-
+@dataclass(frozen=True, eq=False)
 class ChainDecomposition:
-    """Jordan chains kept as the rows of one read-only int64 basis array:
-    row k is the k-th chain vector, chain by chain, and chain c has length
-    lengths[c] and generator tag tags[c] (or None).  The chains themselves
-    are frozen row views of that array."""
+    """Jordan chains as the row-major entries of one matrix: row k is the
+    k-th chain vector, chain by chain, and chain c has length lengths[c] and
+    generator tag tags[c] (or None).  It is checked against D when it is
+    made, and its fields are frozen and its arrays held in bytes buffers
+    (sparse.frozen), so it stays checked."""
 
-    def __init__(self, chains, p: int, dim: int):
-        """Hand-built chains, stacked into the basis array once."""
-        chains = tuple(chains)
-        rows = np.vstack([np.zeros((0, dim), dtype=np.int64), *(chain.vectors for chain in chains)], dtype=np.int64)
-        self._store(rows, [chain.length for chain in chains], p, tuple(chain.tag for chain in chains))
+    entries: sparse.Coo = field(repr=False)
+    lengths: np.ndarray
+    der: sparse.Coo | np.ndarray = field(repr=False)  # the D it was checked against
+    p: int
+    tags: tuple | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "entries", sparse.frozen(self.entries))
+        object.__setattr__(self, "lengths", sparse.frozen(np.reshape(self.lengths, -1)))
+        object.__setattr__(self, "tags", tuple(self.tags or (None,) * len(self.lengths)))
+        self.validate(self.der)
 
     @classmethod
-    def of_entries(cls, entries: sparse.Coo, lengths, p: int) -> ChainDecomposition:
-        """Untagged chains of the given lengths in the rows of the matrix with
-        these row-major entries, which fill the basis array and are kept."""
-        decomp = cls.__new__(cls)
-        decomp._store(entries.toarray(), lengths, p, (None,) * len(lengths), entries)
-        return decomp
+    def of_chains(cls, chains, der, p: int) -> ChainDecomposition:
+        """Hand-built chains, checked against D, dense or sparse."""
+        chains = tuple(chains)
+        rows = np.vstack([np.zeros((0, der.shape[0]), dtype=np.int64), *(chain.vectors for chain in chains)])
+        return cls(sparse.from_dense(rows), [chain.length for chain in chains], der, p,
+                   tuple(chain.tag for chain in chains))
 
-    def _store(self, basis, lengths, p: int, tags: tuple, entries: sparse.Coo | None = None):
-        self.basis, self.lengths = basis, np.asarray(lengths, dtype=np.int64).reshape(-1)
-        self.p, self.dim, self.tags = p, basis.shape[1], tags
-        _freeze(self.basis, self.lengths)
-        self._entries = (basis, entries)  # the basis array, and its entries if known
-        self._validated: tuple = ()  # what validate last passed
-        self._inverse: tuple | None = None  # the basis inverse, once coordinates asks
+    @property
+    def dim(self) -> int:
+        return self.entries.shape[1]
+
+    @property
+    def basis(self) -> np.ndarray:
+        """The chain vectors as the rows of a new read-only dense array."""
+        out = self.entries.toarray()
+        out.flags.writeable = False
+        return out
 
     @property
     def chains(self) -> tuple[JordanChain, ...]:
-        """The chains, in order, as frozen views of their rows."""
-        ends = np.cumsum(self.lengths).tolist()
-        return tuple(JordanChain(self.basis[end - length : end], tag)
+        """The chains, in order, as frozen views of the rows of one basis array."""
+        basis, ends = self.basis, np.cumsum(self.lengths).tolist()
+        return tuple(JordanChain(basis[end - length : end], tag)
                      for end, length, tag in zip(ends, self.lengths.tolist(), self.tags))
 
     def chain_offsets(self) -> np.ndarray:
-        """The row of the basis array at which each chain starts."""
+        """The row of the basis matrix at which each chain starts."""
         return np.cumsum(self.lengths) - self.lengths
 
-    def validate(self, der):
-        """Check the chains against D, dense or sparse, once.  It is skipped
-        only for the same D, basis array and lengths, all still read-only
-        (as a `Realization` holds D)."""
-        seen = (self.p, self.dim, der, self.basis, self.lengths)
-        if (len(seen) != len(self._validated) or any(a is not b for a, b in zip(seen, self._validated))
-                or any(a.flags.writeable for m in seen[2:] for a in _arrays(m))):
-            entries = self._check(der if isinstance(der, sparse.Coo) else sparse.from_dense(der))
-            _freeze(self.basis, self.lengths)
-            self._validated, self._entries, self._inverse = seen, (self.basis, entries), None
-
-    def coordinates(self, der, columns) -> np.ndarray:
+    def coordinates(self, columns) -> np.ndarray:
         """Rows `columns` of the inverse of the basis matrix: row a @ v is the
-        coordinate of v at basis column columns[a].  Validates against D first;
-        the basis is inverted by blocks (fp.block_inverse) on the first call."""
-        self.validate(der)
-        if self._inverse is None:
-            if (inverse := fp.block_inverse(self._entries[1], self.p)) is None:
-                raise AssertionError("a validated chain basis is singular")
-            self._inverse = inverse
-        return fp.inverse_rows(self._inverse, columns, self.dim)
+        coordinate of v at basis column columns[a]."""
+        if (out := fp.inverse_rows(self.entries, columns, self.p)) is None:
+            raise InternalError("a checked chain basis is singular")
+        return out
 
-    def _check(self, der: sparse.Coo) -> sparse.Coo:
-        """D maps every chain vector to the next one and the tail to zero,
-        checked for all vectors in one sparse product; they then form a basis
-        exactly when the tails are independent (D^m of a relation, m the
-        largest power it leaves room for, is one among the tails), as when
-        every tail ends at its own column.  Returns the basis entries it read:
-        those kept with the basis while it is that read-only array."""
+    def validate(self, der):
+        """D, dense or sparse, maps every chain vector to the next one and the
+        tail to zero, checked for all vectors in one sparse product; they then
+        form a basis exactly when the tails are independent (D^m of a relation,
+        m the largest power it leaves room for, is one among the tails), as
+        when every tail ends at its own column."""
+        der = der if isinstance(der, sparse.Coo) else sparse.from_dense(der)
         lengths, p, dim = self.lengths, self.p, self.dim
         outside = lengths[(lengths < 1) | (lengths > p)]
         if outside.size:
@@ -278,14 +259,11 @@ class ChainDecomposition:
         total = int(lengths.sum())
         if total != dim:
             raise ValueError(f"chain lengths sum to {total}, dim is {dim}")
-        made, entries = self._entries  # row k of the basis array is basis column k; its entries, row-major
-        if made is not self.basis or entries is None or any(a.flags.writeable for a in _arrays(made)):
-            entries = sparse.from_dense(self.basis)
-        row, col, data = entries.row, entries.col, entries.data
+        row, col, data = self.entries.row, self.entries.col, self.entries.data  # row k is basis column k
         starts = self.chain_offsets()
         head = np.zeros(dim, dtype=bool)
         head[starts] = True
-        images = sparse.product(entries, der.transpose(), p)  # row k: (D v_k)^T
+        images = sparse.product(self.entries, der.transpose(), p)  # row k: (D v_k)^T
         keep = ~head[row]  # row k + 1 moved up to row k; the heads drop out, so the tails meet zero
         shifted = sparse.Coo(row[keep] - 1, col[keep], data[keep], (dim, dim))
         if images != shifted:
@@ -300,7 +278,6 @@ class ChainDecomposition:
         if len(sparse.distinct(ends)) < len(lengths) and not fp.independent_rows(
                 sparse.Coo(tail[row[at]], col[at], data[at], (len(lengths), dim)), p):
             raise ValueError("chain vectors are not a basis")
-        return entries
 
 
 def block_counts(decomp: ChainDecomposition) -> tuple[int, ...]:
@@ -339,7 +316,7 @@ def _power_blocks(der: sparse.Coo, k: int, p: int) -> tuple[np.ndarray, ...]:
     above = start + (np.arange(len(start)) - start + 1) % cycle
     below = above.argsort()
     if (parts[row] != above[parts[col]]).any():
-        raise AssertionError("D does not map each level into the next")
+        raise InternalError("D does not map each level into the next")
     coords = fp.block_table(parts)
     size, held = coords.shape[1], coords >= 0
     slot = np.empty(dim, dtype=np.int64)
@@ -382,15 +359,6 @@ def rank_count_vector(realization: Realization) -> tuple[int, ...]:
     kind, stack = _power_blocks(der, d - 1, p)[1:3]
     ranks = _power_ranks(der.shape[0], kind, fp.rref_batch(stack, p)[1], d - 1)
     return _rank_counts([*ranks, 0, 0]) + (0,) * (p - d)
-
-
-def _chains_of(der: sparse.Coo, d: int, p: int) -> tuple[ChainDecomposition, list[int]]:
-    """Deterministic chain extraction for a D with D^d = 0, d <= p, not yet
-    validated: the chains of the heads that `_heads` picks, filled into one
-    basis array from their entries, and the ranks [r_0, ..., r_{d+1}] of the
-    powers of D."""
-    entries, lengths, ranks = _heads(der, d, p)
-    return ChainDecomposition.of_entries(entries, lengths, p), ranks
 
 
 def _heads(der: sparse.Coo, d: int, p: int) -> tuple[sparse.Coo, np.ndarray, list[int]]:
@@ -466,12 +434,11 @@ def jordan_decompose(realization: Realization) -> ChainDecomposition:
     """Complete chain decomposition of the derivation action, its chain
     counts n_1, ..., n_d (no chain is longer than the degree d) checked
     against the rank formula on the ranks the extraction eliminated."""
-    d = realization.degree
-    decomp, ranks = _chains_of(realization.der, d, realization.algebra.p)
-    decomp.validate(realization.der)
-    if tuple(np.bincount(decomp.lengths, minlength=d + 1)[1:].tolist()) != _rank_counts(ranks):
-        raise AssertionError("chain counts disagree with the rank formula")
-    return decomp
+    d, p = realization.degree, realization.algebra.p
+    entries, lengths, ranks = _heads(realization.der, d, p)
+    if tuple(np.bincount(lengths, minlength=d + 1)[1:].tolist()) != _rank_counts(ranks):
+        raise InternalError("chain counts disagree with the rank formula")
+    return ChainDecomposition(entries, lengths, realization.der, p)
 
 
 def boundary_subset(realization: Realization, subset) -> tuple[int, ...]:
@@ -536,7 +503,7 @@ def structured_decompose(realization: Realization, subset) -> ChainDecomposition
         ff = alg.bracket(unit("f", i), unit("f", j))
         chain = JordanChain(orbit(ff, 2), tag=("f", j))
         if not np.array_equal(chain.tail, unit("f", j)[0]):
-            raise AssertionError("[f, f_j] does not map onto f_j")
+            raise InternalError("[f, f_j] does not map onto f_j")
         chains.append(chain)
         # f_i -> h_i -> -2 e_i
         chains.append(JordanChain(orbit(unit("f", i), 3)))
@@ -555,13 +522,11 @@ def structured_decompose(realization: Realization, subset) -> ChainDecomposition
         rest_idx.extend([gi, integral.npos + gi])
     rest_idx = sorted(rest_idx)
     if (np.isin(der.col, rest_idx) & ~np.isin(der.row, rest_idx)).any():  # D b_col has a row outside
-        raise AssertionError("complement is not D-stable")
+        raise InternalError("complement is not D-stable")
     # the complement is D-stable, so D on it is the rest x rest block of D, of degree at most D's
     block = sparse.from_dense(der.toarray()[np.ix_(rest_idx, rest_idx)])
-    complement = _chains_of(block, realization.degree, alg.p)[0]
-    embedded = np.zeros((len(complement.basis), alg.dim), dtype=np.int64)
-    embedded[:, rest_idx] = complement.basis
-    chains += [JordanChain(vectors) for vectors in np.split(embedded, np.cumsum(complement.lengths))[:-1]]
-    decomp = ChainDecomposition(chains, alg.p, alg.dim)
-    decomp.validate(der)
-    return decomp
+    entries, lengths, _ = _heads(block, realization.degree, alg.p)
+    embedded = np.zeros((entries.shape[0], alg.dim), dtype=np.int64)
+    embedded[:, rest_idx] = entries.toarray()
+    chains += [JordanChain(vectors) for vectors in np.split(embedded, np.cumsum(lengths))[:-1]]
+    return ChainDecomposition.of_chains(chains, der, alg.p)

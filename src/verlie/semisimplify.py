@@ -49,8 +49,9 @@ class SemisimplifiedAlgebra:
     def provenance(self) -> list[dict]:
         decomp, survivors = self.decomposition, list(self.even_chains + self.odd_chains)
         starts, lengths = decomp.chain_offsets()[survivors].tolist(), decomp.lengths[survivors].tolist()
+        basis = decomp.basis
         return [{"index": a, "parity": int(a >= len(self.even_chains)), "chain": c,
-                 "vectors": decomp.basis[start : start + length].tolist()}
+                 "vectors": basis[start : start + length].tolist()}
                 for a, (c, start, length) in enumerate(zip(survivors, starts, lengths))]
 
     def to_json_dict(self) -> dict:
@@ -79,16 +80,15 @@ def _projected(realization: Realization, decomp: ChainDecomposition, even: tuple
     survivors = np.array(even + odd, dtype=np.int64)
     m = len(survivors)
     parity = np.array([0] * len(even) + [1] * len(odd), dtype=np.int64)
-    # head coefficients, read off the block inverses that validating the chains found
-    coords = decomp.coordinates(realization.der, offsets[survivors])
+    coords = decomp.coordinates(offsets[survivors])  # head coefficients
     coords_t = sparse.from_dense(coords.T)
-    heads = sparse.from_dense(decomp.basis[offsets[survivors]])  # the basis rows are reduced and mostly zero
+    heads = decomp.entries.take_rows(offsets[survivors])
     values = sparse.product(alg.brackets(heads, heads), coords_t, p)  # row a*m+b: [head_a, head_b], column k
     a, b = np.divmod(values.row, m)
     cols, data = values.col, values.data
     if odd:
         # odd-odd rows: the splitting vector sum_t (-1)^t [v_a^(t-1), v_b^(p-t-1)]
-        layers = [sparse.from_dense(decomp.basis[offsets[survivors[len(even) :]] + s]) for s in range(p - 1)]
+        layers = [decomp.entries.take_rows(offsets[survivors[len(even) :]] + s) for s in range(p - 1)]
         split = sparse.combine([((-1) ** t, alg.brackets(layers[t - 1], layers[p - t - 1])) for t in range(1, p)], p)
         split = sparse.product(split, coords_t, p)
         sa, sb = np.divmod(split.row, len(odd))
@@ -111,6 +111,8 @@ def semisimplify(realization: Realization, decomp: ChainDecomposition) -> Semisi
     Both reports are kept on the result as `checks`, with the odd-cube
     report, whose failure is a fact about the output rather than an error.
     """
+    if decomp.der is not realization.der:  # checked against another D
+        decomp.validate(realization.der)
     p = realization.algebra.p
     even = tuple(np.flatnonzero(decomp.lengths == 1).tolist())
     odd = tuple(np.flatnonzero(decomp.lengths == p - 1).tolist())

@@ -173,6 +173,15 @@ def from_entries(row, col, data, shape: tuple[int, int], p: int | None = None) -
     return from_keys(*sum_by_key(row * shape[1] + col, data, p), shape)
 
 
+def frozen(a):
+    """A copy of an int64 array, or of a Coo's arrays, held in a bytes buffer:
+    read-only for good, since WRITEABLE cannot be set on it again."""
+    if isinstance(a, Coo):
+        return Coo(frozen(a.row), frozen(a.col), frozen(a.data), a.shape)
+    a = np.asarray(a, dtype=np.int64)
+    return np.frombuffer(a.tobytes(), np.int64).reshape(a.shape)
+
+
 def from_dense(a) -> Coo:
     a = np.asarray(a, dtype=np.int64)
     row, col = np.nonzero(a)

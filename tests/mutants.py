@@ -133,9 +133,25 @@ MUTANTS = [
            "    if not (several := (heights > 1).nonzero()[0]).size:", "    if True:",
            ("tests/test_repalpha.py::test_independent_heads_with_dependent_tails_are_not_a_basis",
             "tests/test_fp.py::test_independent_rows_matches_the_rank")),
-    Mutant("basis check reads stored entries for a replaced basis", "src/verlie/repalpha.py",
-           "        if made is not self.basis or entries is None or any(", "        if entries is None or any(",
-           ("tests/test_repalpha.py::test_stored_entries_serve_only_their_own_basis",)),
+    Mutant("frozen arrays are copies read-only by flag only", "src/verlie/sparse.py",
+           "    return np.frombuffer(a.tobytes(), np.int64).reshape(a.shape)",
+           "    a = a.copy()\n    a.flags.writeable = False\n    return a",
+           ("tests/test_repalpha.py::test_validated_decomposition_cannot_change_silently",)),
+    Mutant("semisimplify skips the check against another D", "src/verlie/semisimplify.py",
+           "    if decomp.der is not realization.der:", "    if False:",
+           ("tests/test_semisimplify.py::test_a_decomposition_of_another_realization_is_checked_again",)),
+    Mutant("an internal fault exits as a refused input", "src/verlie/cli.py",
+           "    except errors.InternalError as exc:\n"
+           '        print(f"internal assertion failed: {exc}", file=sys.stderr)\n'
+           "        return 4\n", "",
+           ("tests/test_cli.py::test_an_internal_fault_exits_4",)),
+    Mutant("the shared integral basis is not frozen", "src/verlie/chevalley.py",
+           "@dataclass(frozen=True, eq=False)\nclass IntegralLieAlgebra:",
+           "@dataclass(eq=False)\nclass IntegralLieAlgebra:",
+           ("tests/test_chevalley.py::test_shared_integral_basis_cannot_change",)),
+    Mutant("the root system is not frozen", "src/verlie/roots.py",
+           "@dataclass(frozen=True)\nclass RootSystem:", "@dataclass\nclass RootSystem:",
+           ("tests/test_chevalley.py::test_shared_integral_basis_cannot_change",)),
 ]
 
 

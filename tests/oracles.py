@@ -133,32 +133,33 @@ def chain_orbits(der: sparse.Coo, heads, lengths, p: int) -> np.ndarray:
 
 # The chain check that stacks the chain vectors densely, multiplies them by D
 # densely and inverts every block of the basis matrix, repeats included: the
-# reference that ChainDecomposition.validate, which works on the entries of
-# one basis array and inverts each distinct block once, must match.
+# reference that ChainDecomposition.validate, which works on the sparse
+# entries of the chains and decides the basis by their tails, must match.
 
 
-def dense_chain_check(decomp, der: sparse.Coo) -> tuple:
-    """D maps every chain vector to the next one and the tail to zero,
-    checked for all vectors in one product; the vectors form a basis,
-    checked one block of the basis matrix at a time.  Returns the inverse
-    of the basis matrix by blocks: the stack of block inverses, the
-    coordinates of each block, and the block and slot of each basis
-    column."""
-    for chain in decomp.chains:
-        if not 1 <= chain.length <= decomp.p:
+def dense_chain_check(chains, der: sparse.Coo, p: int) -> tuple:
+    """D maps every vector of the chains (a list of JordanChain) to the next
+    one and the tail to zero, checked for all vectors in one product; the
+    vectors form a basis, checked one block of the basis matrix at a time.
+    Returns the inverse of the basis matrix by blocks: the stack of block
+    inverses, the coordinates of each block, and the block and slot of each
+    basis column."""
+    dim = der.shape[0]
+    for chain in chains:
+        if not 1 <= chain.length <= p:
             raise ValueError(f"chain length {chain.length} outside 1..p")
-    total = sum(chain.length for chain in decomp.chains)
-    if total != decomp.dim:
-        raise ValueError(f"chain lengths sum to {total}, dim is {decomp.dim}")
+    total = sum(chain.length for chain in chains)
+    if total != dim:
+        raise ValueError(f"chain lengths sum to {total}, dim is {dim}")
     if not total:
         empty = np.zeros(0, dtype=np.int64)
         return empty.reshape(0, 0, 0), empty.reshape(0, 0), empty, empty
-    vectors = np.vstack([chain.vectors for chain in decomp.chains])  # row k: basis column k
-    tails = np.cumsum([chain.length for chain in decomp.chains]) - 1
+    vectors = np.vstack([chain.vectors for chain in chains])  # row k: basis column k
+    tails = np.cumsum([chain.length for chain in chains]) - 1
     shifted = np.zeros_like(vectors)
     shifted[:-1] = vectors[1:]
     shifted[tails] = 0  # D kills the tail
-    images = der.dot(vectors.T).T % decomp.p
+    images = der.dot(vectors.T).T % p
     wrong = np.flatnonzero((images != shifted).any(axis=1))
     if wrong.size and wrong[0] in tails:
         raise ValueError("chain does not terminate")
@@ -167,14 +168,14 @@ def dense_chain_check(decomp, der: sparse.Coo) -> tuple:
     # the basis matrix is invertible exactly when every block of its own
     # row/column graph is square and invertible, whatever the chains are
     col, row = np.nonzero(vectors)
-    graph = sparse.from_entries(row, decomp.dim + col, np.ones(len(row)), (2 * decomp.dim,) * 2)
+    graph = sparse.from_entries(row, dim + col, np.ones(len(row)), (2 * dim,) * 2)
     blocks = fp.components(graph)
-    rows, cols = blocks[: decomp.dim], blocks[decomp.dim :]
+    rows, cols = blocks[:dim], blocks[dim:]
     count = int(blocks.max()) + 1
     sizes = np.bincount(cols, minlength=count)
     inverses = None
     if np.array_equal(np.bincount(rows, minlength=count), sizes):
-        inverses = fp.inverse_batch(block_stack([vectors.T], rows, cols), sizes, decomp.p)
+        inverses = fp.inverse_batch(block_stack([vectors.T], rows, cols), sizes, p)
     if inverses is None:
         raise ValueError("chain vectors are not a basis")
     return inverses, fp.block_table(rows), cols, fp.slots(cols, count)

@@ -130,7 +130,7 @@ def test_criterion_4_micro_examples():
         JordanChain(np.array([E(3, 1), E(2, 1)])),
         JordanChain(np.array([E(3, 2), (E(2, 2) - E(3, 3)) % 3, E(2, 3)])),
     )
-    decomp = ChainDecomposition(chains, 3, 9)
+    decomp = ChainDecomposition.of_chains(chains, realization.der, 3)
     ss = semisimplify(realization, decomp)
     assert superdim(ss.algebra) == (2, 2)
     c = ss.algebra.constants

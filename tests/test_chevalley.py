@@ -343,6 +343,23 @@ def test_integral_catalog_is_read_only():
     assert check_super_jacobi(reduce_mod_p(integral_catalog("g2"), 5)).ok
 
 
+def test_shared_integral_basis_cannot_change():
+    """integral_catalog shares one basis per name, so none of it can be
+    changed: its fields and its root system's are frozen, its labels are a
+    tuple and its entries a bytes buffer on which WRITEABLE cannot be set."""
+    alg = integral_catalog("g2")
+    for owner, name in ((alg, "dim"), (alg, "labels"), (alg, "entries"), (alg.roots, "positive")):
+        with pytest.raises(FrozenInstanceError):
+            setattr(owner, name, getattr(owner, name))
+    with pytest.raises(TypeError):
+        alg.labels[0] = "zzz"
+    with pytest.raises(ValueError):
+        alg.entries.flags.writeable = True
+    reduced = catalog_algebra("g2", 7)
+    assert reduced.origin is alg and reduced.labels == alg.labels and reduced.labels[0] != "zzz"
+    assert reduced.dim == alg.dim == 14
+
+
 @pytest.mark.parametrize("name", ["g2", "f4", "e6", "e7", "e8", "a4", "b3", "c3", "d4", "gl3", "sl4"])
 def test_catalog_generators_are_rows_of_one_small_array(name):
     """The generators are read-only rows of one (3·rank, dim) array, so an

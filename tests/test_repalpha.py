@@ -11,11 +11,11 @@ import verlie as v
 from tests.oracles import chain_orbits, dense_chain_check, free_nilpotent_example, literal_reference, padded_heads
 from tests.test_fp import largest_accepted_prime, rank, realize_in_abelian
 from verlie import fp, repalpha, roots, sparse
-from verlie.errors import BadSpec, DegreeExceedsP, NotNilpotent, ParseError, PreconditionViolated, UnknownGenerator
+from verlie.errors import (BadSpec, DegreeExceedsP, InternalError, NotNilpotent, ParseError, PreconditionViolated,
+                           UnknownGenerator)
 from verlie.repalpha import (
     ChainDecomposition,
     JordanChain,
-    _chains_of,
     _heads,
     _rank_counts,
     block_counts,
@@ -310,7 +310,7 @@ def test_structured_complement_must_be_d_stable(f4mod3):
     der[integral.generator_index("h", 1), integral.roots.positive.index(gamma)] = 1
     broken = repalpha.Realization(f4mod3, v.sparse.from_dense(der), r.element)
     assert broken.degree == 3
-    with pytest.raises(AssertionError, match="complement is not D-stable"):
+    with pytest.raises(InternalError, match="complement is not D-stable"):
         structured_decompose(broken, (4,))
 
 
@@ -368,9 +368,8 @@ def test_chain_decomposition_validate_rejects_broken():
     bad_vectors = chains[0].vectors.copy()
     bad_vectors[0] = (bad_vectors[0] + 1) % 3
     chains[0] = JordanChain(bad_vectors)
-    broken = ChainDecomposition(tuple(chains), 3, 9)
     with pytest.raises(ValueError):
-        broken.validate(r.der)
+        ChainDecomposition.of_chains(chains, r.der, 3)
 
 
 def greedy_chains(der, p: int, dim: int) -> list[JordanChain]:
@@ -434,18 +433,18 @@ def test_batched_head_pick_matches_greedy_loop(p, blocks, split, seed):
     else:
         basis = unit_lu(dim)
     der = basis @ jordan @ fp.inverse(basis, p) % p
-    got, ranks = _chains_of(sparse.from_dense(der), p, p)
+    entries, lengths, ranks = _heads(sparse.from_dense(der), p, p)
     expected = greedy_chains(der, p, dim)
-    assert len(got.chains) == len(expected)
-    assert all(np.array_equal(chain.vectors, vectors) for chain, vectors in zip(got.chains, expected))
+    assert np.array_equal(lengths, [len(vectors) for vectors in expected])
+    assert np.array_equal(entries.toarray(), np.vstack([np.zeros((0, dim), dtype=np.int64), *expected]))
     if max(blocks) <= p:
-        got.validate(der)
+        got = ChainDecomposition(entries, lengths, der, p)  # checked against D when it is made
         r = realize_in_abelian(der, p)
         assert r.degree == max(blocks)
         assert block_counts(got) == rank_count_vector(r) == _rank_counts(ranks)
         # bounded by the degree, the head pick picks the same chains and ranks
-        bounded, bounded_ranks = _chains_of(r.der, r.degree, p)
-        assert np.array_equal(bounded.basis, got.basis) and np.array_equal(bounded.lengths, got.lengths)
+        bounded, bounded_lengths, bounded_ranks = _heads(r.der, r.degree, p)
+        assert bounded == entries and np.array_equal(bounded_lengths, lengths)
         assert bounded_ranks == ranks[: r.degree + 2] and not any(ranks[r.degree + 2 :])
 
 
@@ -665,15 +664,16 @@ def test_large_blocks_split_into_levels(element, degree, seconds):
 
 
 def test_structured_chains_view_no_square_array():
-    """The singleton chains of untouched nodes are rows of the decomposition's
-    own basis array, which owns its memory, not views of a dim x dim
-    identity: the only square array a chain views is that basis."""
+    """The singleton chains of untouched nodes are rows of the one basis
+    array the chains are read from, which owns its memory, not views of a
+    dim x dim identity: the only square array a chain views is that basis."""
     alg = v.catalog_algebra("e8", 3)
-    decomp = structured_decompose(realize(alg, parse_element("e1+e2", alg)[1]), (1, 2))
-    assert sum(chain.tag is not None and chain.length == 1 for chain in decomp.chains) > 12
-    assert decomp.basis.shape == (alg.dim, alg.dim) and decomp.basis.base is None
-    for chain in decomp.chains:
-        assert chain.vectors.base is decomp.basis
+    chains = structured_decompose(realize(alg, parse_element("e1+e2", alg)[1]), (1, 2)).chains
+    assert sum(chain.tag is not None and chain.length == 1 for chain in chains) > 12
+    basis = chains[0].vectors.base
+    assert basis.shape == (alg.dim, alg.dim) and basis.base is None
+    for chain in chains:
+        assert chain.vectors.base is basis
 
 
 def test_realizations_compare_by_identity(f4mod3):
@@ -687,62 +687,57 @@ def test_realizations_compare_by_identity(f4mod3):
 
 
 def test_validated_decomposition_cannot_change_silently(monkeypatch):
-    """A decomposition's basis array, its chain lengths and its realization
-    are read-only, and its chains are frozen views of that array; a basis
-    replaced or made writable again is checked in full."""
+    """A decomposition is checked once, when it is made.  Its fields cannot
+    be replaced; its entries, its chain lengths and its realization's D are
+    held in bytes buffers, on which WRITEABLE cannot be set again; and its
+    chains are frozen views of a read-only basis array, new on each call."""
     alg = v.gl(3, 3)
     _, vec = parse_element("e2", alg)
     r = realize(alg, vec)
+    checked = []
+    validate = ChainDecomposition.validate
+    monkeypatch.setattr(ChainDecomposition, "validate", lambda self, der: checked.append(der) or validate(self, der))
     decomp = jordan_decompose(r)
+    assert checked == [r.der] and decomp.der is r.der
+    for array in (decomp.entries.row, decomp.entries.col, decomp.entries.data, decomp.lengths, r.der.data):
+        with pytest.raises(ValueError):
+            array.flags.writeable = True
     for write in (lambda: decomp.chains[0].vectors.__setitem__((0, 0), 1),
                   lambda: decomp.chains[0].vectors.base.fill(0),  # the basis array the chains view
+                  lambda: decomp.basis.__setitem__((0, 0), 1),
+                  lambda: decomp.entries.data.__setitem__(0, 2),
                   lambda: decomp.lengths.__setitem__(0, 1),
                   lambda: r.der.data.__setitem__(0, 2)):
         with pytest.raises(ValueError, match="read-only"):
             write()
+    assert decomp.basis is not decomp.basis and np.array_equal(decomp.basis, decomp.basis)
     longest = int(np.argmax(decomp.lengths))
     good = decomp.chains[longest].vectors
     bad = good.copy()
     bad[0] = (bad[0] + bad[1]) % 3
     with pytest.raises(dataclasses.FrozenInstanceError):  # a chain's vectors cannot be replaced
         decomp.chains[longest].vectors = bad
-    full = []
-    check = ChainDecomposition._check
-    monkeypatch.setattr(ChainDecomposition, "_check", lambda self, der: full.append(der) or check(self, der))
-    decomp.validate(r.der)
-    assert not full  # same read-only D and basis: nothing left to check
-    decomp.validate(r.der.toarray())  # another D, even an equal one, is checked
-    assert len(full) == 1
-    # hand-built chains are stacked into a basis of their own, validated once
-    own = ChainDecomposition(decomp.chains, 3, 9)
-    assert own.basis is not decomp.basis and not own.basis.flags.writeable
-    own.validate(r.der)
-    own.validate(r.der)
-    assert len(full) == 2
-    # a basis array replaced after validation
-    start = int(own.chain_offsets()[longest])
-    replaced = own.basis.copy()
-    replaced[start] = bad[0]
-    kept, own.basis = own.basis, replaced
+    for name in ("entries", "lengths", "der", "p", "tags"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(decomp, name, getattr(decomp, name))
+    v.semisimplify(r, decomp)
+    assert len(checked) == 1  # checked against this D when it was made: nothing left to check
+    # hand-built chains are checked once, when they are made, against a dense D too
+    chains = list(decomp.chains)
+    own = ChainDecomposition.of_chains(chains, r.der.toarray(), 3)
+    assert len(checked) == 2 and own.entries == decomp.entries
+    chains[longest] = JordanChain(np.vstack([bad[:1], good[1:]]))
     with pytest.raises(ValueError, match="D-orbit"):
-        own.validate(r.der)
-    own.basis = kept
-    own.validate(r.der)
-    assert len(full) == 3  # the validated basis, put back unchanged and read-only
-    # the basis array made writable again and changed in place
-    own.basis.flags.writeable = True
-    own.basis[start] = bad[0]
-    with pytest.raises(ValueError, match="D-orbit"):
-        own.validate(r.der)
-    assert len(full) == 4
-    with pytest.raises(ValueError, match="D-orbit"):
-        v.semisimplify(r, own)
+        ChainDecomposition.of_chains(chains, r.der, 3)
+    assert len(checked) == 3
 
 
 def columns_as_chains(m, p: int) -> ChainDecomposition:
-    """The columns of m as chains of length 1.  Under D = 0 every chain
-    condition holds, so validating them checks only that they form a basis."""
-    return ChainDecomposition(tuple(JordanChain(np.array([col])) for col in np.asarray(m).T), p, len(m))
+    """The columns of m as chains of length 1, checked against D = 0.  Under
+    D = 0 every chain condition holds, so the check decides only whether
+    they form a basis."""
+    zero = np.zeros((len(m), len(m)), dtype=np.int64)
+    return ChainDecomposition.of_chains([JordanChain(np.array([col])) for col in np.asarray(m).T], zero, p)
 
 
 def test_basis_check_rejects_unequal_blocks():
@@ -751,7 +746,7 @@ def test_basis_check_rejects_unequal_blocks():
     columns."""
     m = np.array([[1, 0, 0], [1, 0, 0], [0, 1, 2]])
     with pytest.raises(ValueError, match="not a basis"):
-        columns_as_chains(m, 3).validate(np.zeros((3, 3), dtype=np.int64))
+        columns_as_chains(m, 3)
 
 
 def test_basis_check_rejects_a_singular_padded_block():
@@ -761,11 +756,10 @@ def test_basis_check_rejects_a_singular_padded_block():
     m[:3, :3] = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
     m[3:, 3:] = [[1, 1], [2, 2]]
     with pytest.raises(ValueError, match="not a basis"):
-        columns_as_chains(m, 3).validate(np.zeros((5, 5), dtype=np.int64))
+        columns_as_chains(m, 3)
     m[4, 4] = 1
-    zero = np.zeros((5, 5), dtype=np.int64)
     inverse = fp.inverse(m, 3)
-    assert np.array_equal(columns_as_chains(m, 3).coordinates(zero, range(5)), inverse)
+    assert np.array_equal(columns_as_chains(m, 3).coordinates(range(5)), inverse)
     assert np.array_equal(m @ inverse % 3, np.eye(5, dtype=np.int64))
 
 
@@ -793,14 +787,13 @@ def test_basis_check_inverts_permuted_block_bases(p, sizes, singular, seed):
         m[:, start + size - 1] = m[:, start] * rng.integers(0, p) % p if size > 1 else 0
     m = m[rng.permutation(dim)][:, rng.permutation(dim)]
     assert (rank(m, p) < dim) == singular
-    decomp, zero = columns_as_chains(m, p), np.zeros((dim, dim), dtype=np.int64)
     if singular:
         with pytest.raises(ValueError, match="not a basis"):
-            decomp.validate(zero)
+            columns_as_chains(m, p)
     else:
-        # both read the block inverses of fp.block_inverse, so the product checks the split itself
+        # both invert by the blocks of fp.inverse_rows, so the product checks the split itself
         inverse = fp.inverse(m, p)
-        assert np.array_equal(decomp.coordinates(zero, range(dim)), inverse)
+        assert np.array_equal(columns_as_chains(m, p).coordinates(range(dim)), inverse)
         assert np.array_equal(m @ inverse % p, np.eye(dim, dtype=np.int64))
 
 
@@ -832,8 +825,8 @@ def test_validate_agrees_with_the_dense_check(p, kinds, fault, seed):
     rng = np.random.default_rng(seed)
     der = repeated_block_derivation(p, kinds, rng)
     dim = len(der)
-    generic, _ = _chains_of(sparse.from_dense(der), p, p)
-    chains = [chain.vectors.copy() for chain in generic.chains]
+    entries, lengths, _ = _heads(sparse.from_dense(der), p, p)
+    chains = np.split(entries.toarray(), np.cumsum(lengths))[:-1]
     d_blocks = fp.components(sparse.from_dense(der))
     block = [d_blocks[np.flatnonzero(vectors[0])[0]] for vectors in chains]
     lengths = [len(vectors) for vectors in chains]
@@ -864,16 +857,16 @@ def test_validate_agrees_with_the_dense_check(p, kinds, fault, seed):
         chains[c : c + 2] = [np.vstack(chains[c : c + 2])]
     elif fault == "drop" and c is not None:
         del chains[c]
-    decomp = ChainDecomposition([JordanChain(vectors % p) for vectors in chains], p, dim)
+    chains = [JordanChain(vectors % p) for vectors in chains]
     try:
-        dense_chain_check(decomp, sparse.from_dense(der))
+        dense_chain_check(chains, sparse.from_dense(der), p)
     except ValueError as error:
         with pytest.raises(ValueError) as raised:
-            decomp.validate(der)
+            ChainDecomposition.of_chains(chains, der, p)
         assert str(raised.value) == str(error)
     else:
-        decomp.validate(der)
-        assert np.array_equal(decomp.coordinates(der, range(dim)), fp.inverse(decomp.basis.T, p))
+        decomp = ChainDecomposition.of_chains(chains, der, p)
+        assert np.array_equal(decomp.coordinates(range(dim)), fp.inverse(decomp.basis.T, p))
 
 
 @settings(max_examples=100, deadline=None)
@@ -891,8 +884,8 @@ def test_basis_verdict_agrees_with_the_dense_check_on_mixed_chains(p, kinds, mix
     rng = np.random.default_rng(seed)
     der = repeated_block_derivation(p, kinds, rng)
     dim = len(der)
-    generic, _ = _chains_of(sparse.from_dense(der), p, p)
-    chains = [chain.vectors for chain in generic.chains]
+    entries, lengths, _ = _heads(sparse.from_dense(der), p, p)
+    chains = np.split(entries.toarray(), np.cumsum(lengths))[:-1]
     mixed = []
     for vectors in chains:
         length = len(vectors)
@@ -901,17 +894,16 @@ def test_basis_verdict_agrees_with_the_dense_check_on_mixed_chains(p, kinds, mix
             if len(other) >= length and (other is vectors or rng.random() < mixing / 2):
                 out += int(rng.integers(0, p)) * other[len(other) - length :]
         mixed.append(JordanChain(out % p))
-    decomp = ChainDecomposition(mixed, p, dim)
     try:
-        dense_chain_check(decomp, sparse.from_dense(der))
+        dense_chain_check(mixed, sparse.from_dense(der), p)
     except ValueError as error:
         assert str(error) == "chain vectors are not a basis"
         with pytest.raises(ValueError) as raised:
-            decomp.validate(der)
+            ChainDecomposition.of_chains(mixed, der, p)
         assert str(raised.value) == str(error)
     else:
-        decomp.validate(der)
-        assert np.array_equal(decomp.coordinates(der, range(dim)), fp.inverse(decomp.basis.T, p))
+        decomp = ChainDecomposition.of_chains(mixed, der, p)
+        assert np.array_equal(decomp.coordinates(range(dim)), fp.inverse(decomp.basis.T, p))
 
 
 def test_independent_heads_with_dependent_tails_are_not_a_basis():
@@ -924,81 +916,53 @@ def test_independent_heads_with_dependent_tails_are_not_a_basis():
     der = np.zeros((3, 3), dtype=np.int64)
     der[1, 0] = 1
     unit = np.eye(3, dtype=np.int64)
-    good = ChainDecomposition([JordanChain(unit[:2]), JordanChain(unit[1:2] + unit[2:])], 3, 3)
-    good.validate(der)
-    assert np.array_equal(good.coordinates(der, range(3)), fp.inverse(good.basis.T, 3))
+    good = ChainDecomposition.of_chains([JordanChain(unit[:2]), JordanChain(unit[1:2] + unit[2:])], der, 3)
+    assert np.array_equal(good.coordinates(range(3)), fp.inverse(good.basis.T, 3))
     with pytest.raises(ValueError, match="not a basis"):
-        ChainDecomposition([JordanChain(unit[:2]), JordanChain(unit[1:2])], 3, 3).validate(der)
-    zero = np.zeros((2, 2), dtype=np.int64)
+        ChainDecomposition.of_chains([JordanChain(unit[:2]), JordanChain(unit[1:2])], der, 3)
     shared = columns_as_chains(np.array([[1, 0], [1, 1]]), 3)
-    shared.validate(zero)
-    assert np.array_equal(shared.coordinates(zero, range(2)), [[1, 0], [2, 1]])
+    assert np.array_equal(shared.coordinates(range(2)), [[1, 0], [2, 1]])
     with pytest.raises(ValueError, match="not a basis"):
-        columns_as_chains(np.array([[1, 2], [1, 2]]), 3).validate(zero)
+        columns_as_chains(np.array([[1, 2], [1, 2]]), 3)
     # a hand-built head need not be reduced: 3 e0 is zero, and 4 e0 is e0, at p = 3
     with pytest.raises(ValueError, match="not a basis"):
-        columns_as_chains(np.array([[3, 0], [0, 1]]), 3).validate(zero)
+        columns_as_chains(np.array([[3, 0], [0, 1]]), 3)
     unreduced = columns_as_chains(np.array([[4, 0], [3, 1]]), 3)
-    unreduced.validate(zero)
-    assert np.array_equal(unreduced.coordinates(zero, range(2)), np.eye(2, dtype=np.int64))
+    assert np.array_equal(unreduced.coordinates(range(2)), np.eye(2, dtype=np.int64))
 
 
 def test_extracted_entries_are_the_nonzeros_of_the_basis():
     """On every swap-orbit member of f4, e6, e7 and e8 at p = 3, the
     entries the extraction hands over are the row-major nonzeros of the
-    basis array they fill, and the check reads those entries, not the
-    array."""
+    basis array they fill, and the decomposition keeps exactly those."""
     checked = 0
     for name in ("f4", "e6", "e7", "e8"):
         alg = v.catalog_algebra(name, 3)
         for nodes in orbit_members(name):
             r = realize(alg, parse_element("+".join(f"e{i}" for i in nodes), alg)[1])
-            decomp = _chains_of(r.der, r.degree, 3)[0]
-            made, entries = decomp._entries
-            assert made is decomp.basis and entries == sparse.from_dense(decomp.basis), (name, nodes)
-            assert decomp._check(r.der) is entries
+            entries = _heads(r.der, r.degree, 3)[0]
+            decomp = jordan_decompose(r)
+            assert decomp.entries == entries == sparse.from_dense(decomp.basis), (name, nodes)
             checked += 1
     assert checked == 110
 
 
-def test_stored_entries_serve_only_their_own_basis():
-    """The entries an extraction hands over describe its basis array only
-    while the decomposition holds that array, read-only: a read-only basis
-    put in its place, or the array made writable and changed, is read
-    afresh, and its fault found."""
-    alg = v.gl(3, 3)
-    r = realize(alg, parse_element("e2", alg)[1])
-    for replace in (True, False):
-        decomp = _chains_of(r.der, r.degree, 3)[0]
-        start = int(decomp.chain_offsets()[np.argmax(decomp.lengths)])
-        if replace:
-            bad = decomp.basis.copy()
-            bad[start] = (bad[start] + bad[start + 1]) % 3
-            bad.flags.writeable = False
-            decomp.basis = bad
-        else:
-            decomp.basis.flags.writeable = True
-            decomp.basis[start] = (decomp.basis[start] + decomp.basis[start + 1]) % 3
-        with pytest.raises(ValueError, match="D-orbit"):
-            decomp.validate(r.der)
-
-
 def test_basis_is_inverted_only_for_coordinates(monkeypatch):
-    """validate decides the basis without inverting it; coordinates inverts
-    it on its first call and keeps the inverse, and a validated basis found
+    """The check decides the basis without inverting it; coordinates
+    inverts it once per call, keeping nothing, and a checked basis found
     singular there is an internal error, not a refused input."""
     alg = v.gl(3, 3)
     r = realize(alg, parse_element("e2", alg)[1])
     inverted = []
-    block_inverse = fp.block_inverse
-    monkeypatch.setattr(fp, "block_inverse", lambda *args: inverted.append(args) or block_inverse(*args))
+    inverse_rows = fp.inverse_rows
+    monkeypatch.setattr(fp, "inverse_rows", lambda *args: inverted.append(args) or inverse_rows(*args))
     decomp = jordan_decompose(r)
     assert not inverted
-    first = decomp.coordinates(r.der, range(9))
-    assert np.array_equal(decomp.coordinates(r.der, range(9)), first) and len(inverted) == 1
-    monkeypatch.setattr(fp, "block_inverse", lambda *args: None)
-    with pytest.raises(AssertionError, match="singular"):
-        jordan_decompose(r).coordinates(r.der, range(9))
+    first = decomp.coordinates(range(9))
+    assert np.array_equal(decomp.coordinates(range(9)), first) and len(inverted) == 2
+    monkeypatch.setattr(fp, "inverse_rows", lambda *args: None)
+    with pytest.raises(InternalError, match="singular"):
+        decomp.coordinates(range(9))
 
 
 def orbit_members(name: str) -> list[tuple[int, ...]]:
@@ -1040,17 +1004,20 @@ def test_rank_formula_agrees_with_the_separate_elimination():
     assert checked > len(cases) // 2
 
 
+def one_rank_off(heads):
+    """The head pick `heads` with its rank of D one too high."""
+    def wrong(der, d, p):
+        entries, lengths, ranks = heads(der, d, p)
+        ranks[1] += 1
+        return entries, lengths, ranks
+
+    return wrong
+
+
 def test_rank_formula_catches_a_wrong_rank(monkeypatch):
     """Correct chains with one wrong rank fail the rank-formula check."""
-    extract = repalpha._chains_of
-
-    def one_rank_off(der, d, p):
-        chains, ranks = extract(der, d, p)
-        ranks[1] += 1
-        return chains, ranks
-
+    monkeypatch.setattr(repalpha, "_heads", one_rank_off(repalpha._heads))
     alg = v.gl(3, 3)
     r = realize(alg, parse_element("e2", alg)[1])
-    monkeypatch.setattr(repalpha, "_chains_of", one_rank_off)
-    with pytest.raises(AssertionError, match="rank formula"):
+    with pytest.raises(InternalError, match="rank formula"):
         jordan_decompose(r)

@@ -86,8 +86,7 @@ def gl3_setup():
     alg = v.gl(3, 3)
     _, vec = v.parse_element("e2", alg)  # the (2,3) elementary matrix
     realization = v.realize(alg, vec)
-    decomp = ChainDecomposition(paper_gl3_chains(), 3, 9)
-    decomp.validate(realization.der.toarray())  # a dense D is accepted too
+    decomp = ChainDecomposition.of_chains(paper_gl3_chains(), realization.der.toarray(), 3)  # a dense D too
     return realization, decomp
 
 
@@ -180,6 +179,19 @@ def test_image_projection():
         if chain.length == 3:
             for t in range(3):
                 assert not ss.image(chain.vectors[t]).any()
+
+
+def test_a_decomposition_of_another_realization_is_checked_again():
+    """A decomposition checked against the D of one realization is checked
+    again against the D of the realization it is semisimplified with: the
+    chains of ad e1 are refused for ad e2, whose orbits they are not, and
+    accepted for another realization of e1, whose D is equal."""
+    alg = v.catalog_algebra("g2", 3)
+    first, second, again = (v.realize(alg, v.parse_element(element, alg)[1]) for element in ("e1", "e2", "e1"))
+    decomp = v.jordan_decompose(first)
+    with pytest.raises(ValueError, match="D-orbit"):
+        semisimplify(second, decomp)
+    assert semisimplify(again, decomp).algebra == semisimplify(first, decomp).algebra
 
 
 @pytest.mark.parametrize("name,p,element,sdim", [("g2", 3, "e2", (3, 4)), ("f4", 5, "e1+e3", (6, 2))])
@@ -293,7 +305,7 @@ def test_head_coordinates_match_the_dense_inverse():
     for realization, decomp, ss in pipelines:
         dense = fp.inverse(decomp.basis.T, decomp.p)
         assert np.array_equal(decomp.basis.T @ dense % decomp.p, np.eye(decomp.dim, dtype=np.int64))
-        assert np.array_equal(decomp.coordinates(realization.der, range(decomp.dim)), dense)
+        assert np.array_equal(decomp.coordinates(range(decomp.dim)), dense)
         offsets = decomp.chain_offsets()
         assert np.array_equal(ss.coords, dense[[offsets[c] for c in ss.even_chains + ss.odd_chains]])
 
