@@ -10,14 +10,14 @@ exact and order-independent.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, pairwise
+from itertools import pairwise
 from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
 
 from . import fp, sparse
-from .errors import DimensionTooLarge, NotAnIdeal, NotParityHomogeneous
+from .errors import DimensionTooLarge, InternalError, NotAnIdeal, NotParityHomogeneous
 
 Constants = dict[tuple[int, int], dict[int, int]]
 
@@ -251,11 +251,6 @@ def skew_witness(tensor: sparse.Coo, parity, p: int | None):
     return (i, *divmod(rest, dim))
 
 
-def _passed(alg: ModularSuperAlgebra, *checks: str) -> bool:
-    """Whether the algebra keeps a passing report of every one of the checks."""
-    return all(check in alg._reports and alg._reports[check].ok for check in checks)
-
-
 def _kept_report(alg: ModularSuperAlgebra, check: str, witness) -> Report:
     """The report of check on alg, computed by witness() on the first call
     and kept on the algebra; witness() returns a failure's witness, or None."""
@@ -289,36 +284,36 @@ def _quadruple(key: int | None, d: int):
     return (i, j, *divmod(rest, d))
 
 
-def _jacobi_blocks(t: sparse.Coo, p: int | None, weigh, upper: bool):
+def _jacobi_blocks(t: sparse.Coo, p: int | None, weigh):
     """Smallest (i, j, k, l) at which a Jacobi sum is nonzero, or None.
 
-    Every product C(x,y,w) C(w,z,l) of a left entry (every entry of t, or
-    with `upper` those with x <= y) and an entry of t is added once, times
-    weight, at the key of (i, j, k, l), where weigh(x, y, z) gives the key
-    (i*d + j)*d + k of the triple and the weight, and i = min(a, z) for
-    a = min(x, y).  So the products fall into two kinds: those with z >= a,
-    found from the left entry (the entries C(w,z,l) sorted by (w, z), a
-    suffix of row w), and those with a > z, found from the right entry (the
-    left entries sorted by (w, a), a suffix of w's span).  They are expanded
-    in blocks [b, b') of i, in ascending order, of about _JACOBI_BUDGET
-    products each.  Each product lands in one block, and a block holds every
-    product of its keys, so the first block with a nonzero sum holds the
-    smallest failing key: the check stops there, and no transient array
-    outgrows a block or the O(nnz) sorted positions of the entries.  A
-    tensor whose products fit one budget is one block.
+    Every product C(x,y,w) C(w,z,l) of a left entry (an entry of t with
+    x <= y) and an entry of t is added once, times weight, at the key of
+    (i, j, k, l), where weigh(x, y, z) gives the key (i*d + j)*d + k of the
+    triple and the weight, and i = min(x, z).  So the products fall into two
+    kinds: those with z >= x, found from the left entry (the entries
+    C(w,z,l) sorted by (w, z), a suffix of row w), and those with x > z,
+    found from the right entry (the left entries sorted by (w, x), a suffix
+    of w's span).  They are expanded in blocks [b, b') of i, in ascending
+    order, of about _JACOBI_BUDGET products each.  Each product lands in one
+    block, and a block holds every product of its keys, so the first block
+    with a nonzero sum holds the smallest failing key: the check stops
+    there, and no transient array outgrows a block or the O(nnz) sorted
+    positions of the entries.  A tensor whose products fit one budget is one
+    block.
     """
     d = t.shape[0]
     k, j = np.divmod(t.col, d)  # C(i,j,k) at entry (i, k*d + j); the entries are sorted by i
-    left = np.flatnonzero(t.row <= j) if upper else np.arange(t.nnz)
-    w, a = k[left], np.minimum(t.row[left], j[left])
+    left = np.flatnonzero(t.row <= j)
+    w, a = k[left], t.row[left]
     by_wz = np.lexsort((j, t.row))
     rkey = t.row[by_wz] * d + j[by_wz]
-    lo_a = np.searchsorted(rkey, w * d + a)  # z >= a
+    lo_a = np.searchsorted(rkey, w * d + a)  # z >= x
     n_a = np.searchsorted(rkey, (w + 1) * d) - lo_a
     by_wa = np.lexsort((a, w))
     lkey = w[by_wa] * d + a[by_wa]
     del rkey, w  # each O(nnz) array is freed once read, so only positions and counts reach the blocks
-    lo_z = np.searchsorted(lkey, t.row * d + j, side="right")  # a > z
+    lo_z = np.searchsorted(lkey, t.row * d + j, side="right")  # x > z
     n_z = np.searchsorted(lkey, (t.row + 1) * d) - lo_z
     del lkey
     bounds = sparse.cuts((np.bincount(a, n_a, minlength=d) + np.bincount(j, n_z, minlength=d)).astype(np.int64),
@@ -329,8 +324,8 @@ def _jacobi_blocks(t: sparse.Coo, p: int | None, weigh, upper: bool):
     by_a, by_wa = left[by_a], left[by_wa]  # positions in t
     del left, a
     for (a0, a1), (z0, z1) in zip(pairwise(a_cuts), pairwise(z_cuts)):
-        s, u = sparse.span_pairs(lo_a[a0:a1], n_a[a0:a1])  # a in the block, z >= a
-        r, v = sparse.span_pairs(lo_z[z0:z1], n_z[z0:z1])  # z in the block, a > z
+        s, u = sparse.span_pairs(lo_a[a0:a1], n_a[a0:a1])  # x in the block, z >= x
+        r, v = sparse.span_pairs(lo_z[z0:z1], n_z[z0:z1])  # z in the block, x > z
         xy = np.concatenate([by_a[s + a0], by_wa[v]])  # the entries C(x,y,w)
         zl = np.concatenate([by_wz[u], by_z[r + z0]])  # the entries C(w,z,l)
         del s, u, r, v  # and each block array once read
@@ -347,41 +342,18 @@ def _jacobi_blocks(t: sparse.Coo, p: int | None, weigh, upper: bool):
 
 
 def jacobi_witness(t: sparse.Coo, parity, p: int | None):
-    """Smallest basis quadruple (i, j, k, l) at which the (super) Jacobi
-    identity fails, or None.
+    """Smallest basis quadruple (i, j, k, l) at which the super Jacobi
+    identity fails on a super skew tensor, or None.
 
-    Checks J(i,j,k) = (-1)^{|i||k|}[[b_i,b_j],b_k] + (-1)^{|j||i|}[[b_j,b_k],b_i]
-    + (-1)^{|k||j|}[[b_k,b_i],b_j] = 0 for every ordered triple.  Each term
-    [[b_x,b_y],b_z]_l is a sum of products C(x,y,w) C(w,z,l), taken with the
-    sign (-1)^{|x||z|}, where (x,y,z) is a rotation of (i,j,k).  Rotating
+    J(i,j,k) = (-1)^{|i||k|}[[b_i,b_j],b_k] + (-1)^{|j||i|}[[b_j,b_k],b_i]
+    + (-1)^{|k||j|}[[b_k,b_i],b_j] must vanish for every ordered triple.  Each
+    term [[b_x,b_y],b_z]_l is a sum of products C(x,y,w) C(w,z,l), taken with
+    the sign (-1)^{|x||z|}, where (x,y,z) is a rotation of (i,j,k); rotating
     (i,j,k) permutes the three terms and keeps each one's sign, so J is the
-    same at all three rotations, and the smallest failing triple is its own
-    smallest rotation.  Each product is therefore added once, to the key of
-    the smallest rotation of (x,y,z); a product with x = y = z is in all
-    three terms of J(x,x,x) and counts three times.  So a key sums at most
-    3*dim products.  This holds for any tensor, skew or not.  p=None checks
-    over Z.  The smallest index of the key is x, y or z, and the products
-    are summed in blocks of it (_jacobi_blocks): x or y when it is min(x, y)
-    and z >= min(x, y), z when z < min(x, y).
-    """
-    if not t.nnz:
-        return None
-    d = t.shape[0]
-    par = np.asarray(parity, dtype=np.int8)
-
-    def weigh(x, y, z):
-        rotation = np.minimum(np.minimum((x * d + y) * d + z, (y * d + z) * d + x), (z * d + x) * d + y)
-        return rotation, (1 - 2 * (par[x] & par[z])) * (1 + 2 * ((x == y) & (y == z)).view(np.int8))
-
-    return _jacobi_blocks(t, p, weigh, upper=False)
-
-
-def sorted_jacobi_witness(t: sparse.Coo, parity, p: int | None):
-    """jacobi_witness of a super skew tensor, from the products of the
-    entries C(x,y,w) with x <= y only.
+    same at all three rotations.
 
     Write e_ab = (-1)^{|a||b|}.  Skew gives C(y,x,w) = -e_xy C(x,y,w), so
-    J(j,i,k) = -(-1)^{|i||j|+|j||k|+|k||i|} J(i,j,k), and with J's rotation
+    J(j,i,k) = -(-1)^{|i||j|+|j||k|+|k||i|} J(i,j,k), and with the rotation
     invariance J vanishes at a triple if and only if it vanishes at its
     sorted one: the smallest failing ordered triple is sorted, and it fails
     at the same l.  J at a sorted triple is the sum over its rotations
@@ -393,10 +365,11 @@ def sorted_jacobi_witness(t: sparse.Coo, parity, p: int | None):
     leaves C(x,x,w) = 0 for even x, so x = y only for odd x, where the
     three cases give x = y = z the weight -3 = 3 (-1)^{|x|}, the three
     terms of J(x,x,x).  A key sums at most 3*dim products, each weighed at
-    most 3 in absolute value, and the sum forms about half the products of
-    jacobi_witness.  p=None checks over Z.  The smallest index of
-    sorted(x,y,z) is min(x, z), and the products are summed in blocks of it
-    (_jacobi_blocks): x when x <= z, z when z < x.
+    most 3 in absolute value.  On a tensor that is not super skew the sum
+    decides nothing, so check_super_jacobi checks skew first.  p=None checks
+    over Z.  The smallest index of sorted(x,y,z) is min(x, z), and the
+    products are summed in blocks of it (_jacobi_blocks): x when x <= z, z
+    when z < x.
     """
     if not t.nnz:
         return None
@@ -411,90 +384,73 @@ def sorted_jacobi_witness(t: sparse.Coo, parity, p: int | None):
         triple = (low * d + x + y + z - low - high) * d + high
         return triple, e_xz * ((z >= y).view(np.int8) + (z <= x)) + between
 
-    return _jacobi_blocks(t, p, weigh, upper=True)
+    return _jacobi_blocks(t, p, weigh)
 
 
 def check_super_jacobi(alg: ModularSuperAlgebra) -> Report:
-    """J(i,j,k) = 0 for all triples (see jacobi_witness); a failure's witness
-    is the smallest failing (i, j, k).  When the algebra carries a passing
-    super skew report the sum runs over sorted triples (sorted_jacobi_witness),
-    which finds the same witness.  Runs once per algebra."""
-    witness = sorted_jacobi_witness if _passed(alg, "super_skew") else jacobi_witness
-    return _kept_report(alg, "super_jacobi", lambda: _indexed(witness(alg.tensor, alg.parity, alg.p)))
+    """J(i,j,k) = 0 for all triples (see jacobi_witness) on an algebra that
+    passes check_super_skew; a failure's witness is the smallest failing
+    (i, j, k), or {"requires": "super_skew"} when skew fails, and then no
+    sum is formed.  Runs once per algebra."""
+
+    def witness():
+        if not check_super_skew(alg):
+            return {"requires": "super_skew"}
+        return _indexed(jacobi_witness(alg.tensor, alg.parity, alg.p))
+
+    return _kept_report(alg, "super_jacobi", witness)
 
 
-def _respects_parity(alg: ModularSuperAlgebra) -> bool:
-    """|k| = |i| + |j| at every nonzero C(i,j,k)."""
+def _cube_requirement(alg: ModularSuperAlgebra) -> dict | None:
+    """The witness naming the first prerequisite of the cube rows that the
+    algebra fails: super Jacobi (which checks super skew first), then
+    |k| = |i| + |j| at every nonzero C(i,j,k), named "parity"; or None."""
+    if not check_super_jacobi(alg):
+        return {"requires": "super_jacobi"}
     k, j = np.divmod(alg.tensor.col, alg.dim)
-    return not (alg.parity[alg.tensor.row] ^ alg.parity[j] ^ alg.parity[k]).any()
+    if (alg.parity[alg.tensor.row] ^ alg.parity[j] ^ alg.parity[k]).any():
+        return {"requires": "parity"}
+    return None
 
 
 def odd_cube_generators(alg: ModularSuperAlgebra):
-    """Spanning vectors of {[x,[x,x]] : x odd}, with a label per vector.
+    """The nonzero cube rows q(b_a) = [b_a,[b_a,b_a]] of the odd basis
+    vectors b_a, each with the label {"kind": "cube", "nodes": [a]}, or None
+    unless the algebra passes super Jacobi and its bracket respects parity
+    (_cube_requirement).  With no odd basis vector the list is empty.
 
-    Uses the polarization pieces of the cubic map q(x) = [x,[x,x]] over F_3
-    (q(b_a); the c^2-coefficients A_{ab}; the trilinear coefficients B_{abc}),
-    whose span equals the span of q on all sums of up to three distinct odd
-    basis vectors with coefficients in {1, 2}.  All of them are sums of rows
-    of one contraction Q, row (a*no+b)*no+c = [b_a, [b_b, b_c]].  Pieces
-    that vanish are dropped.
-
-    When the algebra carries passing super skew and super Jacobi reports
-    and its bracket respects parity, only the cube rows q(b_a) are formed.
-    With J as in jacobi_witness and a, b, c odd, J(a,b,c) =
-    -([[a,b],c] + [[b,c],a] + [[c,a],b]).  [a,b] is even, and super skew
-    gives [x,y] = [y,x] for odd x, y and [w,x] = -[x,w] for even w, so
-    J(a,b,c) = [a,[b,c]] + [b,[c,a]] + [c,[a,b]], and therefore
-    A_ab = J(a,a,b) and B_abc = 2·J(a,b,c): both vanish when Jacobi holds,
-    and the list is the nonzero cube rows.  (J(a,a,a) = 3·q(b_a), so at
+    Their span is {[x,[x,x]] : x odd} once both hold.  Over F_3 that span is
+    spanned by the polarization pieces of the cubic map q(x) = [x,[x,x]]:
+    the cubes q(b_a), the c^2-coefficients A_ab = 2[b_a,[b_a,b_b]] +
+    [b_b,[b_a,b_a]] and the trilinear coefficients B_abc.  With J as in
+    jacobi_witness and a, b, c odd, J(a,b,c) = -([[a,b],c] + [[b,c],a] +
+    [[c,a],b]).  [a,b] is even, and super skew gives [x,y] = [y,x] for odd
+    x, y and [w,x] = -[x,w] for even w, so J(a,b,c) = [a,[b,c]] + [b,[c,a]]
+    + [c,[a,b]], and therefore A_ab = J(a,a,b) and B_abc = 2·J(a,b,c): both
+    vanish, and only the cube rows remain.  (J(a,a,a) = 3·q(b_a), so at
     p = 5 and 7 Jacobi kills the cubes too, and the same code is right at
-    every p.)  Otherwise every piece is formed.
+    every p.)
     """
+    if _cube_requirement(alg) is not None:
+        return None
     odd = np.nonzero(alg.parity == 1)[0]
-    no = len(odd)
-    if no == 0:
+    if not len(odd):
         return []
     basis = np.eye(alg.dim, dtype=np.int64)[odd]
-    squares = alg.brackets(basis, basis)
-    ar = np.arange(no)
-    if _passed(alg, "super_skew", "super_jacobi") and _respects_parity(alg):
-        diagonal = ar * no + ar
-        cubes = alg.brackets(basis, squares.take_rows(diagonal)).take_rows(diagonal)
-        return [(vec, {"kind": "cube", "nodes": [int(odd[a])]})
-                for a, vec in zip(cubes.held_rows(), cubes.nonzero_rows())]
-    q = alg.brackets(basis, squares)
-    p = alg.p
-
-    def at(a, b, c):
-        return q.take_rows((a * no + b) * no + c)
-
-    sa, sb = (x.ravel() for x in np.meshgrid(ar, ar, indexing="ij"))
-    sa, sb = sa[sa != sb], sb[sa != sb]
-    ta, tb, tc = np.array(list(combinations(range(no), 3)), dtype=np.int64).reshape(-1, 3).T
-    pieces = sparse.vstack([
-        at(ar, ar, ar),  # q(b_a) = [b_a, [b_a, b_a]]
-        sparse.combine([(2, at(sa, sa, sb)), (1, at(sb, sa, sa))], p),  # A_ab = 2[b_a, W_ab] + [b_b, W_aa], a != b
-        sparse.combine([(2, at(ta, tb, tc)), (2, at(tb, ta, tc)), (2, at(tc, ta, tb))], p),  # B_abc, a < b < c
-    ])
-    groups = [("cube", [ar]), ("square", [sa, sb]), ("triple", [ta, tb, tc])]
-
-    def label(r):
-        for kind, nodes in groups:
-            if r < len(nodes[0]):
-                return {"kind": kind, "nodes": [int(odd[n[r]]) for n in nodes]}
-            r -= len(nodes[0])
-
-    return [(vec, label(r)) for r, vec in zip(pieces.held_rows(), pieces.nonzero_rows())]
+    diagonal = np.arange(len(odd)) * (len(odd) + 1)
+    squares = alg.brackets(basis, basis).take_rows(diagonal)
+    cubes = alg.brackets(basis, squares).take_rows(diagonal)
+    return [(vec, {"kind": "cube", "nodes": [int(odd[a])]})
+            for a, vec in zip(cubes.held_rows(), cubes.nonzero_rows())]
 
 
 def check_odd_cubes(alg: ModularSuperAlgebra) -> Report:
     """[x,[x,x]] = 0 for every odd x (the extra characteristic-3 axiom); a
-    failure's witness labels the first piece of odd_cube_generators.  Runs
-    once per algebra, and the report does not depend on whether skew and
-    Jacobi were checked first: the cube-row path runs only when both hold,
-    and then the square and triple pieces of the other path vanish, so the
-    two paths span the same space, and both list the cube rows first."""
-    return _kept_report(alg, "odd_cubes", lambda: next((label for _, label in odd_cube_generators(alg)), None))
+    failure's witness labels the first cube row of odd_cube_generators, or
+    names the prerequisite that fails (_cube_requirement), and then no cube
+    is formed.  Runs once per algebra."""
+    return _kept_report(alg, "odd_cubes", lambda: _cube_requirement(alg)
+                        or next((label for _, label in odd_cube_generators(alg)), None))
 
 
 # -- subspaces ---------------------------------------------------------------
@@ -672,11 +628,12 @@ def read_back(alg: ModularSuperAlgebra, rows: np.ndarray, inverse: np.ndarray, p
               gens=None) -> ModularSuperAlgebra:
     """The algebra on the span of `rows` (reduced mod p): [rows[a], rows[b]]
     read back to coordinates through `inverse`, a (dim, len(rows)) left inverse
-    of the rows.  ValueError unless every bracket lies in their span."""
+    of the rows.  InternalError unless every bracket lies in their span: the
+    callers read back spans that are closed by construction."""
     products = alg.brackets(rows, rows)  # row a*n+b = [rows[a], rows[b]]
     coeffs = sparse.product(products, sparse.from_dense(inverse), alg.p)
     if sparse.product(coeffs, sparse.from_dense(rows), alg.p) != products:
-        raise ValueError("subspace is not bracket-closed")
+        raise InternalError("subspace is not bracket-closed")
     return ModularSuperAlgebra.from_products(coeffs, alg.p, parity, labels, gens)
 
 
@@ -715,7 +672,9 @@ class GenSubquotient:
 
 def gen_subquotient(alg: ModularSuperAlgebra, seeds) -> GenSubquotient:
     """Subalgebra generated by the seed rows, modulo the ideal forcing
-    [x,[x,x]] = 0 for odd x."""
+    [x,[x,x]] = 0 for odd x.  The algebra is a checked output, so the
+    subalgebra passes the prerequisites of its cube rows; InternalError if it
+    does not, or if a seed lies outside the subalgebra it generates."""
     seeds = fp.normalize(np.atleast_2d(seeds), alg.p)
     if not len(seeds):
         raise ValueError("no generator vectors supplied")
@@ -724,9 +683,11 @@ def gen_subquotient(alg: ModularSuperAlgebra, seeds) -> GenSubquotient:
     pivots = [int(np.nonzero(r)[0][0]) for r in rows]
     coords = seeds[:, pivots]  # pivot entries are 1 and zero in every other row
     if ((seeds - coords @ rows) % alg.p).any():
-        raise ValueError("vector not inside the subalgebra")
-    cube_vecs = [v for v, _ in odd_cube_generators(subalg)]
-    ideal = ideal_closure(subalg, cube_vecs)
+        raise InternalError("vector not inside the subalgebra")
+    cubes = odd_cube_generators(subalg)
+    if cubes is None:
+        raise InternalError(f"generated subalgebra fails its cube prerequisites: {_cube_requirement(subalg)}")
+    ideal = ideal_closure(subalg, [v for v, _ in cubes])
     if ideal.dim == 0:
         return GenSubquotient(subalg, coords, 0)
     q = quotient(subalg, ideal)

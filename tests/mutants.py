@@ -118,6 +118,15 @@ MUTANTS = [
     Mutant("parser lets a nesting past the stack raise RecursionError", "src/verlie/repalpha.py",
            '        raise ParseError("nested too deeply", parser.pos) from None', "        raise",
            ("tests/test_cli.py::test_element_nested_400_deep_is_a_parse_error",)),
+    Mutant("Jacobi sums a tensor that is not skew", "src/verlie/superalgebra.py",
+           '        if not check_super_skew(alg):\n            return {"requires": "super_skew"}\n', "",
+           ("tests/test_superalgebra.py::test_check_super_jacobi_requires_super_skew",)),
+    Mutant("cube rows formed after a failed Jacobi check", "src/verlie/superalgebra.py",
+           '    if not check_super_jacobi(alg):\n        return {"requires": "super_jacobi"}\n', "",
+           ("tests/test_superalgebra.py::test_odd_cubes_after_failed_jacobi_require_super_jacobi",)),
+    Mutant("cube rows formed on a bracket that breaks parity", "src/verlie/superalgebra.py",
+           "    if (alg.parity[alg.tensor.row] ^ alg.parity[j] ^ alg.parity[k]).any():", "    if False:",
+           ("tests/test_superalgebra.py::test_odd_cubes_require_a_bracket_that_respects_parity",)),
     Mutant("subspaces of one ambient compare equal whatever their spans", "src/verlie/superalgebra.py",
            "            and self.p == other.p", "            or self.p == other.p",
            ("tests/test_superalgebra.py::test_distinct_spans_of_one_ambient_compare_unequal",)),

@@ -306,6 +306,67 @@ def odd_cube_values_literal(alg: ModularSuperAlgebra):
     return vals
 
 
+def odd_cube_pieces(alg: ModularSuperAlgebra) -> list:
+    """The nonzero polarization pieces of the cubic map q(x) = [x,[x,x]] over
+    F_3, each with a label: the cubes q(b_a), the c^2-coefficients
+    A_ab = 2[b_a,[b_a,b_b]] + [b_b,[b_a,b_a]] (a != b) and the trilinear
+    coefficients B_abc = 2([b_a,[b_b,b_c]] + [b_b,[b_a,b_c]] + [b_c,[b_a,b_b]])
+    (a < b < c), over the odd basis vectors.  Their span is the span of q on
+    all sums of up to three distinct odd basis vectors with coefficients in
+    {1, 2}, for any bracket: the reference for the cube rows, which span it
+    only once super skew, super Jacobi and the parity of the bracket hold."""
+    odd = np.nonzero(alg.parity == 1)[0]
+    no = len(odd)
+    basis = np.eye(alg.dim, dtype=np.int64)[odd]
+    q = alg.brackets(basis, alg.brackets(basis, basis))  # row (a*no + b)*no + c: [b_a, [b_b, b_c]]
+
+    def at(a, b, c):
+        return q.take_rows((a * no + b) * no + c)
+
+    ar = np.arange(no)
+    sa, sb = (x.ravel() for x in np.meshgrid(ar, ar, indexing="ij"))
+    sa, sb = sa[sa != sb], sb[sa != sb]
+    ta, tb, tc = np.array(list(combinations(range(no), 3)), dtype=np.int64).reshape(-1, 3).T
+    p = alg.p
+    pieces = sparse.vstack([
+        at(ar, ar, ar),
+        sparse.combine([(2, at(sa, sa, sb)), (1, at(sb, sa, sa))], p),
+        sparse.combine([(2, at(ta, tb, tc)), (2, at(tb, ta, tc)), (2, at(tc, ta, tb))], p),
+    ])
+    labels = [{"kind": kind, "nodes": [int(odd[n[r]]) for n in nodes]}
+              for kind, nodes in (("cube", [ar]), ("square", [sa, sb]), ("triple", [ta, tb, tc]))
+              for r in range(len(nodes[0]))]
+    return [(vec, labels[r]) for r, vec in zip(pieces.held_rows(), pieces.nonzero_rows())]
+
+
+def rotation_jacobi_witness(t: sparse.Coo, parity, p: int | None):
+    """Smallest (i, j, k, l) at which J(i,j,k)_l of superalgebra.jacobi_witness
+    is nonzero, over every ordered triple, for any tensor, skew or not; or
+    None.  p=None checks over Z.
+
+    Every product C(x,y,w) C(w,z,l) of two entries is expanded at once, with
+    no blocks, and added, times (-1)^{|x||z|}, at the key of the smallest
+    rotation of (x,y,z): J is the same at all three rotations, so the
+    smallest failing triple is its own smallest rotation.  A product with
+    x = y = z is in all three terms of J(x,x,x) and counts three times.  The
+    reference for the blocked sum over sorted triples, which holds only on a
+    super skew tensor."""
+    d = t.shape[0]
+    k, j = np.divmod(t.col, d)  # the entries are sorted by their row i
+    lo = np.searchsorted(t.row, k)
+    s, u = sparse.span_pairs(lo, np.searchsorted(t.row, k, side="right") - lo)  # C(x,y,w) and C(w,z,l)
+    x, y, z = t.row[s], j[s], j[u]
+    par = np.asarray(parity, dtype=np.int64)
+    rotation = np.minimum(np.minimum((x * d + y) * d + z, (y * d + z) * d + x), (z * d + x) * d + y)
+    weight = (1 - 2 * (par[x] & par[z])) * (1 + 2 * ((x == y) & (y == z)))
+    keys, _ = sparse.sum_by_key(rotation * d + k[u], t.data[s] * weight * t.data[u], p)
+    if not len(keys):
+        return None
+    i, rest = divmod(int(keys[0]), d**3)
+    j, rest = divmod(rest, d * d)
+    return (i, j, *divmod(rest, d))
+
+
 # Example algebras with a known answer.
 
 

@@ -25,6 +25,7 @@ from verlie.superalgebra import (
     ideal_closure,
     jacobi_witness,
     quotient,
+    skew_witness,
     superdim,
 )
 from verlie.table import TABLE, row_pipeline, run_table
@@ -222,9 +223,10 @@ def test_criterion_8_property_suites(table_rows):
         _, _, ss = spec_pipeline(spec)
         assert check_super_skew(ss.algebra).ok and check_super_jacobi(ss.algebra).ok
         row_algebras += 1
-    # integral Jacobi on every Chevalley output (full scans)
+    # integral skew and Jacobi on every Chevalley output (full scans; the Jacobi sum needs skew)
     for name in ("g2", "f4", "e6", "e7", "e8"):
         alg = integral_catalog(name)
+        assert skew_witness(alg.tensor(), np.zeros(alg.dim, dtype=np.int64), None) is None
         assert jacobi_witness(alg.tensor(), np.zeros(alg.dim, dtype=np.int64), None) is None
     # truncated tensor rule vs brute-force Jordan decomposition
     from tests.test_semisimplify import brute_clebsch_gordan

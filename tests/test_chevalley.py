@@ -339,6 +339,7 @@ def test_integral_catalog_is_read_only():
         alg.constants[(0, 6)] = {0: 1}
     with pytest.raises(TypeError):
         alg.constants[key][next(iter(comps))] = 0
+    assert skew_witness(alg.tensor(), np.zeros(alg.dim, dtype=np.int64), None) is None
     assert jacobi_witness(alg.tensor(), np.zeros(alg.dim, dtype=np.int64), None) is None
     assert check_super_jacobi(reduce_mod_p(integral_catalog("g2"), 5)).ok
 

@@ -10,6 +10,7 @@ import pytest
 from verlie import cli, errors
 from verlie.cli import main
 from verlie.roots import admissible_subsets, catalog_gcm
+from verlie.superalgebra import Report, Subspace
 from verlie.table import CERTIFY, TABLE, run_row
 
 
@@ -43,6 +44,35 @@ def test_an_internal_fault_exits_4(monkeypatch, capsys):
     assert main(["decompose", "--algebra", "gl3", "-p", "3", "--element", "e2"]) == 4
     err = capsys.readouterr().err
     assert err == "internal assertion failed: chain counts disagree with the rank formula\n"
+
+
+# a fault planted in the star route's subquotient: the superalgebra name it
+# replaces, the replacement, and the message it ends with
+STAR_FAULTS = {
+    "seed span read back as a subalgebra": (
+        "generated_subalgebra", lambda alg, vectors: Subspace.from_vectors(vectors, alg.dim, alg.p),
+        "subspace is not bracket-closed"),
+    "seeds outside their subalgebra": (
+        "generated_subalgebra", lambda alg, vectors: Subspace.from_vectors([], alg.dim, alg.p),
+        "vector not inside the subalgebra"),
+    "subalgebra failing super Jacobi": (
+        "check_super_jacobi", lambda alg: Report("super_jacobi", False, {"i": 0, "j": 0, "k": 0}),
+        "generated subalgebra fails its cube prerequisites: {'requires': 'super_jacobi'}"),
+}
+
+
+@pytest.mark.parametrize("fault", STAR_FAULTS)
+def test_a_fault_in_the_star_subquotient_exits_4(fault, monkeypatch, capsys):
+    """The subquotient of the star route is built from a checked output, so
+    a span that is not bracket-closed, a seed outside the subalgebra it
+    generates, or a subalgebra that fails the prerequisites of its cube rows
+    is a fault of the program: exit 4, not a refused input."""
+    from verlie import superalgebra
+
+    name, fake, message = STAR_FAULTS[fault]
+    monkeypatch.setattr(superalgebra, name, fake)
+    assert main(["certify", "--algebra", "f4", "--subset", "1", "--target", "sl(3|1)"]) == 4
+    assert capsys.readouterr().err == f"internal assertion failed: {message}\n"
 
 
 def test_decompose_requires_element(capsys):
@@ -427,7 +457,7 @@ def test_semisimplify_checks_each_fact_once(monkeypatch, tmp_path):
     not checked again."""
     from verlie import repalpha, superalgebra
 
-    calls = {"jacobi": 0, "sorted_jacobi": 0, "validate": 0}
+    calls = {"jacobi": 0, "validate": 0}
 
     def counting(owner, attr, key):
         original = getattr(owner, attr)
@@ -439,12 +469,10 @@ def test_semisimplify_checks_each_fact_once(monkeypatch, tmp_path):
         monkeypatch.setattr(owner, attr, wrapper)
 
     counting(superalgebra, "jacobi_witness", "jacobi")
-    counting(superalgebra, "sorted_jacobi_witness", "sorted_jacobi")
     counting(repalpha.ChainDecomposition, "validate", "validate")
     path = tmp_path / "out.json"
     assert main(["semisimplify", "--algebra", "f4", "-p", "5", "--element", "e1", "--json", str(path)]) == 0
-    # the skew report passed, so the one Jacobi scan sums sorted triples
-    assert calls == {"jacobi": 0, "sorted_jacobi": 1, "validate": 1}
+    assert calls == {"jacobi": 1, "validate": 1}
     checks = json.loads(path.read_text())["checks"]
     assert checks == {"super_skew": True, "super_jacobi": True, "odd_cubes": True}
 

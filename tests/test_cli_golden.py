@@ -4,10 +4,14 @@ between `certify` and `table`; any refactor must leave these bytes alone.
 Never regenerate them to make a change pass."""
 
 import hashlib
+import json
 
 import pytest
 
 from verlie.cli import main
+
+# spec files that GOLDEN commands name, written to the working directory of each run
+SPEC_FILES = {"g2.json": '{"name": "g2", "cartan": [[2, -3], [-1, 2]], "p": 5}'}
 
 GOLDEN = [
     (["roots", "g2"],
@@ -40,6 +44,9 @@ GOLDEN = [
     # p = 5: the splitting vector sums four layers
     (["semisimplify", "--algebra", "g2", "-p", "5", "--element", "e1"],
      0, "0eaf0541d09eb7f56c6eea536baf0558b239d286cf89be73f4897c7b2e002dd0"),
+    # the same algebra from a spec file, whose own p applies
+    (["semisimplify", "--algebra", "g2.json", "--element", "e1"],
+     0, "2205762820c8cbbccc0faa16a981921e02100d05be39319afabfc79d1d544697"),
     # p = 7, an odd part: (3|2), of degree 6 < p, so the head pick stops at the degree
     (["semisimplify", "--algebra", "f4", "-p", "7", "--element", "e1+e2+e4"],
      0, "8174019a212cda539cacc7e8a613fe3c28b2c2f57d386a929eef08d965a53893"),
@@ -83,7 +90,23 @@ GOLDEN = [
 
 
 @pytest.mark.parametrize("argv,code,digest", GOLDEN, ids=[" ".join(g[0]) for g in GOLDEN])
-def test_json_payload_pinned(argv, code, digest, tmp_path, capsys):
+def test_json_payload_pinned(argv, code, digest, tmp_path, monkeypatch, capsys):
+    for name, text in SPEC_FILES.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
     path = tmp_path / "out.json"
     assert main(argv + ["--json", str(path)]) == code
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_spec_file_payload_is_the_catalog_payload_but_for_its_name(tmp_path, monkeypatch, capsys):
+    """g2.json holds g2's Cartan matrix and p = 5: its payload is the catalog
+    g2 -p 5 payload, but for the algebra field, which names the file."""
+    (tmp_path / "g2.json").write_text(SPEC_FILES["g2.json"])
+    monkeypatch.chdir(tmp_path)
+    payloads = []
+    for i, source in enumerate([["g2.json"], ["g2", "-p", "5"]]):
+        assert main(["semisimplify", "--algebra", *source, "--element", "e1", "--json", f"{i}.json"]) == 0
+        payloads.append(json.loads((tmp_path / f"{i}.json").read_text()))
+    assert [payload.pop("algebra") for payload in payloads] == ["g2.json", "g2"]
+    assert payloads[0] == payloads[1]

@@ -7,7 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import verlie as v
-from tests.oracles import center, derived_subalgebra, free_nilpotent_example, odd_cube_values_literal, tensor_coo
+from tests.oracles import (
+    center,
+    derived_subalgebra,
+    free_nilpotent_example,
+    odd_cube_pieces,
+    odd_cube_values_literal,
+    rotation_jacobi_witness,
+    tensor_coo,
+)
 from tests.pipelines import spec_pipeline, structured_pipeline
 from tests.test_fp import largest_accepted_prime
 from verlie import fp, sparse, superalgebra, verify
@@ -34,7 +42,6 @@ from verlie.superalgebra import (
     odd_cube_generators,
     quotient,
     skew_witness,
-    sorted_jacobi_witness,
     superdim,
 )
 from verlie.table import TABLE, row_pipeline
@@ -86,19 +93,6 @@ def test_super_jacobi_detects_fault(gl33):
     assert not report.ok and report.witness is not None
 
 
-def random_algebra(p, dim, density, seed) -> ModularSuperAlgebra:
-    """Random constants (not a Lie superalgebra), the first 3/5 of the basis even."""
-    rng = np.random.default_rng(seed)
-    parity = (np.arange(dim) >= 3 * dim // 5).astype(np.int64)
-    entries = []
-    for i in range(dim):
-        for j in range(dim):
-            for k in range(dim):
-                if rng.random() < density:
-                    entries.append((i, j, k, int(rng.integers(1, p))))
-    return ModularSuperAlgebra.from_entries(p, parity, *np.array(entries, dtype=np.int64).reshape(-1, 4).T)
-
-
 def jacobi_value(alg, i, j, k):
     """J(i,j,k) of jacobi_witness, from dense brackets of basis vectors."""
     parity, eye = alg.parity, np.eye(alg.dim, dtype=np.int64)
@@ -121,10 +115,17 @@ def first_jacobi_violation(alg):
     return None
 
 
+def random_skew_algebra(p, dim, density, seed) -> ModularSuperAlgebra:
+    """Random super skew constants (not a Lie superalgebra), the first half
+    of the basis even."""
+    constants, parity = random_skew_constants(p, dim, density, 0, seed)
+    return ModularSuperAlgebra(p, dim, parity, tensor_coo(constants, dim, p))
+
+
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_jacobi_witness_matches_direct_scan(p):
     for dim in (5, 40):  # 40 spans several blocks of i values
-        alg = random_algebra(p, dim, 0.2, seed=5)
+        alg = random_skew_algebra(p, dim, 0.2, seed=5)
         fast = jacobi_witness(alg.tensor, alg.parity, alg.p)
         direct = first_jacobi_violation(alg)
         assert (fast is None) == (direct is None)
@@ -138,50 +139,64 @@ EVERYTHING = 1 << 62  # a product budget every expansion here fits: one block
 @pytest.mark.parametrize("seed", range(6))
 def test_jacobi_witness_independent_of_block_size(seed, monkeypatch):
     """The smallest bad quadruple over all blocks, whatever the product
-    budget that cuts them, also for the sorted sum over a skew tensor."""
-    alg = random_algebra(3, 20, 0.03, seed)
-    constants, parity = random_skew_constants(3, 20, 0.03, 0, seed)
-    skew = tensor_coo(constants, 20, 3)
+    budget that cuts them, on a skew tensor at p = 3 and one over Z: the
+    quadruple the unblocked rotation sum finds."""
+    tensors = []
+    for p in (3, None):
+        constants, parity = random_skew_constants(p, 20, 0.03, 0, seed)
+        tensors.append((tensor_coo(constants, 20, p), parity, p))
 
     def witnesses(budget):
         monkeypatch.setattr(superalgebra, "_JACOBI_BUDGET", budget)
-        return [*(jacobi_witness(alg.tensor, alg.parity, p) for p in (alg.p, None)),
-                sorted_jacobi_witness(skew, parity, 3)]
+        return [jacobi_witness(*tensor) for tensor in tensors]
 
     whole = witnesses(EVERYTHING)
-    assert whole[0] is not None and whole[2] is not None
+    assert None not in whole and whole == [rotation_jacobi_witness(*tensor) for tensor in tensors]
     for budget in (1, 3, 7):
         assert witnesses(budget) == whole
 
 
-# one product C(x,y,14) C(14,z,18) beside the 14 basis vectors of g2, by the
-# index of (x, y, z) that is smallest, ties included: the failing key, the
-# smallest rotation of (x, y, z) and l = 18
+# one product C(x,y,14) C(14,z,18) beside the 14 basis vectors of g2, each
+# entry with its super skew mirror, by how x, y and z compare, ties included:
+# the failing key, the sorted (x, y, z), and l = 18.  15, 16 and 17 are odd,
+# so C(x,x,14) may be nonzero.
 ONE_PRODUCT = {
-    "x": ((15, 17, 16), (15, 17, 16)),
+    "x": ((15, 17, 16), (15, 16, 17)),
     "y": ((17, 15, 16), (15, 16, 17)),
-    "z": ((17, 16, 15), (15, 17, 16)),
+    "z": ((17, 16, 15), (15, 16, 17)),
     "x = y < z": ((15, 15, 16), (15, 15, 16)),
     "y = z < x": ((16, 15, 15), (15, 15, 16)),
     "x = z < y": ((15, 16, 15), (15, 15, 16)),
     "x = y = z": ((15, 15, 15), (15, 15, 15)),
+    "z < x = y": ((16, 16, 15), (15, 16, 16)),
 }
+
+
+def one_product_tensor(kind: str, p: int | None) -> tuple[sparse.Coo, np.ndarray]:
+    """The g2 constants with the ONE_PRODUCT pair of the kind and its mirrors."""
+    (x, y, z), _ = ONE_PRODUCT[kind]
+    parity = np.zeros(20, dtype=np.int64)
+    parity[15:18] = 1
+    extra = {(x, y, 14): 1, (y, x, 14): 1, (14, z, 18): 1, (z, 14, 18): -1}  # x, y odd; 14 even
+    i, j, k, c = np.vstack([v.chevalley.integral_catalog("g2").entries, [[*key, c] for key, c in extra.items()]]).T
+    return sparse.from_entries(i, k * 20 + j, c if p is None else c % p, (20, 400), p), parity
 
 
 @pytest.mark.parametrize("kind", ONE_PRODUCT)
 def test_jacobi_witness_independent_of_block_size_reaches_each_kind(kind, monkeypatch):
-    """The rotation sum expands each product in the block of the smallest
-    index of its triple, which is x, y or z.  The one failing product here
-    is of the given kind and lies past g2, whose own sums vanish: every
-    budget finds it, in a block after those that pass.  J(x,x,x) counts its
-    product three times, so it vanishes at p = 3."""
-    g2 = v.chevalley.integral_catalog("g2").entries
-    (x, y, z), triple = ONE_PRODUCT[kind]
-    i, j, k, c = np.vstack([g2, [[x, y, 14, 1], [14, z, 18, 1]]]).T
-    parity = np.zeros(20, dtype=np.int64)
+    """The sorted sum expands each product C(x,y,w) C(w,z,l), x <= y, in the
+    block of min(x, z): of x when x <= z, of z when z < x.  The left entry
+    here is C(min(x, y), max(x, y), 14), so the kinds "z" and "z < x = y"
+    reach the second, the rest the first.  The failing products here lie
+    past g2, whose own sums vanish: every budget finds the witness of the
+    unblocked rotation sum, in a block after those that pass.  J(x,x,x)
+    counts its product three times, so it vanishes at p = 3."""
+    _, triple = ONE_PRODUCT[kind]
     for p in (3, 5, None):
-        t = sparse.from_entries(i, k * 20 + j, c if p is None else c % p, (20, 400), p)
+        t, parity = one_product_tensor(kind, p)
+        assert skew_witness(t, parity, p) is None
         expected = None if kind == "x = y = z" and p == 3 else (*triple, 18)
+        assert rotation_jacobi_witness(t, parity, p) == expected
         for budget in (1, 3, 7, EVERYTHING):
             monkeypatch.setattr(superalgebra, "_JACOBI_BUDGET", budget)
             assert jacobi_witness(t, parity, p) == expected, (p, budget)
@@ -192,10 +207,10 @@ def test_jacobi_witness_weighs_the_diagonal_three_times(p):
     """[b0,b0] = b1, [b1,b0] = b0 = -[b0,b1], b0 odd and b1 even.  J(0,0,0) is
     three equal terms, -3 b0, which vanishes only at p = 3; there the first
     failure is J(0,0,1) = 2 b1.  The constants are super skew, so the sorted
-    sum gives the same witnesses."""
+    sum gives the witnesses of the rotation sum."""
     constants = {(0, 0): {1: 1}, (1, 0): {0: 1}, (0, 1): {0: -1 if p is None else p - 1}}
     expected = (0, 0, 1, 1) if p == 3 else (0, 0, 0, 0)
-    for witness in (jacobi_witness, sorted_jacobi_witness):
+    for witness in (jacobi_witness, rotation_jacobi_witness):
         assert witness(tensor_coo(constants, 2, p), [1, 0], p) == expected
 
 
@@ -237,10 +252,10 @@ def test_sorted_jacobi_matches_rotations_on_skew_tensors(monkeypatch):
                          for pair, comps in constants.items()}
         t = tensor_coo(constants, dim, p)
         assert skew_witness(t, parity, p) is None
-        witness = jacobi_witness(t, parity, p)
+        witness = rotation_jacobi_witness(t, parity, p)
         for budget in (1, 5, EVERYTHING):
             monkeypatch.setattr(superalgebra, "_JACOBI_BUDGET", budget)
-            assert sorted_jacobi_witness(t, parity, p) == witness, (p, dim, graded, seed, budget)
+            assert jacobi_witness(t, parity, p) == witness, (p, dim, graded, seed, budget)
         if witness is None:
             shapes.add(None)
         else:
@@ -251,9 +266,9 @@ def test_sorted_jacobi_matches_rotations_on_skew_tensors(monkeypatch):
 
 def test_sorted_jacobi_matches_rotations_on_corrupted_table_outputs(monkeypatch):
     """Each table output, then with one constant and its skew mirror changed
-    (at an existing entry, and at a random position): the same witnesses,
-    with the sorted sum streamed one product, a few products, the default
-    budget, or everything per block."""
+    (at an existing entry, and at a random position): the witnesses of the
+    unblocked rotation sum, with the sorted sum streamed one product, a few
+    products, the default budget, or everything per block."""
     rng = np.random.default_rng(11)
     failures = 0
 
@@ -262,7 +277,7 @@ def test_sorted_jacobi_matches_rotations_on_corrupted_table_outputs(monkeypatch)
         for budget in (1, 5, superalgebra._JACOBI_BUDGET, EVERYTHING):
             with monkeypatch.context() as m:
                 m.setattr(superalgebra, "_JACOBI_BUDGET", budget)
-                found.add(sorted_jacobi_witness(alg.tensor, alg.parity, alg.p))
+                found.add(jacobi_witness(alg.tensor, alg.parity, alg.p))
         return found
 
     for spec in TABLE:
@@ -274,7 +289,7 @@ def test_sorted_jacobi_matches_rotations_on_corrupted_table_outputs(monkeypatch)
             change = skew_pair_entries(alg, int(i), int(j), int(k), int(rng.integers(1, alg.p)))
             bad = ModularSuperAlgebra.from_entries(alg.p, alg.parity, *map(np.concatenate, zip(entries, change)))
             assert check_super_skew(bad).ok
-            witness = jacobi_witness(bad.tensor, bad.parity, bad.p)
+            witness = rotation_jacobi_witness(bad.tensor, bad.parity, bad.p)
             assert sorted_witnesses(bad) == {witness}, spec.key
             failures += witness is not None
     assert failures == 32  # every corruption breaks Jacobi
@@ -332,9 +347,10 @@ def test_semisimplify_stays_within_a_memory_bound():
 
 
 def test_integral_jacobi_stays_within_a_memory_bound():
-    """The rotation sum over Z on E8 stays below 5 MiB above its start
-    (2.59 MiB measured, the tensor build included): its products are summed
-    block by block.  Keying all of them for one sort took 71.8 MiB."""
+    """The sorted sum over Z on E8 stays below 5 MiB above its start
+    (2.05 MiB measured, the tensor build included; the rotation sum over
+    every ordered triple took 2.59 MiB): its products are summed block by
+    block.  Keying all of them for one sort took 71.8 MiB."""
     found, mb = traced_mb(lambda alg: jacobi_witness(alg.tensor(), np.zeros(alg.dim, dtype=np.int64), None),
                           v.chevalley.integral_catalog("e8"))
     assert found is None and mb < 5
@@ -377,30 +393,25 @@ def test_distinct_rows_are_the_lines_of_the_nonzero_rows(p):
     assert len(distinct_rows(sparse.from_dense(cases[-1]), p)) == 1
 
 
-def test_check_super_jacobi_sums_sorted_triples_after_a_passing_skew_report(monkeypatch):
-    """The sorted sum runs only on an algebra whose kept skew report passed;
-    without one, or after a failing one, the rotation sum runs."""
+def test_check_super_jacobi_requires_super_skew(monkeypatch):
+    """All even at p = 3, C(0,1,0) = 1, C(2,0,2) = 2 and C(2,1,0) = 2: skew
+    fails at (0,1,0) and the rotation sum at (0,0,2,2), but the sorted sum,
+    which holds only on a skew tensor, finds nothing.  So the report names
+    skew and forms no sum; a skew algebra, checked or not, gets the one sum."""
+    bad = ModularSuperAlgebra.from_entries(3, np.zeros(3, dtype=np.int64), [0, 2, 2], [1, 0, 1], [0, 2, 0], [1, 2, 2])
+    assert skew_witness(bad.tensor, bad.parity, 3) == (0, 1, 0)
+    assert rotation_jacobi_witness(bad.tensor, bad.parity, 3) == (0, 0, 2, 2)
+    assert jacobi_witness(bad.tensor, bad.parity, 3) is None  # the silent pass the skew guard prevents
     calls = []
-
-    def counting(name):
-        original = getattr(superalgebra, name)
-
-        def wrapper(*args):
-            calls.append(name)
-            return original(*args)
-
-        monkeypatch.setattr(superalgebra, name, wrapper)
-
-    counting("jacobi_witness")
-    counting("sorted_jacobi_witness")
+    original = superalgebra.jacobi_witness
+    monkeypatch.setattr(superalgebra, "jacobi_witness", lambda *args: calls.append(args) or original(*args))
+    assert check_super_jacobi(bad) == superalgebra.Report("super_jacobi", False, {"requires": "super_skew"})
+    assert set(bad._reports) == {"super_skew", "super_jacobi"} and not calls
     g2 = v.catalog_algebra("g2", 3)
     skewed, unchecked = without_reports(g2), without_reports(g2)
     assert check_super_skew(skewed).ok and check_super_jacobi(skewed).ok
-    assert check_super_jacobi(unchecked).ok
-    bad = corrupt(g2, 0, 1, 2)
-    assert not check_super_skew(bad).ok
-    check_super_jacobi(bad)
-    assert calls == ["sorted_jacobi_witness", "jacobi_witness", "jacobi_witness"]
+    assert check_super_jacobi(unchecked).ok and unchecked._reports == skewed._reports
+    assert len(calls) == 2
 
 
 def random_skew_constants(p, dim, density, faults, seed):
@@ -454,10 +465,13 @@ def test_super_skew_witness_is_the_smallest_triple(gl33):
 
 
 def test_odd_cube_literal_set_matches_polarization_pieces(free_nilpotent_ss):
+    """The literal cubes, the polarization pieces and, since the output
+    passes super Jacobi, the cube rows span one line."""
     alg = free_nilpotent_ss.algebra
     literal = Subspace.from_vectors(odd_cube_values_literal(alg), alg.dim, alg.p)
-    pieces = Subspace.from_vectors([vec for vec, _ in odd_cube_generators(alg)], alg.dim, alg.p)
-    assert literal == pieces and literal.dim == 1
+    pieces = Subspace.from_vectors([vec for vec, _ in odd_cube_pieces(alg)], alg.dim, alg.p)
+    cubes = Subspace.from_vectors([vec for vec, _ in odd_cube_generators(alg)], alg.dim, alg.p)
+    assert literal == pieces == cubes and literal.dim == 1
 
 
 def test_odd_cubes_fail_on_free_nilpotent(free_nilpotent_ss):
@@ -495,7 +509,7 @@ def test_odd_cube_pieces_are_jacobi_values(p):
     for seed in range(6):
         alg = random_graded_skew_algebra(p, 10, seed)
         assert check_super_skew(alg).ok and not check_super_jacobi(alg).ok
-        pieces = {(label["kind"], *label["nodes"]): vec for vec, label in odd_cube_generators(alg)}
+        pieces = {(label["kind"], *label["nodes"]): vec for vec, label in odd_cube_pieces(alg)}
         assert {kind for kind, *_ in pieces} >= {"square", "triple"}
         odd, zero = np.flatnonzero(alg.parity), np.zeros(alg.dim, dtype=np.int64)
         eye = np.eye(alg.dim, dtype=np.int64)
@@ -523,49 +537,76 @@ def small_outputs(names):
 
 
 def test_odd_cubes_from_reports_match_full_expansion(free_nilpotent_ss):
+    """On every output, which passes super Jacobi, the cube rows are the
+    nonzero cubes of the polarization pieces, the pieces of the other kinds
+    vanish, and a copy without kept reports gets the same rows."""
     outputs = [spec_pipeline(spec)[2].algebra for spec in TABLE]
     outputs += [*small_outputs(["g2", "f4"]), free_nilpotent_ss.algebra]
     assert any(superdim(alg)[1] for alg in outputs)
     for alg in outputs:
         assert check_super_skew(alg).ok and check_super_jacobi(alg).ok  # kept by semisimplify
         fresh = without_reports(alg)
-        fast = odd_cube_generators(alg)
-        assert all(label["kind"] == "cube" for _, label in fast)
-        assert fresh == alg and cube_lists_equal(fast, odd_cube_generators(fresh))
-        assert not fresh._reports  # so that call took the full expansion, and ran no check
-    assert odd_cube_generators(free_nilpotent_ss.algebra)  # the fast path sees a failing cube
+        cubes = odd_cube_generators(alg)
+        assert cube_lists_equal(cubes, odd_cube_pieces(alg))
+        assert fresh == alg and cube_lists_equal(cubes, odd_cube_generators(fresh))
+    assert odd_cube_generators(free_nilpotent_ss.algebra)  # a failing cube is seen
 
 
 def test_kept_odd_cube_report_matches_a_fresh_check():
     """semisimplify keeps the odd-cube report it took on the cube rows; a
-    copy without kept reports takes the full expansion to the same report."""
+    copy without kept reports runs skew and Jacobi first, and then takes the
+    same cube rows to the same report."""
     for spec in TABLE:
         ss = row_pipeline(spec.algebra, spec.p, spec.elements[0])[2]
         fresh = without_reports(ss.algebra)
-        assert ss.checks["odd_cubes"] == check_odd_cubes(fresh) and set(fresh._reports) == {"odd_cubes"}, spec.key
+        assert ss.checks["odd_cubes"] == check_odd_cubes(fresh), spec.key
+        assert set(fresh._reports) == {"super_skew", "super_jacobi", "odd_cubes"}, spec.key
 
 
-def test_odd_cubes_after_failed_jacobi_take_the_full_expansion():
-    """Skew kept, Jacobi broken by a symmetric odd-odd entry: the triple
-    piece that the cube rows alone would miss is still found."""
+def test_fresh_table_outputs_get_the_kept_reports():
+    """A copy of every table output without kept reports gets the three
+    reports that semisimplify kept, whichever check it is asked first."""
+    for spec in TABLE:
+        ss = spec_pipeline(spec)[2]
+        cubes_first, skew_first = without_reports(ss.algebra), without_reports(ss.algebra)
+        check_odd_cubes(cubes_first)
+        for check in (check_super_skew, check_super_jacobi, check_odd_cubes):
+            check(skew_first)
+        assert cubes_first._reports == skew_first._reports == ss.checks, spec.key
+
+
+def test_odd_cubes_after_failed_jacobi_require_super_jacobi():
+    """Skew kept, Jacobi broken by a symmetric odd-odd entry: the cube rows
+    are all zero, but a triple piece is not, so [x,[x,x]] is nonzero for
+    some odd x.  The report names Jacobi instead of passing on the cube
+    rows, and no cube row is formed."""
     alg = structured_pipeline("f4", 3, "e4", (4,))[2].algebra
     bad = corrupt(corrupt(alg, 21, 22, 0), 22, 21, 0)
     assert check_super_skew(bad).ok
     assert check_super_jacobi(bad).witness == {"i": 4, "j": 21, "k": 22}
-    report = check_odd_cubes(bad)
-    assert report == superalgebra.Report("odd_cubes", False, {"nodes": [21, 22, 23], "kind": "triple"})
-    assert cube_lists_equal(odd_cube_generators(bad), odd_cube_generators(without_reports(bad)))
+    pieces = odd_cube_pieces(bad)
+    assert pieces[0][1] == {"kind": "triple", "nodes": [21, 22, 23]}
+    assert all(label["kind"] != "cube" for _, label in pieces)
+    assert check_odd_cubes(bad) == superalgebra.Report("odd_cubes", False, {"requires": "super_jacobi"})
+    assert odd_cube_generators(bad) is None
 
 
-def test_odd_cubes_ignore_reports_on_a_bracket_that_mixes_parities():
-    """The cube-only path needs |[x,y]| = |x| + |y|: on a skew algebra that
-    breaks it, even passing reports do not shorten the expansion."""
-    constants, parity = random_skew_constants(3, 8, 0.15, 0, 0)
-    alg = ModularSuperAlgebra(3, 8, parity, tensor_coo(constants, 8, 3))
-    full = odd_cube_generators(alg)
-    assert any(label["kind"] != "cube" for _, label in full)
-    alg._reports.update(super_skew=check_super_skew(alg), super_jacobi=superalgebra.Report("super_jacobi", True))
-    assert cube_lists_equal(odd_cube_generators(alg), full)
+def test_odd_cubes_require_a_bracket_that_respects_parity():
+    """b0 even, b1 and b2 odd at p = 3, with [b0,b1] = -b1, [b1,b2] = -b1
+    (odd, so the bracket breaks |[x,y]| = |x| + |y|) and [b2,b2] = -b0: super
+    skew and super Jacobi hold and both cube rows are zero, yet
+    [x,[x,x]] = b1 for x = b1 + b2.  The report names parity instead of
+    passing on the cube rows."""
+    alg = ModularSuperAlgebra.from_entries(3, [0, 1, 1], [0, 1, 1, 2, 2], [1, 0, 2, 1, 2], [1, 1, 1, 1, 0],
+                                           [2, 1, 2, 2, 2])
+    assert check_super_skew(alg).ok and check_super_jacobi(alg).ok
+    assert rotation_jacobi_witness(alg.tensor, alg.parity, 3) is None
+    eye = np.eye(3, dtype=np.int64)
+    assert not any(alg.bracket(eye[a], alg.bracket(eye[a], eye[a])).any() for a in (1, 2))
+    x = eye[1] + eye[2]
+    assert np.array_equal(alg.bracket(x, alg.bracket(x, x)), eye[1])
+    assert check_odd_cubes(alg) == superalgebra.Report("odd_cubes", False, {"requires": "parity"})
+    assert odd_cube_generators(alg) is None
 
 
 def test_skew_and_jacobi_reports_are_kept(monkeypatch):
@@ -573,7 +614,6 @@ def test_skew_and_jacobi_reports_are_kept(monkeypatch):
     first = check_super_skew(alg), check_super_jacobi(alg)
     monkeypatch.setattr(superalgebra, "skew_witness", None)
     monkeypatch.setattr(superalgebra, "jacobi_witness", None)
-    monkeypatch.setattr(superalgebra, "sorted_jacobi_witness", None)
     assert (check_super_skew(alg), check_super_jacobi(alg)) == first
     assert "_reports" not in repr(alg) and alg == without_reports(alg)
 
@@ -596,6 +636,24 @@ def test_center_dimensions(gl33, f4mod3):
     assert center(f4mod3).dim == 0
     e6 = v.catalog_algebra("e6", 3)
     assert center(e6).dim == 1
+
+
+# the table rows whose output has a center, a line each
+CENTERED_ROWS = {"e6@e2|p=3", "e6@e1+e2|p=3", "e6@e1+e2+e6|p=3"}
+
+
+def test_table_output_centers_pinned():
+    """The outputs of three e6 rows have a one-dimensional center, every
+    other table output none.  For each row certified as a catalog target,
+    the center's dimension is n - rank_3(A) of the target's matrix, as for
+    g'(A), whose center is the span of the coroot combinations on which
+    every simple root vanishes."""
+    for spec in TABLE:
+        dim = center(spec_pipeline(spec)[2].algebra).dim
+        assert dim == (spec.key in CENTERED_ROWS), spec.key
+        if spec.route in ("maint", "custom-g36"):
+            a = np.array(verify.target_by_name(spec.target).gcm.entries)
+            assert dim == len(a) - len(fp.rref(a % 3, 3)[1]), spec.key
 
 
 def test_derived_subalgebra(gl33, f4mod3):
