@@ -22,7 +22,7 @@ from typing import Mapping
 import numpy as np
 
 from . import sparse
-from .errors import JacobiViolation
+from .errors import BadSpec, JacobiViolation
 from .fp import check_modulus
 from .roots import GCM, Root, RootSystem, catalog_gcm, positive_roots
 from .superalgebra import ModularSuperAlgebra, read_back
@@ -69,14 +69,6 @@ class IntegralLieAlgebra:
 
     def f_index(self, gamma: Root) -> int:
         return self.npos + self.roots.index(gamma)
-
-    def generator_index(self, kind: str, i: int) -> int:
-        if kind == "h":
-            if not 1 <= i <= self.rank:
-                raise ValueError(f"h{i} out of range")
-            return 2 * self.npos + i - 1
-        simple = self.roots.simple(i)
-        return self.e_index(simple) if kind == "e" else self.f_index(simple)
 
 
 def _exact_div(num: int, den: int, what: str) -> int:
@@ -223,8 +215,11 @@ def _generators(dim: int, p: int, terms: dict[str, dict[int, int]]) -> dict[str,
 def reduce_mod_p(alg: IntegralLieAlgebra, p: int) -> ModularSuperAlgebra:
     """Reduce the integral constants mod an odd prime; all-even parity."""
     check_modulus(p, alg.dim)
-    gens = _generators(alg.dim, p, {f"{kind}{i}": {alg.generator_index(kind, i): 1}
-                                    for i in range(1, alg.rank + 1) for kind in "efh"})
+    terms = {}
+    for i in range(1, alg.rank + 1):  # e_i and f_i at the simple root alpha_i, h_i after both root blocks
+        root = alg.roots.simple(i)
+        terms |= {f"e{i}": {alg.e_index(root): 1}, f"f{i}": {alg.f_index(root): 1}, f"h{i}": {2 * alg.npos + i - 1: 1}}
+    gens = _generators(alg.dim, p, terms)
     return ModularSuperAlgebra(p, alg.dim, np.zeros(alg.dim, dtype=np.int64), alg.tensor(p), list(alg.labels),
                                gens, origin=alg)
 
@@ -235,7 +230,7 @@ def gl(n: int, p: int) -> ModularSuperAlgebra:
     Generators e_i = E_{i,i+1}, f_i = E_{i+1,i}, h_i = E_ii - E_{i+1,i+1}.
     """
     if n < 1:
-        raise ValueError("rank must be positive")
+        raise BadSpec("rank must be positive")
     dim = n * n
     check_modulus(p, dim)
     # for every x, y, z: [E_xy, E_yz] gains E_xz and [E_yz, E_xy] loses it (x = y = z cancels)
@@ -257,7 +252,7 @@ def sl(n: int, p: int) -> ModularSuperAlgebra:
     """sl_n over F_p, the subalgebra of gl_n on the off-diagonal E_ij, row-major,
     then H_i = E_ii - E_{i+1,i+1}."""
     if n < 2:
-        raise ValueError("rank must be at least 2")
+        raise BadSpec("rank must be at least 2")
     off = [i * n + j for i in range(n) for j in range(n) if i != j]  # E_ij in gl_n
     dim = len(off) + n - 1
     check_modulus(p, dim)

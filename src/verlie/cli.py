@@ -56,7 +56,10 @@ def _load_algebra(spec: str, p: int | None):
     built at its own p, else at p, else at 3, and refused if its p and p differ."""
     if not spec.endswith(".json"):
         return catalog_algebra(spec, 3 if p is None else p)
-    data = json.loads(Path(spec).read_text())
+    try:
+        data = json.loads(Path(spec).read_text())
+    except json.JSONDecodeError as exc:
+        raise errors.BadSpec(str(exc)) from None
     if not isinstance(data, dict):
         raise errors.BadSpec(f"{spec} must hold a JSON object, not a {type(data).__name__}")
     if unknown := set(data) - {"name", "cartan", "parity", "p"}:
@@ -136,14 +139,14 @@ def cmd_decompose(args) -> int:
 def cmd_semisimplify(args) -> int:
     alg, realization, decomp = _decomposed(args)
     ss = semisimplify(realization, decomp)
-    sdim = superdim(ss.algebra)
+    sdim, counts = superdim(ss.algebra), block_counts(decomp)
     checks = {name: report.ok for name, report in ss.checks.items()}
     print(f"{args.algebra} p={alg.p}: superdimension ({sdim[0]}|{sdim[1]})")
-    print(f"  block counts {block_counts(decomp)}")
+    print(f"  block counts {counts}")
     print(f"  checks: {checks}")
     _emit({"command": "semisimplify", "algebra": args.algebra, "p": alg.p,
            "element": args.element or args.subset,
-           "block_counts": list(block_counts(decomp)),
+           "block_counts": list(counts),
            "superdim": list(sdim), "checks": checks,
            "algebra_out": ss.to_json_dict()}, args.json)
     return 0
@@ -178,6 +181,9 @@ def cmd_certify(args) -> int:
     cert = CERTIFY[route](ss, RowSpec(args.algebra, alg.p, (element,), route, subset, target, star_sdim=star_sdim))
     print(f"{args.algebra} vs {cert.target}: {cert.conclusion} "
           f"(superdim ({cert.actual_superdim[0]}|{cert.actual_superdim[1]}))")
+    if cert.conclusion != "Verified":  # why: the first failing report, else the superdimension mismatch
+        why = cert.witness or {"superdim": list(cert.actual_superdim), "expected": list(cert.expected_superdim)}
+        print(f"  witness: {json.dumps(why, sort_keys=True)}")
     _emit({**cert.to_json_dict(), "command": "certify", "algebra": args.algebra, "element": element,
            "block_counts": list(block_counts(decomp))}, args.json)
     return 0 if cert.conclusion == "Verified" else 2

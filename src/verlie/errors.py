@@ -26,8 +26,11 @@ class BadModulus(VerlieError):
 
 
 class BadSpec(VerlieError):
-    """An algebra spec is not a JSON object, or one of its values is not
-    the exact integer (or list of them) it must be."""
+    """An algebra spec names no algebra the package builds: an unknown
+    catalog name or one of too small a rank, a spec file that is not a JSON
+    object, a Cartan matrix that is not square, a parity list of the wrong
+    length, or a value that is not the exact integer (or list of them) it
+    must be."""
 
 
 class DimensionTooLarge(VerlieError):
@@ -39,7 +42,7 @@ class DegreeExceedsP(VerlieError):
 
 
 class IllegalSwap(VerlieError):
-    """A requested recoloring is not a legal swap."""
+    """A coloring, or a requested recoloring, is not legal."""
 
 
 class ParseError(VerlieError):
@@ -70,7 +73,8 @@ class NotParityHomogeneous(VerlieError):
 
 
 class PreconditionViolated(VerlieError):
-    """The boundary-node construction was asked for outside its supported setting."""
+    """A construction or a certificate route was asked for outside its
+    supported setting (algebra, element, characteristic or target)."""
 
 
 class NotDiagonalizable(VerlieError):

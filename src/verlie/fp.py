@@ -23,11 +23,17 @@ def normalize(a, p: int) -> Array:
     return np.asarray(a, dtype=np.int64) % p
 
 
-def inv_scalar(a: int, p: int) -> int:
-    a = int(a) % p
-    if a == 0:
-        raise ZeroDivisionError("0 has no inverse mod p")
-    return pow(a, p - 2, p)
+def inverses(a: Array, p: int) -> Array:
+    """Elementwise a^(p-2) mod p (the inverse of a nonzero residue), from a^1
+    since p - 2 is odd; every product is of two residues, so it stays below p^2."""
+    out = base = a % p
+    e = (p - 2) >> 1
+    while e:
+        base = base * base % p
+        if e & 1:
+            out = out * base % p
+        e >>= 1
+    return out
 
 
 def check_modulus(p: int, dim: int = 1) -> None:
@@ -82,7 +88,7 @@ def rref(m, p: int) -> tuple[Array, list[int]]:
         i = r + int(nz[0])
         if i != r:
             a[[r, i]] = a[[i, r]]
-        a[r] = (a[r] * inv_scalar(a[r, c], p)) % p
+        a[r] = a[r] * inverses(a[r, c], p) % p
         col = a[:, c].copy()
         col[r] = 0
         mask = col != 0
@@ -91,19 +97,6 @@ def rref(m, p: int) -> tuple[Array, list[int]]:
         pivots.append(c)
         r += 1
     return a, pivots
-
-
-def inverses(a: Array, p: int) -> Array:
-    """Elementwise a^(p-2) mod p (the inverse of a nonzero residue), from a^1
-    since p - 2 is odd; every product is of two residues, so it stays below p^2."""
-    out = base = a % p
-    e = (p - 2) >> 1
-    while e:
-        base = base * base % p
-        if e & 1:
-            out = out * base % p
-        e >>= 1
-    return out
 
 
 def rref_batch(stack, p: int) -> tuple[Array, Array]:

@@ -183,10 +183,6 @@ class JordanChain:
     def length(self) -> int:
         return self.vectors.shape[0]
 
-    @property
-    def tail(self) -> np.ndarray:
-        return self.vectors[-1]
-
 
 @dataclass(frozen=True, eq=False)
 class ChainDecomposition:
@@ -457,8 +453,7 @@ def boundary_subset(realization: Realization, subset) -> tuple[int, ...]:
         raise PreconditionViolated(f"{subset} is not an admissible subset")
     if realization.element is None:
         raise PreconditionViolated("the boundary-node construction needs an inner realization")
-    expected = np.zeros(alg.dim, dtype=np.int64)
-    expected[[integral.generator_index("e", i) for i in subset]] = 1
+    expected = sum((alg.gens[f"e{i}"] for i in subset), np.zeros(alg.dim, dtype=np.int64))
     if not np.array_equal(realization.element % alg.p, expected):
         raise PreconditionViolated("element must be the sum of e_i over the subset")
     return subset
@@ -480,8 +475,8 @@ def structured_decompose(realization: Realization, subset) -> ChainDecomposition
     gcm = integral.gcm
     der = realization.der
 
-    def unit(kind: str, k: int) -> np.ndarray:  # a row of its own, so no chain views a dim x dim array
-        return (np.arange(alg.dim) == integral.generator_index(kind, k)).astype(np.int64)[None]
+    def unit(kind: str, k: int) -> np.ndarray:  # the generator as a one-row chain
+        return alg.gens[f"{kind}{k}"][None]
 
     def orbit(v, length: int) -> np.ndarray:  # the rows v, Dv, ..., D^{length-1} v
         rows = [np.reshape(v, -1)]
@@ -502,7 +497,7 @@ def structured_decompose(realization: Realization, subset) -> ChainDecomposition
         # [f, f_j] -> f_j
         ff = alg.bracket(unit("f", i), unit("f", j))
         chain = JordanChain(orbit(ff, 2), tag=("f", j))
-        if not np.array_equal(chain.tail, unit("f", j)[0]):
+        if not np.array_equal(chain.vectors[-1], unit("f", j)[0]):
             raise InternalError("[f, f_j] does not map onto f_j")
         chains.append(chain)
         # f_i -> h_i -> -2 e_i

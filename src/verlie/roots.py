@@ -85,7 +85,7 @@ def validate_gcm(entries, parity=None) -> GCM:
     if not n:
         raise BadSpec("cartan must have at least one row")
     if any(len(row) != n for row in mat):
-        raise ValueError("Cartan matrix must be square")
+        raise BadSpec("Cartan matrix must be square")
     if parity is None:
         parity = []
         for i in range(n):
@@ -98,7 +98,7 @@ def validate_gcm(entries, parity=None) -> GCM:
                 raise AxiomViolation(1, f"a_{i+1}{i+1} = {d} fits no parity")
     parity = _exact_ints(parity, "parity")
     if len(parity) != n or any(par not in (EVEN, ODD) for par in parity):
-        raise ValueError("parity vector must be 0/1 of matching length")
+        raise BadSpec("parity vector must be 0/1 of matching length")
     for i in range(n):
         if parity[i] == EVEN and mat[i][i] != 2:
             raise AxiomViolation(1, f"a_{i+1}{i+1} = {mat[i][i]} for even node {i+1}")
@@ -279,7 +279,8 @@ def derive_tilde(gcm: GCM, subset) -> GCM:
 
 @dataclass(frozen=True)
 class Coloring:
-    """A black/white node coloring with no two black nodes adjacent."""
+    """A black/white node coloring with no two black nodes adjacent
+    (IllegalSwap names a black node out of range or two adjacent ones)."""
 
     gcm: GCM
     black: frozenset[int]
@@ -287,11 +288,11 @@ class Coloring:
     def __post_init__(self):
         for i in self.black:
             if not 1 <= i <= self.gcm.n:
-                raise ValueError(f"node {i} out of range")
+                raise IllegalSwap(f"node {i} out of range")
         for i in self.black:
             for j in self.black:
                 if i < j and self.gcm.adjacent(i, j):
-                    raise ValueError(f"black nodes {i}, {j} are adjacent")
+                    raise IllegalSwap(f"black nodes {i}, {j} are adjacent")
 
     def sorted_black(self) -> tuple[int, ...]:
         return tuple(sorted(self.black))
@@ -392,7 +393,7 @@ def catalog_gcm(name: str) -> GCM:
     if name and name[0] in _CHAIN_TYPES and name[1:].isascii() and name[1:].isdigit():
         kind, n = name[0], int(name[1:])
         if n < 1 or (kind == "b" and n < 2) or (kind == "c" and n < 2) or (kind == "d" and n < 3):
-            raise ValueError(f"rank too small for type {kind}")
+            raise BadSpec(f"rank too small for type {kind}")
         mat = [[0] * n for _ in range(n)]
         for i in range(n):
             mat[i][i] = 2
@@ -411,4 +412,4 @@ def catalog_gcm(name: str) -> GCM:
             mat[n - 1][n - 3] = -1
             mat[n - 3][n - 1] = -1
         return validate_gcm(mat)
-    raise ValueError(f"unknown catalog name {name!r}")
+    raise BadSpec(f"unknown catalog name {name!r}")

@@ -56,7 +56,7 @@ class Coo:
     def take_rows(self, rows) -> Coo:
         """Row r of the result is row rows[r] of this matrix."""
         rows = np.asarray(rows, dtype=np.int64)
-        at, entry = pairs(self, rows)
+        at, entry = span_pairs(*spans(self, rows))
         return Coo(at, self.col[entry], self.data[entry], (len(rows), self.shape[1]))
 
     def scale_rows(self, c, p: int) -> Coo:
@@ -105,12 +105,6 @@ def span_pairs(lo: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarr
     t = np.repeat(lo - (np.cumsum(counts) - counts), counts)
     t += np.arange(len(s))
     return s, t
-
-
-def pairs(m: Coo, rows) -> tuple[np.ndarray, np.ndarray]:
-    """(s, t) for every entry t of m in row rows[s]: the terms of a product
-    whose left factor has its entries s at the inner indices rows."""
-    return span_pairs(*spans(m, np.asarray(rows, dtype=np.int64)))
 
 
 def cuts(counts: np.ndarray, budget: int, group: np.ndarray | None = None) -> list[int]:

@@ -142,18 +142,11 @@ class ModularSuperAlgebra:
         """[u, v]: the one row of brackets(u, v)."""
         return self.brackets(np.reshape(u, (1, -1)), np.reshape(v, (1, -1))).toarray()[0]
 
-    def is_homogeneous(self, v) -> bool:
-        v = fp.normalize(v, self.p)
-        return not (v[self.parity == 0].any() and v[self.parity == 1].any())
-
-    def vector_parity(self, v) -> int:
-        """Parity of a homogeneous vector (0 for the zero vector)."""
-        v = fp.normalize(v, self.p)
-        if v[self.parity == 1].any():
-            if v[self.parity == 0].any():
-                raise NotParityHomogeneous("vector mixes parities")
-            return 1
-        return 0
+    def parities(self, rows) -> np.ndarray:
+        """The parity of each row of a matrix reduced mod p: 0 or 1, or -1
+        where the row mixes parities; a zero row reads 0."""
+        odd = rows[:, self.parity == 1].any(axis=1)
+        return np.where(odd & rows[:, self.parity == 0].any(axis=1), -1, odd.astype(np.int64))
 
     # -- serialization -----------------------------------------------------
 
@@ -527,10 +520,10 @@ def _parity_split(alg: ModularSuperAlgebra, sub: Subspace) -> tuple[np.ndarray, 
     On a sum of homogeneous parts every reduced echelon row is homogeneous:
     the odd part of an even-pivot row lies in the subspace and vanishes at
     every pivot, so it is zero (and likewise for odd pivots)."""
-    odd = sub.rows[:, alg.parity == 1].any(axis=1)
-    if (odd & sub.rows[:, alg.parity == 0].any(axis=1)).any():
+    parity = alg.parities(sub.rows)
+    if (parity < 0).any():
         raise NotParityHomogeneous("subspace is not a sum of homogeneous parts")
-    return sub.rows[~odd], sub.rows[odd]
+    return sub.rows[parity == 0], sub.rows[parity == 1]
 
 
 # -- structural operations ---------------------------------------------------
@@ -581,7 +574,7 @@ def closure(sub: Subspace, images) -> Subspace:
 def _both_orders(alg: ModularSuperAlgebra, u, v) -> sparse.Coo:
     """[u, v], and [v, u] only if a row of u or v mixes parities: on a super
     skew algebra [y, x] = -(-1)^{|x||y|} [x, y] for homogeneous x and y."""
-    mixed = any((m[:, alg.parity == 0].any(axis=1) & m[:, alg.parity == 1].any(axis=1)).any() for m in (u, v))
+    mixed = any((alg.parities(m) < 0).any() for m in (u, v))
     return sparse.vstack([alg.brackets(u, v), alg.brackets(v, u)]) if mixed else alg.brackets(u, v)
 
 
@@ -618,7 +611,7 @@ def subalgebra_on(alg: ModularSuperAlgebra, sub: Subspace) -> tuple[ModularSuper
     rows = np.vstack([ev_mat, od_mat])
     # even block first, so the rows are not one echelon form; each row's
     # pivot is 1 and zero in every other row, so the pivot columns of the identity are a left inverse
-    pivots = [int(np.flatnonzero(row)[0]) for row in rows]
+    pivots = np.argmax(rows != 0, axis=1)
     parity = np.array([0] * len(ev_mat) + [1] * len(od_mat), dtype=np.int64)
     labels = [f"sub[{i}]" for i in range(len(rows))]
     return read_back(alg, rows, np.eye(alg.dim, dtype=np.int64)[:, pivots], parity, labels), rows
@@ -680,8 +673,7 @@ def gen_subquotient(alg: ModularSuperAlgebra, seeds) -> GenSubquotient:
         raise ValueError("no generator vectors supplied")
     sub = generated_subalgebra(alg, seeds)
     subalg, rows = subalgebra_on(alg, sub)
-    pivots = [int(np.nonzero(r)[0][0]) for r in rows]
-    coords = seeds[:, pivots]  # pivot entries are 1 and zero in every other row
+    coords = seeds[:, np.argmax(rows != 0, axis=1)]  # pivot entries are 1 and zero in every other row
     if ((seeds - coords @ rows) % alg.p).any():
         raise InternalError("vector not inside the subalgebra")
     cubes = odd_cube_generators(subalg)

@@ -48,10 +48,6 @@ class RowSpec:
     star_sdim: tuple[int, int] | None = None  # expected generator-subquotient superdim
     even_type: str | None = None
 
-    @property
-    def key(self) -> str:
-        return f"{self.algebra}@{self.elements[0]}|p={self.p}"
-
 
 def _boundary(ss, spec: RowSpec):
     """Generator images and derived target of a boundary row, named by the row or tilde(algebra;subset)."""

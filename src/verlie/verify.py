@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import fp, sparse
-from .errors import NotDiagonalizable, UnknownTarget, UnrecognizedType
+from .errors import BadSpec, NotDiagonalizable, PreconditionViolated, UnknownTarget, UnrecognizedType
 from .repalpha import Realization, boundary_subset, parse_element
 from .roots import GCM, attached_node, catalog_gcm, derive_tilde, positive_roots, validate_gcm
 from .semisimplify import SemisimplifiedAlgebra
@@ -117,14 +117,14 @@ G36_PLAN = (("e3", "[f1,f3]", "h3"), ("e4", "[f2,f4]", "h4"), ("e5", "[f6,f5]", 
 
 
 def require_plan_g36_element(realization: Realization) -> None:
-    """ValueError unless the realization is of e_1 + e_2 + e_6 + e_8 on the
-    rank-8 catalog algebra, the one element `G36_PLAN` is written for."""
+    """PreconditionViolated unless the realization is of e_1 + e_2 + e_6 + e_8
+    on the rank-8 catalog algebra, the one element `G36_PLAN` is written for."""
     alg = realization.algebra
     if alg.dim != 248:
-        raise ValueError("custom plan expects the rank-8 catalog algebra")
+        raise PreconditionViolated("custom plan expects the rank-8 catalog algebra")
     element = realization.element
     if element is None or not np.array_equal(element, parse_element("e1+e2+e6+e8", alg)[1]):
-        raise ValueError("custom plan expects the element e1 + e2 + e6 + e8")
+        raise PreconditionViolated("custom plan expects the element e1 + e2 + e6 + e8")
 
 
 def custom_plan_g36(ss: SemisimplifiedAlgebra) -> np.ndarray:
@@ -141,18 +141,17 @@ def check_relations(alg: ModularSuperAlgebra, gens: np.ndarray, target: TargetSp
     [h_i, h_j] = 0, and the generator parities match the target's; `gens`
     is the (3, rank, dim) array of the e, f and h images.  A failure's
     witness lists every failing relation under "failures"."""
-    failures: list[dict] = []
-    e, f, h = gens
+    e, f, h = gens = fp.normalize(gens, alg.p)
     r, p = len(e), alg.p
     if target.gcm is None or r != target.gcm.n:
         failures = [{"relation": "rank", "expected": target.gcm.n if target.gcm else None, "actual": r}]
         return Report("relations", False, {"failures": failures})
-    for i in range(r):
-        for vec, label in ((e[i], "e"), (f[i], "f")):
-            if not alg.is_homogeneous(vec) or not vec.any() or alg.vector_parity(vec) != target.gcm.parity[i]:
-                failures.append({"relation": "parity", "generator": f"{label}{i + 1}"})
-        if h[i].any() and alg.vector_parity(h[i]) != 0:
-            failures.append({"relation": "parity", "generator": f"h{i + 1}"})
+    # e_i and f_i nonzero with node i's parity, h_i even; an image that mixes parities reads -1, so it fails
+    parity = alg.parities(gens.reshape(-1, alg.dim)).reshape(3, r)
+    wrong = parity != [target.gcm.parity] * 2 + [[0] * r]
+    wrong[:2] |= ~gens[:2].any(axis=2)
+    failures = [{"relation": "parity", "generator": f"{'efh'[k]}{i + 1}"}
+                for i in range(r) for k in range(3) if wrong[k, i]]
     a = target.gcm.matrix()[:, :, None]
     # [x_i, y_j] at [i, j] against its expected value, one brackets call per kind
     wanted = {"ef": np.eye(r, dtype=np.int64)[:, :, None] * h[:, None], "he": a * e, "hf": -a * f,
@@ -223,9 +222,9 @@ class Certificate:
 
 
 def require_target_characteristic(alg: ModularSuperAlgebra, target: TargetSpec) -> None:
-    """ValueError unless the target lives in the algebra's characteristic."""
+    """PreconditionViolated unless the target lives in the algebra's characteristic."""
     if target.p != alg.p:
-        raise ValueError("target characteristic differs from the algebra's")
+        raise PreconditionViolated("target characteristic differs from the algebra's")
 
 
 def certify(alg: ModularSuperAlgebra, gens: np.ndarray, target: TargetSpec) -> Certificate:
@@ -253,14 +252,10 @@ def subquotient_certificate(ss: SemisimplifiedAlgebra, gens: np.ndarray, target:
 def cartan_torus_images(ss: SemisimplifiedAlgebra) -> np.ndarray:
     """Images of the Cartan elements killed by the derivation: a maximal
     commuting family of surviving singleton chains inside the Cartan."""
-    integral = ss.realization.algebra.origin
-    if integral is None:
-        raise ValueError("needs a Chevalley-basis source algebra")
     alg = ss.realization.algebra
-    n = integral.rank
-    cartan = np.zeros((alg.dim, n), dtype=np.int64)
-    for i in range(1, n + 1):
-        cartan[integral.generator_index("h", i), i - 1] = 1
+    if alg.origin is None:
+        raise PreconditionViolated("needs a Chevalley-basis source algebra")
+    cartan = np.stack([alg.gens[f"h{i}"] for i in range(1, alg.origin.rank + 1)], axis=1)
     killed = fp.kernel_basis(ss.realization.der.dot(cartan) % alg.p, alg.p)
     images = [ss.image(cartan @ combo % alg.p) for combo in killed]
     return Subspace.from_vectors(images, ss.algebra.dim, alg.p).rows
@@ -298,9 +293,8 @@ def weight_split(alg: ModularSuperAlgebra, torus) -> WeightSplit:
     p = alg.p
     torus = fp.normalize(torus, p)
     torus = np.atleast_2d(torus) if torus.size else np.zeros((0, alg.dim), dtype=np.int64)
-    for t in torus:
-        if alg.vector_parity(t) != 0:
-            raise ValueError("torus vectors must be even")
+    if alg.parities(torus).any():
+        raise ValueError("torus vectors must be even")
     mats = [alg.ad(t) for t in torus]
     if any((mats[a] @ torus[b] % p).any() for a in range(len(torus)) for b in range(a + 1, len(torus))):
         raise ValueError("torus vectors must commute")
@@ -332,8 +326,7 @@ def _eig_split(p: int, mats, dim: int):
     for m in mats:
         refined = []
         for weight, rows in spaces:
-            pivots = [int(np.nonzero(r)[0][0]) for r in rows]
-            action = (m @ rows.T)[pivots, :] % p  # coordinates over the echelon rows
+            action = (m @ rows.T)[np.argmax(rows != 0, axis=1), :] % p  # coordinates over the echelon rows
             if np.any((m @ rows.T - rows.T @ action) % p):
                 raise NotDiagonalizable("eigenspace is not invariant")
             diagonal = np.diag(action)
@@ -492,7 +485,7 @@ def recognize_even_type(alg: ModularSuperAlgebra, split: WeightSplit) -> tuple[s
     ratio = np.diag(scalars)
     if not ratio.all():
         raise UnrecognizedType("coroot does not act as a nonzero scalar on its root space")
-    eigs = 2 * np.array([fp.inv_scalar(r, p) for r in ratio])[:, None] * scalars % p
+    eigs = 2 * fp.inverses(ratio, p)[:, None] * scalars % p
     targets = targets.reshape(n, n)
     beyond = np.take_along_axis(up, np.maximum(targets, 0), axis=1) & (targets >= 0)
     q = up.astype(np.int64) + (up & beyond)
@@ -529,7 +522,7 @@ def _match_type(cartan: np.ndarray, rank: int) -> str:
     for kind in "abcdefg":
         try:
             ref = catalog_gcm(f"{kind}{rank}").matrix()
-        except ValueError:  # no such catalog name, as d2 or f3
+        except BadSpec:  # no such catalog name, as d2 or f3
             continue
         if _extends(cartan, ref, []):
             return f"{kind}{rank}".upper()

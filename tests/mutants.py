@@ -42,8 +42,9 @@ MUTANTS = [
            '("hf", h, f), ("hh", h, h))}', '("hf", h, f))}',
            ("tests/test_verify.py::test_relations_witness_lists_noncommuting_h_images",)),
     Mutant("relations skip the h parity", "src/verlie/verify.py",
-           "        if h[i].any() and alg.vector_parity(h[i]) != 0:", "        if False:",
-           ("tests/test_verify.py::test_relations_witness_lists_an_odd_h_image",)),
+           "[target.gcm.parity] * 2 + [[0] * r]", "[target.gcm.parity] * 2 + [parity[2]]",
+           ("tests/test_verify.py::test_relations_witness_lists_an_odd_h_image",
+            "tests/test_verify.py::test_relations_report_an_h_image_that_mixes_parities")),
     Mutant("generation passes at dim - 1", "src/verlie/verify.py",
            "    ok = generated == alg.dim", "    ok = generated >= alg.dim - 1",
            ("tests/test_verify.py::test_sl3_generators_generate_a_hyperplane_of_gl3",)),
@@ -109,9 +110,17 @@ MUTANTS = [
            "inverse[m * (n + 1), len(off) + m:] = 1", "inverse[m * (n + 1), len(off) + m:-1] = 1",
            ("tests/test_chevalley.py::test_matrix_algebras_pinned",)),
     Mutant("parity split keeps rows that mix parities", "src/verlie/superalgebra.py",
-           "    if (odd & sub.rows[:, alg.parity == 0].any(axis=1)).any():", "    if False:",
+           "    if (parity < 0).any():\n"
+           '        raise NotParityHomogeneous("subspace is not a sum of homogeneous parts")\n'
+           "    return sub.rows[parity == 0], sub.rows[parity == 1]\n",
+           "    return sub.rows[parity == 0], sub.rows[parity != 0]\n",
            ("tests/test_superalgebra.py::test_quotient_rejects_mixed_parity",
             "tests/test_superalgebra.py::test_parity_split_reads_the_echelon_rows")),
+    Mutant("a row that mixes parities reads as odd", "src/verlie/superalgebra.py",
+           "        return np.where(odd & rows[:, self.parity == 0].any(axis=1), -1, odd.astype(np.int64))",
+           "        return odd.astype(np.int64)",
+           ("tests/test_verify.py::test_relations_refuse_an_odd_node_image_that_mixes_parities",
+            "tests/test_superalgebra.py::test_parities_agree_with_the_per_vector_rule")),
     Mutant("a spec file's p wins over a -p that differs", "src/verlie/cli.py",
            "    if p not in (None, own):", "    if False:",
            ("tests/test_cli.py::test_spec_file_p_and_flag_that_differ_are_refused",)),

@@ -24,3 +24,8 @@ def spec_pipeline(spec):
     """The pipeline of a table row's first element, structured where the row
     names a subset."""
     return structured_pipeline(spec.algebra, spec.p, spec.elements[0], spec.subset)
+
+
+def row_key(spec) -> str:
+    """A table row named by its algebra, first element and characteristic, as 'e8@e1|p=3'."""
+    return f"{spec.algebra}@{spec.elements[0]}|p={spec.p}"

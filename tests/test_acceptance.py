@@ -13,7 +13,7 @@ from tests.oracles import (
     g2_scaled,
     literal_reference,
 )
-from tests.pipelines import spec_pipeline
+from tests.pipelines import row_key, spec_pipeline
 from verlie.chevalley import integral_catalog
 from verlie.repalpha import block_counts, jordan_decompose, parse_element, rank_count_vector, realize
 from verlie.roots import Coloring, admissible_subsets, catalog_gcm, derive_tilde, swap_orbit
@@ -83,14 +83,14 @@ def test_criterion_1_other_class_elements_by_chains():
     for spec, element in others:
         alg = v.catalog_algebra(spec.algebra, spec.p)
         realization = realize(alg, parse_element(element, alg)[1])
-        assert block_counts(jordan_decompose(realization)) == spec.counts, f"{spec.key}: {element}"
-        assert rank_count_vector(realization) == spec.counts, f"{spec.key}: {element}"
+        assert block_counts(jordan_decompose(realization)) == spec.counts, f"{row_key(spec)}: {element}"
+        assert rank_count_vector(realization) == spec.counts, f"{row_key(spec)}: {element}"
 
 
 def test_criterion_2_certificate_table(table_rows):
     verified = {}
     for row in table_rows:
-        assert row.ok, f"{row.spec.key}: {row.mismatches}"
+        assert row.ok, f"{row_key(row.spec)}: {row.mismatches}"
         if row.spec.route in ("maint", "custom-g36"):
             assert row.conclusion == "Verified"
             verified[row.spec.target] = row.sdim
@@ -205,7 +205,7 @@ def test_criterion_7_oracle_equivalence():
     for spec in TABLE:
         realization, decomp, ss = spec_pipeline(spec)
         reference = literal_reference(realization, decomp)
-        assert reference.constants == ss.algebra.constants, spec.key
+        assert reference.constants == ss.algebra.constants, row_key(spec)
         assert np.array_equal(reference.parity, ss.algebra.parity)
         checked += 1
     print(f"CRITERION 7 PASS: semisimplify == literal three-case reference on all {checked} "

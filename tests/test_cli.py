@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from tests.pipelines import row_key
 from verlie import cli, errors
 from verlie.cli import main
 from verlie.roots import admissible_subsets, catalog_gcm
@@ -341,6 +342,69 @@ def test_certify_outside_its_routes_is_an_input_error(argv, message, monkeypatch
     assert err.startswith("error:") and message in err and "Traceback" not in err
 
 
+# spec files that REFUSED commands name, written to the working directory of each run
+REFUSED_SPECS = {"nonsquare.json": '{"cartan": [[2, -1, 0], [-1, 2]]}',
+                 "parity.json": '{"cartan": [[2, -1], [-1, 2]], "parity": [0]}',
+                 "notjson.json": '{"cartan": [[2, -1], [-1, 2]'}
+
+# inputs refused by a typed error, with its message; each exited 3 with the same message
+# when the error was a bare ValueError (or, for the file that is not JSON, json's own)
+REFUSED = [
+    (["swaps", "--algebra", "f4", "--subset", "9"], errors.IllegalSwap, "node 9 out of range"),
+    (["swaps", "--algebra", "f4", "--subset", "1,2"], errors.IllegalSwap, "black nodes 1, 2 are adjacent"),
+    (["decompose", "--algebra", "gl0", "--element", "e1"], errors.BadSpec, "rank must be positive"),
+    (["decompose", "--algebra", "sl1", "--element", "e1"], errors.BadSpec, "rank must be at least 2"),
+    (["roots", "d2"], errors.BadSpec, "rank too small for type d"),
+    (["decompose", "--algebra", "d2", "--element", "e1"], errors.BadSpec, "rank too small for type d"),
+    (["roots", "zz"], errors.BadSpec, "unknown catalog name 'zz'"),
+    (["decompose", "--algebra", "zz", "--element", "e1"], errors.BadSpec, "unknown catalog name 'zz'"),
+    (["decompose", "--algebra", "nonsquare.json", "--element", "e1"], errors.BadSpec, "Cartan matrix must be square"),
+    (["decompose", "--algebra", "parity.json", "--element", "e1"], errors.BadSpec,
+     "parity vector must be 0/1 of matching length"),
+    (["decompose", "--algebra", "notjson.json", "--element", "e1"], errors.BadSpec,
+     "Expecting ',' delimiter: line 1 column 29 (char 28)"),
+    (["certify", "--algebra", "f4", "--element", "e4", "--plan", "g36"], errors.PreconditionViolated,
+     "custom plan expects the rank-8 catalog algebra"),
+    (["certify", "--algebra", "e8", "--element", "e1", "--plan", "g36"], errors.PreconditionViolated,
+     "custom plan expects the element e1 + e2 + e6 + e8"),
+    (["certify", "--algebra", "f4", "--element", "e1", "--target", "el(5;5)"], errors.PreconditionViolated,
+     "target characteristic differs from the algebra's"),
+    # refused only after semisimplifying, when the even route looks for the Cartan torus
+    (["certify", "--algebra", "gl3", "-p", "5", "--element", "e1", "--target", "el(5;5)"],
+     errors.PreconditionViolated, "needs a Chevalley-basis source algebra"),
+]
+
+
+@pytest.mark.parametrize("argv,kind,message", REFUSED, ids=[" ".join(argv) for argv, _, _ in REFUSED])
+def test_refused_inputs_raise_typed_errors(argv, kind, message, tmp_path, monkeypatch, capsys):
+    """Each refusal exits 3 with its message and nothing on stdout, and the
+    command raises it in-process as the VerlieError subclass named."""
+    for name, text in REFUSED_SPECS.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and not captured.out
+    args = cli.build_parser().parse_args(argv)
+    with pytest.raises(errors.VerlieError) as raised:
+        args.func(args)
+    assert type(raised.value) is kind and str(raised.value) == message
+
+
+def test_certify_prints_why_a_certificate_is_not_verified(capsys):
+    """A verdict other than Verified is followed by the first failing report's
+    witness, or by the superdimensions when every report passes; a Verified
+    one by nothing.  The payload keeps its bytes (GOLDEN pins them)."""
+    assert main(["certify", "--algebra", "f4", "--subset", "1", "--target", "g(1,6)"]) == 2
+    assert capsys.readouterr().out.splitlines() == [
+        "f4 vs g(1,6): Refuted (superdim (15|8))", '  witness: {"dim": 15, "expected": 23}']
+    assert main(["certify", "--algebra", "e6", "--subset", "2", "--target", "g(3,3)"]) == 2
+    assert capsys.readouterr().out.splitlines() == [
+        "e6 vs g(3,3): Refuted (superdim (35|20))", '  witness: {"expected": [22, 16], "superdim": [35, 20]}']
+    assert main(["certify", "--algebra", "e6", "--subset", "2"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["e6 vs g(2,6): Verified (superdim (35|20))"]
+
+
 # one table row per certificate route, and the `certify` flags that reach it
 ROUTE_ROWS = [
     ("maint", "e6@e2|p=3", ["--algebra", "e6", "--subset", "2"]),
@@ -352,7 +416,7 @@ ROUTE_ROWS = [
 
 @pytest.mark.parametrize("route,key,argv", ROUTE_ROWS, ids=[row[0] for row in ROUTE_ROWS])
 def test_each_route_gives_one_certificate_through_certify_and_table(route, key, argv, tmp_path):
-    spec = next(spec for spec in TABLE if spec.key == key)
+    spec = next(spec for spec in TABLE if row_key(spec) == key)
     assert spec.route == route
     path = tmp_path / "cert.json"
     assert main(["certify", *argv, "--json", str(path)]) == 0

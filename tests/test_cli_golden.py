@@ -61,6 +61,9 @@ GOLDEN = [
     # star route: generator subquotient
     (["certify", "--algebra", "f4", "--subset", "1", "--target", "sl(3|1)"],
      0, "05dfbe2d3960822e41c762f8b5e30561727fedbcf80b36f1b8132163895b2e89"),
+    # refuted: the printed witness, of its failing generation report, stays off the payload
+    (["certify", "--algebra", "f4", "--subset", "1", "--target", "g(1,6)"],
+     2, "17060a75b32c334d01a96b3d14bbdd02cd57f36f1ffb0181507463d8922a7c21"),
     (["certify", "--algebra", "e8", "--element", "e1+e2+e6+e8", "--plan", "g36"],
      0, "91dc696e786b3083c32508e6868a9a9b9fe20c2308d3b616e1c9f3160d6bed7f"),
     (["certify", "--algebra", "e8", "-p", "5", "--element", "e2+e3+e4", "--target", "el(5;5)"],

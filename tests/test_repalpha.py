@@ -307,7 +307,7 @@ def test_structured_complement_must_be_d_stable(f4mod3):
     integral = f4mod3.origin
     gamma = integral.roots.simple(1) + integral.roots.simple(2)  # in the complement of subset (4,)
     der = r.der.toarray()
-    der[integral.generator_index("h", 1), integral.roots.positive.index(gamma)] = 1
+    der[np.flatnonzero(f4mod3.gens["h1"])[0], integral.roots.positive.index(gamma)] = 1
     broken = repalpha.Realization(f4mod3, v.sparse.from_dense(der), r.element)
     assert broken.degree == 3
     with pytest.raises(InternalError, match="complement is not D-stable"):

@@ -66,7 +66,7 @@ def test_axiom_violations():
 
 def test_parity_with_one_bad_entry_is_rejected():
     """The parity has the right length and one entry that is neither 0 nor 1."""
-    with pytest.raises(ValueError, match="0/1"):
+    with pytest.raises(BadSpec, match="0/1"):
         validate_gcm([[2, -1], [-1, 2]], [0, 5])
 
 
@@ -220,7 +220,7 @@ def test_swap_orbit_constant_on_members():
 
 
 def test_coloring_rejects_adjacent_black():
-    with pytest.raises(ValueError):
+    with pytest.raises(IllegalSwap, match="black nodes 1, 2 are adjacent"):
         Coloring(catalog_gcm("a2"), frozenset({1, 2}))
 
 

@@ -174,7 +174,7 @@ def test_image_projection():
         assert np.array_equal(ss.image(head), eye_out[a])
     # tails of odd chains and every vector of a dead chain project to zero
     for chain_index in ss.odd_chains:
-        assert not ss.image(decomp.chains[chain_index].tail).any()
+        assert not ss.image(decomp.chains[chain_index].vectors[-1]).any()
     for chain_index, chain in enumerate(decomp.chains):
         if chain.length == 3:
             for t in range(3):

@@ -16,7 +16,7 @@ from tests.oracles import (
     rotation_jacobi_witness,
     tensor_coo,
 )
-from tests.pipelines import spec_pipeline, structured_pipeline
+from tests.pipelines import row_key, spec_pipeline, structured_pipeline
 from tests.test_fp import largest_accepted_prime
 from verlie import fp, sparse, superalgebra, verify
 from verlie.errors import (
@@ -290,7 +290,7 @@ def test_sorted_jacobi_matches_rotations_on_corrupted_table_outputs(monkeypatch)
             bad = ModularSuperAlgebra.from_entries(alg.p, alg.parity, *map(np.concatenate, zip(entries, change)))
             assert check_super_skew(bad).ok
             witness = rotation_jacobi_witness(bad.tensor, bad.parity, bad.p)
-            assert sorted_witnesses(bad) == {witness}, spec.key
+            assert sorted_witnesses(bad) == {witness}, row_key(spec)
             failures += witness is not None
     assert failures == 32  # every corruption breaks Jacobi
 
@@ -313,7 +313,7 @@ def test_certification_checks_stay_within_a_memory_bound(monkeypatch):
     start (1.24 MiB measured, in blocks of about 2^12 products; 3.9 MiB in
     blocks of 2^14) and the generation closure below 8 MiB.  One sort of
     every Jacobi product, or densifying every image row, takes about 20 MiB."""
-    spec = next(s for s in TABLE if s.key == "e8@e1|p=3")
+    spec = next(s for s in TABLE if row_key(s) == "e8@e1|p=3")
     ss = row_pipeline(spec.algebra, spec.p, spec.elements[0])[2]
     alg = without_reports(ss.algebra)
     assert check_super_skew(alg).ok
@@ -559,8 +559,8 @@ def test_kept_odd_cube_report_matches_a_fresh_check():
     for spec in TABLE:
         ss = row_pipeline(spec.algebra, spec.p, spec.elements[0])[2]
         fresh = without_reports(ss.algebra)
-        assert ss.checks["odd_cubes"] == check_odd_cubes(fresh), spec.key
-        assert set(fresh._reports) == {"super_skew", "super_jacobi", "odd_cubes"}, spec.key
+        assert ss.checks["odd_cubes"] == check_odd_cubes(fresh), row_key(spec)
+        assert set(fresh._reports) == {"super_skew", "super_jacobi", "odd_cubes"}, row_key(spec)
 
 
 def test_fresh_table_outputs_get_the_kept_reports():
@@ -572,7 +572,7 @@ def test_fresh_table_outputs_get_the_kept_reports():
         check_odd_cubes(cubes_first)
         for check in (check_super_skew, check_super_jacobi, check_odd_cubes):
             check(skew_first)
-        assert cubes_first._reports == skew_first._reports == ss.checks, spec.key
+        assert cubes_first._reports == skew_first._reports == ss.checks, row_key(spec)
 
 
 def test_odd_cubes_after_failed_jacobi_require_super_jacobi():
@@ -650,10 +650,10 @@ def test_table_output_centers_pinned():
     every simple root vanishes."""
     for spec in TABLE:
         dim = center(spec_pipeline(spec)[2].algebra).dim
-        assert dim == (spec.key in CENTERED_ROWS), spec.key
+        assert dim == (row_key(spec) in CENTERED_ROWS), row_key(spec)
         if spec.route in ("maint", "custom-g36"):
             a = np.array(verify.target_by_name(spec.target).gcm.entries)
-            assert dim == len(a) - len(fp.rref(a % 3, 3)[1]), spec.key
+            assert dim == len(a) - len(fp.rref(a % 3, 3)[1]), row_key(spec)
 
 
 def test_derived_subalgebra(gl33, f4mod3):
@@ -767,6 +767,38 @@ def test_parity_split_reads_the_echelon_rows(p, parity, homogeneous, data):
         return
     split = superalgebra._parity_split(alg, sub)
     assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(split, expected, strict=True))
+
+
+def per_vector_parity(alg: ModularSuperAlgebra, v) -> int:
+    """The per-vector rule `parities` replaced: the parity of a homogeneous
+    vector, 0 for the zero vector, NotParityHomogeneous for a mixed one."""
+    v = fp.normalize(v, alg.p)
+    if v[alg.parity == 1].any():
+        if v[alg.parity == 0].any():
+            raise NotParityHomogeneous("vector mixes parities")
+        return 1
+    return 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(p=st.sampled_from([3, 5, 7]), parity=st.lists(st.integers(0, 1), min_size=1, max_size=8), data=st.data())
+def test_parities_agree_with_the_per_vector_rule(p, parity, data):
+    """`parities` reads each reduced row as the per-vector rule did, with -1
+    where that raised: on random rows, a zero row and, when the basis has
+    both parities, a row that mixes them."""
+    n, parity = len(parity), np.array(parity, dtype=np.int64)
+    alg = ModularSuperAlgebra.from_entries(p, parity, [], [], [], [])
+    rows = data.draw(st.lists(st.lists(st.integers(0, p - 1), min_size=n, max_size=n), max_size=6))
+    rows = np.array(rows + [[0] * n] + ([[1] * n] if 0 < parity.sum() < n else []), dtype=np.int64)
+    expected = []
+    for row in rows:
+        try:
+            expected.append(per_vector_parity(alg, row))
+        except NotParityHomogeneous:
+            expected.append(-1)
+    got = alg.parities(rows)
+    assert got.dtype == np.int64 and got.tolist() == expected
+    assert expected[-1] == (-1 if 0 < parity.sum() < n else 0)
 
 
 def test_subspace_canonical_equality():

@@ -7,7 +7,7 @@ import pytest
 
 import verlie as v
 from tests.test_fp import rank
-from verlie.errors import NotDiagonalizable, UnrecognizedType
+from verlie.errors import BadSpec, NotDiagonalizable, PreconditionViolated, UnrecognizedType
 from verlie.roots import catalog_gcm, derive_tilde, validate_gcm
 from verlie import superalgebra, table, verify
 from verlie.superalgebra import (
@@ -21,7 +21,7 @@ from verlie.superalgebra import (
     superdim,
 )
 from tests.oracles import center, free_nilpotent_example
-from tests.pipelines import spec_pipeline
+from tests.pipelines import row_key, spec_pipeline
 from tests.test_superalgebra import corrupt
 from verlie.table import CERTIFY, TABLE, RowSpec, row_pipeline, run_row
 from verlie.verify import (
@@ -81,12 +81,12 @@ def test_anchor_tilde_matrices_equal_catalog():
             continue
         tilde = derive_tilde(catalog_gcm(spec.algebra), spec.subset)
         cat = target_by_name(spec.target)
-        assert tilde.entries == cat.gcm.entries, spec.key
-        assert tilde.parity == cat.gcm.parity, spec.key
+        assert tilde.entries == cat.gcm.entries, row_key(spec)
+        assert tilde.parity == cat.gcm.parity, row_key(spec)
 
 
 def parities(alg, vectors):
-    return [alg.vector_parity(vec) for vec in vectors]
+    return alg.parities(np.asarray(vectors) % alg.p).tolist()
 
 
 def test_generator_images_e6_pair():
@@ -194,13 +194,13 @@ def test_certificate_verdict_follows_its_facts():
 def test_certify_checks_characteristic():
     _, _, ss = pipeline("e6", 3, "e1+e2", subset=(1, 2))
     gens = generator_images(ss, (1, 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionViolated, match="characteristic"):
         certify(ss.algebra, gens, target_by_name("el(5;5)"))
 
 
 def test_even_route_checks_characteristic():
     _, _, ss = row_pipeline("f4", 3, "e1")
-    with pytest.raises(ValueError, match="characteristic"):
+    with pytest.raises(PreconditionViolated, match="characteristic"):
         certify_even_route(ss, target_by_name("el(5;5)"))
 
 
@@ -233,7 +233,7 @@ def test_custom_plan_g36_matches_the_hand_built_vectors():
 
 def test_custom_plan_rejects_wrong_element():
     _, _, ss = pipeline("e8", 3, "e1")
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionViolated, match=r"element e1 \+ e2 \+ e6 \+ e8"):
         custom_plan_g36(ss)
 
 
@@ -326,7 +326,7 @@ def old_match_type(cartan: np.ndarray, rank: int, permutations=itertools.permuta
     for name in candidates:
         try:
             ref = catalog_gcm(name).matrix()
-        except ValueError:
+        except BadSpec:
             continue
         if ref.shape != cartan.shape:
             continue
@@ -706,7 +706,7 @@ def test_plan_images_are_the_tagged_chains_on_structured_decompositions():
     for spec in BOUNDARY_ROWS:
         _, _, ss = spec_pipeline(spec)
         nodes = [k for k in range(1, catalog_gcm(spec.algebra).n + 1) if k not in spec.subset]
-        assert np.array_equal(generator_images(ss, spec.subset), tagged_images(ss, nodes)), spec.key
+        assert np.array_equal(generator_images(ss, spec.subset), tagged_images(ss, nodes)), row_key(spec)
 
 
 def test_structured_and_generic_decompositions_certify_alike():
@@ -714,7 +714,7 @@ def test_structured_and_generic_decompositions_certify_alike():
     the structured one gives the same certificate, byte for byte."""
     for spec in BOUNDARY_ROWS:
         cert = CERTIFY[spec.route](spec_pipeline(spec)[2], spec)
-        assert cert.to_json_dict() == run_row(spec).certificate, spec.key
+        assert cert.to_json_dict() == run_row(spec).certificate, row_key(spec)
 
 
 def own_generators(alg) -> np.ndarray:
@@ -743,6 +743,31 @@ def test_relations_witness_lists_an_odd_h_image():
     gens = gens.copy()
     gens[2, 0] = np.eye(alg.dim, dtype=np.int64)[np.flatnonzero(alg.parity)[0]]
     assert {"relation": "parity", "generator": "h1"} in check_relations(alg, gens, target).witness["failures"]
+
+
+def test_relations_report_an_h_image_that_mixes_parities():
+    """h1's image with one odd entry added mixes parities: the report fails
+    the parity relation of h1 rather than raising."""
+    alg, gens = output_and_images("f4", "e4", (4,))
+    target = target_by_name("g(1,6)")
+    gens = gens.copy()
+    gens[2, 0, np.flatnonzero(alg.parity)[0]] += 1
+    h1 = gens[2, 0] % alg.p
+    assert h1[alg.parity == 0].any() and h1[alg.parity == 1].any()
+    report = check_relations(alg, gens, target)
+    assert not report.ok and {"relation": "parity", "generator": "h1"} in report.witness["failures"]
+
+
+def test_relations_refuse_an_odd_node_image_that_mixes_parities():
+    """e3, the image of g(1,6)'s odd node, with one even entry added mixes
+    parities: a failing parity relation of e3, not an odd image."""
+    alg, gens = output_and_images("f4", "e4", (4,))
+    target = target_by_name("g(1,6)")
+    assert target.gcm.parity[2] == 1 and check_relations(alg, gens, target).ok
+    gens = gens.copy()
+    gens[0, 2, np.flatnonzero(alg.parity == 0)[0]] += 1
+    assert alg.parities(gens[0] % alg.p).tolist() == [0, 0, -1]
+    assert {"relation": "parity", "generator": "e3"} in check_relations(alg, gens, target).witness["failures"]
 
 
 @pytest.mark.parametrize("p", [3, 5])
